@@ -30,7 +30,8 @@ import numpy as np
 
 from ..components import Capacitor, CommonModeChoke
 from ..geometry import Placement2D, Vec2
-from ..peec import loop_self_inductance, mutual_inductance_paths_fast
+from ..obs import get_tracer
+from ..peec import mutual_inductance_paths_fast
 
 __all__ = ["PolarizedCoupling", "polarized_coupling", "decoupling_sweep"]
 
@@ -100,9 +101,8 @@ def polarized_coupling(
     scale = math.sqrt(
         choke.mu_eff * choke.core.stray_fraction * victim.mu_eff * victim.core.stray_fraction
     )
-    l_choke = loop_self_inductance(choke.current_path) * choke.mu_eff
-    l_victim = loop_self_inductance(victim.current_path) * victim.mu_eff
-    norm = scale / math.sqrt(l_choke * l_victim)
+    # Self-L is placement invariant: read the components' cached values.
+    norm = scale / math.sqrt(choke.self_inductance * victim.self_inductance)
     a *= norm
     b *= norm
 
@@ -134,12 +134,13 @@ def decoupling_sweep(
     place_choke = Placement2D.at(0.0, 0.0, 0.0)
     k_max = np.empty(len(angles_deg))
     k_min = np.empty(len(angles_deg))
-    for i, ang in enumerate(np.asarray(angles_deg, dtype=float)):
-        pos = Vec2.from_polar(radius, math.radians(float(ang)))
-        place_victim = Placement2D(pos, 0.0)
-        result = polarized_coupling(
-            choke, place_choke, victim, place_victim, excitation
-        )
-        k_max[i] = result.k_max
-        k_min[i] = result.k_min
+    with get_tracer().span("coupling.decoupling_sweep"):
+        for i, ang in enumerate(np.asarray(angles_deg, dtype=float)):
+            pos = Vec2.from_polar(radius, math.radians(float(ang)))
+            place_victim = Placement2D(pos, 0.0)
+            result = polarized_coupling(
+                choke, place_choke, victim, place_victim, excitation
+            )
+            k_max[i] = result.k_max
+            k_min[i] = result.k_min
     return k_max, k_min

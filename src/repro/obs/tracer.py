@@ -11,7 +11,7 @@ module-level helpers.  Two implementations share the interface:
   call when tracing is off.  Tier-1 test timing must not move.
 
 Spans aggregate *by name within their parent* (a profile tree, not an
-event log): entering ``peec.inductance.assemble`` twice under the same
+event log): entering ``peec.self_inductance`` twice under the same
 parent yields one node with ``count == 2`` and the summed wall time.  That
 keeps reports bounded no matter how many times a hot path runs.
 
@@ -74,7 +74,7 @@ class Span:
 
     Attributes:
         name: hierarchical dotted name (see docs/OBSERVABILITY.md for the
-            naming convention, e.g. ``"peec.inductance.assemble"``).
+            naming convention, e.g. ``"peec.self_inductance"``).
         wall_s: accumulated wall time over all entries [s].
         count: number of times the span was entered.
         children: child spans keyed by name.

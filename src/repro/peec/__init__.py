@@ -19,20 +19,20 @@ from .filament import (
     MU0,
     Filament,
     mutual_inductance,
+    mutual_inductance_pairs,
     mutual_inductance_parallel,
     neumann_mutual_inductance,
     neumann_mutual_matrix,
     pack_filaments,
     self_inductance_bar,
+    self_inductance_bars,
 )
 from .images import image_path, shielding_factor, with_ground_plane
 from .inductance import (
     coupling_factor,
     loop_self_inductance,
     mutual_inductance_matrix,
-    mutual_inductance_paths,
     mutual_inductance_paths_fast,
-    partial_inductance_matrix,
 )
 from .mesh import CurrentPath, rectangle_path, ring_path
 from .permeability import (
@@ -55,20 +55,20 @@ __all__ = [
     "equivalent_radius",
     "Filament",
     "mutual_inductance",
+    "mutual_inductance_pairs",
     "mutual_inductance_parallel",
     "neumann_mutual_inductance",
     "neumann_mutual_matrix",
     "pack_filaments",
     "self_inductance_bar",
+    "self_inductance_bars",
     "CurrentPath",
     "ring_path",
     "rectangle_path",
     "coupling_factor",
     "loop_self_inductance",
     "mutual_inductance_matrix",
-    "mutual_inductance_paths",
     "mutual_inductance_paths_fast",
-    "partial_inductance_matrix",
     "b_field",
     "b_field_filament",
     "b_field_grid",

@@ -11,53 +11,71 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import Vec3
-from .filament import MU0, Filament
+from ..obs import get_tracer
+from .filament import MU0, Filament, _rows_per_chunk, pack_filaments
 from .mesh import CurrentPath
 
 __all__ = ["b_field_filament", "b_field", "b_field_grid", "field_magnitude_map"]
 
 
-def b_field_filament(f: Filament, point: Vec3, current: float = 1.0) -> Vec3:
-    """Magnetic flux density of one finite straight filament at ``point`` [T].
+def _b_field_points(
+    filaments: list[Filament], points: np.ndarray, current: float
+) -> np.ndarray:
+    """Flux density of a filament set at ``(n, 3)`` points [T], shape ``(n, 3)``.
 
-    Standard finite-segment Biot–Savart:
+    Standard finite-segment Biot–Savart for every (point, filament) pair in
+    one broadcast:
 
     ``B = (mu0 I / 4 pi rho) * (sin(theta2) - sin(theta1)) * e_phi``
 
     where ``rho`` is the perpendicular distance from the field point to the
     filament's carrier line and the thetas are the angular positions of the
     segment ends.  Points closer than a conductor radius are clamped to
-    avoid the line singularity.
+    avoid the line singularity; points on the axis itself (field direction
+    undefined, magnitude ~0 outside the conductor) get zero.
     """
-    amp = current * f.weight
-    t = f.direction
-    rel = point - f.start
-    axial = rel.dot(t)
-    perp = rel - t * axial
-    rho = perp.norm()
-    radius_clamp = max(f.width, f.thickness) * 0.5
-    if rho < radius_clamp:
-        rho = radius_clamp
-        if perp.norm() < 1e-15:
-            # On the axis: field direction undefined but magnitude ~0 outside
-            # the conductor; report zero.
-            return Vec3.zero()
-        perp = perp.normalized() * rho
-    e_rho = perp.normalized()
-    e_phi = t.cross(e_rho)
-    length = f.length
-    sin1 = -axial / np.hypot(axial, rho)
-    sin2 = (length - axial) / np.hypot(length - axial, rho)
-    magnitude = MU0 * amp / (4.0 * np.pi * rho) * (sin2 - sin1)
-    return e_phi * magnitude
+    starts, deltas, lengths, weights = pack_filaments(filaments)
+    amps = current * weights
+    clamps = np.array([max(f.width, f.thickness) * 0.5 for f in filaments])
+    lengths[lengths < 1e-12] = 1e-12
+    t = deltas * (1.0 / lengths)[:, None]
+
+    einsum = np.einsum
+    out = np.zeros((len(points), 3))
+    # Chunk over points so each (points, filaments, 3) tensor stays in cache.
+    step = _rows_per_chunk(3 * len(filaments))
+    for lo in range(0, len(points), step):
+        rel = points[lo : lo + step, None, :] - starts[None, :, :]  # (c, f, 3)
+        axial = einsum("cfk,fk->cf", rel, t)
+        perp = rel - axial[..., None] * t
+        rho = np.sqrt(einsum("cfk,cfk->cf", perp, perp))
+        # On the axis e_phi is undefined (and |B| ~0 outside the conductor):
+        # a zero e_phi makes those contributions exactly zero.
+        on_axis = (rho < clamps) & (rho < 1e-15)
+        inv_rho = np.divide(1.0, rho, out=np.zeros_like(rho), where=~on_axis)
+        e_phi = np.cross(t, perp * inv_rho[..., None])
+        rho = np.maximum(rho, clamps)  # conductor-radius clamp: rho >= clamp > 0
+        sin1 = -axial / np.hypot(axial, rho)  # physlint: disable=NUM002 -- hypot >= rho > 0
+        sin2 = (lengths - axial) / np.hypot(lengths - axial, rho)  # physlint: disable=NUM002
+        magnitude = MU0 * amps / (4.0 * np.pi * rho) * (sin2 - sin1)
+        out[lo : lo + step] = einsum("cf,cfk->ck", magnitude, e_phi)
+    return out
+
+
+def b_field_filament(f: Filament, point: Vec3, current: float = 1.0) -> Vec3:
+    """Magnetic flux density of one finite straight filament at ``point`` [T].
+
+    The single-filament, single-point view of the broadcast Biot–Savart
+    kernel behind :func:`b_field_grid` (conductor-radius clamp, zero on
+    the axis).
+    """
+    return b_field(CurrentPath([f]), point, current)
 
 
 def b_field(path: CurrentPath, point: Vec3, current: float = 1.0) -> Vec3:
     """Total flux density of a current path at one point [T]."""
-    total = Vec3.zero()
-    for f in path.filaments:
-        total = total + b_field_filament(f, point, current)
-    return total
+    b = _b_field_points(path.filaments, point.as_array()[None, :], current)[0]
+    return Vec3(float(b[0]), float(b[1]), float(b[2]))
 
 
 def b_field_grid(
@@ -68,6 +86,9 @@ def b_field_grid(
     currents: list[float] | None = None,
 ) -> np.ndarray:
     """Flux density vectors on a horizontal grid.
+
+    One broadcast Biot–Savart evaluation per path over all grid points,
+    inside a single ``peec.field_grid`` span.
 
     Args:
         paths: the field-generating structures.
@@ -82,17 +103,13 @@ def b_field_grid(
         currents = [1.0] * len(paths)
     if len(currents) != len(paths):
         raise ValueError("currents must match paths")
-    out = np.zeros((len(ys), len(xs), 3), dtype=float)
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            p = Vec3(float(x), float(y), z)
-            b = Vec3.zero()
-            for path, current in zip(paths, currents, strict=True):
-                b = b + b_field(path, p, current)
-            out[iy, ix, 0] = b.x
-            out[iy, ix, 1] = b.y
-            out[iy, ix, 2] = b.z
-    return out
+    with get_tracer().span("peec.field_grid"):
+        gx, gy = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+        points = np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(z))], axis=1)
+        out = np.zeros((len(points), 3))
+        for path, current in zip(paths, currents, strict=True):
+            out += _b_field_points(path.filaments, points, current)
+    return out.reshape(len(ys), len(xs), 3)
 
 
 def field_magnitude_map(

@@ -41,7 +41,7 @@ def with_ground_plane(path: CurrentPath, plane_z: float = 0.0) -> CurrentPath:
     """A path augmented with its ground-plane image (same terminal current).
 
     Use the returned path as the **source** operand of
-    :func:`repro.peec.inductance.mutual_inductance_paths` against a *bare*
+    :func:`repro.peec.inductance.mutual_inductance_paths_fast` against a *bare*
     victim path: the flux a victim sees is that of the real currents plus
     their images.  Augmenting both operands would double-count the plane
     (the image of the victim does not carry the victim's terminal current).

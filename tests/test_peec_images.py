@@ -7,7 +7,7 @@ from repro.peec import (
     coupling_factor,
     image_path,
     loop_self_inductance,
-    mutual_inductance_paths,
+    mutual_inductance_paths_fast,
     ring_path,
     shielding_factor,
     with_ground_plane,
@@ -59,7 +59,7 @@ class TestShieldingPhysics:
         a = ring_path(Vec3(0, 0, 0.002), 0.008, segments=12)
         b = ring_path(Vec3(0.03, 0, 0.002), 0.008, segments=12)
         k_free = abs(coupling_factor(a, b))
-        m_shielded = mutual_inductance_paths(with_ground_plane(a), b)
+        m_shielded = mutual_inductance_paths_fast(with_ground_plane(a), b)
         k_shielded = abs(m_shielded) / (
             loop_self_inductance(a) * loop_self_inductance(b)
         ) ** 0.5
@@ -68,8 +68,8 @@ class TestShieldingPhysics:
     def test_far_plane_negligible(self):
         a = ring_path(Vec3(0, 0, 0.002), 0.005, segments=8)
         b = ring_path(Vec3(0.02, 0, 0.002), 0.005, segments=8)
-        m_free = mutual_inductance_paths(a, b)
-        m_far = mutual_inductance_paths(with_ground_plane(a, plane_z=-1.0), b)
+        m_free = mutual_inductance_paths_fast(a, b)
+        m_far = mutual_inductance_paths_fast(with_ground_plane(a, plane_z=-1.0), b)
         assert m_far == pytest.approx(m_free, rel=0.01)
 
     def test_plane_reduces_self_inductance(self):
@@ -78,7 +78,7 @@ class TestShieldingPhysics:
         # Self inductance with plane: L + M(loop, image), image carries the
         # same terminal current.
         img = image_path(loop)
-        l_eff = l_free + mutual_inductance_paths(loop, img)
+        l_eff = l_free + mutual_inductance_paths_fast(loop, img)
         assert 0.0 < l_eff < l_free
 
 

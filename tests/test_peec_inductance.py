@@ -10,12 +10,30 @@ from repro.peec import (
     MU0,
     coupling_factor,
     loop_self_inductance,
-    mutual_inductance_paths,
+    mutual_inductance_pairs,
     mutual_inductance_paths_fast,
-    partial_inductance_matrix,
     rectangle_path,
     ring_path,
 )
+
+
+def exact_path_mutual(a, b):
+    """Weighted path mutual from the exact near-field pair kernel."""
+    fils = a.filaments + b.filaments
+    i, j = np.meshgrid(np.arange(len(a)), np.arange(len(a), len(fils)), indexing="ij")
+    m = mutual_inductance_pairs(fils, i.ravel(), j.ravel())
+    w = np.array([f.weight for f in fils])
+    return float(np.sum(w[i.ravel()] * w[j.ravel()] * m))
+
+
+def partial_matrix(filaments):
+    """Dense partial-inductance matrix: bar self-terms + exact pair mutuals."""
+    n = len(filaments)
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    off = i != j
+    m = np.diag([f.self_inductance() for f in filaments])
+    m[off] = mutual_inductance_pairs(filaments, i[off], j[off])
+    return m
 
 
 class TestLoopSelfInductance:
@@ -49,19 +67,20 @@ class TestMutualInductance:
         r1 = ring_path(Vec3.zero(), a, segments=24)
         r2 = ring_path(Vec3(0, 0, d), b, segments=24)
         theory = MU0 * math.pi * a**2 * b**2 / (2 * d**3)
-        assert mutual_inductance_paths(r1, r2) == pytest.approx(theory, rel=0.05)
+        assert mutual_inductance_paths_fast(r1, r2) == pytest.approx(theory, rel=0.05)
 
     def test_reciprocity(self):
         r1 = ring_path(Vec3.zero(), 0.006, segments=12, axis="x")
         r2 = ring_path(Vec3(0.02, 0.01, 0.002), 0.004, segments=12, axis="y")
-        assert mutual_inductance_paths(r1, r2) == pytest.approx(
-            mutual_inductance_paths(r2, r1), rel=1e-9
+        assert mutual_inductance_paths_fast(r1, r2) == pytest.approx(
+            mutual_inductance_paths_fast(r2, r1), rel=1e-9
         )
 
     def test_fast_matches_slow(self):
+        # "slow" is the exact near-field pair kernel at order 12.
         r1 = ring_path(Vec3.zero(), 0.006, segments=12, axis="x")
         r2 = ring_path(Vec3(0.025, 0.005, 0.003), 0.005, segments=12, axis="x")
-        slow = mutual_inductance_paths(r1, r2)
+        slow = exact_path_mutual(r1, r2)
         fast = mutual_inductance_paths_fast(r1, r2)
         assert fast == pytest.approx(slow, rel=1e-6)
 
@@ -119,12 +138,12 @@ class TestCouplingFactor:
 class TestPartialMatrix:
     def test_symmetric_positive_diagonal(self):
         ring = ring_path(Vec3.zero(), 0.008, segments=8)
-        m = partial_inductance_matrix(ring.filaments)
+        m = partial_matrix(ring.filaments)
         assert np.allclose(m, m.T)
         assert np.all(np.diag(m) > 0.0)
 
     def test_consistent_with_loop_inductance(self):
         ring = ring_path(Vec3.zero(), 0.008, segments=8)
-        m = partial_inductance_matrix(ring.filaments)
+        m = partial_matrix(ring.filaments)
         w = np.array([f.weight for f in ring.filaments])
         assert float(w @ m @ w) == pytest.approx(loop_self_inductance(ring), rel=1e-9)

@@ -10,8 +10,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Transform3D, Vec3
+from repro.geometry import Placement2D, Transform3D, Vec2, Vec3
 from repro.peec import (
+    CurrentPath,
     Filament,
     coupling_factor,
     loop_self_inductance,
@@ -19,6 +20,7 @@ from repro.peec import (
     mutual_inductance_parallel,
     mutual_inductance_paths_fast,
     neumann_mutual_inductance,
+    rectangle_path,
     ring_path,
     self_inductance_bar,
 )
@@ -135,3 +137,108 @@ class TestPathProperties:
         m_unit = mutual_inductance_paths_fast(a, b)
         m_scaled = mutual_inductance_paths_fast(a, b_weighted)
         assert math.isclose(m_scaled, w * m_unit, rel_tol=1e-9, abs_tol=1e-20)
+
+
+# -- the exact self-inductance kernel on seeded random paths ------------------
+
+
+def helix(radius, pitch, seg_per_turn, turns, wire, weight):
+    """Polygonal helix; a non-integer segment count per turn makes a segment
+    and its neighbour one turn later skew and nearly touching."""
+    step = 2.0 * math.pi / seg_per_turn
+    n = max(3, int(turns * seg_per_turn))
+    pts = [
+        Vec3(radius * math.cos(k * step), radius * math.sin(k * step), pitch * k / seg_per_turn)
+        for k in range(n + 1)
+    ]
+    return CurrentPath(
+        [
+            Filament(pts[k], pts[k + 1], width=wire, thickness=wire, weight=weight)
+            for k in range(n)
+        ]
+    )
+
+
+@st.composite
+def random_paths(draw):
+    """A ring, rectangle or tight helix with random size, mesh and weight."""
+    kind = draw(st.sampled_from(["ring", "rectangle", "helix"]))
+    weight = draw(st.floats(min_value=0.5, max_value=4.0))
+    if kind == "ring":
+        return ring_path(
+            Vec3.zero(),
+            draw(st.floats(min_value=0.002, max_value=0.012)),
+            segments=draw(st.integers(min_value=4, max_value=24)),
+            axis=draw(st.sampled_from("xyz")),
+            wire_diameter=draw(st.floats(min_value=0.2e-3, max_value=1.2e-3)),
+            weight=weight,
+        )
+    if kind == "rectangle":
+        span = draw(st.floats(min_value=0.003, max_value=0.02))
+        rise = draw(st.floats(min_value=0.002, max_value=0.012))
+        return rectangle_path(
+            Vec3(-span / 2, 0.0, 0.0),
+            Vec3(span / 2, 0.0, rise),
+            normal="y",
+            width=draw(st.floats(min_value=0.3e-3, max_value=1.5e-3)),
+            weight=weight,
+        )
+    pitch = draw(st.floats(min_value=0.5e-3, max_value=2e-3))
+    return helix(
+        radius=draw(st.floats(min_value=0.003, max_value=0.008)),
+        pitch=pitch,
+        seg_per_turn=draw(st.sampled_from([4, 5, 6])) + draw(st.floats(0.02, 0.3)),
+        turns=draw(st.floats(min_value=1.5, max_value=3.0)),
+        wire=pitch * draw(st.floats(min_value=0.1, max_value=0.4)),
+        weight=weight,
+    )
+
+
+placements = st.builds(
+    lambda x, y, deg: Placement2D.at(x, y, deg),
+    st.floats(min_value=-0.05, max_value=0.05),
+    st.floats(min_value=-0.05, max_value=0.05),
+    st.floats(min_value=0.0, max_value=360.0),
+)
+
+
+def extent(path):
+    return max(
+        max(abs(c) for c in (*f.start.as_array(), *f.end.as_array())) for f in path.filaments
+    )
+
+
+class TestSelfInductanceKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(random_paths())
+    def test_positive(self, path):
+        assert loop_self_inductance(path) > 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_paths(), st.floats(min_value=0.1, max_value=10.0))
+    def test_scales_with_weight_squared(self, path, w):
+        assert math.isclose(
+            loop_self_inductance(path.scaled_weights(w)),
+            w * w * loop_self_inductance(path),
+            rel_tol=1e-12,
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_paths(), placements)
+    def test_rigid_motion_invariance(self, path, placement):
+        moved = path.transformed(placement.to_transform3d())
+        assert math.isclose(
+            loop_self_inductance(moved), loop_self_inductance(path), rel_tol=1e-9
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_paths(), random_paths(), st.floats(0.002, 0.03), angle, angle)
+    def test_coupling_factor_bounded(self, a, b, clearance, theta, rot):
+        # Disjoint by construction: b sits beyond both paths' extents.
+        distance = extent(a) + extent(b) + clearance
+        placed = b.transformed(
+            Placement2D(Vec2.from_polar(distance, theta), rot).to_transform3d()
+        )
+        m = mutual_inductance_paths_fast(a, placed)
+        k = m / math.sqrt(loop_self_inductance(a) * loop_self_inductance(placed))
+        assert abs(k) <= 1.0
