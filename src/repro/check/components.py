@@ -82,7 +82,7 @@ def check_component_model(component: Component, label: str = "") -> list[Diagnos
             )
         )
 
-    moment = path.magnetic_moment().norm()
+    moment = component.magnetic_moment_local.norm()
     if component.core is not AIR_CORE and moment < DEGENERATE_MOMENT:
         out.append(
             finding(

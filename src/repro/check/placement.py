@@ -330,7 +330,7 @@ def _unsatisfiable_min_distances(problem: PlacementProblem) -> list[Diagnostic]:
 
 def _field_strength(component: Component) -> float:
     try:
-        moment = component.current_path.magnetic_moment().norm()
+        moment = component.magnetic_moment_local.norm()
     except (NotImplementedError, ValueError):
         return 0.0
     if moment < FIELD_RELEVANT_MOMENT:

@@ -798,7 +798,7 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     relevant = [
         (ref, comp.component)
         for ref, comp in problem.components.items()
-        if comp.component.current_path.magnetic_moment().norm() > 1e-6
+        if comp.component.magnetic_moment_local.norm() > 1e-6
     ]
     executor, database = _perf_setup(args)
     derivation_cache: dict[tuple[str, str], object] = {}

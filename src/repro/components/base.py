@@ -109,13 +109,22 @@ class Component:
         """Loop self-inductance including the core correction [H]."""
         return self.geometric_inductance * self.mu_eff
 
+    @cached_property
+    def magnetic_moment_local(self) -> Vec3:
+        """Cached local-frame dipole moment per ampere of the current path [m^2]."""
+        return self.current_path.magnetic_moment()
+
+    @cached_property
+    def _axis_local(self) -> Vec3:
+        return CurrentPath.axis_of_moment(self.magnetic_moment_local)
+
     def magnetic_axis_local(self) -> Vec3:
-        """Unit magnetic axis in the local frame."""
-        return self.current_path.magnetic_axis()
+        """Unit magnetic axis in the local frame (cached)."""
+        return self._axis_local
 
     def magnetic_axis_world(self, placement: Placement2D) -> Vec3:
         """Unit magnetic axis under a placement."""
-        return placement.to_transform3d().apply_direction(self.magnetic_axis_local())
+        return placement.to_transform3d().apply_direction(self._axis_local)
 
     def placed_current_path(self, placement: Placement2D) -> CurrentPath:
         """Current path mapped into board coordinates."""
@@ -133,7 +142,7 @@ class Component:
         in-plane dipole, 1 for a vertical one.  Subclasses with rotating
         stray fields (three-winding CM chokes) override this.
         """
-        return min(1.0, abs(self.magnetic_axis_local().z))
+        return min(1.0, abs(self._axis_local.z))
 
     def has_inplane_axis(self, tol: float = 0.3) -> bool:
         """True if the magnetic axis lies (mostly) in the board plane.
@@ -141,7 +150,7 @@ class Component:
         Only in-plane axes give the placer leverage via rotation — a
         vertical-axis part couples rotation-invariantly.
         """
-        axis = self.magnetic_axis_local()
+        axis = self._axis_local
         return math.hypot(axis.x, axis.y) > tol
 
     # -- placement model ---------------------------------------------------

@@ -67,7 +67,7 @@ def _demo_parts() -> dict[str, Component]:
 
 def _field_strength(component: Component) -> float:
     """Ranking key: loop moment per ampere times effective permeability."""
-    moment = component.current_path.magnetic_moment().norm()
+    moment = component.magnetic_moment_local.norm()
     return moment * component.mu_eff
 
 

@@ -14,6 +14,9 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from .vec import EPS, Vec2
 
 __all__ = ["Polygon2D", "convex_hull"]
@@ -137,85 +140,89 @@ class Polygon2D:
 
     # -- predicates ------------------------------------------------------
 
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Edge start and end coordinates (ax, ay, bx, by), one entry per edge."""
+        xs = [v.x for v in self.vertices]
+        ys = [v.y for v in self.vertices]
+        return np.array(xs), np.array(ys), np.array(xs[1:] + xs[:1]), np.array(ys[1:] + ys[:1])
+
+    def contains_points(self, xs: ArrayLike, ys: ArrayLike, tol: float = EPS) -> np.ndarray:
+        """Batch point-in-polygon test; boundary points count as inside.
+
+        A point is inside when it lies within ``tol`` of an edge (on-edge
+        test scaled by the edge length) or when a horizontal ray towards +x
+        crosses the boundary an odd number of times.  Returns a bool array
+        shaped like the broadcast of ``xs`` and ``ys``.
+        """
+        px, py = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+        px, py = px[..., None], py[..., None]  # broadcast against the edges
+        ax, ay, bx, by = self._edge_arrays()
+        abx = bx - ax
+        aby = by - ay
+        apx = px - ax
+        apy = py - ay
+        cross = abx * apy - aby * apx
+        t = apx * abx + apy * aby
+        scale = np.array([max(1.0, math.hypot(x, y)) for x, y in zip(abx.tolist(), aby.tolist())])
+        on_edge = (np.abs(cross) <= tol * scale) & (-tol <= t) & (t <= abx * abx + aby * aby + tol)
+        # Ray casting, division-free: the crossing test 'x_int > p.x' is the
+        # sign of the edge/ray cross product, oriented by the edge's y
+        # direction (edges with dy == 0 never straddle the ray).
+        straddles = (ay > py) != (by > py)
+        crossing = apy * abx - apx * aby
+        crosses = straddles & np.where(aby > 0.0, crossing > 0.0, crossing < 0.0)
+        return on_edge.any(axis=-1) | (np.count_nonzero(crosses, axis=-1) % 2 == 1)
+
     def contains_point(self, p: Vec2, tol: float = EPS) -> bool:
         """Point-in-polygon test; boundary points count as inside."""
-        n = len(self.vertices)
-        assert n >= 3, "__post_init__ guarantees at least 3 vertices"
-        inside = False
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
-            # On-edge check.
-            ab = b - a
-            ap = p - a
-            cross = ab.cross(ap)
-            if abs(cross) <= tol * max(1.0, ab.norm()):
-                t = ap.dot(ab)
-                if -tol <= t <= ab.norm_sq() + tol:
-                    return True
-            # Ray casting (horizontal ray towards +x), division-free: the
-            # crossing test 'x_int > p.x' is the sign of the edge/ray cross
-            # product, oriented by the edge's y direction (dy != 0 inside
-            # this branch by construction).
-            if (a.y > p.y) != (b.y > p.y):
-                dy = b.y - a.y
-                crossing = (p.y - a.y) * (b.x - a.x) - (p.x - a.x) * dy
-                if (crossing > 0.0) if (dy > 0.0) else (crossing < 0.0):
-                    inside = not inside
+        return bool(self.contains_points(p.x, p.y, tol))
+
+    def contains_rects(
+        self, xmin: ArrayLike, ymin: ArrayLike, xmax: ArrayLike, ymax: ArrayLike
+    ) -> np.ndarray:
+        """Batch test: which axis-aligned rectangles lie fully inside.
+
+        Checks the four corners (:meth:`contains_points`) plus the absence of
+        proper crossings between rectangle edges and polygon edges, which is
+        sufficient for simple polygons.  Returns a bool array, one entry per
+        rectangle.
+        """
+        x0, y0, x1, y1 = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (xmin, ymin, xmax, ymax))
+        )
+        # Corners counter-clockwise, shape (4, M); corner k -> k+1 is edge k.
+        cx = np.stack([x0, x1, x1, x0])
+        cy = np.stack([y0, y0, y1, y1])
+        inside = self.contains_points(cx, cy).all(axis=0)
+        rows = np.flatnonzero(inside)
+        if rows.size:
+            cx, cy = cx[:, rows], cy[:, rows]
+            dx, dy = cx[[1, 2, 3, 0]], cy[[1, 2, 3, 0]]
+            ax, ay, bx, by = (e[:, None, None] for e in self._edge_arrays())
+            crossed = _segments_properly_intersect(ax, ay, bx, by, cx, cy, dx, dy)
+            inside[rows] = ~crossed.any(axis=(0, 1))
         return inside
 
     def contains_rect(self, xmin: float, ymin: float, xmax: float, ymax: float) -> bool:
-        """True if an axis-aligned rectangle lies fully inside.
-
-        Checks the four corners plus non-intersection of the rectangle
-        edges with polygon edges — sufficient for simple polygons.
-        """
-        corners = [Vec2(xmin, ymin), Vec2(xmax, ymin), Vec2(xmax, ymax), Vec2(xmin, ymax)]
-        if not all(self.contains_point(c) for c in corners):
-            return False
-        rect_edges = [
-            (corners[0], corners[1]),
-            (corners[1], corners[2]),
-            (corners[2], corners[3]),
-            (corners[3], corners[0]),
-        ]
-        n = len(self.vertices)
-        assert n >= 3, "__post_init__ guarantees at least 3 vertices"
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
-            for p, q in rect_edges:
-                if _segments_properly_intersect(a, b, p, q):
-                    return False
-        return True
+        """True if an axis-aligned rectangle lies fully inside (see :meth:`contains_rects`)."""
+        return bool(self.contains_rects(xmin, ymin, xmax, ymax)[0])
 
     def intersects_rect(self, xmin: float, ymin: float, xmax: float, ymax: float) -> bool:
         """True if the rectangle overlaps the polygon at all."""
         pxmin, pymin, pxmax, pymax = self.bbox()
         if xmax < pxmin or pxmax < xmin or ymax < pymin or pymax < ymin:
             return False
-        corners = [Vec2(xmin, ymin), Vec2(xmax, ymin), Vec2(xmax, ymax), Vec2(xmin, ymax)]
-        if any(self.contains_point(c) for c in corners):
+        cx = np.array([xmin, xmax, xmax, xmin])
+        cy = np.array([ymin, ymin, ymax, ymax])
+        if self.contains_points(cx, cy).any():
             return True
         # Rectangle could fully contain the polygon.
         v0 = self.vertices[0]
         if xmin <= v0.x <= xmax and ymin <= v0.y <= ymax:
             return True
-        rect_edges = [
-            (corners[0], corners[1]),
-            (corners[1], corners[2]),
-            (corners[2], corners[3]),
-            (corners[3], corners[0]),
-        ]
-        n = len(self.vertices)
-        assert n >= 3, "__post_init__ guarantees at least 3 vertices"
-        return any(
-            _segments_properly_intersect(
-                self.vertices[i], self.vertices[(i + 1) % n], p, q
-            )
-            for i in range(n)
-            for p, q in rect_edges
-        )
+        dx, dy = cx[[1, 2, 3, 0]], cy[[1, 2, 3, 0]]
+        ax, ay, bx, by = (e[:, None] for e in self._edge_arrays())
+        return bool(_segments_properly_intersect(ax, ay, bx, by, cx, cy, dx, dy).any())
 
     # -- construction helpers ---------------------------------------------
 
@@ -261,9 +268,11 @@ class Polygon2D:
         # Over-erosion can "evert" the polygon into a small false-positive
         # shape; genuine eroded vertices sit at least `margin` from the
         # original boundary (up to numerical slack at reflex corners).
+        xs = [v.x for v in poly.vertices]
+        ys = [v.y for v in poly.vertices]
+        if not self.contains_points(xs, ys).all():
+            return None
         for v in poly.vertices:
-            if not self.contains_point(v):
-                return None
             if self.distance_to_boundary(v) < margin * 0.99 - EPS:
                 return None
         return poly
@@ -308,17 +317,9 @@ class Polygon2D:
         if spacing <= 0.0:
             raise ValueError("spacing must be positive")
         xmin, ymin, xmax, ymax = self.bbox()
-        pts: list[Vec2] = []
-        y = ymin
-        while y <= ymax + EPS:
-            x = xmin
-            while x <= xmax + EPS:
-                p = Vec2(x, y)
-                if self.contains_point(p):
-                    pts.append(p)
-                x += spacing
-            y += spacing
-        return pts
+        gx, gy = np.meshgrid(_steps(xmin, xmax, spacing), _steps(ymin, ymax, spacing))
+        keep = self.contains_points(gx, gy)
+        return [Vec2(x, y) for x, y in zip(gx[keep].tolist(), gy[keep].tolist())]
 
     @staticmethod
     def rectangle(xmin: float, ymin: float, xmax: float, ymax: float) -> "Polygon2D":
@@ -342,6 +343,16 @@ class Polygon2D:
         )
 
 
+def _steps(start: float, stop: float, spacing: float) -> list[float]:
+    """``start, start + spacing, ...`` up to ``stop`` (+EPS), accumulated."""
+    out: list[float] = []
+    v = start
+    while v <= stop + EPS:
+        out.append(v)
+        v += spacing
+    return out
+
+
 def _line_intersection(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> Vec2 | None:
     """Intersection point of the infinite lines (p1,p2) and (q1,q2)."""
     d1 = p2 - p1
@@ -353,12 +364,26 @@ def _line_intersection(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> Vec2 | None:
     return p1 + d1 * t
 
 
-def _segments_properly_intersect(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> bool:
-    """True if open segments (a,b) and (c,d) cross at a single interior point."""
-    d1 = (b - a).cross(c - a)
-    d2 = (b - a).cross(d - a)
-    d3 = (d - c).cross(a - c)
-    d4 = (d - c).cross(b - c)
-    return ((d1 > EPS and d2 < -EPS) or (d1 < -EPS and d2 > EPS)) and (
-        (d3 > EPS and d4 < -EPS) or (d3 < -EPS and d4 > EPS)
+def _segments_properly_intersect(
+    ax: ArrayLike,
+    ay: ArrayLike,
+    bx: ArrayLike,
+    by: ArrayLike,
+    cx: ArrayLike,
+    cy: ArrayLike,
+    dx: ArrayLike,
+    dy: ArrayLike,
+) -> np.ndarray:
+    """Whether open segments (a,b) and (c,d) cross at a single interior
+    point, elementwise over broadcast coordinate arrays."""
+    abx = np.subtract(bx, ax)
+    aby = np.subtract(by, ay)
+    d1 = abx * np.subtract(cy, ay) - aby * np.subtract(cx, ax)
+    d2 = abx * np.subtract(dy, ay) - aby * np.subtract(dx, ax)
+    cdx = np.subtract(dx, cx)
+    cdy = np.subtract(dy, cy)
+    d3 = cdx * np.subtract(ay, cy) - cdy * np.subtract(ax, cx)
+    d4 = cdx * np.subtract(by, cy) - cdy * np.subtract(bx, cx)
+    return (((d1 > EPS) & (d2 < -EPS)) | ((d1 < -EPS) & (d2 > EPS))) & (
+        ((d3 > EPS) & (d4 < -EPS)) | ((d3 < -EPS) & (d4 > EPS))
     )

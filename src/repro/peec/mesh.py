@@ -72,7 +72,11 @@ class CurrentPath:
         Falls back to the board normal for paths with a (near-)zero moment,
         e.g. a straight trace, which has no meaningful loop axis.
         """
-        m = self.magnetic_moment()
+        return self.axis_of_moment(self.magnetic_moment())
+
+    @staticmethod
+    def axis_of_moment(m: Vec3) -> Vec3:
+        """The unit axis of a dipole moment, as :meth:`magnetic_axis` defines it."""
         if m.norm() < 1e-12:
             return Vec3(0.0, 0.0, 1.0)
         return m.normalized()

@@ -18,11 +18,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..geometry import Polygon2D, Vec2
 from ..obs import get_tracer
 from .model import PlacedComponent, PlacementProblem
 
 __all__ = ["CandidateGenerator"]
+
+#: Candidates closer than this lattice pitch are duplicates [m].
+_LATTICE = 0.5e-3
 
 
 class CandidateGenerator:
@@ -98,26 +103,25 @@ class CandidateGenerator:
             out.extend(target.grid_samples(step))
         return out
 
-    def all_candidates(
+    def candidate_array(
         self,
         comp: PlacedComponent,
         rotation_deg: float,
         ring_specs: list[tuple[Vec2, float]] | None = None,
-    ) -> list[Vec2]:
-        """The union of all generators, deduplicated on a 0.5 mm lattice."""
+    ) -> np.ndarray:
+        """The union of all generators as an (M, 2) array of centres,
+        deduplicated on a 0.5 mm lattice (first occurrence kept, in
+        generator order)."""
         raw = (
             self.corner_candidates(comp, rotation_deg)
             + self.ring_candidates(comp, ring_specs or [])
             + self.area_candidates(comp, rotation_deg)
         )
-        seen: set[tuple[int, int]] = set()
-        out: list[Vec2] = []
-        q = 0.5e-3
-        for p in raw:
-            key = (round(p.x / q), round(p.y / q))
-            if key not in seen:
-                seen.add(key)
-                out.append(p)
+        xy = np.array([(p.x, p.y) for p in raw], dtype=float).reshape(-1, 2)
+        # Half-to-even rounding to integer keys (which also merge -0.0 and 0.0).
+        keys = np.rint(xy / _LATTICE).astype(np.int64)
+        _keys, first = np.unique(keys, axis=0, return_index=True)
+        out = xy[np.sort(first)]
         get_tracer().count("placement.candidates_generated", len(out))
         return out
 

@@ -20,7 +20,7 @@ from ..geometry import Vec2
 from ..obs import get_tracer
 from ..rules import MinDistanceRule, emd_for_pair
 from .metrics import group_spread, net_hpwl
-from .model import PlacementProblem
+from .model import PlacedComponent, PlacementProblem
 
 __all__ = ["Violation", "RuleMarker", "DesignRuleChecker"]
 
@@ -77,56 +77,64 @@ class DesignRuleChecker:
     # -- individual checks --------------------------------------------------
 
     def check_body_spacing(self, only: str | None = None) -> list[Violation]:
-        """Overlap / clearance between component bodies (AABB + clearance)."""
-        out: list[Violation] = []
+        """Overlap / clearance between component bodies (AABB + clearance).
+
+        With ``only``, just the pairs that include that component are
+        walked, in the same order as the full check.
+        """
         placed = self.problem.placed()
-        for i in range(len(placed)):
-            for j in range(i + 1, len(placed)):
-                a, b = placed[i], placed[j]
-                if only is not None and only not in (a.refdes, b.refdes):
-                    continue
-                if a.board != b.board:
-                    continue
-                required = self.problem.rules.clearance_for(
-                    a.refdes,
-                    b.refdes,
-                    max(
-                        self.problem.default_clearance,
-                        a.component.clearance,
-                        b.component.clearance,
-                    ),
-                )
-                ra, rb = a.footprint_aabb(), b.footprint_aabb()
-                actual = ra.separation(rb)
-                # 1 um grace keeps exactly-at-clearance layouts (and their
-                # ASCII round-trips) legal despite float formatting.
-                tolerance = 1e-6
-                if ra.overlaps(rb):
-                    mid = (a.center() + b.center()) / 2.0
-                    out.append(
-                        Violation(
-                            "overlap",
-                            (a.refdes, b.refdes),
-                            required,
-                            0.0,
-                            mid,
-                            f"{a.refdes} overlaps {b.refdes}",
-                        )
-                    )
-                elif actual < required - tolerance:
-                    mid = (a.center() + b.center()) / 2.0
-                    out.append(
-                        Violation(
-                            "clearance",
-                            (a.refdes, b.refdes),
-                            required,
-                            actual,
-                            mid,
-                            f"{a.refdes}-{b.refdes} clearance "
-                            f"{actual * 1e3:.2f} mm < {required * 1e3:.2f} mm",
-                        )
-                    )
+        if only is None:
+            pairs = [(a, b) for i, a in enumerate(placed) for b in placed[i + 1 :]]
+        else:
+            refs = [c.refdes for c in placed]
+            if only not in refs:
+                return []
+            k = refs.index(only)
+            pairs = [(a, placed[k]) for a in placed[:k]] + [(placed[k], b) for b in placed[k + 1 :]]
+        out: list[Violation] = []
+        for a, b in pairs:
+            violation = self._spacing_violation(a, b)
+            if violation is not None:
+                out.append(violation)
         return out
+
+    def _spacing_violation(self, a: PlacedComponent, b: PlacedComponent) -> Violation | None:
+        if a.board != b.board:
+            return None
+        required = self.problem.rules.clearance_for(
+            a.refdes,
+            b.refdes,
+            max(
+                self.problem.default_clearance,
+                a.component.clearance,
+                b.component.clearance,
+            ),
+        )
+        ra, rb = a.footprint_aabb(), b.footprint_aabb()
+        actual = ra.separation(rb)
+        # 1 um grace keeps exactly-at-clearance layouts (and their
+        # ASCII round-trips) legal despite float formatting.
+        tolerance = 1e-6
+        if ra.overlaps(rb):
+            return Violation(
+                "overlap",
+                (a.refdes, b.refdes),
+                required,
+                0.0,
+                (a.center() + b.center()) / 2.0,
+                f"{a.refdes} overlaps {b.refdes}",
+            )
+        if actual < required - tolerance:
+            return Violation(
+                "clearance",
+                (a.refdes, b.refdes),
+                required,
+                actual,
+                (a.center() + b.center()) / 2.0,
+                f"{a.refdes}-{b.refdes} clearance "
+                f"{actual * 1e3:.2f} mm < {required * 1e3:.2f} mm",
+            )
+        return None
 
     def check_min_distances(self, only: str | None = None) -> list[Violation]:
         """The EMC rules: centre distance >= EMD = PEMD * |cos(alpha)|."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from ..components import Component
 from ..geometry import Rect, Vec2
 from .model import Net, PlacementProblem
 
@@ -23,15 +24,20 @@ __all__ = [
 ]
 
 
-def _pin_position(problem: PlacementProblem, refdes: str, pad: str) -> Vec2 | None:
+def pad_offset(component: Component, pad: str) -> Vec2:
+    """Local position of a pad; the part's origin when it has no such pad."""
+    try:
+        return component.pad_position(pad)
+    except KeyError:
+        return Vec2.zero()
+
+
+def pin_position(problem: PlacementProblem, refdes: str, pad: str) -> Vec2 | None:
+    """Board position of a pin, or None while its part is unplaced."""
     comp = problem.components.get(refdes)
     if comp is None or comp.placement is None:
         return None
-    try:
-        local = comp.component.pad_position(pad)
-    except KeyError:
-        local = Vec2.zero()
-    return comp.placement.apply(local)
+    return comp.placement.apply(pad_offset(comp.component, pad))
 
 
 def net_hpwl(problem: PlacementProblem, net: Net) -> float:
@@ -42,7 +48,7 @@ def net_hpwl(problem: PlacementProblem, net: Net) -> float:
     """
     points = [
         p
-        for p in (_pin_position(problem, ref, pad) for ref, pad in net.pins)
+        for p in (pin_position(problem, ref, pad) for ref, pad in net.pins)
         if p is not None
     ]
     if len(points) < 2:

@@ -17,13 +17,15 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from ..geometry import Placement2D, Rect, Vec2
+import numpy as np
+
+from ..geometry import EPS, Placement2D, Rect, Vec2
 from ..obs import get_tracer
 from ..rules import MinDistanceRule, emd_for_pair
 from .candidates import CandidateGenerator
 from .drc import DesignRuleChecker
-from .metrics import group_centroid, net_hpwl, total_wirelength
-from .model import PlacedComponent, PlacementError, PlacementProblem
+from .metrics import group_centroid, pad_offset, pin_position, total_wirelength
+from .model import Net, PlacedComponent, PlacementError, PlacementProblem
 from .partition import Partitioner
 from .rotation import RotationOptimizer, RotationPlan
 
@@ -215,81 +217,77 @@ class AutoPlacer:
         return False
 
     def _best_candidate(self, comp: PlacedComponent, rotation_deg: float) -> Vec2 | None:
-        problem = self.problem
-        rules = self._partner_rules(comp.refdes)
-        trial = Placement2D(Vec2.zero(), math.radians(rotation_deg))
+        """The lowest-cost legal centre for ``comp`` at a rotation, or None.
 
-        # EMD ring specs around already-placed partners.
-        ring_specs: list[tuple[Vec2, float]] = []
-        partner_emd: list[tuple[PlacedComponent, float]] = []
-        for rule in rules:
+        Every candidate is tested at once: area containment, clearance to
+        placed footprints, 3-D keepouts and EMD to placed rule partners.
+        The cost is then evaluated over the legal candidates only; ties go
+        to the first candidate in generator order.
+        """
+        tracer = get_tracer()
+        with tracer.span("placement.score"):
+            partners = self._partner_emds(comp, rotation_deg)
+            ring_specs = [(center, emd * 1.02 + 1e-4) for center, emd in partners]
+            xy = self._generator.candidate_array(comp, rotation_deg, ring_specs)
+            tracer.count("placement.candidates_scored", len(xy))
+
+            half = self._generator._half_extent(comp, rotation_deg)  # noqa: SLF001
+            legal = self._legal_mask(comp, xy, half)
+            xy = xy[legal]
+            x, y = xy[:, 0], xy[:, 1]
+            margin = np.full(len(xy), math.inf)
+            for center, emd in partners:
+                d = _distances(x, y, center)
+                keep = d + 1e-9 >= emd
+                margin = np.minimum(margin[keep], d[keep] - emd)
+                x, y = x[keep], y[keep]
+            tracer.count("placement.candidates_legal", len(x))
+            if len(x) == 0:
+                return None
+            best = int(np.argmin(self._costs(comp, x, y, margin)))
+            return Vec2(float(x[best]), float(y[best]))
+
+    def _partner_emds(self, comp: PlacedComponent, rotation_deg: float) -> list[tuple[Vec2, float]]:
+        """(centre, EMD) of each placed rule partner on the same board."""
+        trial = Placement2D(Vec2.zero(), math.radians(rotation_deg))
+        out: list[tuple[Vec2, float]] = []
+        for rule in self._partner_rules(comp.refdes):
             other_ref = rule.ref_b if rule.ref_a == comp.refdes else rule.ref_a
-            other = problem.components.get(other_ref)
+            other = self.problem.components.get(other_ref)
             if other is None or not other.is_placed or other.board != comp.board:
                 continue
             emd = emd_for_pair(
-                comp.component,
-                trial,
-                other.component,
-                other.placement,
-                rule.pemd,
-                rule.residual,
+                comp.component, trial, other.component, other.placement, rule.pemd, rule.residual
             )
-            partner_emd.append((other, emd))
-            ring_specs.append((other.center(), emd * 1.02 + 1e-4))
+            out.append((other.center(), emd))
+        return out
 
-        candidates = self._generator.all_candidates(comp, rotation_deg, ring_specs)
-        get_tracer().count("placement.candidates_scored", len(candidates))
+    def _legal_mask(self, comp: PlacedComponent, xy: np.ndarray, half: Vec2) -> np.ndarray:
+        """Which candidate footprints lie in an allowed area, keep clearance
+        to every placed footprint and miss every blocking keepout."""
+        x, y = xy[:, 0], xy[:, 1]
+        x0, y0, x1, y1 = x - half.x, y - half.y, x + half.x, y + half.y
+        legal = np.zeros(len(xy), dtype=bool)
+        for area in self._legal_areas(comp):
+            legal |= area.contains_rects(x0, y0, x1, y1)
 
-        obstacles = self._obstacles(comp)
-        areas = self._legal_areas(comp)
-        keepouts = problem.board(comp.board).keepouts
-        clearance = max(problem.default_clearance, comp.component.clearance)
+        clearance = max(self.problem.default_clearance, comp.component.clearance)
+        inflated = (
+            x0 - clearance,
+            y0 - clearance,
+            np.maximum(x1 + clearance, x0 - clearance),
+            np.maximum(y1 + clearance, y0 - clearance),
+        )
+        legal &= ~_overlaps_any(inflated, self._obstacles(comp))
 
-        best_pos: Vec2 | None = None
-        best_cost = math.inf
-        half = self._generator._half_extent(comp, rotation_deg)  # noqa: SLF001
-
-        for pos in candidates:
-            rect = Rect(pos.x - half.x, pos.y - half.y, pos.x + half.x, pos.y + half.y)
-            if not any(
-                area.contains_rect(rect.xmin, rect.ymin, rect.xmax, rect.ymax)
-                for area in areas
-            ):
-                continue
-            inflated = rect.inflated(clearance)
-            if any(inflated.overlaps(ob) for ob in obstacles):
-                continue
-            if keepouts:
-                body = rect
-                z0 = 0.0
-                z1 = comp.component.body_height
-                blocked = False
-                for keepout in keepouts:
-                    if (
-                        body.overlaps(keepout.cuboid.rect)
-                        and z1 > keepout.cuboid.zmin
-                        and keepout.cuboid.zmax > z0
-                    ):
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-            ok = True
-            margin = math.inf
-            for other, emd in partner_emd:
-                d = pos.distance_to(other.center())
-                if d + 1e-9 < emd:
-                    ok = False
-                    break
-                margin = min(margin, d - emd)
-            if not ok:
-                continue
-            cost = self._cost(comp, pos, margin)
-            if cost < best_cost:
-                best_cost = cost
-                best_pos = pos
-        return best_pos
+        height = comp.component.body_height
+        blockers = [
+            k.cuboid.rect
+            for k in self.problem.board(comp.board).keepouts
+            if height > k.cuboid.zmin and k.cuboid.zmax > 0.0
+        ]
+        legal &= ~_overlaps_any((x0, y0, x1, y1), blockers)
+        return legal
 
     def _obstacles(self, comp: PlacedComponent) -> list[Rect]:
         return [
@@ -307,36 +305,35 @@ class AutoPlacer:
                 areas = filtered
         return [a.polygon for a in areas]
 
-    def _cost(self, comp: PlacedComponent, pos: Vec2, emd_margin: float) -> float:
+    def _costs(
+        self, comp: PlacedComponent, x: np.ndarray, y: np.ndarray, emd_margin: np.ndarray
+    ) -> np.ndarray:
+        """Cost of each candidate centre [m]; lower is better."""
         problem = self.problem
         w = self.weights
-        cost = 0.0
+        cost = np.zeros(len(x))
 
-        # Wirelength: HPWL of the touching nets with the part at pos.
+        # Wirelength: HPWL of the touching nets with the part at each
+        # candidate, unrotated; the other parts' pins stay where they are.
         if problem.nets:
-            original = comp.placement
-            comp.placement = Placement2D(pos, 0.0)
-            try:
-                cost += w.wirelength * sum(
-                    net_hpwl(problem, net) for net in problem.nets_touching(comp.refdes)
-                )
-            finally:
-                comp.placement = original
+            wirelength = np.zeros(len(x))
+            for net in problem.nets_touching(comp.refdes):
+                wirelength = wirelength + _net_hpwl(problem, net, comp, x, y)
+            cost = cost + w.wirelength * wirelength
 
         # Group cohesion: stay near the group's placed centroid.
         if comp.group is not None:
             centroid = group_centroid(problem, comp.group)
             if centroid is not None:
-                cost += w.group_cohesion * pos.distance_to(centroid)
+                cost = cost + w.group_cohesion * _distances(x, y, centroid)
 
         # Compactness: stay near the placed-set centroid (or area centroid).
-        anchor = self._anchor(comp)
-        cost += w.compactness * pos.distance_to(anchor)
+        cost = cost + w.compactness * _distances(x, y, self._anchor(comp))
 
         # Slight preference for EMD slack (robustness against later moves).
-        if math.isfinite(emd_margin):
-            cost -= w.emd_margin * min(emd_margin, 5e-3)
-        return cost
+        return np.where(
+            np.isfinite(emd_margin), cost - w.emd_margin * np.minimum(emd_margin, 5e-3), cost
+        )
 
     def _anchor(self, comp: PlacedComponent) -> Vec2:
         placed = [c for c in self.problem.placed() if c.board == comp.board]
@@ -346,3 +343,45 @@ class AutoPlacer:
             return Vec2(sx / len(placed), sy / len(placed))
         areas = self._legal_areas(comp)
         return areas[0].centroid()
+
+
+def _distances(x: np.ndarray, y: np.ndarray, point: Vec2) -> np.ndarray:
+    """``Vec2.distance_to(point)`` of every (x, y).
+
+    Evaluated with ``math.hypot`` so that every distance is bit-identical to
+    the scalar geometry the DRC uses; ``np.hypot`` rounds differently in
+    about 0.6 % of cases.
+    """
+    dx = (x - point.x).tolist()
+    dy = (y - point.y).tolist()
+    return np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(dx))
+
+
+def _overlaps_any(rects: tuple[np.ndarray, ...], others: list[Rect]) -> np.ndarray:
+    """Which of the rectangles (xmin, ymin, xmax, ymax arrays) overlap the
+    interior of any of ``others`` (``Rect.overlaps`` with its EPS)."""
+    if not others:
+        return np.zeros(len(rects[0]), dtype=bool)
+    x0, y0, x1, y1 = (r[:, None] for r in rects)
+    ox0, oy0, ox1, oy1 = np.array(
+        [(o.xmin, o.ymin, o.xmax, o.ymax) for o in others], dtype=float
+    ).T
+    apart = (x1 <= ox0 + EPS) | (ox1 <= x0 + EPS) | (y1 <= oy0 + EPS) | (oy1 <= y0 + EPS)
+    return ~apart.all(axis=1)
+
+
+def _net_hpwl(
+    problem: PlacementProblem, net: Net, comp: PlacedComponent, x: np.ndarray, y: np.ndarray
+) -> np.ndarray | float:
+    """``net_hpwl`` of one net with ``comp`` unrotated at each (x, y)."""
+    fixed = [
+        p
+        for p in (pin_position(problem, ref, pad) for ref, pad in net.pins if ref != comp.refdes)
+        if p is not None
+    ]
+    offsets = [pad_offset(comp.component, pad) for ref, pad in net.pins if ref == comp.refdes]
+    if len(fixed) + len(offsets) < 2:
+        return 0.0
+    xs = np.array([x + o.x for o in offsets] + [np.full(len(x), p.x) for p in fixed])
+    ys = np.array([y + o.y for o in offsets] + [np.full(len(y), p.y) for p in fixed])
+    return (xs.max(axis=0) - xs.min(axis=0)) + (ys.max(axis=0) - ys.min(axis=0))

@@ -51,7 +51,7 @@ class RotationOptimizer:
         self._inplane: dict[str, bool] = {}
         for ref, placed in problem.components.items():
             axis = placed.component.magnetic_axis_local()
-            inplane = math.hypot(axis.x, axis.y) > 0.3
+            inplane = placed.component.has_inplane_axis()
             self._inplane[ref] = inplane
             self._axis0[ref] = math.atan2(axis.y, axis.x) if inplane else 0.0
 

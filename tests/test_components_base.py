@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.components import Component, FilmCapacitorX2, Pad, cm_choke_3w
+from repro.components import Component, FilmCapacitorX2, Pad, cm_choke_3w, default_library
 from repro.geometry import Placement2D, Vec2
+from repro.peec import CurrentPath
 
 
 class TestValidation:
@@ -75,6 +76,38 @@ class TestFieldAccessors:
 
     def test_decoupling_residual_cm_choke(self):
         assert cm_choke_3w().decoupling_residual == pytest.approx(0.6)
+
+
+class TestCachedMagneticAxis:
+    @pytest.mark.parametrize("part_number", default_library().part_numbers())
+    def test_cache_equals_current_path(self, part_number):
+        part = default_library().create(part_number)
+        path = part.current_path
+        assert part.magnetic_moment_local == path.magnetic_moment()
+        assert part.magnetic_axis_local() == path.magnetic_axis()
+        assert part.has_inplane_axis() == (
+            math.hypot(path.magnetic_axis().x, path.magnetic_axis().y) > 0.3
+        )
+
+    def test_moment_computed_once_per_instance(self, monkeypatch):
+        calls = []
+        original = CurrentPath.magnetic_moment
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(CurrentPath, "magnetic_moment", counting)
+        part = FilmCapacitorX2()
+        for _ in range(3):
+            part.magnetic_axis_local()
+            part.magnetic_axis_world(Placement2D.at(0, 0, 90))
+            _ = part.decoupling_residual
+            part.has_inplane_axis()
+            _ = part.magnetic_moment_local
+        assert len(calls) == 1
+        FilmCapacitorX2().magnetic_axis_local()
+        assert len(calls) == 2
 
 
 class TestPad:

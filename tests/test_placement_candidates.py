@@ -60,8 +60,8 @@ class TestGenerators:
         problem.components["C2"].placement = Placement2D.at(0.04, 0.03)
         gen = CandidateGenerator(problem)
         comp = problem.components["C1"]
-        candidates = gen.all_candidates(comp, 0.0, [(Vec2(0.04, 0.03), 0.03)])
-        keys = {(round(p.x / 5e-4), round(p.y / 5e-4)) for p in candidates}
+        candidates = gen.candidate_array(comp, 0.0, [(Vec2(0.04, 0.03), 0.03)])
+        keys = {(round(x / 5e-4), round(y / 5e-4)) for x, y in candidates.tolist()}
         assert len(keys) == len(candidates)
 
     def test_preferred_area_first(self):

@@ -1,5 +1,8 @@
 """Unit tests for the design-rule checker."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.components import FilmCapacitorX2
 from repro.geometry import Cuboid, Placement2D, Polygon2D, Rect
 from repro.placement import (
@@ -181,3 +184,69 @@ class TestGroupsAndNets:
         # The spread layout satisfies spacing and keepin; min distances may
         # or may not hold — consistency check only.
         assert checker.is_legal() == (not checker.check_all())
+
+
+class TestOnlineDrcMatchesFullCheck:
+    """``check_component(ref)`` walks only the pairs and rules touching
+    ``ref``; after any move it must report exactly what ``check_all()``
+    reports about ``ref`` for spacing, min-distance, keepin and keepouts."""
+
+    KINDS = {"overlap", "clearance", "min_distance", "keepin", "keepout"}
+
+    @staticmethod
+    def board():
+        from repro.converters import build_demo_board
+        from repro.geometry import Vec2
+        from repro.placement import PlacementArea
+
+        problem = build_demo_board()
+        board = problem.boards[0]
+        l_shape = Polygon2D(
+            [
+                Vec2(0, 0),
+                Vec2(0.1, 0),
+                Vec2(0.1, 0.04),
+                Vec2(0.05, 0.04),
+                Vec2(0.05, 0.08),
+                Vec2(0, 0.08),
+            ]
+        )
+        board.areas = [
+            PlacementArea("main", l_shape),
+            PlacementArea("side", Polygon2D.rectangle(0.055, 0.045, 0.1, 0.08)),
+        ]
+        board.keepouts = [
+            Keepout3D("K0", Cuboid(Rect(0.02, 0.02, 0.035, 0.03), 0.0, 0.03)),
+            Keepout3D("K4", Cuboid(Rect(0.06, 0.05, 0.08, 0.065), 4e-3, 0.03)),
+        ]
+        refs = sorted(problem.components)
+        for i, ref in enumerate(refs):
+            comp = problem.components[ref]
+            comp.placement = Placement2D.at(0.008 + 0.017 * (i % 6), 0.008 + 0.015 * (i // 6), 0)
+            if i % 5 == 0:
+                comp.allowed_areas = ("side",)
+        return problem
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=28),
+                st.floats(min_value=-0.005, max_value=0.105),
+                st.floats(min_value=-0.005, max_value=0.085),
+                st.sampled_from((0.0, 90.0, 180.0, 270.0)),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_random_moves(self, moves):
+        problem = self.board()
+        refs = sorted(problem.components)
+        checker = DesignRuleChecker(problem)
+        for index, x, y, rot in moves:
+            ref = refs[index]
+            problem.components[ref].placement = Placement2D.at(x, y, rot)
+            full = [v for v in checker.check_all() if v.kind in self.KINDS and ref in v.refs]
+            online = [v for v in checker.check_component(ref) if v.kind in self.KINDS]
+            assert online == full

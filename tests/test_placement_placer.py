@@ -133,3 +133,28 @@ class TestTightBoard:
         problem.rules = RuleSet(min_distance=rules)
         report = AutoPlacer(problem).run()
         assert report.violations_after == 0
+
+
+class TestScoringObservability:
+    def test_one_score_span_per_candidate_search(self, monkeypatch):
+        from repro import obs
+
+        calls = []
+        original = AutoPlacer._best_candidate
+
+        def counted(self, comp, rotation_deg):
+            calls.append(comp.refdes)
+            return original(self, comp, rotation_deg)
+
+        monkeypatch.setattr(AutoPlacer, "_best_candidate", counted)
+        problem = build_small_problem()
+        tracer = obs.enable(meta={"test": "placement spans"})
+        try:
+            AutoPlacer(problem).run()
+        finally:
+            obs.disable()
+        report = tracer.report()
+        score = report.find("placement.score")
+        assert score is not None and score.count == len(calls) >= 7
+        totals = report.totals()
+        assert 0 < totals["placement.candidates_legal"] < totals["placement.candidates_scored"]

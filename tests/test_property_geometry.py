@@ -150,3 +150,148 @@ class TestPolygonInvariants:
     def test_centroid_inside_rectangle(self, size):
         poly = Polygon2D.rectangle(0.0, 0.0, size, size * 0.5)
         assert poly.contains_point(poly.centroid())
+
+
+# -- batch rectangle containment against a plain-Python oracle ----------------
+
+EPS = 1e-9
+
+
+def oracle_contains_point(vertices, px, py, tol=EPS):
+    inside = False
+    n = len(vertices)
+    for i in range(n):
+        ax, ay = vertices[i]
+        bx, by = vertices[(i + 1) % n]
+        abx, aby = bx - ax, by - ay
+        apx, apy = px - ax, py - ay
+        if abs(abx * apy - aby * apx) <= tol * max(1.0, math.hypot(abx, aby)):
+            t = apx * abx + apy * aby
+            if -tol <= t <= abx * abx + aby * aby + tol:
+                return True
+        if (ay > py) != (by > py):
+            crossing = (py - ay) * abx - (px - ax) * aby
+            if (crossing > 0.0) if aby > 0.0 else (crossing < 0.0):
+                inside = not inside
+    return inside
+
+
+def oracle_proper_crossing(a, b, c, d):
+    def cross(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    d1, d2 = cross(a, b, c), cross(a, b, d)
+    d3, d4 = cross(c, d, a), cross(c, d, b)
+    return ((d1 > EPS and d2 < -EPS) or (d1 < -EPS and d2 > EPS)) and (
+        (d3 > EPS and d4 < -EPS) or (d3 < -EPS and d4 > EPS)
+    )
+
+
+def oracle_contains_rect(vertices, x0, y0, x1, y1):
+    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    if not all(oracle_contains_point(vertices, x, y) for x, y in corners):
+        return False
+    n = len(vertices)
+    return not any(
+        oracle_proper_crossing(vertices[i], vertices[(i + 1) % n], corners[k], corners[(k + 1) % 4])
+        for i in range(n)
+        for k in range(4)
+    )
+
+
+@st.composite
+def star_polygons(draw):
+    """Simple polygons, star-shaped about the origin: convex or concave."""
+    n = draw(st.integers(min_value=3, max_value=9))
+    step = 2.0 * math.pi / n
+    jitter = st.floats(min_value=0.0, max_value=0.8)
+    radii = st.floats(min_value=0.2, max_value=1.0)
+    convex = draw(st.booleans())
+    r = draw(radii)
+    out = []
+    for i in range(n):
+        angle = step * (i + draw(jitter))
+        radius = r if convex else draw(radii)
+        out.append((radius * math.cos(angle), radius * math.sin(angle)))
+    return out
+
+
+@st.composite
+def grid_polygons(draw):
+    """Rectilinear L, U and notch shapes on a 0.25 grid (exact coincidences)."""
+    g = 0.25
+    w = draw(st.integers(min_value=3, max_value=8)) * g
+    h = draw(st.integers(min_value=3, max_value=8)) * g
+    cx = draw(st.integers(min_value=1, max_value=int(w / g) - 1)) * g
+    cy = draw(st.integers(min_value=1, max_value=int(h / g) - 1)) * g
+    shape = draw(st.sampled_from(("L", "U", "rect")))
+    if shape == "L":
+        return [(0.0, 0.0), (w, 0.0), (w, cy), (cx, cy), (cx, h), (0.0, h)]
+    if shape == "U":
+        c2 = min(w - g, cx + g)
+        return [(0.0, 0.0), (w, 0.0), (w, h), (c2, h), (c2, cy), (cx, cy), (cx, h), (0.0, h)]
+    return [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
+
+
+@st.composite
+def rects_for(draw, vertices):
+    """Rectangles whose coordinates are polygon vertex coordinates, grid
+    points or free floats, so edges and corners often lie exactly on the
+    polygon's edges and vertices."""
+    xs = sorted({v[0] for v in vertices})
+    ys = sorted({v[1] for v in vertices})
+    lo = min(xs + ys) - 0.1
+    hi = max(xs + ys) + 0.1
+
+    def coord(values):
+        return st.one_of(
+            st.sampled_from(values),
+            st.integers(min_value=int(lo * 4), max_value=int(hi * 4)).map(lambda k: k * 0.25),
+            st.floats(min_value=lo, max_value=hi, allow_nan=False),
+        )
+
+    x0, x1 = sorted((draw(coord(xs)), draw(coord(xs))))
+    y0, y1 = sorted((draw(coord(ys)), draw(coord(ys))))
+    return (x0, y0, x1, y1)
+
+
+class TestContainsRectsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.one_of(star_polygons(), grid_polygons()))
+    def test_batch_matches_oracle(self, data, vertices):
+        poly = Polygon2D([Vec2(x, y) for x, y in vertices])
+        verts = [(v.x, v.y) for v in poly.vertices]
+        rects = data.draw(st.lists(rects_for(verts), min_size=1, max_size=25))
+        x0, y0, x1, y1 = (list(c) for c in zip(*rects))
+        got = poly.contains_rects(x0, y0, x1, y1)
+        want = [oracle_contains_rect(verts, *r) for r in rects]
+        assert got.tolist() == want
+        assert [poly.contains_rect(*r) for r in rects] == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.one_of(star_polygons(), grid_polygons()))
+    def test_points_match_oracle(self, data, vertices):
+        poly = Polygon2D([Vec2(x, y) for x, y in vertices])
+        verts = [(v.x, v.y) for v in poly.vertices]
+        # Points: the lower-left corners of snapped rectangles.
+        rects = data.draw(st.lists(rects_for(verts), min_size=1, max_size=25))
+        xs, ys = [r[0] for r in rects], [r[1] for r in rects]
+        want = [oracle_contains_point(verts, x, y) for x, y in zip(xs, ys)]
+        assert poly.contains_points(xs, ys).tolist() == want
+        assert [poly.contains_point(Vec2(x, y)) for x, y in zip(xs, ys)] == want
+
+    def test_rect_on_boundary_and_vertices(self):
+        l_shape = Polygon2D(
+            [Vec2(0, 0), Vec2(2, 0), Vec2(2, 1), Vec2(1, 1), Vec2(1, 2), Vec2(0, 2)]
+        )
+        x0, y0, x1, y1 = zip(
+            (0.0, 0.0, 2.0, 1.0),
+            (0.0, 0.0, 1.0, 2.0),
+            (0.0, 1.0, 1.0, 2.0),
+            (1.0, 1.0, 2.0, 1.0),
+            (0.5, 0.5, 1.5, 1.5),
+        )
+        got = l_shape.contains_rects(x0, y0, x1, y1)
+        # Full lower arm, full left arm, upper-left square, a degenerate
+        # rectangle on the notch edge (inside), one crossing the notch.
+        assert got.tolist() == [True, True, True, True, False]
