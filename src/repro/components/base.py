@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..geometry import Placement2D, Rect, Vec2, Vec3
+from ..parallel.fingerprint import component_fingerprint
 from ..peec import (
     AIR_CORE,
     CoreMaterial,
@@ -98,6 +99,11 @@ class Component:
     def mu_eff(self) -> float:
         """Effective permeability of the core (1.0 for air)."""
         return self.core.mu_eff(self.demag_factor)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Cached content hash of the field model (the coupling-cache identity)."""
+        return component_fingerprint(self)
 
     @cached_property
     def geometric_inductance(self) -> float:

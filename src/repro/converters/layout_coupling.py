@@ -31,6 +31,9 @@ def layout_couplings(
         refdes_of_interest: restrict to these components (the sensitivity
             analysis shortlist); None means all placed parts.
         ground_plane_z: shielding plane height [m], if the board has one.
+            A shared ``database`` solves at its own
+            :attr:`~repro.coupling.CouplingDatabase.ground_plane_z`; a
+            different height here is an error.
         k_floor: couplings below this magnitude [-] are dropped (they
             cannot move the spectrum and only bloat the circuit).
         database: optional shared cache.
@@ -38,10 +41,17 @@ def layout_couplings(
 
     Returns:
         (refdes_a, refdes_b) -> signed k, with refdes_a < refdes_b.
+
+    Raises:
+        ValueError: when ``ground_plane_z`` is set and differs from the
+            shared database's plane.
     """
     db = database or CouplingDatabase(ground_plane_z=ground_plane_z)
-    if database is not None and ground_plane_z is not None:
-        db.ground_plane_z = ground_plane_z
+    if ground_plane_z is not None and db.ground_plane_z != ground_plane_z:
+        raise ValueError(
+            f"ground plane at {ground_plane_z} m, but the shared coupling "
+            f"database solves at {db.ground_plane_z} m"
+        )
     placed = [
         (c.refdes, c.component, c.placement)
         for c in problem.placed()

@@ -2,38 +2,48 @@
 
 The paper's point about complexity: *"(n (n-1) / 2) minimum distances can be
 defined"* and every coupling simulation costs field-solver time, so results
-are cached by the pair's *relative* pose (coupling is invariant under a
-rigid motion of the pair).  Poses are quantised to 0.1 mm / 1 degree, which
-is far below any placement-relevant sensitivity.
+are cached per coupling problem.
 
-Two cache tiers share that key semantics:
+"The same coupling problem" is defined once, by
+:func:`repro.parallel.pair_key`: both component fingerprints, the pair's
+*relative* pose (coupling is invariant under a rigid in-plane motion of
+the pair) quantised to 0.1 mm / 1 degree with both sides and both
+standoffs, the ground-plane height and the quadrature order.  Two cache
+tiers share that key:
 
-* the **in-memory** dict keyed by component identity + relative pose
-  (this module), free to probe, gone with the process;
+* the **in-memory** dict keyed by the tuple itself (this module), free to
+  probe, gone with the process;
 * an optional **persistent** tier (:class:`repro.parallel.
-  PersistentCouplingCache`) keyed by a *content hash* of the component
-  geometry, effective-µ parameters, relative pose, ground plane and
-  quadrature order — survives restarts and is shared across runs.
+  PersistentCouplingCache`) whose entries are named by the key's SHA-256
+  — survives restarts and is shared across runs.
 
-Batch lookups (:meth:`CouplingDatabase.pairwise_couplings`) can fan the
-cache misses out over a :class:`repro.parallel.CouplingExecutor`; results
-are inserted deterministically in pair order, so parallel and serial runs
-produce identical databases.
+Every lookup — :meth:`CouplingDatabase.coupling`,
+:meth:`CouplingDatabase.pairwise_couplings` and the sweeps of
+:mod:`repro.coupling.sweep` — goes through one batch routine,
+:meth:`CouplingDatabase.lookup`.  It probes both tiers in both argument
+orders (a mirrored hit comes back with the self-inductances swapped),
+solves the misses in order, serially or over a
+:class:`repro.parallel.CouplingExecutor`, validates and stores them, and
+counts hits and misses at one point.  Results are stored in request
+order, so parallel and serial runs produce identical databases.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
+from itertools import combinations
 
 from ..components import Component
 from ..geometry import Placement2D
 from ..obs import get_tracer
 from ..parallel import (
     CouplingExecutor,
+    PairKey,
     PersistentCouplingCache,
-    component_fingerprint,
     pair_cache_key,
+    pair_key,
 )
 from ..units import Dimensionless, Meters
 from .pair import (
@@ -77,31 +87,39 @@ def _validated(
     )
 
 
-def _relative_key(
-    comp_a: Component,
-    placement_a: Placement2D,
-    comp_b: Component,
-    placement_b: Placement2D,
-) -> tuple:
-    """Cache key from the pair's relative pose, quantised.
+#: One placed pair as :meth:`CouplingDatabase.lookup` takes it:
+#: ``(comp_a, placement_a, comp_b, placement_b)``.
+PlacedPair = tuple[Component, Placement2D, Component, Placement2D]
 
-    The relative pose is B expressed in A's frame: offset rotated by -rot_a
-    and the rotation difference.
+
+def _swapped(result: CouplingResult) -> CouplingResult:
+    """The mirrored problem's result: k and M are symmetric, self-L swaps."""
+    return replace(result, self_a_h=result.self_b_h, self_b_h=result.self_a_h)
+
+
+def _solve(task: CouplingTask) -> CouplingResult:
+    """One inline field simulation, spanned and timed."""
+    tracer = get_tracer()
+    with tracer.span("coupling.field_solve") as handle:
+        result = component_coupling(*task)
+    if handle.elapsed_s is not None:
+        tracer.observe("coupling.pair_seconds", handle.elapsed_s)
+    return result
+
+
+def solve_couplings(
+    tasks: Sequence[CouplingTask], executor: CouplingExecutor | None = None
+) -> list[CouplingResult]:
+    """Run field simulations in task order: over ``executor`` when it is
+    parallel and there is more than one task, inline otherwise.
+
+    Every task is solved, with no cache involved; the results are
+    identical in both modes.
     """
-    rel = placement_b.position - placement_a.position
-    local = rel.rotated(-placement_a.rotation_rad)
-    drot = placement_b.rotation_rad - placement_a.rotation_rad
-    qmm = 1e-4  # 0.1 mm
-    qdeg = math.pi / 180.0
-    return (
-        id(comp_a),
-        id(comp_b),
-        round(local.x / qmm),
-        round(local.y / qmm),
-        round(drot / qdeg) % 360,
-        placement_a.side,
-        placement_b.side,
-    )
+    if executor is not None and executor.is_parallel and len(tasks) > 1:
+        with get_tracer().span("coupling.field_solve"):
+            return executor.map(evaluate_coupling_task, tasks)
+    return [_solve(task) for task in tasks]
 
 
 @dataclass(frozen=True)
@@ -115,15 +133,12 @@ class CacheStats:
         size: number of field simulations held in memory.
         persistent_hits: subset of ``hits`` answered from the on-disk
             tier (0 when no persistent cache is attached).
-        persistent_stale: on-disk entries rejected for a schema-version
-            mismatch or corruption (each also counts as a miss).
     """
 
     hits: int
     misses: int
     size: int
     persistent_hits: int = 0
-    persistent_stale: int = 0
 
     @property
     def lookups(self) -> int:
@@ -142,47 +157,27 @@ class CouplingDatabase:
     """Caching front-end for :func:`component_coupling`.
 
     Attributes:
-        ground_plane_z: shared shielding-plane height [m] above the board
-            (``None`` = no plane, no image currents).
+        ground_plane_z: shielding-plane height [m] above the board used by
+            :meth:`coupling` and :meth:`pairwise_couplings` (``None`` = no
+            plane, no image currents).  Sweeps pass their own height.
         order: Gauss–Legendre quadrature order passed to the field
             computation (dimensionless count, not a physical quantity).
         persistent: optional on-disk cache tier consulted on in-memory
             misses and written through on every solve (``None`` = memory
             only; see docs/PERFORMANCE.md for the key semantics).
+        hits, misses, persistent_hits: lookups answered from a cache,
+            lookups solved, and the subset of hits read from disk; the
+            ``coupling.cache_hits`` / ``coupling.cache_misses`` tracer
+            counters are bumped at the same point.
     """
 
     ground_plane_z: Meters | None = None
     order: int = 8
     persistent: PersistentCouplingCache | None = None
-    _cache: dict[tuple, CouplingResult] = field(default_factory=dict)
-    _fingerprints: dict[int, str] = field(default_factory=dict)
+    _cache: dict[PairKey, CouplingResult] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
     persistent_hits: int = 0
-
-    def _fingerprint(self, component: Component) -> str:
-        """Content hash of a component, memoised per object identity."""
-        cached = self._fingerprints.get(id(component))
-        if cached is None:
-            cached = component_fingerprint(component)
-            self._fingerprints[id(component)] = cached
-        return cached
-
-    def _persistent_key(
-        self,
-        comp_a: Component,
-        placement_a: Placement2D,
-        comp_b: Component,
-        placement_b: Placement2D,
-    ) -> str:
-        return pair_cache_key(
-            self._fingerprint(comp_a),
-            self._fingerprint(comp_b),
-            placement_a,
-            placement_b,
-            self.ground_plane_z,
-            self.order,
-        )
 
     def _from_payload(self, payload: dict) -> CouplingResult | None:
         """Rebuild a result from its JSON payload; ``None`` if malformed."""
@@ -198,76 +193,94 @@ class CouplingDatabase:
             get_tracer().count("cache.stale")
             return None
 
-    def peek(
-        self,
-        comp_a: Component,
-        placement_a: Placement2D,
-        comp_b: Component,
-        placement_b: Placement2D,
+    def _probe(
+        self, key: PairKey, pair: PlacedPair, ground_plane_z: Meters | None
     ) -> CouplingResult | None:
-        """Cached coupling for a placed pair, or ``None`` — never solves.
+        """Cached result for ``key`` or ``None`` — never solves.
 
-        Probes the in-memory tier (direct and mirrored key — k is
-        symmetric), then the persistent tier (both key orders).  A
-        persistent hit is promoted into the in-memory cache.
-
-        Args:
-            comp_a, comp_b: the components (field models in their local
-                frames; linear dimensions in metres).
-            placement_a, placement_b: board placements (positions [m],
-                rotations [rad]).
+        Probes memory (direct, then mirrored key), then disk (same
+        order); a disk hit is promoted into memory under the key it was
+        found by.  A mirrored hit is returned with self-L swapped.
         """
-        tracer = get_tracer()
-        key = _relative_key(comp_a, placement_a, comp_b, placement_b)
-        cached = self._cache.get(key)
-        if cached is None:
-            mirror = _relative_key(comp_b, placement_b, comp_a, placement_a)
-            cached = self._cache.get(mirror)
-        if cached is not None:
-            self.hits += 1
-            tracer.count("coupling.cache_hits")
-            return cached
-        if self.persistent is not None:
-            payload = self.persistent.get(
-                self._persistent_key(comp_a, placement_a, comp_b, placement_b)
-            )
-            if payload is None:
-                payload = self.persistent.get(
-                    self._persistent_key(comp_b, placement_b, comp_a, placement_a)
-                )
-            if payload is not None:
-                result = self._from_payload(payload)
-                if result is not None:
-                    self._cache[key] = result
-                    self.hits += 1
-                    self.persistent_hits += 1
-                    tracer.count("coupling.cache_hits")
-                    return result
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        comp_a, placement_a, comp_b, placement_b = pair
+        mirror = pair_key(comp_b, placement_b, comp_a, placement_a, ground_plane_z, self.order)
+        hit = self._cache.get(mirror)
+        if hit is not None:
+            return _swapped(hit)
+        if self.persistent is None:
+            return None
+        for probe, swap in ((key, False), (mirror, True)):
+            payload = self.persistent.get(pair_cache_key(probe))
+            hit = None if payload is None else self._from_payload(payload)
+            if hit is not None:
+                self._cache[probe] = hit
+                self.persistent_hits += 1
+                return _swapped(hit) if swap else hit
         return None
 
-    def store(
+    def lookup(
         self,
-        comp_a: Component,
-        placement_a: Placement2D,
-        comp_b: Component,
-        placement_b: Placement2D,
-        result: CouplingResult,
-    ) -> CouplingResult:
-        """Validate a computed result and write it through every cache tier.
+        pairs: Sequence[PlacedPair],
+        ground_plane_z: Meters | None,
+        executor: CouplingExecutor | None = None,
+    ) -> list[CouplingResult]:
+        """Coupling for each placed pair, from a cache tier or a field solve.
+
+        The one lookup path of the database: each pair is probed in both
+        tiers and both argument orders; the misses are solved in request
+        order (over ``executor`` when it is parallel), validated (rule
+        CPL001) and written through every tier.  Hits and misses are
+        counted here and only here.
+
+        Args:
+            pairs: ``(comp_a, placement_a, comp_b, placement_b)`` per
+                request (local-frame field models; positions [m],
+                rotations [rad]).
+            ground_plane_z: shielding-plane height [m] of every request,
+                ``None`` for free space — part of the cache key and the
+                height the misses are solved with.
+            executor: optional fan-out for the misses; results are
+                identical to the serial run.
 
         Returns:
-            The validated (possibly clamped, see rule CPL001) result that
-            was stored.
+            One validated :class:`CouplingResult` per request, in order.
+
+        Raises:
+            ValueError: when a solve gives |k| beyond the clamp tolerance
+                (rule CPL001); that result is not cached.
         """
-        result = _validated(result, comp_a.part_number, comp_b.part_number)
-        key = _relative_key(comp_a, placement_a, comp_b, placement_b)
-        self._cache[key] = result
-        if self.persistent is not None:
-            self.persistent.put(
-                self._persistent_key(comp_a, placement_a, comp_b, placement_b),
-                asdict(result),
-            )
-        return result
+        keys = [
+            pair_key(comp_a, placement_a, comp_b, placement_b, ground_plane_z, self.order)
+            for comp_a, placement_a, comp_b, placement_b in pairs
+        ]
+        results = [
+            self._probe(key, pair, ground_plane_z)
+            for key, pair in zip(keys, pairs, strict=True)
+        ]
+        pending = [i for i, hit in enumerate(results) if hit is None]
+        hits, misses = len(pairs) - len(pending), len(pending)
+        self.hits += hits
+        self.misses += misses
+        tracer = get_tracer()
+        if hits:
+            tracer.count("coupling.cache_hits", hits)
+        if misses:
+            tracer.count("coupling.cache_misses", misses)
+        tasks: list[CouplingTask] = [
+            (comp_a, placement_a, comp_b, placement_b, ground_plane_z, self.order)
+            for comp_a, placement_a, comp_b, placement_b in (pairs[i] for i in pending)
+        ]
+        for i, result in zip(pending, solve_couplings(tasks, executor), strict=True):
+            comp_a, _, comp_b, _ = pairs[i]
+            result = _validated(result, comp_a.part_number, comp_b.part_number)
+            self._cache[keys[i]] = result
+            if self.persistent is not None:
+                self.persistent.put(pair_cache_key(keys[i]), asdict(result))
+            results[i] = result
+        return results  # type: ignore[return-value]
 
     def coupling(
         self,
@@ -276,7 +289,7 @@ class CouplingDatabase:
         comp_b: Component,
         placement_b: Placement2D,
     ) -> CouplingResult:
-        """Coupling for a placed pair, cached by relative pose.
+        """Coupling for a placed pair above :attr:`ground_plane_z`, cached.
 
         Args:
             comp_a, comp_b: the components (field models in their local
@@ -286,32 +299,23 @@ class CouplingDatabase:
 
         Returns:
             The validated :class:`CouplingResult` — coupling factor ``k``
-            [-], mutual and self inductances [H].
+            [-], mutual and self inductances [H] (``self_a_h`` is
+            ``comp_a``'s, also on a mirrored hit).
         """
-        cached = self.peek(comp_a, placement_a, comp_b, placement_b)
-        if cached is not None:
-            return cached
-        tracer = get_tracer()
-        self.misses += 1
-        tracer.count("coupling.cache_misses")
-        with tracer.span("coupling.field_solve") as handle:
-            result = component_coupling(
-                comp_a, placement_a, comp_b, placement_b, self.ground_plane_z, self.order
-            )
-        if handle.elapsed_s is not None:
-            tracer.observe("coupling.pair_seconds", handle.elapsed_s)
-        return self.store(comp_a, placement_a, comp_b, placement_b, result)
+        pair = (comp_a, placement_a, comp_b, placement_b)
+        return self.lookup([pair], self.ground_plane_z)[0]
 
     def pairwise_couplings(
         self,
         placed: list[tuple[str, Component, Placement2D]],
         executor: CouplingExecutor | None = None,
     ) -> dict[tuple[str, str], CouplingResult]:
-        """All-pairs coupling map for a list of (refdes, component, placement).
+        """All-pairs coupling map above :attr:`ground_plane_z`.
 
         Args:
-            placed: the placed components; placements in board coordinates
-                (positions [m], rotations [rad]).
+            placed: the placed components as (refdes, component,
+                placement); placements in board coordinates (positions
+                [m], rotations [rad]).
             executor: optional fan-out for the cache misses; results are
                 identical to the serial run and inserted in deterministic
                 pair order.
@@ -320,46 +324,13 @@ class CouplingDatabase:
             A dict keyed by the (refdes_a, refdes_b) pair with
             refdes_a < refdes_b lexicographically.
         """
-        tracer = get_tracer()
-        pairs: list[tuple[tuple[str, str], Component, Placement2D, Component, Placement2D]] = []
-        for i in range(len(placed)):
-            for j in range(i + 1, len(placed)):
-                ref_a, comp_a, pl_a = placed[i]
-                ref_b, comp_b, pl_b = placed[j]
-                key = (ref_a, ref_b) if ref_a < ref_b else (ref_b, ref_a)
-                pairs.append((key, comp_a, pl_a, comp_b, pl_b))
-
-        results: dict[tuple[str, str], CouplingResult] = {}
-        pending = []
-        for entry in pairs:
-            key, comp_a, pl_a, comp_b, pl_b = entry
-            cached = self.peek(comp_a, pl_a, comp_b, pl_b)
-            if cached is not None:
-                results[key] = cached
-            else:
-                pending.append(entry)
-
-        if pending:
-            self.misses += len(pending)
-            tracer.count("coupling.cache_misses", len(pending))
-            tasks: list[CouplingTask] = [
-                (comp_a, pl_a, comp_b, pl_b, self.ground_plane_z, self.order)
-                for _, comp_a, pl_a, comp_b, pl_b in pending
-            ]
-            if executor is not None and executor.is_parallel and len(tasks) > 1:
-                with tracer.span("coupling.field_solve"):
-                    computed = executor.map(evaluate_coupling_task, tasks)
-            else:
-                computed = []
-                for task in tasks:
-                    with tracer.span("coupling.field_solve"):
-                        computed.append(evaluate_coupling_task(task))
-            for entry, result in zip(pending, computed, strict=True):
-                key, comp_a, pl_a, comp_b, pl_b = entry
-                results[key] = self.store(comp_a, pl_a, comp_b, pl_b, result)
-
-        # Deterministic map order regardless of which pairs were cached.
-        return {entry[0]: results[entry[0]] for entry in pairs}
+        both = list(combinations(placed, 2))
+        refs = [
+            (ref_a, ref_b) if ref_a < ref_b else (ref_b, ref_a)
+            for (ref_a, _, _), (ref_b, _, _) in both
+        ]
+        pairs = [(comp_a, pl_a, comp_b, pl_b) for (_, comp_a, pl_a), (_, comp_b, pl_b) in both]
+        return dict(zip(refs, self.lookup(pairs, self.ground_plane_z, executor), strict=True))
 
     def cache_size(self) -> int:
         """Number of field simulations held in memory."""
@@ -373,13 +344,11 @@ class CouplingDatabase:
             misses=self.misses,
             size=len(self._cache),
             persistent_hits=self.persistent_hits,
-            persistent_stale=self.persistent.stale if self.persistent is not None else 0,
         )
 
     def clear(self) -> None:
         """Drop the in-memory cache and counters (the disk tier survives)."""
         self._cache.clear()
-        self._fingerprints.clear()
         self.hits = 0
         self.misses = 0
         self.persistent_hits = 0

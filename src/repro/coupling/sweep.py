@@ -13,8 +13,10 @@ else fixed:
 Every sweep accepts two optional accelerators (see docs/PERFORMANCE.md):
 an ``executor`` fans the per-point field simulations out over worker
 processes, and a ``database`` answers points from its cache tiers first
-and stores fresh solves for the next run.  Results are identical to the
-serial, uncached evaluation in every combination.
+and stores fresh solves for the next run.  The sweep's own
+``ground_plane_z`` applies in both cases; the database only caches.
+Without a database every point is solved, and the result does not depend
+on the executor.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from ..geometry import Placement2D, Vec2
 from ..obs import get_tracer
 from ..parallel import CouplingExecutor
 from ..units import Degrees, Meters
-from .database import CouplingDatabase
-from .pair import CouplingResult, CouplingTask, evaluate_coupling_task
+from .database import CouplingDatabase, solve_couplings
+from .pair import CouplingTask
 
 __all__ = ["distance_sweep", "rotation_sweep", "angular_position_sweep"]
 
@@ -92,54 +94,21 @@ def _signed_couplings(
 ) -> np.ndarray:
     """Signed k for component B at each placement, accelerated if asked.
 
-    The single evaluation engine behind all three sweeps: cache lookups
-    through ``database`` (when given), misses computed via ``executor``
-    (when parallel) or inline, results returned in placement order.
+    The single evaluation engine behind all three sweeps: every point
+    goes through ``database.lookup`` when a database is given, and is
+    solved directly otherwise (via ``executor`` when parallel); results
+    come back in placement order.
     """
     if database is not None:
-        if ground_plane_z is not None:
-            database.ground_plane_z = ground_plane_z
-        ground_plane_z = database.ground_plane_z
-        order = database.order
+        pairs = [(comp_a, place_a, comp_b, place_b) for place_b in placements_b]
+        results = database.lookup(pairs, ground_plane_z, executor)
     else:
-        order = _SWEEP_ORDER
-
-    if database is not None:
-        results: list[CouplingResult | None] = [
-            database.peek(comp_a, place_a, comp_b, place_b)
+        tasks: list[CouplingTask] = [
+            (comp_a, place_a, comp_b, place_b, ground_plane_z, _SWEEP_ORDER)
             for place_b in placements_b
         ]
-        pending = [i for i, hit in enumerate(results) if hit is None]
-    else:
-        results = [None] * len(placements_b)
-        pending = list(range(len(placements_b)))
-
-    if pending:
-        tasks: list[CouplingTask] = [
-            (comp_a, place_a, comp_b, placements_b[i], ground_plane_z, order)
-            for i in pending
-        ]
-        tracer = get_tracer()
-        if database is not None:
-            database.misses += len(pending)
-            tracer.count("coupling.cache_misses", len(pending))
-        if executor is not None and executor.is_parallel and len(tasks) > 1:
-            with tracer.span("coupling.field_solve"):
-                computed = executor.map(evaluate_coupling_task, tasks)
-        else:
-
-            def _solve(task: CouplingTask) -> CouplingResult:
-                with tracer.span("coupling.field_solve"):
-                    return evaluate_coupling_task(task)
-
-            computed = [_solve(task) for task in tasks]
-        for i, result in zip(pending, computed, strict=True):
-            if database is not None:
-                result = database.store(
-                    comp_a, place_a, comp_b, placements_b[i], result
-                )
-            results[i] = result
-    return np.array([r.k for r in results])  # type: ignore[union-attr]
+        results = solve_couplings(tasks, executor)
+    return np.array([r.k for r in results])
 
 
 def distance_sweep(

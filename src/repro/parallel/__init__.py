@@ -8,8 +8,8 @@ each one cheap to repeat and cheap to scale:
   result ordering and a graceful serial fallback;
 * :class:`PersistentCouplingCache` — on-disk, content-hash-keyed store of
   field-simulation results with versioned invalidation;
-* :mod:`~repro.parallel.fingerprint` — the geometry/placement/µ hashing
-  that defines "the same coupling problem" across processes.
+* :mod:`~repro.parallel.fingerprint` — :func:`pair_key`, the one
+  definition of "the same coupling problem" that both cache tiers use.
 
 The layer is physics-free by design: it never imports the solvers it
 accelerates, so :mod:`repro.coupling` can build on it without cycles.
@@ -20,17 +20,21 @@ from .cache import PersistentCouplingCache, default_cache_dir
 from .executor import CouplingExecutor
 from .fingerprint import (
     CACHE_SCHEMA_VERSION,
+    PairKey,
     component_fingerprint,
     pair_cache_key,
+    pair_key,
     relative_pose_key,
 )
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CouplingExecutor",
+    "PairKey",
     "PersistentCouplingCache",
     "component_fingerprint",
     "default_cache_dir",
     "pair_cache_key",
+    "pair_key",
     "relative_pose_key",
 ]

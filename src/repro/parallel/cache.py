@@ -26,15 +26,17 @@ dependency.
 The store is multi-tenant by construction: any number of processes *and*
 threads may point instances at the same directory (the service layer
 shares one cache directory across all jobs, see ``docs/SERVICE.md``).
-On-disk safety comes from the atomic replace; the per-instance
-``hits``/``misses``/``stale``/``writes`` accounting is additionally
-lock-guarded so one instance may be shared between threads without
-losing counts.
+On-disk safety comes from the atomic replace.  An instance keeps no
+counts of its own: every event is counted on the active tracer
+(``cache.hit`` / ``cache.miss`` / ``cache.stale`` / ``cache.write`` /
+``cache.evicted``), and :meth:`PersistentCouplingCache.gc` returns its
+eviction tally.
 
-The store is payload-agnostic: it persists plain JSON dictionaries.  The
-:class:`repro.coupling.CouplingDatabase` owns the mapping between
-``CouplingResult`` and its dictionary form, keeping this layer free of any
-physics imports.
+The store is payload-agnostic: it persists plain JSON dictionaries under
+opaque keys.  The :class:`repro.coupling.CouplingDatabase` owns the
+mapping between ``CouplingResult`` and its dictionary form, and names
+each entry by :func:`repro.parallel.pair_cache_key`, keeping this layer
+free of any physics imports.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Any
@@ -77,35 +78,11 @@ class PersistentCouplingCache:
         version: schema version expected of every entry; entries written
             under another version are treated as stale (dimensionless
             count, compared exactly).
-
-    Attributes:
-        hits, misses, stale, writes, evicted: lifetime operation counts
-            of this instance, lock-guarded so a shared instance counts
-            correctly under threads (the on-disk store itself is shared
-            and unaffected).
     """
 
     def __init__(self, cache_dir: str | Path | None = None, version: int = CACHE_SCHEMA_VERSION):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         self.version = version
-        self._stats_lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.stale = 0
-        self.writes = 0
-        self.evicted = 0
-
-    def _bump(self, attr: str) -> None:
-        """Increment one lifetime counter under the stats lock."""
-        with self._stats_lock:
-            setattr(self, attr, getattr(self, attr) + 1)
-
-    def hit_rate(self) -> float | None:
-        """Lifetime disk hit-rate of this instance (``None`` before any
-        lookup; stale entries force a re-solve, so they rate as misses)."""
-        with self._stats_lock:
-            lookups = self.hits + self.misses + self.stale
-            return self.hits / lookups if lookups else None
 
     def path_for(self, key: str) -> Path:
         """On-disk location of a key (two-level sharding by hex prefix)."""
@@ -126,7 +103,6 @@ class PersistentCouplingCache:
             raw = path.read_text(encoding="utf-8")
         except OSError:
             tracer.observe("cache.lookup_seconds", time.perf_counter() - t0)
-            self._bump("misses")
             tracer.count("cache.miss")
             return None
         try:
@@ -139,11 +115,9 @@ class PersistentCouplingCache:
             payload = None
         tracer.observe("cache.lookup_seconds", time.perf_counter() - t0)
         if payload is None or stored_version != self.version or not isinstance(payload, dict):
-            self._bump("stale")
             tracer.count("cache.stale")
             self._discard(path)
             return None
-        self._bump("hits")
         tracer.count("cache.hit")
         return payload
 
@@ -169,7 +143,6 @@ class PersistentCouplingCache:
                 raise
         except OSError:
             return
-        self._bump("writes")
         get_tracer().count("cache.write")
 
     def gc(
@@ -192,7 +165,7 @@ class PersistentCouplingCache:
         re-written entry is a recently *produced* one.  Files that
         vanish mid-scan (a concurrent GC or clear) are skipped, never
         fatal; each successful eviction counts ``cache.evicted`` on the
-        active tracer and bumps :attr:`evicted`.
+        active tracer.
 
         Args:
             max_size_bytes: total on-disk budget [bytes].
@@ -237,7 +210,6 @@ class PersistentCouplingCache:
                 continue
             evicted_count += 1
             evicted_bytes += size
-            self._bump("evicted")
             tracer.count("cache.evicted")
         return {
             "scanned": len(entries),
@@ -272,7 +244,4 @@ class PersistentCouplingCache:
             pass
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"PersistentCouplingCache({str(self.cache_dir)!r}, v{self.version}, "
-            f"hits={self.hits}, misses={self.misses}, stale={self.stale})"
-        )
+        return f"PersistentCouplingCache({str(self.cache_dir)!r}, v{self.version})"

@@ -1,4 +1,4 @@
-"""Content hashing of coupling-problem inputs — the persistent cache key.
+"""What makes two coupling lookups "the same coupling problem".
 
 A coupling result is a pure function of
 
@@ -11,17 +11,22 @@ A coupling result is a pure function of
   the z-translation symmetry;
 * the **quadrature order** of the field computation.
 
-The fingerprints below hash exactly those ingredients (SHA-256 over the
-raw IEEE-754 doubles, no string formatting) so that a persistent cache
-entry survives process restarts but *never* survives a change to the
-inputs: perturbing a filament endpoint by one ULP produces a different
-key.  A schema version is folded into every key, so bumping
-:data:`CACHE_SCHEMA_VERSION` invalidates the whole store at once.
+:func:`pair_key` is the one definition of that identity.  It returns a
+hashable tuple of both component fingerprints, the quantised relative
+pose (0.1 mm / 1 degree, far below any placement-relevant coupling
+sensitivity), the quantised plane height and the quadrature order.  Both
+cache tiers of :class:`repro.coupling.CouplingDatabase` use it: the
+in-memory dict is keyed by the tuple itself, and the on-disk entry is
+named by its SHA-256 (:func:`pair_cache_key`), so the tiers cannot
+disagree on which lookups collide.
 
-Relative poses are quantised exactly like the in-memory
-:class:`repro.coupling.CouplingDatabase` key (0.1 mm / 1 degree — far
-below any placement-relevant coupling sensitivity), so both cache tiers
-agree on which poses are "the same".
+The component fingerprint hashes the raw IEEE-754 doubles of the field
+model (no string formatting), so a persistent entry survives process
+restarts but *never* survives a change to the inputs: perturbing a
+filament endpoint by one ULP produces a different key.  It is memoised
+per component as :attr:`repro.components.Component.fingerprint`.  A
+schema version is folded into every on-disk name, so bumping
+:data:`CACHE_SCHEMA_VERSION` invalidates the whole store at once.
 """
 
 from __future__ import annotations
@@ -37,8 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
+    "PairKey",
     "component_fingerprint",
     "pair_cache_key",
+    "pair_key",
     "relative_pose_key",
 ]
 
@@ -51,6 +58,15 @@ _POSE_QUANTUM_M = 1e-4
 
 #: Rotation quantum of the relative-pose key [rad] (1 degree).
 _POSE_QUANTUM_RAD = math.pi / 180.0
+
+#: Quantised relative pose: offset x/y, rotation difference, both sides,
+#: both standoffs (see :func:`relative_pose_key`).
+PoseKey = tuple[int, int, int, int, int, int, int]
+
+#: One coupling problem: fingerprints of A and B, the relative pose, the
+#: plane height (0.1 mm steps, ``None`` = free space) and the quadrature
+#: order (see :func:`pair_key`).
+PairKey = tuple[str, str, PoseKey, int | None, int]
 
 
 def _feed_floats(digest: "hashlib._Hash", values: tuple[float, ...]) -> None:
@@ -94,7 +110,7 @@ def component_fingerprint(component: "Component") -> str:
 
 def relative_pose_key(
     placement_a: "Placement2D", placement_b: "Placement2D"
-) -> tuple[int, int, int, int, int, int, int]:
+) -> PoseKey:
     """Quantised relative pose of B in A's frame.
 
     Args:
@@ -120,41 +136,46 @@ def relative_pose_key(
     )
 
 
-def pair_cache_key(
-    fingerprint_a: str,
-    fingerprint_b: str,
+def pair_key(
+    component_a: "Component",
     placement_a: "Placement2D",
+    component_b: "Component",
     placement_b: "Placement2D",
     ground_plane_z: float | None,
     order: int,
-    version: int = CACHE_SCHEMA_VERSION,
-) -> str:
-    """Persistent cache key for one placed component pair.
+) -> PairKey:
+    """The key of one coupling problem, shared by both cache tiers.
 
     Args:
-        fingerprint_a, fingerprint_b: :func:`component_fingerprint` of the
-            two parts (A is the frame of reference of the relative pose).
-        placement_a, placement_b: board placements.
+        component_a, component_b: the placed parts (A is the frame of
+            reference of the relative pose).
+        placement_a, placement_b: board placements (positions [m],
+            rotations [rad], standoffs [m]).
         ground_plane_z: shielding-plane height [m], ``None`` for free space.
         order: Gauss–Legendre quadrature order of the field computation.
-        version: cache schema version folded into the key.
 
     Returns:
-        A 64-character hex SHA-256 digest.  The key is *not* symmetric in
-        A/B; callers that want the mirrored result must also try the
-        swapped key (see :meth:`repro.coupling.CouplingDatabase.peek`).
+        ``(fingerprint_a, fingerprint_b, relative pose, plane height in
+        0.1 mm steps or None, order)``.  The key is *not* symmetric in
+        A/B: the mirrored problem is the key of the swapped arguments.
     """
-    digest = hashlib.sha256()
-    digest.update(f"pair-v{version}|order={order}|".encode("ascii"))
-    if ground_plane_z is None:
-        digest.update(b"gp=none|")
-    else:
-        digest.update(b"gp=")
-        _feed_floats(digest, (round(ground_plane_z / _POSE_QUANTUM_M) * 1.0,))
-    digest.update(fingerprint_a.encode("ascii"))
-    digest.update(b"|")
-    digest.update(fingerprint_b.encode("ascii"))
-    digest.update(b"|")
-    pose = relative_pose_key(placement_a, placement_b)
-    digest.update(struct.pack(f"<{len(pose)}q", *pose))
-    return digest.hexdigest()
+    plane = None if ground_plane_z is None else round(ground_plane_z / _POSE_QUANTUM_M)
+    return (
+        component_a.fingerprint,
+        component_b.fingerprint,
+        relative_pose_key(placement_a, placement_b),
+        plane,
+        order,
+    )
+
+
+def pair_cache_key(key: PairKey, version: int = CACHE_SCHEMA_VERSION) -> str:
+    """On-disk name of a :func:`pair_key`: its SHA-256 with the schema version.
+
+    The key holds only strings, integers and ``None``, so its ``repr`` is
+    an exact, platform-independent serialisation.
+
+    Returns:
+        A 64-character hex SHA-256 digest.
+    """
+    return hashlib.sha256(f"pair-v{version}|{key!r}".encode("ascii")).hexdigest()

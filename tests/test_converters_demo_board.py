@@ -61,3 +61,11 @@ class TestLayoutCouplings:
         ks = layout_couplings(problem, refdes_of_interest=["CX1", "CX2", "L1"])
         assert all(a < b for a, b in ks)
         assert all(abs(k) >= 1e-6 for k in ks.values())
+
+    def test_shared_database_plane_is_not_overridden(self):
+        from repro.coupling import CouplingDatabase
+
+        database = CouplingDatabase()
+        with pytest.raises(ValueError, match="ground plane"):
+            layout_couplings(build_demo_board(), ground_plane_z=-1e-3, database=database)
+        assert database.ground_plane_z is None

@@ -3,17 +3,30 @@
 import json
 import math
 
+import pytest
+
 from repro.geometry import Placement2D
+from repro.obs import Tracer, set_tracer
 from repro.parallel import (
     CACHE_SCHEMA_VERSION,
     PersistentCouplingCache,
     component_fingerprint,
     default_cache_dir,
     pair_cache_key,
+    pair_key,
     relative_pose_key,
 )
 
 KEY = "ab" + "0" * 62
+
+
+@pytest.fixture
+def counts():
+    """Tracer counter totals of the test body (``counts()["cache.hit"]``)."""
+    tracer = Tracer()
+    previous = set_tracer(tracer)
+    yield lambda: tracer.report().totals()
+    set_tracer(previous)
 
 
 class TestDefaultCacheDir:
@@ -28,16 +41,16 @@ class TestDefaultCacheDir:
 
 
 class TestStore:
-    def test_miss_on_empty_store(self, tmp_path):
+    def test_miss_on_empty_store(self, tmp_path, counts):
         cache = PersistentCouplingCache(cache_dir=tmp_path)
         assert cache.get(KEY) is None
-        assert cache.misses == 1 and cache.hits == 0
+        assert counts()["cache.miss"] == 1 and counts().get("cache.hit", 0) == 0
 
-    def test_hit_after_write(self, tmp_path):
+    def test_hit_after_write(self, tmp_path, counts):
         cache = PersistentCouplingCache(cache_dir=tmp_path)
         cache.put(KEY, {"k": 0.25})
         assert cache.get(KEY) == {"k": 0.25}
-        assert cache.hits == 1 and cache.writes == 1
+        assert counts()["cache.hit"] == 1 and counts()["cache.write"] == 1
         assert len(cache) == 1
 
     def test_shared_across_instances(self, tmp_path):
@@ -51,25 +64,25 @@ class TestStore:
         assert cache.path_for(KEY) == tmp_path / KEY[:2] / f"{KEY}.json"
         assert cache.path_for(KEY).is_file()
 
-    def test_stale_after_version_bump(self, tmp_path):
+    def test_stale_after_version_bump(self, tmp_path, counts):
         PersistentCouplingCache(cache_dir=tmp_path, version=1).put(KEY, {"k": 1.0})
         bumped = PersistentCouplingCache(cache_dir=tmp_path, version=2)
         assert bumped.get(KEY) is None
-        assert bumped.stale == 1
+        assert counts()["cache.stale"] == 1
         # Stale entries are deleted on sight: the next lookup is a plain miss.
         assert bumped.get(KEY) is None
-        assert bumped.misses == 1
+        assert counts()["cache.miss"] == 1
 
-    def test_corrupt_entry_is_stale_and_deleted(self, tmp_path):
+    def test_corrupt_entry_is_stale_and_deleted(self, tmp_path, counts):
         cache = PersistentCouplingCache(cache_dir=tmp_path)
         path = cache.path_for(KEY)
         path.parent.mkdir(parents=True)
         path.write_text("{not json", encoding="utf-8")
         assert cache.get(KEY) is None
-        assert cache.stale == 1
+        assert counts()["cache.stale"] == 1
         assert not path.is_file()
 
-    def test_non_dict_payload_is_stale(self, tmp_path):
+    def test_non_dict_payload_is_stale(self, tmp_path, counts):
         cache = PersistentCouplingCache(cache_dir=tmp_path)
         path = cache.path_for(KEY)
         path.parent.mkdir(parents=True)
@@ -78,7 +91,7 @@ class TestStore:
             encoding="utf-8",
         )
         assert cache.get(KEY) is None
-        assert cache.stale == 1
+        assert counts()["cache.stale"] == 1
 
     def test_clear(self, tmp_path):
         cache = PersistentCouplingCache(cache_dir=tmp_path)
@@ -105,6 +118,10 @@ class TestComponentFingerprint:
 
     def test_sensitive_to_part_type(self, x2_cap, bobbin):
         assert component_fingerprint(x2_cap) != component_fingerprint(bobbin)
+
+    def test_memoised_on_the_component(self, x2_cap):
+        assert x2_cap.fingerprint == component_fingerprint(x2_cap)
+        assert x2_cap.fingerprint is x2_cap.fingerprint
 
 
 class TestPoseKey:
@@ -135,17 +152,22 @@ class TestPairKey:
 
     def test_depends_on_every_ingredient(self, x2_cap, bobbin):
         pa, pb = self._placements()
-        fa, fb = component_fingerprint(x2_cap), component_fingerprint(bobbin)
-        base = pair_cache_key(fa, fb, pa, pb, None, 8)
-        assert pair_cache_key(fb, fa, pa, pb, None, 8) != base
-        assert pair_cache_key(fa, fb, pb, pa, None, 8) != base
-        assert pair_cache_key(fa, fb, pa, pb, 0.01, 8) != base
-        assert pair_cache_key(fa, fb, pa, pb, None, 12) != base
-        assert pair_cache_key(fa, fb, pa, pb, None, 8, version=2) != base
+        base = pair_cache_key(pair_key(x2_cap, pa, bobbin, pb, None, 8))
+        assert pair_cache_key(pair_key(bobbin, pa, x2_cap, pb, None, 8)) != base
+        assert pair_cache_key(pair_key(x2_cap, pb, bobbin, pa, None, 8)) != base
+        assert pair_cache_key(pair_key(x2_cap, pa, bobbin, pb, 0.01, 8)) != base
+        assert pair_cache_key(pair_key(x2_cap, pa, bobbin, pb, None, 12)) != base
+        assert (
+            pair_cache_key(pair_key(x2_cap, pa, bobbin, pb, None, 8), version=2)
+            != base
+        )
+        standoff = Placement2D(pb.position, pb.rotation_rad, z_offset=0.01)
+        assert pair_cache_key(pair_key(x2_cap, pa, bobbin, standoff, None, 8)) != base
 
     def test_stable_across_calls(self, x2_cap):
+        from repro.components import FilmCapacitorX2
+
         pa, pb = self._placements()
-        fa = component_fingerprint(x2_cap)
-        assert pair_cache_key(fa, fa, pa, pb, None, 8) == pair_cache_key(
-            fa, fa, pa, pb, None, 8
+        assert pair_cache_key(pair_key(x2_cap, pa, x2_cap, pb, None, 8)) == (
+            pair_cache_key(pair_key(FilmCapacitorX2(), pa, FilmCapacitorX2(), pb, None, 8))
         )

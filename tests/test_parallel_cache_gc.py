@@ -2,6 +2,7 @@
 
 import os
 
+from repro.obs import Tracer, set_tracer
 from repro.parallel import PersistentCouplingCache
 
 
@@ -35,9 +36,15 @@ class TestAgeEviction:
         cache = PersistentCouplingCache(cache_dir=tmp_path)
         make_entry(cache, key(1), NOW - 500.0)
         make_entry(cache, key(2), NOW - 600.0)
-        assert cache.evicted == 0
-        cache.gc(max_age_s=100.0, now=NOW)
-        assert cache.evicted == 2
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            assert tracer.report().totals().get("cache.evicted", 0) == 0
+            stats = cache.gc(max_age_s=100.0, now=NOW)
+            assert tracer.report().totals()["cache.evicted"] == 2
+        finally:
+            set_tracer(previous)
+        assert stats["evicted"] == 2
 
 
 class TestSizeEviction:

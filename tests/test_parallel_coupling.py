@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.components import FilmCapacitorX2, small_bobbin_choke
 from repro.coupling import CouplingDatabase, distance_sweep, rotation_sweep
 from repro.geometry import Placement2D
+from repro.obs import Tracer, set_tracer
 from repro.parallel import CouplingExecutor, PersistentCouplingCache
 
 
@@ -82,9 +83,14 @@ class TestPersistentDatabase:
         distances = np.linspace(0.03, 0.08, 4)
 
         cold = CouplingDatabase(persistent=PersistentCouplingCache(cache_dir=tmp_path))
-        k_cold = distance_sweep(comp_a, comp_b, distances, database=cold)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            k_cold = distance_sweep(comp_a, comp_b, distances, database=cold)
+        finally:
+            set_tracer(previous)
         assert cold.stats.misses == len(distances)
-        assert cold.persistent.writes == len(distances)
+        assert tracer.report().totals()["cache.write"] == len(distances)
 
         # A fresh process would build fresh objects: new instances, new db.
         warm = CouplingDatabase(persistent=PersistentCouplingCache(cache_dir=tmp_path))
@@ -131,7 +137,11 @@ class TestPersistentDatabase:
         swapped = CouplingDatabase(
             persistent=PersistentCouplingCache(cache_dir=tmp_path)
         )
-        mirrored = swapped.peek(comp_b, pb, comp_a, pa)
-        assert mirrored is not None
+        mirrored = swapped.coupling(comp_b, pb, comp_a, pa)
+        assert swapped.misses == 0
         assert mirrored.k == result.k
         assert swapped.persistent_hits == 1
+        assert (mirrored.self_a_h, mirrored.self_b_h) == (
+            result.self_b_h,
+            result.self_a_h,
+        )
