@@ -75,22 +75,35 @@ class AcSolution:
 
 @dataclass
 class AcSweepResult:
-    """Solutions over a frequency grid, column-accessible."""
+    """Solutions over a frequency grid, one row of unknowns per frequency.
+
+    ``x[k]`` is the MNA unknown vector ``[node voltages | inductor branch
+    currents | source branch currents]`` at ``freqs[k]``.
+    """
 
     freqs: np.ndarray
-    solutions: list[AcSolution]
+    x: np.ndarray
+    node_index: dict[str, int]
 
     def voltages(self, node: str) -> np.ndarray:
-        """Complex voltage at ``node`` across the sweep."""
-        return np.array([s.voltage(node) for s in self.solutions])
+        """Complex voltage at ``node`` across the sweep (ground reads zero)."""
+        if node in GROUND_NAMES:
+            return np.zeros(len(self.freqs), dtype=complex)
+        return self.x[:, self.node_index[node]].copy()
 
     def magnitude_db(self, node: str, reference: float = 1.0) -> np.ndarray:
-        """``20 log10(|V|/reference)`` across the sweep."""
+        """``20 log10(|V|/reference)`` across the sweep.
+
+        Raises:
+            ValueError: if ``reference`` is not a positive level.
+        """
+        if not reference > 0.0:
+            raise ValueError(f"reference must be positive, got {reference!r}")
         v = np.abs(self.voltages(node))
         return 20.0 * np.log10(np.maximum(v, 1e-30) / reference)
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self.freqs)
 
 
 class MnaSystem:
@@ -249,53 +262,47 @@ class MnaSystem:
         return [n for n in self._nodes if n not in reached]
 
     def solve_ac(self, freq: float) -> AcSolution:
-        """Solve the phasor system at one frequency.
+        """Solve the phasor system at one frequency (a one-point sweep).
 
         Raises:
-            SingularCircuitError: if the circuit is singular, with the
-                floating nodes named when that is the cause.
+            SingularCircuitError: see :meth:`ac_sweep`.
         """
-        omega = 2.0 * math.pi * freq
-        a = self._g + 1j * omega * self._s
-        get_tracer().count("circuit.mna_factorizations")
-        try:
-            x = np.linalg.solve(a, self._rhs(freq))
-        except np.linalg.LinAlgError as exc:
-            floating = self.floating_nodes()
-            hint = (
-                f"nodes without a conductive path to ground: {floating}"
-                if floating
-                else "check for shorted voltage sources or perfect-k inductor loops"
-            )
-            raise SingularCircuitError(
-                f"MNA matrix singular at {freq:.6g} Hz; {hint}"
-            ) from exc
+        x = self.ac_sweep([freq]).x[0]
         node_v = {n: complex(x[i]) for n, i in self._node_idx.items()}
-        ind_i = {
-            e.name: complex(x[self.n_nodes + i])
-            for e, i in zip(self._inductors, range(self.n_ind), strict=True)
-        }
-        src_i = {
-            e.name: complex(x[self.n_nodes + self.n_ind + i])
-            for e, i in zip(self._sources, range(self.n_src), strict=True)
-        }
+        ind_i = {e.name: complex(x[self.n_nodes + i]) for i, e in enumerate(self._inductors)}
+        src_base = self.n_nodes + self.n_ind
+        src_i = {e.name: complex(x[src_base + i]) for i, e in enumerate(self._sources)}
         return AcSolution(freq, node_v, ind_i, src_i)
 
     def ac_sweep(self, freqs: np.ndarray) -> AcSweepResult:
-        """Solve over a grid of frequencies."""
+        """Solve ``(G + jwS) x = rhs(f)`` at every frequency of a grid.
+
+        The one place the system is solved; one factorisation per point.
+
+        Raises:
+            SingularCircuitError: if the circuit is singular at a grid
+                frequency, with the floating nodes named when that is the
+                cause.
+        """
         grid = np.asarray(freqs, dtype=float)
+        x = np.empty((len(grid), self.size), dtype=complex)
         tracer = get_tracer()
         with tracer.span("circuit.ac_sweep"):
-            tracer.count("circuit.sweep_points", len(grid))
-            sols = [self.solve_ac(float(f)) for f in grid]
-        return AcSweepResult(grid, sols)
-
-    def transfer(self, output_node: str, freqs: np.ndarray) -> np.ndarray:
-        """Complex transfer from the (single) unit source to a node voltage.
-
-        Convenience for filter characterisation: requires exactly one
-        VoltageSource or CurrentSource with unit AC value semantics left to
-        the caller.
-        """
-        sweep = self.ac_sweep(freqs)
-        return sweep.voltages(output_node)
+            for k, f in enumerate(grid):
+                freq = float(f)
+                omega = 2.0 * math.pi * freq
+                a = self._g + 1j * omega * self._s
+                tracer.count("circuit.mna_factorizations")
+                try:
+                    x[k] = np.linalg.solve(a, self._rhs(freq))
+                except np.linalg.LinAlgError as exc:
+                    floating = self.floating_nodes()
+                    hint = (
+                        f"nodes without a conductive path to ground: {floating}"
+                        if floating
+                        else "check for shorted voltage sources or perfect-k inductor loops"
+                    )
+                    raise SingularCircuitError(
+                        f"MNA matrix singular at {freq:.6g} Hz; {hint}"
+                    ) from exc
+        return AcSweepResult(grid, x, self._node_idx)

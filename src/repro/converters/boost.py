@@ -252,8 +252,5 @@ class BoostConverterDesign:
 
         circuit, meas = self.emi_circuit(couplings)
         freqs = self.harmonic_frequencies(f_max)
-        mna = MnaSystem(circuit)
-        values = np.array(
-            [mna.solve_ac(float(f)).voltage(meas) for f in freqs], dtype=complex
-        )
+        values = MnaSystem(circuit).ac_sweep(freqs).voltages(meas)
         return Spectrum(freqs, values)

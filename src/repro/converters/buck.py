@@ -404,10 +404,7 @@ class BuckConverterDesign:
         if capacitive:
             self.apply_capacitive_couplings(circuit, capacitive)
         freqs = self.harmonic_frequencies(f_max)
-        mna = MnaSystem(circuit)
-        values = np.array(
-            [mna.solve_ac(float(f)).voltage(meas) for f in freqs], dtype=complex
-        )
+        values = MnaSystem(circuit).ac_sweep(freqs).voltages(meas)
         return Spectrum(freqs, values)
 
 

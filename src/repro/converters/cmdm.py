@@ -20,8 +20,6 @@ line voltages.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..circuit import Circuit, MnaSystem
 from ..emi import Spectrum, add_lisn
 from .buck import BuckConverterDesign, capacitance_of
@@ -110,11 +108,5 @@ def cmdm_spectra(
         design, heatsink_capacitance, couplings
     )
     freqs = design.harmonic_frequencies(f_max)
-    mna = MnaSystem(circuit)
-    values_p = np.empty(len(freqs), dtype=complex)
-    values_n = np.empty(len(freqs), dtype=complex)
-    for i, f in enumerate(freqs):
-        sol = mna.solve_ac(float(f))
-        values_p[i] = sol.voltage(meas_p)
-        values_n[i] = sol.voltage(meas_n)
-    return Spectrum(freqs, values_p), Spectrum(freqs, values_n)
+    sweep = MnaSystem(circuit).ac_sweep(freqs)
+    return Spectrum(freqs, sweep.voltages(meas_p)), Spectrum(freqs, sweep.voltages(meas_n))

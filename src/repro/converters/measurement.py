@@ -73,10 +73,7 @@ def synthesize_measurement(
     circuit, meas = design.emi_circuit(couplings)
     variant = perturb_circuit(circuit, rng, tolerance)
     freqs = design.harmonic_frequencies(f_max)
-    mna = MnaSystem(variant)
-    values = np.array(
-        [mna.solve_ac(float(f)).voltage(meas) for f in freqs], dtype=complex
-    )
+    values = MnaSystem(variant).ac_sweep(freqs).voltages(meas)
 
     # Smooth gain ripple: random walk in log-frequency, low-pass filtered.
     walk = rng.standard_normal(len(freqs))

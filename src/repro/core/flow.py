@@ -80,8 +80,9 @@ class EmiDesignFlow:
         precheck: when True, statically validate the design (circuit and
             placement problem, see :mod:`repro.check`) before the first
             solve and refuse to run on error-level diagnostics.
-        workers: worker processes for the coupling/sensitivity fan-out
-            (1 = serial; results are identical either way, see
+        workers: worker processes for the coupling fan-out of rule
+            derivation and verification; sensitivity ranking always runs
+            in-process (1 = serial; results are identical either way, see
             docs/PERFORMANCE.md).
         cache_dir: when set, attach a persistent on-disk coupling cache
             rooted here; ``None`` keeps the flow memory-only.
@@ -185,9 +186,7 @@ class EmiDesignFlow:
                     k_probe=self.k_threshold,
                 )
                 pairs = list(combinations(sorted(COUPLING_BRANCHES), 2))
-                self._sensitivity = analyzer.rank(
-                    pairs, executor=self.executor if self.workers > 1 else None
-                )
+                self._sensitivity = analyzer.rank(pairs)
             tracer.gauge("flow.pairs_ranked", len(self._sensitivity))
         return self._sensitivity
 

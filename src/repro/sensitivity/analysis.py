@@ -23,42 +23,8 @@ import numpy as np
 
 from ..circuit import Circuit, MnaSystem
 from ..obs import get_tracer
-from ..parallel import CouplingExecutor
 
 __all__ = ["SensitivityEntry", "SensitivityAnalyzer"]
-
-#: One deferred probe: (circuit, measurement node, freqs [Hz], baseline
-#: levels [dBµV], probe coupling [-], inductor_a, inductor_b).
-ProbeTask = tuple[Circuit, str, np.ndarray, np.ndarray, float, str, str]
-
-
-def evaluate_probe_task(task: ProbeTask) -> SensitivityEntry:
-    """Run one packed sensitivity probe — the executor's unit of work.
-
-    Module-level so :class:`repro.parallel.CouplingExecutor` can ship it to
-    worker processes by name; the baseline is computed once in the parent
-    and shipped inside the payload so workers never race on shared state.
-
-    Args:
-        task: ``(circuit, measurement_node, freqs, baseline_db, k_probe,
-            inductor_a, inductor_b)`` — frequencies [Hz], baseline levels
-            [dBµV], probe coupling factor [-].
-    """
-    circuit, node, freqs, baseline, k_probe, ind_a, ind_b = task
-    variant = circuit.clone()
-    existing = variant.coupling_value(ind_a, ind_b)
-    variant.set_coupling(ind_a, ind_b, existing + k_probe)
-    sweep = MnaSystem(variant).ac_sweep(freqs)
-    levels = sweep.magnitude_db(node, reference=1e-6)
-    delta = np.abs(levels - baseline)
-    worst = int(np.argmax(delta))
-    return SensitivityEntry(
-        inductor_a=ind_a,
-        inductor_b=ind_b,
-        impact_db=float(delta[worst]),
-        worst_freq=float(freqs[worst]),
-    )
-
 
 @dataclass(frozen=True)
 class SensitivityEntry:
@@ -111,47 +77,36 @@ class SensitivityAnalyzer:
             self._baseline_db = self._levels_db(self.circuit)
         return self._baseline_db
 
-    def _probe_task(self, inductor_a: str, inductor_b: str) -> ProbeTask:
-        """Pack one probe into a picklable, self-contained task."""
-        return (
-            self.circuit,
-            self.measurement_node,
-            self.freqs,
-            self.baseline_db(),
-            self.k_probe,
-            inductor_a,
-            inductor_b,
-        )
-
     def probe_pair(self, inductor_a: str, inductor_b: str) -> SensitivityEntry:
         """Impact of adding ``k_probe`` between one inductor pair."""
         get_tracer().count("sensitivity.probes")
-        return evaluate_probe_task(self._probe_task(inductor_a, inductor_b))
+        baseline = self.baseline_db()
+        variant = self.circuit.clone()
+        existing = variant.coupling_value(inductor_a, inductor_b)
+        variant.set_coupling(inductor_a, inductor_b, existing + self.k_probe)
+        delta = np.abs(self._levels_db(variant) - baseline)
+        worst = int(np.argmax(delta))
+        return SensitivityEntry(
+            inductor_a=inductor_a,
+            inductor_b=inductor_b,
+            impact_db=float(delta[worst]),
+            worst_freq=float(self.freqs[worst]),
+        )
 
     def rank(
-        self,
-        candidate_pairs: list[tuple[str, str]] | None = None,
-        executor: CouplingExecutor | None = None,
+        self, candidate_pairs: list[tuple[str, str]] | None = None
     ) -> list[SensitivityEntry]:
         """Probe pairs (all inductor pairs by default) and sort by impact.
 
         Args:
             candidate_pairs: inductor-name pairs to probe; defaults to all
                 ``n (n-1) / 2`` combinations.
-            executor: optional process fan-out for the probe re-solves —
-                each probe is an independent MNA sweep, so they
-                parallelise perfectly; results are identical to serial.
         """
         if candidate_pairs is None:
             names = [ind.name for ind in self.circuit.inductors()]
             candidate_pairs = list(combinations(names, 2))
         with get_tracer().span("sensitivity.rank"):
-            if executor is not None and executor.is_parallel and len(candidate_pairs) > 1:
-                get_tracer().count("sensitivity.probes", len(candidate_pairs))
-                tasks = [self._probe_task(a, b) for a, b in candidate_pairs]
-                entries = executor.map(evaluate_probe_task, tasks)
-            else:
-                entries = [self.probe_pair(a, b) for a, b in candidate_pairs]
+            entries = [self.probe_pair(a, b) for a, b in candidate_pairs]
         entries.sort(key=lambda e: e.impact_db, reverse=True)
         return entries
 
@@ -159,7 +114,6 @@ class SensitivityAnalyzer:
         self,
         threshold_db: float = 3.0,
         candidate_pairs: list[tuple[str, str]] | None = None,
-        executor: CouplingExecutor | None = None,
     ) -> list[SensitivityEntry]:
         """The pairs whose probe impact exceeds ``threshold_db``.
 
@@ -170,13 +124,8 @@ class SensitivityAnalyzer:
         Args:
             threshold_db: minimum worst-case level change [dB] to keep.
             candidate_pairs: inductor-name pairs; defaults to all.
-            executor: optional process fan-out, see :meth:`rank`.
         """
-        return [
-            e
-            for e in self.rank(candidate_pairs, executor=executor)
-            if e.impact_db >= threshold_db
-        ]
+        return [e for e in self.rank(candidate_pairs) if e.impact_db >= threshold_db]
 
     def reduction_ratio(
         self, threshold_db: float = 3.0, candidate_pairs: list[tuple[str, str]] | None = None

@@ -99,15 +99,15 @@ class TestAcceptanceFixture:
 
 
 class TestCleanTree:
-    def test_shipped_tree_is_clean_under_baseline(self):
+    def test_shipped_tree_is_clean_under_baseline(self, shipped_tree_lint):
         baseline = Baseline.load(DEFAULT_BASELINE_PATH)
-        result = lint_paths([default_target()], baseline=baseline)
-        offenders = [f"{f.file}:{f.line} {f.code}" for f in result.findings]
+        surfaced, _waived = baseline.filter(shipped_tree_lint.findings)
+        offenders = [f"{f.file}:{f.line} {f.code}" for f in surfaced]
         assert offenders == [], (
             "physlint found non-baselined findings; fix them or run "
             "`make physlint-baseline`"
         )
-        assert result.files > 100
+        assert shipped_tree_lint.files > 100
 
     def test_cli_clean_tree_exits_zero(self, capsys):
         code = main(["lint-src", str(default_target())])
@@ -177,12 +177,15 @@ class TestSelect:
         assert code != 0
         capsys.readouterr()
 
-    def test_shipped_tree_is_con_clean_without_baseline(self):
+    def test_shipped_tree_is_con_clean_without_baseline(self, shipped_tree_lint):
         # Tentpole acceptance: `repro-emi lint-src --select CON` over
         # src/ needs no baseline at all — the one deliberate under-lock
         # delivery in EventBus.publish is inline-suppressed.
-        result = lint_paths([default_target()], baseline=None, select=["CON"])
-        offenders = [f"{f.file}:{f.line} {f.code}" for f in result.findings]
+        offenders = [
+            f"{f.file}:{f.line} {f.code}"
+            for f in shipped_tree_lint.findings
+            if f.code.startswith("CON") or f.code == "LNT001"
+        ]
         assert offenders == []
 
 

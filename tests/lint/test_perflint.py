@@ -26,7 +26,6 @@ from repro.lint import (
     Baseline,
     HotnessModel,
     build_import_graph,
-    default_target,
     findings_to_sarif,
     lint_paths,
     lint_sources,
@@ -479,18 +478,23 @@ class TestShippedTree:
         document = json.loads(path.read_text())
         assert document["entries"] == []
 
-    def test_tree_is_arch_clean_without_baseline(self):
-        result = lint_paths([default_target()], baseline=None, select=["ARCH"])
-        offenders = [f"{f.file}:{f.line} {f.code}" for f in result.findings]
+    def test_tree_is_arch_clean_without_baseline(self, shipped_tree_lint):
+        offenders = [
+            f"{f.file}:{f.line} {f.code}"
+            for f in shipped_tree_lint.findings
+            if f.code.startswith("ARCH") or f.code == "LNT001"
+        ]
         assert offenders == []
 
-    def test_tree_has_no_hot_prf_errors_under_committed_snapshot(self):
+    def test_tree_has_no_hot_prf_errors_under_committed_snapshot(self, shipped_tree_lint):
         hotness = HotnessModel.load(HOTNESS_SNAPSHOT)
         assert hotness.hot_spans  # the committed snapshot is non-trivial
-        result = lint_paths(
-            [default_target()], baseline=None, select=["PRF"], hotness=hotness
-        )
-        hot = [f for f in result.findings if f.severity >= Severity.ERROR]
+        hot = [
+            f
+            for f in shipped_tree_lint.findings
+            if (f.code.startswith("PRF") or f.code == "LNT001")
+            and f.severity >= Severity.ERROR
+        ]
         assert hot == []
 
 

@@ -125,6 +125,16 @@ class TestSweep:
         db = sweep.magnitude_db("out")
         assert np.all(np.diff(db) < 0.0)
 
+    def test_magnitude_db_rejects_non_positive_reference(self):
+        sweep = MnaSystem(rc_lowpass()).ac_sweep(np.logspace(3, 6, 4))
+        for reference in (0.0, -1e-6, float("nan")):
+            with pytest.raises(ValueError, match="reference"):
+                sweep.magnitude_db("out", reference=reference)
+
+    def test_ground_column_is_zero(self):
+        sweep = MnaSystem(rc_lowpass()).ac_sweep(np.logspace(3, 6, 4))
+        assert np.array_equal(sweep.voltages("0"), np.zeros(4, dtype=complex))
+
     def test_voltage_across(self):
         c = Circuit()
         c.add_vsource("V1", "in", "0", ac=1.0)
@@ -157,6 +167,8 @@ class TestDiagnostics:
         assert set(mna.floating_nodes()) == {"islandA", "islandB"}
         with pytest.raises(SingularCircuitError, match="islandA"):
             mna.solve_ac(1e3)
+        with pytest.raises(SingularCircuitError, match=r"at 2e\+06 Hz;.*islandA"):
+            mna.ac_sweep(np.array([2e6, 3e6]))
 
     def test_capacitor_only_node_floats(self):
         c = Circuit()

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,77 @@ class TestMnaProperties:
         only_v = build(1.0, 0.0)
         only_i = build(0.0, 1e-3)
         assert abs(both - (only_v + only_i)) < 1e-6 * max(1.0, abs(both))
+
+
+def random_rlc_netlist(seed: int) -> Circuit:
+    """A seeded random RLC netlist with mutual couplings and AC V/I sources.
+
+    Every node keeps a resistor to ground, so the system is never singular;
+    the rest (branch elements, couplings, source values) is random.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = [f"n{i}" for i in range(int(rng.integers(3, 7)))]
+    c = Circuit()
+    for i, node in enumerate(nodes):
+        c.add_resistor(f"RG{i}", node, "0", float(10.0 ** rng.uniform(0, 4)))
+    for i in range(int(rng.integers(2, 6))):
+        a, b = rng.choice(len(nodes) + 1, size=2, replace=False)
+        n1 = nodes[a - 1] if a else "0"
+        n2 = nodes[b - 1] if b else "0"
+        kind = rng.integers(3)
+        if kind == 0:
+            c.add_resistor(f"R{i}", n1, n2, float(10.0 ** rng.uniform(-1, 4)))
+        elif kind == 1:
+            c.add_capacitor(f"C{i}", n1, n2, float(10.0 ** rng.uniform(-12, -6)))
+        else:
+            c.add_inductor(f"LB{i}", n1, n2, float(10.0 ** rng.uniform(-9, -4)))
+    inductors = []
+    for i in range(int(rng.integers(2, 5))):
+        node = nodes[int(rng.integers(len(nodes)))]
+        c.add_resistor(f"RL{i}", node, f"l{i}", float(10.0 ** rng.uniform(-1, 2)))
+        c.add_inductor(f"L{i}", f"l{i}", "0", float(10.0 ** rng.uniform(-8, -4)))
+        inductors.append(f"L{i}")
+    for i in range(1, len(inductors)):
+        c.add_coupling(f"K{i}", inductors[i - 1], inductors[i], float(rng.uniform(-0.5, 0.5)))
+    ac_v = complex(rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0))
+    c.add_vsource("V1", "vs", "0", ac=ac_v)
+    c.add_resistor("RS", "vs", nodes[0], float(10.0 ** rng.uniform(0, 2)))
+    ac_i = complex(rng.uniform(-1e-2, 1e-2), rng.uniform(-1e-2, 1e-2))
+    c.add_isource("I1", nodes[-1], "0", spectrum=lambda f: ac_i / (1.0 + 1j * f / 1e6))
+    return c
+
+
+class TestSweepEquivalence:
+    """``ac_sweep`` is exactly the per-point solve, and ``solve_ac`` its row."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_equal_per_point_solve(self, seed):
+        mna = MnaSystem(random_rlc_netlist(seed))
+        freqs = np.logspace(2, 8, 9) * np.random.default_rng(seed).uniform(0.5, 1.5)
+        sweep = mna.ac_sweep(freqs)
+        assert sweep.x.shape == (len(freqs), mna.size)
+        for k, f in enumerate(freqs):
+            omega = 2.0 * math.pi * float(f)
+            a = mna._g + 1j * omega * mna._s
+            expected = np.linalg.solve(a, mna._rhs(float(f)))
+            assert np.array_equal(sweep.x[k], expected)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_solve_ac_equals_sweep_row(self, seed):
+        circuit = random_rlc_netlist(seed)
+        mna = MnaSystem(circuit)
+        freqs = np.logspace(3, 7, 5)
+        sweep = mna.ac_sweep(freqs)
+        for k, f in enumerate(freqs):
+            sol = mna.solve_ac(float(f))
+            row = sweep.x[k]
+            for node in circuit.node_names():
+                assert sol.voltage(node) == sweep.voltages(node)[k]
+            currents = list(sol.inductor_currents.values()) + list(
+                sol.source_currents.values()
+            )
+            assert np.array_equal(np.array(currents), row[mna.n_nodes :])
+            assert sol.voltage("0") == sweep.voltages("0")[k] == 0.0
 
 
 class TestTrapezoidProperties:
