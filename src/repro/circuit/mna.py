@@ -14,6 +14,7 @@ the few-hundred-node filter networks of this domain.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,18 +79,27 @@ class AcSweepResult:
     """Solutions over a frequency grid, one row of unknowns per frequency.
 
     ``x[k]`` is the MNA unknown vector ``[node voltages | inductor branch
-    currents | source branch currents]`` at ``freqs[k]``.
+    currents | source branch currents]`` at ``freqs[k]``.  ``branch[k, :, r]``
+    is ``A(f_k)^-1 e_r``, the response to a unit excitation of the branch row
+    of the ``r``-th inductor in ``branch_rows`` (name -> unknown row), for
+    the inductors a sweep was asked for.
     """
 
     freqs: np.ndarray
     x: np.ndarray
     node_index: dict[str, int]
+    branch: np.ndarray
+    branch_rows: dict[str, int]
 
     def voltages(self, node: str) -> np.ndarray:
         """Complex voltage at ``node`` across the sweep (ground reads zero)."""
         if node in GROUND_NAMES:
             return np.zeros(len(self.freqs), dtype=complex)
         return self.x[:, self.node_index[node]].copy()
+
+    def branch_response(self, inductor: str) -> np.ndarray:
+        """``A(f)^-1 e_r`` across the sweep, ``(F, size)``, for one swept inductor."""
+        return self.branch[:, :, list(self.branch_rows).index(inductor)]
 
     def magnitude_db(self, node: str, reference: float = 1.0) -> np.ndarray:
         """``20 log10(|V|/reference)`` across the sweep.
@@ -109,9 +119,8 @@ class AcSweepResult:
 class MnaSystem:
     """Assembled MNA system for a circuit; reusable across sweeps.
 
-    The assembly is redone whenever the circuit's couplings change — the
-    sensitivity loop therefore constructs one ``MnaSystem`` per variant,
-    which is cheap compared to the solves.
+    The assembly is a snapshot: build a new ``MnaSystem`` after changing
+    the circuit's couplings.
     """
 
     def __init__(self, circuit: Circuit):
@@ -274,27 +283,43 @@ class MnaSystem:
         src_i = {e.name: complex(x[src_base + i]) for i, e in enumerate(self._sources)}
         return AcSolution(freq, node_v, ind_i, src_i)
 
-    def ac_sweep(self, freqs: np.ndarray) -> AcSweepResult:
+    def ac_sweep(
+        self, freqs: np.ndarray, inductors: Sequence[str] = ()
+    ) -> AcSweepResult:
         """Solve ``(G + jwS) x = rhs(f)`` at every frequency of a grid.
 
         The one place the system is solved; one factorisation per point.
+        Each point solves ``[rhs | e_r1 ... e_rR]`` together, where ``e_r``
+        is a unit column at the branch row of each of ``inductors``, so the
+        result also carries the branch responses ``A(f)^-1 e_r`` (the
+        low-rank sensitivity probes need them) at no extra factorisation.
 
         Raises:
+            KeyError: if a name in ``inductors`` is not an inductor.
             SingularCircuitError: if the circuit is singular at a grid
                 frequency, with the floating nodes named when that is the
                 cause.
         """
         grid = np.asarray(freqs, dtype=float)
+        branch_rows = {}
+        for name in inductors:
+            if name not in self._ind_idx:
+                raise KeyError(f"no inductor {name!r} in circuit")
+            branch_rows[name] = self.n_nodes + self._ind_idx[name]
+        rhs = np.zeros((self.size, 1 + len(branch_rows)), dtype=complex)
+        rhs[list(branch_rows.values()), range(1, rhs.shape[1])] = 1.0
         x = np.empty((len(grid), self.size), dtype=complex)
+        branch = np.empty((len(grid), self.size, len(branch_rows)), dtype=complex)
         tracer = get_tracer()
         with tracer.span("circuit.ac_sweep"):
             for k, f in enumerate(grid):
                 freq = float(f)
                 omega = 2.0 * math.pi * freq
                 a = self._g + 1j * omega * self._s
+                rhs[:, 0] = self._rhs(freq)
                 tracer.count("circuit.mna_factorizations")
                 try:
-                    x[k] = np.linalg.solve(a, self._rhs(freq))
+                    solution = np.linalg.solve(a, rhs)
                 except np.linalg.LinAlgError as exc:
                     floating = self.floating_nodes()
                     hint = (
@@ -305,4 +330,6 @@ class MnaSystem:
                     raise SingularCircuitError(
                         f"MNA matrix singular at {freq:.6g} Hz; {hint}"
                     ) from exc
-        return AcSweepResult(grid, x, self._node_idx)
+                x[k] = solution[:, 0]
+                branch[k] = solution[:, 1:]
+        return AcSweepResult(grid, x, self._node_idx, branch, branch_rows)

@@ -10,7 +10,7 @@ properties like ESL of capacitors or inductances of lines".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .elements import (
     GROUND_NAMES,
@@ -118,12 +118,15 @@ class Circuit:
     def set_coupling(self, inductor_a: str, inductor_b: str, k: float) -> None:
         """Create or update the coupling between two inductors.
 
-        The sensitivity analysis perturbs couplings one by one; this helper
-        keeps that loop free of name bookkeeping.
+        The converters apply extracted couplings through it, free of
+        coupling-name bookkeeping.
+
+        Raises:
+            ValueError: if ``|k| > 1``, for an update as for a new coupling.
         """
-        for c in self.couplings:
+        for i, c in enumerate(self.couplings):
             if {c.inductor_a, c.inductor_b} == {inductor_a, inductor_b}:
-                c.k = k
+                self.couplings[i] = replace(c, k=k)
                 return
         self.add_coupling(f"K_{inductor_a}_{inductor_b}", inductor_a, inductor_b, k)
 

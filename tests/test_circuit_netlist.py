@@ -57,6 +57,17 @@ class TestCouplings:
         assert c.coupling_value("L1", "L2") == 0.2
         assert len(c.couplings) == 1
 
+    def test_set_coupling_rejects_k_above_one(self):
+        c = self.circuit()
+        with pytest.raises(ValueError, match=r"\|k\| must be <= 1"):
+            c.set_coupling("L1", "L2", 1.7)  # create
+        c.set_coupling("L1", "L2", 0.5)
+        with pytest.raises(ValueError, match=r"\|k\| must be <= 1"):
+            c.set_coupling("L1", "L2", 1.7)  # update
+        with pytest.raises(ValueError, match=r"\|k\| must be <= 1"):
+            c.set_coupling("L2", "L1", -1.2)
+        assert c.coupling_value("L1", "L2") == 0.5
+
     def test_remove_coupling(self):
         c = self.circuit()
         c.set_coupling("L1", "L2", 0.1)

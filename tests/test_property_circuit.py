@@ -144,6 +144,59 @@ class TestSweepEquivalence:
             assert sol.voltage("0") == sweep.voltages("0")[k] == 0.0
 
 
+def assert_close(got: np.ndarray, want: np.ndarray) -> None:
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * float(np.abs(want).max()))
+
+
+class TestBranchResponses:
+    """``ac_sweep(inductors=)`` adds ``A(f)^-1 e_r`` columns to the same solve."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_branch_columns_equal_unit_solves(self, seed):
+        circuit = random_rlc_netlist(seed)
+        mna = MnaSystem(circuit)
+        names = [ind.name for ind in circuit.inductors()]
+        freqs = np.logspace(2, 8, 7)
+        sweep = mna.ac_sweep(freqs, inductors=names)
+        assert sweep.branch.shape == (len(freqs), mna.size, len(names))
+        assert list(sweep.branch_rows) == names
+        for k, f in enumerate(freqs):
+            a = mna._g + 2j * math.pi * float(f) * mna._s
+            for name, row in sweep.branch_rows.items():
+                unit = np.zeros(mna.size, dtype=complex)
+                unit[row] = 1.0
+                assert_close(sweep.branch_response(name)[k], np.linalg.solve(a, unit))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rhs_column_equals_plain_sweep(self, seed):
+        circuit = random_rlc_netlist(seed)
+        mna = MnaSystem(circuit)
+        freqs = np.logspace(2, 8, 9)
+        plain = mna.ac_sweep(freqs)
+        assert plain.branch.shape == (len(freqs), mna.size, 0)
+        swept = mna.ac_sweep(freqs, inductors=[ind.name for ind in circuit.inductors()])
+        assert_close(swept.x, plain.x)
+
+    def test_one_factorisation_per_frequency(self):
+        from repro import obs
+
+        circuit = random_rlc_netlist(3)
+        names = [ind.name for ind in circuit.inductors()]
+        tracer = obs.enable()
+        try:
+            MnaSystem(circuit).ac_sweep(np.logspace(3, 7, 11), inductors=names)
+        finally:
+            obs.disable()
+        assert tracer.report().totals()["circuit.mna_factorizations"] == 11
+
+    def test_unknown_inductor_rejected(self):
+        circuit = random_rlc_netlist(0)
+        with pytest.raises(KeyError, match="L99"):
+            MnaSystem(circuit).ac_sweep([1e5], inductors=["L99"])
+        with pytest.raises(KeyError, match="RS"):
+            MnaSystem(circuit).ac_sweep([1e5], inductors=["RS"])
+
+
 class TestTrapezoidProperties:
     @settings(max_examples=30)
     @given(
