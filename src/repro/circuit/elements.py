@@ -14,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from collections.abc import Callable
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 __all__ = [
     "GROUND_NAMES",
     "CircuitElement",
@@ -112,55 +115,65 @@ class MutualCoupling:
 
 
 @dataclass
-class VoltageSource(CircuitElement):
+class _IndependentSource(CircuitElement):
+    """Fields and evaluation shared by the independent V and I sources."""
+
+    dc: float = 0.0
+    ac: complex = 0.0
+    waveform: Callable[[float], float] | None = None
+    spectrum: Callable[[np.ndarray], ArrayLike] | None = None
+
+    def value_at_time(self, t: float) -> float:
+        """Transient value."""
+        if self.waveform is not None:
+            return self.waveform(t)
+        return self.dc
+
+    def phasors(self, freqs: np.ndarray) -> np.ndarray:
+        """Frequency-domain values over a grid, complex with ``freqs``'s shape.
+
+        ``spectrum`` (when set) is called once, with the whole grid.
+
+        Raises:
+            ValueError: if the spectrum's result does not broadcast to the
+                grid's shape.
+        """
+        grid = np.asarray(freqs, dtype=float)
+        if self.spectrum is None:
+            return np.full(grid.shape, complex(self.ac))
+        values = np.asarray(self.spectrum(grid), dtype=complex)
+        try:
+            return np.broadcast_to(values, grid.shape)
+        except ValueError as exc:
+            raise ValueError(
+                f"{self.name}: spectrum returned shape {values.shape}, "
+                f"which does not broadcast to the grid shape {grid.shape}"
+            ) from exc
+
+
+@dataclass
+class VoltageSource(_IndependentSource):
     """Independent voltage source.
 
     Attributes:
         dc: operating-point / transient offset value [V].
         ac: phasor magnitude for AC sweeps [V].
         waveform: optional ``f(t) -> volts`` for transient analysis.
-        spectrum: optional ``f(freq_hz) -> complex volts`` for per-harmonic
-            frequency-domain EMI runs (overrides ``ac`` where provided).
+        spectrum: optional ``f(freqs) -> complex volts`` for frequency-domain
+            EMI runs (overrides ``ac``).  It takes the whole frequency grid
+            as a float array, once per sweep, and returns an array-like that
+            broadcasts to the grid's shape (a constant is fine); it is never
+            called one frequency at a time.
     """
-
-    dc: float = 0.0
-    ac: complex = 0.0
-    waveform: Callable[[float], float] | None = None
-    spectrum: Callable[[float], complex] | None = None
-
-    def value_at_time(self, t: float) -> float:
-        """Transient value."""
-        if self.waveform is not None:
-            return self.waveform(t)
-        return self.dc
-
-    def phasor_at(self, freq: float) -> complex:
-        """Frequency-domain value."""
-        if self.spectrum is not None:
-            return complex(self.spectrum(freq))
-        return complex(self.ac)
 
 
 @dataclass
-class CurrentSource(CircuitElement):
-    """Independent current source (positive current flows n1 -> n2 inside)."""
+class CurrentSource(_IndependentSource):
+    """Independent current source (positive current flows n1 -> n2 inside).
 
-    dc: float = 0.0
-    ac: complex = 0.0
-    waveform: Callable[[float], float] | None = None
-    spectrum: Callable[[float], complex] | None = None
-
-    def value_at_time(self, t: float) -> float:
-        """Transient value."""
-        if self.waveform is not None:
-            return self.waveform(t)
-        return self.dc
-
-    def phasor_at(self, freq: float) -> complex:
-        """Frequency-domain value."""
-        if self.spectrum is not None:
-            return complex(self.spectrum(freq))
-        return complex(self.ac)
+    Attributes as :class:`VoltageSource`, in amperes; ``spectrum`` follows
+    the same grid-in, array-out contract.
+    """
 
 
 @dataclass

@@ -98,7 +98,13 @@ class AcSweepResult:
         return self.x[:, self.node_index[node]].copy()
 
     def branch_response(self, inductor: str) -> np.ndarray:
-        """``A(f)^-1 e_r`` across the sweep, ``(F, size)``, for one swept inductor."""
+        """``A(f)^-1 e_r`` across the sweep, ``(F, size)``, for one swept inductor.
+
+        Raises:
+            KeyError: if ``inductor`` was not swept.
+        """
+        if inductor not in self.branch_rows:
+            raise KeyError(f"inductor {inductor!r} was not swept: {list(self.branch_rows)}")
         return self.branch[:, :, list(self.branch_rows).index(inductor)]
 
     def magnitude_db(self, node: str, reference: float = 1.0) -> np.ndarray:
@@ -223,19 +229,24 @@ class MnaSystem:
 
     # -- solving ------------------------------------------------------------
 
-    def _rhs(self, freq: float) -> np.ndarray:
-        rhs = np.zeros(self.size, dtype=complex)
+    def _rhs(self, freqs: np.ndarray) -> np.ndarray:
+        """Source right-hand sides over a grid, ``freqs.shape + (size,)``.
+
+        Every source's spectrum is evaluated once, over the whole grid.
+        """
+        grid = np.asarray(freqs, dtype=float)
+        rhs = np.zeros(grid.shape + (self.size,), dtype=complex)
         for e in self.circuit.elements:
             if isinstance(e, CurrentSource):
-                value = e.phasor_at(freq)
+                value = e.phasors(grid)
                 i, j = self._node(e.n1), self._node(e.n2)
                 # Internal flow n1 -> n2: current leaves node n1's KCL.
                 if i is not None:
-                    rhs[i] -= value
+                    rhs[..., i] -= value
                 if j is not None:
-                    rhs[j] += value
+                    rhs[..., j] += value
         for k, src in enumerate(self._sources):
-            rhs[self.n_nodes + self.n_ind + k] = src.phasor_at(freq)
+            rhs[..., self.n_nodes + self.n_ind + k] = src.phasors(grid)
         return rhs
 
     def floating_nodes(self) -> list[str]:
@@ -296,11 +307,15 @@ class MnaSystem:
 
         Raises:
             KeyError: if a name in ``inductors`` is not an inductor.
+            ValueError: if a frequency is not finite.
             SingularCircuitError: if the circuit is singular at a grid
                 frequency, with the floating nodes named when that is the
                 cause.
         """
         grid = np.asarray(freqs, dtype=float)
+        if not np.all(np.isfinite(grid)):
+            bad = float(grid[~np.isfinite(grid)][0])
+            raise ValueError(f"sweep frequency {bad!r} is not finite")
         branch_rows = {}
         for name in inductors:
             if name not in self._ind_idx:
@@ -312,11 +327,12 @@ class MnaSystem:
         branch = np.empty((len(grid), self.size, len(branch_rows)), dtype=complex)
         tracer = get_tracer()
         with tracer.span("circuit.ac_sweep"):
+            sources = self._rhs(grid)
             for k, f in enumerate(grid):
                 freq = float(f)
                 omega = 2.0 * math.pi * freq
                 a = self._g + 1j * omega * self._s
-                rhs[:, 0] = self._rhs(freq)
+                rhs[:, 0] = sources[k]
                 tracer.count("circuit.mna_factorizations")
                 try:
                     solution = np.linalg.solve(a, rhs)

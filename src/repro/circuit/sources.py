@@ -10,8 +10,8 @@ ringing-free idealisations of diode current.
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +24,9 @@ __all__ = [
 
 
 def pwl_fourier_coefficient(
-    times: np.ndarray, values: np.ndarray, period: float, harmonic: int
-) -> complex:
-    """Exact complex Fourier coefficient of a periodic piecewise-linear wave.
+    times: np.ndarray, values: np.ndarray, period: float, harmonic: int | np.ndarray
+) -> complex | np.ndarray:
+    """Exact complex Fourier coefficients of a periodic piecewise-linear wave.
 
     ``c_n = (1/T) * integral_0^T v(t) exp(-j 2 pi n t / T) dt`` with ``v``
     linear between the given breakpoints.  The last breakpoint must be at
@@ -38,35 +38,43 @@ def pwl_fourier_coefficient(
             ``times[-1] == period``.
         values: waveform values at the breakpoints.
         period: waveform period [s].
-        harmonic: n >= 0 (n = 0 returns the mean).
+        harmonic: n >= 0 (n = 0 returns the mean), an int or an integer
+            array; the breakpoints are validated once for all of them.
 
     Returns:
-        The coefficient ``c_n``; the one-sided amplitude of harmonic n >= 1
-        is ``2 |c_n|``.
+        The coefficient ``c_n`` (a ``complex`` for an int ``harmonic``, else
+        a complex array of its shape); the one-sided amplitude of harmonic
+        n >= 1 is ``2 |c_n|``.
+
+    Raises:
+        ValueError: on malformed breakpoints, a non-positive period or a
+            negative or non-integer harmonic.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
+    n = np.asarray(harmonic)
     if t.shape != v.shape or t.ndim != 1 or len(t) < 2:
         raise ValueError("times/values must be matching 1-D arrays with >= 2 points")
     if period <= 0.0:
         raise ValueError("period must be positive")
-    if harmonic < 0:
+    if n.dtype.kind not in "iu":
+        raise ValueError(f"harmonic must be an integer, got {harmonic!r}")
+    if np.any(n < 0):
         raise ValueError("harmonic must be >= 0")
     if abs(t[0]) > 1e-15 or abs(t[-1] - period) > 1e-12 * max(1.0, period):
         raise ValueError("breakpoints must span exactly [0, period]")
     if np.any(np.diff(t) < 0.0):
         raise ValueError("breakpoint times must be non-decreasing")
 
-    if harmonic == 0:
-        total = 0.0
-        for i in range(len(t) - 1):
-            dt = t[i + 1] - t[i]
-            total += 0.5 * (v[i] + v[i + 1]) * dt
-        return complex(total / period)
+    mean = 0.0
+    for i in range(len(t) - 1):
+        dt = t[i + 1] - t[i]
+        mean += 0.5 * (v[i] + v[i + 1]) * dt
 
-    w = 2.0 * math.pi * harmonic / period
-    assert w > 0.0, "harmonic >= 1 past the DC branch and period is positive"
-    total_c = 0.0 + 0.0j
+    # The n = 0 entries get the mean below; w = 1 keeps their terms finite.
+    w = 2.0 * math.pi * np.where(n > 0, n, 1) / period
+    assert np.all(w > 0.0), "every n >= 1 (or replaced by 1) and period is positive"
+    total = np.zeros(n.shape, dtype=complex)
     for i in range(len(t) - 1):
         t1, t2 = t[i], t[i + 1]
         dt = t2 - t1
@@ -74,12 +82,12 @@ def pwl_fourier_coefficient(
             continue  # Zero-length segment encodes a jump; integral is zero.
         v1, v2 = v[i], v[i + 1]
         slope = (v2 - v1) / dt
-        e1 = cmath.exp(-1j * w * t1)
-        e2 = cmath.exp(-1j * w * t2)
+        e1 = np.exp(-1j * w * t1)
+        e2 = np.exp(-1j * w * t2)
         # By parts: int v e^{-jwt} dt = (v1 e1 - v2 e2)/(jw) + slope (e2 - e1)/w^2.
-        term = (v1 * e1 - v2 * e2) / (1j * w) + slope * (e2 - e1) / (w * w)
-        total_c += term
-    return total_c / period
+        total += (v1 * e1 - v2 * e2) / (1j * w) + slope * (e2 - e1) / (w * w)
+    c = np.where(n > 0, total / period, mean / period)
+    return complex(c) if c.ndim == 0 else c
 
 
 def trapezoid_breakpoints(
@@ -135,7 +143,7 @@ class TrapezoidSource:
         if self.switching_frequency <= 0.0:
             raise ValueError("switching frequency must be positive")
         # Validate edge/duty compatibility eagerly.
-        trapezoid_breakpoints(self.period, self.duty, self.t_rise, self.t_fall)
+        self.breakpoints()
 
     @property
     def period(self) -> float:
@@ -143,23 +151,28 @@ class TrapezoidSource:
         assert self.switching_frequency > 0.0, "validated in __post_init__"
         return 1.0 / self.switching_frequency
 
-    def value_at(self, t: float) -> float:
-        """Time-domain value (for transient runs)."""
-        times, values = trapezoid_breakpoints(
+    def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """One period's breakpoints, as :func:`trapezoid_breakpoints`."""
+        return trapezoid_breakpoints(
             self.period, self.duty, self.t_rise, self.t_fall, self.v_low, self.v_high
         )
+
+    def value_at(self, t: float) -> float:
+        """Time-domain value (for transient runs)."""
+        times, values = self.breakpoints()
         tau = math.fmod(t, self.period)
         if tau < 0.0:
             tau += self.period
         return float(np.interp(tau, times, values))
 
-    def harmonic(self, n: int) -> complex:
-        """One-sided phasor of harmonic ``n`` (n = 0 gives the DC mean)."""
-        times, values = trapezoid_breakpoints(
-            self.period, self.duty, self.t_rise, self.t_fall, self.v_low, self.v_high
-        )
-        c = pwl_fourier_coefficient(times, values, self.period, n)
-        return c if n == 0 else 2.0 * c
+    def harmonic(self, n: int | np.ndarray) -> complex | np.ndarray:
+        """One-sided phasor of harmonic ``n`` (n = 0 gives the DC mean).
+
+        ``n`` is an int (a ``complex`` comes back) or an integer array.
+        """
+        c = pwl_fourier_coefficient(*self.breakpoints(), self.period, n)
+        one_sided = np.where(np.asarray(n) == 0, c, 2.0 * c)
+        return complex(one_sided) if one_sided.ndim == 0 else one_sided
 
     def harmonic_frequencies(self, f_max: float) -> np.ndarray:
         """All harmonic frequencies up to ``f_max`` (inclusive)."""
@@ -167,20 +180,26 @@ class TrapezoidSource:
         n_max = int(f_max / self.switching_frequency)
         return self.switching_frequency * np.arange(1, n_max + 1, dtype=float)
 
-    def spectrum_callable(self):
-        """A ``f -> complex`` suitable for VoltageSource.spectrum.
+    def spectrum_callable(self) -> Callable[[np.ndarray], np.ndarray]:
+        """A ``freqs -> phasors`` grid function for ``VoltageSource.spectrum``.
 
-        Off-harmonic frequencies return 0; harmonics return their phasor.
+        Harmonics (within ``1e-6 f0``) get their one-sided phasor, every
+        other frequency 0.  The breakpoints are built once, here.
         """
-
         f0 = self.switching_frequency
+        times, values = self.breakpoints()
 
-        def spectrum(freq: float) -> complex:
+        def spectrum(freqs: np.ndarray) -> np.ndarray:
             assert f0 > 0.0, "switching frequency validated in __post_init__"
-            n = int(round(freq / f0))
-            if n < 1 or abs(freq - n * f0) > 1e-6 * f0:
-                return 0.0 + 0.0j
-            return self.harmonic(n)
+            f = np.asarray(freqs, dtype=float)
+            n = np.rint(f / f0)
+            on_harmonic = (n >= 1) & (np.abs(f - n * f0) <= 1e-6 * f0)
+            phasors = np.zeros(f.shape, dtype=complex)
+            harmonics = n[on_harmonic].astype(np.int64)
+            phasors[on_harmonic] = 2.0 * pwl_fourier_coefficient(
+                times, values, self.period, harmonics
+            )
+            return phasors
 
         return spectrum
 

@@ -50,7 +50,7 @@ class TestSources:
     def test_vsource_defaults(self):
         v = VoltageSource("V1", "a", "0")
         assert v.value_at_time(0.0) == 0.0
-        assert v.phasor_at(1e6) == 0.0
+        assert v.phasors(1e6) == 0.0
 
     def test_vsource_waveform(self):
         v = VoltageSource("V1", "a", "0", dc=5.0, waveform=lambda t: 3.0 * t)
@@ -62,12 +62,12 @@ class TestSources:
 
     def test_vsource_spectrum_overrides_ac(self):
         v = VoltageSource("V1", "a", "0", ac=1.0, spectrum=lambda f: 2.0 + 0j)
-        assert v.phasor_at(1e6) == 2.0 + 0j
+        assert v.phasors(1e6) == 2.0 + 0j
 
     def test_isource_symmetry(self):
         i = CurrentSource("I1", "a", "0", dc=0.1, ac=0.5j)
         assert i.value_at_time(0.0) == pytest.approx(0.1)
-        assert i.phasor_at(1.0) == 0.5j
+        assert i.phasors(1.0) == 0.5j
 
 
 class TestSwitchAndDiode:

@@ -147,7 +147,7 @@ class TestSweep:
 class TestSpectrumSources:
     def test_spectrum_callable_drives_rhs(self):
         c = Circuit()
-        c.add_vsource("V1", "in", "0", spectrum=lambda f: 2.0 if f == 1e6 else 0.0)
+        c.add_vsource("V1", "in", "0", spectrum=lambda f: np.where(f == 1e6, 2.0, 0.0))
         c.add_resistor("R1", "in", "0", 1.0)
         mna = MnaSystem(c)
         assert abs(mna.solve_ac(1e6).voltage("in")) == pytest.approx(2.0)

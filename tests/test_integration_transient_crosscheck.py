@@ -63,7 +63,7 @@ class TestEngineConsistency:
             "vbus",
             "0",
             waveform=lambda t: 0.2 * math.sin(2 * math.pi * f0 * t),
-            spectrum=lambda f: -0.2j if abs(f - f0) < 1.0 else 0.0,
+            spectrum=lambda f: np.where(np.abs(f - f0) < 1.0, -0.2j, 0.0),
         )
         dt = 1.0 / f0 / SAMPLES_PER_PERIOD
         result = TransientSolver(c).run(120.0 / f0, dt)
@@ -140,11 +140,12 @@ class TestSwitchingBuck:
     def test_replayed_current_reproduces_lisn_harmonics(self, transient_run):
         v_harm, i_harm, _ = transient_run
 
-        def spectrum(freq: float) -> complex:
-            h = int(round(freq / F_SW))
-            if abs(freq - h * F_SW) > 1.0 or h not in i_harm:
-                return 0.0
-            return i_harm[h]
+        table = np.array([i_harm.get(h, 0.0) for h in range(max(i_harm) + 1)])
+
+        def spectrum(freqs: np.ndarray) -> np.ndarray:
+            h = np.rint(freqs / F_SW).astype(int)
+            known = (h < len(table)) & (np.abs(freqs - h * F_SW) <= 1.0)
+            return np.where(known, table[np.clip(h, 0, len(table) - 1)], 0.0)
 
         mna = MnaSystem(frequency_circuit(spectrum))
         for h in (1, 2, 3):

@@ -1,0 +1,64 @@
+"""Converter spectra are pinned to the MNA outputs of an earlier commit.
+
+``tests/data/mna_reference.json`` holds every 8th harmonic of the buck
+emission spectrum and synthetic measurement (three designs with layout
+couplings), the boost emission spectrum and the CM/DM two-LISN spectra, as
+computed at commit 44e11f6 by the per-frequency source evaluation.  It was
+generated with::
+
+    PYTHONPATH=src python tests/data/make_mna_reference.py
+
+The current code must reproduce it to rtol 1e-12, which holds on any
+host's LAPACK while still catching any change in the circuit layer.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.converters import (
+    BoostConverterDesign,
+    BuckConverterDesign,
+    cmdm_spectra,
+    synthesize_measurement,
+)
+
+REFERENCE = json.loads((Path(__file__).parent / "data" / "mna_reference.json").read_text())
+RTOL = 1e-12
+STRIDE = REFERENCE["stride"]
+
+
+def couplings_of(case: dict) -> dict[tuple[str, str], float]:
+    return {(a, b): k for a, b, k in case["couplings"]}
+
+
+def assert_matches(spectrum, expected: dict) -> None:
+    np.testing.assert_array_equal(spectrum.freqs[::STRIDE], expected["freqs"])
+    values = np.array([complex(re, im) for re, im in expected["values"]])
+    np.testing.assert_allclose(spectrum.values[::STRIDE], values, rtol=RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("index", range(len(REFERENCE["buck"])))
+def test_buck_emission_and_measurement(index):
+    case = REFERENCE["buck"][index]
+    design = BuckConverterDesign(**case["design"])
+    couplings = couplings_of(case)
+    assert_matches(design.emission_spectrum(couplings), case["emission"])
+    assert_matches(synthesize_measurement(design, couplings), case["measurement"])
+
+
+def test_boost_emission():
+    case = REFERENCE["boost"]
+    design = BoostConverterDesign(**case["design"])
+    assert_matches(design.emission_spectrum(couplings_of(case)), case["emission"])
+
+
+def test_cmdm_spectra():
+    case = REFERENCE["cmdm"]
+    positive, negative = cmdm_spectra(
+        BuckConverterDesign(**case["design"]), couplings=couplings_of(case)
+    )
+    assert_matches(positive, case["positive"])
+    assert_matches(negative, case["negative"])
