@@ -12,6 +12,7 @@ import numpy as np
 from repro.components import large_bobbin_choke, small_bobbin_choke
 from repro.coupling import dipole_coupling_factor, pair_coupling_factor
 from repro.geometry import Placement2D
+from repro.obs import get_tracer
 from repro.peec import field_magnitude_map
 from repro.viz import heatmap
 
@@ -29,7 +30,8 @@ def test_fig04_bobbin_field(benchmark, record):
 
     mags = benchmark(field_magnitude_map, [path_a, path_b], xs, ys, 0.006)
 
-    k_peec = pair_coupling_factor(a, pa, b, pb)
+    with get_tracer().span("coupling.field_solve"):
+        k_peec = pair_coupling_factor(a, pa, b, pb)
     k_dipole = dipole_coupling_factor(a, pa, b, pb)
     deviation = abs(k_peec - k_dipole) / abs(k_peec)
 

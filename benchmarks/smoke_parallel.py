@@ -3,7 +3,10 @@
 Runs the ``rules`` CLI twice on the demo board with ``--workers 2`` and a
 throwaway ``--cache-dir``: the first (cold) run must field-solve every
 pair and the second (warm) run must answer from disk — and both must
-derive identical PEMD values.  Exit code 0 means the engine is healthy.
+derive identical PEMD values.  A third run with ``--workers 1 --no-cache``
+solves every pair in the in-process batch instead of one worker task per
+pair; it must do the same number of field solves and derive the same PEMD
+values as the cold run.  Exit code 0 means the engine is healthy.
 
 Invoked by ``make bench-smoke`` (and CI); runs in a few seconds.
 """
@@ -22,17 +25,8 @@ from repro.cli import main
 BOARD = Path(__file__).resolve().parent.parent / "examples" / "boards" / "demo_board.txt"
 
 
-def run_rules(board: Path, cache_dir: Path) -> str:
-    argv = [
-        "rules",
-        str(board),
-        "--max-pairs",
-        "2",
-        "--workers",
-        "2",
-        "--cache-dir",
-        str(cache_dir),
-    ]
+def run_rules(board: Path, *options: str) -> str:
+    argv = ["rules", str(board), "--max-pairs", "2", *options]
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         code = main(argv)
@@ -65,7 +59,8 @@ def main_smoke() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-emi-smoke-") as tmp:
         cache_dir = Path(tmp) / "coupling"
 
-        cold = run_rules(board, cache_dir)
+        parallel = ("--workers", "2", "--cache-dir", str(cache_dir))
+        cold = run_rules(board, *parallel)
         _, cold_disk, cold_solves = cache_stats(cold)
         print(f"cold: {cold_solves} field solve(s), {cold_disk} from disk")
         if cold_solves == 0:
@@ -73,7 +68,7 @@ def main_smoke() -> int:
         if cold_disk != 0:
             raise SystemExit("cold run hit the (empty) disk cache — key leak?")
 
-        warm = run_rules(board, cache_dir)
+        warm = run_rules(board, *parallel)
         _, warm_disk, warm_solves = cache_stats(warm)
         print(f"warm: {warm_solves} field solve(s), {warm_disk} from disk")
         if warm_disk == 0:
@@ -84,7 +79,15 @@ def main_smoke() -> int:
         if pemd_lines(cold) != pemd_lines(warm):
             raise SystemExit("cold and warm runs derived different PEMD values")
 
-    print("bench-smoke OK: warm run answered from the persistent cache")
+        serial = run_rules(board, "--workers", "1", "--no-cache")
+        _, _, serial_solves = cache_stats(serial)
+        print(f"serial: {serial_solves} field solve(s), no cache")
+        if serial_solves != cold_solves:
+            raise SystemExit("serial run solved a different number of pairs than the cold run")
+        if pemd_lines(serial) != pemd_lines(cold):
+            raise SystemExit("serial batch and parallel worker tasks derived different PEMD values")
+
+    print("bench-smoke OK: warm run answered from the persistent cache; serial == parallel")
     return 0
 
 

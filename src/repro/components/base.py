@@ -133,8 +133,9 @@ class Component:
         return placement.to_transform3d().apply_direction(self._axis_local)
 
     def placed_current_path(self, placement: Placement2D) -> CurrentPath:
-        """Current path mapped into board coordinates."""
-        return self.current_path.transformed(placement.to_transform3d())
+        """Current path mapped into board coordinates (one array op)."""
+        path = self.current_path
+        return CurrentPath.from_packed(path.packed.placed(placement), path.name)
 
     @property
     def decoupling_residual(self) -> float:

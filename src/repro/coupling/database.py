@@ -49,7 +49,8 @@ from ..units import Dimensionless, Meters
 from .pair import (
     CouplingResult,
     CouplingTask,
-    component_coupling,
+    PlacedPair,
+    component_couplings,
     evaluate_coupling_task,
 )
 
@@ -87,39 +88,52 @@ def _validated(
     )
 
 
-#: One placed pair as :meth:`CouplingDatabase.lookup` takes it:
-#: ``(comp_a, placement_a, comp_b, placement_b)``.
-PlacedPair = tuple[Component, Placement2D, Component, Placement2D]
-
-
 def _swapped(result: CouplingResult) -> CouplingResult:
     """The mirrored problem's result: k and M are symmetric, self-L swaps."""
     return replace(result, self_a_h=result.self_b_h, self_b_h=result.self_a_h)
 
 
-def _solve(task: CouplingTask) -> CouplingResult:
-    """One inline field simulation, spanned and timed."""
-    tracer = get_tracer()
-    with tracer.span("coupling.field_solve") as handle:
-        result = component_coupling(*task)
-    if handle.elapsed_s is not None:
-        tracer.observe("coupling.pair_seconds", handle.elapsed_s)
-    return result
-
-
 def solve_couplings(
-    tasks: Sequence[CouplingTask], executor: CouplingExecutor | None = None
+    pairs: Sequence[PlacedPair],
+    ground_plane_z: Meters | None,
+    order: int,
+    executor: CouplingExecutor | None = None,
 ) -> list[CouplingResult]:
-    """Run field simulations in task order: over ``executor`` when it is
-    parallel and there is more than one task, inline otherwise.
+    """Field simulations of placed pairs in request order, validated.
 
-    Every task is solved, with no cache involved; the results are
-    identical in both modes.
+    Inline, the pairs are one array batch
+    (:func:`repro.coupling.pair.component_couplings`); over a parallel
+    ``executor`` with more than one pair, each pair is one task.  Both
+    modes give bit-identical results and run under one
+    ``coupling.field_solve`` span.  Every result passes the CPL001 check
+    (:func:`_validated`) before it is returned; no cache is involved.
+
+    Each solved pair adds one ``coupling.pair_seconds`` sample: a worker
+    task records its own wall time, a serial batch records its wall time
+    divided by its pair count once per pair.
+
+    Raises:
+        ValueError: when a solve gives |k| beyond the clamp tolerance
+            (rule CPL001).
     """
-    if executor is not None and executor.is_parallel and len(tasks) > 1:
-        with get_tracer().span("coupling.field_solve"):
-            return executor.map(evaluate_coupling_task, tasks)
-    return [_solve(task) for task in tasks]
+    if not pairs:
+        return []
+    tracer = get_tracer()
+    pool = executor if executor is not None and executor.is_parallel and len(pairs) > 1 else None
+    with tracer.span("coupling.field_solve") as handle:
+        if pool is not None:
+            tasks: list[CouplingTask] = [(*pair, ground_plane_z, order) for pair in pairs]
+            results = pool.map(evaluate_coupling_task, tasks)
+        else:
+            results = component_couplings(pairs, ground_plane_z, order)
+    if pool is None and handle.elapsed_s is not None:
+        share = handle.elapsed_s / len(pairs)
+        for _ in pairs:
+            tracer.observe("coupling.pair_seconds", share)
+    return [
+        _validated(result, comp_a.part_number, comp_b.part_number)
+        for result, (comp_a, _, comp_b, _) in zip(results, pairs, strict=True)
+    ]
 
 
 @dataclass(frozen=True)
@@ -269,13 +283,10 @@ class CouplingDatabase:
             tracer.count("coupling.cache_hits", hits)
         if misses:
             tracer.count("coupling.cache_misses", misses)
-        tasks: list[CouplingTask] = [
-            (comp_a, placement_a, comp_b, placement_b, ground_plane_z, self.order)
-            for comp_a, placement_a, comp_b, placement_b in (pairs[i] for i in pending)
-        ]
-        for i, result in zip(pending, solve_couplings(tasks, executor), strict=True):
-            comp_a, _, comp_b, _ = pairs[i]
-            result = _validated(result, comp_a.part_number, comp_b.part_number)
+        solved = solve_couplings(
+            [pairs[i] for i in pending], ground_plane_z, self.order, executor
+        )
+        for i, result in zip(pending, solved, strict=True):
             self._cache[keys[i]] = result
             if self.persistent is not None:
                 self.persistent.put(pair_cache_key(keys[i]), asdict(result))

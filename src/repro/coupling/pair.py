@@ -4,29 +4,31 @@ This is the field-simulation step of the paper's flow: take two component
 models (their simplified current paths), put them at their board positions
 and orientations, and compute the magnetic coupling factor — optionally in
 the presence of a solid ground plane (image method) and with the effective-
-permeability correction for cored parts.
+permeability correction for cored parts.  Many pairs are solved as one
+array batch (:func:`component_couplings`); :func:`component_coupling` is
+its single-pair view.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 
 from ..components import Component
 from ..geometry import Placement2D
 from ..obs import get_tracer
-from ..peec import (
-    image_path,
-    mutual_inductance_paths_fast,
-    with_ground_plane,
-)
+from ..peec import PackedFilaments, mutual_inductance_row
 from ..units import Dimensionless, Henries, Meters
 
 __all__ = [
     "CouplingResult",
     "CouplingTask",
+    "PlacedPair",
     "component_coupling",
+    "component_couplings",
     "evaluate_coupling_task",
     "pair_coupling_factor",
 ]
@@ -48,6 +50,122 @@ class CouplingResult:
         return abs(self.k)
 
 
+#: One placed pair: ``(comp_a, placement_a, comp_b, placement_b)``.
+PlacedPair = tuple[Component, Placement2D, Component, Placement2D]
+
+
+@dataclass(frozen=True)
+class _PlacedPart:
+    """One (component, placement) of a batch, placed once.
+
+    Attributes:
+        component: the part.
+        filaments: its current path in board coordinates.
+        source: what it radiates into a victim — the filaments, plus their
+            ground-plane images when there is a plane.
+        self_geo_h: air-core self-inductance [H], including the own-image
+            mutual when there is a plane.
+    """
+
+    component: Component
+    filaments: PackedFilaments
+    source: PackedFilaments
+    self_geo_h: Henries
+
+
+def _place(
+    component: Component, placement: Placement2D, ground_plane_z: Meters | None, order: int
+) -> _PlacedPart:
+    """Place one part of a batch (one array op) and fix its self-inductance."""
+    filaments = component.current_path.packed.placed(placement)
+    self_geo = component.geometric_inductance
+    if ground_plane_z is None:
+        return _PlacedPart(component, filaments, filaments, self_geo)
+    # Image method: a victim sees the source's real + image currents; the
+    # self-inductance picks up the (negative) own-image mutual.
+    image = filaments.image(ground_plane_z)
+    self_geo = self_geo + mutual_inductance_row(image, [filaments], order)[0]
+    return _PlacedPart(
+        component, filaments, filaments.merged_with(image), max(self_geo, 1e-12)
+    )
+
+
+def component_couplings(
+    pairs: Sequence[PlacedPair],
+    ground_plane_z: Meters | None = None,
+    order: int = 8,
+) -> list[CouplingResult]:
+    """Full PEEC coupling computation for many placed pairs as one batch.
+
+    Each distinct (component, placement) object pair is placed once, as
+    one array op, with its self-inductance (and, over a plane, its
+    own-image term) computed once.  The mutuals are then evaluated one
+    source part at a time: one kernel call of the source against every
+    part it is paired with
+    (:func:`repro.peec.mutual_inductance_row`).  Every result is
+    bit-identical to solving its pair alone.
+
+    The effective-permeability correction follows the paper's recipe: the
+    air-core mutual is scaled by ``sqrt(mu_eff_a * stray_a * mu_eff_b *
+    stray_b)`` and each self-inductance by its ``mu_eff`` — neglecting field
+    redirection by the cores (the documented ~15 % error source).
+
+    Args:
+        pairs: ``(comp_a, placement_a, comp_b, placement_b)`` per request
+            (local-frame field models; positions [m], rotations [rad]).
+        ground_plane_z: if set, a solid plane at this height shields the
+            coupling via image currents.
+        order: Gauss–Legendre order of the mutual integral.
+
+    Returns:
+        One result per pair, in order.  ``k`` is the raw solver value: it
+        is *not* clamped to [-1, 1] (the coupling database validates it,
+        rule CPL001).
+    """
+    # Keyed by object identity: equal-valued placements would share an
+    # entry only if they agreed bit for bit, signed zeros included.
+    slots: dict[tuple[int, int], int] = {}
+    parts: list[_PlacedPart] = []
+
+    def slot(component: Component, placement: Placement2D) -> int:
+        key = (id(component), id(placement))
+        index = slots.get(key)
+        if index is None:
+            index = slots[key] = len(parts)
+            parts.append(_place(component, placement, ground_plane_z, order))
+        return index
+
+    ends = [(slot(comp_a, pl_a), slot(comp_b, pl_b)) for comp_a, pl_a, comp_b, pl_b in pairs]
+    m_air = [0.0] * len(pairs)
+    by_source = sorted(range(len(pairs)), key=lambda i: ends[i][0])
+    for a, row in groupby(by_source, key=lambda i: ends[i][0]):
+        members = list(row)
+        targets = [parts[ends[i][1]].filaments for i in members]
+        mutuals = mutual_inductance_row(parts[a].source, targets, order)
+        for i, m in zip(members, mutuals, strict=True):
+            m_air[i] = m
+    shielded = ground_plane_z is not None
+    return [
+        _result(parts[a], parts[b], m, shielded) for (a, b), m in zip(ends, m_air, strict=True)
+    ]
+
+
+def _result(
+    part_a: _PlacedPart, part_b: _PlacedPart, m_air: Henries, shielded: bool
+) -> CouplingResult:
+    """The coupling of two placed parts from their air-core mutual."""
+    comp_a, comp_b = part_a.component, part_b.component
+    mu_a, mu_b = comp_a.mu_eff, comp_b.mu_eff
+    stray_a = comp_a.core.stray_fraction
+    stray_b = comp_b.core.stray_fraction
+    m = m_air * math.sqrt(mu_a * stray_a * mu_b * stray_b)
+    la = part_a.self_geo_h * mu_a
+    lb = part_b.self_geo_h * mu_b
+    return CouplingResult(
+        k=m / math.sqrt(la * lb), mutual_h=m, self_a_h=la, self_b_h=lb, shielded=shielded
+    )
+
+
 def component_coupling(
     comp_a: Component,
     placement_a: Placement2D,
@@ -56,56 +174,14 @@ def component_coupling(
     ground_plane_z: Meters | None = None,
     order: int = 8,
 ) -> CouplingResult:
-    """Full PEEC coupling computation for a placed component pair.
+    """Full PEEC coupling computation for one placed pair.
 
-    The effective-permeability correction follows the paper's recipe: the
-    air-core mutual is scaled by ``sqrt(mu_eff_a * stray_a * mu_eff_b *
-    stray_b)`` and each self-inductance by its ``mu_eff`` — neglecting field
-    redirection by the cores (the documented ~15 % error source).
-
-    Args:
-        comp_a, comp_b: the components (local-frame field models).
-        placement_a, placement_b: board placements.
-        ground_plane_z: if set, a solid plane at this height shields the
-            coupling via image currents.
-        order: Gauss–Legendre order of the mutual integral.
-
-    Returns:
-        The signed coupling factor and its ingredients.
+    The single-pair view of :func:`component_couplings` (same arguments,
+    same raw, unclamped ``k``).
     """
-    path_a = comp_a.placed_current_path(placement_a)
-    path_b = comp_b.placed_current_path(placement_b)
-    la_geo = comp_a.geometric_inductance
-    lb_geo = comp_b.geometric_inductance
-
-    if ground_plane_z is not None:
-        # Image method: the victim sees the source's real + image currents;
-        # self-inductances pick up the (negative) own-image mutual.
-        source_a = with_ground_plane(path_a, ground_plane_z)
-        m_air = mutual_inductance_paths_fast(source_a, path_b, order)
-        la_geo = la_geo + mutual_inductance_paths_fast(
-            image_path(path_a, ground_plane_z), path_a, order
-        )
-        lb_geo = lb_geo + mutual_inductance_paths_fast(
-            image_path(path_b, ground_plane_z), path_b, order
-        )
-        la_geo = max(la_geo, 1e-12)
-        lb_geo = max(lb_geo, 1e-12)
-    else:
-        m_air = mutual_inductance_paths_fast(path_a, path_b, order)
-    mu_a, mu_b = comp_a.mu_eff, comp_b.mu_eff
-    stray_a = comp_a.core.stray_fraction
-    stray_b = comp_b.core.stray_fraction
-    m = m_air * math.sqrt(mu_a * stray_a * mu_b * stray_b)
-    la = la_geo * mu_a
-    lb = lb_geo * mu_b
-    k = m / math.sqrt(la * lb)
-    # Discretisation and image artefacts can push |k| epsilon above 1 for
-    # nearly coincident parts; clamp to the physical range.
-    k = max(-1.0, min(1.0, k))
-    return CouplingResult(
-        k=k, mutual_h=m, self_a_h=la, self_b_h=lb, shielded=ground_plane_z is not None
-    )
+    return component_couplings(
+        [(comp_a, placement_a, comp_b, placement_b)], ground_plane_z, order
+    )[0]
 
 
 #: One deferred :func:`component_coupling` call, picklable for process fan-out.
@@ -124,10 +200,11 @@ def evaluate_coupling_task(task: CouplingTask) -> CouplingResult:
             (positions [m], rotations [rad], plane height [m] or ``None``,
             quadrature order dimensionless).
 
-    Each call observes its wall time into the ``coupling.pair_seconds``
-    histogram — inside pool workers the chunk tracer records it, and the
-    buckets merge back into the parent, so the per-pair kernel-time
-    distribution is identical whether the run was serial or parallel.
+    Each call observes its own wall time into the
+    ``coupling.pair_seconds`` histogram; inside pool workers the chunk
+    tracer records it and the buckets merge back into the parent.  (A
+    serial batch observes its amortised per-pair time instead, see
+    :func:`repro.coupling.database.solve_couplings`.)
     """
     comp_a, placement_a, comp_b, placement_b, ground_plane_z, order = task
     t0 = time.perf_counter()

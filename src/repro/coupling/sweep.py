@@ -29,7 +29,6 @@ from ..obs import get_tracer
 from ..parallel import CouplingExecutor
 from ..units import Degrees, Meters
 from .database import CouplingDatabase, solve_couplings
-from .pair import CouplingTask
 
 __all__ = ["distance_sweep", "rotation_sweep", "angular_position_sweep"]
 
@@ -99,15 +98,11 @@ def _signed_couplings(
     solved directly otherwise (via ``executor`` when parallel); results
     come back in placement order.
     """
+    pairs = [(comp_a, place_a, comp_b, place_b) for place_b in placements_b]
     if database is not None:
-        pairs = [(comp_a, place_a, comp_b, place_b) for place_b in placements_b]
         results = database.lookup(pairs, ground_plane_z, executor)
     else:
-        tasks: list[CouplingTask] = [
-            (comp_a, place_a, comp_b, place_b, ground_plane_z, _SWEEP_ORDER)
-            for place_b in placements_b
-        ]
-        results = solve_couplings(tasks, executor)
+        results = solve_couplings(pairs, ground_plane_z, _SWEEP_ORDER, executor)
     return np.array([r.k for r in results])
 
 

@@ -22,8 +22,8 @@ from .filament import (
     mutual_inductance_pairs,
     mutual_inductance_parallel,
     neumann_mutual_inductance,
-    neumann_mutual_matrix,
-    pack_filaments,
+    PackedFilaments,
+    neumann_mutual_blocks,
     self_inductance_bar,
     self_inductance_bars,
 )
@@ -31,8 +31,8 @@ from .images import image_path, shielding_factor, with_ground_plane
 from .inductance import (
     coupling_factor,
     loop_self_inductance,
-    mutual_inductance_matrix,
     mutual_inductance_paths_fast,
+    mutual_inductance_row,
 )
 from .mesh import CurrentPath, rectangle_path, ring_path
 from .permeability import (
@@ -58,8 +58,8 @@ __all__ = [
     "mutual_inductance_pairs",
     "mutual_inductance_parallel",
     "neumann_mutual_inductance",
-    "neumann_mutual_matrix",
-    "pack_filaments",
+    "neumann_mutual_blocks",
+    "PackedFilaments",
     "self_inductance_bar",
     "self_inductance_bars",
     "CurrentPath",
@@ -67,8 +67,8 @@ __all__ = [
     "rectangle_path",
     "coupling_factor",
     "loop_self_inductance",
-    "mutual_inductance_matrix",
     "mutual_inductance_paths_fast",
+    "mutual_inductance_row",
     "b_field",
     "b_field_filament",
     "b_field_grid",

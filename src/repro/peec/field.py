@@ -12,14 +12,14 @@ import numpy as np
 
 from ..geometry import Vec3
 from ..obs import get_tracer
-from .filament import MU0, Filament, _rows_per_chunk, pack_filaments
+from .filament import MU0, Filament, PackedFilaments, _rows_per_chunk
 from .mesh import CurrentPath
 
 __all__ = ["b_field_filament", "b_field", "b_field_grid", "field_magnitude_map"]
 
 
 def _b_field_points(
-    filaments: list[Filament], points: np.ndarray, current: float
+    filaments: PackedFilaments, points: np.ndarray, current: float
 ) -> np.ndarray:
     """Flux density of a filament set at ``(n, 3)`` points [T], shape ``(n, 3)``.
 
@@ -34,9 +34,11 @@ def _b_field_points(
     avoid the line singularity; points on the axis itself (field direction
     undefined, magnitude ~0 outside the conductor) get zero.
     """
-    starts, deltas, lengths, weights = pack_filaments(filaments)
-    amps = current * weights
-    clamps = np.array([max(f.width, f.thickness) * 0.5 for f in filaments])
+    starts = filaments.starts
+    deltas = filaments.ends - starts
+    lengths = np.linalg.norm(deltas, axis=1)
+    amps = current * filaments.weights
+    clamps = np.maximum(filaments.widths, filaments.thicknesses) * 0.5
     lengths[lengths < 1e-12] = 1e-12
     t = deltas * (1.0 / lengths)[:, None]
 
@@ -74,7 +76,7 @@ def b_field_filament(f: Filament, point: Vec3, current: float = 1.0) -> Vec3:
 
 def b_field(path: CurrentPath, point: Vec3, current: float = 1.0) -> Vec3:
     """Total flux density of a current path at one point [T]."""
-    b = _b_field_points(path.filaments, point.as_array()[None, :], current)[0]
+    b = _b_field_points(path.packed, point.as_array()[None, :], current)[0]
     return Vec3(float(b[0]), float(b[1]), float(b[2]))
 
 
@@ -108,7 +110,7 @@ def b_field_grid(
         points = np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(z))], axis=1)
         out = np.zeros((len(points), 3))
         for path, current in zip(paths, currents, strict=True):
-            out += _b_field_points(path.filaments, points, current)
+            out += _b_field_points(path.packed, points, current)
     return out.reshape(len(ys), len(xs), 3)
 
 

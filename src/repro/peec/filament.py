@@ -18,8 +18,11 @@ Three formulas live here, each implemented once and vectorised:
 Two batched kernels combine them: :func:`mutual_inductance_pairs` is the
 exact near-field kernel (closed form, zero for perpendicular pairs,
 subdivided quadrature for close skew pairs) that a path's self-inductance
-needs, and :func:`neumann_mutual_matrix` is the order-8 all-pairs fast path
-for two disjoint paths.  The scalar functions are single-pair views of them.
+needs, and :func:`neumann_mutual_blocks` is the order-8 all-pairs fast path
+for one source path against any number of disjoint target paths.  Both read
+:class:`PackedFilaments`, the read-only array form of a filament list that a
+path builds once and places with one elementwise op.  The scalar functions
+are single-pair views of the kernels.
 
 All quantities are SI (metres, henries).
 """
@@ -27,11 +30,12 @@ All quantities are SI (metres, henries).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..geometry import Transform3D, Vec3
+from ..geometry import Placement2D, Transform3D, Vec3
 from ..units import Dimensionless, Henries, Meters
 
 __all__ = [
@@ -41,8 +45,8 @@ __all__ = [
     "mutual_inductance_pairs",
     "mutual_inductance_parallel",
     "neumann_mutual_inductance",
-    "neumann_mutual_matrix",
-    "pack_filaments",
+    "neumann_mutual_blocks",
+    "PackedFilaments",
     "self_inductance_bar",
     "self_inductance_bars",
 ]
@@ -113,10 +117,6 @@ class Filament:
         """Geometric midpoint."""
         return (self.start + self.end) * 0.5
 
-    def transformed(self, transform: Transform3D) -> "Filament":
-        """Filament mapped through a rigid transform (weight preserved)."""
-        return replace(self, start=transform.apply(self.start), end=transform.apply(self.end))
-
     def reversed(self) -> "Filament":
         """Same geometry, opposite traversal direction."""
         return replace(self, start=self.end, end=self.start)
@@ -144,6 +144,157 @@ class Filament:
     def self_inductance(self) -> Henries:
         """Partial self-inductance of this filament's rectangular bar [H]."""
         return self_inductance_bar(self.length, self.width, self.thickness)
+
+
+@dataclass(frozen=True)
+class _Quadrature:
+    """A filament set prepared for the Neumann kernel at one quadrature order.
+
+    Attributes:
+        points: ``(n, order, 3)`` Gauss–Legendre points along each filament [m].
+        lengths: ``(n,)`` filament lengths, floored at 1e-12 [m].
+        tangents: ``(n, 3)`` unit directions [-].
+    """
+
+    points: np.ndarray
+    lengths: np.ndarray
+    tangents: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class PackedFilaments:
+    """A filament list as read-only arrays — the form every batched kernel reads.
+
+    A path is packed once (:meth:`of`); placing it (:meth:`transformed`,
+    :meth:`placed`) or imaging it (:meth:`image`) is then one elementwise
+    array op in the float order of :meth:`Transform3D.apply` and
+    :meth:`Vec3.mirrored_z`, so a placed array equals the placed
+    :class:`Filament` objects exactly.
+
+    Attributes:
+        starts, ends: ``(n, 3)`` segment end points [m].
+        widths, thicknesses: ``(n,)`` conductor cross-sections [m].
+        weights: ``(n,)`` signed turn weights [-].
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    widths: np.ndarray
+    thicknesses: np.ndarray
+    weights: np.ndarray
+    _quadratures: dict[int, _Quadrature] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for array in (self.starts, self.ends, self.widths, self.thicknesses, self.weights):
+            array.flags.writeable = False
+
+    @staticmethod
+    def of(filaments: "Sequence[Filament] | PackedFilaments") -> "PackedFilaments":
+        """Pack a filament list (a packed set is returned as is)."""
+        if isinstance(filaments, PackedFilaments):
+            return filaments
+        return PackedFilaments(
+            np.array([[f.start.x, f.start.y, f.start.z] for f in filaments], dtype=float),
+            np.array([[f.end.x, f.end.y, f.end.z] for f in filaments], dtype=float),
+            np.array([f.width for f in filaments], dtype=float),
+            np.array([f.thickness for f in filaments], dtype=float),
+            np.array([f.weight for f in filaments], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def filaments(self) -> list[Filament]:
+        """The arrays as :class:`Filament` objects (an exact round trip)."""
+        return [
+            Filament(Vec3(*start), Vec3(*end), width, thickness, weight)
+            for start, end, width, thickness, weight in zip(
+                self.starts.tolist(),
+                self.ends.tolist(),
+                self.widths.tolist(),
+                self.thicknesses.tolist(),
+                self.weights.tolist(),
+                strict=True,
+            )
+        ]
+
+    def lengths(self) -> np.ndarray:
+        """Segment lengths [m], equal to :attr:`Filament.length` exactly."""
+        return _norms(self.ends - self.starts)
+
+    def transformed(self, transform: Transform3D) -> "PackedFilaments":
+        """The set mapped through a rigid transform (weights kept)."""
+        t = transform.translation
+        return self._moved(transform.rotation_z_rad, t.x, t.y, t.z, transform.mirror_z)
+
+    def placed(self, placement: Placement2D) -> "PackedFilaments":
+        """``transformed(placement.to_transform3d())`` without building the transform."""
+        position = placement.position
+        return self._moved(
+            placement.rotation_rad,
+            position.x,
+            position.y,
+            placement.z_offset,
+            placement.side == -1,
+        )
+
+    def _moved(
+        self, rotation_rad: float, tx: float, ty: float, tz: float, mirror_z: bool
+    ) -> "PackedFilaments":
+        # Mirror z first, then c*x - s*y + tx, s*x + c*y + ty, z + tz: the
+        # operation order of Transform3D.apply, so every bit matches it.
+        c, s = math.cos(rotation_rad), math.sin(rotation_rad)
+
+        def move(p: np.ndarray) -> np.ndarray:
+            x, y, z = p[:, 0], p[:, 1], p[:, 2]
+            return np.stack(
+                [c * x - s * y + tx, s * x + c * y + ty, (-z if mirror_z else z) + tz], axis=1
+            )
+
+        return PackedFilaments(
+            move(self.starts), move(self.ends), self.widths, self.thicknesses, self.weights
+        )
+
+    def image(self, plane_z: Meters) -> "PackedFilaments":
+        """The image currents below a conducting plane at ``z = plane_z``.
+
+        Geometry mirrored as :meth:`Vec3.mirrored_z` does, weights negated
+        (the sign convention lives in :mod:`repro.peec.images`).
+        """
+
+        def mirror(p: np.ndarray) -> np.ndarray:
+            out = p.copy()
+            out[:, 2] = 2.0 * plane_z - p[:, 2]
+            return out
+
+        return PackedFilaments(
+            mirror(self.starts), mirror(self.ends), self.widths, self.thicknesses, -self.weights
+        )
+
+    def merged_with(self, other: "PackedFilaments") -> "PackedFilaments":
+        """Both sets, this one first."""
+        return PackedFilaments(
+            np.concatenate([self.starts, other.starts]),
+            np.concatenate([self.ends, other.ends]),
+            np.concatenate([self.widths, other.widths]),
+            np.concatenate([self.thicknesses, other.thicknesses]),
+            np.concatenate([self.weights, other.weights]),
+        )
+
+    def quadrature(self, order: int) -> _Quadrature:
+        """The Neumann-kernel operand at ``order``, built once per order."""
+        cached = self._quadratures.get(order)
+        if cached is None:
+            nodes, _ = _gauss_legendre_01(order)
+            deltas = self.ends - self.starts
+            lengths = np.linalg.norm(deltas, axis=1)
+            points = self.starts[:, None, :] + nodes[None, :, None] * deltas[:, None, :]
+            # Lengths are >= 1e-12 by the Filament invariant; the floor only
+            # guards hand-packed arrays.
+            lengths[lengths < 1e-12] = 1e-12
+            cached = _Quadrature(points, lengths, deltas * (1.0 / lengths)[:, None])
+            self._quadratures[order] = cached
+        return cached
 
 
 def self_inductance_bars(
@@ -196,7 +347,14 @@ def _neumann_integral(
     ``p_a`` ``(..., ga, 3)`` and ``p_b`` ``(..., gb, 3)`` are quadrature
     points with broadcastable leading axes.
     """
-    diff = p_a[..., :, None, :] - p_b[..., None, :, :]
+    # diff[..., i, j, :] = p_a[..., i, :] - p_b[..., j, :].  Repeating each
+    # p_a point gb times along the last axis first makes every subtraction
+    # loop gb*3 values long instead of 3: the same values, several times
+    # faster than the plain broadcast.
+    gb = p_b.shape[-2]
+    a = np.tile(p_a, gb)
+    b = p_b.reshape(*p_b.shape[:-2], 1, gb * 3)
+    diff = (a - b).reshape(*np.broadcast_shapes(a.shape, b.shape)[:-1], gb, 3)
     r = np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff))
     r[r < 1e-12] = 1e-12
     return np.asarray(np.einsum("i,j,...ij->...", w_a, w_b, 1.0 / r))
@@ -205,12 +363,6 @@ def _neumann_integral(
 def _neumann_scale(cos: np.ndarray, len_a: np.ndarray, len_b: np.ndarray) -> np.ndarray:
     """``(mu0/4pi) l_a l_b cos``: the factor in front of the Neumann quadrature [H m]."""
     return np.asarray(MU0 / (4.0 * np.pi) * ((len_a * len_b) * cos))
-
-
-def _packed_ends(filaments: list[Filament]) -> tuple[np.ndarray, np.ndarray]:
-    starts = np.array([[f.start.x, f.start.y, f.start.z] for f in filaments])
-    ends = np.array([[f.end.x, f.end.y, f.end.z] for f in filaments])
-    return starts, ends
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -223,71 +375,54 @@ def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.asarray(u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2])
 
 
-def pack_filaments(
-    filaments: list[Filament],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Filament list as dense arrays for the batched kernels.
+def neumann_mutual_blocks(
+    source: PackedFilaments, targets: Sequence[PackedFilaments], order: int = 8
+) -> list[np.ndarray]:
+    """Raw pairwise Neumann mutuals of one source against several targets [H].
 
-    Args:
-        filaments: the segments to pack (geometry in metres).
-
-    Returns:
-        ``(starts, deltas, lengths, weights)`` — shapes ``(n, 3)``,
-        ``(n, 3)``, ``(n,)``, ``(n,)``; starts/deltas/lengths in metres,
-        weights dimensionless signed turn counts.
-    """
-    starts, ends = _packed_ends(filaments)
-    weights = np.array([f.weight for f in filaments])
-    deltas = ends - starts
-    lengths = np.linalg.norm(deltas, axis=1)
-    return starts, deltas, lengths, weights
-
-
-def neumann_mutual_matrix(
-    filaments_a: list[Filament], filaments_b: list[Filament], order: int = 8
-) -> np.ndarray:
-    """Raw pairwise Neumann mutual inductances as one batched array op [H].
-
-    The fast path for *disjoint* filament sets: all ``na * nb`` double
-    integrals are evaluated as broadcasts over ``(rows, nb, order, order)``
-    distance tensors, chunked over rows of ``filaments_a`` to bound the
-    temporaries.  There is no near-field subdivision and no closed form
-    for parallel pairs, so the caller owns near-field accuracy: this suits
-    the disjoint paths of a coupling sweep, not a path against itself
+    The fast path for *disjoint* filament sets: every double integral of
+    ``source`` against the concatenated ``targets`` is evaluated as one
+    broadcast over ``(rows, cols, order, order)`` distance tensors,
+    chunked over source rows and target columns to bound the temporaries.
+    There is no near-field subdivision and no closed form for parallel
+    pairs, so the caller owns near-field accuracy: this suits the disjoint
+    paths of a coupling sweep, not a path against itself
     (:func:`mutual_inductance_pairs` is the exact kernel for that).
-    Geometric weights are *not* applied — entry ``(i, j)`` is the raw
-    partial mutual of ``filaments_a[i]`` against ``filaments_b[j]``.
+    Geometric weights are *not* applied.
+
+    Every entry is bit-identical to a call with that target alone: the
+    integral's rounding does not depend on the tensor shape, and the
+    direction cosines (a matmul, whose rounding does) are taken per target.
 
     Args:
-        filaments_a, filaments_b: the two filament lists (geometry in
-            metres).
+        source: the source filaments (geometry in metres).
+        targets: the target filament sets.
         order: Gauss–Legendre points per filament (dimensionless count).
 
     Returns:
-        ``(na, nb)`` array of partial mutual inductances [H].
+        One ``(len(source), len(target))`` array of partial mutual
+        inductances [H] per target, in order.
     """
-    nodes, weights = _gauss_legendre_01(order)
-    s_a, d_a, len_a, _ = pack_filaments(filaments_a)
-    s_b, d_b, len_b, _ = pack_filaments(filaments_b)
-
-    # Quadrature points: (na, g, 3) and (nb, g, 3).
-    p_a = s_a[:, None, :] + nodes[None, :, None] * d_a[:, None, :]
-    p_b = s_b[:, None, :] + nodes[None, :, None] * d_b[:, None, :]
-    integral = np.empty((len(filaments_a), len(filaments_b)))
-    step = _rows_per_chunk(len(filaments_b) * order * order)
-    for lo in range(0, len(filaments_a), step):
-        integral[lo : lo + step] = _neumann_integral(
-            p_a[lo : lo + step, None], p_b[None, :], weights, weights
-        )
-
-    # Direction cosines and length products (lengths are >= 1e-12 by the
-    # Filament invariant; the floor only guards hand-packed arrays).
-    len_a[len_a < 1e-12] = 1e-12
-    len_b[len_b < 1e-12] = 1e-12
-    t_a = d_a * (1.0 / len_a)[:, None]
-    t_b = d_b * (1.0 / len_b)[:, None]
-    cos = t_a @ t_b.T
-    return _neumann_scale(cos, len_a[:, None], len_b[None, :]) * integral
+    if not targets:
+        return []
+    _, weights = _gauss_legendre_01(order)
+    q_a = source.quadrature(order)
+    q_bs = [target.quadrature(order) for target in targets]
+    p_b = q_bs[0].points if len(q_bs) == 1 else np.concatenate([q.points for q in q_bs])
+    integral = np.empty((len(q_a.points), len(p_b)))
+    cols = min(len(p_b), _rows_per_chunk(order * order))
+    rows = _rows_per_chunk(cols * order * order)
+    for lo in range(0, len(q_a.points), rows):
+        for col in range(0, len(p_b), cols):
+            integral[lo : lo + rows, col : col + cols] = _neumann_integral(
+                q_a.points[lo : lo + rows, None], p_b[None, col : col + cols], weights, weights
+            )
+    bounds = np.cumsum([0] + [len(q_b.points) for q_b in q_bs]).tolist()
+    return [
+        _neumann_scale(q_a.tangents @ q_b.tangents.T, q_a.lengths[:, None], q_b.lengths[None, :])
+        * integral[:, lo:hi]
+        for q_b, lo, hi in zip(q_bs, bounds[:-1], bounds[1:], strict=True)
+    ]
 
 
 def _parallel_mutuals(
@@ -326,7 +461,7 @@ def _parallel_mutuals(
 
 
 def mutual_inductance_pairs(
-    filaments: list[Filament],
+    filaments: Sequence[Filament] | PackedFilaments,
     i: np.ndarray,
     j: np.ndarray,
     order: int = _DEFAULT_ORDER,
@@ -358,7 +493,8 @@ def mutual_inductance_pairs(
     """
     i = np.asarray(i, dtype=np.intp)
     j = np.asarray(j, dtype=np.intp)
-    starts, ends = _packed_ends(filaments)
+    packed = PackedFilaments.of(filaments)
+    starts, ends = packed.starts, packed.ends
     deltas = ends - starts
     lengths = _norms(deltas)
     lengths[lengths < 1e-12] = 1e-12
@@ -418,12 +554,13 @@ def neumann_mutual_inductance(
     ``M = (mu0 / 4pi) (t1 . t2) * l1 * l2 * sum_ij w_i w_j / r_ij``
 
     evaluated with one ``order`` x ``order`` Gauss–Legendre rule and no
-    subdivision — the single-pair view of :func:`neumann_mutual_matrix`,
+    subdivision — the single-pair view of :func:`neumann_mutual_blocks`,
     kept as an independent cross-check of the closed form.  Accurate to
     better than 0.1 % once the filament separation exceeds roughly a
     quarter of the filament length.  Weights are *not* applied.
     """
-    return float(neumann_mutual_matrix([f1], [f2], order)[0, 0])
+    blocks = neumann_mutual_blocks(PackedFilaments.of([f1]), [PackedFilaments.of([f2])], order)
+    return float(blocks[0][0, 0])
 
 
 def mutual_inductance_parallel(f1: Filament, f2: Filament) -> Henries:

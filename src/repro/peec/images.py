@@ -17,8 +17,6 @@ yields the shielded coupling.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .mesh import CurrentPath
 
 __all__ = ["image_path", "with_ground_plane", "shielding_factor"]
@@ -31,10 +29,9 @@ def image_path(path: CurrentPath, plane_z: float = 0.0) -> CurrentPath:
     is negated; see module docstring for why this realises the correct
     image currents for both horizontal and vertical elements.
     """
-    mirrored = [
-        replace(f.mirrored_z(plane_z), weight=-f.weight) for f in path.filaments
-    ]
-    return CurrentPath(mirrored, name=f"{path.name}~image" if path.name else "image")
+    return CurrentPath.from_packed(
+        path.packed.image(plane_z), name=f"{path.name}~image" if path.name else "image"
+    )
 
 
 def with_ground_plane(path: CurrentPath, plane_z: float = 0.0) -> CurrentPath:
@@ -48,7 +45,10 @@ def with_ground_plane(path: CurrentPath, plane_z: float = 0.0) -> CurrentPath:
     Likewise the shielded self-inductance is
     ``L + M(path, image_path(path))``.
     """
-    return path.merged_with(image_path(path, plane_z))
+    image = image_path(path, plane_z)
+    return CurrentPath.from_packed(
+        path.packed.merged_with(image.packed), path.name or image.name
+    )
 
 
 def shielding_factor(k_unshielded: float, k_shielded: float) -> float:

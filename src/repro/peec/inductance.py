@@ -6,26 +6,35 @@ These routines aggregate the filament-level partial inductances of
 * ``loop_self_inductance(path)`` — the self-inductance of a component's
   internal current loop (its ESL contribution from geometry), from the
   exact near-field pair kernel;
-* ``mutual_inductance_paths_fast(a, b)`` — the mutual inductance between
-  two placed components, the raw ingredient of interference coupling, from
-  the order-8 disjoint-path kernel;
+* ``mutual_inductance_row(source, targets)`` — the mutual inductances of
+  one placed component against many others, the raw ingredient of
+  interference coupling, from one call of the order-8 disjoint-path kernel
+  (``mutual_inductance_paths_fast(a, b)`` is its single-pair view);
 * ``coupling_factor(a, b)`` — the dimensionless ``k = M / sqrt(La * Lb)``
   that the sensitivity analysis and the design rules work with.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..obs import get_tracer
 from ..units import Dimensionless, Henries
-from .filament import mutual_inductance_pairs, neumann_mutual_matrix, self_inductance_bars
+from .filament import (
+    PackedFilaments,
+    mutual_inductance_pairs,
+    neumann_mutual_blocks,
+    self_inductance_bars,
+)
 from .mesh import CurrentPath
 
 __all__ = [
     "loop_self_inductance",
-    "mutual_inductance_matrix",
     "mutual_inductance_paths_fast",
+    "mutual_inductance_row",
     "coupling_factor",
 ]
 
@@ -40,20 +49,16 @@ def loop_self_inductance(path: CurrentPath, order: int = 12) -> Henries:
     over the upper triangle.  For a physically sensible loop the result is
     positive; a negative value indicates a broken discretisation and raises.
     """
-    fils = path.filaments
-    n = len(fils)
+    packed = path.packed
+    n = len(packed)
     tracer = get_tracer()
     with tracer.span("peec.self_inductance"):
         tracer.count("peec.self_inductance_evals")
         tracer.count("peec.filament_pairs", n * (n + 1) // 2)
-        weights = np.array([f.weight for f in fils])
-        diagonal = self_inductance_bars(
-            np.array([f.length for f in fils]),
-            np.array([f.width for f in fils]),
-            np.array([f.thickness for f in fils]),
-        )
+        weights = packed.weights
+        diagonal = self_inductance_bars(packed.lengths(), packed.widths, packed.thicknesses)
         i, j = np.triu_indices(n, 1)
-        mutuals = mutual_inductance_pairs(fils, i, j, order)
+        mutuals = mutual_inductance_pairs(packed, i, j, order)
         total = float(
             np.sum(weights * weights * diagonal)
             + 2.0 * np.sum(weights[i] * weights[j] * mutuals)
@@ -66,50 +71,53 @@ def loop_self_inductance(path: CurrentPath, order: int = 12) -> Henries:
     return total
 
 
-def mutual_inductance_matrix(a: CurrentPath, b: CurrentPath, order: int = 8) -> np.ndarray:
-    """Pairwise partial mutuals of two *disjoint* paths as one batch [H].
+def mutual_inductance_row(
+    source: PackedFilaments, targets: Sequence[PackedFilaments], order: int = 8
+) -> list[Henries]:
+    """Signed mutual inductances of one path against several *disjoint* paths [H].
 
-    A thin path-level wrapper over the vectorised
-    :func:`repro.peec.filament.neumann_mutual_matrix` kernel: the whole
-    filament-pair double loop collapses into numpy broadcasts.  Weights
-    are *not* applied; entry ``(i, j)`` is the raw partial mutual of
-    ``a.filaments[i]`` against ``b.filaments[j]``.
+    One call of :func:`repro.peec.filament.neumann_mutual_blocks` evaluates
+    the Neumann integral of every source filament against every target
+    filament; each ``(len(source), len(target))`` block is then contracted
+    with the signed turn weights.  Valid when no filament pair overlaps or
+    nearly touches — paths of different components, which is exactly the
+    coupling-sweep use case; there it agrees with the exact near-field
+    kernel to within a fraction of a percent at a fraction of the cost.
+    For a path against itself use :func:`loop_self_inductance`.
+
+    Each entry is bit-identical to the single-pair
+    :func:`mutual_inductance_paths_fast` of the source and that target.
+    The sign encodes the relative winding sense under the chosen terminal
+    current directions; the EMI circuit model carries it through so that
+    field cancellation by opposed orientation (the paper's design rule)
+    is representable.
 
     Args:
-        a, b: the two current paths (geometry in metres); must belong to
-            different components so no filament pair nearly touches.
+        source: the source path's filaments (geometry in metres).
+        targets: the target paths' filaments.
         order: Gauss–Legendre points per filament (dimensionless count).
 
     Returns:
-        ``(len(a), len(b))`` array of partial mutual inductances [H].
+        One mutual inductance [H] per target, in order.
     """
     tracer = get_tracer()
-    tracer.count("peec.filament_pairs", len(a.filaments) * len(b.filaments))
-    return neumann_mutual_matrix(a.filaments, b.filaments, order)
+    tracer.count("peec.mutual_evals", len(targets))
+    tracer.count("peec.filament_pairs", len(source) * int(math.fsum(map(len, targets))))
+    w_a = source.weights[:, None]
+    return [
+        float(np.sum((w_a * target.weights[None, :]) * np.ascontiguousarray(block)))
+        for target, block in zip(
+            targets, neumann_mutual_blocks(source, targets, order), strict=True
+        )
+    ]
 
 
 def mutual_inductance_paths_fast(a: CurrentPath, b: CurrentPath, order: int = 8) -> Henries:
     """Vectorised mutual inductance between two *disjoint* paths [H] (signed).
 
-    Evaluates the Neumann integral for every filament pair in one numpy
-    broadcast (:func:`mutual_inductance_matrix`) and contracts with the
-    signed turn weights.  Valid when the two paths belong to different
-    components — i.e. no filament pair overlaps or nearly touches — which
-    is exactly the coupling-sweep use case; there it agrees with the exact
-    near-field kernel to within a fraction of a percent at a fraction of
-    the cost.  For a path against itself use :func:`loop_self_inductance`.
-
-    The sign encodes the relative winding sense under the chosen terminal
-    current directions; the EMI circuit model carries it through so that
-    field cancellation by opposed orientation (the paper's design rule)
-    is representable.
+    The single-pair view of :func:`mutual_inductance_row`.
     """
-    tracer = get_tracer()
-    tracer.count("peec.mutual_evals")
-    matrix = mutual_inductance_matrix(a, b, order)
-    w_a = np.array([f.weight for f in a.filaments])
-    w_b = np.array([f.weight for f in b.filaments])
-    return float(np.sum((w_a[:, None] * w_b[None, :]) * matrix))
+    return mutual_inductance_row(a.packed, [b.packed], order)[0]
 
 
 def coupling_factor(

@@ -14,41 +14,74 @@ magnetic-axis extraction for the cos(alpha) placement rule use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import replace
 
 from ..geometry import Transform3D, Vec3
 from ..obs import get_tracer
-from .filament import Filament
+from .filament import Filament, PackedFilaments
 
 __all__ = ["CurrentPath", "ring_path", "rectangle_path"]
 
 
-@dataclass
 class CurrentPath:
     """An ordered collection of filaments carrying the same terminal current.
+
+    A path holds its filaments as :class:`Filament` objects, as
+    :class:`PackedFilaments` arrays, or both: each form is built from the
+    other on first use and then kept.  Meshing builds the objects; placing
+    and imaging a path are array ops (:meth:`transformed`,
+    :meth:`from_packed`) that never build them, and the kernels read
+    :attr:`packed`.  Neither form may be mutated once read.
 
     Attributes:
         filaments: the segments; each carries a signed ``weight`` so that a
             multi-turn winding can reuse one geometric ring per layer.
+        packed: the same segments as read-only arrays.
         name: label used in reports and the coupling database.
     """
 
-    filaments: list[Filament] = field(default_factory=list)
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.filaments:
+    def __init__(self, filaments: Sequence[Filament], name: str = "") -> None:
+        if not filaments:
             raise ValueError("a current path needs at least one filament")
+        self._filaments: list[Filament] | None = list(filaments)
+        self._packed: PackedFilaments | None = None
+        self.name = name
+
+    @classmethod
+    def from_packed(cls, packed: PackedFilaments, name: str = "") -> "CurrentPath":
+        """A path over already packed filaments (objects built on demand)."""
+        path = cls.__new__(cls)
+        path._filaments = None
+        path._packed = packed
+        path.name = name
+        return path
+
+    @property
+    def filaments(self) -> list[Filament]:
+        """The segments as objects."""
+        if self._filaments is None:
+            assert self._packed is not None
+            self._filaments = self._packed.filaments()
+        return self._filaments
+
+    @property
+    def packed(self) -> PackedFilaments:
+        """The segments as read-only arrays, packed once."""
+        if self._packed is None:
+            assert self._filaments is not None
+            self._packed = PackedFilaments.of(self._filaments)
+        return self._packed
 
     def __len__(self) -> int:
-        return len(self.filaments)
+        return len(self.packed) if self._filaments is None else len(self._filaments)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Filament]:
         return iter(self.filaments)
 
     def transformed(self, transform: Transform3D) -> "CurrentPath":
-        """Map the whole path through a rigid transform."""
-        return CurrentPath([f.transformed(transform) for f in self.filaments], self.name)
+        """Map the whole path through a rigid transform (one array op)."""
+        return CurrentPath.from_packed(self.packed.transformed(transform), self.name)
 
     def total_length(self) -> float:
         """Sum of filament lengths, weighted by |turns| (wire length)."""
@@ -103,8 +136,6 @@ class CurrentPath:
 
     def scaled_weights(self, factor: float) -> "CurrentPath":
         """Copy with every filament weight multiplied by ``factor``."""
-        from dataclasses import replace
-
         return CurrentPath(
             [replace(f, weight=f.weight * factor) for f in self.filaments], self.name
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.components import FilmCapacitorX2
+from repro.components import CeramicCapacitor, FilmCapacitorX2
 from repro.coupling import CouplingDatabase, pair_coupling_factor
 from repro.geometry import Placement2D
 
@@ -90,12 +90,13 @@ class TestResultValidation:
         from repro.coupling import database as database_module
         from repro.coupling.pair import CouplingResult
 
-        def fake(comp_a, pa, comp_b, pb, ground_plane_z, order):
-            return CouplingResult(
-                k=k, mutual_h=1e-9, self_a_h=1e-8, self_b_h=1e-8, shielded=False
-            )
+        def fake(pairs, ground_plane_z, order):
+            return [
+                CouplingResult(k=k, mutual_h=1e-9, self_a_h=1e-8, self_b_h=1e-8, shielded=False)
+                for _ in pairs
+            ]
 
-        monkeypatch.setattr(database_module, "component_coupling", fake)
+        monkeypatch.setattr(database_module, "component_couplings", fake)
 
     def test_marginal_overshoot_is_clamped(self, x2_cap, monkeypatch):
         self._doctored(monkeypatch, 1.005)
@@ -116,6 +117,14 @@ class TestResultValidation:
             db.coupling(x2_cap, Placement2D.at(0, 0), x2_cap, Placement2D.at(0.03, 0))
         assert "1.2" in str(excinfo.value)
         assert db.cache_size() == 0  # nothing poisoned the cache
+
+    def test_coincident_parts_are_rejected_on_a_real_solve(self):
+        # Two identical MLCCs at one pose: the raw solver k is ~3.4e8.
+        db = CouplingDatabase()
+        pose = Placement2D.at(0.02, 0.01, 30)
+        with pytest.raises(ValueError, match=r"CPL001"):
+            db.coupling(CeramicCapacitor(), pose, CeramicCapacitor(), pose)
+        assert db.cache_size() == 0
 
     def test_physical_results_pass_through(self, x2_cap):
         db = CouplingDatabase()

@@ -12,6 +12,7 @@ import pytest
 from repro.geometry import Transform3D, Vec3
 from repro.peec import (
     MU0,
+    CurrentPath,
     Filament,
     mutual_inductance,
     mutual_inductance_parallel,
@@ -58,7 +59,7 @@ class TestFilamentBasics:
     def test_transformed(self):
         f = fil(0.01, 0, 0, 0.02, 0, 0)
         t = Transform3D(Vec3(0, 0, 0.005), rotation_z_rad=math.pi / 2.0)
-        g = f.transformed(t)
+        g = CurrentPath([f]).transformed(t).filaments[0]
         assert g.start.is_close(Vec3(0.0, 0.01, 0.005), tol=1e-12)
 
     def test_mirrored_z(self):

@@ -6,23 +6,29 @@ reversal.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.components import default_library
 from repro.geometry import Placement2D, Transform3D, Vec2, Vec3
 from repro.peec import (
     CurrentPath,
     Filament,
     coupling_factor,
+    image_path,
     loop_self_inductance,
     mutual_inductance,
+    mutual_inductance_pairs,
     mutual_inductance_parallel,
     mutual_inductance_paths_fast,
     neumann_mutual_inductance,
     rectangle_path,
     ring_path,
     self_inductance_bar,
+    self_inductance_bars,
 )
 
 mm = st.floats(min_value=-0.05, max_value=0.05, allow_nan=False)
@@ -242,3 +248,78 @@ class TestSelfInductanceKernel:
         m = mutual_inductance_paths_fast(a, placed)
         k = m / math.sqrt(loop_self_inductance(a) * loop_self_inductance(placed))
         assert abs(k) <= 1.0
+
+
+# -- the packed array form equals the Filament objects exactly ---------------
+
+sided_placements = st.builds(
+    lambda x, y, deg, z, side: Placement2D(Vec2(x, y), math.radians(deg), z, side),
+    st.floats(min_value=-0.05, max_value=0.05),
+    st.floats(min_value=-0.05, max_value=0.05),
+    st.floats(min_value=0.0, max_value=360.0),
+    st.sampled_from([0.0, 1.5e-3, 4e-3]),
+    st.sampled_from([1, -1]),
+)
+
+
+def bits(values):
+    """The IEEE-754 bytes of a float array (signed zeros distinguished)."""
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+def end_points(filaments):
+    return (
+        bits([f.start.as_array() for f in filaments]),
+        bits([f.end.as_array() for f in filaments]),
+        bits([f.weight for f in filaments]),
+    )
+
+
+def packed_end_points(packed):
+    return bits(packed.starts), bits(packed.ends), bits(packed.weights)
+
+
+def object_self_inductance(filaments):
+    """``loop_self_inductance`` read from Filament objects, as it used to be."""
+    weights = np.array([f.weight for f in filaments])
+    diagonal = self_inductance_bars(
+        np.array([f.length for f in filaments]),
+        np.array([f.width for f in filaments]),
+        np.array([f.thickness for f in filaments]),
+    )
+    i, j = np.triu_indices(len(filaments), 1)
+    mutuals = mutual_inductance_pairs(filaments, i, j)
+    return float(
+        np.sum(weights * weights * diagonal) + 2.0 * np.sum(weights[i] * weights[j] * mutuals)
+    )
+
+
+class TestPackedPath:
+    @settings(max_examples=40, deadline=None)
+    @given(random_paths(), sided_placements)
+    def test_placement_equals_transform_apply(self, path, placement):
+        transform = placement.to_transform3d()
+        expected = [
+            replace(f, start=transform.apply(f.start), end=transform.apply(f.end))
+            for f in path.filaments
+        ]
+        for placed in (path.packed.placed(placement), path.transformed(transform).packed):
+            assert packed_end_points(placed) == end_points(expected)
+        assert end_points(path.transformed(transform).filaments) == end_points(expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_paths(), sided_placements, st.floats(min_value=-5e-3, max_value=5e-3))
+    def test_image_equals_mirrored_filaments(self, path, placement, plane_z):
+        placed = path.transformed(placement.to_transform3d())
+        expected = [replace(f.mirrored_z(plane_z), weight=-f.weight) for f in placed.filaments]
+        image = image_path(placed, plane_z)
+        assert packed_end_points(image.packed) == end_points(expected)
+        assert packed_end_points(placed.packed.image(plane_z)) == end_points(expected)
+
+    def test_self_inductance_of_every_library_part(self):
+        library = default_library()
+        for name in library.part_numbers():
+            part = library.create(name)
+            placed = part.placed_current_path(Placement2D(Vec2(0.01, -0.02), 0.7, 2e-3, -1))
+            for path in (part.current_path, placed):
+                assert loop_self_inductance(path) == object_self_inductance(path.filaments), name
