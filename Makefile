@@ -11,12 +11,12 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Cold/warm smoke of the parallel coupling engine and its persistent cache.
+## Cold/warm smoke of the persistent coupling cache.
 bench-smoke:
-	$(PYTHON) benchmarks/smoke_parallel.py
+	$(PYTHON) benchmarks/smoke_cache.py
 
 ## End-to-end smoke of the telemetry event stream (--events-out), its
-## schema, the worker chunk events and the perf-flight HTML artefact.
+## schema, the coupling field-solve events and the perf-flight HTML artefact.
 events-smoke:
 	$(PYTHON) benchmarks/smoke_events.py
 
@@ -94,5 +94,4 @@ hotness-baseline:
 race-check:
 	REPRO_EMI_LOCK_SANITIZER=1 $(PYTHON) -m pytest -x -q \
 		tests/test_concurrency_hammer.py tests/test_lint_sanitizer.py \
-		tests/test_obs.py tests/test_obs_events.py tests/test_obs_stream.py \
-		tests/test_parallel_executor.py
+		tests/test_obs.py tests/test_obs_events.py tests/test_obs_stream.py

@@ -1,14 +1,15 @@
 """Smoke test for the telemetry event stream and the flight recorder.
 
 Runs the ``rules`` CLI on the demo board with ``--events-out`` (cold
-cache, 2 workers, so the parallel executor actually fans out), then
-checks the emitted JSONL end to end:
+cache, so the coupling field solves actually run), then checks the
+emitted JSONL end to end:
 
 * every line parses and passes :func:`repro.obs.validate_event_dict`;
 * sequence numbers are strictly monotonic and gap-free from 1;
 * the log carries the expected shapes — a ``rules`` stage start/done
-  pair, ``parallel.map_start`` / ``chunk_start`` / ``chunk_done`` worker
-  events, and the resource sampler's ``proc.*`` gauges;
+  pair, matched ``coupling.field_solve`` span open/close events, the
+  ``coupling.pair_seconds`` histogram observations, and the resource
+  sampler's ``proc.*`` gauges;
 * ``repro-emi perf flight`` renders the run (report + events) into a
   non-trivial self-contained HTML artefact.
 
@@ -35,8 +36,6 @@ def run_rules(board: Path, cache_dir: Path, events: Path, metrics: Path) -> None
         "rules",
         str(board),
         "--max-pairs",
-        "2",
-        "--workers",
         "2",
         "--cache-dir",
         str(cache_dir),
@@ -93,9 +92,8 @@ def check_shapes(events: list[dict]) -> None:
     expectations = [
         ("start" in stage_statuses, "no 'rules' stage start event"),
         ("done" in stage_statuses, "no 'rules' stage done event"),
-        (("log", "parallel.map_start") in names, "no parallel.map_start event"),
-        (("log", "parallel.chunk_start") in names, "no worker chunk_start event"),
-        (("log", "parallel.chunk_done") in names, "no worker chunk_done event"),
+        (("span_open", "coupling.field_solve") in names, "no coupling.field_solve span"),
+        (("observe", "coupling.pair_seconds") in names, "no coupling.pair_seconds sample"),
         (("gauge", "proc.rss_peak_bytes") in names, "no sampler RSS gauge"),
         (("gauge", "proc.cpu_pct") in names, "no sampler CPU gauge"),
         (any(k == "span_open" for k, _ in names), "no span_open events"),
@@ -105,14 +103,12 @@ def check_shapes(events: list[dict]) -> None:
     for ok, complaint in expectations:
         if not ok:
             raise SystemExit(complaint)
-    starts = sum(
-        1 for e in events if e["kind"] == "log" and e["name"] == "parallel.chunk_start"
+    opens, closes = (
+        sum(1 for e in events if e["kind"] == kind and e["name"] == "coupling.field_solve")
+        for kind in ("span_open", "span_close")
     )
-    dones = sum(
-        1 for e in events if e["kind"] == "log" and e["name"] == "parallel.chunk_done"
-    )
-    if starts != dones:
-        raise SystemExit(f"chunk_start ({starts}) != chunk_done ({dones})")
+    if opens != closes:
+        raise SystemExit(f"coupling.field_solve opened {opens} times, closed {closes}")
 
 
 def run_flight(metrics: Path, events: Path, out: Path, store: Path) -> None:
@@ -158,7 +154,7 @@ def main_smoke() -> int:
         run_flight(metrics, events, flight, root / "history.jsonl")
         print(f"flight recorder OK: {flight.stat().st_size} bytes of HTML")
 
-    print("events-smoke OK: stream, schema, worker events, flight recorder")
+    print("events-smoke OK: stream, schema, field-solve events, flight recorder")
     return 0
 
 

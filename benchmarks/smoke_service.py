@@ -45,9 +45,7 @@ def main() -> int:
     base_url = service.start()
     print(f"[smoke] service up at {base_url}")
     try:
-        payload = json.dumps(
-            {"design": {"kind": "buck", "params": {}}, "options": {"workers": 1}}
-        ).encode()
+        payload = json.dumps({"design": {"kind": "buck", "params": {}}}).encode()
         request = urllib.request.Request(
             base_url + "/jobs",
             data=payload,

@@ -35,8 +35,7 @@ the run), ``--metrics-out FILE`` (write the run report as JSON),
 FILE`` (stream every telemetry event as JSONL while the run goes) and
 ``--live`` (single-line console progress: stage, span path, rates,
 cache hit-rate); see ``docs/OBSERVABILITY.md``.  The field-solving subcommands (``rules``,
-``demo``) additionally accept ``--workers N`` (process fan-out of the
-coupling computations), ``--cache-dir DIR`` and ``--no-cache``
+``demo``) additionally accept ``--cache-dir DIR`` and ``--no-cache``
 (persistent coupling cache, on by default); see ``docs/PERFORMANCE.md``.
 
 The ``perf`` subcommand group is the perf observatory over those run
@@ -94,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="stream every telemetry event (spans, counters, gauges, stages, "
-        "worker chunks) as JSONL while the run goes; tail-able and "
+        "histogram observations) as JSONL while the run goes; tail-able and "
         "crash-safe to the last event",
     )
     obs_flags.add_argument(
@@ -223,14 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Performance flags shared by the field-solving subcommands.
     perf_flags = argparse.ArgumentParser(add_help=False)
-    perf_flags.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the coupling fan-out (default: 1, serial; "
-        "results are identical either way)",
-    )
     perf_flags.add_argument(
         "--cache-dir",
         type=Path,
@@ -773,20 +764,18 @@ def _cmd_drc(args: argparse.Namespace) -> int:
     return 0 if not violations else 1
 
 
-def _perf_setup(args: argparse.Namespace):
-    """(executor, database) honouring --workers / --cache-dir / --no-cache.
+def _coupling_database(args: argparse.Namespace):
+    """The coupling database honouring --cache-dir / --no-cache.
 
-    The executor is ``None`` for serial runs; the database always exists
-    and carries a persistent tier unless ``--no-cache`` was given.
+    It carries a persistent tier unless ``--no-cache`` was given.
     """
     from .coupling import CouplingDatabase
-    from .parallel import CouplingExecutor, PersistentCouplingCache
+    from .parallel import PersistentCouplingCache
 
-    executor = CouplingExecutor(workers=args.workers) if args.workers > 1 else None
     persistent = None
     if not args.no_cache:
         persistent = PersistentCouplingCache(cache_dir=args.cache_dir)
-    return executor, CouplingDatabase(persistent=persistent)
+    return CouplingDatabase(persistent=persistent)
 
 
 def _cmd_rules(args: argparse.Namespace) -> int:
@@ -800,44 +789,32 @@ def _cmd_rules(args: argparse.Namespace) -> int:
         for ref, comp in problem.components.items()
         if comp.component.magnetic_moment_local.norm() > 1e-6
     ]
-    executor, database = _perf_setup(args)
+    database = _coupling_database(args)
     derivation_cache: dict[tuple[str, str], object] = {}
     rules = list(problem.rules.min_distance)
     known = {r.pair() for r in rules}
     derived = 0
-    try:
-        with get_tracer().stage("rules", {"max_pairs": args.max_pairs}):
-            for i in range(len(relevant)):
-                for j in range(i + 1, len(relevant)):
-                    if derived >= args.max_pairs:
-                        break
-                    ref_a, comp_a = relevant[i]
-                    ref_b, comp_b = relevant[j]
-                    if tuple(sorted((ref_a, ref_b))) in known:
-                        continue
-                    type_key = tuple(
-                        sorted((comp_a.part_number, comp_b.part_number))
-                    )
-                    derivation = derivation_cache.get(type_key)
-                    if derivation is None:
-                        derivation = derive_pemd(
-                            comp_a,
-                            comp_b,
-                            args.k_threshold,
-                            executor=executor,
-                            database=database,
-                        )
-                        derivation_cache[type_key] = derivation
-                    rule = derivation.rule(ref_a, ref_b)  # type: ignore[attr-defined]
-                    rules.append(rule)
-                    derived += 1
-                    print(
-                        f"  {ref_a}-{ref_b}: PEMD {rule.pemd * 1e3:.1f} mm "
-                        f"(residual {rule.residual:.2f})"
-                    )
-    finally:
-        if executor is not None:
-            executor.close()
+    with get_tracer().stage("rules", {"max_pairs": args.max_pairs}):
+        for i in range(len(relevant)):
+            for j in range(i + 1, len(relevant)):
+                if derived >= args.max_pairs:
+                    break
+                ref_a, comp_a = relevant[i]
+                ref_b, comp_b = relevant[j]
+                if tuple(sorted((ref_a, ref_b))) in known:
+                    continue
+                type_key = tuple(sorted((comp_a.part_number, comp_b.part_number)))
+                derivation = derivation_cache.get(type_key)
+                if derivation is None:
+                    derivation = derive_pemd(comp_a, comp_b, args.k_threshold, database=database)
+                    derivation_cache[type_key] = derivation
+                rule = derivation.rule(ref_a, ref_b)  # type: ignore[attr-defined]
+                rules.append(rule)
+                derived += 1
+                print(
+                    f"  {ref_a}-{ref_b}: PEMD {rule.pemd * 1e3:.1f} mm "
+                    f"(residual {rule.residual:.2f})"
+                )
     stats = database.stats
     print(
         f"coupling cache: {stats.hits} hit(s) ({stats.persistent_hits} from "
@@ -882,13 +859,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    flow = EmiDesignFlow(
-        BuckConverterDesign(), workers=args.workers, cache_dir=cache_dir
-    )
-    try:
-        evaluations = flow.compare_layouts()
-    finally:
-        flow.close()
+    flow = EmiDesignFlow(BuckConverterDesign(), cache_dir=cache_dir)
+    evaluations = flow.compare_layouts()
     stats = flow.coupling_stats
     print(
         f"coupling cache: {stats.hits} hit(s) ({stats.persistent_hits} from "

@@ -10,7 +10,6 @@ system circuit, so the predicted spectrum reflects that concrete layout
 from __future__ import annotations
 
 from ..coupling import CouplingDatabase
-from ..parallel import CouplingExecutor
 from ..placement import PlacementProblem
 
 __all__ = ["layout_couplings"]
@@ -22,7 +21,6 @@ def layout_couplings(
     ground_plane_z: float | None = None,
     k_floor: float = 1e-6,
     database: CouplingDatabase | None = None,
-    executor: CouplingExecutor | None = None,
 ) -> dict[tuple[str, str], float]:
     """All-pairs coupling factors for the placed components of a layout.
 
@@ -37,7 +35,6 @@ def layout_couplings(
         k_floor: couplings below this magnitude [-] are dropped (they
             cannot move the spectrum and only bloat the circuit).
         database: optional shared cache.
-        executor: optional process fan-out for the cache misses.
 
     Returns:
         (refdes_a, refdes_b) -> signed k, with refdes_a < refdes_b.
@@ -57,7 +54,7 @@ def layout_couplings(
         for c in problem.placed()
         if refdes_of_interest is None or c.refdes in refdes_of_interest
     ]
-    results = db.pairwise_couplings(placed, executor=executor)
+    results = db.pairwise_couplings(placed)
     return {
         pair: result.k for pair, result in results.items() if abs(result.k) >= k_floor
     }

@@ -35,7 +35,7 @@ from ..converters import (
 from ..coupling import CacheStats, CouplingDatabase
 from ..emi import CISPR25_CLASS3_PEAK, EmiReceiver, LimitLine, Spectrum
 from ..obs import get_tracer
-from ..parallel import CouplingExecutor, PersistentCouplingCache
+from ..parallel import PersistentCouplingCache
 from ..placement import (
     AutoPlacer,
     BaselinePlacer,
@@ -80,10 +80,6 @@ class EmiDesignFlow:
         precheck: when True, statically validate the design (circuit and
             placement problem, see :mod:`repro.check`) before the first
             solve and refuse to run on error-level diagnostics.
-        workers: worker processes for the coupling fan-out of rule
-            derivation and verification; sensitivity ranking always runs
-            in-process (1 = serial; results are identical either way, see
-            docs/PERFORMANCE.md).
         cache_dir: when set, attach a persistent on-disk coupling cache
             rooted here; ``None`` keeps the flow memory-only.
     """
@@ -94,31 +90,16 @@ class EmiDesignFlow:
     limit: LimitLine = field(default_factory=lambda: CISPR25_CLASS3_PEAK)
     ground_plane_z: float | None = None
     precheck: bool = False
-    workers: int = 1
     cache_dir: str | Path | None = None
     _sensitivity: list[SensitivityEntry] | None = field(default=None, init=False)
     _rules: list[MinDistanceRule] | None = field(default=None, init=False)
     _db: CouplingDatabase = field(default_factory=CouplingDatabase, init=False)
     _precheck_report: CheckReport | None = field(default=None, init=False)
-    _executor: CouplingExecutor | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         self._db.ground_plane_z = self.ground_plane_z
         if self.cache_dir is not None:
             self._db.persistent = PersistentCouplingCache(cache_dir=self.cache_dir)
-
-    @property
-    def executor(self) -> CouplingExecutor:
-        """The flow's shared (lazily created) coupling executor."""
-        if self._executor is None:
-            self._executor = CouplingExecutor(workers=self.workers)
-        return self._executor
-
-    def close(self) -> None:
-        """Release the worker pool (safe to call repeatedly)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
 
     @property
     def coupling_stats(self) -> CacheStats:
@@ -212,7 +193,6 @@ class EmiDesignFlow:
                     COUPLING_BRANCHES,
                     k_threshold_db_map=self.k_threshold,
                     ground_plane_z=self.ground_plane_z,
-                    executor=self.executor if self.workers > 1 else None,
                     database=self._db,
                 )
             tracer.gauge("flow.pairs_relevant", len(relevant))
@@ -262,7 +242,6 @@ class EmiDesignFlow:
                 refdes_of_interest=list(COUPLING_BRANCHES.values()),
                 ground_plane_z=self.ground_plane_z,
                 database=self._db,
-                executor=self.executor if self.workers > 1 else None,
             )
             spectrum = self.predict(couplings)
             checker = DesignRuleChecker(problem)

@@ -22,10 +22,8 @@ Every lookup — :meth:`CouplingDatabase.coupling`,
 :mod:`repro.coupling.sweep` — goes through one batch routine,
 :meth:`CouplingDatabase.lookup`.  It probes both tiers in both argument
 orders (a mirrored hit comes back with the self-inductances swapped),
-solves the misses in order, serially or over a
-:class:`repro.parallel.CouplingExecutor`, validates and stores them, and
-counts hits and misses at one point.  Results are stored in request
-order, so parallel and serial runs produce identical databases.
+solves the misses in request order as one array batch, validates and
+stores them, and counts hits and misses at one point.
 """
 
 from __future__ import annotations
@@ -38,21 +36,9 @@ from itertools import combinations
 from ..components import Component
 from ..geometry import Placement2D
 from ..obs import get_tracer
-from ..parallel import (
-    CouplingExecutor,
-    PairKey,
-    PersistentCouplingCache,
-    pair_cache_key,
-    pair_key,
-)
+from ..parallel import PairKey, PersistentCouplingCache, pair_cache_key, pair_key
 from ..units import Dimensionless, Meters
-from .pair import (
-    CouplingResult,
-    CouplingTask,
-    PlacedPair,
-    component_couplings,
-    evaluate_coupling_task,
-)
+from .pair import CouplingResult, PlacedPair, component_couplings
 
 __all__ = ["CacheStats", "CouplingDatabase", "COUPLING_CLAMP_TOLERANCE"]
 
@@ -94,23 +80,17 @@ def _swapped(result: CouplingResult) -> CouplingResult:
 
 
 def solve_couplings(
-    pairs: Sequence[PlacedPair],
-    ground_plane_z: Meters | None,
-    order: int,
-    executor: CouplingExecutor | None = None,
+    pairs: Sequence[PlacedPair], ground_plane_z: Meters | None, order: int
 ) -> list[CouplingResult]:
     """Field simulations of placed pairs in request order, validated.
 
-    Inline, the pairs are one array batch
-    (:func:`repro.coupling.pair.component_couplings`); over a parallel
-    ``executor`` with more than one pair, each pair is one task.  Both
-    modes give bit-identical results and run under one
+    The pairs are one array batch
+    (:func:`repro.coupling.pair.component_couplings`) under one
     ``coupling.field_solve`` span.  Every result passes the CPL001 check
     (:func:`_validated`) before it is returned; no cache is involved.
 
-    Each solved pair adds one ``coupling.pair_seconds`` sample: a worker
-    task records its own wall time, a serial batch records its wall time
-    divided by its pair count once per pair.
+    Each solved pair adds one ``coupling.pair_seconds`` sample: the
+    batch's wall time divided by its pair count.
 
     Raises:
         ValueError: when a solve gives |k| beyond the clamp tolerance
@@ -119,14 +99,9 @@ def solve_couplings(
     if not pairs:
         return []
     tracer = get_tracer()
-    pool = executor if executor is not None and executor.is_parallel and len(pairs) > 1 else None
     with tracer.span("coupling.field_solve") as handle:
-        if pool is not None:
-            tasks: list[CouplingTask] = [(*pair, ground_plane_z, order) for pair in pairs]
-            results = pool.map(evaluate_coupling_task, tasks)
-        else:
-            results = component_couplings(pairs, ground_plane_z, order)
-    if pool is None and handle.elapsed_s is not None:
+        results = component_couplings(pairs, ground_plane_z, order)
+    if handle.elapsed_s is not None:
         share = handle.elapsed_s / len(pairs)
         for _ in pairs:
             tracer.observe("coupling.pair_seconds", share)
@@ -236,18 +211,14 @@ class CouplingDatabase:
         return None
 
     def lookup(
-        self,
-        pairs: Sequence[PlacedPair],
-        ground_plane_z: Meters | None,
-        executor: CouplingExecutor | None = None,
+        self, pairs: Sequence[PlacedPair], ground_plane_z: Meters | None
     ) -> list[CouplingResult]:
         """Coupling for each placed pair, from a cache tier or a field solve.
 
         The one lookup path of the database: each pair is probed in both
         tiers and both argument orders; the misses are solved in request
-        order (over ``executor`` when it is parallel), validated (rule
-        CPL001) and written through every tier.  Hits and misses are
-        counted here and only here.
+        order, validated (rule CPL001) and written through every tier.
+        Hits and misses are counted here and only here.
 
         Args:
             pairs: ``(comp_a, placement_a, comp_b, placement_b)`` per
@@ -256,8 +227,6 @@ class CouplingDatabase:
             ground_plane_z: shielding-plane height [m] of every request,
                 ``None`` for free space — part of the cache key and the
                 height the misses are solved with.
-            executor: optional fan-out for the misses; results are
-                identical to the serial run.
 
         Returns:
             One validated :class:`CouplingResult` per request, in order.
@@ -283,9 +252,7 @@ class CouplingDatabase:
             tracer.count("coupling.cache_hits", hits)
         if misses:
             tracer.count("coupling.cache_misses", misses)
-        solved = solve_couplings(
-            [pairs[i] for i in pending], ground_plane_z, self.order, executor
-        )
+        solved = solve_couplings([pairs[i] for i in pending], ground_plane_z, self.order)
         for i, result in zip(pending, solved, strict=True):
             self._cache[keys[i]] = result
             if self.persistent is not None:
@@ -317,9 +284,7 @@ class CouplingDatabase:
         return self.lookup([pair], self.ground_plane_z)[0]
 
     def pairwise_couplings(
-        self,
-        placed: list[tuple[str, Component, Placement2D]],
-        executor: CouplingExecutor | None = None,
+        self, placed: list[tuple[str, Component, Placement2D]]
     ) -> dict[tuple[str, str], CouplingResult]:
         """All-pairs coupling map above :attr:`ground_plane_z`.
 
@@ -327,9 +292,6 @@ class CouplingDatabase:
             placed: the placed components as (refdes, component,
                 placement); placements in board coordinates (positions
                 [m], rotations [rad]).
-            executor: optional fan-out for the cache misses; results are
-                identical to the serial run and inserted in deterministic
-                pair order.
 
         Returns:
             A dict keyed by the (refdes_a, refdes_b) pair with
@@ -341,7 +303,7 @@ class CouplingDatabase:
             for (ref_a, _, _), (ref_b, _, _) in both
         ]
         pairs = [(comp_a, pl_a, comp_b, pl_b) for (_, comp_a, pl_a), (_, comp_b, pl_b) in both]
-        return dict(zip(refs, self.lookup(pairs, self.ground_plane_z, executor), strict=True))
+        return dict(zip(refs, self.lookup(pairs, self.ground_plane_z), strict=True))
 
     def cache_size(self) -> int:
         """Number of field simulations held in memory."""

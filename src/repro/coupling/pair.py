@@ -12,24 +12,20 @@ its single-pair view.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
 from ..components import Component
 from ..geometry import Placement2D
-from ..obs import get_tracer
 from ..peec import PackedFilaments, mutual_inductance_row
 from ..units import Dimensionless, Henries, Meters
 
 __all__ = [
     "CouplingResult",
-    "CouplingTask",
     "PlacedPair",
     "component_coupling",
     "component_couplings",
-    "evaluate_coupling_task",
     "pair_coupling_factor",
 ]
 
@@ -182,37 +178,6 @@ def component_coupling(
     return component_couplings(
         [(comp_a, placement_a, comp_b, placement_b)], ground_plane_z, order
     )[0]
-
-
-#: One deferred :func:`component_coupling` call, picklable for process fan-out.
-CouplingTask = tuple[Component, Placement2D, Component, Placement2D, "Meters | None", int]
-
-
-def evaluate_coupling_task(task: CouplingTask) -> CouplingResult:
-    """Run one packed field simulation — the executor's unit of work.
-
-    Module-level so :class:`repro.parallel.CouplingExecutor` can ship it to
-    worker processes by name; pure, so a serial fallback can re-run it.
-
-    Args:
-        task: ``(comp_a, placement_a, comp_b, placement_b, ground_plane_z,
-            order)`` exactly as :func:`component_coupling` takes them
-            (positions [m], rotations [rad], plane height [m] or ``None``,
-            quadrature order dimensionless).
-
-    Each call observes its own wall time into the
-    ``coupling.pair_seconds`` histogram; inside pool workers the chunk
-    tracer records it and the buckets merge back into the parent.  (A
-    serial batch observes its amortised per-pair time instead, see
-    :func:`repro.coupling.database.solve_couplings`.)
-    """
-    comp_a, placement_a, comp_b, placement_b, ground_plane_z, order = task
-    t0 = time.perf_counter()
-    result = component_coupling(
-        comp_a, placement_a, comp_b, placement_b, ground_plane_z, order
-    )
-    get_tracer().observe("coupling.pair_seconds", time.perf_counter() - t0)
-    return result
 
 
 def pair_coupling_factor(

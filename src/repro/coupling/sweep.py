@@ -10,13 +10,11 @@ else fixed:
 * :func:`angular_position_sweep` — a victim orbiting a source at fixed
   radius (Fig. 8's preferred positions around CM chokes).
 
-Every sweep accepts two optional accelerators (see docs/PERFORMANCE.md):
-an ``executor`` fans the per-point field simulations out over worker
-processes, and a ``database`` answers points from its cache tiers first
-and stores fresh solves for the next run.  The sweep's own
-``ground_plane_z`` applies in both cases; the database only caches.
-Without a database every point is solved, and the result does not depend
-on the executor.
+Every sweep accepts an optional ``database`` (see docs/PERFORMANCE.md)
+that answers points from its cache tiers first and stores fresh solves
+for the next run.  The sweep's own ``ground_plane_z`` applies either way;
+the database only caches.  Without a database every point is solved, as
+one array batch.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import numpy as np
 from ..components import Component
 from ..geometry import Placement2D, Vec2
 from ..obs import get_tracer
-from ..parallel import CouplingExecutor
 from ..units import Degrees, Meters
 from .database import CouplingDatabase, solve_couplings
 
@@ -88,21 +85,19 @@ def _signed_couplings(
     comp_b: Component,
     placements_b: list[Placement2D],
     ground_plane_z: Meters | None,
-    executor: CouplingExecutor | None,
     database: CouplingDatabase | None,
 ) -> np.ndarray:
-    """Signed k for component B at each placement, accelerated if asked.
+    """Signed k for component B at each placement, cached if asked.
 
     The single evaluation engine behind all three sweeps: every point
     goes through ``database.lookup`` when a database is given, and is
-    solved directly otherwise (via ``executor`` when parallel); results
-    come back in placement order.
+    solved directly otherwise; results come back in placement order.
     """
     pairs = [(comp_a, place_a, comp_b, place_b) for place_b in placements_b]
     if database is not None:
-        results = database.lookup(pairs, ground_plane_z, executor)
+        results = database.lookup(pairs, ground_plane_z)
     else:
-        results = solve_couplings(pairs, ground_plane_z, _SWEEP_ORDER, executor)
+        results = solve_couplings(pairs, ground_plane_z, _SWEEP_ORDER)
     return np.array([r.k for r in results])
 
 
@@ -114,7 +109,6 @@ def distance_sweep(
     rotation_b_deg: Degrees = 0.0,
     direction_deg: Degrees = 0.0,
     ground_plane_z: Meters | None = None,
-    executor: CouplingExecutor | None = None,
     database: CouplingDatabase | None = None,
 ) -> np.ndarray:
     """|k| versus centre-to-centre distance.
@@ -129,7 +123,6 @@ def distance_sweep(
         rotation_a_deg, rotation_b_deg: fixed component rotations [deg].
         direction_deg: bearing of B from A [deg].
         ground_plane_z: optional shielding plane height [m].
-        executor: optional process fan-out for the field simulations.
         database: optional cache tiers consulted/filled per point.
 
     Returns:
@@ -147,7 +140,7 @@ def distance_sweep(
         ]
         out = np.abs(
             _signed_couplings(
-                comp_a, place_a, comp_b, placements_b, ground_plane_z, executor, database
+                comp_a, place_a, comp_b, placements_b, ground_plane_z, database
             )
         )
     return out
@@ -160,7 +153,6 @@ def rotation_sweep(
     angles_deg: np.ndarray,
     rotation_a_deg: Degrees = 0.0,
     ground_plane_z: Meters | None = None,
-    executor: CouplingExecutor | None = None,
     database: CouplingDatabase | None = None,
 ) -> np.ndarray:
     """Signed k versus the rotation of component B at a fixed distance.
@@ -175,7 +167,6 @@ def rotation_sweep(
         angles_deg: rotations of B to evaluate [deg], finite.
         rotation_a_deg: fixed rotation of A [deg].
         ground_plane_z: optional shielding plane height [m].
-        executor: optional process fan-out for the field simulations.
         database: optional cache tiers consulted/filled per point.
     """
     dist = _validated_scalar(distance, "distance")
@@ -186,7 +177,7 @@ def rotation_sweep(
         place_a = Placement2D.at(0.0, 0.0, rotation_a_deg)
         placements_b = [Placement2D.at(dist, 0.0, float(ang)) for ang in angles]
         out = _signed_couplings(
-            comp_a, place_a, comp_b, placements_b, ground_plane_z, executor, database
+            comp_a, place_a, comp_b, placements_b, ground_plane_z, database
         )
     return out
 
@@ -199,7 +190,6 @@ def angular_position_sweep(
     victim_faces_source: bool = True,
     victim_rotation_deg: Degrees = 0.0,
     ground_plane_z: Meters | None = None,
-    executor: CouplingExecutor | None = None,
     database: CouplingDatabase | None = None,
 ) -> np.ndarray:
     """|k| versus the victim's angular position around a fixed source.
@@ -221,7 +211,6 @@ def angular_position_sweep(
         victim_faces_source: tie the victim rotation to the orbit angle.
         victim_rotation_deg: fixed victim rotation [deg] when not facing.
         ground_plane_z: optional shielding plane height [m].
-        executor: optional process fan-out for the field simulations.
         database: optional cache tiers consulted/filled per point.
     """
     r = _validated_scalar(radius, "radius")
@@ -237,7 +226,7 @@ def angular_position_sweep(
             placements_vic.append(Placement2D(pos, np.deg2rad(rot)))
         out = np.abs(
             _signed_couplings(
-                source, place_src, victim, placements_vic, ground_plane_z, executor, database
+                source, place_src, victim, placements_vic, ground_plane_z, database
             )
         )
     return out

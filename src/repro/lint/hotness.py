@@ -34,8 +34,8 @@ promotes it:
   module hot (``coupling.sweep.distance`` -> ``repro/coupling/sweep.py``);
 * a span name whose first segment matches the module's package or stem
   marks a *function* hot when a remaining segment's underscore tokens
-  are contained in the function name's tokens (``parallel.worker`` ->
-  ``_worker_loop``; ``coupling.field_solve`` -> ``_field_solve``).
+  are contained in the function name's tokens (``placement.run`` ->
+  ``AutoPlacer.run``; ``coupling.field_solve`` -> ``_field_solve``).
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def _covers_function(
     module: tuple[str, ...],
     function_tokens: set[str],
 ) -> bool:
-    """Span ``parallel.worker`` covers ``_worker_loop`` in ``parallel.executor``.
+    """Span ``placement.run`` covers ``AutoPlacer.run`` in ``placement.placer``.
 
     The span's first segment must name the module's package or stem; a
     remaining segment then matches when its underscore tokens are all

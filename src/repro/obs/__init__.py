@@ -26,7 +26,7 @@ Zero-dependency (stdlib-only) instrumentation for the EMI design flow:
 * :class:`ResourceSampler` — background RSS/CPU sampling folded into
   ``proc.*`` gauges;
 * :class:`Histogram` — fixed log-spaced-bucket latency distributions
-  recorded via :meth:`Tracer.observe`, merged across workers, exported
+  recorded via :meth:`Tracer.observe`, exported
   as Prometheus ``_bucket``/``_sum``/``_count`` families and
   summarized (p50/p95/p99) in tables and the flight recorder;
 * :func:`new_run_id` / :func:`is_run_id` — ULID-like run-correlation

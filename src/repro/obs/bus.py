@@ -4,8 +4,7 @@
 :class:`~repro.obs.Tracer`: the tracer *also* publishes every span
 entry/exit, counter bump and gauge write onto the bus when one is
 attached (``obs.enable(bus=...)``), and other producers — the flow's
-stage transitions, the parallel executor's worker chunk events, the
-resource sampler — publish directly.  Subscribers are plain callables
+stage transitions and the resource sampler — publish directly.  Subscribers are plain callables
 ``(TelemetryEvent) -> None``; three ship here:
 
 * :class:`JsonlSink` — append each event as one JSON line
@@ -241,7 +240,7 @@ class LiveRenderer:
 
     Maintains a compact rolling status — elapsed wall time, the current
     flow stage, the innermost open span path, total event and counter
-    throughput, worker chunk progress and the coupling-cache hit-rate —
+    throughput and the coupling-cache hit-rate —
     and repaints it (carriage-return overwrite) at most every
     ``min_interval_s``.  Stage transitions always repaint immediately
     and stick as their own lines, so the scrollback reads as a stage
@@ -268,8 +267,6 @@ class LiveRenderer:
         self._stage = ""
         self._span_path = ""
         self._counters: dict[str, float] = {}
-        self._chunks_total = 0
-        self._chunks_done = 0
         self._rss_bytes: float | None = None
         self._closed = False
 
@@ -300,11 +297,6 @@ class LiveRenderer:
         elif event.kind == "gauge":
             if event.name == "proc.rss_peak_bytes" and event.value is not None:
                 self._rss_bytes = event.value
-        elif event.kind == "log":
-            if event.name == "parallel.map_start":
-                self._chunks_total += int(event.attrs.get("chunks", 0))
-            elif event.name == "parallel.chunk_done":
-                self._chunks_done += 1
         now = time.monotonic()
         if repaint_now or now - self._last_paint >= self.min_interval_s:
             self._paint()
@@ -326,8 +318,6 @@ class LiveRenderer:
             parts.append(self._span_path)
         rate = self._events_seen / elapsed if elapsed > 0 else 0.0
         parts.append(f"ev {self._events_seen} ({rate:.0f}/s)")
-        if self._chunks_total:
-            parts.append(f"chunks {self._chunks_done}/{self._chunks_total}")
         cache = self._cache_rate()
         if cache is not None:
             parts.append(f"cache {cache * 100:.0f}%")

@@ -14,7 +14,7 @@ Event kinds (``TelemetryEvent.kind``):
 
 * ``span_open`` / ``span_close`` — one tracer span entry / exit;
   ``name`` is the span name, ``path`` the ``/``-joined open-span path
-  (``run/flow.rules/parallel.map``); ``span_close`` carries the entry's
+  (``run/flow.rules/coupling.field_solve``); ``span_close`` carries the entry's
   wall time in ``value`` [s].
 * ``counter`` — one counter increment; ``value`` is the increment
   (not the running total).
@@ -25,8 +25,8 @@ Event kinds (``TelemetryEvent.kind``):
 * ``stage`` — a flow stage transition (``check``, ``sensitivity``,
   ``rules``, ``placement``, ``prediction``, ``verification``);
   ``attrs["status"]`` is ``start`` / ``done`` / ``error``.
-* ``log`` — free-form structured messages (e.g. the parallel executor's
-  ``parallel.chunk_start`` / ``parallel.chunk_done`` worker events).
+* ``log`` — free-form structured messages (e.g. the job service's
+  ``service.job_queued`` / ``service.job_finished`` lifecycle events).
 
 The JSONL on-disk form (one :meth:`TelemetryEvent.to_dict` object per
 line, written by ``--events-out``) is validated by
@@ -70,8 +70,8 @@ class TelemetryEvent:
         value: the numeric payload — increment for ``counter``, value
             for ``gauge``, elapsed seconds for ``span_close``; ``None``
             for kinds without one.
-        attrs: free-form structured attributes (stage status, worker
-            pid, chunk index, …).  Values must be JSON-serialisable.
+        attrs: free-form structured attributes (stage status, job id,
+            …).  Values must be JSON-serialisable.
         run_id: correlation id of the run that emitted the event
             (stamped by the bus when one is set; empty otherwise).
             Joins the event stream to the run's ``RunReport.meta``,

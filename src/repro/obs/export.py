@@ -9,9 +9,7 @@ Two interchange formats for a :class:`~repro.obs.RunReport`:
   event whose duration is its accumulated wall time, with children laid
   out back-to-back from their parent's start.  Relative widths and
   nesting are faithful; individual entry timestamps are not recorded and
-  therefore not reconstructed.  ``parallel.worker`` subtrees sum CPU
-  time across processes, so they may render wider than their parent
-  span — that is real concurrency, not an exporter bug.
+  therefore not reconstructed.
 
 * :func:`to_prometheus` — Prometheus/OpenMetrics-style text exposition of
   the report's scalars (span walls and call counts, counter totals,

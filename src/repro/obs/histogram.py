@@ -4,14 +4,13 @@ A :class:`Histogram` records a *distribution* of observations (latency,
 duration, size) into fixed log-spaced buckets — the aggregate complement
 to the scalar counters/gauges in :mod:`repro.obs.tracer`.  Fixed
 boundaries are the whole design: two histograms of the same name always
-share bucket edges, so worker-process histograms merge into the parent
-by plain addition (worker-count-invariant totals, exactly like
-counters), and Prometheus exposition is a straight cumulative sum.
+share bucket edges, so runs compare bucket by bucket and Prometheus
+exposition is a straight cumulative sum.
 
 The default boundaries span 10 µs .. 100 s with three buckets per
 decade (1 / 2.5 / 5 steps), which covers every timed hot path in this
 repository — a single coupling-pair kernel (~100 µs), a cache lookup
-(~50 µs cold, ~10 µs warm), an executor chunk (~10 ms), and a full
+(~50 µs cold, ~10 µs warm), a coupling batch (~10 ms), and a full
 service job (~1 s) — with bounded memory: 22 boundaries → 23 counts.
 
 Thread-safety is by *containment*: a ``Histogram`` has no lock of its
@@ -45,8 +44,8 @@ def _default_buckets() -> tuple[float, ...]:
 
 
 #: The shared default boundaries [s].  22 upper edges; every histogram
-#: created without explicit boundaries uses exactly these, so merges
-#: across processes and runs are always well-defined.
+#: created without explicit boundaries uses exactly these, so histograms
+#: of different runs always share bucket edges.
 DEFAULT_BUCKETS: tuple[float, ...] = _default_buckets()
 
 
@@ -61,7 +60,7 @@ def bucket_label(upper: float) -> str:
 
 
 class Histogram:
-    """Fixed-boundary histogram with sum/count and mergeable buckets.
+    """Fixed-boundary histogram with sum/count.
 
     Attributes:
         name: metric name (dotted, e.g. ``"service.job_latency_seconds"``).
@@ -98,22 +97,6 @@ class Histogram:
         self.counts[bisect_left(self.boundaries, value)] += 1
         self.total += value
         self.count += 1
-
-    def merge(self, other: "Histogram") -> None:
-        """Accumulate another histogram's buckets into this one.
-
-        Raises:
-            ValueError: when the boundaries differ (merging histograms
-                with different edges has no well-defined result).
-        """
-        if other.boundaries != self.boundaries:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r}: boundary mismatch"
-            )
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.total += other.total
-        self.count += other.count
 
     def cumulative(self) -> list[tuple[str, int]]:
         """Cumulative ``(le_label, count)`` pairs ending with ``+Inf``.

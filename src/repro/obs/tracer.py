@@ -129,21 +129,6 @@ class Span:
                 return node
         return None
 
-    def merge(self, other: "Span") -> None:
-        """Accumulate another subtree into this one (names aside).
-
-        Wall time, call counts and counters add; children merge
-        recursively by name.  ``other.name`` is deliberately ignored so a
-        worker tracer's synthetic ``run`` root can fold into a
-        differently-named node (``parallel.worker``).
-        """
-        self.wall_s += other.wall_s
-        self.count += other.count
-        for key, value in other.counters.items():
-            self.counters[key] = self.counters.get(key, 0.0) + value
-        for name, node in other.children.items():
-            self.child(name).merge(node)
-
     def total_counters(self) -> dict[str, float]:
         """Counter totals aggregated over the whole subtree."""
         totals: dict[str, float] = {}
@@ -428,8 +413,7 @@ class Tracer:
         """Record one observation into the named histogram (thread-safe).
 
         The histogram is created on first use with the shared default
-        log-spaced bucket boundaries, so observations of the same name
-        from workers and the parent always merge cleanly.
+        log-spaced bucket boundaries.
         """
         value = float(value)
         with self._lock:
@@ -451,38 +435,6 @@ class Tracer:
     def elapsed_s(self) -> float:
         """Wall time since the tracer was created [s]."""
         return time.perf_counter() - self._t0
-
-    def absorb_worker(
-        self, data: dict[str, Any], under: str = "parallel.worker"
-    ) -> None:
-        """Merge a worker tracer's serialised state into the open span.
-
-        ``data`` is the payload a pool worker ships back with its chunk
-        result: ``{"spans": Span.to_dict(), "gauges": {...}}``.  The
-        worker's span subtree accumulates under an ``under`` child of the
-        innermost open span (so pool work appears below ``parallel.map``),
-        and worker gauges land as ``<under>.<name>`` (last write wins).
-
-        Because worker wall time is summed across processes, the merged
-        node's ``wall_s`` is *CPU-busy* time and may legitimately exceed
-        its parent's wall-clock span.
-        """
-        spans = data.get("spans")
-        if spans is not None:
-            self._stack[-1].child(under).merge(Span.from_dict(spans))
-        with self._lock:
-            for name, value in data.get("gauges", {}).items():
-                self.gauges[f"{under}.{name}"] = float(value)
-            # Histograms merge by *plain* name (like counters, unlike
-            # gauges): bucket counts add, so totals are invariant to how
-            # many workers the observations were spread across.
-            for name, payload in data.get("histograms", {}).items():
-                incoming = Histogram.from_dict(name, payload)
-                mine = self.histograms.get(name)
-                if mine is None:
-                    self.histograms[name] = incoming
-                else:
-                    mine.merge(incoming)
 
     def stop_mem_trace(self) -> None:
         """Stop :mod:`tracemalloc` if this tracer was the one to start it."""
@@ -547,11 +499,6 @@ class NullTracer:
     def elapsed_s(self) -> float:
         """Always 0.0 (the null tracer keeps no clock)."""
         return 0.0
-
-    def absorb_worker(
-        self, data: dict[str, Any], under: str = "parallel.worker"
-    ) -> None:
-        """Discard the worker payload."""
 
     def stop_mem_trace(self) -> None:
         """No memory tracing to stop."""

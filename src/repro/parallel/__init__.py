@@ -1,11 +1,9 @@
-"""Execution layer for the coupling hot path: fan-out and persistence.
+"""Persistence layer for the coupling hot path.
 
 The paper's workflow pays for many pairwise field simulations (the
 Figs. 5–8 sweeps, the auto-placement verifications); this package makes
-each one cheap to repeat and cheap to scale:
+each one cheap to repeat across runs:
 
-* :class:`CouplingExecutor` — chunked process-pool map with deterministic
-  result ordering and a graceful serial fallback;
 * :class:`PersistentCouplingCache` — on-disk, content-hash-keyed store of
   field-simulation results with versioned invalidation;
 * :mod:`~repro.parallel.fingerprint` — :func:`pair_key`, the one
@@ -17,7 +15,6 @@ Wiring into the flow is documented in ``docs/PERFORMANCE.md``.
 """
 
 from .cache import PersistentCouplingCache, default_cache_dir
-from .executor import CouplingExecutor
 from .fingerprint import (
     CACHE_SCHEMA_VERSION,
     PairKey,
@@ -29,7 +26,6 @@ from .fingerprint import (
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
-    "CouplingExecutor",
     "PairKey",
     "PersistentCouplingCache",
     "component_fingerprint",

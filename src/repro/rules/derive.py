@@ -19,7 +19,6 @@ import numpy as np
 from ..components import Component
 from ..coupling import CouplingDatabase, distance_sweep, fit_power_law
 from ..coupling.fit import PowerLawFit
-from ..parallel import CouplingExecutor
 from ..sensitivity import SensitivityEntry
 from ..units import Dimensionless, Meters
 from .rule_types import MinDistanceRule
@@ -83,7 +82,6 @@ def derive_pemd(
     n_points: int = 7,
     max_distance: Meters = 0.12,
     ground_plane_z: Meters | None = None,
-    executor: CouplingExecutor | None = None,
     database: CouplingDatabase | None = None,
 ) -> PemdDerivation:
     """Sweep, fit and invert the coupling law for one component pair.
@@ -100,7 +98,6 @@ def derive_pemd(
         n_points: sweep points between contact and ``max_distance``.
         max_distance: outer end of the distance sweep [m].
         ground_plane_z: optional shielding plane height [m].
-        executor: optional process fan-out for the sweep field solves.
         database: optional coupling cache tiers shared across derivations.
 
     Raises:
@@ -132,7 +129,6 @@ def derive_pemd(
         rotation_b_deg=rotation_b,
         direction_deg=direction,
         ground_plane_z=ground_plane_z,
-        executor=executor,
         database=database,
     )
     fit = fit_power_law(distances, couplings)
@@ -154,7 +150,6 @@ def derive_pemd(
         rotation_b_deg=rotation_b + 90.0,
         direction_deg=direction + 45.0,
         ground_plane_z=ground_plane_z,
-        executor=executor,
         database=database,
     )
     if np.max(np.abs(couplings_perp)) > k_threshold / 10.0:
@@ -180,7 +175,6 @@ def derive_rule_set(
     k_threshold_db_map: Dimensionless = 0.01,
     ground_plane_z: Meters | None = None,
     cache: dict[tuple[str, str], PemdDerivation] | None = None,
-    executor: CouplingExecutor | None = None,
     database: CouplingDatabase | None = None,
 ) -> list[MinDistanceRule]:
     """PEMD rules for every sensitivity-relevant component pair.
@@ -197,7 +191,6 @@ def derive_rule_set(
         cache: optional per-*part-number*-pair derivation cache — the paper
             notes values must be recalculated per component combination,
             but identical part pairs share one curve.
-        executor: optional process fan-out for the sweep field solves.
         database: optional coupling cache tiers shared across derivations
             (a persistent tier makes repeat runs near-free).
 
@@ -224,7 +217,6 @@ def derive_rule_set(
                 comp_b,
                 k_threshold_db_map,
                 ground_plane_z=ground_plane_z,
-                executor=executor,
                 database=database,
             )
             cache[type_key] = derivation
@@ -236,15 +228,13 @@ def pemd_table(
     components: list[Component],
     k_threshold: Dimensionless,
     ground_plane_z: Meters | None = None,
-    executor: CouplingExecutor | None = None,
     database: CouplingDatabase | None = None,
 ) -> dict[tuple[str, str], Meters]:
     """All-pairs PEMD matrix over a component *type* list, in metres.
 
     Handy for reports: the upper triangle of the paper's n(n-1)/2 distance
-    system, computed once per type pair.  ``executor`` fans the sweep
-    points of each derivation out over worker processes; ``database``
-    shares coupling cache tiers across derivations.
+    system, computed once per type pair.  ``database`` shares coupling
+    cache tiers across derivations.
     """
     table: dict[tuple[str, str], float] = {}
     for i in range(len(components)):
@@ -256,7 +246,6 @@ def pemd_table(
                 b,
                 k_threshold,
                 ground_plane_z=ground_plane_z,
-                executor=executor,
                 database=database,
             )
             key = tuple(sorted((a.part_number, b.part_number)))

@@ -26,8 +26,7 @@ Payload shape (``POST /jobs``, full reference in ``docs/SERVICE.md``)::
 
     {"design": {"kind": "buck", "params": {...}},   # flow job, or
      "board": "BOARD 70 50\\n...",                   # board job
-     "options": {"workers": 1, "k_threshold": 0.01,
-                 "sensitivity_threshold_db": 3.0,
+     "options": {"k_threshold": 0.01, "sensitivity_threshold_db": 3.0,
                  "precheck": true, "timeout_s": 300}}
 
 Job ids are content-addressed: ``j<seq>-<sha256(payload)[:12]>`` — the
@@ -109,7 +108,6 @@ DESIGN_PARAM_KEYS = frozenset(
     }
 )
 
-_MAX_WORKERS = 8
 _MAX_TIMEOUT_S = 3600.0
 _MAX_BOARD_BYTES = 1 << 20
 
@@ -128,7 +126,6 @@ def _utc_now() -> str:
 class JobOptions:
     """Validated flow options of one job (defaults match the CLI)."""
 
-    workers: int = 1
     k_threshold: float = 0.01
     sensitivity_threshold_db: float = 3.0
     precheck: bool = True
@@ -137,7 +134,6 @@ class JobOptions:
     def to_dict(self) -> dict[str, Any]:
         """The snapshot/echo form (stable key set)."""
         return {
-            "workers": self.workers,
             "k_threshold": self.k_threshold,
             "sensitivity_threshold_db": self.sensitivity_threshold_db,
             "precheck": self.precheck,
@@ -195,24 +191,13 @@ def _number(value: Any, where: str) -> float:
 
 def _parse_options(data: dict[str, Any], default_timeout_s: float) -> JobOptions:
     raw = _require_mapping(data.get("options", {}), "options")
-    known = {
-        "workers",
-        "k_threshold",
-        "sensitivity_threshold_db",
-        "precheck",
-        "timeout_s",
-    }
+    known = {"k_threshold", "sensitivity_threshold_db", "precheck", "timeout_s"}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise PayloadError(
             f"unknown options key(s): {', '.join(unknown)} "
             f"(known: {', '.join(sorted(known))})"
         )
-    workers = raw.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise PayloadError("options.workers must be an integer")
-    if not 1 <= workers <= _MAX_WORKERS:
-        raise PayloadError(f"options.workers must be in [1, {_MAX_WORKERS}]")
     k_threshold = _number(raw.get("k_threshold", 0.01), "options.k_threshold")
     if not 0.0 < k_threshold <= 1.0:
         raise PayloadError("options.k_threshold must be in (0, 1]")
@@ -227,7 +212,6 @@ def _parse_options(data: dict[str, Any], default_timeout_s: float) -> JobOptions
     if not 0.0 < timeout_s <= _MAX_TIMEOUT_S:
         raise PayloadError(f"options.timeout_s must be in (0, {_MAX_TIMEOUT_S:g}]")
     return JobOptions(
-        workers=workers,
         k_threshold=k_threshold,
         sensitivity_threshold_db=sens,
         precheck=precheck,

@@ -173,62 +173,58 @@ class JobRunner:
             job.request.build_design(),
             k_threshold=options.k_threshold,
             sensitivity_threshold_db=options.sensitivity_threshold_db,
-            workers=options.workers,
             cache_dir=self.config.cache_dir,
         )
-        try:
-            if options.precheck:
-                self._checkpoint(job, "check")
-                self._write_check_report(job, flow.run_precheck())
-            self._checkpoint(job, "sensitivity")
-            flow.run_sensitivity()
-            self._checkpoint(job, "rules")
-            rules = flow.derive_rules()
-            self._checkpoint(job, "placement")
-            baseline_problem, _ = flow.place_baseline()
-            optimized_problem, _ = flow.place_optimized()
-            self._checkpoint(job, "verification")
-            evaluations = {
-                "baseline": flow.evaluate("baseline", baseline_problem),
-                "optimized": flow.evaluate("optimized", optimized_problem),
-            }
-            stats = flow.coupling_stats
-            self.metrics.inc("service.cache_hits", stats.hits)
-            self.metrics.inc("service.cache_misses", stats.misses)
-            tracer.gauge("service.cache_hits", float(stats.hits))
-            tracer.gauge("service.cache_misses", float(stats.misses))
+        if options.precheck:
+            self._checkpoint(job, "check")
+            self._write_check_report(job, flow.run_precheck())
+        self._checkpoint(job, "sensitivity")
+        flow.run_sensitivity()
+        self._checkpoint(job, "rules")
+        rules = flow.derive_rules()
+        self._checkpoint(job, "placement")
+        baseline_problem, _ = flow.place_baseline()
+        optimized_problem, _ = flow.place_optimized()
+        self._checkpoint(job, "verification")
+        evaluations = {
+            "baseline": flow.evaluate("baseline", baseline_problem),
+            "optimized": flow.evaluate("optimized", optimized_problem),
+        }
+        stats = flow.coupling_stats
+        self.metrics.inc("service.cache_hits", stats.hits)
+        self.metrics.inc("service.cache_misses", stats.misses)
+        tracer.gauge("service.cache_hits", float(stats.hits))
+        tracer.gauge("service.cache_misses", float(stats.misses))
 
-            for name, evaluation in evaluations.items():
-                (job.artifacts_dir / f"{name}.svg").write_text(
-                    render_board_svg(evaluation.problem, title=name)
-                )
-            (job.artifacts_dir / "spectra.csv").write_text(
-                spectrum_to_csv({n: e.spectrum for n, e in evaluations.items()})
+        for name, evaluation in evaluations.items():
+            (job.artifacts_dir / f"{name}.svg").write_text(
+                render_board_svg(evaluation.problem, title=name)
             )
-            (job.artifacts_dir / "report.md").write_text(
-                flow_report(flow, evaluations)
-            )
-            result = {
-                "rules_derived": len(rules),
-                "relevant_pairs": len(flow.relevant_pairs()),
-                "cache": {
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "persistent_hits": stats.persistent_hits,
-                },
-                "layouts": {
-                    name: {
-                        "violations": evaluation.violations,
-                        "worst_margin_db": evaluation.worst_margin_db,
-                        "passes_limits": evaluation.passes_limits(),
-                    }
-                    for name, evaluation in evaluations.items()
-                },
-            }
-            self._write_json(job, "result.json", result)
-            return result
-        finally:
-            flow.close()
+        (job.artifacts_dir / "spectra.csv").write_text(
+            spectrum_to_csv({n: e.spectrum for n, e in evaluations.items()})
+        )
+        (job.artifacts_dir / "report.md").write_text(
+            flow_report(flow, evaluations)
+        )
+        result = {
+            "rules_derived": len(rules),
+            "relevant_pairs": len(flow.relevant_pairs()),
+            "cache": {
+                "hits": stats.hits,
+                "misses": stats.misses,
+                "persistent_hits": stats.persistent_hits,
+            },
+            "layouts": {
+                name: {
+                    "violations": evaluation.violations,
+                    "worst_margin_db": evaluation.worst_margin_db,
+                    "passes_limits": evaluation.passes_limits(),
+                }
+                for name, evaluation in evaluations.items()
+            },
+        }
+        self._write_json(job, "result.json", result)
+        return result
 
     # -- board jobs --------------------------------------------------------
 

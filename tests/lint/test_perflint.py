@@ -346,9 +346,9 @@ class TestHotnessModel:
         assert not model.is_hot("repro/coupling/sweep.py", "distance_sweep")
 
     def test_function_token_mapping(self):
-        model = HotnessModel(shares={"parallel.worker": 0.5})
-        assert model.is_hot("repro/parallel/executor.py", "_worker_loop")
-        assert not model.is_hot("repro/parallel/executor.py", "CouplingExecutor.map")
+        model = HotnessModel(shares={"placement.run": 0.5})
+        assert model.is_hot("repro/placement/placer.py", "AutoPlacer.run")
+        assert not model.is_hot("repro/placement/placer.py", "AutoPlacer._place_one")
         assert not model.is_hot("repro/viz/svg.py", "render_board_svg")
 
     def test_from_history_aggregates_shares(self, tmp_path):

@@ -119,10 +119,7 @@ class TestPerformanceFlags:
         return src
 
     def test_rules_parser_accepts_perf_flags(self):
-        args = build_parser().parse_args(
-            ["rules", "board.txt", "--workers", "4", "--no-cache"]
-        )
-        assert args.workers == 4
+        args = build_parser().parse_args(["rules", "board.txt", "--no-cache"])
         assert args.no_cache is True
         assert args.cache_dir is None
 
@@ -148,22 +145,6 @@ class TestPerformanceFlags:
         assert main(argv) == 0
         capsys.readouterr()
         assert not cache_dir.exists()
-
-    def test_rules_parallel_matches_serial(self, tmp_path, capsys):
-        src = self._bare_file(tmp_path)
-        assert main(["rules", str(src), "--max-pairs", "2", "--no-cache"]) == 0
-        serial = capsys.readouterr().out
-        assert (
-            main(
-                ["rules", str(src), "--max-pairs", "2", "--no-cache",
-                 "--workers", "2"]
-            )
-            == 0
-        )
-        parallel = capsys.readouterr().out
-        # The printed PEMD lines carry the derived values; they must agree.
-        pemd = [line for line in serial.splitlines() if "PEMD" in line]
-        assert pemd == [line for line in parallel.splitlines() if "PEMD" in line]
 
 
 class TestCompactCommand:

@@ -31,41 +31,6 @@ class TestSensitivityStage:
         assert any("CX1.ESL" in (e.inductor_a, e.inductor_b) for e in top5)
 
 
-    def test_parallel_flow_ranks_in_process(self, monkeypatch):
-        import concurrent.futures
-
-        import repro.core.flow as flow_mod
-        from repro import obs
-        from repro.converters import BuckConverterDesign
-        from repro.core import EmiDesignFlow
-
-        subset = dict(list(flow_mod.COUPLING_BRANCHES.items())[:4])
-        monkeypatch.setattr(flow_mod, "COUPLING_BRANCHES", subset)
-        pools = []
-        real_pool = concurrent.futures.ProcessPoolExecutor
-
-        def counting_pool(*args, **kwargs):
-            pools.append(kwargs)
-            return real_pool(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
-        flow = EmiDesignFlow(BuckConverterDesign(), workers=2)
-        monkeypatch.setattr(
-            flow, "sensitivity_frequencies", lambda: np.array([150e3, 2e6, 30e6])
-        )
-        tracer = obs.enable(meta={"test": "parallel-sensitivity"})
-        try:
-            entries = flow.run_sensitivity()
-        finally:
-            obs.disable()
-            flow.close()
-        assert len(entries) == 6
-        assert tracer.report().totals().get("parallel.fallbacks", 0) == 0
-        # The probes never touch the coupling executor: no pool is started.
-        assert pools == []
-        assert flow._executor is None
-
-
 class TestRuleStage:
     def test_rules_cover_relevant_pairs(self, design_flow):
         rules = design_flow.derive_rules()

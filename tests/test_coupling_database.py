@@ -4,7 +4,9 @@ import pytest
 
 from repro.components import CeramicCapacitor, FilmCapacitorX2
 from repro.coupling import CouplingDatabase, pair_coupling_factor
+from repro.coupling.database import solve_couplings
 from repro.geometry import Placement2D
+from repro.obs import Tracer, set_tracer
 
 
 class TestCaching:
@@ -133,3 +135,41 @@ class TestResultValidation:
         )
         assert abs(res.k) <= 1.0
         assert db.cache_size() == 1
+
+
+class TestPairSecondsHistogram:
+    """``coupling.pair_seconds``: one sample per solved pair, summing to the batch."""
+
+    def _pairs(self, n: int):
+        cap = FilmCapacitorX2()
+        origin = Placement2D.at(0, 0)
+        return [
+            (cap, origin, FilmCapacitorX2(), Placement2D.at(0.03 + 0.005 * i, 0.002 * i, 15 * i))
+            for i in range(n)
+        ]
+
+    def _traced(self, fn):
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            fn()
+        finally:
+            set_tracer(previous)
+        return tracer
+
+    def test_one_sample_per_pair_summing_to_the_field_solve_span(self):
+        pairs = self._pairs(5)
+        tracer = self._traced(lambda: solve_couplings(pairs, None, 8))
+        hist = tracer.histograms["coupling.pair_seconds"]
+        span = tracer.root.find("coupling.field_solve")
+        assert span is not None and span.count == 1
+        assert hist.count == len(pairs)
+        assert hist.total == pytest.approx(span.wall_s, rel=1e-12)
+
+    def test_cache_hits_add_no_samples(self):
+        db = CouplingDatabase()
+        pairs = self._pairs(4)
+        tracer = self._traced(lambda: (db.lookup(pairs, None), db.lookup(pairs, None)))
+        assert db.hits == len(pairs)
+        assert tracer.histograms["coupling.pair_seconds"].count == len(pairs)
+        assert tracer.root.find("coupling.field_solve").count == 1

@@ -19,16 +19,11 @@ import numpy as np
 import pytest
 
 from repro.components import default_library
-from repro.coupling import (
-    CouplingDatabase,
-    CouplingResult,
-    component_coupling,
-    distance_sweep,
-)
+from repro.coupling import CouplingDatabase, CouplingResult, component_coupling
 from repro.coupling.database import _validated
 from repro.geometry import Placement2D, Vec2
 from repro.obs import Tracer, set_tracer
-from repro.parallel import CouplingExecutor, pair_key
+from repro.parallel import pair_key
 from repro.peec.filament import (
     _gauss_legendre_01,
     _neumann_integral,
@@ -236,23 +231,3 @@ def test_single_pair_view_equals_the_per_pair_path(plane_z):
         result = component_coupling(comp_a, pl_a, comp_b, pl_b, plane_z)
         m, la, lb, k = old_coupling(comp_a, pl_a, comp_b, pl_b, plane_z, counts)
         assert (result.mutual_h, result.self_a_h, result.self_b_h, result.k) == (m, la, lb, k)
-
-
-def test_worker_tasks_equal_the_serial_batch():
-    with CouplingExecutor(workers=2) as executor:
-        for board, plane_z in (("fixed", None), ("seed1", PLANE_Z), ("seed4", None)):
-            placed = BOARDS[board]
-            serial = CouplingDatabase(ground_plane_z=plane_z)
-            parallel = CouplingDatabase(ground_plane_z=plane_z)
-            assert parallel.pairwise_couplings(placed, executor) == (
-                serial.pairwise_couplings(placed)
-            ), board
-            assert parallel._cache == serial._cache, board
-
-        bobbin, choke = LIBRARY.create("BOBBIN-100u"), LIBRARY.create("CMC-3W")
-        distances = np.linspace(0.02, 0.06, 9)
-        for plane_z in (None, PLANE_Z):
-            assert np.array_equal(
-                distance_sweep(bobbin, choke, distances, ground_plane_z=plane_z, executor=executor),
-                distance_sweep(bobbin, choke, distances, ground_plane_z=plane_z),
-            )

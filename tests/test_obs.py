@@ -72,6 +72,16 @@ class TestSpanTree:
         assert tracer.root.find("needle") is tracer.root.children["a"].children["needle"]
         assert tracer.root.find("missing") is None
 
+    def test_walk_paths_unique(self):
+        tracer = Tracer()
+        with tracer.span("a"), tracer.span("x"):
+            pass
+        with tracer.span("b"), tracer.span("x"):
+            pass
+        paths = ["/".join(p) for p, _ in tracer.root.walk_paths()]
+        assert len(paths) == len(set(paths))
+        assert "run/a/x" in paths and "run/b/x" in paths
+
 
 class TestCounters:
     def test_counts_attach_to_innermost_span(self):
@@ -234,71 +244,6 @@ class TestSpanSerialization:
         clone = Span.from_dict(span.to_dict())
         assert clone.to_dict() == span.to_dict()
         assert clone.children["leaf"].counters == {"n": 7}
-
-
-class TestSpanMerge:
-    def test_merge_accumulates_and_recurses(self):
-        a = Tracer()
-        with a.span("stage"):
-            a.count("items", 5)
-            with a.span("inner"):
-                pass
-        b = Tracer()
-        with b.span("stage"):
-            b.count("items", 7)
-        with b.span("other"):
-            pass
-        target = a.root
-        target.merge(b.root)
-        assert target.count == 2  # both roots
-        stage = target.children["stage"]
-        assert stage.count == 2
-        assert stage.counters["items"] == 12
-        assert set(target.children) == {"stage", "other"}
-        assert stage.children["inner"].count == 1
-
-    def test_merge_ignores_other_name(self):
-        worker_root = Span("run")
-        worker_root.count = 1
-        worker_root.wall_s = 0.5
-        node = Span("parallel.worker")
-        node.merge(worker_root)
-        assert node.name == "parallel.worker"
-        assert node.wall_s == 0.5
-
-    def test_walk_paths_unique(self):
-        tracer = Tracer()
-        with tracer.span("a"), tracer.span("x"):
-            pass
-        with tracer.span("b"), tracer.span("x"):
-            pass
-        paths = ["/".join(p) for p, _ in tracer.root.walk_paths()]
-        assert len(paths) == len(set(paths))
-        assert "run/a/x" in paths and "run/b/x" in paths
-
-
-class TestAbsorbWorker:
-    def test_absorbs_under_open_span(self):
-        worker = Tracer()
-        with worker.span("peec.solve"):
-            worker.count("peec.filament_pairs", 42)
-        worker.gauge("scratch", 3.0)
-        worker.root.wall_s = 0.25
-        payload = {"spans": worker.root.to_dict(), "gauges": dict(worker.gauges)}
-
-        parent = Tracer()
-        with parent.span("parallel.map"):
-            parent.absorb_worker(payload)
-            parent.absorb_worker(payload)
-        node = parent.root.children["parallel.map"].children["parallel.worker"]
-        assert node.count == 2
-        assert node.wall_s == 0.5
-        assert node.children["peec.solve"].counters["peec.filament_pairs"] == 84
-        assert parent.gauges["parallel.worker.scratch"] == 3.0
-
-    def test_null_tracer_discards(self):
-        NULL_TRACER.absorb_worker({"spans": {"name": "run"}})
-        NULL_TRACER.stop_mem_trace()
 
 
 class TestMemTrace:

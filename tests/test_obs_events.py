@@ -296,23 +296,6 @@ class TestLiveRenderer:
         assert "rules" in out
         assert "run/flow.rules" in out
 
-    def test_chunk_progress(self):
-        renderer, stream = self._renderer()
-        renderer(
-            TelemetryEvent(
-                seq=1, ts=0.0, kind="log", name="parallel.map_start",
-                attrs={"chunks": 4, "tasks": 16},
-            )
-        )
-        for i in range(2, 4):
-            renderer(
-                TelemetryEvent(
-                    seq=i, ts=0.0, kind="log", name="parallel.chunk_done",
-                    attrs={"chunk": i},
-                )
-            )
-        assert "chunks 2/4" in stream.getvalue()
-
     def test_cache_rate_and_rss(self):
         renderer, stream = self._renderer()
         renderer(

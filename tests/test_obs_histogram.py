@@ -69,27 +69,6 @@ class TestValidation:
             Histogram("t", boundaries=(1.0, 1.0, 2.0))
 
 
-class TestMerge:
-    def test_merge_adds_buckets_sum_count(self):
-        a, b = Histogram("t"), Histogram("t")
-        a.observe(0.001)
-        b.observe(0.001)
-        b.observe(50.0)
-        a.merge(b)
-        assert a.count == 3
-        assert a.total == pytest.approx(50.002)
-        both = Histogram("t")
-        for v in (0.001, 0.001, 50.0):
-            both.observe(v)
-        assert a.counts == both.counts
-
-    def test_merge_rejects_boundary_mismatch(self):
-        a = Histogram("t", boundaries=(1.0, 2.0))
-        b = Histogram("t", boundaries=(1.0, 3.0))
-        with pytest.raises(ValueError, match="boundary mismatch"):
-            a.merge(b)
-
-
 class TestPercentile:
     def test_empty_is_zero(self):
         assert Histogram("t").percentile(0.5) == 0.0

@@ -2,9 +2,8 @@
 
 Covers the tracer-to-bus emission contract, the threading contract
 (single-threaded span stack, lock-protected counters/gauges), the
-resource sampler, worker chunk events from the parallel executor, and
-the null-tracer guarantee that none of the machinery runs when tracing
-is off.
+resource sampler, and the null-tracer guarantee that none of the
+machinery runs when tracing is off.
 """
 
 import threading
@@ -22,7 +21,6 @@ from repro.obs import (
     enable,
 )
 from repro.obs.sampler import ResourceSampler, rss_bytes
-from repro.parallel import CouplingExecutor
 
 
 @pytest.fixture(autouse=True)
@@ -280,54 +278,3 @@ class TestFlowStageEvents:
             ("check", "start"),
             ("check", "done"),
         ]
-
-
-def _square(x):
-    return x * x
-
-
-class TestExecutorChunkEvents:
-    def test_chunk_events_published_with_bus(self):
-        bus, ring = _ring_bus()
-        enable(bus=bus)
-        try:
-            with CouplingExecutor(workers=2, chunk_size=5) as ex:
-                result = ex.map(_square, range(20))
-        finally:
-            disable()
-        assert result == [x * x for x in range(20)]
-        logs = [e for e in ring.drain() if e.kind == "log"]
-        starts = [e for e in logs if e.name == "parallel.chunk_start"]
-        dones = [e for e in logs if e.name == "parallel.chunk_done"]
-        map_starts = [e for e in logs if e.name == "parallel.map_start"]
-        assert len(map_starts) == 1
-        assert map_starts[0].attrs == {"chunks": 4, "tasks": 20}
-        # Every chunk marked on both sides, no losses.
-        assert len(starts) == 4
-        assert len(dones) == 4
-        assert sorted(e.attrs["chunk"] for e in dones) == [0, 1, 2, 3]
-        for event in starts + dones:
-            assert event.attrs["items"] == 5
-            assert event.attrs["pid"] > 0
-            assert event.attrs["worker_ts"] > 0
-
-    def test_no_bus_means_no_log_events(self):
-        bus, ring = _ring_bus()
-        enable()  # traced but bus-less
-        try:
-            with CouplingExecutor(workers=2, chunk_size=5) as ex:
-                ex.map(_square, range(20))
-        finally:
-            disable()
-        assert ring.drain() == []
-
-    def test_serial_map_never_streams(self):
-        bus, ring = _ring_bus()
-        enable(bus=bus)
-        try:
-            with CouplingExecutor(workers=1) as ex:
-                ex.map(_square, range(10))
-        finally:
-            disable()
-        logs = [e for e in ring.drain() if e.kind == "log"]
-        assert logs == []

@@ -31,7 +31,7 @@ def test_eight_concurrent_flow_jobs(tmp_path):
     base_url = service.start()
     try:
         # submit all eight before any finishes: the queue must actually fill
-        payload = {"design": {"kind": "buck", "params": {}}, "options": {"workers": 1}}
+        payload = {"design": {"kind": "buck", "params": {}}}
         job_ids = []
         for _ in range(N_JOBS):
             status, snap = request_json(base_url + "/jobs", "POST", payload)

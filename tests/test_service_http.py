@@ -9,7 +9,6 @@ import json
 import time
 import urllib.error
 import urllib.request
-from pathlib import Path
 
 import pytest
 
@@ -276,10 +275,7 @@ class TestCancellation:
         # First job occupies the only worker at its first checkpoint...
         _, first = request_json(svc.url + "/jobs", "POST", {"board": SMALL_BOARD})
         # ...so the second stays queued and cancels immediately.
-        _, second = request_json(
-            svc.url + "/jobs", "POST",
-            {"board": SMALL_BOARD, "options": {"workers": 1}},
-        )
+        _, second = request_json(svc.url + "/jobs", "POST", {"board": SMALL_BOARD})
         status, snap = request_json(
             f"{svc.url}/jobs/{second['id']}", method="DELETE"
         )

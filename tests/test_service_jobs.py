@@ -69,7 +69,6 @@ class TestParseFlowPayload:
     def test_minimal(self):
         request = parse_job_payload({"design": {"kind": "buck", "params": {}}})
         assert request.kind == "flow"
-        assert request.options.workers == 1
         assert request.options.precheck is True
         assert request.build_design() is not None
 
@@ -83,10 +82,9 @@ class TestParseFlowPayload:
         request = parse_job_payload(
             {
                 "design": {"kind": "buck", "params": {}},
-                "options": {"workers": 4, "timeout_s": 10.0, "precheck": False},
+                "options": {"timeout_s": 10.0, "precheck": False},
             }
         )
-        assert request.options.workers == 4
         assert request.options.timeout_s == 10.0
         assert "check" not in request.stage_plan()
 
@@ -99,8 +97,8 @@ class TestParseFlowPayload:
             {"design": {"kind": "llc", "params": {}}},
             {"design": {"kind": "buck", "params": {"nonsense": 1.0}}},
             {"design": {"kind": "buck", "params": {"input_voltage": -14.0}}},
-            {"design": {"kind": "buck", "params": {}}, "options": {"workers": 0}},
-            {"design": {"kind": "buck", "params": {}}, "options": {"workers": 99}},
+            {"design": {"kind": "buck", "params": {}}, "options": {"workers": 1}},
+            {"design": {"kind": "buck", "params": {}}, "options": {"workers": 4}},
             {"design": {"kind": "buck", "params": {}}, "options": {"timeout_s": -1}},
             {"design": {"kind": "buck", "params": {}}, "options": {"typo": 1}},
             {"design": {"kind": "buck", "params": {}}, "extra_key": True},
