@@ -73,13 +73,12 @@ physlint-baseline:
 conlint:
 	$(PYTHON) -m repro.cli lint-src src/repro --select CON --no-baseline
 
-## Performance + architecture rules alone (docs/PERFLINT.md).  The
-## baseline is zero-entry by design: ARCH findings and hot-path PRF
-## findings (promoted to error by the committed hotness snapshot) must
-## be fixed, not accumulated; cold PRF findings are informational.
+## Performance + architecture rules alone (docs/PERFLINT.md).  No
+## baseline: ARCH findings and hot-path PRF findings (promoted to error
+## by the committed hotness snapshot) must be fixed, not accumulated;
+## cold PRF findings are informational.
 perflint:
-	$(PYTHON) -m repro.cli lint-src src/repro --select PRF,ARCH \
-		--baseline src/repro/lint/perflint_baseline.json \
+	$(PYTHON) -m repro.cli lint-src src/repro --select PRF,ARCH --no-baseline \
 		--hotness benchmarks/baselines/HOTNESS.json
 
 ## Refresh the committed hotness snapshot from the perf-history store.

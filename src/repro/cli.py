@@ -529,14 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[store_flags],
     )
     pp_hotness.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="SHARE",
-        help="minimum share of total root wall time that makes a span hot "
-        "(default: 0.05)",
-    )
-    pp_hotness.add_argument(
         "-o",
         "--output",
         type=Path,
@@ -1205,12 +1197,11 @@ def _cmd_perf_flight(args: argparse.Namespace) -> int:
 def _cmd_perf_hotness(args: argparse.Namespace) -> int:
     import json
 
-    from .lint.hotness import DEFAULT_HOT_SHARE, HotnessModel
+    from .lint.hotness import HotnessModel
     from .obs import PerfHistory
 
     history = PerfHistory(args.store)
-    threshold = args.threshold if args.threshold is not None else DEFAULT_HOT_SHARE
-    model = HotnessModel.from_history(history.path, threshold=threshold)
+    model = HotnessModel.from_history(history.path)
     if not model.shares:
         print(f"no usable records in {history.path}", file=sys.stderr)
         return 2
@@ -1219,7 +1210,7 @@ def _cmd_perf_hotness(args: argparse.Namespace) -> int:
         hot = model.hot_spans
         print(
             f"wrote {args.output}: {len(model.shares)} span(s), "
-            f"{len(hot)} hot at threshold {threshold:g}"
+            f"{len(hot)} hot at threshold {model.threshold:g}"
         )
         for name in hot:
             print(f"  hot {model.shares[name]:6.1%}  {name}")

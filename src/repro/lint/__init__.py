@@ -9,10 +9,9 @@ them*: a custom AST analyzer with two rule families —
   dimension environment; mixed-unit arithmetic, comparisons, call
   arguments, returns and rebindings are flagged (m + mm, H vs nH,
   degrees into a radian API);
-* **numerical robustness / API hygiene** (NUM001–NUM005, API001–API002):
+* **numerical robustness / API hygiene** (NUM001–NUM004, API001–API002):
   exact float equality, unguarded division, sqrt/log of differences,
-  plain ``sum()`` in PEEC kernels, mutable defaults, module-global
-  state;
+  plain ``sum()`` in PEEC kernels, module-global state;
 * **concurrency — "conlint"** (CON001–CON005): a per-class thread model
   (lock attributes, ``with <lock>:`` scopes, thread creation sites)
   feeds guarded-by inference and a lock-order graph; writes outside
@@ -21,9 +20,9 @@ them*: a custom AST analyzer with two rule families —
   under a lock are flagged (``docs/CONLINT.md``).  The static pass is
   paired with a runtime lock sanitizer
   (:mod:`repro.lint.sanitizer`, ``make race-check``);
-* **performance — "perflint"** (PRF001–PRF005): Python loops over numpy
+* **performance — "perflint"** (PRF001–PRF004): Python loops over numpy
   arrays in kernel modules, loop-invariant allocations, repeated dotted
-  lookups in loops, all-pairs nested scans, heavyweight pool captures.
+  lookups in loops, all-pairs nested scans.
   Findings default to ``info``; the profile-guided hotness model
   (:mod:`repro.lint.hotness`, fed by the PerfHistory span store)
   promotes hot-path findings to ``error`` (``docs/PERFLINT.md``);

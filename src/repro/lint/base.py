@@ -21,7 +21,16 @@ from dataclasses import dataclass
 from ..check.diagnostics import Diagnostic, Severity
 from .registry import lint_spec_for
 
-__all__ = ["LintFinding", "ScopedVisitor"]
+__all__ = ["LintFinding", "ScopedVisitor", "call_name"]
+
+
+def call_name(func: ast.expr) -> str:
+    """Trailing name of a call target (``threading.Lock`` -> ``Lock``)."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return ""
 
 
 @dataclass(frozen=True)

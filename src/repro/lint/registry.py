@@ -10,7 +10,7 @@ Codes are grouped by rule family::
 
     UNT0xx  units        (dimension inference over annotated APIs)
     NUM0xx  numeric      (floating-point robustness)
-    API0xx  api          (interface hygiene: mutable defaults, global state)
+    API0xx  api          (interface hygiene: module-level mutable state)
     CON0xx  concurrency  (lock discipline over the project thread model,
                           see docs/CONLINT.md)
     PRF0xx  performance  (hot-path anti-patterns; severity is
@@ -19,7 +19,8 @@ Codes are grouped by rule family::
     LNT0xx  analyzer     (the analyzer's own operational diagnostics)
 
 Codes are append-only: a released code never changes meaning, and retired
-codes are not reused.
+codes (:data:`_RETIRED`, each with the check that replaced it) are not
+reused.
 """
 
 from __future__ import annotations
@@ -125,15 +126,6 @@ _SPECS: tuple[RuleSpec, ...] = (
         "Plain sum() accumulates rounding error linearly; PEEC kernels "
         "sum thousands of partial inductances spanning orders of "
         "magnitude, where math.fsum is exact at the same cost.",
-    ),
-    RuleSpec(
-        "NUM005",
-        "mutable-default-argument",
-        _ERROR,
-        "numeric",
-        "A mutable default (list/dict/set) is created once at definition "
-        "time and shared across calls — cached state leaks between "
-        "independent analyses.",
     ),
     # -- api --------------------------------------------------------------
     RuleSpec(
@@ -245,15 +237,6 @@ _SPECS: tuple[RuleSpec, ...] = (
         "O(n^2) interpreter pattern the blocked/vectorised kernels exist "
         "to replace; route pair work through the vectorised path.",
     ),
-    RuleSpec(
-        "PRF005",
-        "heavy-capture-into-pool",
-        _INFO,
-        "performance",
-        "Heavyweight objects (arrays, components, tracers) passed into "
-        "ProcessPoolExecutor task args are pickled per task; ship a "
-        "fingerprint or key and rebuild (or cache) in the worker.",
-    ),
     # -- architecture (enforces docs/ARCHITECTURE.md; always error) -------
     RuleSpec(
         "ARCH001",
@@ -296,6 +279,13 @@ _SPECS: tuple[RuleSpec, ...] = (
 )
 
 _BY_CODE: dict[str, RuleSpec] = {s.code: s for s in _SPECS}
+
+#: Retired code -> what covers it now.  Baselines and inline waivers that
+#: still name one keep loading; the code itself is never registered again.
+_RETIRED: dict[str, str] = {
+    "NUM005": "ruff B006",
+    "PRF005": "no process pool left in src/repro",
+}
 
 
 def lint_rule_specs() -> tuple[RuleSpec, ...]:

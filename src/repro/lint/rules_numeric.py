@@ -11,7 +11,6 @@ Rules::
     NUM002  division by a runtime quantity never validated in the scope
     NUM003  sqrt/log of a difference (numerically negative domains)
     NUM004  plain sum() in a PEEC kernel module (math.fsum is exact)
-    NUM005  mutable default argument
     API001  lowercase module-level mutable binding
     API002  'global' statement (module state rebound from functions)
 
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import ast
 
-from .base import ScopedVisitor
+from .base import ScopedVisitor, call_name
 
 __all__ = ["NumericRuleVisitor"]
 
@@ -44,14 +43,6 @@ def _is_mutable_literal(node: ast.expr) -> bool:
         if isinstance(node.func, ast.Attribute):
             return node.func.attr in _MUTABLE_FACTORIES
     return False
-
-
-def _call_name(func: ast.expr) -> str:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
 
 
 def _is_string_like(node: ast.expr) -> bool:
@@ -118,7 +109,7 @@ def _guarded_expressions(scope: ast.AST) -> set[str]:
         elif isinstance(node, ast.Assert):
             for test in tests_of(node.test):
                 record(test)
-        elif isinstance(node, ast.Call) and _call_name(node.func) in ("max", "min"):
+        elif isinstance(node, ast.Call) and call_name(node.func) in ("max", "min"):
             has_literal = any(
                 isinstance(a, ast.Constant) and isinstance(a.value, (int, float))
                 for a in node.args
@@ -175,16 +166,6 @@ class NumericRuleVisitor(ScopedVisitor):
     # -- scope handling -----------------------------------------------------
 
     def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        for default in list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]:
-            if _is_mutable_literal(default):
-                self.add(
-                    "NUM005",
-                    default,
-                    f"mutable default argument in {node.name}()",
-                    hint="default to None and create the container inside",
-                )
         self._guard_stack.append(_guarded_expressions(node))
         try:
             self._visit_scoped(node, node.name)
@@ -275,7 +256,7 @@ class NumericRuleVisitor(ScopedVisitor):
             # expression evaluates to the fallback whenever x is falsy.
             return self._expr_safe(node.values[-1], guarded)
         if isinstance(node, ast.Call):
-            name = _call_name(node.func)
+            name = call_name(node.func)
             if name in ("max", "min"):
                 positive_literal = any(
                     isinstance(a, ast.Constant)
@@ -297,7 +278,7 @@ class NumericRuleVisitor(ScopedVisitor):
     # -- NUM003 / NUM004: domain-unsafe math, naive accumulation -------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        name = _call_name(node.func)
+        name = call_name(node.func)
         qualified_ok = not isinstance(node.func, ast.Attribute) or (
             isinstance(node.func.value, ast.Name)
             and node.func.value.id in _SAFE_MODULES

@@ -22,15 +22,12 @@ Rules::
             the exact O(N^2) pattern the blocked/vectorised paths
             replace (exempt inside those modules, see
             PRF004_EXEMPT_PARTS)
-    PRF005  a heavyweight object (component/array/tracer/problem)
-            shipped into process-pool task arguments where a
-            fingerprint or cache key would do
 
 Each loop is analyzed against its *own* body only — statements of nested
 loops belong to the inner loop's analysis (no double reporting), and one
 finding per rule per loop keeps the report readable.  Like every
 physlint family the rules err on the quiet side; the remainder is
-governable with ``# physlint: disable=PRFxxx`` and the perflint
+governable with ``# physlint: disable=PRFxxx`` and the physlint
 baseline.  Rule catalogue and rationale: ``docs/PERFLINT.md``.
 """
 
@@ -78,26 +75,8 @@ _NUMPY_ALLOCATORS = frozenset(
 #: Python is the PRF001 anti-pattern.
 _NUMPY_PRODUCERS = _NUMPY_ALLOCATORS | {"nditer", "ravel", "flatten"}
 
-#: Argument names that look like heavyweight payloads when shipped into a
-#: process pool (PRF005) — arrays, meshes, component objects, tracers.
-_HEAVY_NAME_TOKENS = frozenset(
-    {
-        "component",
-        "components",
-        "problem",
-        "board",
-        "mesh",
-        "filaments",
-        "tracer",
-        "array",
-        "arrays",
-        "matrix",
-        "paths",
-    }
-)
-#: Receiver names that mark a call as pool submission machinery.
-_POOL_RECEIVER_TOKENS = ("executor", "pool")
-_POOL_METHODS = frozenset({"submit", "map"})
+#: PRF003 reports a dotted path resolved at least this often in one loop.
+_LOOKUP_THRESHOLD = 3
 
 
 def _is_numpy_call(node: ast.AST, names: frozenset[str]) -> bool:
@@ -201,12 +180,11 @@ def _same_sequence(outer: ast.expr, inner: ast.expr) -> str | None:
 
 
 class PerformanceRuleVisitor(ScopedVisitor):
-    """Walks one module emitting PRF001–PRF005 findings."""
+    """Walks one module emitting PRF001–PRF004 findings."""
 
-    def __init__(self, file: str, is_kernel: bool = False, lookup_threshold: int = 3) -> None:
+    def __init__(self, file: str, is_kernel: bool = False) -> None:
         super().__init__(file)
         self.is_kernel = is_kernel
-        self.lookup_threshold = lookup_threshold
         self.prf004_exempt = any(
             part in PRF004_EXEMPT_PARTS for part in file.split("/")
         )
@@ -337,12 +315,12 @@ class PerformanceRuleVisitor(ScopedVisitor):
             if existing is None or stmt.lineno < existing.lineno:
                 anchor[dotted] = stmt
         for dotted, count in sorted(counts.items()):
-            if count < self.lookup_threshold or dotted in written:
+            if count < _LOOKUP_THRESHOLD or dotted in written:
                 continue
             if any(
                 dotted != other
                 and dotted.startswith(other + ".")
-                and counts[other] >= self.lookup_threshold
+                and counts[other] >= _LOOKUP_THRESHOLD
                 for other in counts
             ):
                 continue  # report the shortest hot prefix only
@@ -354,51 +332,3 @@ class PerformanceRuleVisitor(ScopedVisitor):
                 hint=f"hoist to a local before the loop: "
                 f"{dotted.rsplit('.', 1)[-1]} = {dotted}",
             )
-
-    # -- PRF005: heavyweight pool captures ----------------------------------
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _POOL_METHODS
-            and _is_pool_receiver(func.value)
-        ):
-            arguments = node.args[1:] if func.attr == "submit" else node.args
-            for arg in arguments:
-                heavy = _heavy_argument(arg)
-                if heavy is None:
-                    continue
-                self.add(
-                    "PRF005",
-                    node,
-                    f"heavyweight object '{heavy}' shipped into pool task "
-                    "arguments — it is pickled per task",
-                    hint="ship a fingerprint/cache key instead and rebuild "
-                    "(or look up) in the worker (repro.parallel.fingerprint)",
-                )
-                break
-        self.generic_visit(node)
-
-
-def _is_pool_receiver(node: ast.expr) -> bool:
-    dotted = _dotted_path(node)
-    if dotted is None:
-        return False
-    leaf = dotted.split(".")[-1].lower()
-    return any(token in leaf for token in _POOL_RECEIVER_TOKENS)
-
-
-def _heavy_argument(node: ast.expr) -> str | None:
-    """The offending text when a pool-task argument looks heavyweight."""
-    if isinstance(node, ast.Starred):
-        node = node.value
-    dotted = _dotted_path(node)
-    if dotted is None:
-        return None
-    if dotted == "self":
-        return "self"
-    leaf = dotted.split(".")[-1].lower()
-    if leaf in _HEAVY_NAME_TOKENS:
-        return dotted
-    return None

@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 
 from ..units import Unit
-from .base import ScopedVisitor
+from .base import ScopedVisitor, call_name
 from .dimensions import DIMENSIONLESS, NUMBER, describe, merge, mismatch_text, mixable
 from .symbols import FuncSig, SymbolTable
 
@@ -344,7 +344,7 @@ class UnitRuleVisitor(ScopedVisitor):
         return NUMBER
 
     def _infer_call(self, node: ast.Call, env: Env) -> Unit | None:
-        name = _call_name(node.func)
+        name = call_name(node.func)
         self._infer(node.func, env)
         if name in _IDENTITY_CALLS and len(node.args) >= 1 and not node.keywords:
             units = [self._infer(arg, env) for arg in node.args]
@@ -417,11 +417,3 @@ class UnitRuleVisitor(ScopedVisitor):
         if known:
             return known[0]
         return None
-
-
-def _call_name(func: ast.expr) -> str:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""

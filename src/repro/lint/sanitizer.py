@@ -14,9 +14,9 @@ two classes of latent deadlock/starvation bugs into hard findings:
   the two orders at *any* time during the run — even sequentially, even
   on one thread — is enough evidence.
 * **over-threshold hold times** — a lock held longer than
-  ``hold_threshold_s`` (default 1.0 s, env
-  ``REPRO_EMI_LOCK_HOLD_S``) starves every other thread; telemetry
-  locks in this codebase are meant to be held for microseconds.
+  ``hold_threshold_s`` (default 1.0 s) starves every other thread;
+  telemetry locks in this codebase are meant to be held for
+  microseconds.
 
 Activation is strictly opt-in, in one of two ways:
 
@@ -65,13 +65,10 @@ __all__ = [
     "active",
     "sanitized",
     "ENV_VAR",
-    "HOLD_ENV_VAR",
 ]
 
 #: Environment variable that asks the test harness to install a sanitizer.
 ENV_VAR = "REPRO_EMI_LOCK_SANITIZER"
-#: Environment variable overriding the hold-time threshold [s].
-HOLD_ENV_VAR = "REPRO_EMI_LOCK_HOLD_S"
 
 #: Stack frames to keep per acquisition sample.
 _STACK_DEPTH = 12
@@ -97,16 +94,6 @@ def _capture_stack() -> str:
     frames = traceback.extract_stack(limit=_STACK_DEPTH + 4)
     kept = [f for f in frames if os.path.basename(f.filename) != "sanitizer.py"]
     return "".join(traceback.format_list(kept[-_STACK_DEPTH:]))
-
-
-def default_hold_threshold_s() -> float:
-    """Hold-time threshold [s]: ``REPRO_EMI_LOCK_HOLD_S`` or 1.0."""
-    raw = os.environ.get(HOLD_ENV_VAR, "")
-    try:
-        value = float(raw)
-    except ValueError:
-        return 1.0
-    return value if value > 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -162,13 +149,10 @@ class LockSanitizer:
         locks_created: instrumented locks handed out by the factories.
     """
 
-    def __init__(self, hold_threshold_s: float | None = None):
-        threshold = (
-            hold_threshold_s if hold_threshold_s is not None else default_hold_threshold_s()
-        )
-        if threshold <= 0:
-            raise ValueError(f"hold_threshold_s must be > 0, got {threshold}")
-        self.hold_threshold_s = threshold
+    def __init__(self, hold_threshold_s: float = 1.0):
+        if hold_threshold_s <= 0:
+            raise ValueError(f"hold_threshold_s must be > 0, got {hold_threshold_s}")
+        self.hold_threshold_s = hold_threshold_s
         self.findings: list[SanitizerFinding] = []
         self.acquisitions = 0
         self.locks_created = 0
@@ -488,9 +472,7 @@ def _factory_rlock() -> Any:
 
 
 @contextmanager
-def sanitized(
-    hold_threshold_s: float | None = None,
-) -> Iterator[LockSanitizer]:
+def sanitized(hold_threshold_s: float = 1.0) -> Iterator[LockSanitizer]:
     """Context manager: install a fresh sanitizer, uninstall on exit.
 
     The caller decides what to do with ``sanitizer.findings`` — the

@@ -32,6 +32,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from .base import call_name
+
 __all__ = [
     "LockAttr",
     "ThreadAttr",
@@ -155,15 +157,6 @@ class ClassModel:
         return out
 
 
-def _callable_name(func: ast.expr) -> str:
-    """Trailing name of a call target (``threading.Lock`` -> ``Lock``)."""
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
-
-
 def _self_attr(node: ast.expr) -> str | None:
     """``"<name>"`` when node is exactly ``self.<name>``, else ``None``."""
     if (
@@ -176,7 +169,7 @@ def _self_attr(node: ast.expr) -> str | None:
 
 
 def _is_open_call(node: ast.expr) -> bool:
-    return isinstance(node, ast.Call) and _callable_name(node.func) == "open"
+    return isinstance(node, ast.Call) and call_name(node.func) == "open"
 
 
 def _thread_daemon_flag(call: ast.Call) -> bool | None:
@@ -217,7 +210,7 @@ class _MethodScanner(ast.NodeVisitor):
     def _scan_assign_value(self, target_attr: str, value: ast.expr, line: int) -> None:
         """Classify what a ``self.<attr> = value`` assignment creates."""
         if isinstance(value, ast.Call):
-            name = _callable_name(value.func)
+            name = call_name(value.func)
             if name in _LOCK_FACTORIES:
                 self.model.locks.setdefault(
                     target_attr, LockAttr(name=target_attr, kind=name, line=line)
@@ -344,7 +337,7 @@ class _MethodScanner(ast.NodeVisitor):
     # -- calls: joins, mutators, callbacks, pool captures -------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        name = _callable_name(node.func)
+        name = call_name(node.func)
         if isinstance(node.func, ast.Attribute):
             receiver = node.func.value
             receiver_attr = _self_attr(receiver)
@@ -360,7 +353,7 @@ class _MethodScanner(ast.NodeVisitor):
             if (
                 name == "start"
                 and isinstance(receiver, ast.Call)
-                and _callable_name(receiver.func) == "Thread"
+                and call_name(receiver.func) == "Thread"
             ):
                 # ``threading.Thread(...).start()`` — never bound, no
                 # join path can possibly exist.
@@ -493,7 +486,7 @@ def _prescan_locks(
                 if attr is None:
                     continue
                 if isinstance(value, ast.Call):
-                    name = _callable_name(value.func)
+                    name = call_name(value.func)
                     if name in _LOCK_FACTORIES:
                         model.locks.setdefault(
                             attr,

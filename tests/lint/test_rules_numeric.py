@@ -204,35 +204,6 @@ class TestNum004NaiveAccumulation:
         assert codes_at(findings, "NUM004") == []
 
 
-class TestNum005MutableDefault:
-    def test_list_default(self):
-        findings = run(
-            """\
-            def f(items: list[int] = []) -> list[int]:
-                return items
-            """
-        )
-        assert codes_at(findings, "NUM005") == [1]
-
-    def test_dict_call_default(self):
-        findings = run(
-            """\
-            def f(opts=dict()) -> dict:
-                return opts
-            """
-        )
-        assert codes_at(findings, "NUM005") == [1]
-
-    def test_none_default_is_clean(self):
-        findings = run(
-            """\
-            def f(items: list[int] | None = None) -> list[int]:
-                return items or []
-            """
-        )
-        assert codes_at(findings, "NUM005") == []
-
-
 class TestApi001ModuleMutableState:
     def test_lowercase_module_dict(self):
         findings = run("cache = {}\n")

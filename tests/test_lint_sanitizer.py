@@ -18,7 +18,6 @@ import pytest
 from repro.lint.sanitizer import (
     LockSanitizer,
     active,
-    default_hold_threshold_s,
     install,
     sanitized,
     uninstall,
@@ -122,13 +121,13 @@ class TestHoldTime:
                 pass
         assert sanitizer.report() == []
 
-    def test_env_threshold_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EMI_LOCK_HOLD_S", "0.25")
-        assert default_hold_threshold_s() == 0.25
-        monkeypatch.setenv("REPRO_EMI_LOCK_HOLD_S", "garbage")
-        assert default_hold_threshold_s() == 1.0
-        monkeypatch.setenv("REPRO_EMI_LOCK_HOLD_S", "-1")
-        assert default_hold_threshold_s() == 1.0
+    def test_default_threshold_is_one_second(self):
+        assert LockSanitizer().hold_threshold_s == 1.0
+        with sanitized() as sanitizer:
+            pass
+        assert sanitizer.hold_threshold_s == 1.0
+        with pytest.raises(ValueError):
+            LockSanitizer(hold_threshold_s=0)
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
