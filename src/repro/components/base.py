@@ -107,8 +107,20 @@ class Component:
 
     @cached_property
     def geometric_inductance(self) -> float:
-        """Air-core loop self-inductance of the current path [H]."""
+        """Air-core loop self-inductance of the current path [H].
+
+        Solved on first read unless a coupling database seeded it
+        (:meth:`seed_geometric_inductance`).
+        """
         return loop_self_inductance(self.current_path)
+
+    def seed_geometric_inductance(self, value: float) -> None:
+        """Install an already solved :attr:`geometric_inductance` [H].
+
+        Used by :meth:`repro.coupling.CouplingDatabase.self_inductance`,
+        which keys the value by this part's :attr:`fingerprint`.
+        """
+        self.__dict__["geometric_inductance"] = value
 
     @property
     def self_inductance(self) -> float:

@@ -81,7 +81,9 @@ class EmiDesignFlow:
             placement problem, see :mod:`repro.check`) before the first
             solve and refuse to run on error-level diagnostics.
         cache_dir: when set, attach a persistent on-disk coupling cache
-            rooted here; ``None`` keeps the flow memory-only.
+            rooted here; ``None`` keeps the flow memory-only.  The cache
+            also holds every part's self-inductance: the first stage
+            that builds the circuit seeds ``design.parts()`` from it.
     """
 
     design: BuckConverterDesign
@@ -95,6 +97,7 @@ class EmiDesignFlow:
     _rules: list[MinDistanceRule] | None = field(default=None, init=False)
     _db: CouplingDatabase = field(default_factory=CouplingDatabase, init=False)
     _precheck_report: CheckReport | None = field(default=None, init=False)
+    _parts_seeded: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         self._db.ground_plane_z = self.ground_plane_z
@@ -105,6 +108,13 @@ class EmiDesignFlow:
     def coupling_stats(self) -> CacheStats:
         """Cache accounting of the flow's shared coupling database."""
         return self._db.stats
+
+    def _seed_parts(self) -> None:
+        """Serve every part's self-inductance from the coupling cache, once."""
+        if not self._parts_seeded:
+            for component in self.design.parts().values():
+                self._db.self_inductance(component)
+            self._parts_seeded = True
 
     # -- step 0: static validation (opt-in) ---------------------------------
 
@@ -119,6 +129,7 @@ class EmiDesignFlow:
             DesignCheckError: on any error-level diagnostic.
         """
         if self._precheck_report is None:
+            self._seed_parts()
             tracer = get_tracer()
             with tracer.stage("check"), tracer.span("flow.precheck"):
                 circuit, _meas = self.design.emi_circuit()
@@ -132,6 +143,7 @@ class EmiDesignFlow:
         return self._precheck_report
 
     def _gate(self) -> None:
+        self._seed_parts()
         if self.precheck:
             self.run_precheck()
 
@@ -233,6 +245,7 @@ class EmiDesignFlow:
 
     def evaluate(self, name: str, problem: PlacementProblem) -> LayoutEvaluation:
         """Field-simulate a layout, predict its spectrum, check limits."""
+        self._seed_parts()
         tracer = get_tracer()
         with tracer.stage("verification", {"layout": name}), tracer.span(
             "flow.verification"

@@ -24,6 +24,13 @@ Every lookup — :meth:`CouplingDatabase.coupling`,
 orders (a mirrored hit comes back with the self-inductances swapped),
 solves the misses in request order as one array batch, validates and
 stores them, and counts hits and misses at one point.
+
+A part's air-core self-inductance is a pure function of its geometry
+as well, so it sits behind the same two tiers:
+:meth:`CouplingDatabase.self_inductance` keys it by the part's
+fingerprint and the self-inductance quadrature order, solves a miss
+once and seeds the part with the value, so the circuit ESLs and every
+pair solve read that one number.
 """
 
 from __future__ import annotations
@@ -36,8 +43,16 @@ from itertools import combinations
 from ..components import Component
 from ..geometry import Placement2D
 from ..obs import get_tracer
-from ..parallel import PairKey, PersistentCouplingCache, pair_cache_key, pair_key
-from ..units import Dimensionless, Meters
+from ..parallel import (
+    PairKey,
+    PersistentCouplingCache,
+    SelfKey,
+    pair_cache_key,
+    pair_key,
+    self_cache_key,
+)
+from ..peec import SELF_INDUCTANCE_ORDER
+from ..units import Dimensionless, Henries, Meters
 from .pair import CouplingResult, PlacedPair, component_couplings
 
 __all__ = ["CacheStats", "CouplingDatabase", "COUPLING_CLAMP_TOLERANCE"]
@@ -72,6 +87,18 @@ def _validated(
         f"{part_a}/{part_b} (|k| must be <= 1): the component field models "
         f"overlap or are degenerate at this relative pose"
     )
+
+
+def _self_from_payload(payload: dict) -> Henries | None:
+    """A stored self-inductance [H]; ``None`` (counted stale) if malformed."""
+    try:
+        value = float(payload["self_h"])
+    except (KeyError, TypeError, ValueError):
+        value = math.nan
+    if value > 0.0 and math.isfinite(value):
+        return value
+    get_tracer().count("cache.stale")
+    return None
 
 
 def _swapped(result: CouplingResult) -> CouplingResult:
@@ -154,16 +181,20 @@ class CouplingDatabase:
         persistent: optional on-disk cache tier consulted on in-memory
             misses and written through on every solve (``None`` = memory
             only; see docs/PERFORMANCE.md for the key semantics).
-        hits, misses, persistent_hits: lookups answered from a cache,
-            lookups solved, and the subset of hits read from disk; the
-            ``coupling.cache_hits`` / ``coupling.cache_misses`` tracer
-            counters are bumped at the same point.
+        hits, misses, persistent_hits: pair lookups answered from a
+            cache, pair lookups solved, and the subset of hits read from
+            disk; the ``coupling.cache_hits`` / ``coupling.cache_misses``
+            tracer counters are bumped at the same point.  Part
+            self-inductances (:meth:`self_inductance`) are not counted
+            here: a solve counts ``peec.self_inductance_evals``, a disk
+            read the persistent tier's ``cache.*`` counters.
     """
 
     ground_plane_z: Meters | None = None
     order: int = 8
     persistent: PersistentCouplingCache | None = None
     _cache: dict[PairKey, CouplingResult] = field(default_factory=dict)
+    _self_cache: dict[SelfKey, Henries] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
     persistent_hits: int = 0
@@ -260,6 +291,29 @@ class CouplingDatabase:
             results[i] = result
         return results  # type: ignore[return-value]
 
+    def self_inductance(self, component: Component) -> Henries:
+        """Air-core self-inductance of a part [H], from a cache tier or one solve.
+
+        Probes memory, then disk, under ``(component.fingerprint,
+        SELF_INDUCTANCE_ORDER)``.  A miss is solved once through the
+        part's own :attr:`~repro.components.Component.geometric_inductance`
+        (no solve at all if the part already holds it) and written
+        through both tiers.  Either way the part is seeded with the
+        value, so its ESL and every pair solve of it read this number.
+        """
+        key: SelfKey = (component.fingerprint, SELF_INDUCTANCE_ORDER)
+        value = self._self_cache.get(key)
+        if value is None and self.persistent is not None:
+            payload = self.persistent.get(self_cache_key(key))
+            value = None if payload is None else _self_from_payload(payload)
+        if value is None:
+            value = component.geometric_inductance
+            if self.persistent is not None:
+                self.persistent.put(self_cache_key(key), {"self_h": value})
+        self._self_cache[key] = value
+        component.seed_geometric_inductance(value)
+        return value
+
     def coupling(
         self,
         comp_a: Component,
@@ -322,6 +376,7 @@ class CouplingDatabase:
     def clear(self) -> None:
         """Drop the in-memory cache and counters (the disk tier survives)."""
         self._cache.clear()
+        self._self_cache.clear()
         self.hits = 0
         self.misses = 0
         self.persistent_hits = 0

@@ -7,7 +7,8 @@ each one cheap to repeat across runs:
 * :class:`PersistentCouplingCache` — on-disk, content-hash-keyed store of
   field-simulation results with versioned invalidation;
 * :mod:`~repro.parallel.fingerprint` — :func:`pair_key`, the one
-  definition of "the same coupling problem" that both cache tiers use.
+  definition of "the same coupling problem" that both cache tiers use,
+  and :func:`self_cache_key`, the on-disk name of a part self-inductance.
 
 The layer is physics-free by design: it never imports the solvers it
 accelerates, so :mod:`repro.coupling` can build on it without cycles.
@@ -18,19 +19,23 @@ from .cache import PersistentCouplingCache, default_cache_dir
 from .fingerprint import (
     CACHE_SCHEMA_VERSION,
     PairKey,
+    SelfKey,
     component_fingerprint,
     pair_cache_key,
     pair_key,
     relative_pose_key,
+    self_cache_key,
 )
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "PairKey",
     "PersistentCouplingCache",
+    "SelfKey",
     "component_fingerprint",
     "default_cache_dir",
     "pair_cache_key",
     "pair_key",
     "relative_pose_key",
+    "self_cache_key",
 ]

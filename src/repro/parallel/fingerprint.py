@@ -21,12 +21,18 @@ named by its SHA-256 (:func:`pair_cache_key`), so the tiers cannot
 disagree on which lookups collide.
 
 The component fingerprint hashes the raw IEEE-754 doubles of the field
-model (no string formatting), so a persistent entry survives process
-restarts but *never* survives a change to the inputs: perturbing a
-filament endpoint by one ULP produces a different key.  It is memoised
-per component as :attr:`repro.components.Component.fingerprint`.  A
-schema version is folded into every on-disk name, so bumping
-:data:`CACHE_SCHEMA_VERSION` invalidates the whole store at once.
+model (no string formatting) — exactly the packed filament arrays the
+kernels read — so a persistent entry survives process restarts but
+*never* survives a change to the inputs: perturbing a filament endpoint
+by one ULP produces a different key.  It is memoised per component as
+:attr:`repro.components.Component.fingerprint`.
+
+A part's air-core self-inductance is a pure function of its field
+geometry too.  Its key is ``(fingerprint, order)`` (:data:`SelfKey`),
+named on disk by :func:`self_cache_key` in a namespace of its own, so it
+can never collide with a pair entry.  A schema version is folded into
+every on-disk name, so bumping :data:`CACHE_SCHEMA_VERSION` invalidates
+the whole store at once.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ import math
 import struct
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..components import Component
     from ..geometry import Placement2D
@@ -43,10 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "PairKey",
+    "SelfKey",
     "component_fingerprint",
     "pair_cache_key",
     "pair_key",
     "relative_pose_key",
+    "self_cache_key",
 ]
 
 #: Version of the on-disk cache schema.  Bumping it stales every stored
@@ -68,6 +78,9 @@ PoseKey = tuple[int, int, int, int, int, int, int]
 #: order (see :func:`pair_key`).
 PairKey = tuple[str, str, PoseKey, int | None, int]
 
+#: One part self-inductance: the part's fingerprint and the quadrature order.
+SelfKey = tuple[str, int]
+
 
 def _feed_floats(digest: "hashlib._Hash", values: tuple[float, ...]) -> None:
     """Feed raw little-endian doubles into a running digest."""
@@ -78,9 +91,9 @@ def component_fingerprint(component: "Component") -> str:
     """Content hash of everything about a component the field solver reads.
 
     Covers the part number, the effective-permeability parameters
-    (``mu_eff`` [-] and core ``stray_fraction`` [-]) and, per filament of
-    the local-frame current path: start/end [m], conductor cross-section
-    [m] and signed turns weight [-].
+    (``mu_eff`` [-] and core ``stray_fraction`` [-]) and the packed
+    local-frame current path, one row per filament: start/end [m],
+    conductor cross-section [m] and signed turns weight [-].
 
     Returns:
         A 64-character hex SHA-256 digest.
@@ -90,21 +103,11 @@ def component_fingerprint(component: "Component") -> str:
     digest.update(component.part_number.encode("utf-8"))
     digest.update(b"\0")
     _feed_floats(digest, (component.mu_eff, component.core.stray_fraction))
-    for fil in component.current_path.filaments:
-        _feed_floats(
-            digest,
-            (
-                fil.start.x,
-                fil.start.y,
-                fil.start.z,
-                fil.end.x,
-                fil.end.y,
-                fil.end.z,
-                fil.width,
-                fil.thickness,
-                fil.weight,
-            ),
-        )
+    packed = component.current_path.packed
+    rows = np.column_stack(
+        (packed.starts, packed.ends, packed.widths, packed.thicknesses, packed.weights)
+    )
+    digest.update(rows.astype("<f8").tobytes())
     return digest.hexdigest()
 
 
@@ -179,3 +182,14 @@ def pair_cache_key(key: PairKey, version: int = CACHE_SCHEMA_VERSION) -> str:
         A 64-character hex SHA-256 digest.
     """
     return hashlib.sha256(f"pair-v{version}|{key!r}".encode("ascii")).hexdigest()
+
+
+def self_cache_key(key: SelfKey, version: int = CACHE_SCHEMA_VERSION) -> str:
+    """On-disk name of a part self-inductance: the SHA-256 of its
+    :data:`SelfKey` in the ``self-v{version}`` namespace (never a
+    :func:`pair_cache_key` name).
+
+    Returns:
+        A 64-character hex SHA-256 digest.
+    """
+    return hashlib.sha256(f"self-v{version}|{key!r}".encode("ascii")).hexdigest()

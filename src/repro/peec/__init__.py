@@ -29,6 +29,7 @@ from .filament import (
 )
 from .images import image_path, shielding_factor, with_ground_plane
 from .inductance import (
+    SELF_INDUCTANCE_ORDER,
     coupling_factor,
     loop_self_inductance,
     mutual_inductance_paths_fast,
@@ -66,6 +67,7 @@ __all__ = [
     "ring_path",
     "rectangle_path",
     "coupling_factor",
+    "SELF_INDUCTANCE_ORDER",
     "loop_self_inductance",
     "mutual_inductance_paths_fast",
     "mutual_inductance_row",

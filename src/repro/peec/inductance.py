@@ -32,14 +32,19 @@ from .filament import (
 from .mesh import CurrentPath
 
 __all__ = [
+    "SELF_INDUCTANCE_ORDER",
     "loop_self_inductance",
     "mutual_inductance_paths_fast",
     "mutual_inductance_row",
     "coupling_factor",
 ]
 
+#: Gauss–Legendre order of :func:`loop_self_inductance`: the order of every
+#: part self-inductance (ESL, coupling normalisation) and of its cache key.
+SELF_INDUCTANCE_ORDER = 12
 
-def loop_self_inductance(path: CurrentPath, order: int = 12) -> Henries:
+
+def loop_self_inductance(path: CurrentPath, order: int = SELF_INDUCTANCE_ORDER) -> Henries:
     """Self-inductance of a current path [H].
 
     ``L = sum_i w_i^2 L_ii + 2 sum_{i < j} w_i w_j M_ij`` — the double sum

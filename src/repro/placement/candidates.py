@@ -31,11 +31,17 @@ _LATTICE = 0.5e-3
 
 
 class CandidateGenerator:
-    """Produces candidate centre positions for one component."""
+    """Produces candidate centre positions for one component.
+
+    The area samples of a polygon depend only on its vertices, the
+    erosion margin and :attr:`boundary_spacing`, so each set is computed
+    once per generator and reused by every later search.
+    """
 
     def __init__(self, problem: PlacementProblem, boundary_spacing: float = 6e-3):
         self.problem = problem
         self.boundary_spacing = boundary_spacing
+        self._area_samples: dict[tuple[tuple[Vec2, ...], float, float], list[Vec2]] = {}
 
     def _areas_for(self, comp: PlacedComponent) -> list[Polygon2D]:
         board = self.problem.board(comp.board)
@@ -93,14 +99,23 @@ class CandidateGenerator:
         margin = max(half.x, half.y)
         out: list[Vec2] = []
         for polygon in self._areas_for(comp):
-            eroded = polygon.eroded(margin)
-            target = eroded if eroded is not None else polygon
-            out.extend(target.boundary_samples(self.boundary_spacing))
-            out.append(target.centroid())
-            # Coarse interior grid for sparse boards.
-            xmin, ymin, xmax, ymax = target.bbox()
-            step = max(self.boundary_spacing * 2.0, (xmax - xmin) / 8.0 or 1e-3)
-            out.extend(target.grid_samples(step))
+            key = (tuple(polygon.vertices), margin, self.boundary_spacing)
+            samples = self._area_samples.get(key)
+            if samples is None:
+                samples = self._area_samples[key] = self._samples_of(polygon, margin)
+            out.extend(samples)
+        return out
+
+    def _samples_of(self, polygon: Polygon2D, margin: float) -> list[Vec2]:
+        """Boundary samples, centroid and coarse interior grid of the eroded area."""
+        eroded = polygon.eroded(margin)
+        target = eroded if eroded is not None else polygon
+        out = target.boundary_samples(self.boundary_spacing)
+        out.append(target.centroid())
+        # Coarse interior grid for sparse boards.
+        xmin, ymin, xmax, ymax = target.bbox()
+        step = max(self.boundary_spacing * 2.0, (xmax - xmin) / 8.0 or 1e-3)
+        out.extend(target.grid_samples(step))
         return out
 
     def candidate_array(

@@ -1,6 +1,10 @@
 """Unit tests for candidate-location generation."""
 
-from repro.geometry import Placement2D, Vec2
+import numpy as np
+import pytest
+
+from repro.converters import BuckConverterDesign, build_demo_board
+from repro.geometry import Placement2D, Polygon2D, Vec2
 from repro.placement import CandidateGenerator
 
 from conftest import build_small_problem
@@ -78,3 +82,39 @@ class TestGenerators:
         candidates = gen.area_candidates(comp, 0.0)
         # The first candidates come from the preferred area.
         assert candidates[0].x >= 0.04 - 1e-9
+
+
+class TestAreaSampleMemo:
+    """A generator erodes each area once; its candidates stay those of a fresh one."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: BuckConverterDesign().placement_problem(), build_demo_board],
+        ids=["buck", "demo_board"],
+    )
+    def test_reused_generator_equals_fresh(self, build, monkeypatch):
+        problem = build()
+        reused = CandidateGenerator(problem)
+
+        def sweep(check):
+            # Both spacings, switched on one generator as the placer does.
+            for spacing in (6e-3, 3e-3):
+                reused.boundary_spacing = spacing
+                for comp in problem.components.values():
+                    for rotation in comp.rotations():
+                        got = reused.candidate_array(comp, rotation)
+                        if check:
+                            fresh = CandidateGenerator(problem, spacing)
+                            assert np.array_equal(got, fresh.candidate_array(comp, rotation))
+
+        sweep(check=True)
+        erosions = []
+        eroded = Polygon2D.eroded
+
+        def counted(polygon, margin):
+            erosions.append(margin)
+            return eroded(polygon, margin)
+
+        monkeypatch.setattr(Polygon2D, "eroded", counted)
+        sweep(check=False)
+        assert erosions == []
