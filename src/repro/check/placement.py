@@ -180,13 +180,9 @@ def _fits_in_polygon(
 ) -> bool:
     xmin, ymin, xmax, ymax = polygon.bbox()
     box_w, box_h = xmax - xmin, ymax - ymin
-    half_w = component.footprint_w / 2.0
-    half_h = component.footprint_h / 2.0
     for angle_deg in rotations or (0.0,):
-        angle = math.radians(angle_deg)
-        ex = 2.0 * (abs(math.cos(angle)) * half_w + abs(math.sin(angle)) * half_h)
-        ey = 2.0 * (abs(math.sin(angle)) * half_w + abs(math.cos(angle)) * half_h)
-        if ex <= box_w and ey <= box_h:
+        half = component.half_extent(angle_deg)
+        if 2.0 * half.x <= box_w and 2.0 * half.y <= box_h:
             return True
     return False
 

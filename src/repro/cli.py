@@ -743,7 +743,7 @@ def _cmd_drc(args: argparse.Namespace) -> int:
     for marker in checker.rule_markers():
         print(
             f"  {marker.color.upper():5s} {marker.ref_a}-{marker.ref_b} "
-            f"(EMD {marker.radius * 2e3:.1f} mm)"
+            f"(EMD {marker.emd * 1e3:.1f} mm)"
         )
     for violation in violations:
         print(f"  ! {violation.message}")

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ..geometry import Placement2D, Rect, Vec2, Vec3
+from ..geometry import OrientedRect, Placement2D, Rect, Vec2, Vec3
 from ..parallel.fingerprint import component_fingerprint
 from ..peec import (
     AIR_CORE,
@@ -182,6 +182,13 @@ class Component:
             self.footprint_w / 2.0,
             self.footprint_h / 2.0,
         )
+
+    def half_extent(self, rotation_deg: float) -> Vec2:
+        """Half-widths of the footprint's axis-aligned box at a rotation."""
+        footprint = OrientedRect(
+            Vec2.zero(), self.footprint_w / 2.0, self.footprint_h / 2.0, math.radians(rotation_deg)
+        )
+        return footprint.half_extents()
 
     def footprint_area(self) -> float:
         """Footprint area [m^2]."""

@@ -162,13 +162,20 @@ class OrientedRect:
         ]
         return [c.rotated(self.rotation_rad) + self.center for c in local]
 
-    def aabb(self) -> Rect:
-        """Axis-aligned bounding box (the rectilinear approximation)."""
+    def half_extents(self) -> Vec2:
+        """Half-widths of the axis-aligned bounding box."""
         c = math.cos(self.rotation_rad)
         s = math.sin(self.rotation_rad)
-        ex = abs(c) * self.half_w + abs(s) * self.half_h
-        ey = abs(s) * self.half_w + abs(c) * self.half_h
-        return Rect(self.center.x - ex, self.center.y - ey, self.center.x + ex, self.center.y + ey)
+        return Vec2(
+            abs(c) * self.half_w + abs(s) * self.half_h,
+            abs(s) * self.half_w + abs(c) * self.half_h,
+        )
+
+    def aabb(self) -> Rect:
+        """Axis-aligned bounding box (the rectilinear approximation)."""
+        e = self.half_extents()
+        c = self.center
+        return Rect(c.x - e.x, c.y - e.y, c.x + e.x, c.y + e.y)
 
     def area(self) -> float:
         """Exact rectangle area (rotation-invariant)."""

@@ -34,22 +34,17 @@ class CandidateGenerator:
     """Produces candidate centre positions for one component.
 
     The area samples of a polygon depend only on its vertices, the
-    erosion margin and :attr:`boundary_spacing`, so each set is computed
-    once per generator and reused by every later search.
+    erosion margin and the boundary spacing, so each set is computed once
+    per generator and reused by every later search.
     """
 
-    def __init__(self, problem: PlacementProblem, boundary_spacing: float = 6e-3):
+    def __init__(self, problem: PlacementProblem):
         self.problem = problem
-        self.boundary_spacing = boundary_spacing
         self._area_samples: dict[tuple[tuple[Vec2, ...], float, float], list[Vec2]] = {}
 
     def _areas_for(self, comp: PlacedComponent) -> list[Polygon2D]:
-        board = self.problem.board(comp.board)
-        areas = board.areas or [board.default_area()]
-        if comp.allowed_areas:
-            filtered = [a for a in areas if a.name in comp.allowed_areas]
-            if filtered:
-                areas = filtered
+        """The allowed areas, the preferred one first (generation order)."""
+        areas = self.problem.allowed_areas(comp)
         if comp.preferred_area is not None:
             preferred = [a for a in areas if a.name == comp.preferred_area]
             rest = [a for a in areas if a.name != comp.preferred_area]
@@ -58,12 +53,12 @@ class CandidateGenerator:
 
     def corner_candidates(self, comp: PlacedComponent, rotation_deg: float) -> list[Vec2]:
         """Inflated-obstacle corner positions (tight-packing generator)."""
-        half = self._half_extent(comp, rotation_deg)
-        clearance = max(self.problem.default_clearance, comp.component.clearance)
+        half = comp.component.half_extent(rotation_deg)
         out: list[Vec2] = []
         for other in self.problem.placed():
             if other.board != comp.board or other.refdes == comp.refdes:
                 continue
+            clearance = self.problem.clearance_between(comp, other)
             rect = other.footprint_aabb().inflated(
                 max(half.x, half.y) + clearance + 1e-4
             )
@@ -93,35 +88,27 @@ class CandidateGenerator:
                 out.append(center + Vec2.from_polar(radius, angle))
         return out
 
-    def area_candidates(self, comp: PlacedComponent, rotation_deg: float) -> list[Vec2]:
-        """Boundary and interior samples of the allowed areas."""
-        half = self._half_extent(comp, rotation_deg)
+    def area_candidates(
+        self, comp: PlacedComponent, rotation_deg: float, spacing: float
+    ) -> list[Vec2]:
+        """Boundary (every ``spacing`` metres) and interior samples of the
+        allowed areas."""
+        half = comp.component.half_extent(rotation_deg)
         margin = max(half.x, half.y)
         out: list[Vec2] = []
         for polygon in self._areas_for(comp):
-            key = (tuple(polygon.vertices), margin, self.boundary_spacing)
+            key = (tuple(polygon.vertices), margin, spacing)
             samples = self._area_samples.get(key)
             if samples is None:
-                samples = self._area_samples[key] = self._samples_of(polygon, margin)
+                samples = self._area_samples[key] = _samples_of(polygon, margin, spacing)
             out.extend(samples)
-        return out
-
-    def _samples_of(self, polygon: Polygon2D, margin: float) -> list[Vec2]:
-        """Boundary samples, centroid and coarse interior grid of the eroded area."""
-        eroded = polygon.eroded(margin)
-        target = eroded if eroded is not None else polygon
-        out = target.boundary_samples(self.boundary_spacing)
-        out.append(target.centroid())
-        # Coarse interior grid for sparse boards.
-        xmin, ymin, xmax, ymax = target.bbox()
-        step = max(self.boundary_spacing * 2.0, (xmax - xmin) / 8.0 or 1e-3)
-        out.extend(target.grid_samples(step))
         return out
 
     def candidate_array(
         self,
         comp: PlacedComponent,
         rotation_deg: float,
+        spacing: float,
         ring_specs: list[tuple[Vec2, float]] | None = None,
     ) -> np.ndarray:
         """The union of all generators as an (M, 2) array of centres,
@@ -130,7 +117,7 @@ class CandidateGenerator:
         raw = (
             self.corner_candidates(comp, rotation_deg)
             + self.ring_candidates(comp, ring_specs or [])
-            + self.area_candidates(comp, rotation_deg)
+            + self.area_candidates(comp, rotation_deg, spacing)
         )
         xy = np.array([(p.x, p.y) for p in raw], dtype=float).reshape(-1, 2)
         # Half-to-even rounding to integer keys (which also merge -0.0 and 0.0).
@@ -140,10 +127,15 @@ class CandidateGenerator:
         get_tracer().count("placement.candidates_generated", len(out))
         return out
 
-    def _half_extent(self, comp: PlacedComponent, rotation_deg: float) -> Vec2:
-        w = comp.component.footprint_w
-        h = comp.component.footprint_h
-        rad = math.radians(rotation_deg)
-        ex = abs(math.cos(rad)) * w / 2.0 + abs(math.sin(rad)) * h / 2.0
-        ey = abs(math.sin(rad)) * w / 2.0 + abs(math.cos(rad)) * h / 2.0
-        return Vec2(ex, ey)
+
+def _samples_of(polygon: Polygon2D, margin: float, spacing: float) -> list[Vec2]:
+    """Boundary samples, centroid and coarse interior grid of the eroded area."""
+    eroded = polygon.eroded(margin)
+    target = eroded if eroded is not None else polygon
+    out = target.boundary_samples(spacing)
+    out.append(target.centroid())
+    # Coarse interior grid for sparse boards.
+    xmin, ymin, xmax, ymax = target.bbox()
+    step = max(spacing * 2.0, (xmax - xmin) / 8.0 or 1e-3)
+    out.extend(target.grid_samples(step))
+    return out

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from ..geometry import Vec2
 from ..obs import get_tracer
-from ..rules import MinDistanceRule, emd_for_pair
-from .metrics import group_spread, net_hpwl
-from .model import PlacedComponent, PlacementProblem
+from ..rules import MinDistanceRule
+from .metrics import group_centroid, group_spread, net_hpwl
+from .model import EMD_TOLERANCE, PlacedComponent, PlacementProblem
 
 __all__ = ["Violation", "RuleMarker", "DesignRuleChecker"]
 
@@ -54,13 +54,30 @@ class Violation:
 
 @dataclass(frozen=True)
 class RuleMarker:
-    """Visualisation circle for one pairwise rule (red when violated)."""
+    """Visualisation circle for one pairwise rule (red when violated).
+
+    Attributes:
+        center: the midpoint of the pair.
+        emd: the rule's effective minimum distance [m].
+        distance: the pair's centre distance [m].
+    """
 
     ref_a: str
     ref_b: str
     center: Vec2
-    radius: float
-    satisfied: bool
+    emd: float
+    distance: float
+
+    @property
+    def radius(self) -> float:
+        """Circle radius [m]: EMD/2, so two touching circles mean the rule
+        is exactly met (at least 0.1 mm, to stay visible)."""
+        return max(self.emd / 2.0, 1e-4)
+
+    @property
+    def satisfied(self) -> bool:
+        """Whether the pair keeps its EMD."""
+        return self.distance + EMD_TOLERANCE >= self.emd
 
     @property
     def color(self) -> str:
@@ -101,15 +118,7 @@ class DesignRuleChecker:
     def _spacing_violation(self, a: PlacedComponent, b: PlacedComponent) -> Violation | None:
         if a.board != b.board:
             return None
-        required = self.problem.rules.clearance_for(
-            a.refdes,
-            b.refdes,
-            max(
-                self.problem.default_clearance,
-                a.component.clearance,
-                b.component.clearance,
-            ),
-        )
+        required = self.problem.clearance_between(a, b)
         ra, rb = a.footprint_aabb(), b.footprint_aabb()
         actual = ra.separation(rb)
         # 1 um grace keeps exactly-at-clearance layouts (and their
@@ -148,18 +157,14 @@ class DesignRuleChecker:
         return out
 
     def _min_distance_violation(self, rule: MinDistanceRule) -> Violation | None:
-        a = self.problem.components.get(rule.ref_a)
-        b = self.problem.components.get(rule.ref_b)
-        if a is None or b is None or not (a.is_placed and b.is_placed):
+        measured = self.problem.rule_distance(rule)
+        if measured is None:
             return None
-        if a.board != b.board:
+        emd, actual = measured
+        if actual + EMD_TOLERANCE >= emd:
             return None
-        emd = emd_for_pair(
-            a.component, a.placement, b.component, b.placement, rule.pemd, rule.residual
-        )
-        actual = a.center().distance_to(b.center())
-        if actual + 1e-12 >= emd:
-            return None
+        a = self.problem.components[rule.ref_a]
+        b = self.problem.components[rule.ref_b]
         mid = (a.center() + b.center()) / 2.0
         return Violation(
             "min_distance",
@@ -177,14 +182,8 @@ class DesignRuleChecker:
         for comp in self.problem.placed():
             if only is not None and comp.refdes != only:
                 continue
-            board = self.problem.board(comp.board)
-            areas = board.areas or [board.default_area()]
-            if comp.allowed_areas:
-                areas = [a for a in areas if a.name in comp.allowed_areas]
-                if not areas:
-                    areas = [board.default_area()]
             rect = comp.footprint_aabb()
-            if not any(area.contains_footprint(rect) for area in areas):
+            if not any(a.contains_footprint(rect) for a in self.problem.allowed_areas(comp)):
                 out.append(
                     Violation(
                         "keepin",
@@ -203,10 +202,10 @@ class DesignRuleChecker:
         for comp in self.problem.placed():
             if only is not None and comp.refdes != only:
                 continue
-            board = self.problem.board(comp.board)
             body = comp.body_cuboid()
-            for keepout in board.keepouts:
-                if body.overlaps(keepout.cuboid):
+            height = comp.component.body_height
+            for keepout in self.problem.board(comp.board).keepouts:
+                if keepout.blocks(body.zmin, height) and body.rect.overlaps(keepout.cuboid.rect):
                     out.append(
                         Violation(
                             "keepout",
@@ -227,8 +226,6 @@ class DesignRuleChecker:
         group centroid than its outermost member (exclusivity — groups end
         up in *separate coherent areas*).
         """
-        from .metrics import group_centroid
-
         out: list[Violation] = []
         for rule in self.problem.rules.groups:
             members = [
@@ -313,31 +310,17 @@ class DesignRuleChecker:
         return not self.check_all()
 
     def rule_markers(self) -> list[RuleMarker]:
-        """One circle per min-distance rule — the red/green Fig. 15/17 data.
-
-        The circle is centred between the pair with radius EMD/2, so two
-        touching circles mean the rule is exactly met.
-        """
+        """One circle per applicable min-distance rule — the red/green
+        Fig. 15/17 data."""
+        problem = self.problem
         markers: list[RuleMarker] = []
-        for rule in self.problem.rules.min_distance:
-            a = self.problem.components.get(rule.ref_a)
-            b = self.problem.components.get(rule.ref_b)
-            if a is None or b is None or not (a.is_placed and b.is_placed):
+        for rule in problem.rules.min_distance:
+            measured = problem.rule_distance(rule)
+            if measured is None:
                 continue
-            if a.board != b.board:
-                continue
-            emd = emd_for_pair(
-                a.component, a.placement, b.component, b.placement, rule.pemd, rule.residual
-            )
-            actual = a.center().distance_to(b.center())
-            mid = (a.center() + b.center()) / 2.0
-            markers.append(
-                RuleMarker(
-                    ref_a=rule.ref_a,
-                    ref_b=rule.ref_b,
-                    center=mid,
-                    radius=max(emd / 2.0, 1e-4),
-                    satisfied=actual + 1e-12 >= emd,
-                )
-            )
+            emd, distance = measured
+            a = problem.components[rule.ref_a]
+            b = problem.components[rule.ref_b]
+            center = (a.center() + b.center()) / 2.0
+            markers.append(RuleMarker(rule.ref_a, rule.ref_b, center, emd, distance))
         return markers

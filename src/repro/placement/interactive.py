@@ -168,7 +168,7 @@ class InteractiveSession:
 
         Returns None when no legal position exists.
         """
-        from .placer import AutoPlacer
+        from .placer import BOUNDARY_SPACING, AutoPlacer
 
         comp = self.problem.components.get(refdes)
         if comp is None:
@@ -178,7 +178,7 @@ class InteractiveSession:
         comp.placement = None
         try:
             placer = AutoPlacer(self.problem, optimize_rotation=False)
-            return placer._best_candidate(comp, rotation)  # noqa: SLF001
+            return placer.best_candidate(comp, rotation, BOUNDARY_SPACING)
         finally:
             comp.placement = original
 

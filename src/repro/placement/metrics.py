@@ -109,42 +109,24 @@ def group_spread(problem: PlacementProblem, group: str) -> float:
 def emd_slack_sum(problem: PlacementProblem) -> float:
     """Total shortfall of min-distance rules [m]; 0 for a rule-clean layout.
 
-    For each PEMD rule with both parts placed, accumulates
-    ``max(0, EMD - actual_distance)``.
+    For each applicable PEMD rule (``PlacementProblem.rule_distance``),
+    accumulates ``max(0, EMD - actual_distance)``.
     """
-    from ..rules import emd_for_pair
-
     total = 0.0
     for rule in problem.rules.min_distance:
-        a = problem.components.get(rule.ref_a)
-        b = problem.components.get(rule.ref_b)
-        if a is None or b is None or not (a.is_placed and b.is_placed):
-            continue
-        if a.board != b.board:
-            continue  # Different boards decouple (rigid separation).
-        emd = emd_for_pair(
-            a.component, a.placement, b.component, b.placement, rule.pemd, rule.residual
-        )
-        actual = a.center().distance_to(b.center())
-        total += max(0.0, emd - actual)
+        measured = problem.rule_distance(rule)
+        if measured is not None:
+            emd, actual = measured
+            total += max(0.0, emd - actual)
     return total
 
 
 def worst_emd_margin(problem: PlacementProblem) -> float:
     """Smallest (actual - EMD) over all applicable rules [m]; +inf if none."""
-    from ..rules import emd_for_pair
-
     worst = math.inf
     for rule in problem.rules.min_distance:
-        a = problem.components.get(rule.ref_a)
-        b = problem.components.get(rule.ref_b)
-        if a is None or b is None or not (a.is_placed and b.is_placed):
-            continue
-        if a.board != b.board:
-            continue
-        emd = emd_for_pair(
-            a.component, a.placement, b.component, b.placement, rule.pemd, rule.residual
-        )
-        actual = a.center().distance_to(b.center())
-        worst = min(worst, actual - emd)
+        measured = problem.rule_distance(rule)
+        if measured is not None:
+            emd, actual = measured
+            worst = min(worst, actual - emd)
     return worst

@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..components import Component
-from ..geometry import Cuboid, OrientedRect, Placement2D, Polygon2D, Rect, Vec2
-from ..rules import RuleSet
+from ..geometry import EPS, Cuboid, OrientedRect, Placement2D, Polygon2D, Rect, Vec2
+from ..rules import MinDistanceRule, RuleSet, emd_for_pair
 
 __all__ = [
+    "EMD_TOLERANCE",
     "PlacementArea",
     "Keepout3D",
     "Board",
@@ -33,6 +34,11 @@ __all__ = [
     "PlacementProblem",
     "PlacementError",
 ]
+
+
+#: A min-distance rule is met when ``distance + EMD_TOLERANCE >= EMD`` [m];
+#: the placer and the DRC share it, so an accepted position is never flagged.
+EMD_TOLERANCE = 1e-12
 
 
 class PlacementError(RuntimeError):
@@ -59,6 +65,12 @@ class Keepout3D:
     name: str
     cuboid: Cuboid
     board: int = 0
+
+    def blocks(self, z_offset: float, height: float) -> bool:
+        """True if a body from ``z_offset`` to ``z_offset + height`` reaches
+        into the keepout's height range (``Cuboid.overlaps`` in z)."""
+        zmin, zmax = self.cuboid.zmin, self.cuboid.zmax
+        return not (z_offset + height <= zmin + EPS or zmax <= z_offset + EPS)
 
 
 @dataclass
@@ -293,6 +305,45 @@ class PlacementProblem:
     def nets_touching(self, refdes: str) -> list[Net]:
         """Nets with a pin on the given component."""
         return [n for n in self.nets if refdes in n.refdes_set()]
+
+    # -- legality: each placement constraint defined once ---------------------
+
+    def allowed_areas(self, comp: PlacedComponent) -> list[PlacementArea]:
+        """The areas a part may occupy, in board order.
+
+        Empty ``allowed_areas`` means every area of its board (the outline
+        when the board defines none).  Names that match no area admit
+        nothing, so such a part can never be placed (PLC005).
+        """
+        board = self.board(comp.board)
+        areas = board.areas or [board.default_area()]
+        if not comp.allowed_areas:
+            return areas
+        return [a for a in areas if a.name in comp.allowed_areas]
+
+    def clearance_between(self, a: PlacedComponent, b: PlacedComponent) -> float:
+        """Required body-to-body spacing of a pair [m]: a pair rule, else a
+        global rule, else the largest of the default and both parts' own."""
+        return self.rules.clearance_for(
+            a.refdes,
+            b.refdes,
+            max(self.default_clearance, a.component.clearance, b.component.clearance),
+        )
+
+    def rule_distance(self, rule: MinDistanceRule) -> tuple[float, float] | None:
+        """(EMD, centre distance) of a min-distance rule [m], or None when
+        it does not apply: a part is missing or unplaced, or the two sit on
+        different boards (rigid separation decouples them)."""
+        a = self.components.get(rule.ref_a)
+        b = self.components.get(rule.ref_b)
+        if a is None or b is None or a.placement is None or b.placement is None:
+            return None
+        if a.board != b.board:
+            return None
+        emd = emd_for_pair(
+            a.component, a.placement, b.component, b.placement, rule.pemd, rule.residual
+        )
+        return emd, a.center().distance_to(b.center())
 
     def pair_count(self) -> int:
         """n(n-1)/2 — the paper's bound on definable minimum distances."""

@@ -25,11 +25,15 @@ from ..rules import MinDistanceRule, emd_for_pair
 from .candidates import CandidateGenerator
 from .drc import DesignRuleChecker
 from .metrics import group_centroid, pad_offset, pin_position, total_wirelength
-from .model import Net, PlacedComponent, PlacementError, PlacementProblem
+from .model import EMD_TOLERANCE, Net, PlacedComponent, PlacementError, PlacementProblem
 from .partition import Partitioner
 from .rotation import RotationOptimizer, RotationPlan
 
-__all__ = ["PlacerWeights", "PlacementReport", "AutoPlacer"]
+__all__ = ["BOUNDARY_SPACING", "PlacerWeights", "PlacementReport", "AutoPlacer"]
+
+#: Boundary-sample spacing of the area candidates [m]; a part with no
+#: legal position at any rotation is searched again at half of it.
+BOUNDARY_SPACING = 6e-3
 
 
 @dataclass(frozen=True)
@@ -207,38 +211,41 @@ class AutoPlacer:
                 rotations.remove(preferred)
             rotations.insert(0, preferred)
 
-        for spacing_scale in (1.0, 0.5):
-            self._generator.boundary_spacing = 6e-3 * spacing_scale
+        for spacing in (BOUNDARY_SPACING, BOUNDARY_SPACING * 0.5):
             for rotation in rotations:
-                best = self._best_candidate(comp, rotation)
+                best = self.best_candidate(comp, rotation, spacing)
                 if best is not None:
                     comp.placement = Placement2D(best, math.radians(rotation))
                     return True
         return False
 
-    def _best_candidate(self, comp: PlacedComponent, rotation_deg: float) -> Vec2 | None:
+    def best_candidate(
+        self, comp: PlacedComponent, rotation_deg: float, spacing: float
+    ) -> Vec2 | None:
         """The lowest-cost legal centre for ``comp`` at a rotation, or None.
 
-        Every candidate is tested at once: area containment, clearance to
-        placed footprints, 3-D keepouts and EMD to placed rule partners.
-        The cost is then evaluated over the legal candidates only; ties go
-        to the first candidate in generator order.
+        ``comp`` itself is ignored as an obstacle, so a lifted (unplaced)
+        part can be searched for without committing.  Area candidates are
+        sampled every ``spacing`` metres along the allowed areas' eroded
+        boundaries.  Every candidate is tested at once: area containment,
+        clearance to placed footprints, 3-D keepouts and EMD to placed rule
+        partners.  The cost is then evaluated over the legal candidates
+        only; ties go to the first candidate in generator order.
         """
         tracer = get_tracer()
         with tracer.span("placement.score"):
             partners = self._partner_emds(comp, rotation_deg)
             ring_specs = [(center, emd * 1.02 + 1e-4) for center, emd in partners]
-            xy = self._generator.candidate_array(comp, rotation_deg, ring_specs)
+            xy = self._generator.candidate_array(comp, rotation_deg, spacing, ring_specs)
             tracer.count("placement.candidates_scored", len(xy))
 
-            half = self._generator._half_extent(comp, rotation_deg)  # noqa: SLF001
-            legal = self._legal_mask(comp, xy, half)
+            legal = self._legal_mask(comp, xy, comp.component.half_extent(rotation_deg))
             xy = xy[legal]
             x, y = xy[:, 0], xy[:, 1]
             margin = np.full(len(xy), math.inf)
             for center, emd in partners:
                 d = _distances(x, y, center)
-                keep = d + 1e-9 >= emd
+                keep = d + EMD_TOLERANCE >= emd
                 margin = np.minimum(margin[keep], d[keep] - emd)
                 x, y = x[keep], y[keep]
             tracer.count("placement.candidates_legal", len(x))
@@ -268,42 +275,27 @@ class AutoPlacer:
         x, y = xy[:, 0], xy[:, 1]
         x0, y0, x1, y1 = x - half.x, y - half.y, x + half.x, y + half.y
         legal = np.zeros(len(xy), dtype=bool)
-        for area in self._legal_areas(comp):
-            legal |= area.contains_rects(x0, y0, x1, y1)
+        for area in self.problem.allowed_areas(comp):
+            legal |= area.polygon.contains_rects(x0, y0, x1, y1)
 
-        clearance = max(self.problem.default_clearance, comp.component.clearance)
-        inflated = (
-            x0 - clearance,
-            y0 - clearance,
-            np.maximum(x1 + clearance, x0 - clearance),
-            np.maximum(y1 + clearance, y0 - clearance),
-        )
-        legal &= ~_overlaps_any(inflated, self._obstacles(comp))
+        others = [
+            other
+            for other in self.problem.placed()
+            if other.board == comp.board and other.refdes != comp.refdes
+        ]
+        clearances = np.array([self.problem.clearance_between(comp, o) for o in others])
+        obstacles = [o.footprint_aabb() for o in others]
+        legal &= ~_overlaps_any((x0, y0, x1, y1), obstacles, clearances)
 
+        # A new placement stands on the board (z-offset 0).
         height = comp.component.body_height
         blockers = [
             k.cuboid.rect
             for k in self.problem.board(comp.board).keepouts
-            if height > k.cuboid.zmin and k.cuboid.zmax > 0.0
+            if k.blocks(0.0, height)
         ]
         legal &= ~_overlaps_any((x0, y0, x1, y1), blockers)
         return legal
-
-    def _obstacles(self, comp: PlacedComponent) -> list[Rect]:
-        return [
-            other.footprint_aabb()
-            for other in self.problem.placed()
-            if other.board == comp.board and other.refdes != comp.refdes
-        ]
-
-    def _legal_areas(self, comp: PlacedComponent):
-        board = self.problem.board(comp.board)
-        areas = board.areas or [board.default_area()]
-        if comp.allowed_areas:
-            filtered = [a for a in areas if a.name in comp.allowed_areas]
-            if filtered:
-                areas = filtered
-        return [a.polygon for a in areas]
 
     def _costs(
         self, comp: PlacedComponent, x: np.ndarray, y: np.ndarray, emd_margin: np.ndarray
@@ -341,8 +333,7 @@ class AutoPlacer:
             sx = sum(c.center().x for c in placed)
             sy = sum(c.center().y for c in placed)
             return Vec2(sx / len(placed), sy / len(placed))
-        areas = self._legal_areas(comp)
-        return areas[0].centroid()
+        return self.problem.allowed_areas(comp)[0].polygon.centroid()
 
 
 def _distances(x: np.ndarray, y: np.ndarray, point: Vec2) -> np.ndarray:
@@ -357,12 +348,21 @@ def _distances(x: np.ndarray, y: np.ndarray, point: Vec2) -> np.ndarray:
     return np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(dx))
 
 
-def _overlaps_any(rects: tuple[np.ndarray, ...], others: list[Rect]) -> np.ndarray:
-    """Which of the rectangles (xmin, ymin, xmax, ymax arrays) overlap the
-    interior of any of ``others`` (``Rect.overlaps`` with its EPS)."""
+def _overlaps_any(
+    rects: tuple[np.ndarray, ...], others: list[Rect], margins: np.ndarray | float = 0.0
+) -> np.ndarray:
+    """Which of the rectangles (xmin, ymin, xmax, ymax arrays), each grown by
+    its margin to each of ``others`` (one per column, or one for all),
+    overlap the interior of any of ``others`` (``Rect.overlaps`` with its EPS)."""
     if not others:
         return np.zeros(len(rects[0]), dtype=bool)
     x0, y0, x1, y1 = (r[:, None] for r in rects)
+    x0, y0, x1, y1 = (
+        x0 - margins,
+        y0 - margins,
+        np.maximum(x1 + margins, x0 - margins),
+        np.maximum(y1 + margins, y0 - margins),
+    )
     ox0, oy0, ox1, oy1 = np.array(
         [(o.xmin, o.ymin, o.xmax, o.ymax) for o in others], dtype=float
     ).T

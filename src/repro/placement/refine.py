@@ -11,12 +11,14 @@ input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from ..geometry import Placement2D
 from .drc import DesignRuleChecker
 from .metrics import total_wirelength
 from .model import PlacementProblem
-from .placer import AutoPlacer, PlacerWeights
+from .placer import BOUNDARY_SPACING, AutoPlacer, PlacerWeights
 
 __all__ = ["RefinementResult", "refine_wirelength"]
 
@@ -78,13 +80,10 @@ def refine_wirelength(
 
             comp.placement = None  # rip up
             rotation = old_placement.rotation_deg
-            candidate = placer._best_candidate(comp, rotation)  # noqa: SLF001
+            candidate = placer.best_candidate(comp, rotation, BOUNDARY_SPACING)
             if candidate is None:
                 comp.placement = old_placement
                 continue
-            from ..geometry import Placement2D
-            import math
-
             comp.placement = Placement2D(candidate, math.radians(rotation))
             new_wl = total_wirelength(problem)
             if new_wl < old_wl - 1e-9 and not checker.check_component(ref):

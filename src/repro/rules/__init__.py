@@ -4,8 +4,8 @@ Turns field-simulation results and sensitivity rankings into the pairwise
 minimum-distance system the placement tool enforces.
 """
 
-from .derive import PemdDerivation, derive_pemd, derive_rule_set, pemd_table
-from .emd import axis_angle, effective_min_distance, emd_factor, emd_for_pair, worst_case_emd
+from .derive import PemdDerivation, derive_pemd, derive_rule_set
+from .emd import axis_angle, effective_min_distance, emd_factor, emd_for_pair
 from .rule_types import (
     ClearanceRule,
     GroupCoherenceRule,
@@ -26,9 +26,7 @@ __all__ = [
     "emd_factor",
     "effective_min_distance",
     "emd_for_pair",
-    "worst_case_emd",
     "derive_pemd",
     "derive_rule_set",
-    "pemd_table",
     "PemdDerivation",
 ]

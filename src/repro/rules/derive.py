@@ -223,31 +223,3 @@ def derive_rule_set(
         rules[pair] = derivation.rule(pair[0], pair[1])
     return list(rules.values())
 
-
-def pemd_table(
-    components: list[Component],
-    k_threshold: Dimensionless,
-    ground_plane_z: Meters | None = None,
-    database: CouplingDatabase | None = None,
-) -> dict[tuple[str, str], Meters]:
-    """All-pairs PEMD matrix over a component *type* list, in metres.
-
-    Handy for reports: the upper triangle of the paper's n(n-1)/2 distance
-    system, computed once per type pair.  ``database`` shares coupling
-    cache tiers across derivations.
-    """
-    table: dict[tuple[str, str], float] = {}
-    for i in range(len(components)):
-        for j in range(i, len(components)):
-            a, b = components[i], components[j]
-            # Same-type pairs (i == j) need a distance too: two X-caps, Fig 5.
-            derivation = derive_pemd(
-                a,
-                b,
-                k_threshold,
-                ground_plane_z=ground_plane_z,
-                database=database,
-            )
-            key = tuple(sorted((a.part_number, b.part_number)))
-            table[key] = derivation.pemd
-    return table

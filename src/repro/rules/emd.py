@@ -34,7 +34,6 @@ __all__ = [
     "emd_factor",
     "effective_min_distance",
     "emd_for_pair",
-    "worst_case_emd",
 ]
 
 
@@ -149,11 +148,3 @@ def emd_for_pair(
         comp_a, placement_a, comp_b, placement_b, rule_residual
     )
 
-
-def worst_case_emd(pemd: Meters) -> Meters:
-    """EMD at parallel axes [m] — the value the rotation optimiser reduces.
-
-    Args:
-        pemd: parallel-axes minimum distance [m].
-    """
-    return pemd

@@ -85,15 +85,12 @@ def markers_to_csv(problem: PlacementProblem) -> str:
     writer = csv.writer(buffer)
     writer.writerow(["ref_a", "ref_b", "emd_mm", "distance_mm", "satisfied"])
     for marker in DesignRuleChecker(problem).rule_markers():
-        a = problem.components[marker.ref_a]
-        b = problem.components[marker.ref_b]
-        distance = a.center().distance_to(b.center())
         writer.writerow(
             [
                 marker.ref_a,
                 marker.ref_b,
-                f"{marker.radius * 2.0 * 1e3:.2f}",
-                f"{distance * 1e3:.2f}",
+                f"{marker.emd * 1e3:.2f}",
+                f"{marker.distance * 1e3:.2f}",
                 int(marker.satisfied),
             ]
         )

@@ -15,7 +15,7 @@ class TestGenerators:
         problem = build_small_problem()
         gen = CandidateGenerator(problem)
         comp = problem.components["C1"]
-        candidates = gen.area_candidates(comp, rotation_deg=0.0)
+        candidates = gen.area_candidates(comp, rotation_deg=0.0, spacing=6e-3)
         assert candidates
         outline = problem.board(0).outline
         inside = sum(1 for p in candidates if outline.contains_point(p))
@@ -64,7 +64,7 @@ class TestGenerators:
         problem.components["C2"].placement = Placement2D.at(0.04, 0.03)
         gen = CandidateGenerator(problem)
         comp = problem.components["C1"]
-        candidates = gen.candidate_array(comp, 0.0, [(Vec2(0.04, 0.03), 0.03)])
+        candidates = gen.candidate_array(comp, 0.0, 6e-3, [(Vec2(0.04, 0.03), 0.03)])
         keys = {(round(x / 5e-4), round(y / 5e-4)) for x, y in candidates.tolist()}
         assert len(keys) == len(candidates)
 
@@ -79,7 +79,7 @@ class TestGenerators:
         comp = problem.components["C1"]
         comp.preferred_area = "r"
         gen = CandidateGenerator(problem)
-        candidates = gen.area_candidates(comp, 0.0)
+        candidates = gen.area_candidates(comp, 0.0, 6e-3)
         # The first candidates come from the preferred area.
         assert candidates[0].x >= 0.04 - 1e-9
 
@@ -97,15 +97,16 @@ class TestAreaSampleMemo:
         reused = CandidateGenerator(problem)
 
         def sweep(check):
-            # Both spacings, switched on one generator as the placer does.
+            # Both spacings, on one generator as the placer does.
             for spacing in (6e-3, 3e-3):
-                reused.boundary_spacing = spacing
                 for comp in problem.components.values():
                     for rotation in comp.rotations():
-                        got = reused.candidate_array(comp, rotation)
+                        got = reused.candidate_array(comp, rotation, spacing)
                         if check:
-                            fresh = CandidateGenerator(problem, spacing)
-                            assert np.array_equal(got, fresh.candidate_array(comp, rotation))
+                            fresh = CandidateGenerator(problem).candidate_array(
+                                comp, rotation, spacing
+                            )
+                            assert np.array_equal(got, fresh)
 
         sweep(check=True)
         erosions = []

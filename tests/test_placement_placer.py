@@ -140,13 +140,13 @@ class TestScoringObservability:
         from repro import obs
 
         calls = []
-        original = AutoPlacer._best_candidate
+        original = AutoPlacer.best_candidate
 
-        def counted(self, comp, rotation_deg):
+        def counted(self, comp, rotation_deg, spacing):
             calls.append(comp.refdes)
-            return original(self, comp, rotation_deg)
+            return original(self, comp, rotation_deg, spacing)
 
-        monkeypatch.setattr(AutoPlacer, "_best_candidate", counted)
+        monkeypatch.setattr(AutoPlacer, "best_candidate", counted)
         problem = build_small_problem()
         tracer = obs.enable(meta={"test": "placement spans"})
         try:

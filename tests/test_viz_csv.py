@@ -65,3 +65,15 @@ class TestMarkersCsv:
         lines = text.strip().splitlines()
         assert len(lines) == 1 + len(problem.rules.min_distance)
         assert all(line.endswith(",1") for line in lines[1:])  # all satisfied
+
+    def test_exact_emd_and_distance(self):
+        # Perpendicular X-caps with no residual decouple fully: EMD 0, not
+        # the 0.2 mm floor of the drawn circle.
+        from repro.rules import MinDistanceRule
+
+        problem = build_small_problem()
+        problem.rules.min_distance = [MinDistanceRule("C1", "C2", pemd=0.02, residual=0.0)]
+        problem.components["C1"].placement = Placement2D.at(0.02, 0.03)
+        problem.components["C2"].placement = Placement2D.at(0.05, 0.03, 90)
+        lines = markers_to_csv(problem).strip().splitlines()
+        assert lines[1:] == ["C1,C2,0.00,30.00,1"]
