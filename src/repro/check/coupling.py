@@ -5,20 +5,17 @@ couplings of a circuit (which may have been mutated after construction),
 externally supplied coupling maps (refdes-pair -> k, as produced by layout
 extraction), and the ``K`` metadata of board-file minimum-distance rules.
 
-The positive-definiteness check builds the branch inductance matrix with
-the same convention as the MNA assembly (``M = k * sqrt(L_a * L_b)``) but
-never solves anything — one symmetric eigenvalue decomposition of a small
-matrix.
+The positive-definiteness check calls the solver's own
+:func:`~repro.circuit.mna.branch_inductance_matrix` but never solves anything —
+one symmetric eigenvalue decomposition of a small matrix.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..circuit import Circuit
-from ..circuit.elements import Inductor
+from ..circuit.mna import branch_inductance_matrix
 from ..placement import PlacementProblem
 from .diagnostics import Diagnostic
 from .limits import NEAR_UNITY_K, PSD_RELATIVE_TOLERANCE
@@ -30,7 +27,7 @@ __all__ = ["check_couplings", "check_coupling_map", "check_rule_couplings"]
 def check_couplings(circuit: Circuit) -> list[Diagnostic]:
     """Run all CPL0xx rules over a circuit's mutual couplings."""
     out: list[Diagnostic] = []
-    inductor_names = {e.name for e in circuit.elements if isinstance(e, Inductor)}
+    inductor_names = {e.name for e in circuit.inductors()}
 
     seen_pairs: dict[tuple[str, str], str] = {}
     orphaned: set[str] = set()
@@ -95,25 +92,12 @@ def check_couplings(circuit: Circuit) -> list[Diagnostic]:
 
 
 def _psd_check(circuit: Circuit, skip_couplings: set[str]) -> list[Diagnostic]:
-    inductors = [e for e in circuit.elements if isinstance(e, Inductor)]
+    inductors = circuit.inductors()
     if not inductors or not circuit.couplings:
         return []
-    index = {ind.name: i for i, ind in enumerate(inductors)}
-    lmat = np.zeros((len(inductors), len(inductors)), dtype=float)
-    for i, ind in enumerate(inductors):
-        lmat[i, i] = ind.inductance
-    for coupling in circuit.couplings:
-        if coupling.name in skip_couplings:
-            continue
-        ia = index.get(coupling.inductor_a)
-        ib = index.get(coupling.inductor_b)
-        if ia is None or ib is None or ia == ib:
-            continue
-        mutual = coupling.k * math.sqrt(
-            inductors[ia].inductance * inductors[ib].inductance
-        )
-        lmat[ia, ib] += mutual
-        lmat[ib, ia] += mutual
+    lmat = branch_inductance_matrix(
+        inductors, [c for c in circuit.couplings if c.name not in skip_couplings]
+    )
     eigenvalues = np.linalg.eigvalsh(lmat)
     tolerance = PSD_RELATIVE_TOLERANCE * float(np.max(np.diag(lmat)))
     smallest = float(eigenvalues[0])

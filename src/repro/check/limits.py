@@ -7,6 +7,7 @@ ranges.  All values are SI.
 
 from __future__ import annotations
 
+from ..components import FIELD_RELEVANT_MOMENT
 from ..coupling.database import COUPLING_CLAMP_TOLERANCE
 
 __all__ = [
@@ -45,10 +46,10 @@ PSD_RELATIVE_TOLERANCE = 1e-9
 #: board-level keepouts (PLC002).
 MIN_FREE_AREA_FRACTION = 0.02
 
-#: Magnetic moment per ampere [m^2] above which a part counts as a strong
-#: field source for PLC009 (missing PEMD rule).  Matches the CLI ``rules``
-#: subcommand's field-relevance cut.
-FIELD_RELEVANT_MOMENT = 1e-6
+#: FIELD_RELEVANT_MOMENT, the moment per ampere [m^2] from which a part
+#: counts as a field source for PLC009 (missing PEMD rule) and for the CLI
+#: ``rules`` subcommand, is defined in :mod:`repro.components` (through
+#: ``Component.field_relevant``) and re-exported above.
 
 #: Minimum stray-field strength (moment per ampere times effective
 #: permeability, [m^2]) for *both* parts of a pair before PLC009 demands a

@@ -1,11 +1,9 @@
 """Netlist analyzer: connectivity and element-value sanity of a circuit.
 
 All checks are purely structural — no MNA system is assembled and nothing
-is solved.  The connectivity walk mirrors the solver's notion of
-conductivity (resistors, inductors, switches, diodes and voltage sources
-conduct at DC; capacitors and current sources do not), so a node this
-analyzer flags as floating is exactly one that would make the MNA matrix
-singular.
+is solved.  NET001 reads the solver's own DC-connectivity walk,
+:meth:`Circuit.floating_nodes`, so a node flagged as floating is exactly
+one that makes the MNA matrix singular.
 """
 
 from __future__ import annotations
@@ -13,23 +11,13 @@ from __future__ import annotations
 from collections import defaultdict
 
 from ..circuit import Circuit
-from ..circuit.elements import (
-    GROUND_NAMES,
-    Capacitor,
-    IdealDiode,
-    Inductor,
-    Resistor,
-    Switch,
-    VoltageSource,
-)
+from ..circuit.elements import GROUND_NAMES, Capacitor, Inductor, Resistor, VoltageSource
 from ..placement import PlacementProblem
 from .diagnostics import Diagnostic
 from .limits import ELEMENT_VALUE_RANGES
 from .registry import finding
 
 __all__ = ["check_netlist", "check_problem_nets"]
-
-_CONDUCTIVE = (Resistor, Inductor, Switch, IdealDiode, VoltageSource)
 
 
 def _canon(node: str) -> str:
@@ -54,29 +42,6 @@ def check_netlist(circuit: Circuit) -> list[Diagnostic]:
 
 
 def _floating_nodes(circuit: Circuit) -> list[Diagnostic]:
-    adjacency: dict[str, set[str]] = defaultdict(set)
-    nodes: list[str] = []
-    seen: set[str] = set()
-    for element in circuit.elements:
-        for node in element.nodes():
-            name = _canon(node)
-            if name != "0" and name not in seen:
-                seen.add(name)
-                nodes.append(name)
-        if isinstance(element, _CONDUCTIVE):
-            a, b = _canon(element.n1), _canon(element.n2)
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-
-    reached = {"0"}
-    stack = ["0"]
-    while stack:
-        node = stack.pop()
-        for neighbour in adjacency.get(node, ()):
-            if neighbour not in reached:
-                reached.add(neighbour)
-                stack.append(neighbour)
-
     return [
         finding(
             "NET001",
@@ -84,8 +49,7 @@ def _floating_nodes(circuit: Circuit) -> list[Diagnostic]:
             obj=f"circuit/node:{node}",
             hint="add a DC return (resistor, inductor or source) or remove the node",
         )
-        for node in nodes
-        if node not in reached
+        for node in circuit.floating_nodes()
     ]
 
 

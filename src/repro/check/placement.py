@@ -19,18 +19,15 @@ import math
 
 from ..components import Component
 from ..geometry import Polygon2D
-from ..placement import Board, Keepout3D, PlacementProblem
+from ..placement import Board, PlacementProblem
 from .diagnostics import Diagnostic
-from .limits import (
-    FIELD_RELEVANT_MOMENT,
-    MIN_FREE_AREA_FRACTION,
-    PEMD_REQUIRED_STRENGTH,
-)
+from .limits import MIN_FREE_AREA_FRACTION, PEMD_REQUIRED_STRENGTH
 from .registry import finding
 
 __all__ = ["check_placement"]
 
-#: Keepouts starting at (or below) board level block every part.
+#: Height [m] of the body standing on the board that PLC002/PLC010 test
+#: keepouts with: a keepout it would enter blocks every part.
 _BOARD_LEVEL_Z = 1e-4
 
 #: Interior sample resolution per board axis for the free-area estimate.
@@ -99,10 +96,6 @@ def _preplaced_on_board(problem: PlacementProblem) -> list[Diagnostic]:
 # -- PLC002/003/004: keepout sanity ----------------------------------------
 
 
-def _blocks_board_level(keepout: Keepout3D) -> bool:
-    return keepout.cuboid.zmin <= _BOARD_LEVEL_Z
-
-
 def _free_area_fraction(board: Board) -> float:
     """Fraction of interior samples outside all board-level keepouts."""
     xmin, ymin, xmax, ymax = board.outline.bbox()
@@ -110,7 +103,7 @@ def _free_area_fraction(board: Board) -> float:
     samples = board.outline.grid_samples(spacing)
     if not samples:
         return 1.0
-    blockers = [k for k in board.keepouts if _blocks_board_level(k)]
+    blockers = [k for k in board.keepouts if k.blocks(0.0, _BOARD_LEVEL_Z)]
     if not blockers:
         return 1.0
     free = sum(
@@ -194,7 +187,7 @@ def _area_constraints(problem: PlacementProblem) -> list[Diagnostic]:
             board = problem.board(comp.board)
         except KeyError:
             continue  # PLC001 reports missing boards
-        area_names = {a.name for a in board.areas}
+        area_names = {a.name for a in board.placement_areas()}
         named = set(comp.allowed_areas)
         if comp.preferred_area is not None:
             named.add(comp.preferred_area)
@@ -206,11 +199,11 @@ def _area_constraints(problem: PlacementProblem) -> list[Diagnostic]:
                         f"{comp.refdes} references area {name!r}, which does "
                         f"not exist on board {comp.board}",
                         obj=f"problem/component:{comp.refdes}",
-                        hint=f"defined areas: {sorted(area_names) or 'none'}",
+                        hint=f"defined areas: {sorted(area_names)}",
                     )
                 )
         rotations = comp.rotations()
-        candidates = [a for a in board.areas if a.name in comp.allowed_areas]
+        candidates = problem.allowed_areas(comp)
         if (
             comp.allowed_areas
             and candidates
@@ -326,12 +319,9 @@ def _unsatisfiable_min_distances(problem: PlacementProblem) -> list[Diagnostic]:
 
 def _field_strength(component: Component) -> float:
     try:
-        moment = component.magnetic_moment_local.norm()
+        return component.stray_field_strength if component.field_relevant else 0.0
     except (NotImplementedError, ValueError):
         return 0.0
-    if moment < FIELD_RELEVANT_MOMENT:
-        return 0.0
-    return moment * component.mu_eff
 
 
 def _missing_pemd_rules(

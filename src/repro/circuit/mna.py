@@ -27,13 +27,21 @@ from .elements import (
     CurrentSource,
     IdealDiode,
     Inductor,
+    MutualCoupling,
     Resistor,
     Switch,
     VoltageSource,
 )
 from .netlist import Circuit
 
-__all__ = ["AcSolution", "AcSweepResult", "MnaSystem", "SingularCircuitError"]
+__all__ = [
+    "AcSolution",
+    "AcSweepResult",
+    "MnaSystem",
+    "SingularCircuitError",
+    "branch_inductance_matrix",
+    "level_db",
+]
 
 
 class SingularCircuitError(RuntimeError):
@@ -52,6 +60,41 @@ def _conductance(resistance: float, name: str) -> float:
             "use an ideal source or a small finite resistance instead"
         )
     return 1.0 / resistance
+
+
+def level_db(phasors: np.ndarray, reference: float) -> np.ndarray:
+    """``20 log10(|phasors|/reference)``, magnitudes floored at 1e-30.
+
+    Raises:
+        ValueError: if ``reference`` is not a positive level.
+    """
+    if not reference > 0.0:
+        raise ValueError(f"reference must be positive, got {reference!r}")
+    return 20.0 * np.log10(np.maximum(np.abs(phasors), 1e-30) / reference)
+
+
+def branch_inductance_matrix(
+    inductors: Sequence[Inductor], couplings: Sequence[MutualCoupling]
+) -> np.ndarray:
+    """Branch inductance matrix [H]: self-inductances on the diagonal, and
+    ``M = k sqrt(La Lb)`` of each coupling added to both off-diagonal slots.
+
+    Raises:
+        KeyError: if a coupling names an inductor not in ``inductors``.
+    """
+    index = {ind.name: i for i, ind in enumerate(inductors)}
+    lmat = np.zeros((len(inductors), len(inductors)), dtype=float)
+    for i, ind in enumerate(inductors):
+        lmat[i, i] = ind.inductance
+    for c in couplings:
+        ia = index.get(c.inductor_a)
+        ib = index.get(c.inductor_b)
+        if ia is None or ib is None:
+            raise KeyError(f"coupling {c.name!r} references a missing inductor")
+        m = c.k * math.sqrt(inductors[ia].inductance * inductors[ib].inductance)
+        lmat[ia, ib] += m
+        lmat[ib, ia] += m
+    return lmat
 
 
 @dataclass
@@ -113,10 +156,7 @@ class AcSweepResult:
         Raises:
             ValueError: if ``reference`` is not a positive level.
         """
-        if not reference > 0.0:
-            raise ValueError(f"reference must be positive, got {reference!r}")
-        v = np.abs(self.voltages(node))
-        return 20.0 * np.log10(np.maximum(v, 1e-30) / reference)
+        return level_db(self.voltages(node), reference)
 
     def __len__(self) -> int:
         return len(self.freqs)
@@ -162,20 +202,7 @@ class MnaSystem:
 
     def inductance_matrix(self) -> np.ndarray:
         """Branch inductance matrix including mutual terms [H]."""
-        lmat = np.zeros((self.n_ind, self.n_ind), dtype=float)
-        for i, ind in enumerate(self._inductors):
-            lmat[i, i] = ind.inductance
-        for c in self.circuit.couplings:
-            ia = self._ind_idx.get(c.inductor_a)
-            ib = self._ind_idx.get(c.inductor_b)
-            if ia is None or ib is None:
-                raise KeyError(f"coupling {c.name!r} references a missing inductor")
-            m = c.k * math.sqrt(
-                self._inductors[ia].inductance * self._inductors[ib].inductance
-            )
-            lmat[ia, ib] += m
-            lmat[ib, ia] += m
-        return lmat
+        return branch_inductance_matrix(self._inductors, self.circuit.couplings)
 
     def _assemble(self) -> tuple[np.ndarray, np.ndarray]:
         g = np.zeros((self.size, self.size), dtype=float)
@@ -249,38 +276,6 @@ class MnaSystem:
             rhs[..., self.n_nodes + self.n_ind + k] = src.phasors(grid)
         return rhs
 
-    def floating_nodes(self) -> list[str]:
-        """Nodes with no conductive path to ground (diagnostic helper).
-
-        Walks the R / L / switch / diode / V-source connectivity graph from
-        ground; capacitors do not count (they are open at DC, which is what
-        makes a node float in the MNA sense).
-        """
-        from .elements import IdealDiode, Resistor, Switch, VoltageSource
-
-        adjacency: dict[str, set[str]] = {n: set() for n in self._nodes}
-        adjacency["0"] = set()
-
-        def canon(n: str) -> str:
-            return "0" if n in GROUND_NAMES else n
-
-        conductive = (Resistor, Inductor, Switch, IdealDiode, VoltageSource)
-        for e in self.circuit.elements:
-            if isinstance(e, conductive):
-                a, b = canon(e.n1), canon(e.n2)
-                adjacency.setdefault(a, set()).add(b)
-                adjacency.setdefault(b, set()).add(a)
-
-        reached = {"0"}
-        stack = ["0"]
-        while stack:
-            node = stack.pop()
-            for neighbour in adjacency.get(node, ()):
-                if neighbour not in reached:
-                    reached.add(neighbour)
-                    stack.append(neighbour)
-        return [n for n in self._nodes if n not in reached]
-
     def solve_ac(self, freq: float) -> AcSolution:
         """Solve the phasor system at one frequency (a one-point sweep).
 
@@ -337,7 +332,7 @@ class MnaSystem:
                 try:
                     solution = np.linalg.solve(a, rhs)
                 except np.linalg.LinAlgError as exc:
-                    floating = self.floating_nodes()
+                    floating = self.circuit.floating_nodes()
                     hint = (
                         f"nodes without a conductive path to ground: {floating}"
                         if floating

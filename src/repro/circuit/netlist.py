@@ -10,6 +10,7 @@ properties like ESL of capacitors or inductances of lines".
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from .elements import (
@@ -26,6 +27,9 @@ from .elements import (
 )
 
 __all__ = ["Circuit"]
+
+#: Elements that conduct at DC; capacitors and current sources are open.
+_DC_CONDUCTIVE = (Resistor, Inductor, Switch, IdealDiode, VoltageSource)
 
 
 @dataclass
@@ -212,6 +216,33 @@ class Circuit:
                 if n not in GROUND_NAMES and n not in seen:
                     seen[n] = None
         return list(seen)
+
+    def floating_nodes(self) -> list[str]:
+        """Nodes with no DC path to ground, in first-appearance order.
+
+        Walks the graph of DC-conductive elements from ground, with every
+        name in ``GROUND_NAMES`` folded into the one reference node.  A
+        floating node makes the MNA matrix singular.
+        """
+
+        def canon(n: str) -> str:
+            return "0" if n in GROUND_NAMES else n
+
+        adjacency: dict[str, set[str]] = defaultdict(set)
+        for e in self.elements:
+            if isinstance(e, _DC_CONDUCTIVE):
+                a, b = canon(e.n1), canon(e.n2)
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+
+        reached = {"0"}
+        stack = ["0"]
+        while stack:
+            for neighbour in adjacency[stack.pop()]:
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    stack.append(neighbour)
+        return [n for n in self.node_names() if n not in reached]
 
     def inductors(self) -> list[Inductor]:
         """All inductor branches in insertion order."""

@@ -775,11 +775,10 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     from .rules import RuleSet, derive_pemd
 
     problem = _load(args.problem)
-    # Field-relevant parts: meaningful stray field (moment above noise).
     relevant = [
         (ref, comp.component)
         for ref, comp in problem.components.items()
-        if comp.component.magnetic_moment_local.norm() > 1e-6
+        if comp.component.field_relevant
     ]
     database = _coupling_database(args)
     derivation_cache: dict[tuple[str, str], object] = {}

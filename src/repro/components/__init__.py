@@ -5,7 +5,7 @@ internal current path for the PEEC field engine and electrical parasitics
 for the circuit simulator — the three views the paper's flow requires.
 """
 
-from .base import DEFAULT_CLEARANCE, Component, Pad
+from .base import DEFAULT_CLEARANCE, FIELD_RELEVANT_MOMENT, Component, Pad
 from .capacitors import (
     Capacitor,
     CeramicCapacitor,
@@ -28,6 +28,7 @@ __all__ = [
     "Component",
     "Pad",
     "DEFAULT_CLEARANCE",
+    "FIELD_RELEVANT_MOMENT",
     "Capacitor",
     "FilmCapacitorX2",
     "TantalumCapacitorSMD",

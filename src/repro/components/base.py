@@ -30,10 +30,14 @@ from ..peec import (
     loop_self_inductance,
 )
 
-__all__ = ["Component", "Pad", "DEFAULT_CLEARANCE"]
+__all__ = ["Component", "Pad", "DEFAULT_CLEARANCE", "FIELD_RELEVANT_MOMENT"]
 
 #: Default manufacturing clearance between component bodies [m].
 DEFAULT_CLEARANCE = 0.5e-3
+
+#: Magnetic moment per ampere [m^2] from which a part counts as a field
+#: source worth a coupling analysis (:attr:`Component.field_relevant`).
+FIELD_RELEVANT_MOMENT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,16 @@ class Component:
     def magnetic_moment_local(self) -> Vec3:
         """Cached local-frame dipole moment per ampere of the current path [m^2]."""
         return self.current_path.magnetic_moment()
+
+    @property
+    def stray_field_strength(self) -> float:
+        """Loop moment per ampere times effective permeability [m^2]."""
+        return self.magnetic_moment_local.norm() * self.mu_eff
+
+    @property
+    def field_relevant(self) -> bool:
+        """True if the loop moment per ampere reaches :data:`FIELD_RELEVANT_MOMENT`."""
+        return self.magnetic_moment_local.norm() >= FIELD_RELEVANT_MOMENT
 
     @cached_property
     def _axis_local(self) -> Vec3:

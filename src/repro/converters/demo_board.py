@@ -65,12 +65,6 @@ def _demo_parts() -> dict[str, Component]:
     return parts
 
 
-def _field_strength(component: Component) -> float:
-    """Ranking key: loop moment per ampere times effective permeability."""
-    moment = component.magnetic_moment_local.norm()
-    return moment * component.mu_eff
-
-
 def build_demo_board(
     board_width: float = 100e-3, board_height: float = 80e-3
 ) -> PlacementProblem:
@@ -93,12 +87,12 @@ def build_demo_board(
     problem.define_group("output_stage", ["CX3", "L3", "CT1", "CC2", "CE3"])
 
     # 100 min-distance rules: strongest-field pairs first.
-    ranked = sorted(parts, key=lambda r: _field_strength(parts[r]), reverse=True)
+    ranked = sorted(parts, key=lambda r: parts[r].stray_field_strength, reverse=True)
     rules: list[MinDistanceRule] = []
     for ref_a, ref_b in itertools.combinations(ranked, 2):
         if len(rules) >= DEMO_RULE_COUNT:
             break
-        strength = min(_field_strength(parts[ref_a]), _field_strength(parts[ref_b]))
+        strength = min(parts[ref_a].stray_field_strength, parts[ref_b].stray_field_strength)
         # PEMD scales with the weaker partner's stray field: chokes demand
         # ~30 mm against each other, small ceramics only a few mm.
         pemd = min(0.032, max(0.006, 0.012 + 4.0 * strength))

@@ -18,7 +18,7 @@ import math
 
 from ..components import Component
 from ..geometry import Placement2D
-from ..peec import MU0
+from ..peec import MU0, stray_coupling_scale
 
 __all__ = ["dipole_mutual_inductance", "dipole_coupling_factor"]
 
@@ -50,10 +50,9 @@ def dipole_mutual_inductance(
     e = sep / d
     dot_term = 3.0 * m_a.dot(e) * m_b.dot(e) - m_a.dot(m_b)
     m_air = MU0 / (4.0 * math.pi * d**3) * dot_term
-    scale = math.sqrt(
-        comp_a.mu_eff * comp_a.core.stray_fraction * comp_b.mu_eff * comp_b.core.stray_fraction
+    return m_air * stray_coupling_scale(
+        comp_a.mu_eff, comp_a.core.stray_fraction, comp_b.mu_eff, comp_b.core.stray_fraction
     )
-    return m_air * scale
 
 
 def dipole_coupling_factor(

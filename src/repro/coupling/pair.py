@@ -18,7 +18,7 @@ from itertools import groupby
 
 from ..components import Component
 from ..geometry import Placement2D
-from ..peec import PackedFilaments, mutual_inductance_row
+from ..peec import PackedFilaments, mutual_inductance_row, stray_coupling_scale
 from ..units import Dimensionless, Henries, Meters
 
 __all__ = [
@@ -152,9 +152,9 @@ def _result(
     """The coupling of two placed parts from their air-core mutual."""
     comp_a, comp_b = part_a.component, part_b.component
     mu_a, mu_b = comp_a.mu_eff, comp_b.mu_eff
-    stray_a = comp_a.core.stray_fraction
-    stray_b = comp_b.core.stray_fraction
-    m = m_air * math.sqrt(mu_a * stray_a * mu_b * stray_b)
+    m = m_air * stray_coupling_scale(
+        mu_a, comp_a.core.stray_fraction, mu_b, comp_b.core.stray_fraction
+    )
     la = part_a.self_geo_h * mu_a
     lb = part_b.self_geo_h * mu_b
     return CouplingResult(

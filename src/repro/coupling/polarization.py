@@ -31,7 +31,7 @@ import numpy as np
 from ..components import Capacitor, CommonModeChoke
 from ..geometry import Placement2D, Vec2
 from ..obs import get_tracer
-from ..peec import mutual_inductance_paths_fast
+from ..peec import mutual_inductance_paths_fast, stray_coupling_scale
 
 __all__ = ["PolarizedCoupling", "polarized_coupling", "decoupling_sweep"]
 
@@ -98,8 +98,8 @@ def polarized_coupling(
         a += phase * mutual_inductance_paths_fast(wp, v0, order)
         b += phase * mutual_inductance_paths_fast(wp, v90, order)
 
-    scale = math.sqrt(
-        choke.mu_eff * choke.core.stray_fraction * victim.mu_eff * victim.core.stray_fraction
+    scale = stray_coupling_scale(
+        choke.mu_eff, choke.core.stray_fraction, victim.mu_eff, victim.core.stray_fraction
     )
     # Self-L is placement invariant: read the components' cached values.
     norm = scale / math.sqrt(choke.self_inductance * victim.self_inductance)

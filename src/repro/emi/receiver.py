@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import Spectrum, volts_to_dbuv
+from .spectrum import Spectrum, dbuv_to_volts, volts_to_dbuv
 
 __all__ = ["EmiReceiver", "cispr_rbw"]
 
@@ -104,8 +104,7 @@ class EmiReceiver:
         """
         tuned = np.asarray(tuned_freqs, dtype=float)
         levels_dbuv = np.array([self.measure_at(spectrum, f) for f in tuned])
-        volts = 1e-6 * 10.0 ** (levels_dbuv / 20.0)
-        return Spectrum(tuned, volts.astype(complex))
+        return Spectrum(tuned, np.asarray(dbuv_to_volts(levels_dbuv), dtype=complex))
 
     def display_trace(self, spectrum: Spectrum, grid: np.ndarray) -> Spectrum:
         """Max-hold display binning: each grid point reports the strongest

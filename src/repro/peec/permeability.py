@@ -95,15 +95,22 @@ IRON_POWDER_26 = CoreMaterial("Iron-26", mu_r=75.0, stray_fraction=1.0)
 AIR_CORE = CoreMaterial("air", mu_r=1.0, stray_fraction=1.0)
 
 
-def stray_coupling_scale(mu_eff_a: Dimensionless, mu_eff_b: Dimensionless) -> Dimensionless:
+def stray_coupling_scale(
+    mu_eff_a: Dimensionless,
+    stray_a: Dimensionless,
+    mu_eff_b: Dimensionless,
+    stray_b: Dimensionless,
+) -> Dimensionless:
     """Scale factor applied to an air-core mutual inductance M_air.
 
     The self-inductances scale with ``mu_eff`` each; the *coupling factor*
     ``k = M / sqrt(La Lb)`` of stray fields is, to first order, preserved if
     M scales with ``sqrt(mu_eff_a * mu_eff_b)`` — the field redirection by
     the cores is neglected exactly as the paper prescribes (the documented
-    ~15 % error source).
+    ~15 % error source).  Each part's ``stray_a``/``stray_b``
+    (:attr:`CoreMaterial.stray_fraction`) is the share of its flux that
+    leaves the core and so reaches the other part.
     """
     if mu_eff_a < 1.0 or mu_eff_b < 1.0:
         raise ValueError("effective permeabilities must be >= 1")
-    return math.sqrt(mu_eff_a * mu_eff_b)
+    return math.sqrt(mu_eff_a * stray_a * mu_eff_b * stray_b)

@@ -175,10 +175,11 @@ class InteractiveSession:
             raise KeyError(f"no component {refdes!r}")
         original = comp.placement
         rotation = original.rotation_deg if original is not None else 0.0
+        z_offset = original.z_offset if original is not None else 0.0
         comp.placement = None
         try:
             placer = AutoPlacer(self.problem, optimize_rotation=False)
-            return placer.best_candidate(comp, rotation, BOUNDARY_SPACING)
+            return placer.best_candidate(comp, rotation, BOUNDARY_SPACING, z_offset)
         finally:
             comp.placement = original
 

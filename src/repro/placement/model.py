@@ -99,10 +99,12 @@ class Board:
         raise KeyError(f"board {self.index} has no area {name!r}")
 
     def default_area(self) -> PlacementArea:
-        """The whole outline as an implicit area when none are defined."""
-        if self.areas:
-            return self.areas[0]
+        """The whole outline as the implicit area ``board<index>``."""
         return PlacementArea(f"board{self.index}", self.outline, self.index)
+
+    def placement_areas(self) -> list[PlacementArea]:
+        """The defined areas, or :meth:`default_area` when none are defined."""
+        return self.areas or [self.default_area()]
 
 
 @dataclass
@@ -315,8 +317,7 @@ class PlacementProblem:
         when the board defines none).  Names that match no area admit
         nothing, so such a part can never be placed (PLC005).
         """
-        board = self.board(comp.board)
-        areas = board.areas or [board.default_area()]
+        areas = self.board(comp.board).placement_areas()
         if not comp.allowed_areas:
             return areas
         return [a for a in areas if a.name in comp.allowed_areas]

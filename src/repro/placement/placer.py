@@ -220,7 +220,11 @@ class AutoPlacer:
         return False
 
     def best_candidate(
-        self, comp: PlacedComponent, rotation_deg: float, spacing: float
+        self,
+        comp: PlacedComponent,
+        rotation_deg: float,
+        spacing: float,
+        z_offset: float = 0.0,
     ) -> Vec2 | None:
         """The lowest-cost legal centre for ``comp`` at a rotation, or None.
 
@@ -228,9 +232,11 @@ class AutoPlacer:
         part can be searched for without committing.  Area candidates are
         sampled every ``spacing`` metres along the allowed areas' eroded
         boundaries.  Every candidate is tested at once: area containment,
-        clearance to placed footprints, 3-D keepouts and EMD to placed rule
-        partners.  The cost is then evaluated over the legal candidates
-        only; ties go to the first candidate in generator order.
+        clearance to placed footprints, 3-D keepouts for a body starting at
+        ``z_offset`` (0 for a new placement; a moved part keeps its own)
+        and EMD to placed rule partners.  The cost is then evaluated over
+        the legal candidates only; ties go to the first candidate in
+        generator order.
         """
         tracer = get_tracer()
         with tracer.span("placement.score"):
@@ -239,7 +245,9 @@ class AutoPlacer:
             xy = self._generator.candidate_array(comp, rotation_deg, spacing, ring_specs)
             tracer.count("placement.candidates_scored", len(xy))
 
-            legal = self._legal_mask(comp, xy, comp.component.half_extent(rotation_deg))
+            legal = self._legal_mask(
+                comp, xy, comp.component.half_extent(rotation_deg), z_offset
+            )
             xy = xy[legal]
             x, y = xy[:, 0], xy[:, 1]
             margin = np.full(len(xy), math.inf)
@@ -269,9 +277,12 @@ class AutoPlacer:
             out.append((other.center(), emd))
         return out
 
-    def _legal_mask(self, comp: PlacedComponent, xy: np.ndarray, half: Vec2) -> np.ndarray:
+    def _legal_mask(
+        self, comp: PlacedComponent, xy: np.ndarray, half: Vec2, z_offset: float
+    ) -> np.ndarray:
         """Which candidate footprints lie in an allowed area, keep clearance
-        to every placed footprint and miss every blocking keepout."""
+        to every placed footprint and miss every keepout that blocks a body
+        starting at ``z_offset``."""
         x, y = xy[:, 0], xy[:, 1]
         x0, y0, x1, y1 = x - half.x, y - half.y, x + half.x, y + half.y
         legal = np.zeros(len(xy), dtype=bool)
@@ -287,12 +298,11 @@ class AutoPlacer:
         obstacles = [o.footprint_aabb() for o in others]
         legal &= ~_overlaps_any((x0, y0, x1, y1), obstacles, clearances)
 
-        # A new placement stands on the board (z-offset 0).
         height = comp.component.body_height
         blockers = [
             k.cuboid.rect
             for k in self.problem.board(comp.board).keepouts
-            if k.blocks(0.0, height)
+            if k.blocks(z_offset, height)
         ]
         legal &= ~_overlaps_any((x0, y0, x1, y1), blockers)
         return legal

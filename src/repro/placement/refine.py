@@ -11,10 +11,8 @@ input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ..geometry import Placement2D
 from .drc import DesignRuleChecker
 from .metrics import total_wirelength
 from .model import PlacementProblem
@@ -80,11 +78,13 @@ def refine_wirelength(
 
             comp.placement = None  # rip up
             rotation = old_placement.rotation_deg
-            candidate = placer.best_candidate(comp, rotation, BOUNDARY_SPACING)
+            candidate = placer.best_candidate(
+                comp, rotation, BOUNDARY_SPACING, old_placement.z_offset
+            )
             if candidate is None:
                 comp.placement = old_placement
                 continue
-            comp.placement = Placement2D(candidate, math.radians(rotation))
+            comp.placement = old_placement.moved_to(candidate)
             new_wl = total_wirelength(problem)
             if new_wl < old_wl - 1e-9 and not checker.check_component(ref):
                 improved_this_pass += 1

@@ -117,8 +117,8 @@ def derive_pemd(
     axis_b = comp_b.magnetic_axis_local()
     angle_a = math.degrees(math.atan2(axis_a.y, axis_a.x))
     angle_b = math.degrees(math.atan2(axis_b.y, axis_b.x))
-    inplane_a = math.hypot(axis_a.x, axis_a.y) > 0.3
-    inplane_b = math.hypot(axis_b.x, axis_b.y) > 0.3
+    inplane_a = comp_a.has_inplane_axis()
+    inplane_b = comp_b.has_inplane_axis()
     rotation_b = angle_a - angle_b if (inplane_a and inplane_b) else 0.0
     direction = angle_a if inplane_a else (angle_b if inplane_b else 0.0)
 

@@ -35,6 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from ..circuit import AcSweepResult, Circuit, MnaSystem, MutualCoupling, SingularCircuitError
+from ..circuit.mna import level_db
 from ..obs import get_tracer
 
 __all__ = ["SensitivityEntry", "SensitivityAnalyzer"]
@@ -45,11 +46,6 @@ __all__ = ["SensitivityEntry", "SensitivityAnalyzer"]
 #: 4e-15 to 2.3e-14 — rounding level — while every buck-design probe
 #: measured >= 0.979.
 _SINGULAR_DET_RATIO = 1e-9
-
-
-def _dbuv(voltage: np.ndarray) -> np.ndarray:
-    """Level [dBµV] of voltage phasors, as ``AcSweepResult.magnitude_db``."""
-    return 20.0 * np.log10(np.maximum(np.abs(voltage), 1e-30) / 1e-6)
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,7 @@ class SensitivityAnalyzer:
     def baseline_db(self) -> np.ndarray:
         """Interference levels [dBµV] with the couplings currently in place."""
         if self._baseline_db is None:
-            self._baseline_db = _dbuv(self._sweep(()).voltages(self.measurement_node))
+            self._baseline_db = self._sweep(()).magnitude_db(self.measurement_node, 1e-6)
         return self._baseline_db
 
     def _sweep(self, inductors: Sequence[str]) -> AcSweepResult:
@@ -170,7 +166,7 @@ class SensitivityAnalyzer:
                 za[:, row] * (m11 * cx_b - m01 * cx_a) + zb[:, row] * (m00 * cx_a - m10 * cx_b)
             )
         probed = np.abs(scaled) / np.abs(det)
-        delta = np.abs(_dbuv(probed) - _dbuv(baseline))
+        delta = np.abs(level_db(probed, 1e-6) - level_db(baseline, 1e-6))
         worst = int(np.argmax(delta))
         return SensitivityEntry(
             inductor_a=inductor_a,

@@ -139,6 +139,21 @@ class TestAreaConstraints:
         assert len(diags) == 1
         assert "L1" in diags[0].message
 
+    def test_implicit_board_area_resolves(self):
+        # A board without areas has the implicit area "board0", the one the
+        # placer puts such a part in.
+        problem = build_small_problem()
+        problem.components["C1"].allowed_areas = ("board0",)
+        codes = _codes(check_placement(problem))
+        assert "PLC005" not in codes and "PLC006" not in codes
+
+    def test_component_too_big_for_implicit_board_area(self):
+        problem = build_small_problem()
+        problem.boards[0].outline = Polygon2D.rectangle(0.0, 0.0, 0.005, 0.005)
+        problem.components["L1"].allowed_areas = ("board0",)
+        diags = [d for d in check_placement(problem) if d.code == "PLC006"]
+        assert [d.obj for d in diags] == ["problem/component:L1"]
+
     def test_component_fits_after_rotation(self):
         # 90-degree rotation swaps the footprint sides; the area admits
         # the rotated pose even though the unrotated one does not fit.

@@ -71,11 +71,11 @@ class TestMaterials:
 
 class TestStrayScale:
     def test_air_identity(self):
-        assert stray_coupling_scale(1.0, 1.0) == pytest.approx(1.0)
+        assert stray_coupling_scale(1.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_geometric_mean(self):
-        assert stray_coupling_scale(4.0, 9.0) == pytest.approx(6.0)
+        assert stray_coupling_scale(4.0, 1.0, 9.0, 1.0) == pytest.approx(6.0)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            stray_coupling_scale(0.5, 1.0)
+            stray_coupling_scale(0.5, 1.0, 1.0, 1.0)

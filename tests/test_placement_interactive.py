@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.geometry import Vec2
-from repro.placement import AutoPlacer, InteractiveSession
+from repro.components import ChipResistor
+from repro.geometry import Cuboid, Placement2D, Polygon2D, Rect, Vec2
+from repro.placement import (
+    AutoPlacer,
+    Board,
+    InteractiveSession,
+    Keepout3D,
+    PlacedComponent,
+    PlacementProblem,
+)
 
 from conftest import build_small_problem
 
@@ -137,6 +145,22 @@ class TestSuggestPosition:
         session = session_with_layout()
         with pytest.raises(KeyError):
             session.suggest_position("Z9")
+
+    def test_suggestion_tests_keepouts_at_kept_z_offset(self):
+        # A 0.7 mm resistor lifted 4 mm keeps that offset when moved, so a
+        # keepout from 4 to 30 mm blocks it although it would clear a body
+        # standing on the board.
+        board = Board(0, Polygon2D.rectangle(0.0, 0.0, 0.04, 0.03))
+        board.keepouts = [Keepout3D("K", Cuboid(Rect(0.01, 0.0, 0.04, 0.03), 4e-3, 30e-3))]
+        problem = PlacementProblem([board])
+        r1 = PlacedComponent("R1", ChipResistor(part_number="R"))
+        r1.placement = Placement2D(Vec2(0.005, 0.015), 0.0, z_offset=4e-3)
+        problem.add_component(r1)
+        session = InteractiveSession(problem)
+        suggestion = session.suggest_position("R1")
+        assert suggestion is not None
+        session.select("R1")
+        assert session.move_to(suggestion).legal
 
     def test_unplaced_component_gets_suggestion(self):
         session = session_with_layout()

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.components import ChipResistor
+from repro.geometry import Placement2D, Polygon2D, Vec2
 from repro.placement import (
     AutoPlacer,
+    Board,
     DesignRuleChecker,
+    PlacedComponent,
+    PlacementProblem,
     refine_wirelength,
     total_wirelength,
 )
@@ -61,3 +66,16 @@ class TestRefinement:
         problem = placed_problem()
         result = refine_wirelength(problem, max_passes=1)
         assert result.passes == 1
+
+    def test_moved_part_keeps_z_offset_and_side(self):
+        problem = PlacementProblem([Board(0, Polygon2D.rectangle(0.0, 0.0, 0.04, 0.03))])
+        anchor = PlacedComponent("R1", ChipResistor(part_number="R"), fixed=True)
+        anchor.placement = Placement2D(Vec2(0.005, 0.015), 0.0)
+        mover = PlacedComponent("R2", ChipResistor(part_number="R"))
+        mover.placement = Placement2D(Vec2(0.035, 0.015), 0.0, z_offset=2e-3, side=-1)
+        problem.add_component(anchor)
+        problem.add_component(mover)
+        problem.add_net("N", [("R1", "1"), ("R2", "1")])
+        assert refine_wirelength(problem).improved_components == 1
+        assert mover.placement.position != Vec2(0.035, 0.015)
+        assert (mover.placement.z_offset, mover.placement.side) == (2e-3, -1)
