@@ -6,7 +6,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint ruff mypy physlint physlint-baseline conlint perflint hotness-baseline race-check bench-smoke events-smoke serve-smoke dashboard-smoke docs-check perf-baseline perf-check
+.PHONY: test lint ruff mypy physlint physlint-baseline conlint perflint hotness-baseline race-check bench-smoke events-smoke serve-smoke docs-check perf-baseline perf-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -21,15 +21,10 @@ events-smoke:
 	$(PYTHON) benchmarks/smoke_events.py
 
 ## Boot the HTTP job service on an ephemeral port, run one flow job
-## end to end (SSE stream, artifacts, /metrics), shut down cleanly.
+## end to end (SSE stream, artifacts), save its flight-recorder page to
+## benchmarks/out/ for CI artifact upload, shut down cleanly.
 serve-smoke:
-	$(PYTHON) benchmarks/smoke_service.py
-
-## Boot the service, run two board jobs, verify /stats + /dashboard
-## (self-contained HTML, live percentiles) and save the dashboard and
-## flight-recorder pages to benchmarks/out/ for CI artifact upload.
-dashboard-smoke:
-	$(PYTHON) benchmarks/smoke_dashboard.py benchmarks/out
+	$(PYTHON) benchmarks/smoke_service.py benchmarks/out
 
 ## Documentation hygiene: docs/README.md indexes every docs file, all
 ## relative links under docs/ + README resolve, serve --help is current.

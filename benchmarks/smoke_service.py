@@ -10,11 +10,10 @@ flow job over HTTP, follows it on the SSE stream, and verifies:
 * one run-correlation id is minted and identical across the job's
   ``X-Repro-Run-Id`` header, its RunReport meta and every event in
   ``events.jsonl``;
-* ``/metrics`` exports the service counters in Prometheus form,
-  including the ``service_job_latency_seconds_bucket`` histogram family;
-* ``GET /dashboard`` serves self-contained HTML whose bootstrap
-  snapshot carries non-empty latency percentiles;
-* shutdown drains cleanly — non-daemon workers joined, socket closed.
+* the job's ``flight.html`` flight recorder is self-contained HTML;
+  it is saved to the output directory given as the first argument
+  (default ``benchmarks/out``) for upload as a CI artifact;
+* shutdown drains cleanly — the non-daemon worker joined, socket closed.
 
 Invoked by ``make serve-smoke`` (and CI); runs in a few seconds.
 """
@@ -31,12 +30,12 @@ from repro.obs import RunReport
 from repro.service import EmiService, ServiceConfig
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    out_dir = Path(argv[0]) if argv else Path("benchmarks/out")
     root = Path(tempfile.mkdtemp(prefix="repro-emi-serve-smoke-"))
     service = EmiService(
         ServiceConfig(
             port=0,
-            pool_workers=2,
             data_dir=root / "data",
             cache_dir=root / "cache",
             job_timeout_s=120.0,
@@ -106,36 +105,21 @@ def main() -> int:
         )
         print(f"[smoke] all {len(events)} events correlate to run {run_id}")
 
-        with urllib.request.urlopen(base_url + "/metrics") as response:
-            metrics = response.read().decode()
-        for needle in (
-            'counter="service.jobs_completed"',
-            'name="service.queue_depth"',
-            'name="service.workers_total"',
-            "service_job_latency_seconds_bucket",
-            "service_queue_wait_seconds_count",
-        ):
-            assert needle in metrics, f"{needle} missing from /metrics"
-        print("[smoke] prometheus export carries counters + histogram families")
-
-        with urllib.request.urlopen(base_url + "/dashboard") as response:
+        with urllib.request.urlopen(
+            f"{base_url}/jobs/{job_id}/artifacts/flight.html"
+        ) as response:
             html = response.read().decode()
-        assert html.startswith("<!DOCTYPE html>")
+        assert html.startswith("<!DOCTYPE html>"), "flight.html is not HTML"
         for marker in ('src="http', 'href="http', "@import", "cdn."):
-            assert marker not in html, f"dashboard is not self-contained: {marker}"
-        start = html.index('<script id="bootstrap"')
-        start = html.index(">", start) + 1
-        bootstrap = json.loads(
-            html[start : html.index("</script>", start)].replace("<\\/", "</")
-        )
-        latency = bootstrap["histograms"]["service.job_latency_seconds"]
-        assert latency["p50"] > 0.0 and latency["p99"] > 0.0, latency
-        print("[smoke] dashboard HTML is self-contained with live percentiles")
+            assert marker not in html, f"flight.html is not self-contained: {marker}"
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "flight.html").write_text(html, encoding="utf-8")
+        print(f"[smoke] wrote {out_dir}/flight.html")
     finally:
         service.stop()
-    print("[smoke] clean shutdown: workers joined, socket closed")
+    print("[smoke] clean shutdown: worker joined, socket closed")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

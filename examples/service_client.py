@@ -71,7 +71,6 @@ def main() -> None:
         service = EmiService(
             ServiceConfig(
                 port=0,  # ephemeral port: never collides
-                pool_workers=1,
                 data_dir=Path(tempfile.mkdtemp(prefix="repro-emi-svc-")),
                 cache_dir=None,
             )
@@ -99,14 +98,6 @@ def main() -> None:
         ) as response:
             names = json.load(response)["artifacts"]
         print(f"artifacts: {', '.join(names)}")
-
-        with urllib.request.urlopen(base_url + "/metrics") as response:
-            completed = [
-                line
-                for line in response.read().decode().splitlines()
-                if 'counter="service.jobs_completed"' in line
-            ]
-        print(f"prometheus says: {completed[0]}")
     finally:
         if service is not None:
             service.stop()

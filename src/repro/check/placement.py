@@ -202,6 +202,22 @@ def _area_constraints(problem: PlacementProblem) -> list[Diagnostic]:
                         hint=f"defined areas: {sorted(area_names)}",
                     )
                 )
+        preferred = comp.preferred_area
+        if (
+            preferred in area_names
+            and comp.allowed_areas
+            and preferred not in comp.allowed_areas
+        ):
+            out.append(
+                finding(
+                    "PLC005",
+                    f"{comp.refdes} prefers area {preferred!r}, which is not "
+                    f"among its allowed areas {list(comp.allowed_areas)}; the "
+                    f"placer ignores the preference",
+                    obj=f"problem/component:{comp.refdes}",
+                    hint="add the preferred area to allowed_areas or drop it",
+                )
+            )
         rotations = comp.rotations()
         candidates = problem.allowed_areas(comp)
         if (

@@ -179,7 +179,8 @@ _SPECS: tuple[RuleSpec, ...] = (
         _ERROR,
         "placement",
         "A component constrained to a placement area that does not exist "
-        "on its board can never be placed.",
+        "on its board can never be placed; a preferred area outside the "
+        "component's allowed areas is silently ignored by the placer.",
     ),
     RuleSpec(
         "PLC006",

@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the EMI-design HTTP job service",
         description="Serve the EMI design flow as an HTTP/JSON job API: "
         "POST design or board payloads to /jobs, stream progress as "
-        "Server-Sent Events from /jobs/{id}/events, fetch artifacts from "
-        "/jobs/{id}/artifacts and Prometheus metrics from /metrics "
+        "Server-Sent Events from /jobs/{id}/events and fetch artifacts from "
+        "/jobs/{id}/artifacts; jobs run one at a time in submission order "
         "(full reference: docs/SERVICE.md).",
     )
     p_serve.add_argument(
@@ -318,13 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8765,
         help="bind port; 0 picks an ephemeral port (default: 8765)",
-    )
-    p_serve.add_argument(
-        "--pool",
-        type=int,
-        default=2,
-        metavar="N",
-        help="job worker threads (default: 2)",
     )
     p_serve.add_argument(
         "--data-dir",
@@ -1236,6 +1229,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
+    from collections import Counter
 
     from .service import EmiService, ServiceConfig, default_data_dir
 
@@ -1243,7 +1237,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     kwargs: dict = {
         "host": args.host,
         "port": args.port,
-        "pool_workers": args.pool,
         "data_dir": args.data_dir or default_data_dir(),
         "job_timeout_s": args.job_timeout,
         "max_queued": args.max_jobs,
@@ -1256,10 +1249,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     url = service.start()
     print(f"repro-emi service listening on {url}")
     print(f"  artifacts: {config.jobs_root()}")
-    print(
-        f"  workers: {config.pool_workers}  cache: "
-        f"{config.cache_dir if config.cache_dir else 'disabled'}"
-    )
+    print(f"  cache: {config.cache_dir if config.cache_dir else 'disabled'}")
     print("POST /jobs to submit; Ctrl-C drains in-flight jobs and exits.")
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -1269,13 +1259,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         print("shutting down: draining in-flight jobs...", flush=True)
         service.stop(drain=True)
-        metrics = service.manager.metrics.snapshot()
-        completed = int(metrics["counters"].get("service.jobs_completed", 0))
-        failed = int(metrics["counters"].get("service.jobs_failed", 0))
-        cancelled = int(metrics["counters"].get("service.jobs_cancelled", 0))
+        states = Counter(job.state for job in service.manager.jobs())
         print(
-            f"done: {completed} succeeded, {failed} failed, "
-            f"{cancelled} cancelled"
+            f"done: {states['succeeded']} succeeded, {states['failed']} failed, "
+            f"{states['cancelled']} cancelled"
         )
     return 0
 

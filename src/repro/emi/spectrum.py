@@ -12,13 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..circuit.mna import level_db
+
 __all__ = ["Spectrum", "volts_to_dbuv", "dbuv_to_volts"]
 
 
 def volts_to_dbuv(volts: np.ndarray | float) -> np.ndarray | float:
-    """Convert a voltage magnitude to dBµV (1 µV reference)."""
-    v = np.abs(np.asarray(volts, dtype=float))
-    return 20.0 * np.log10(np.maximum(v, 1e-15) / 1e-6)
+    """Convert a voltage magnitude to dBµV (1 µV reference).
+
+    The same conversion as :func:`repro.circuit.mna.level_db` with a
+    1 µV reference, including its 1e-30 magnitude floor.
+    """
+    return level_db(np.asarray(volts, dtype=float), 1e-6)
 
 
 def dbuv_to_volts(dbuv: np.ndarray | float) -> np.ndarray | float:

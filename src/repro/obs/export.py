@@ -119,8 +119,8 @@ def to_prometheus(report: RunReport, prefix: str = "repro_emi") -> str:
       histogram: ``<prefix>_<name>_bucket{le=…}`` (cumulative, ending
       at ``le="+Inf"``), ``<prefix>_<name>_sum`` and
       ``<prefix>_<name>_count``, with dots in the metric name mapped
-      to underscores (``service.job_latency_seconds`` →
-      ``<prefix>_service_job_latency_seconds_bucket``);
+      to underscores (``coupling.pair_seconds`` →
+      ``<prefix>_coupling_pair_seconds_bucket``);
     * ``gauge{name="mem.flow.rules.peak_bytes"}`` — report gauges, plus
       two *derived* cache-efficiency gauges when the corresponding
       counters are present: ``cache.hit_ratio`` (persistent on-disk

@@ -63,7 +63,7 @@ class Histogram:
     """Fixed-boundary histogram with sum/count.
 
     Attributes:
-        name: metric name (dotted, e.g. ``"service.job_latency_seconds"``).
+        name: metric name (dotted, e.g. ``"coupling.pair_seconds"``).
         boundaries: sorted upper bucket edges; observations above the
             last edge land in the implicit ``+Inf`` overflow bucket.
         counts: per-bucket observation counts, ``len(boundaries) + 1``

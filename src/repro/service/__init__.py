@@ -2,11 +2,12 @@
 
 The package turns the library's design flow into a long-running service:
 jobs are submitted as JSON payloads (a buck-converter parameter set or
-an ASCII board), validated up front, executed by a bounded worker pool,
-and observable live — every job gets its own telemetry fabric
-(:class:`~repro.obs.EventBus` + ring buffer + JSONL sink) streamed over
-Server-Sent Events, plus a content-addressed artifact directory holding
-the run report, flight recorder, SVGs and result summary.
+an ASCII board), validated up front, run one at a time in submission
+order by a single job worker, and observable live — every job gets its
+own telemetry fabric (:class:`~repro.obs.EventBus` + ring buffer +
+JSONL sink) streamed over Server-Sent Events, plus a content-addressed
+artifact directory holding the run report, flight recorder, SVGs and
+result summary.
 
 Layering: ``service`` sits directly below ``cli`` and above ``core`` —
 the HTTP shell (:mod:`repro.service.http`) is a thin translation over
@@ -18,14 +19,13 @@ can drive directly.  Start here::
     service = EmiService(ServiceConfig(port=0))
     url = service.start()   # e.g. http://127.0.0.1:43117
     ...
-    service.stop()          # drains in-flight jobs, joins workers
+    service.stop()          # drains queued jobs, joins the worker
 
 or from a shell: ``repro-emi serve``.  The full API reference lives in
 ``docs/SERVICE.md``.
 """
 
 from .config import ServiceConfig, default_data_dir
-from .dashboard import render_dashboard_html
 from .errors import (
     JobCancelled,
     JobTimeout,
@@ -46,8 +46,6 @@ from .jobs import (
     parse_job_payload,
 )
 from .manager import JobManager
-from .metrics import ServiceMetrics
-from .pool import WorkerPool
 from .runner import JobRunner
 
 __all__ = [
@@ -67,11 +65,8 @@ __all__ = [
     "ServiceClosedError",
     "ServiceConfig",
     "ServiceError",
-    "ServiceMetrics",
     "UnknownJobError",
-    "WorkerPool",
     "content_hash",
     "default_data_dir",
     "parse_job_payload",
-    "render_dashboard_html",
 ]

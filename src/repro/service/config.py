@@ -38,8 +38,6 @@ class ServiceConfig:
     Attributes:
         host, port: HTTP bind address (``port=0`` picks an ephemeral
             port — the test/smoke entry point).
-        pool_workers: job worker threads draining the queue
-            (dimensionless count; each runs one job at a time).
         data_dir: artifact root; per-job directories live under
             ``<data_dir>/jobs/<job_id>/``.
         cache_dir: shared persistent coupling cache for *all* jobs
@@ -50,21 +48,15 @@ class ServiceConfig:
             are waiting (running jobs excluded).
         event_buffer: per-job ring-buffer capacity (events); an SSE
             consumer that falls further behind sees a cursor gap.
-        sse_poll_s: SSE handler poll interval against the ring [s].
-        drain_on_close: whether :meth:`JobManager.close` finishes
-            queued jobs (True) or cancels them (False).
     """
 
     host: str = "127.0.0.1"
     port: int = 8765
-    pool_workers: int = 2
     data_dir: Path = field(default_factory=default_data_dir)
     cache_dir: Path | None = field(default_factory=default_cache_dir)
     job_timeout_s: float = 300.0
     max_queued: int = 64
     event_buffer: int = 65536
-    sse_poll_s: float = 0.05
-    drain_on_close: bool = True
 
     def jobs_root(self) -> Path:
         """The directory holding every per-job artifact directory."""

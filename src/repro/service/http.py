@@ -11,9 +11,6 @@ GET    ``/jobs/{id}/events``           live SSE stream (``?since=SEQ`` or
                                        ``Last-Event-ID`` resume cursor)
 GET    ``/jobs/{id}/artifacts``        artifact name list
 GET    ``/jobs/{id}/artifacts/{name}`` one artifact's bytes (404)
-GET    ``/metrics``                    Prometheus text exposition
-GET    ``/stats``                      JSON aggregation for the dashboard
-GET    ``/dashboard``                  self-contained live HTML dashboard
 GET    ``/healthz``                    liveness probe
 ====== =============================== =====================================
 
@@ -47,7 +44,6 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from .config import ServiceConfig
-from .dashboard import render_dashboard_html
 from .errors import PayloadError, ServiceClosedError, UnknownJobError
 from .jobs import Job
 from .manager import JobManager
@@ -55,6 +51,7 @@ from .manager import JobManager
 __all__ = ["EmiServiceServer", "EmiService", "ServiceRequestHandler"]
 
 _MAX_BODY_BYTES = 4 << 20
+_SSE_POLL_S = 0.05
 
 _ARTIFACT_TYPES = {
     ".json": "application/json",
@@ -100,7 +97,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-emi-service"
 
     def log_message(self, format: str, *args: Any) -> None:
-        """Silence per-request stderr logging (metrics count instead)."""
+        """Silence per-request stderr logging."""
 
     # -- plumbing ----------------------------------------------------------
 
@@ -126,9 +123,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _send_error_json(self, code: int, message: str, **extra: Any) -> None:
         self._send_json(code, {"error": message, **extra})
 
-    def _count(self) -> None:
-        self.server.manager.metrics.inc("service.http_requests")
-
     def _job_or_404(self, job_id: str) -> Job | None:
         try:
             return self.server.manager.get(job_id)
@@ -136,37 +130,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(404, f"unknown job id {job_id!r}")
             return None
 
-    def _stats_payload(self, last_n: int = 20) -> dict[str, Any]:
-        """The ``GET /stats`` aggregation the dashboard polls.
-
-        One JSON document carrying the counter/gauge snapshot, every
-        non-empty latency histogram in chartable form, the shared-cache
-        hit ratio, and the last ``last_n`` job snapshots (newest first).
-        """
-        manager = self.server.manager
-        state = manager.metrics.snapshot()
-        counters = state["counters"]
-        hits = counters.get("service.cache_hits", 0.0)
-        misses = counters.get("service.cache_misses", 0.0)
-        lookups = hits + misses
-        jobs = manager.jobs()
-        return {
-            "counters": counters,
-            "gauges": state["gauges"],
-            "histograms": manager.metrics.histogram_summaries(),
-            "cache": {
-                "hits": hits,
-                "misses": misses,
-                "hit_ratio": (hits / lookups) if lookups else None,
-            },
-            "jobs": [job.snapshot() for job in jobs[-last_n:]][::-1],
-            "jobs_total": len(jobs),
-        }
-
     # -- verbs -------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._count()
         split = urlsplit(self.path)
         path = split.path
         if path == "/healthz":
@@ -178,27 +144,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     "jobs": len(manager.jobs()),
                 },
             )
-            return
-        if path == "/metrics":
-            body = self.server.manager.metrics.prometheus().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return
-        if path == "/stats":
-            self._send_json(200, self._stats_payload())
-            return
-        if path == "/dashboard":
-            body = render_dashboard_html(
-                title="repro-emi service", stats=self._stats_payload()
-            ).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/html; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
             return
         if path == "/jobs":
             snapshots = [job.snapshot() for job in self.server.manager.jobs()]
@@ -231,7 +176,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_error_json(404, f"no route for GET {path}")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._count()
         if urlsplit(self.path).path != "/jobs":
             self._send_error_json(404, f"no route for POST {self.path}")
             return
@@ -251,9 +195,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._send_error_json(400, f"body is not valid JSON: {exc}")
             return
-        manager = self.server.manager
         try:
-            job = manager.submit(payload)
+            job = self.server.manager.submit(payload)
         except PayloadError as exc:
             extra: dict[str, Any] = {}
             if exc.check_report is not None:
@@ -261,13 +204,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(400, str(exc), **extra)
             return
         except ServiceClosedError as exc:
-            manager.metrics.inc("service.jobs_rejected")
             self._send_error_json(429 if exc.retryable else 503, str(exc))
             return
         self._send_json(202, job.snapshot(), headers=self._run_id_headers(job))
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._count()
         match = _JOB_ROUTE.match(urlsplit(self.path).path)
         if not match:
             self._send_error_json(404, f"no route for DELETE {self.path}")
@@ -300,8 +241,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # -- SSE ---------------------------------------------------------------
 
     def _stream_events(self, job: Job, query: str) -> None:
-        manager = self.server.manager
-        manager.metrics.inc("service.sse_streams")
         cursor = 0
         params = parse_qs(query)
         if "since" in params:
@@ -320,15 +259,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Cache-Control", "no-cache")
         self.send_header("Connection", "close")
         self.end_headers()
-        poll_s = self.server.config.sse_poll_s
-        write, raw_flush = self.wfile.write, self.wfile.flush
+        write, flush = self.wfile.write, self.wfile.flush
         monotonic = time.monotonic
-        observe = manager.metrics.observe
-
-        def flush() -> None:
-            t0 = monotonic()
-            raw_flush()
-            observe("service.sse_flush_seconds", monotonic() - t0)
         last_write = monotonic()
         try:
             while True:
@@ -354,7 +286,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     write(b": keep-alive\n\n")
                     flush()
                     last_write = monotonic()
-                time.sleep(poll_s)
+                time.sleep(_SSE_POLL_S)
         except (BrokenPipeError, ConnectionResetError, OSError):
             return  # client went away; nothing to clean up
 
@@ -367,7 +299,7 @@ class EmiService:
         service = EmiService(ServiceConfig(port=0, ...))
         url = service.start()
         ...  # talk HTTP to url
-        service.stop()  # drains jobs, joins workers, closes the socket
+        service.stop()  # drains jobs, joins the worker, closes the socket
     """
 
     def __init__(self, config: ServiceConfig | None = None):
@@ -399,7 +331,7 @@ class EmiService:
         thread.start()
         return self.url
 
-    def stop(self, drain: bool | None = None, timeout: float | None = None) -> None:
+    def stop(self, drain: bool = True, timeout: float | None = None) -> None:
         """Graceful shutdown: drain jobs, then stop serving (idempotent).
 
         The manager closes *first* so SSE subscribers observe their

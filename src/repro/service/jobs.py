@@ -393,8 +393,8 @@ class Job:
         """``queued -> running`` (False when the job was cancelled first).
 
         Stamps :attr:`queue_wait_s` — the monotonic delta between
-        submission and worker pickup — for the snapshot, the
-        ``service.job_queue_wait_s`` gauge and the queue-wait histogram.
+        submission and worker pickup — for the snapshot and the
+        ``service.queue_wait_s`` gauge of the job's run report.
         """
         with self._lock:
             if self.state != JobState.QUEUED:
@@ -476,10 +476,6 @@ class Job:
         """Whether the job reached a terminal state."""
         with self._lock:
             return self.state in TERMINAL_STATES
-
-    def elapsed_since_submit_s(self) -> float:
-        """Monotonic seconds since submission (end-to-end latency base)."""
-        return time.monotonic() - self._queued_monotonic
 
     # -- artifacts & snapshots ---------------------------------------------
 

@@ -1,106 +1,100 @@
 """The job manager: the service's one stateful core object.
 
-Owns the job store, the worker pool, the runner and the metrics — the
-HTTP shell is a thin translation layer over exactly this API, and the
-tests/smoke drive it both through HTTP and directly.
+Owns the job store, the runner and the one job worker — the HTTP shell
+is a thin translation layer over exactly this API, and the tests/smoke
+drive it both through HTTP and directly.
 
 Submission path: parse + validate the payload (rejections never occupy
-a worker), mint the content-addressed job id, create the per-job
-artifact directory and telemetry fabric, enqueue.  Shutdown path:
-:meth:`close` drains (or aborts) the pool and joins every worker before
+the worker), mint the content-addressed job id, create the per-job
+artifact directory and telemetry fabric, enqueue.  Jobs run one at a
+time in submission order: on a 2-core host a second worker thread made
+4 queued flow jobs take about 1.8 times as long (GIL and BLAS
+contention; docs/SERVICE.md).
+
+Shutdown path: :meth:`close` stops accepting, then either lets the
+queue drain or cancels every queued and running job (running jobs stop
+at their next stage checkpoint), and joins the non-daemon worker before
 returning, so callers can rely on all artifacts being flushed.
 """
 
 from __future__ import annotations
 
-import itertools
+import queue
 import threading
-import time
 from typing import Any
 
 from ..obs import EventRingBuffer, EventBus, JsonlSink, new_run_id
 from .config import ServiceConfig
-from .errors import PayloadError, UnknownJobError
-from .jobs import Job, JobState, parse_job_payload
-from .metrics import ServiceMetrics
-from .pool import WorkerPool
+from .errors import ServiceClosedError, UnknownJobError
+from .jobs import Job, parse_job_payload
 from .runner import JobRunner
 
 __all__ = ["JobManager"]
 
 
 class JobManager:
-    """Job store + worker pool + metrics for one service instance."""
+    """Job store + the one job worker of a service instance."""
 
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
-        self.metrics = ServiceMetrics()
-        self.runner = JobRunner(self.config, self.metrics)
+        self.runner = JobRunner(self.config)
         self._jobs: dict[str, Job] = {}
-        self._order: list[str] = []
         self._lock = threading.Lock()
-        self._seq = itertools.count(1)
         self._closed = False
+        self._queue: queue.Queue[Job | None] = queue.Queue()
         self.config.jobs_root().mkdir(parents=True, exist_ok=True)
         if self.config.cache_dir is not None:
             self.config.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._pool = WorkerPool(
-            self.config.pool_workers,
-            self._execute,
-            self.metrics,
-            max_queued=self.config.max_queued,
+        self._worker = threading.Thread(
+            target=self._work, name="emi-svc-worker", daemon=False
         )
+        self._worker.start()
+
+    def _work(self) -> None:
+        while (job := self._queue.get()) is not None:
+            self.runner.run(job)
 
     # -- submission --------------------------------------------------------
 
     def submit(self, payload: Any) -> Job:
         """Validate and enqueue one job; returns it in ``queued`` state.
 
+        A refused submission leaves no job in the store.
+
         Raises:
-            PayloadError: malformed payload or failing design check
-                (counted as ``service.jobs_rejected``).
-            ServiceClosedError: shutting down, or the queue is full.
+            PayloadError: malformed payload or failing design check.
+            ServiceClosedError: shutting down (503-shaped), or
+                ``config.max_queued`` jobs are already waiting
+                (429-shaped, ``retryable=True``).
         """
-        try:
-            request = parse_job_payload(
-                payload, default_timeout_s=self.config.job_timeout_s
-            )
-        except PayloadError:
-            self.metrics.inc("service.jobs_rejected")
-            raise
-        seq = next(self._seq)
-        job_id = f"j{seq:04d}-{request.digest[:12]}"
-        artifacts_dir = self.config.jobs_root().joinpath(job_id)
-        artifacts_dir.mkdir(parents=True, exist_ok=True)
-        job = Job(
-            id=job_id,
-            seq=seq,
-            request=request,
-            artifacts_dir=artifacts_dir,
-            bus=EventBus(),
-            ring=EventRingBuffer(capacity=self.config.event_buffer),
-            sink=JsonlSink(artifacts_dir / "events.jsonl"),
-            run_id=new_run_id(),
+        request = parse_job_payload(
+            payload, default_timeout_s=self.config.job_timeout_s
         )
         with self._lock:
+            if self._closed:
+                raise ServiceClosedError("service is shutting down")
+            if self._queue.qsize() >= self.config.max_queued:
+                raise ServiceClosedError(
+                    f"job queue is full ({self.config.max_queued} waiting)",
+                    retryable=True,
+                )
+            seq = len(self._jobs) + 1
+            job_id = f"j{seq:04d}-{request.digest[:12]}"
+            artifacts_dir = self.config.jobs_root().joinpath(job_id)
+            artifacts_dir.mkdir(parents=True, exist_ok=True)
+            job = Job(
+                id=job_id,
+                seq=seq,
+                request=request,
+                artifacts_dir=artifacts_dir,
+                bus=EventBus(),
+                ring=EventRingBuffer(capacity=self.config.event_buffer),
+                sink=JsonlSink(artifacts_dir / "events.jsonl"),
+                run_id=new_run_id(),
+            )
             self._jobs[job_id] = job
-            self._order.append(job_id)
-        self._pool.submit(job)  # raises ServiceClosedError when refused
-        self.metrics.inc("service.jobs_submitted")
+            self._queue.put(job)
         return job
-
-    def _execute(self, job: Job) -> None:
-        self.runner.run(job)
-        self.metrics.observe(
-            "service.job_latency_seconds", job.elapsed_since_submit_s()
-        )
-        terminal_counter = {
-            JobState.SUCCEEDED: "service.jobs_completed",
-            JobState.FAILED: "service.jobs_failed",
-            JobState.CANCELLED: "service.jobs_cancelled",
-        }.get(job.state)
-        if terminal_counter is not None:
-            self.metrics.inc(terminal_counter)
 
     # -- queries -----------------------------------------------------------
 
@@ -119,7 +113,7 @@ class JobManager:
     def jobs(self) -> list[Job]:
         """Every known job, in submission order."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            return list(self._jobs.values())
 
     def cancel(self, job_id: str) -> Job:
         """Request cancellation (see :meth:`Job.request_cancel`).
@@ -128,20 +122,8 @@ class JobManager:
             UnknownJobError: the id was never issued.
         """
         job = self.get(job_id)
-        # Terminal counting happens in _execute — every submitted job,
-        # cancelled-while-queued included, passes through the worker loop
-        # exactly once.
         job.request_cancel()
         return job
-
-    def wait_idle(self, timeout: float = 60.0) -> bool:
-        """Block until no job is queued or running (True on success)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self._pool.idle():
-                return True
-            time.sleep(0.02)
-        return self._pool.idle()
 
     # -- shutdown ----------------------------------------------------------
 
@@ -151,17 +133,22 @@ class JobManager:
         with self._lock:
             return self._closed
 
-    def close(self, drain: bool | None = None, timeout: float | None = None) -> None:
-        """Stop the pool and join every worker (idempotent).
+    def close(self, drain: bool = True, timeout: float | None = None) -> None:
+        """Stop accepting jobs and join the worker.
 
         Args:
-            drain: finish queued jobs (True) or cancel them (False);
-                defaults to ``config.drain_on_close``.
-            timeout: per-worker join timeout [s].
+            drain: finish queued jobs (True) or cancel every queued and
+                running job (False; a running job stops at its next
+                stage checkpoint).
+            timeout: join timeout [s] (``None`` waits until the queue is
+                empty — jobs are finite thanks to the per-job timeout).
         """
         with self._lock:
-            if self._closed:
-                return
+            if not self._closed:
+                self._queue.put(None)  # the worker stops after the queued jobs
             self._closed = True
-        effective_drain = self.config.drain_on_close if drain is None else drain
-        self._pool.stop(drain=effective_drain, timeout=timeout)
+            jobs = list(self._jobs.values())
+        if not drain:
+            for job in jobs:
+                job.request_cancel()
+        self._worker.join(timeout=timeout)

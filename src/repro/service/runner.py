@@ -1,4 +1,4 @@
-"""Executes one job on a worker thread, with full artifact capture.
+"""Executes one job on the service's job worker, with full artifact capture.
 
 The runner is where the service meets :class:`~repro.core.EmiDesignFlow`:
 it installs a *per-thread* tracer (``repro.obs.set_thread_tracer``) wired
@@ -41,7 +41,6 @@ from ..viz import render_board_svg, spectrum_to_csv
 from .config import ServiceConfig
 from .errors import JobCancelled, JobTimeout
 from .jobs import Job, JobState
-from .metrics import ServiceMetrics
 
 __all__ = ["JobRunner"]
 
@@ -51,11 +50,10 @@ StageHook = Callable[[Job, str], None]
 
 
 class JobRunner:
-    """Runs jobs to a terminal state; one instance serves every worker."""
+    """Runs jobs to a terminal state, one at a time on the job worker."""
 
-    def __init__(self, config: ServiceConfig, metrics: ServiceMetrics):
+    def __init__(self, config: ServiceConfig):
         self.config = config
-        self.metrics = metrics
         self.stage_hook: StageHook | None = None
 
     # -- plumbing ----------------------------------------------------------
@@ -82,14 +80,11 @@ class JobRunner:
     def run(self, job: Job) -> None:
         """Execute ``job`` to a terminal state (never raises).
 
-        Must be called on the worker thread that owns the job for its
-        whole run — the per-job tracer's span stack lives on it.
+        Must be called on the thread that owns the job for its whole
+        run — the per-job tracer's span stack lives on it.
         """
         if not job.mark_running():
             return  # cancelled while queued; nothing to do
-        if job.queue_wait_s is not None:
-            self.metrics.set_gauge("service.job_queue_wait_s", job.queue_wait_s)
-            self.metrics.observe("service.queue_wait_seconds", job.queue_wait_s)
         tracer = Tracer(
             meta={
                 "command": "service.job",
@@ -100,6 +95,8 @@ class JobRunner:
             bus=job.bus,
             run_id=job.run_id or None,
         )
+        if job.queue_wait_s is not None:
+            tracer.gauge("service.queue_wait_s", job.queue_wait_s)
         previous = set_thread_tracer(tracer)
         state = JobState.SUCCEEDED
         error: dict[str, str] | None = None
@@ -191,8 +188,6 @@ class JobRunner:
             "optimized": flow.evaluate("optimized", optimized_problem),
         }
         stats = flow.coupling_stats
-        self.metrics.inc("service.cache_hits", stats.hits)
-        self.metrics.inc("service.cache_misses", stats.misses)
         tracer.gauge("service.cache_hits", float(stats.hits))
         tracer.gauge("service.cache_misses", float(stats.misses))
 

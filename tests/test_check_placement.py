@@ -129,6 +129,23 @@ class TestAreaConstraints:
         problem.components["C1"].preferred_area = "ghost"
         assert "PLC005" in _codes(check_placement(problem))
 
+    def test_preferred_area_outside_allowed_areas(self):
+        problem = build_small_problem()
+        problem.boards[0].areas.extend(
+            [
+                PlacementArea("left", Polygon2D.rectangle(0.0, 0.0, 0.04, 0.06)),
+                PlacementArea("right", Polygon2D.rectangle(0.04, 0.0, 0.08, 0.06)),
+            ]
+        )
+        comp = problem.components["C1"]
+        comp.allowed_areas = ("left",)
+        comp.preferred_area = "right"
+        diags = [d for d in check_placement(problem) if d.code == "PLC005"]
+        assert [d.obj for d in diags] == ["problem/component:C1"]
+        assert "'right'" in diags[0].message
+        comp.allowed_areas = ("left", "right")
+        assert "PLC005" not in _codes(check_placement(problem))
+
     def test_component_too_big_for_area(self):
         problem = build_small_problem()
         problem.boards[0].areas.append(

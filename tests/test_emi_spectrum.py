@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuit.mna import level_db
 from repro.emi import Spectrum, dbuv_to_volts, volts_to_dbuv
 
 
@@ -22,6 +23,9 @@ class TestConversions:
     def test_array_input(self):
         out = volts_to_dbuv(np.array([1e-6, 1e-5]))
         assert np.allclose(out, [0.0, 20.0])
+
+    def test_zero_uses_the_circuit_level_floor(self):
+        assert volts_to_dbuv(0.0) == level_db(np.array([0.0]), 1e-6)[0]
 
 
 class TestSpectrum:

@@ -6,13 +6,14 @@ the full-flow concurrency acceptance run lives in
 """
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.obs import RunReport
+from repro.obs import RunReport, is_run_id
 from repro.service import EmiService, ServiceConfig
 
 SMALL_BOARD = """EMIPLACE 1
@@ -83,7 +84,6 @@ def service(tmp_path_factory):
     root = tmp_path_factory.mktemp("svc")
     config = ServiceConfig(
         port=0,
-        pool_workers=2,
         data_dir=root / "data",
         cache_dir=None,
         job_timeout_s=60.0,
@@ -96,13 +96,12 @@ def service(tmp_path_factory):
 
 @pytest.fixture()
 def own_service(tmp_path):
-    """A fresh service per test, for tests that block or mutate workers."""
+    """A fresh service per test, for tests that block or stop the worker."""
     created = []
 
     def factory(**overrides):
         defaults = dict(
             port=0,
-            pool_workers=1,
             data_dir=tmp_path / "data",
             cache_dir=None,
             job_timeout_s=60.0,
@@ -133,6 +132,10 @@ class TestBasics:
             ("DELETE", "/jobs/nonexistent"),
             ("GET", "/jobs/nonexistent/events"),
             ("GET", "/jobs/nonexistent/artifacts"),
+            # retired fleet routes
+            ("GET", "/metrics"),
+            ("GET", "/stats"),
+            ("GET", "/dashboard"),
         ]:
             payload = {} if method == "POST" else None
             status, body = request_json(
@@ -140,14 +143,6 @@ class TestBasics:
             )
             assert status == 404, (method, path)
             assert "error" in body
-
-    def test_metrics_endpoint(self, service):
-        with urllib.request.urlopen(service.url + "/metrics") as response:
-            assert response.status == 200
-            assert "text/plain" in response.headers["Content-Type"]
-            text = response.read().decode()
-        assert "service.queue_depth" in text
-        assert 'repro_emi_gauge{name="service.workers_total"} 2' in text
 
 
 class TestRoundTrip:
@@ -268,7 +263,7 @@ class TestRejections:
 
 class TestCancellation:
     def test_cancel_queued_job(self, own_service):
-        svc = own_service(pool_workers=1)
+        svc = own_service()
         svc.manager.runner.stage_hook = (
             lambda job, stage: job.cancel_event.wait(timeout=30)
         )
@@ -287,7 +282,7 @@ class TestCancellation:
         assert final["state"] == "cancelled"
 
     def test_cancel_running_job_stops_at_checkpoint(self, own_service):
-        svc = own_service(pool_workers=1)
+        svc = own_service()
         svc.manager.runner.stage_hook = (
             lambda job, stage: job.cancel_event.wait(timeout=30)
         )
@@ -312,7 +307,7 @@ class TestCancellation:
         assert snap["state"] == "cancelled"
 
     def test_timeout_fails_the_job(self, own_service):
-        svc = own_service(pool_workers=1)
+        svc = own_service()
         svc.manager.runner.stage_hook = lambda job, stage: time.sleep(0.1)
         _, snap = request_json(
             svc.url + "/jobs",
@@ -326,7 +321,7 @@ class TestCancellation:
 
 class TestBackpressureAndShutdown:
     def test_queue_full_gets_429(self, own_service):
-        svc = own_service(pool_workers=1, max_queued=1)
+        svc = own_service(max_queued=1)
         svc.manager.runner.stage_hook = (
             lambda job, stage: job.cancel_event.wait(timeout=30)
         )
@@ -343,6 +338,8 @@ class TestBackpressureAndShutdown:
         )
         assert status == 429
         assert "full" in body["error"]
+        # a refused submission leaves no job behind
+        assert len(request_json(svc.url + "/jobs")[1]["jobs"]) == 2
 
     def test_shutdown_refuses_submissions_with_503(self, own_service):
         svc = own_service()
@@ -357,7 +354,7 @@ class TestBackpressureAndShutdown:
         assert body["status"] == "shutting-down"
 
     def test_drain_finishes_inflight_jobs(self, own_service):
-        svc = own_service(pool_workers=2)
+        svc = own_service()
         ids = []
         for _ in range(3):
             _, snap = request_json(
@@ -369,3 +366,115 @@ class TestBackpressureAndShutdown:
             job = svc.manager.get(job_id)
             assert job.state == "succeeded"
             assert (job.artifacts_dir / "run_report.json").is_file()
+
+    def test_abort_cancels_queued_and_running_jobs(self, own_service):
+        svc = own_service()
+        svc.manager.runner.stage_hook = (
+            lambda job, stage: job.cancel_event.wait(timeout=30)
+        )
+        _, first = request_json(svc.url + "/jobs", "POST", {"board": SMALL_BOARD})
+        deadline = time.monotonic() + 10
+        while request_json(f"{svc.url}/jobs/{first['id']}")[1]["state"] == "queued":
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        _, second = request_json(svc.url + "/jobs", "POST", {"board": SMALL_BOARD})
+        svc.stop(drain=False)  # returns only once the worker is joined
+        pinned = svc.manager.get(first["id"])
+        queued = svc.manager.get(second["id"])
+        assert pinned.state == queued.state == "cancelled"
+        assert pinned.error["message"] == "cancelled while running"
+        assert queued.error["message"] == "cancelled while queued"
+        assert (pinned.artifacts_dir / "run_report.json").is_file()
+
+    def test_jobs_start_in_submission_order(self, own_service):
+        svc = own_service()
+        release = threading.Event()
+        started = []
+
+        def hold_first_job(job, stage):
+            if stage == "check":
+                started.append(job.id)
+                release.wait(timeout=30)
+
+        svc.manager.runner.stage_hook = hold_first_job
+        ids = [
+            request_json(svc.url + "/jobs", "POST", {"board": SMALL_BOARD})[1]["id"]
+            for _ in range(4)
+        ]
+        release.set()
+        svc.stop(drain=True)
+        assert started == ids
+        assert [svc.manager.get(job_id).state for job_id in ids] == ["succeeded"] * 4
+
+
+@pytest.fixture(scope="module")
+def finished_job(service):
+    """One board job run to completion: (202 snapshot, final, 202 headers)."""
+    request = urllib.request.Request(
+        service.url + "/jobs",
+        data=json.dumps({"board": SMALL_BOARD}).encode(),
+        method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=30) as response:
+        assert response.status == 202
+        headers = dict(response.headers)
+        snap = json.load(response)
+    final = wait_terminal(service.url, snap["id"])
+    assert final["state"] == "succeeded"
+    return snap, final, headers
+
+
+def read_artifact(base_url, job_id, name):
+    with urllib.request.urlopen(
+        f"{base_url}/jobs/{job_id}/artifacts/{name}", timeout=30
+    ) as response:
+        return response.read().decode()
+
+
+class TestRunIds:
+    def test_submission_mints_a_run_id(self, finished_job):
+        snap, _, headers = finished_job
+        assert is_run_id(snap["run_id"])
+        assert headers.get("X-Repro-Run-Id") == snap["run_id"]
+
+    def test_snapshot_carries_header_and_same_id(self, service, finished_job):
+        snap, _, _ = finished_job
+        with urllib.request.urlopen(f"{service.url}/jobs/{snap['id']}") as response:
+            assert response.headers.get("X-Repro-Run-Id") == snap["run_id"]
+            assert json.load(response)["run_id"] == snap["run_id"]
+
+    def test_run_report_meta_matches(self, service, finished_job):
+        snap, _, _ = finished_job
+        report = json.loads(read_artifact(service.url, snap["id"], "run_report.json"))
+        assert report["meta"]["run_id"] == snap["run_id"]
+
+    def test_every_event_carries_the_run_id(self, service, finished_job):
+        snap, _, _ = finished_job
+        text = read_artifact(service.url, snap["id"], "events.jsonl")
+        lines = [json.loads(line) for line in text.splitlines() if line.strip()]
+        assert lines
+        assert all(event.get("run_id") == snap["run_id"] for event in lines)
+
+    def test_distinct_jobs_get_distinct_ids(self, service, finished_job):
+        snap, _, _ = finished_job
+        status, other = request_json(
+            service.url + "/jobs", "POST", {"board": SMALL_BOARD}
+        )
+        assert status == 202
+        wait_terminal(service.url, other["id"])
+        assert other["run_id"] != snap["run_id"]
+
+
+class TestQueueWait:
+    def test_snapshot_has_queued_at_and_queue_wait(self, finished_job):
+        _, final, _ = finished_job
+        assert final["queued_at"] == final["submitted_at"]
+        assert final["queue_wait_s"] is not None
+        assert final["queue_wait_s"] >= 0.0
+
+    def test_run_report_gauge_matches_snapshot(self, service, finished_job):
+        _, final, _ = finished_job
+        report = RunReport.from_json(
+            read_artifact(service.url, final["id"], "run_report.json")
+        )
+        assert report.gauges["service.queue_wait_s"] == final["queue_wait_s"]
