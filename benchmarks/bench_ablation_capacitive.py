@@ -28,8 +28,11 @@ def test_ablation_capacitive(benchmark, design_flow, layout_comparison, record):
     both = design_flow.design.emission_spectrum(
         evaluation.couplings, capacitive=capacitances
     )
-    delta_clean = np.abs(clean_cap.dbuv() - clean.dbuv())
-    delta_on_top = np.abs(both.dbuv() - magnetic_only.dbuv())
+    # Spectral nulls (below LINE_FLOOR_DBUV) carry no level: mask them out.
+    delta_clean = np.abs(clean_cap.delta_db(clean))
+    delta_clean[~clean_cap.resolved_lines(clean)] = 0.0
+    delta_on_top = np.abs(both.delta_db(magnetic_only))
+    delta_on_top[~both.resolved_lines(magnetic_only)] = 0.0
     freqs = clean.freqs
 
     bands = [

@@ -1,11 +1,12 @@
 """Smoke test for the persistent coupling cache.
 
 Runs the ``rules`` CLI twice on the demo board with a throwaway
-``--cache-dir``: the first (cold) run must field-solve every pair and the
-second (warm) run must answer from disk — and both must derive identical
-PEMD values.  A third run with ``--no-cache`` must do the same number of
-field solves and derive the same PEMD values as the cold run.  Exit code
-0 means the cache is healthy.
+``--cache-dir``: the first (cold) run must field-solve pairs and fit
+distance laws without reading the disk, and the second (warm) run must
+answer from disk with no field solve and no fit — and both must derive
+identical PEMD values.  A third run with ``--no-cache`` must do the same
+number of field solves and fits and derive the same PEMD values as the
+cold run.  Exit code 0 means the cache is healthy.
 
 Invoked by ``make bench-smoke`` (and CI); runs in a few seconds.
 """
@@ -37,16 +38,18 @@ def run_rules(board: Path, *options: str) -> str:
 
 
 def cache_stats(output: str) -> tuple[int, int, int]:
-    """Parse ``coupling cache: H hit(s) (D from disk), M field solve(s)``."""
+    """Parse ``coupling cache: H hit(s), M field solve(s); distance laws:
+    LH hit(s), LF fit(s); D from disk`` into (field solves, law fits, D)."""
     match = re.search(
-        r"coupling cache: (\d+) hit\(s\) \((\d+) from disk\), (\d+) field solve\(s\)",
+        r"coupling cache: \d+ hit\(s\), (\d+) field solve\(s\); "
+        r"distance laws: \d+ hit\(s\), (\d+) fit\(s\); (\d+) from disk",
         output,
     )
     if match is None:
         print(output)
         raise SystemExit("no cache-stats line in rules output")
-    hits, disk, solves = (int(g) for g in match.groups())
-    return hits, disk, solves
+    solves, fits, disk = (int(g) for g in match.groups())
+    return solves, fits, disk
 
 
 def pemd_lines(output: str) -> list[str]:
@@ -60,29 +63,31 @@ def main_smoke() -> int:
 
         cached = ("--cache-dir", str(cache_dir))
         cold = run_rules(board, *cached)
-        _, cold_disk, cold_solves = cache_stats(cold)
-        print(f"cold: {cold_solves} field solve(s), {cold_disk} from disk")
-        if cold_solves == 0:
-            raise SystemExit("cold run performed no field solves — bad scenario")
+        cold_solves, cold_fits, cold_disk = cache_stats(cold)
+        print(f"cold: {cold_solves} field solve(s), {cold_fits} law fit(s), {cold_disk} from disk")
+        if cold_solves == 0 or cold_fits == 0:
+            raise SystemExit("cold run performed no field solve or no law fit — bad scenario")
         if cold_disk != 0:
             raise SystemExit("cold run hit the (empty) disk cache — key leak?")
 
         warm = run_rules(board, *cached)
-        _, warm_disk, warm_solves = cache_stats(warm)
-        print(f"warm: {warm_solves} field solve(s), {warm_disk} from disk")
+        warm_solves, warm_fits, warm_disk = cache_stats(warm)
+        print(f"warm: {warm_solves} field solve(s), {warm_fits} law fit(s), {warm_disk} from disk")
         if warm_disk == 0:
             raise SystemExit("warm run reported no persistent cache hits")
-        if warm_solves != 0:
-            raise SystemExit("warm run still field-solved — cache keys unstable")
+        if warm_solves != 0 or warm_fits != 0:
+            raise SystemExit("warm run still field-solved or fitted — cache keys unstable")
 
         if pemd_lines(cold) != pemd_lines(warm):
             raise SystemExit("cold and warm runs derived different PEMD values")
 
         uncached = run_rules(board, "--no-cache")
-        _, _, uncached_solves = cache_stats(uncached)
-        print(f"no-cache: {uncached_solves} field solve(s)")
-        if uncached_solves != cold_solves:
-            raise SystemExit("--no-cache run solved a different number of pairs than the cold run")
+        uncached_solves, uncached_fits, _ = cache_stats(uncached)
+        print(f"no-cache: {uncached_solves} field solve(s), {uncached_fits} law fit(s)")
+        if (uncached_solves, uncached_fits) != (cold_solves, cold_fits):
+            raise SystemExit(
+                "--no-cache run solved or fitted a different amount than the cold run"
+            )
         if pemd_lines(uncached) != pemd_lines(cold):
             raise SystemExit("--no-cache and cold runs derived different PEMD values")
 

@@ -118,8 +118,8 @@ def flow_report(
         lines.append("")
 
     if len(evaluations) == 2:
-        items = list(evaluations.values())
-        delta = items[0].spectrum.dbuv() - items[1].spectrum.dbuv()
+        first, second = (e.spectrum for e in evaluations.values())
+        delta = first.delta_db(second)[first.resolved_lines(second)]
         lines.append(
             f"Peak spectral difference between the layouts: "
             f"**{float(np.max(np.abs(delta))):.1f} dB** — placement alone, "

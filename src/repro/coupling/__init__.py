@@ -10,7 +10,7 @@ from .capacitive import (
     capacitive_layout_couplings,
     component_capacitance,
 )
-from .database import CacheStats, CouplingDatabase
+from .database import CacheStats, CouplingDatabase, DistanceLaw
 from .dipole import dipole_coupling_factor, dipole_mutual_inductance
 from .fit import PowerLawFit, fit_power_law
 from .polarization import PolarizedCoupling, decoupling_sweep, polarized_coupling
@@ -33,6 +33,7 @@ __all__ = [
     "dipole_mutual_inductance",
     "CacheStats",
     "CouplingDatabase",
+    "DistanceLaw",
     "PolarizedCoupling",
     "polarized_coupling",
     "decoupling_sweep",

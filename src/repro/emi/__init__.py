@@ -14,9 +14,10 @@ from .limits import (
 from .lisn import LISN_INDUCTANCE, RECEIVER_IMPEDANCE, LisnPorts, add_lisn
 from .receiver import EmiReceiver, cispr_rbw, quasi_peak_correction_db
 from .separation import ModeSplit, separate_modes
-from .spectrum import Spectrum, dbuv_to_volts, volts_to_dbuv
+from .spectrum import LINE_FLOOR_DBUV, Spectrum, dbuv_to_volts, volts_to_dbuv
 
 __all__ = [
+    "LINE_FLOOR_DBUV",
     "Spectrum",
     "volts_to_dbuv",
     "dbuv_to_volts",

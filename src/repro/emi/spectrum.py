@@ -14,7 +14,14 @@ import numpy as np
 
 from ..circuit.mna import level_db
 
-__all__ = ["Spectrum", "volts_to_dbuv", "dbuv_to_volts"]
+__all__ = ["LINE_FLOOR_DBUV", "Spectrum", "volts_to_dbuv", "dbuv_to_volts"]
+
+#: Lowest level [dBµV] at which a spectral line is an emission rather
+#: than a null.  A trapezoidal switching waveform has exact spectral
+#: zeros; the solver returns them as round-off, ~1e-17 V (about
+#: -230 dBµV), and a dB difference between two such lines is noise.
+#: Every real line of the converters modelled here lies above -60 dBµV.
+LINE_FLOOR_DBUV = -100.0
 
 
 def volts_to_dbuv(volts: np.ndarray | float) -> np.ndarray | float:
@@ -87,6 +94,14 @@ class Spectrum:
             raise ValueError("spectra live on different frequency grids")
         return self.dbuv() - other.dbuv()
 
+    def resolved_lines(self, other: "Spectrum") -> np.ndarray:
+        """Mask of the lines where both spectra lie above :data:`LINE_FLOOR_DBUV`.
+
+        Level statistics of two spectra (peak or mean ``|ΔdB|``) are
+        taken over these lines only, so spectral nulls do not count.
+        """
+        return (self.dbuv() > LINE_FLOOR_DBUV) & (other.dbuv() > LINE_FLOOR_DBUV)
+
     def correlation_db(self, other: "Spectrum") -> float:
         """Pearson correlation of the two dB traces (the paper's
         "good coincidence" criterion made quantitative)."""
@@ -99,8 +114,10 @@ class Spectrum:
         return float(np.corrcoef(a, b)[0, 1])
 
     def mean_abs_error_db(self, other: "Spectrum") -> float:
-        """Mean absolute level difference in dB."""
-        return float(np.mean(np.abs(self.delta_db(other))))
+        """Mean absolute level difference in dB over the resolved lines
+        (:meth:`resolved_lines`); 0 when no line is resolved."""
+        delta = self.delta_db(other)[self.resolved_lines(other)]
+        return float(np.mean(np.abs(delta))) if delta.size else 0.0
 
     @staticmethod
     def from_lines(lines: list[tuple[float, complex]]) -> "Spectrum":

@@ -8,7 +8,8 @@ each one cheap to repeat across runs:
   field-simulation results with versioned invalidation;
 * :mod:`~repro.parallel.fingerprint` — :func:`pair_key`, the one
   definition of "the same coupling problem" that both cache tiers use,
-  and :func:`self_cache_key`, the on-disk name of a part self-inductance.
+  :func:`self_cache_key`, the on-disk name of a part self-inductance,
+  and :func:`law_key` / :func:`law_cache_key` for a fitted distance law.
 
 The layer is physics-free by design: it never imports the solvers it
 accelerates, so :mod:`repro.coupling` can build on it without cycles.
@@ -18,9 +19,12 @@ Wiring into the flow is documented in ``docs/PERFORMANCE.md``.
 from .cache import PersistentCouplingCache, default_cache_dir
 from .fingerprint import (
     CACHE_SCHEMA_VERSION,
+    LawKey,
     PairKey,
     SelfKey,
     component_fingerprint,
+    law_cache_key,
+    law_key,
     pair_cache_key,
     pair_key,
     relative_pose_key,
@@ -29,11 +33,14 @@ from .fingerprint import (
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
+    "LawKey",
     "PairKey",
     "PersistentCouplingCache",
     "SelfKey",
     "component_fingerprint",
     "default_cache_dir",
+    "law_cache_key",
+    "law_key",
     "pair_cache_key",
     "pair_key",
     "relative_pose_key",

@@ -30,9 +30,15 @@ by one ULP produces a different key.  It is memoised per component as
 A part's air-core self-inductance is a pure function of its field
 geometry too.  Its key is ``(fingerprint, order)`` (:data:`SelfKey`),
 named on disk by :func:`self_cache_key` in a namespace of its own, so it
-can never collide with a pair entry.  A schema version is folded into
-every on-disk name, so bumping :data:`CACHE_SCHEMA_VERSION` invalidates
-the whole store at once.
+can never collide with a pair entry.
+
+A distance sweep's fitted coupling law is a pure function of the two
+fingerprints, the sweep grid, B's rotation, the sweep bearing, the
+plane height and the order.  Its key (:data:`LawKey`, :func:`law_key`)
+holds those inputs exactly, floats and all, and is named on disk by
+:func:`law_cache_key` in a third namespace.  A schema version is folded
+into every on-disk name, so bumping :data:`CACHE_SCHEMA_VERSION`
+invalidates the whole store at once.
 """
 
 from __future__ import annotations
@@ -50,9 +56,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
+    "LawKey",
     "PairKey",
     "SelfKey",
     "component_fingerprint",
+    "law_cache_key",
+    "law_key",
     "pair_cache_key",
     "pair_key",
     "relative_pose_key",
@@ -80,6 +89,11 @@ PairKey = tuple[str, str, PoseKey, int | None, int]
 
 #: One part self-inductance: the part's fingerprint and the quadrature order.
 SelfKey = tuple[str, int]
+
+#: One distance law: fingerprints of A and B, the distance grid [m], B's
+#: rotation [deg], the sweep bearing [deg], the plane height [m] (``None``
+#: = free space) and the quadrature order, all exact (see :func:`law_key`).
+LawKey = tuple[str, str, tuple[float, ...], float, float, float | None, int]
 
 
 def _feed_floats(digest: "hashlib._Hash", values: tuple[float, ...]) -> None:
@@ -193,3 +207,52 @@ def self_cache_key(key: SelfKey, version: int = CACHE_SCHEMA_VERSION) -> str:
         A 64-character hex SHA-256 digest.
     """
     return hashlib.sha256(f"self-v{version}|{key!r}".encode("ascii")).hexdigest()
+
+
+def law_key(
+    component_a: "Component",
+    component_b: "Component",
+    distances: np.ndarray,
+    rotation_b_deg: float,
+    direction_deg: float,
+    ground_plane_z: float | None,
+    order: int,
+) -> LawKey:
+    """The key of one distance sweep's fitted law, shared by both cache tiers.
+
+    Nothing is quantised: the grid, rotation, bearing and plane height
+    enter as exact Python floats (``+ 0.0`` folds ``-0.0`` into ``0.0``,
+    so the tuple's equality and its ``repr`` agree).  The key is *not*
+    symmetric in A/B.
+
+    Args:
+        component_a, component_b: the swept parts (A sits at the origin).
+        distances: centre-to-centre distances of the sweep [m].
+        rotation_b_deg: B's rotation [deg].
+        direction_deg: bearing of B from A [deg].
+        ground_plane_z: shielding-plane height [m], ``None`` for free space.
+        order: Gauss–Legendre quadrature order of the field computation.
+    """
+    plane = None if ground_plane_z is None else float(ground_plane_z) + 0.0
+    return (
+        component_a.fingerprint,
+        component_b.fingerprint,
+        tuple(float(d) + 0.0 for d in distances),
+        float(rotation_b_deg) + 0.0,
+        float(direction_deg) + 0.0,
+        plane,
+        order,
+    )
+
+
+def law_cache_key(key: LawKey, version: int = CACHE_SCHEMA_VERSION) -> str:
+    """On-disk name of a distance law: the SHA-256 of its :data:`LawKey`
+    in the ``law-v{version}`` namespace.
+
+    A Python float's ``repr`` is its shortest exact round-trip form, so
+    the name is as exact as the key.
+
+    Returns:
+        A 64-character hex SHA-256 digest.
+    """
+    return hashlib.sha256(f"law-v{version}|{key!r}".encode("ascii")).hexdigest()

@@ -6,7 +6,10 @@ plus the tolerable coupling level (from the sensitivity analysis — e.g.
 behaviour of a pi-filter*") yield, per component pair, the parallel-axes
 minimum distance PEMD.  The exact values *"vary with the size of the
 components and have to be recalculated for every component combination"* —
-hence the per-pair sweep-and-fit here.
+hence the per-pair sweep-and-fit here.  The fitted law does not depend
+on the threshold, so it is a coupling-cache fact
+(:meth:`repro.coupling.CouplingDatabase.distance_law`): every pair of
+parts with the same geometry, and every threshold, shares one fit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..components import Component
-from ..coupling import CouplingDatabase, distance_sweep, fit_power_law
+from ..coupling import CouplingDatabase
 from ..coupling.fit import PowerLawFit
 from ..sensitivity import SensitivityEntry
 from ..units import Dimensionless, Meters
@@ -84,12 +87,13 @@ def derive_pemd(
     ground_plane_z: Meters | None = None,
     database: CouplingDatabase | None = None,
 ) -> PemdDerivation:
-    """Sweep, fit and invert the coupling law for one component pair.
+    """Invert the fitted coupling laws of one component pair at a threshold.
 
-    The sweep runs at parallel axes (both rotations 0) from just beyond
-    body contact out to ``max_distance``; the fitted power law is inverted
-    at ``k_threshold``.  The result is clamped to the contact distance —
-    a PEMD below contact means the pair never interacts above threshold.
+    The parallel-axes sweep runs from just beyond body contact out to
+    ``max_distance``; its fitted power law is inverted at
+    ``k_threshold``.  Both laws (parallel and perpendicular axes) come
+    from :meth:`CouplingDatabase.distance_law`, so they are swept and
+    fitted at most once per database tier, whatever the threshold.
 
     Args:
         comp_a, comp_b: the component pair (local-frame field models).
@@ -98,13 +102,17 @@ def derive_pemd(
         n_points: sweep points between contact and ``max_distance``.
         max_distance: outer end of the distance sweep [m].
         ground_plane_z: optional shielding plane height [m].
-        database: optional coupling cache tiers shared across derivations.
+        database: coupling cache tiers shared across derivations (a
+            fresh memory-only one when omitted).
 
     Raises:
-        ValueError: for a non-positive threshold.
+        ValueError: for a non-positive threshold, or when the parallel
+            sweep has fewer than 3 usable points to fit.
     """
     if k_threshold <= 0.0:
         raise ValueError("k_threshold must be positive")
+    if database is None:
+        database = CouplingDatabase()
     d0 = _contact_distance(comp_a, comp_b) * 1.05
     if max_distance <= d0:
         max_distance = d0 * 4.0
@@ -122,16 +130,14 @@ def derive_pemd(
     rotation_b = angle_a - angle_b if (inplane_a and inplane_b) else 0.0
     direction = angle_a if inplane_a else (angle_b if inplane_b else 0.0)
 
-    couplings = distance_sweep(
-        comp_a,
-        comp_b,
-        distances,
-        rotation_b_deg=rotation_b,
-        direction_deg=direction,
-        ground_plane_z=ground_plane_z,
-        database=database,
-    )
-    fit = fit_power_law(distances, couplings)
+    fit = database.distance_law(
+        comp_a, comp_b, distances, rotation_b, direction, ground_plane_z
+    ).fit
+    if fit is None:
+        raise ValueError(
+            f"no coupling law for {comp_a.part_number}/{comp_b.part_number}: "
+            "need at least 3 positive data points for a fit"
+        )
     pemd = max(fit.distance_for_coupling(k_threshold), 0.0)
 
     # Perpendicular-axes sweep at the worst-case placement direction.
@@ -143,21 +149,11 @@ def derive_pemd(
     # here makes the DRC safe against that worst case; benchmarks for the
     # paper's Fig. 10 exercise the pure cos(alpha) law separately.
     pemd_perp = 0.0
-    couplings_perp = distance_sweep(
-        comp_a,
-        comp_b,
-        distances,
-        rotation_b_deg=rotation_b + 90.0,
-        direction_deg=direction + 45.0,
-        ground_plane_z=ground_plane_z,
-        database=database,
+    perp = database.distance_law(
+        comp_a, comp_b, distances, rotation_b + 90.0, direction + 45.0, ground_plane_z
     )
-    if np.max(np.abs(couplings_perp)) > k_threshold / 10.0:
-        try:
-            fit_perp = fit_power_law(distances, couplings_perp)
-            pemd_perp = max(fit_perp.distance_for_coupling(k_threshold), 0.0)
-        except ValueError:
-            pemd_perp = 0.0
+    if perp.peak_k > k_threshold / 10.0 and perp.fit is not None:
+        pemd_perp = max(perp.fit.distance_for_coupling(k_threshold), 0.0)
     pemd_perp = min(pemd_perp, pemd)
     return PemdDerivation(
         pemd=pemd,
@@ -174,7 +170,6 @@ def derive_rule_set(
     inductor_owner: dict[str, str],
     k_threshold_db_map: Dimensionless = 0.01,
     ground_plane_z: Meters | None = None,
-    cache: dict[tuple[str, str], PemdDerivation] | None = None,
     database: CouplingDatabase | None = None,
 ) -> list[MinDistanceRule]:
     """PEMD rules for every sensitivity-relevant component pair.
@@ -188,17 +183,16 @@ def derive_rule_set(
             (single threshold; a per-pair threshold map is a
             straightforward extension).
         ground_plane_z: optional shielding plane height [m].
-        cache: optional per-*part-number*-pair derivation cache — the paper
-            notes values must be recalculated per component combination,
-            but identical part pairs share one curve.
-        database: optional coupling cache tiers shared across derivations
-            (a persistent tier makes repeat runs near-free).
+        database: coupling cache tiers shared across derivations (a
+            fresh memory-only one when omitted).  Pairs of parts with the
+            same geometry share one fitted law through it; a persistent
+            tier makes repeat runs near-free.
 
     Returns:
         One rule per distinct relevant refdes pair.
     """
-    if cache is None:
-        cache = {}
+    if database is None:
+        database = CouplingDatabase()
     rules: dict[tuple[str, str], MinDistanceRule] = {}
     for entry in relevant:
         ref_a = inductor_owner.get(entry.inductor_a)
@@ -208,18 +202,13 @@ def derive_rule_set(
         pair = tuple(sorted((ref_a, ref_b)))
         if pair in rules:
             continue
-        comp_a, comp_b = parts[pair[0]], parts[pair[1]]
-        type_key = tuple(sorted((comp_a.part_number, comp_b.part_number)))
-        derivation = cache.get(type_key)
-        if derivation is None:
-            derivation = derive_pemd(
-                comp_a,
-                comp_b,
-                k_threshold_db_map,
-                ground_plane_z=ground_plane_z,
-                database=database,
-            )
-            cache[type_key] = derivation
+        derivation = derive_pemd(
+            parts[pair[0]],
+            parts[pair[1]],
+            k_threshold_db_map,
+            ground_plane_z=ground_plane_z,
+            database=database,
+        )
         rules[pair] = derivation.rule(pair[0], pair[1])
     return list(rules.values())
 

@@ -157,6 +157,21 @@ class TestFlowReport:
         report = flow_report(design_flow, layout_comparison)
         assert "placement alone" in report
 
+    def test_headline_delta_skips_spectral_nulls(self, design_flow, layout_comparison):
+        from repro.core import flow_report
+        from repro.emi import LINE_FLOOR_DBUV
+
+        base, opt = (e.spectrum for e in layout_comparison.values())
+        resolved = base.resolved_lines(opt)
+        # The buck source has exact spectral zeros, solved as round-off
+        # far below the floor; every other line sits far above it.
+        assert not resolved.all()
+        for spectrum in (base, opt):
+            assert np.all(spectrum.dbuv()[~resolved] < LINE_FLOOR_DBUV - 80.0)
+            assert np.all(spectrum.dbuv()[resolved] > LINE_FLOOR_DBUV + 40.0)
+        peak = float(np.max(np.abs(base.delta_db(opt)[resolved])))
+        assert f"**{peak:.1f} dB**" in flow_report(design_flow, layout_comparison)
+
 
 class TestFlowObservability:
     """One span per flow stage, with populated counters (obs integration)."""

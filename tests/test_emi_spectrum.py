@@ -34,6 +34,16 @@ class TestSpectrum:
             np.array([1e6, 2e6, 3e6]), np.array([1e-3, 1e-4, 1e-5], dtype=complex)
         )
 
+    def test_level_statistics_skip_lines_below_the_floor(self):
+        freqs = np.array([1e6, 2e6, 3e6])
+        a = Spectrum(freqs, np.array([1e-3, 1e-17, 1e-5], dtype=complex))
+        b = Spectrum(freqs, np.array([1e-4, 3e-19, 1e-6], dtype=complex))
+        assert list(a.resolved_lines(b)) == [True, False, True]
+        assert a.mean_abs_error_db(b) == pytest.approx(20.0)
+        nulls = Spectrum(freqs, np.array([1e-17, 1e-18, 0.0], dtype=complex))
+        assert not nulls.resolved_lines(a).any()
+        assert nulls.mean_abs_error_db(a) == 0.0
+
     def test_validation_shapes(self):
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, 2.0]), np.array([1.0]))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.components import FilmCapacitorX2, small_bobbin_choke
 from repro.coupling import distance_sweep
+from repro.obs import Tracer, set_tracer
 from repro.rules import derive_pemd, derive_rule_set
 from repro.sensitivity import SensitivityEntry
 
@@ -75,7 +76,27 @@ class TestDeriveRuleSet:
         rules = derive_rule_set(parts, relevant, owner)
         assert rules == []
 
-    def test_type_pair_cache_reused(self, x2_cap):
+    def test_same_part_number_with_other_geometry_gets_its_own_pemd(self, x2_cap):
+        # C3 shares C2's part number but not its loop: its rule must come
+        # from its own geometry, not from the C1-C2 derivation.
+        parts = {
+            "C1": x2_cap,
+            "C2": FilmCapacitorX2(),
+            "C3": FilmCapacitorX2(loop_span=30e-3, loop_height=20e-3),
+        }
+        assert parts["C3"].part_number == parts["C2"].part_number
+        relevant = [
+            SensitivityEntry("C1.ESL", "C2.ESL", 10.0, 1e6),
+            SensitivityEntry("C2.ESL", "C3.ESL", 9.0, 1e6),
+        ]
+        owner = {"C1.ESL": "C1", "C2.ESL": "C2", "C3.ESL": "C3"}
+        rules = derive_rule_set(parts, relevant, owner, k_threshold_db_map=0.01)
+        for rule in rules:
+            direct = derive_pemd(parts[rule.ref_a], parts[rule.ref_b], 0.01)
+            assert rule.pemd == direct.pemd and rule.residual == direct.residual
+        assert rules[1].pemd > rules[0].pemd * 1.2
+
+    def test_identical_parts_are_served_by_no_further_fits(self, x2_cap):
         parts = {
             "C1": x2_cap,
             "C2": FilmCapacitorX2(),
@@ -86,12 +107,18 @@ class TestDeriveRuleSet:
             SensitivityEntry("C1.ESL", "C3.ESL", 9.0, 1e6),
         ]
         owner = {"C1.ESL": "C1", "C2.ESL": "C2", "C3.ESL": "C3"}
-        cache: dict = {}
-        rules = derive_rule_set(parts, relevant, owner, cache=cache)
-        assert len(rules) == 2
-        # Same part-number pair => one derivation in the cache.
-        assert len(cache) == 1
-        assert rules[0].pemd == pytest.approx(rules[1].pemd)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            rules = derive_rule_set(parts, relevant, owner)
+        finally:
+            set_tracer(previous)
+        totals = tracer.report().totals()
+        # The first pair fits its parallel and perpendicular laws; the
+        # second pair of the same geometry reads both from memory.
+        assert totals["coupling.law_fits"] == 2
+        assert totals["coupling.law_hits"] == 2
+        assert rules[0].pemd == rules[1].pemd
 
     def test_duplicate_pairs_deduplicated(self, x2_cap):
         parts = {"C1": x2_cap, "C2": FilmCapacitorX2()}
