@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -123,17 +125,27 @@ class TestPerformanceFlags:
         assert args.no_cache is True
         assert args.cache_dir is None
 
+    @staticmethod
+    def _cache_counts(output):
+        """(field solves, law fits, disk hits) from the ``rules`` cache line."""
+        match = re.search(
+            r"coupling cache: \d+ hit\(s\), (\d+) field solve\(s\); "
+            r"distance laws: \d+ hit\(s\), (\d+) fit\(s\); (\d+) from disk",
+            output,
+        )
+        assert match is not None, output
+        return tuple(int(group) for group in match.groups())
+
     def test_rules_warm_cache_reports_disk_hits(self, tmp_path, capsys):
         src = self._bare_file(tmp_path)
         cache_dir = tmp_path / "cache"
         argv = ["rules", str(src), "--max-pairs", "2", "--cache-dir", str(cache_dir)]
         assert main(argv) == 0
-        cold = capsys.readouterr().out
-        assert "0 from disk" in cold
+        solves, fits, disk = self._cache_counts(capsys.readouterr().out)
+        assert solves > 0 and fits > 0 and disk == 0
         assert main(argv) == 0
-        warm = capsys.readouterr().out
-        assert "field solve(s)" in warm
-        assert "(0 from disk)" not in warm  # warm run answers from disk
+        solves, fits, disk = self._cache_counts(capsys.readouterr().out)
+        assert solves == 0 and fits == 0 and disk >= 1  # warm run answers from disk
 
     def test_rules_no_cache_never_touches_disk(self, tmp_path, capsys):
         src = self._bare_file(tmp_path)
