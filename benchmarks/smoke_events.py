@@ -7,9 +7,9 @@ emitted JSONL end to end:
 * every line parses and passes :func:`repro.obs.validate_event_dict`;
 * sequence numbers are strictly monotonic and gap-free from 1;
 * the log carries the expected shapes — a ``rules`` stage start/done
-  pair, matched ``coupling.field_solve`` span open/close events, the
-  ``coupling.pair_seconds`` histogram observations, and the resource
-  sampler's ``proc.*`` gauges;
+  pair, matched ``coupling.field_solve`` span open/close events whose
+  every close carries a positive wall time, and the resource sampler's
+  ``proc.*`` gauges;
 * ``repro-emi perf flight`` renders the run (report + events) into a
   non-trivial self-contained HTML artefact.
 
@@ -93,7 +93,6 @@ def check_shapes(events: list[dict]) -> None:
         ("start" in stage_statuses, "no 'rules' stage start event"),
         ("done" in stage_statuses, "no 'rules' stage done event"),
         (("span_open", "coupling.field_solve") in names, "no coupling.field_solve span"),
-        (("observe", "coupling.pair_seconds") in names, "no coupling.pair_seconds sample"),
         (("gauge", "proc.rss_peak_bytes") in names, "no sampler RSS gauge"),
         (("gauge", "proc.cpu_pct") in names, "no sampler CPU gauge"),
         (any(k == "span_open" for k, _ in names), "no span_open events"),
@@ -104,11 +103,16 @@ def check_shapes(events: list[dict]) -> None:
         if not ok:
             raise SystemExit(complaint)
     opens, closes = (
-        sum(1 for e in events if e["kind"] == kind and e["name"] == "coupling.field_solve")
+        [e for e in events if e["kind"] == kind and e["name"] == "coupling.field_solve"]
         for kind in ("span_open", "span_close")
     )
-    if opens != closes:
-        raise SystemExit(f"coupling.field_solve opened {opens} times, closed {closes}")
+    if len(opens) != len(closes):
+        raise SystemExit(
+            f"coupling.field_solve opened {len(opens)} times, closed {len(closes)}"
+        )
+    untimed = [e["seq"] for e in closes if not (e.get("value") or 0) > 0]
+    if untimed:
+        raise SystemExit(f"coupling.field_solve closed without a positive wall time: seq {untimed}")
 
 
 def run_flight(metrics: Path, events: Path, out: Path, store: Path) -> None:

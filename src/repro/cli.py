@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="stream every telemetry event (spans, counters, gauges, stages, "
-        "histogram observations) as JSONL while the run goes; tail-able and "
-        "crash-safe to the last event",
+        "logs) as JSONL while the run goes; tail-able and crash-safe to the "
+        "last event",
     )
     obs_flags.add_argument(
         "--live",

@@ -8,8 +8,8 @@ are cached per coupling problem.
 :func:`repro.parallel.pair_key`: both component fingerprints, the pair's
 *relative* pose (coupling is invariant under a rigid in-plane motion of
 the pair) quantised to 0.1 mm / 1 degree with both sides and both
-standoffs, the ground-plane height and the quadrature order.  Two cache
-tiers share that key:
+standoffs, the ground-plane height and the pair quadrature order
+(:data:`repro.peec.PAIR_ORDER`).  Two cache tiers share that key:
 
 * the **in-memory** dict keyed by the tuple itself (this module), free to
   probe, gone with the process;
@@ -56,13 +56,11 @@ from ..parallel import (
     PairKey,
     PersistentCouplingCache,
     SelfKey,
-    law_cache_key,
+    cache_name,
     law_key,
-    pair_cache_key,
     pair_key,
-    self_cache_key,
 )
-from ..peec import SELF_INDUCTANCE_ORDER
+from ..peec import PAIR_ORDER, SELF_INDUCTANCE_ORDER
 from ..units import Degrees, Dimensionless, Henries, Meters
 from .fit import PowerLawFit, fit_power_law
 from .pair import CouplingResult, PlacedPair, component_couplings
@@ -101,16 +99,23 @@ def _validated(
     )
 
 
-def _self_from_payload(payload: dict) -> Henries | None:
-    """A stored self-inductance [H]; ``None`` (counted stale) if malformed."""
-    try:
-        value = float(payload["self_h"])
-    except (KeyError, TypeError, ValueError):
-        value = math.nan
+def _result_from_payload(payload: dict) -> CouplingResult:
+    """A stored pair result; raises ``KeyError``/``TypeError``/``ValueError`` if malformed."""
+    return CouplingResult(
+        k=float(payload["k"]),
+        mutual_h=float(payload["mutual_h"]),
+        self_a_h=float(payload["self_a_h"]),
+        self_b_h=float(payload["self_b_h"]),
+        shielded=bool(payload["shielded"]),
+    )
+
+
+def _self_from_payload(payload: dict) -> Henries:
+    """A stored self-inductance [H]; raises ``ValueError`` if not positive and finite."""
+    value = float(payload["self_h"])
     if value > 0.0 and math.isfinite(value):
         return value
-    get_tracer().count("cache.stale")
-    return None
+    raise ValueError(f"unusable stored self-inductance {value!r}")
 
 
 @dataclass(frozen=True)
@@ -127,21 +132,17 @@ class DistanceLaw:
     peak_k: Dimensionless
 
 
-def _law_from_payload(payload: dict) -> DistanceLaw | None:
-    """A stored distance law; ``None`` (counted stale) if malformed."""
-    try:
-        peak_k = float(payload["peak_k"])
-        values = (payload["c"], payload["n"], payload["r2"])
-        fit = None if values == (None, None, None) else PowerLawFit(*map(float, values))
-    except (KeyError, TypeError, ValueError):
-        peak_k, fit = math.nan, None
+def _law_from_payload(payload: dict) -> DistanceLaw:
+    """A stored distance law; raises ``KeyError``/``TypeError``/``ValueError`` if unusable."""
+    peak_k = float(payload["peak_k"])
+    values = (payload["c"], payload["n"], payload["r2"])
+    fit = None if values == (None, None, None) else PowerLawFit(*map(float, values))
     usable_fit = fit is None or (
         fit.c > 0.0 and fit.n > 0.0 and all(map(math.isfinite, (fit.c, fit.n, fit.r_squared)))
     )
     if peak_k >= 0.0 and math.isfinite(peak_k) and usable_fit:
         return DistanceLaw(fit, peak_k)
-    get_tracer().count("cache.stale")
-    return None
+    raise ValueError(f"unusable stored distance law {payload!r}")
 
 
 def _law_payload(law: DistanceLaw) -> dict:
@@ -157,7 +158,7 @@ def _swapped(result: CouplingResult) -> CouplingResult:
 
 
 def solve_couplings(
-    pairs: Sequence[PlacedPair], ground_plane_z: Meters | None, order: int
+    pairs: Sequence[PlacedPair], ground_plane_z: Meters | None
 ) -> list[CouplingResult]:
     """Field simulations of placed pairs in request order, validated.
 
@@ -166,22 +167,14 @@ def solve_couplings(
     ``coupling.field_solve`` span.  Every result passes the CPL001 check
     (:func:`_validated`) before it is returned; no cache is involved.
 
-    Each solved pair adds one ``coupling.pair_seconds`` sample: the
-    batch's wall time divided by its pair count.
-
     Raises:
         ValueError: when a solve gives |k| beyond the clamp tolerance
             (rule CPL001).
     """
     if not pairs:
         return []
-    tracer = get_tracer()
-    with tracer.span("coupling.field_solve") as handle:
-        results = component_couplings(pairs, ground_plane_z, order)
-    if handle.elapsed_s is not None:
-        share = handle.elapsed_s / len(pairs)
-        for _ in pairs:
-            tracer.observe("coupling.pair_seconds", share)
+    with get_tracer().span("coupling.field_solve"):
+        results = component_couplings(pairs, ground_plane_z)
     return [
         _validated(result, comp_a.part_number, comp_b.part_number)
         for result, (comp_a, _, comp_b, _) in zip(results, pairs, strict=True)
@@ -231,8 +224,6 @@ class CouplingDatabase:
         ground_plane_z: shielding-plane height [m] above the board used by
             :meth:`coupling` and :meth:`pairwise_couplings` (``None`` = no
             plane, no image currents).  Sweeps pass their own height.
-        order: Gauss–Legendre quadrature order passed to the field
-            computation (dimensionless count, not a physical quantity).
         persistent: optional on-disk cache tier consulted on in-memory
             misses and written through on every solve (``None`` = memory
             only; see docs/PERFORMANCE.md for the key semantics).
@@ -250,7 +241,6 @@ class CouplingDatabase:
     """
 
     ground_plane_z: Meters | None = None
-    order: int = 8
     persistent: PersistentCouplingCache | None = None
     _cache: dict[PairKey, CouplingResult] = field(default_factory=dict)
     _self_cache: dict[SelfKey, Henries] = field(default_factory=dict)
@@ -260,20 +250,6 @@ class CouplingDatabase:
     persistent_hits: int = 0
     law_hits: int = 0
     law_fits: int = 0
-
-    def _from_payload(self, payload: dict) -> CouplingResult | None:
-        """Rebuild a result from its JSON payload; ``None`` if malformed."""
-        try:
-            return CouplingResult(
-                k=float(payload["k"]),
-                mutual_h=float(payload["mutual_h"]),
-                self_a_h=float(payload["self_a_h"]),
-                self_b_h=float(payload["self_b_h"]),
-                shielded=bool(payload["shielded"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            get_tracer().count("cache.stale")
-            return None
 
     def _probe(
         self, key: PairKey, pair: PlacedPair, ground_plane_z: Meters | None
@@ -288,15 +264,14 @@ class CouplingDatabase:
         if hit is not None:
             return hit
         comp_a, placement_a, comp_b, placement_b = pair
-        mirror = pair_key(comp_b, placement_b, comp_a, placement_a, ground_plane_z, self.order)
+        mirror = pair_key(comp_b, placement_b, comp_a, placement_a, ground_plane_z, PAIR_ORDER)
         hit = self._cache.get(mirror)
         if hit is not None:
             return _swapped(hit)
         if self.persistent is None:
             return None
         for probe, swap in ((key, False), (mirror, True)):
-            payload = self.persistent.get(pair_cache_key(probe))
-            hit = None if payload is None else self._from_payload(payload)
+            hit = self.persistent.get(cache_name("pair", probe), _result_from_payload)
             if hit is not None:
                 self._cache[probe] = hit
                 self.persistent_hits += 1
@@ -329,7 +304,7 @@ class CouplingDatabase:
                 (rule CPL001); that result is not cached.
         """
         keys = [
-            pair_key(comp_a, placement_a, comp_b, placement_b, ground_plane_z, self.order)
+            pair_key(comp_a, placement_a, comp_b, placement_b, ground_plane_z, PAIR_ORDER)
             for comp_a, placement_a, comp_b, placement_b in pairs
         ]
         results = [
@@ -345,11 +320,11 @@ class CouplingDatabase:
             tracer.count("coupling.cache_hits", hits)
         if misses:
             tracer.count("coupling.cache_misses", misses)
-        solved = solve_couplings([pairs[i] for i in pending], ground_plane_z, self.order)
+        solved = solve_couplings([pairs[i] for i in pending], ground_plane_z)
         for i, result in zip(pending, solved, strict=True):
             self._cache[keys[i]] = result
             if self.persistent is not None:
-                self.persistent.put(pair_cache_key(keys[i]), asdict(result))
+                self.persistent.put(cache_name("pair", keys[i]), asdict(result))
             results[i] = result
         return results  # type: ignore[return-value]
 
@@ -366,12 +341,11 @@ class CouplingDatabase:
         key: SelfKey = (component.fingerprint, SELF_INDUCTANCE_ORDER)
         value = self._self_cache.get(key)
         if value is None and self.persistent is not None:
-            payload = self.persistent.get(self_cache_key(key))
-            value = None if payload is None else _self_from_payload(payload)
+            value = self.persistent.get(cache_name("self", key), _self_from_payload)
         if value is None:
             value = component.geometric_inductance
             if self.persistent is not None:
-                self.persistent.put(self_cache_key(key), {"self_h": value})
+                self.persistent.put(cache_name("self", key), {"self_h": value})
         self._self_cache[key] = value
         component.seed_geometric_inductance(value)
         return value
@@ -391,8 +365,8 @@ class CouplingDatabase:
         A miss runs :func:`repro.coupling.distance_sweep` (A at the
         origin, rotation 0; its points go through :meth:`lookup`), fits
         it once with :func:`fit_power_law` and writes ``{c, n, r2,
-        peak_k}`` through both tiers.  A malformed stored payload counts
-        ``cache.stale`` and is refitted.
+        peak_k}`` through both tiers.  A malformed stored payload is
+        refitted (the persistent tier counts it ``cache.stale``).
 
         Args:
             comp_a, comp_b: the swept parts (local-frame field models).
@@ -402,13 +376,12 @@ class CouplingDatabase:
             ground_plane_z: shielding-plane height [m], ``None`` for free space.
         """
         key = law_key(
-            comp_a, comp_b, distances, rotation_b_deg, direction_deg, ground_plane_z, self.order
+            comp_a, comp_b, distances, rotation_b_deg, direction_deg, ground_plane_z, PAIR_ORDER
         )
         tracer = get_tracer()
         law = self._law_cache.get(key)
         if law is None and self.persistent is not None:
-            payload = self.persistent.get(law_cache_key(key))
-            law = None if payload is None else _law_from_payload(payload)
+            law = self.persistent.get(cache_name("law", key), _law_from_payload)
             if law is not None:
                 self.persistent_hits += 1
         if law is not None:
@@ -434,7 +407,7 @@ class CouplingDatabase:
             self.law_fits += 1
             tracer.count("coupling.law_fits")
             if self.persistent is not None:
-                self.persistent.put(law_cache_key(key), _law_payload(law))
+                self.persistent.put(cache_name("law", key), _law_payload(law))
         self._law_cache[key] = law
         return law
 

@@ -18,7 +18,7 @@ from itertools import groupby
 
 from ..components import Component
 from ..geometry import Placement2D
-from ..peec import PackedFilaments, mutual_inductance_row, stray_coupling_scale
+from ..peec import PAIR_ORDER, PackedFilaments, mutual_inductance_row, stray_coupling_scale
 from ..units import Dimensionless, Henries, Meters
 
 __all__ = [
@@ -70,7 +70,7 @@ class _PlacedPart:
 
 
 def _place(
-    component: Component, placement: Placement2D, ground_plane_z: Meters | None, order: int
+    component: Component, placement: Placement2D, ground_plane_z: Meters | None
 ) -> _PlacedPart:
     """Place one part of a batch (one array op) and fix its self-inductance."""
     filaments = component.current_path.packed.placed(placement)
@@ -80,7 +80,7 @@ def _place(
     # Image method: a victim sees the source's real + image currents; the
     # self-inductance picks up the (negative) own-image mutual.
     image = filaments.image(ground_plane_z)
-    self_geo = self_geo + mutual_inductance_row(image, [filaments], order)[0]
+    self_geo = self_geo + mutual_inductance_row(image, [filaments], PAIR_ORDER)[0]
     return _PlacedPart(
         component, filaments, filaments.merged_with(image), max(self_geo, 1e-12)
     )
@@ -89,7 +89,6 @@ def _place(
 def component_couplings(
     pairs: Sequence[PlacedPair],
     ground_plane_z: Meters | None = None,
-    order: int = 8,
 ) -> list[CouplingResult]:
     """Full PEEC coupling computation for many placed pairs as one batch.
 
@@ -98,8 +97,9 @@ def component_couplings(
     own-image term) computed once.  The mutuals are then evaluated one
     source part at a time: one kernel call of the source against every
     part it is paired with
-    (:func:`repro.peec.mutual_inductance_row`).  Every result is
-    bit-identical to solving its pair alone.
+    (:func:`repro.peec.mutual_inductance_row`) at
+    :data:`repro.peec.PAIR_ORDER`.  Every result is bit-identical to
+    solving its pair alone.
 
     The effective-permeability correction follows the paper's recipe: the
     air-core mutual is scaled by ``sqrt(mu_eff_a * stray_a * mu_eff_b *
@@ -111,7 +111,6 @@ def component_couplings(
             (local-frame field models; positions [m], rotations [rad]).
         ground_plane_z: if set, a solid plane at this height shields the
             coupling via image currents.
-        order: Gauss–Legendre order of the mutual integral.
 
     Returns:
         One result per pair, in order.  ``k`` is the raw solver value: it
@@ -128,7 +127,7 @@ def component_couplings(
         index = slots.get(key)
         if index is None:
             index = slots[key] = len(parts)
-            parts.append(_place(component, placement, ground_plane_z, order))
+            parts.append(_place(component, placement, ground_plane_z))
         return index
 
     ends = [(slot(comp_a, pl_a), slot(comp_b, pl_b)) for comp_a, pl_a, comp_b, pl_b in pairs]
@@ -137,7 +136,7 @@ def component_couplings(
     for a, row in groupby(by_source, key=lambda i: ends[i][0]):
         members = list(row)
         targets = [parts[ends[i][1]].filaments for i in members]
-        mutuals = mutual_inductance_row(parts[a].source, targets, order)
+        mutuals = mutual_inductance_row(parts[a].source, targets, PAIR_ORDER)
         for i, m in zip(members, mutuals, strict=True):
             m_air[i] = m
     shielded = ground_plane_z is not None
@@ -168,16 +167,13 @@ def component_coupling(
     comp_b: Component,
     placement_b: Placement2D,
     ground_plane_z: Meters | None = None,
-    order: int = 8,
 ) -> CouplingResult:
     """Full PEEC coupling computation for one placed pair.
 
     The single-pair view of :func:`component_couplings` (same arguments,
     same raw, unclamped ``k``).
     """
-    return component_couplings(
-        [(comp_a, placement_a, comp_b, placement_b)], ground_plane_z, order
-    )[0]
+    return component_couplings([(comp_a, placement_a, comp_b, placement_b)], ground_plane_z)[0]
 
 
 def pair_coupling_factor(

@@ -29,10 +29,6 @@ from .database import CouplingDatabase, solve_couplings
 
 __all__ = ["distance_sweep", "rotation_sweep", "angular_position_sweep"]
 
-#: Default Gauss–Legendre order of the per-point field simulations, kept in
-#: lockstep with :func:`repro.coupling.pair.component_coupling`.
-_SWEEP_ORDER = 8
-
 
 def _validated_distances(distances: np.ndarray) -> np.ndarray:
     """Distance grid checked for the silent-NaN failure modes.
@@ -97,7 +93,7 @@ def _signed_couplings(
     if database is not None:
         results = database.lookup(pairs, ground_plane_z)
     else:
-        results = solve_couplings(pairs, ground_plane_z, _SWEEP_ORDER)
+        results = solve_couplings(pairs, ground_plane_z)
     return np.array([r.k for r in results])
 
 

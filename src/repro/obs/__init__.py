@@ -25,10 +25,6 @@ Zero-dependency (stdlib-only) instrumentation for the EMI design flow:
   the future service layer's SSE source;
 * :class:`ResourceSampler` — background RSS/CPU sampling folded into
   ``proc.*`` gauges;
-* :class:`Histogram` — fixed log-spaced-bucket latency distributions
-  recorded via :meth:`Tracer.observe`, exported
-  as Prometheus ``_bucket``/``_sum``/``_count`` families and
-  summarized (p50/p95/p99) in tables and the flight recorder;
 * :func:`new_run_id` / :func:`is_run_id` — ULID-like run-correlation
   ids joining a run's report, event stream, perf-history row and
   artifacts;
@@ -58,7 +54,6 @@ from .events import (
 )
 from .export import chrome_trace_json, to_chrome_trace, to_prometheus
 from .flight import render_flight_html
-from .histogram import DEFAULT_BUCKETS, Histogram, bucket_label
 from .history import (
     HistoryRecord,
     PerfHistory,
@@ -118,9 +113,6 @@ __all__ = [
     "to_chrome_trace",
     "chrome_trace_json",
     "to_prometheus",
-    "Histogram",
-    "DEFAULT_BUCKETS",
-    "bucket_label",
     "new_run_id",
     "is_run_id",
     "RUN_ID_LENGTH",

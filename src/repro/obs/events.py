@@ -19,9 +19,6 @@ Event kinds (``TelemetryEvent.kind``):
 * ``counter`` — one counter increment; ``value`` is the increment
   (not the running total).
 * ``gauge`` — one gauge write; ``value`` is the new value.
-* ``observe`` — one histogram observation
-  (:meth:`~repro.obs.Tracer.observe`); ``value`` is the observed
-  sample (e.g. a latency in seconds), ``name`` the histogram name.
 * ``stage`` — a flow stage transition (``check``, ``sensitivity``,
   ``rules``, ``placement``, ``prediction``, ``verification``);
   ``attrs["status"]`` is ``start`` / ``done`` / ``error``.
@@ -50,7 +47,7 @@ EVENT_SCHEMA_VERSION = 1
 
 #: The closed set of event kinds; :meth:`EventBus.publish` rejects others.
 EVENT_KINDS = frozenset(
-    {"span_open", "span_close", "counter", "gauge", "observe", "stage", "log"}
+    {"span_open", "span_close", "counter", "gauge", "stage", "log"}
 )
 
 

@@ -22,16 +22,12 @@ a golden-file test.
 from __future__ import annotations
 
 import json
-import re
 from typing import Any
 
 from .report import RunReport
 from .tracer import Span
 
 __all__ = ["to_chrome_trace", "chrome_trace_json", "to_prometheus"]
-
-_METRIC_NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
-
 
 def _emit_span(
     span: Span, start_us: float, events: list[dict[str, Any]]
@@ -68,22 +64,14 @@ def to_chrome_trace(report: RunReport) -> dict[str, Any]:
     """
     events: list[dict[str, Any]] = []
     _emit_span(report.root, 0.0, events)
-    other_data: dict[str, Any] = {
-        "meta": dict(report.meta),
-        "gauges": dict(report.gauges),
-        "counters_total": report.totals(),
-    }
-    histograms = {
-        name: hist.snapshot()
-        for name, hist in report.histograms.items()
-        if hist.count > 0
-    }
-    if histograms:
-        other_data["histograms"] = histograms
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": other_data,
+        "otherData": {
+            "meta": dict(report.meta),
+            "gauges": dict(report.gauges),
+            "counters_total": report.totals(),
+        },
     }
 
 
@@ -114,13 +102,6 @@ def to_prometheus(report: RunReport, prefix: str = "repro_emi") -> str:
     * ``span_calls_total{path=…}`` — entry count per span path;
     * ``counter_total{counter="peec.filament_pairs"}`` — whole-tree
       counter totals;
-    * per-histogram families — each recorded
-      :class:`~repro.obs.Histogram` becomes a proper Prometheus
-      histogram: ``<prefix>_<name>_bucket{le=…}`` (cumulative, ending
-      at ``le="+Inf"``), ``<prefix>_<name>_sum`` and
-      ``<prefix>_<name>_count``, with dots in the metric name mapped
-      to underscores (``coupling.pair_seconds`` →
-      ``<prefix>_coupling_pair_seconds_bucket``);
     * ``gauge{name="mem.flow.rules.peak_bytes"}`` — report gauges, plus
       two *derived* cache-efficiency gauges when the corresponding
       counters are present: ``cache.hit_ratio`` (persistent on-disk
@@ -169,18 +150,6 @@ def to_prometheus(report: RunReport, prefix: str = "repro_emi") -> str:
                 f'{prefix}_gauge{{name="{_metric_escape(name)}"}} '
                 f"{_number(gauges[name])}"
             )
-    recorded = {
-        name: hist for name, hist in report.histograms.items() if hist.count > 0
-    }
-    append = lines.append
-    for name in sorted(recorded):
-        hist = recorded[name]
-        family = f"{prefix}_{_METRIC_NAME_RE.sub('_', name)}"
-        append(f"# TYPE {family} histogram")
-        for le, cumulative in hist.cumulative():
-            append(f'{family}_bucket{{le="{le}"}} {cumulative}')
-        append(f"{family}_sum {_number(hist.total)}")
-        append(f"{family}_count {hist.count}")
     return "\n".join(lines) + "\n"
 
 

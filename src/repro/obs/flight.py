@@ -24,7 +24,6 @@ import html
 import json
 from typing import Any
 
-from .histogram import Histogram, bucket_label
 from .history import HistoryRecord
 from .regress import RegressionVerdict
 from .report import RunReport
@@ -221,58 +220,6 @@ def _events_section(events: list[dict[str, Any]]) -> str:
     )
 
 
-def _histogram_bars(hist: Histogram, width: int = 360) -> str:
-    """Inline SVG bar strip of a histogram's occupied bucket range."""
-    occupied = [i for i, n in enumerate(hist.counts) if n > 0]
-    if not occupied:
-        return ""
-    lo, hi = occupied[0], occupied[-1]
-    shown = hist.counts[lo : hi + 1]
-    peak = max(shown)
-    height = 40
-    bar_w = max((width - 8) / max(len(shown), 1), 2.0)
-    bars = []
-    for i, n in enumerate(shown):
-        h = (height - 14) * n / peak if peak else 0.0
-        x = 4 + i * bar_w
-        idx = lo + i
-        label = (
-            f"&le; {bucket_label(hist.boundaries[idx])} s"
-            if idx < len(hist.boundaries)
-            else "&gt; last bucket"
-        )
-        bars.append(
-            f'<rect x="{x:.1f}" y="{height - 4 - h:.1f}" '
-            f'width="{max(bar_w - 1.5, 1.0):.1f}" height="{max(h, 1.0):.1f}" '
-            f'fill="#4878a8"><title>{label}: {n}</title></rect>'
-        )
-    return f'<svg width="{width}" height="{height}">{"".join(bars)}</svg>'
-
-
-def _histograms_section(histograms: dict[str, Histogram]) -> str:
-    rows = []
-    for name in sorted(histograms):
-        hist = histograms[name]
-        percentile = hist.percentile
-        rows.append(
-            "<tr>"
-            f'<td class="mono">{_esc(name)}</td>'
-            f'<td class="num">{hist.count}</td>'
-            f'<td class="num">{percentile(0.50):.6f}</td>'
-            f'<td class="num">{percentile(0.95):.6f}</td>'
-            f'<td class="num">{percentile(0.99):.6f}</td>'
-            f"<td>{_histogram_bars(hist)}</td>"
-            "</tr>"
-        )
-    return (
-        "<table><thead><tr><th>histogram</th>"
-        '<th class="num">count</th><th class="num">p50 [s]</th>'
-        '<th class="num">p95 [s]</th><th class="num">p99 [s]</th>'
-        "<th>distribution</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-    )
-
-
 def _history_section(history: list[HistoryRecord]) -> str:
     walls = [record.wall_s for record in history]
     rows = "".join(
@@ -335,9 +282,6 @@ def render_flight_html(
         sections += ["<h2>Counters</h2>", _kv_table(dict(totals))]
     if report.gauges:
         sections += ["<h2>Gauges</h2>", _kv_table(dict(report.gauges))]
-    recorded = {k: h for k, h in report.histograms.items() if h.count > 0}
-    if recorded:
-        sections += ["<h2>Histograms</h2>", _histograms_section(recorded)]
     if events is not None:
         sections += ["<h2>Event timeline</h2>", _events_section(events)]
     if history:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .histogram import Histogram
 from .tracer import Span
 
 __all__ = ["RunReport"]
@@ -37,14 +36,11 @@ class RunReport:
         root: the span tree (the synthetic ``run`` root).
         gauges: last-write-wins point-in-time values.
         meta: free-form metadata (command, benchmark name, run_id, …).
-        histograms: named latency/size distributions
-            (:class:`~repro.obs.Histogram`), keyed by metric name.
     """
 
     root: Span
     gauges: dict[str, float] = field(default_factory=dict)
     meta: dict[str, Any] = field(default_factory=dict)
-    histograms: dict[str, Histogram] = field(default_factory=dict)
 
     # -- queries -----------------------------------------------------------
 
@@ -64,28 +60,14 @@ class RunReport:
     # -- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (schema-versioned).
-
-        The ``histograms`` key is present only when at least one
-        histogram recorded data, so reports from runs without
-        distributions (and all pre-histogram goldens) keep their exact
-        historical byte shape.
-        """
-        out: dict[str, Any] = {
+        """JSON-ready representation (schema-versioned)."""
+        return {
             "schema_version": SCHEMA_VERSION,
             "meta": dict(self.meta),
             "gauges": dict(self.gauges),
             "counters_total": self.totals(),
             "spans": self.root.to_dict(),
         }
-        recorded = {
-            name: hist.to_dict()
-            for name, hist in self.histograms.items()
-            if hist.count > 0
-        }
-        if recorded:
-            out["histograms"] = recorded
-        return out
 
     def to_json(self, indent: int = 2) -> str:
         """Serialise to a JSON string."""
@@ -93,15 +75,15 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunReport":
-        """Rebuild a report from :meth:`to_dict` output."""
+        """Rebuild a report from :meth:`to_dict` output.
+
+        Keys this schema does not read are ignored, such as the
+        ``histograms`` section that older reports carry.
+        """
         return cls(
             root=Span.from_dict(data["spans"]),
             gauges={str(k): float(v) for k, v in data.get("gauges", {}).items()},
             meta=dict(data.get("meta", {})),
-            histograms={
-                str(name): Histogram.from_dict(str(name), payload)
-                for name, payload in data.get("histograms", {}).items()
-            },
         )
 
     @classmethod
@@ -143,25 +125,6 @@ class RunReport:
             key_w = max(len(k) for k in totals)
             for key in sorted(totals):
                 lines.append(f"  {key:<{key_w}}  {_format_count(totals[key])}")
-        recorded = {k: h for k, h in self.histograms.items() if h.count > 0}
-        if recorded:
-            lines.append("")
-            lines.append("histograms:")
-            key_w = max(len(k) for k in recorded)
-            header = (
-                f"  {'name':<{key_w}}  {'count':>7}  {'p50 [s]':>10}  "
-                f"{'p95 [s]':>10}  {'p99 [s]':>10}"
-            )
-            lines.append(header)
-            for key in sorted(recorded):
-                hist = recorded[key]
-                percentile = hist.percentile
-                lines.append(
-                    f"  {key:<{key_w}}  {hist.count:>7}  "
-                    f"{percentile(0.50):>10.6f}  "
-                    f"{percentile(0.95):>10.6f}  "
-                    f"{percentile(0.99):>10.6f}"
-                )
         if self.gauges:
             lines.append("")
             lines.append("gauges:")

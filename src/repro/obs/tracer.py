@@ -49,7 +49,6 @@ from collections.abc import Iterator
 from types import TracebackType
 from typing import TYPE_CHECKING, Any
 
-from .histogram import Histogram
 from .runid import new_run_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -339,7 +338,6 @@ class Tracer:
         self.run_id = run_id
         self.meta["run_id"] = run_id
         self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, Histogram] = {}
         self.mem_trace = mem_trace
         self.bus = bus
         if bus is not None and not bus.run_id:
@@ -409,29 +407,6 @@ class Tracer:
         if bus is not None:
             bus.publish("gauge", name, value=float(value))
 
-    def observe(self, name: str, value: float) -> None:
-        """Record one observation into the named histogram (thread-safe).
-
-        The histogram is created on first use with the shared default
-        log-spaced bucket boundaries.
-        """
-        value = float(value)
-        with self._lock:
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = Histogram(name)
-                self.histograms[name] = hist
-            hist.observe(value)
-        bus = self.bus
-        if bus is not None:
-            on_owner = threading.get_ident() == self._thread_ident
-            bus.publish(
-                "observe",
-                name,
-                path=self._path() if on_owner else "",
-                value=value,
-            )
-
     def elapsed_s(self) -> float:
         """Wall time since the tracer was created [s]."""
         return time.perf_counter() - self._t0
@@ -456,10 +431,7 @@ class Tracer:
             meta.update(extra_meta)
         with self._lock:
             gauges = dict(self.gauges)
-            histograms = dict(self.histograms)
-        return RunReport(
-            root=self.root, gauges=gauges, meta=meta, histograms=histograms
-        )
+        return RunReport(root=self.root, gauges=gauges, meta=meta)
 
 
 class NullTracer:
@@ -492,9 +464,6 @@ class NullTracer:
 
     def gauge(self, name: str, value: float) -> None:
         """Discard the value."""
-
-    def observe(self, name: str, value: float) -> None:
-        """Discard the observation."""
 
     def elapsed_s(self) -> float:
         """Always 0.0 (the null tracer keeps no clock)."""

@@ -8,8 +8,8 @@ each one cheap to repeat across runs:
   field-simulation results with versioned invalidation;
 * :mod:`~repro.parallel.fingerprint` — :func:`pair_key`, the one
   definition of "the same coupling problem" that both cache tiers use,
-  :func:`self_cache_key`, the on-disk name of a part self-inductance,
-  and :func:`law_key` / :func:`law_cache_key` for a fitted distance law.
+  :func:`law_key` for a fitted distance law, and :func:`cache_name`,
+  the on-disk name of a pair, self-inductance or law key.
 
 The layer is physics-free by design: it never imports the solvers it
 accelerates, so :mod:`repro.coupling` can build on it without cycles.
@@ -22,13 +22,11 @@ from .fingerprint import (
     LawKey,
     PairKey,
     SelfKey,
+    cache_name,
     component_fingerprint,
-    law_cache_key,
     law_key,
-    pair_cache_key,
     pair_key,
     relative_pose_key,
-    self_cache_key,
 )
 
 __all__ = [
@@ -37,12 +35,10 @@ __all__ = [
     "PairKey",
     "PersistentCouplingCache",
     "SelfKey",
+    "cache_name",
     "component_fingerprint",
     "default_cache_dir",
-    "law_cache_key",
     "law_key",
-    "pair_cache_key",
     "pair_key",
     "relative_pose_key",
-    "self_cache_key",
 ]

@@ -11,12 +11,16 @@ directory:
 
 Semantics (documented in full in ``docs/PERFORMANCE.md``):
 
-* **hit** — the file exists and carries the expected schema version;
+* **hit** — the file exists, carries the expected schema version and
+  its payload decodes;
 * **miss** — no file;
-* **stale** — the file exists but its schema version differs (or the JSON
-  is unreadable); stale entries are deleted on sight and reported via the
-  ``cache.stale`` counter, which is how a :data:`CACHE_SCHEMA_VERSION`
-  bump invalidates an old store without a manual wipe.
+* **stale** — the file exists but its schema version differs, the JSON
+  is unreadable or the reader's decoder rejects the payload; stale
+  entries are deleted on sight and reported via the ``cache.stale``
+  counter, which is how a :data:`CACHE_SCHEMA_VERSION` bump invalidates
+  an old store without a manual wipe.
+
+Every read counts exactly one of the three.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent workers and
 interrupted runs can never leave a torn entry, and every I/O error
@@ -34,9 +38,10 @@ eviction tally.
 
 The store is payload-agnostic: it persists plain JSON dictionaries under
 opaque keys.  The :class:`repro.coupling.CouplingDatabase` owns the
-mapping between ``CouplingResult`` and its dictionary form, and names
-each entry by :func:`repro.parallel.pair_cache_key`, keeping this layer
-free of any physics imports.
+mapping between its values and their dictionary form (it hands
+:meth:`PersistentCouplingCache.get` the decoder), and names each entry
+by :func:`repro.parallel.cache_name`, keeping this layer free of any
+physics imports.
 """
 
 from __future__ import annotations
@@ -45,13 +50,16 @@ import json
 import os
 import tempfile
 import time
+from collections.abc import Callable
 from pathlib import Path
-from typing import Any
+from typing import Any, TypeVar
 
 from ..obs import get_tracer
 from .fingerprint import CACHE_SCHEMA_VERSION
 
 __all__ = ["PersistentCouplingCache", "default_cache_dir"]
+
+_T = TypeVar("_T")
 
 
 def default_cache_dir() -> Path:
@@ -88,38 +96,35 @@ class PersistentCouplingCache:
         """On-disk location of a key (two-level sharding by hex prefix)."""
         return self.cache_dir.joinpath(key[:2], f"{key}.json")
 
-    def get(self, key: str) -> dict[str, Any] | None:
-        """The stored payload for ``key``, or ``None`` on miss/stale.
+    def get(self, key: str, decode: Callable[[dict[str, Any]], _T]) -> _T | None:
+        """The decoded entry for ``key``, or ``None`` on miss/stale.
 
-        Counts ``cache.hit`` / ``cache.miss`` / ``cache.stale`` on the
-        active tracer and observes the lookup latency into the
-        ``cache.lookup_seconds`` histogram; stale or unreadable entries
-        are deleted.
+        ``decode`` turns the stored payload into the caller's value and
+        raises ``KeyError`` / ``TypeError`` / ``ValueError`` on a payload
+        it rejects.  Counts exactly one of ``cache.hit`` / ``cache.miss``
+        / ``cache.stale`` on the active tracer; a stale entry (another
+        schema version, unreadable JSON or a rejected payload) is deleted.
         """
-        tracer = get_tracer()
         path = self.path_for(key)
-        t0 = time.perf_counter()
         try:
             raw = path.read_text(encoding="utf-8")
         except OSError:
-            tracer.observe("cache.lookup_seconds", time.perf_counter() - t0)
-            tracer.count("cache.miss")
+            get_tracer().count("cache.miss")
             return None
         try:
             document = json.loads(raw)
-            stored_version = int(document["version"])
+            if int(document["version"]) != self.version:
+                raise ValueError(f"schema version {document['version']!r}")
             payload = document["payload"]
-        except (ValueError, TypeError, KeyError):
-            document = None
-            stored_version = -1
-            payload = None
-        tracer.observe("cache.lookup_seconds", time.perf_counter() - t0)
-        if payload is None or stored_version != self.version or not isinstance(payload, dict):
-            tracer.count("cache.stale")
+            if not isinstance(payload, dict):
+                raise TypeError(f"payload is a {type(payload).__name__}")
+            value = decode(payload)
+        except (KeyError, TypeError, ValueError):
+            get_tracer().count("cache.stale")
             self._discard(path)
             return None
-        tracer.count("cache.hit")
-        return payload
+        get_tracer().count("cache.hit")
+        return value
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
         """Atomically persist a payload under ``key`` (best effort).

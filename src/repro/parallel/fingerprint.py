@@ -17,7 +17,7 @@ pose (0.1 mm / 1 degree, far below any placement-relevant coupling
 sensitivity), the quantised plane height and the quadrature order.  Both
 cache tiers of :class:`repro.coupling.CouplingDatabase` use it: the
 in-memory dict is keyed by the tuple itself, and the on-disk entry is
-named by its SHA-256 (:func:`pair_cache_key`), so the tiers cannot
+named by its SHA-256 (:func:`cache_name`), so the tiers cannot
 disagree on which lookups collide.
 
 The component fingerprint hashes the raw IEEE-754 doubles of the field
@@ -29,14 +29,14 @@ by one ULP produces a different key.  It is memoised per component as
 
 A part's air-core self-inductance is a pure function of its field
 geometry too.  Its key is ``(fingerprint, order)`` (:data:`SelfKey`),
-named on disk by :func:`self_cache_key` in a namespace of its own, so it
+named on disk by :func:`cache_name` in a namespace of its own, so it
 can never collide with a pair entry.
 
 A distance sweep's fitted coupling law is a pure function of the two
 fingerprints, the sweep grid, B's rotation, the sweep bearing, the
 plane height and the order.  Its key (:data:`LawKey`, :func:`law_key`)
 holds those inputs exactly, floats and all, and is named on disk by
-:func:`law_cache_key` in a third namespace.  A schema version is folded
+:func:`cache_name` in a third namespace.  A schema version is folded
 into every on-disk name, so bumping :data:`CACHE_SCHEMA_VERSION`
 invalidates the whole store at once.
 """
@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
@@ -59,13 +59,11 @@ __all__ = [
     "LawKey",
     "PairKey",
     "SelfKey",
+    "cache_name",
     "component_fingerprint",
-    "law_cache_key",
     "law_key",
-    "pair_cache_key",
     "pair_key",
     "relative_pose_key",
-    "self_cache_key",
 ]
 
 #: Version of the on-disk cache schema.  Bumping it stales every stored
@@ -186,27 +184,25 @@ def pair_key(
     )
 
 
-def pair_cache_key(key: PairKey, version: int = CACHE_SCHEMA_VERSION) -> str:
-    """On-disk name of a :func:`pair_key`: its SHA-256 with the schema version.
+def cache_name(
+    namespace: Literal["pair", "self", "law"],
+    key: PairKey | SelfKey | LawKey,
+    version: int = CACHE_SCHEMA_VERSION,
+) -> str:
+    """On-disk name of a cache key: the SHA-256 of its ``repr`` in a namespace.
 
-    The key holds only strings, integers and ``None``, so its ``repr`` is
-    an exact, platform-independent serialisation.
-
-    Returns:
-        A 64-character hex SHA-256 digest.
-    """
-    return hashlib.sha256(f"pair-v{version}|{key!r}".encode("ascii")).hexdigest()
-
-
-def self_cache_key(key: SelfKey, version: int = CACHE_SCHEMA_VERSION) -> str:
-    """On-disk name of a part self-inductance: the SHA-256 of its
-    :data:`SelfKey` in the ``self-v{version}`` namespace (never a
-    :func:`pair_cache_key` name).
+    Each kind of entry has its own namespace (``"pair"`` for a
+    :data:`PairKey`, ``"self"`` for a :data:`SelfKey`, ``"law"`` for a
+    :data:`LawKey`), so keys of different kinds never share a name, and
+    the schema version is folded in.  A key holds only strings, integers,
+    Python floats and ``None``; their ``repr`` is an exact,
+    platform-independent serialisation (a float's is its shortest exact
+    round-trip form), so the name is as exact as the key.
 
     Returns:
         A 64-character hex SHA-256 digest.
     """
-    return hashlib.sha256(f"self-v{version}|{key!r}".encode("ascii")).hexdigest()
+    return hashlib.sha256(f"{namespace}-v{version}|{key!r}".encode("ascii")).hexdigest()
 
 
 def law_key(
@@ -243,16 +239,3 @@ def law_key(
         plane,
         order,
     )
-
-
-def law_cache_key(key: LawKey, version: int = CACHE_SCHEMA_VERSION) -> str:
-    """On-disk name of a distance law: the SHA-256 of its :data:`LawKey`
-    in the ``law-v{version}`` namespace.
-
-    A Python float's ``repr`` is its shortest exact round-trip form, so
-    the name is as exact as the key.
-
-    Returns:
-        A 64-character hex SHA-256 digest.
-    """
-    return hashlib.sha256(f"law-v{version}|{key!r}".encode("ascii")).hexdigest()

@@ -29,6 +29,7 @@ from .filament import (
 )
 from .images import image_path, shielding_factor, with_ground_plane
 from .inductance import (
+    PAIR_ORDER,
     SELF_INDUCTANCE_ORDER,
     coupling_factor,
     loop_self_inductance,
@@ -67,6 +68,7 @@ __all__ = [
     "ring_path",
     "rectangle_path",
     "coupling_factor",
+    "PAIR_ORDER",
     "SELF_INDUCTANCE_ORDER",
     "loop_self_inductance",
     "mutual_inductance_paths_fast",

@@ -32,6 +32,7 @@ from .filament import (
 from .mesh import CurrentPath
 
 __all__ = [
+    "PAIR_ORDER",
     "SELF_INDUCTANCE_ORDER",
     "loop_self_inductance",
     "mutual_inductance_paths_fast",
@@ -42,6 +43,11 @@ __all__ = [
 #: Gauss–Legendre order of :func:`loop_self_inductance`: the order of every
 #: part self-inductance (ESL, coupling normalisation) and of its cache key.
 SELF_INDUCTANCE_ORDER = 12
+
+#: Gauss–Legendre order of every placed-pair mutual (and a ground plane's
+#: own-image term) solved by :mod:`repro.coupling`, and of the pair and
+#: distance-law cache keys.
+PAIR_ORDER = 8
 
 
 def loop_self_inductance(path: CurrentPath, order: int = SELF_INDUCTANCE_ORDER) -> Henries:

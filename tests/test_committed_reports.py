@@ -1,0 +1,57 @@
+"""The committed run reports, perf baseline and perf history load today.
+
+Reads files only: no benchmark runs and no timing.  Older files carry a
+``histograms`` section that the current report schema no longer has;
+the reader ignores it, and every other key round-trips exactly.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.obs import PerfHistory, RunReport
+
+ROOT = Path(__file__).resolve().parents[1]
+OUT = ROOT / "benchmarks" / "out"
+BENCH_REPORTS = sorted(OUT.glob("BENCH_*.json"))
+BASELINE = ROOT / "benchmarks" / "baselines" / "PERF_rules_demo_board.json"
+HISTORY = OUT / "perf-history.jsonl"
+
+
+def without_histograms(data: dict) -> dict:
+    return {key: value for key, value in data.items() if key != "histograms"}
+
+
+def test_the_committed_reports_exist():
+    assert BENCH_REPORTS and BASELINE.is_file() and HISTORY.is_file()
+
+
+@pytest.mark.parametrize("path", [*BENCH_REPORTS, BASELINE], ids=lambda path: path.name)
+def test_report_round_trips(path):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert RunReport.from_dict(data).to_dict() == without_histograms(data)
+
+
+def test_every_history_row_loads():
+    history = PerfHistory(HISTORY)
+    records = history.records()
+    assert history.skipped_lines == 0
+    assert len(records) == len(HISTORY.read_text(encoding="utf-8").splitlines())
+    for record in records:
+        assert record.report.to_dict() == without_histograms(record.report_data)
+    # The history is append-only, so its legacy rows keep the ignored key covered.
+    assert any("histograms" in record.report_data for record in records)
+
+
+@pytest.mark.parametrize("path", BENCH_REPORTS, ids=lambda path: path.name)
+def test_each_bench_report_has_its_history_row(path):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    rows = [
+        record.report_data
+        for record in PerfHistory(HISTORY).records()
+        if record.key == data["meta"]["benchmark"]
+    ]
+    assert data in rows
+    run_id = data["meta"].get("run_id")
+    assert run_id is None or sum(row["meta"].get("run_id") == run_id for row in rows) == 1

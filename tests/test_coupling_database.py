@@ -92,7 +92,7 @@ class TestResultValidation:
         from repro.coupling import database as database_module
         from repro.coupling.pair import CouplingResult
 
-        def fake(pairs, ground_plane_z, order):
+        def fake(pairs, ground_plane_z):
             return [
                 CouplingResult(k=k, mutual_h=1e-9, self_a_h=1e-8, self_b_h=1e-8, shielded=False)
                 for _ in pairs
@@ -137,8 +137,8 @@ class TestResultValidation:
         assert db.cache_size() == 1
 
 
-class TestPairSecondsHistogram:
-    """``coupling.pair_seconds``: one sample per solved pair, summing to the batch."""
+class TestFieldSolveSpan:
+    """``coupling.field_solve``: one span entry per solved batch, none for a hit."""
 
     def _pairs(self, n: int):
         cap = FilmCapacitorX2()
@@ -157,19 +157,16 @@ class TestPairSecondsHistogram:
             set_tracer(previous)
         return tracer
 
-    def test_one_sample_per_pair_summing_to_the_field_solve_span(self):
+    def test_one_entry_per_batch(self):
         pairs = self._pairs(5)
-        tracer = self._traced(lambda: solve_couplings(pairs, None, 8))
-        hist = tracer.histograms["coupling.pair_seconds"]
+        tracer = self._traced(lambda: solve_couplings(pairs, None))
         span = tracer.root.find("coupling.field_solve")
         assert span is not None and span.count == 1
-        assert hist.count == len(pairs)
-        assert hist.total == pytest.approx(span.wall_s, rel=1e-12)
 
-    def test_cache_hits_add_no_samples(self):
+    def test_cache_hits_open_no_field_solve(self):
         db = CouplingDatabase()
         pairs = self._pairs(4)
         tracer = self._traced(lambda: (db.lookup(pairs, None), db.lookup(pairs, None)))
         assert db.hits == len(pairs)
-        assert tracer.histograms["coupling.pair_seconds"].count == len(pairs)
+        assert tracer.report().totals()["coupling.cache_misses"] == len(pairs)
         assert tracer.root.find("coupling.field_solve").count == 1

@@ -19,13 +19,7 @@ from repro.converters import BuckConverterDesign
 from repro.core import EmiDesignFlow
 from repro.coupling import CouplingDatabase, DistanceLaw
 from repro.obs import Tracer, set_tracer
-from repro.parallel import (
-    PersistentCouplingCache,
-    law_cache_key,
-    law_key,
-    pair_cache_key,
-    self_cache_key,
-)
+from repro.parallel import PersistentCouplingCache, cache_name, law_key
 from repro.rules import derive_pemd
 
 GRID = np.geomspace(0.02, 0.12, 7)
@@ -132,12 +126,12 @@ class TestPersistentTier:
 
     def disk_name(self):
         part = FilmCapacitorX2()
-        return law_cache_key(law_key(part, part, GRID, 0.0, -90.0, None, 8))
+        return cache_name("law", law_key(part, part, GRID, 0.0, -90.0, None, 8))
 
     def test_stored_law_reads_back_bit_identical(self, tmp_path):
         fitted, totals = traced(self.law, disk_db(tmp_path))
         assert fits(totals) == 1 and totals["cache.write"] == len(GRID) + 1  # pairs + law
-        assert PersistentCouplingCache(cache_dir=tmp_path).get(self.disk_name()) is not None
+        assert PersistentCouplingCache(cache_dir=tmp_path).get(self.disk_name(), dict) is not None
         db = disk_db(tmp_path)
         read, totals = traced(self.law, db)
         assert fits(totals) == 0 and totals["cache.hit"] == 1
@@ -165,6 +159,7 @@ class TestPersistentTier:
         PersistentCouplingCache(cache_dir=tmp_path).put(self.disk_name(), payload)
         law, totals = traced(self.law, disk_db(tmp_path))
         assert totals["cache.stale"] == 1 and fits(totals) == 1
+        assert totals.get("cache.hit", 0) == 0
         assert law == self.law(CouplingDatabase())
         # The refit was written through: the next reader hits.
         _, totals = traced(self.law, disk_db(tmp_path))
@@ -213,19 +208,19 @@ class TestKey:
             law_key(cap, choke, GRID, 0.0, -90.0, -2e-3, 8),
             law_key(cap, choke, GRID, 0.0, -90.0, None, 12),
         ]
-        names = {law_cache_key(key) for key in [base, *variants]}
+        names = {cache_name("law", key) for key in [base, *variants]}
         assert len(names) == len(variants) + 1
-        assert law_cache_key(base) != law_cache_key(base, version=2)
+        assert cache_name("law", base) != cache_name("law", base, version=2)
 
     def test_negative_zero_is_zero_in_both_tiers(self):
         cap = FilmCapacitorX2()
         plus = law_key(cap, cap, GRID, 0.0, 0.0, 0.0, 8)
         minus = law_key(cap, cap, GRID, -0.0, -0.0, -0.0, 8)
-        assert plus == minus and law_cache_key(plus) == law_cache_key(minus)
+        assert plus == minus and cache_name("law", plus) == cache_name("law", minus)
         assert not any(math.copysign(1.0, v) < 0 for v in minus[3:6])
 
     def test_own_namespace(self):
         cap = FilmCapacitorX2()
         key = law_key(cap, cap, GRID, 0.0, 0.0, None, 8)
-        assert law_cache_key(key) != pair_cache_key(key)  # type: ignore[arg-type]
-        assert law_cache_key(key) != self_cache_key(key)  # type: ignore[arg-type]
+        assert cache_name("law", key) != cache_name("pair", key)
+        assert cache_name("law", key) != cache_name("self", key)

@@ -253,6 +253,21 @@ class TestCliPerfFlight:
         assert "skipped 2 malformed event line(s)" in captured.err
         assert "1 event(s)" in out.read_text()
 
+    def test_legacy_observe_lines_skipped(self, tmp_path, capsys):
+        # Event logs written while the tracer still had histograms carry
+        # ``observe`` lines, a kind the schema no longer has.
+        report_path = self._write_run(tmp_path)
+        events_path = tmp_path / "events.jsonl"
+        good = _events()[0]
+        legacy = dict(good, seq=good["seq"] + 1, kind="observe", name="coupling.pair_seconds")
+        events_path.write_text(f"{json.dumps(good)}\n{json.dumps(legacy)}\n")
+        out = tmp_path / "flight.html"
+        argv = ["perf", "flight", str(report_path), "--events", str(events_path)]
+        code = main([*argv, "--store", str(tmp_path / "empty.jsonl"), "-o", str(out)])
+        assert code == 0
+        assert "skipped 1 malformed event line(s)" in capsys.readouterr().err
+        assert "1 event(s)" in out.read_text()
+
     def test_missing_report_fails(self, tmp_path, capsys):
         code = main(["perf", "flight", str(tmp_path / "nope.json")])
         assert code == 2

@@ -1,8 +1,8 @@
-"""Prometheus exposition edge cases: histograms, escaping, empty runs."""
+"""Prometheus exposition edge cases: escaping, empty runs, legacy reports."""
 
 import re
 
-from repro.obs import Histogram, RunReport, Span, bucket_label, to_prometheus
+from repro.obs import RunReport, Span, to_prometheus
 
 #: One exposition sample line: name, optional labels, numeric value.
 SAMPLE_RE = re.compile(
@@ -10,7 +10,7 @@ SAMPLE_RE = re.compile(
 )
 
 
-def report_with(histograms=None, counters=None, gauges=None) -> RunReport:
+def report_with(counters=None, gauges=None) -> RunReport:
     root = Span("run")
     root.count = 1
     root.wall_s = 1.0
@@ -20,43 +20,7 @@ def report_with(histograms=None, counters=None, gauges=None) -> RunReport:
         root=root,
         gauges=dict(gauges or {}),
         meta={"command": "test"},
-        histograms=dict(histograms or {}),
     )
-
-
-class TestHistogramFamilies:
-    def test_bucket_lines_ordered_cumulative_ending_inf(self):
-        hist = Histogram("service.job_latency_seconds")
-        for v in (1e-4, 0.02, 0.02, 3.0):
-            hist.observe(v)
-        text = to_prometheus(report_with({hist.name: hist}))
-        family = "repro_emi_service_job_latency_seconds"
-        assert f"# TYPE {family} histogram" in text
-        bucket_lines = [
-            line for line in text.splitlines() if line.startswith(f"{family}_bucket")
-        ]
-        # one line per boundary plus +Inf, in boundary order
-        les = [
-            re.search(r'le="([^"]+)"', line).group(1) for line in bucket_lines
-        ]
-        assert les[:-1] == [bucket_label(b) for b in hist.boundaries]
-        assert les[-1] == "+Inf"
-        values = [int(line.rsplit(" ", 1)[1]) for line in bucket_lines]
-        assert values == sorted(values)  # cumulative is monotone
-        assert values[-1] == 4
-        assert f"{family}_count 4" in text
-        assert f"{family}_sum" in text
-
-    def test_metric_name_sanitized(self):
-        hist = Histogram("weird name!seconds")
-        hist.observe(1.0)
-        text = to_prometheus(report_with({hist.name: hist}))
-        assert "repro_emi_weird_name_seconds_bucket" in text
-
-    def test_empty_histogram_emits_no_family(self):
-        text = to_prometheus(report_with({"idle.seconds": Histogram("idle.seconds")}))
-        assert "_bucket" not in text
-        assert "idle" not in text
 
 
 class TestLabelEscaping:
@@ -96,10 +60,12 @@ class TestEmptyRun:
         report = RunReport(root=Span("run"))
         assert "histograms" not in report.to_dict()
 
-    def test_histograms_survive_report_round_trip(self):
-        hist = Histogram("coupling.pair_seconds")
-        hist.observe(0.002)
-        report = report_with({hist.name: hist})
-        clone = RunReport.from_dict(report.to_dict())
-        assert clone.histograms["coupling.pair_seconds"].count == 1
+    def test_legacy_histograms_key_is_ignored(self):
+        report = report_with(counters={"coupling.cache_misses": 4.0})
+        legacy = report.to_dict()
+        legacy["histograms"] = {
+            "coupling.pair_seconds": {"count": 1, "sum": 0.002, "counts": [0] * 23}
+        }
+        clone = RunReport.from_dict(legacy)
+        assert clone.to_dict() == report.to_dict()
         assert to_prometheus(clone) == to_prometheus(report)

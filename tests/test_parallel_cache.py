@@ -10,9 +10,9 @@ from repro.obs import Tracer, set_tracer
 from repro.parallel import (
     CACHE_SCHEMA_VERSION,
     PersistentCouplingCache,
+    cache_name,
     component_fingerprint,
     default_cache_dir,
-    pair_cache_key,
     pair_key,
     relative_pose_key,
 )
@@ -43,20 +43,20 @@ class TestDefaultCacheDir:
 class TestStore:
     def test_miss_on_empty_store(self, tmp_path, counts):
         cache = PersistentCouplingCache(cache_dir=tmp_path)
-        assert cache.get(KEY) is None
+        assert cache.get(KEY, dict) is None
         assert counts()["cache.miss"] == 1 and counts().get("cache.hit", 0) == 0
 
     def test_hit_after_write(self, tmp_path, counts):
         cache = PersistentCouplingCache(cache_dir=tmp_path)
         cache.put(KEY, {"k": 0.25})
-        assert cache.get(KEY) == {"k": 0.25}
+        assert cache.get(KEY, dict) == {"k": 0.25}
         assert counts()["cache.hit"] == 1 and counts()["cache.write"] == 1
         assert len(cache) == 1
 
     def test_shared_across_instances(self, tmp_path):
         PersistentCouplingCache(cache_dir=tmp_path).put(KEY, {"k": 1.0})
         other = PersistentCouplingCache(cache_dir=tmp_path)
-        assert other.get(KEY) == {"k": 1.0}
+        assert other.get(KEY, dict) == {"k": 1.0}
 
     def test_sharded_layout(self, tmp_path):
         cache = PersistentCouplingCache(cache_dir=tmp_path)
@@ -67,10 +67,10 @@ class TestStore:
     def test_stale_after_version_bump(self, tmp_path, counts):
         PersistentCouplingCache(cache_dir=tmp_path, version=1).put(KEY, {"k": 1.0})
         bumped = PersistentCouplingCache(cache_dir=tmp_path, version=2)
-        assert bumped.get(KEY) is None
+        assert bumped.get(KEY, dict) is None
         assert counts()["cache.stale"] == 1
         # Stale entries are deleted on sight: the next lookup is a plain miss.
-        assert bumped.get(KEY) is None
+        assert bumped.get(KEY, dict) is None
         assert counts()["cache.miss"] == 1
 
     def test_corrupt_entry_is_stale_and_deleted(self, tmp_path, counts):
@@ -78,7 +78,7 @@ class TestStore:
         path = cache.path_for(KEY)
         path.parent.mkdir(parents=True)
         path.write_text("{not json", encoding="utf-8")
-        assert cache.get(KEY) is None
+        assert cache.get(KEY, dict) is None
         assert counts()["cache.stale"] == 1
         assert not path.is_file()
 
@@ -90,7 +90,7 @@ class TestStore:
             json.dumps({"version": CACHE_SCHEMA_VERSION, "payload": [1, 2]}),
             encoding="utf-8",
         )
-        assert cache.get(KEY) is None
+        assert cache.get(KEY, dict) is None
         assert counts()["cache.stale"] == 1
 
     def test_clear(self, tmp_path):
@@ -152,22 +152,22 @@ class TestPairKey:
 
     def test_depends_on_every_ingredient(self, x2_cap, bobbin):
         pa, pb = self._placements()
-        base = pair_cache_key(pair_key(x2_cap, pa, bobbin, pb, None, 8))
-        assert pair_cache_key(pair_key(bobbin, pa, x2_cap, pb, None, 8)) != base
-        assert pair_cache_key(pair_key(x2_cap, pb, bobbin, pa, None, 8)) != base
-        assert pair_cache_key(pair_key(x2_cap, pa, bobbin, pb, 0.01, 8)) != base
-        assert pair_cache_key(pair_key(x2_cap, pa, bobbin, pb, None, 12)) != base
+        base = cache_name("pair", pair_key(x2_cap, pa, bobbin, pb, None, 8))
+        assert cache_name("pair", pair_key(bobbin, pa, x2_cap, pb, None, 8)) != base
+        assert cache_name("pair", pair_key(x2_cap, pb, bobbin, pa, None, 8)) != base
+        assert cache_name("pair", pair_key(x2_cap, pa, bobbin, pb, 0.01, 8)) != base
+        assert cache_name("pair", pair_key(x2_cap, pa, bobbin, pb, None, 12)) != base
         assert (
-            pair_cache_key(pair_key(x2_cap, pa, bobbin, pb, None, 8), version=2)
+            cache_name("pair", pair_key(x2_cap, pa, bobbin, pb, None, 8), version=2)
             != base
         )
         standoff = Placement2D(pb.position, pb.rotation_rad, z_offset=0.01)
-        assert pair_cache_key(pair_key(x2_cap, pa, bobbin, standoff, None, 8)) != base
+        assert cache_name("pair", pair_key(x2_cap, pa, bobbin, standoff, None, 8)) != base
 
     def test_stable_across_calls(self, x2_cap):
         from repro.components import FilmCapacitorX2
 
         pa, pb = self._placements()
-        assert pair_cache_key(pair_key(x2_cap, pa, x2_cap, pb, None, 8)) == (
-            pair_cache_key(pair_key(FilmCapacitorX2(), pa, FilmCapacitorX2(), pb, None, 8))
+        assert cache_name("pair", pair_key(x2_cap, pa, x2_cap, pb, None, 8)) == (
+            cache_name("pair", pair_key(FilmCapacitorX2(), pa, FilmCapacitorX2(), pb, None, 8))
         )

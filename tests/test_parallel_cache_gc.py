@@ -115,5 +115,5 @@ class TestCombined:
         make_entry(cache, key(1), NOW - 1000.0)
         make_entry(cache, key(2), NOW, payload={"k": 0.75})
         cache.gc(max_age_s=100.0, now=NOW)
-        assert cache.get(key(2)) == {"k": 0.75}
-        assert cache.get(key(1)) is None
+        assert cache.get(key(2), dict) == {"k": 0.75}
+        assert cache.get(key(1), dict) is None
