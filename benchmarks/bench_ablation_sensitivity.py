@@ -9,6 +9,7 @@ the baseline buck layout.
 import numpy as np
 
 from repro.converters import COUPLING_BRANCHES
+from repro.sensitivity import relevant_pairs
 from repro.viz import series_table
 
 
@@ -23,7 +24,7 @@ def test_ablation_sensitivity_pruning(benchmark, design_flow, layout_comparison,
 
     rows = []
     for threshold in (0.0, 1.0, 3.0, 6.0, 10.0, 20.0):
-        relevant = {e.pair() for e in ranking if e.impact_db >= threshold}
+        relevant = {e.pair() for e in relevant_pairs(ranking, threshold)}
         owner = COUPLING_BRANCHES
         relevant_refs = {
             tuple(sorted((owner[a], owner[b]))) for a, b in relevant
@@ -32,7 +33,8 @@ def test_ablation_sensitivity_pruning(benchmark, design_flow, layout_comparison,
             pair: k for pair, k in all_couplings.items() if pair in relevant_refs
         }
         spectrum = design_flow.predict(pruned)
-        err = float(np.max(np.abs(spectrum.dbuv() - full_spectrum.dbuv())))
+        resolved = spectrum.resolved_lines(full_spectrum)  # spectral nulls excluded
+        err = float(np.max(np.abs(spectrum.delta_db(full_spectrum)[resolved])))
         rows.append(
             [
                 f"{threshold:.0f}",

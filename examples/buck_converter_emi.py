@@ -65,7 +65,8 @@ def main() -> None:
 
     baseline = evaluations["baseline"].spectrum
     optimized = evaluations["optimized"].spectrum
-    improvement = (baseline.dbuv() - optimized.dbuv()).max()
+    # Over resolved lines only: a spectral null's level is floating-point noise.
+    improvement = baseline.delta_db(optimized)[baseline.resolved_lines(optimized)].max()
     print(f"\nmax per-harmonic improvement from placement alone: {improvement:.1f} dB")
     print(f"SVG board views written to {OUT}/")
 

@@ -1,9 +1,10 @@
 """Catalogue of ready-made parts, addressable by part number.
 
-The ASCII interface of the placement tool references components by part
-number; this registry resolves those references.  All factories return
-fresh instances so that callers may mutate orientation or values without
-aliasing.
+A convenience registry for building parts by catalogue number in
+scripts and tests.  The ASCII board interface does not use it: it
+resolves a ``COMP`` line by its ``TYPE`` class name
+(:mod:`repro.io.ascii`).  All factories return fresh instances so that
+callers may mutate orientation or values without aliasing.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class ComponentLibrary:
 
 
 def default_library() -> ComponentLibrary:
-    """The standard catalogue used by the examples and benchmarks."""
+    """The standard catalogue of every part family (the tests build parts from it)."""
     lib = ComponentLibrary()
     lib.register("X2-1u5", FilmCapacitorX2)
     lib.register("TAJ-D-100u", TantalumCapacitorSMD)

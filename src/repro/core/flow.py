@@ -44,7 +44,7 @@ from ..placement import (
     PlacementReport,
 )
 from ..rules import MinDistanceRule, RuleSet, derive_rule_set
-from ..sensitivity import SensitivityAnalyzer, SensitivityEntry
+from ..sensitivity import SensitivityAnalyzer, SensitivityEntry, relevant_pairs
 
 __all__ = ["LayoutEvaluation", "EmiDesignFlow"]
 
@@ -185,11 +185,7 @@ class EmiDesignFlow:
 
     def relevant_pairs(self) -> list[SensitivityEntry]:
         """The pairs above the sensitivity threshold."""
-        return [
-            e
-            for e in self.run_sensitivity()
-            if e.impact_db >= self.sensitivity_threshold_db
-        ]
+        return relevant_pairs(self.run_sensitivity(), self.sensitivity_threshold_db)
 
     # -- step 3: rules -----------------------------------------------------------
 

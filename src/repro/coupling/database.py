@@ -20,8 +20,8 @@ standoffs, the ground-plane height and the pair quadrature order
 Every lookup — :meth:`CouplingDatabase.coupling`,
 :meth:`CouplingDatabase.pairwise_couplings` and the sweeps of
 :mod:`repro.coupling.sweep` — goes through one batch routine,
-:meth:`CouplingDatabase.lookup`.  It probes both tiers in both argument
-orders (a mirrored hit comes back with the self-inductances swapped),
+:meth:`CouplingDatabase.lookup`.  It probes both tiers under the request's
+own key (a request in the other argument order is a different key),
 solves the misses in request order as one array batch, validates and
 stores them, and counts hits and misses at one point.
 
@@ -152,11 +152,6 @@ def _law_payload(law: DistanceLaw) -> dict:
     return {"c": c, "n": n, "r2": r2, "peak_k": law.peak_k}
 
 
-def _swapped(result: CouplingResult) -> CouplingResult:
-    """The mirrored problem's result: k and M are symmetric, self-L swaps."""
-    return replace(result, self_a_h=result.self_b_h, self_b_h=result.self_a_h)
-
-
 def solve_couplings(
     pairs: Sequence[PlacedPair], ground_plane_z: Meters | None
 ) -> list[CouplingResult]:
@@ -186,8 +181,7 @@ class CacheStats:
     """Hit/miss accounting of a :class:`CouplingDatabase`.
 
     Attributes:
-        hits: lookups answered from a cache (in-memory or persistent,
-            direct or mirrored key).
+        hits: lookups answered from a cache (in-memory or persistent).
         misses: lookups that ran a field simulation.
         size: number of field simulations held in memory.
         persistent_hits: entries read from the on-disk tier — pair
@@ -251,32 +245,20 @@ class CouplingDatabase:
     law_hits: int = 0
     law_fits: int = 0
 
-    def _probe(
-        self, key: PairKey, pair: PlacedPair, ground_plane_z: Meters | None
-    ) -> CouplingResult | None:
+    def _probe(self, key: PairKey) -> CouplingResult | None:
         """Cached result for ``key`` or ``None`` — never solves.
 
-        Probes memory (direct, then mirrored key), then disk (same
-        order); a disk hit is promoted into memory under the key it was
-        found by.  A mirrored hit is returned with self-L swapped.
+        Probes memory, then disk, once each; a disk hit is promoted into
+        memory.
         """
         hit = self._cache.get(key)
-        if hit is not None:
+        if hit is not None or self.persistent is None:
             return hit
-        comp_a, placement_a, comp_b, placement_b = pair
-        mirror = pair_key(comp_b, placement_b, comp_a, placement_a, ground_plane_z, PAIR_ORDER)
-        hit = self._cache.get(mirror)
+        hit = self.persistent.get(cache_name("pair", key), _result_from_payload)
         if hit is not None:
-            return _swapped(hit)
-        if self.persistent is None:
-            return None
-        for probe, swap in ((key, False), (mirror, True)):
-            hit = self.persistent.get(cache_name("pair", probe), _result_from_payload)
-            if hit is not None:
-                self._cache[probe] = hit
-                self.persistent_hits += 1
-                return _swapped(hit) if swap else hit
-        return None
+            self._cache[key] = hit
+            self.persistent_hits += 1
+        return hit
 
     def lookup(
         self, pairs: Sequence[PlacedPair], ground_plane_z: Meters | None
@@ -284,8 +266,9 @@ class CouplingDatabase:
         """Coupling for each placed pair, from a cache tier or a field solve.
 
         The one lookup path of the database: each pair is probed in both
-        tiers and both argument orders; the misses are solved in request
-        order, validated (rule CPL001) and written through every tier.
+        tiers under its own :func:`repro.parallel.pair_key`; the misses are
+        solved in request order, validated (rule CPL001) and written
+        through every tier.
         Hits and misses are counted here and only here.
 
         Args:
@@ -307,10 +290,7 @@ class CouplingDatabase:
             pair_key(comp_a, placement_a, comp_b, placement_b, ground_plane_z, PAIR_ORDER)
             for comp_a, placement_a, comp_b, placement_b in pairs
         ]
-        results = [
-            self._probe(key, pair, ground_plane_z)
-            for key, pair in zip(keys, pairs, strict=True)
-        ]
+        results = [self._probe(key) for key in keys]
         pending = [i for i, hit in enumerate(results) if hit is None]
         hits, misses = len(pairs) - len(pending), len(pending)
         self.hits += hits
@@ -429,7 +409,7 @@ class CouplingDatabase:
         Returns:
             The validated :class:`CouplingResult` — coupling factor ``k``
             [-], mutual and self inductances [H] (``self_a_h`` is
-            ``comp_a``'s, also on a mirrored hit).
+            ``comp_a``'s).
         """
         pair = (comp_a, placement_a, comp_b, placement_b)
         return self.lookup([pair], self.ground_plane_z)[0]

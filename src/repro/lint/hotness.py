@@ -179,8 +179,9 @@ class HotnessModel:
     ) -> HotnessModel:
         """Aggregate a perf-history store into a hotness model.
 
-        Every record's span tree contributes its per-span wall seconds;
-        shares are relative to the summed root wall time.  An empty or
+        The latest record of each series key contributes its per-span
+        wall seconds (older rows describe code that may since be gone);
+        shares are relative to their summed root wall time.  An empty or
         missing store yields a model with no hot spans.
         """
         # Local import: repro.obs is cross-cutting, but keeping the lint
@@ -189,8 +190,8 @@ class HotnessModel:
 
         totals: dict[str, float] = {}
         root_total = 0.0
-        history = PerfHistory(history_path)
-        for record in history.records():
+        latest = {record.key: record for record in PerfHistory(history_path).records()}
+        for record in latest.values():
             report = record.report
             root_total += report.root.wall_s
             for _path, span in report.root.walk_paths():

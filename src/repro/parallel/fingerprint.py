@@ -172,7 +172,7 @@ def pair_key(
     Returns:
         ``(fingerprint_a, fingerprint_b, relative pose, plane height in
         0.1 mm steps or None, order)``.  The key is *not* symmetric in
-        A/B: the mirrored problem is the key of the swapped arguments.
+        A/B: a request in the other argument order has its own key.
     """
     plane = None if ground_plane_z is None else round(ground_plane_z / _POSE_QUANTUM_M)
     return (

@@ -1,4 +1,4 @@
-"""PEEC field engine: partial inductances, coupling factors, field maps.
+"""PEEC field engine: partial and mutual inductances, field maps.
 
 The Partial Element Equivalent Circuit method discretises only the current-
 carrying structures of the design into straight filaments; loop and mutual
@@ -31,7 +31,6 @@ from .images import image_path, shielding_factor, with_ground_plane
 from .inductance import (
     PAIR_ORDER,
     SELF_INDUCTANCE_ORDER,
-    coupling_factor,
     loop_self_inductance,
     mutual_inductance_paths_fast,
     mutual_inductance_row,
@@ -67,7 +66,6 @@ __all__ = [
     "CurrentPath",
     "ring_path",
     "rectangle_path",
-    "coupling_factor",
     "PAIR_ORDER",
     "SELF_INDUCTANCE_ORDER",
     "loop_self_inductance",

@@ -1,4 +1,4 @@
-"""Loop and mutual inductance of current paths, and coupling factors.
+"""Loop and mutual inductance of current paths.
 
 These routines aggregate the filament-level partial inductances of
 :mod:`repro.peec.filament` into the quantities the EMI flow actually uses:
@@ -9,9 +9,11 @@ These routines aggregate the filament-level partial inductances of
 * ``mutual_inductance_row(source, targets)`` — the mutual inductances of
   one placed component against many others, the raw ingredient of
   interference coupling, from one call of the order-8 disjoint-path kernel
-  (``mutual_inductance_paths_fast(a, b)`` is its single-pair view);
-* ``coupling_factor(a, b)`` — the dimensionless ``k = M / sqrt(La * Lb)``
-  that the sensitivity analysis and the design rules work with.
+  (``mutual_inductance_paths_fast(a, b)`` is its single-pair view).
+
+The dimensionless coupling factor ``k = M / sqrt(La * Lb)`` of a placed
+part pair is formed in one place, :mod:`repro.coupling.pair`, which also
+applies the core permeability and stray-field scaling.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..obs import get_tracer
-from ..units import Dimensionless, Henries
+from ..units import Henries
 from .filament import (
     PackedFilaments,
     mutual_inductance_pairs,
@@ -37,7 +39,6 @@ __all__ = [
     "loop_self_inductance",
     "mutual_inductance_paths_fast",
     "mutual_inductance_row",
-    "coupling_factor",
 ]
 
 #: Gauss–Legendre order of :func:`loop_self_inductance`: the order of every
@@ -129,25 +130,3 @@ def mutual_inductance_paths_fast(a: CurrentPath, b: CurrentPath, order: int = 8)
     The single-pair view of :func:`mutual_inductance_row`.
     """
     return mutual_inductance_row(a.packed, [b.packed], order)[0]
-
-
-def coupling_factor(
-    a: CurrentPath,
-    b: CurrentPath,
-    la: Henries | None = None,
-    lb: Henries | None = None,
-    order: int = 8,
-) -> Dimensionless:
-    """Magnetic coupling factor ``k = M / sqrt(La * Lb)`` (signed).
-
-    ``M`` comes from :func:`mutual_inductance_paths_fast` at ``order``
-    (so ``a`` and ``b`` must be disjoint), the self-inductances from
-    :func:`loop_self_inductance`.  Passing precomputed self-inductances
-    avoids recomputing them in sweeps where only the relative placement
-    changes (self-L is placement invariant).
-    """
-    if la is None:
-        la = loop_self_inductance(a)
-    if lb is None:
-        lb = loop_self_inductance(b)
-    return mutual_inductance_paths_fast(a, b, order) / np.sqrt(la * lb)

@@ -219,25 +219,25 @@ class DesignRuleChecker:
         return out
 
     def check_groups(self) -> list[Violation]:
-        """Functional groups must be coherent and exclusive.
+        """Functional groups must be coherent.
 
-        Two conditions: spread within the rule's bound (when a
-        GroupCoherenceRule exists), and no foreign component closer to the
-        group centroid than its outermost member (exclusivity — groups end
-        up in *separate coherent areas*).
+        One condition per :class:`GroupCoherenceRule`: the spread of the
+        group's placed members (:func:`group_spread`) stays within the
+        rule's bound.  A group with fewer than two placed members is not
+        checked.
         """
         out: list[Violation] = []
-        for rule in self.problem.rules.groups:
+        problem = self.problem
+        components = problem.components
+        for rule in problem.rules.groups:
             members = [
-                self.problem.components[r]
-                for r in rule.members
-                if r in self.problem.components and self.problem.components[r].is_placed
+                components[r] for r in rule.members if r in components and components[r].is_placed
             ]
             if len(members) < 2:
                 continue
-            spread = group_spread(self.problem, rule.group)
+            spread = group_spread(problem, rule.group)
             if spread > rule.max_spread:
-                centroid = group_centroid(self.problem, rule.group) or Vec2.zero()
+                centroid = group_centroid(problem, rule.group) or Vec2.zero()
                 out.append(
                     Violation(
                         "group",

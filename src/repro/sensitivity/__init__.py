@@ -4,6 +4,6 @@ Reduces the quadratic number of candidate couplings to the short list that
 actually needs field simulation — the paper's key complexity lever.
 """
 
-from .analysis import SensitivityAnalyzer, SensitivityEntry
+from .analysis import SensitivityAnalyzer, SensitivityEntry, relevant_pairs
 
-__all__ = ["SensitivityAnalyzer", "SensitivityEntry"]
+__all__ = ["SensitivityAnalyzer", "SensitivityEntry", "relevant_pairs"]

@@ -38,7 +38,7 @@ from ..circuit import AcSweepResult, Circuit, MnaSystem, MutualCoupling, Singula
 from ..circuit.mna import level_db
 from ..obs import get_tracer
 
-__all__ = ["SensitivityEntry", "SensitivityAnalyzer"]
+__all__ = ["SensitivityEntry", "SensitivityAnalyzer", "relevant_pairs"]
 
 #: A probed variant counts as singular when ``|det(A') / det(A)|`` (by the
 #: matrix determinant lemma ``det(I + C V^T Z U)``) is below this.  A
@@ -60,6 +60,22 @@ class SensitivityEntry:
     def pair(self) -> tuple[str, str]:
         """Canonical (sorted) pair key."""
         return tuple(sorted((self.inductor_a, self.inductor_b)))  # type: ignore[return-value]
+
+
+def relevant_pairs(
+    ranking: Sequence[SensitivityEntry], threshold_db: float
+) -> list[SensitivityEntry]:
+    """The entries of a ranking whose probe impact reaches ``threshold_db``.
+
+    Only these need a field simulation — the paper's complexity
+    reduction: *"only the relevant ones have to be simulated in the
+    field simulating environment"*.  The ranking's order is kept.
+
+    Args:
+        ranking: probed pairs, e.g. :meth:`SensitivityAnalyzer.rank`.
+        threshold_db: minimum worst-case level change [dB] to keep.
+    """
+    return [e for e in ranking if e.impact_db >= threshold_db]
 
 
 class SensitivityAnalyzer:
@@ -174,32 +190,3 @@ class SensitivityAnalyzer:
             impact_db=float(delta[worst]),
             worst_freq=float(self.freqs[worst]),
         )
-
-    def relevant_pairs(
-        self,
-        threshold_db: float = 3.0,
-        candidate_pairs: list[tuple[str, str]] | None = None,
-    ) -> list[SensitivityEntry]:
-        """The pairs whose probe impact exceeds ``threshold_db``.
-
-        Only these need a field simulation — the paper's complexity
-        reduction: *"only the relevant ones have to be simulated in the
-        field simulating environment"*.
-
-        Args:
-            threshold_db: minimum worst-case level change [dB] to keep.
-            candidate_pairs: inductor-name pairs; defaults to all.
-        """
-        return [e for e in self.rank(candidate_pairs) if e.impact_db >= threshold_db]
-
-    def reduction_ratio(
-        self, threshold_db: float = 3.0, candidate_pairs: list[tuple[str, str]] | None = None
-    ) -> float:
-        """Fraction of candidate pairs pruned by the threshold (0..1)."""
-        if candidate_pairs is None:
-            names = [ind.name for ind in self.circuit.inductors()]
-            candidate_pairs = list(combinations(names, 2))
-        if not candidate_pairs:
-            return 0.0
-        kept = len(self.relevant_pairs(threshold_db, candidate_pairs))
-        return 1.0 - kept / len(candidate_pairs)

@@ -360,6 +360,24 @@ class TestHotnessModel:
         assert "run" not in model.shares
         assert model.hot_spans == ["coupling.field_solve"]
 
+    def test_from_history_reads_the_latest_record_per_key(self, tmp_path):
+        def report(span: str):
+            tracer = Tracer(meta={"command": "demo"})
+            with tracer.span(span):
+                pass
+            out = tracer.report()
+            out.root.wall_s = 1.0
+            out.find(span).wall_s = 0.8
+            return out
+
+        store = tmp_path / "history.jsonl"
+        history = PerfHistory(store)
+        history.append(report("parallel.worker"), key="a")
+        history.append(report("circuit.ac_sweep"), key="a")
+        model = HotnessModel.from_history(store, threshold=0.25)
+        # The older row's span is gone from the code it describes.
+        assert model.shares == {"circuit.ac_sweep": pytest.approx(0.8)}
+
     def test_from_history_empty_store(self, tmp_path):
         model = HotnessModel.from_history(tmp_path / "missing.jsonl")
         assert model.shares == {}

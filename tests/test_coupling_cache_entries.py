@@ -72,24 +72,32 @@ class TestRejectedEntries:
 
         result, counts = traced(CouplingDatabase(persistent=cache).coupling, cap, PA, choke, PB)
         assert result == fresh
-        assert counts == {"hit": 0, "miss": 1, "stale": 1}  # the key, then its mirror
+        assert counts == {"hit": 0, "miss": 0, "stale": 1}  # one read of the key
         # The re-solve was written back under the key: the next run hits.
         _, counts = traced(CouplingDatabase(persistent=cache).coupling, cap, PA, choke, PB)
         assert counts == {"hit": 1, "miss": 0, "stale": 0}
 
     def test_mirrored_pair(self, tmp_path):
+        """A reversed request is its own key: it never reads the forward entry."""
         cap, choke = FilmCapacitorX2(), small_bobbin_choke()
         cache = PersistentCouplingCache(tmp_path)
         CouplingDatabase(persistent=cache).coupling(cap, PA, choke, PB)
         name = cache_name("pair", pair_key(cap, PA, choke, PB, None, PAIR_ORDER))
         corrupt(cache, name, mutual_h=None)
 
-        # Asked the other way round, the stored entry is the mirror key.
         _, counts = traced(CouplingDatabase(persistent=cache).coupling, choke, PB, cap, PA)
-        assert counts == {"hit": 0, "miss": 1, "stale": 1}
-        assert not cache.path_for(name).exists()
+        assert counts == {"hit": 0, "miss": 1, "stale": 0}
+        assert cache.path_for(name).exists()
         _, counts = traced(CouplingDatabase(persistent=cache).coupling, cap, PA, choke, PB)
-        assert counts == {"hit": 1, "miss": 1, "stale": 0}  # the re-solve, via its mirror
+        assert counts == {"hit": 0, "miss": 0, "stale": 1}
+        _, counts = traced(CouplingDatabase(persistent=cache).coupling, cap, PA, choke, PB)
+        assert counts == {"hit": 1, "miss": 0, "stale": 0}
+
+    def test_one_read_per_lookup_on_an_empty_store(self, tmp_path):
+        cap, choke = FilmCapacitorX2(), small_bobbin_choke()
+        db = CouplingDatabase(persistent=PersistentCouplingCache(tmp_path))
+        _, counts = traced(db.coupling, cap, PA, choke, PB)
+        assert counts == {"hit": 0, "miss": 1, "stale": 0}
 
     def test_self_inductance(self, tmp_path):
         cache = PersistentCouplingCache(tmp_path)

@@ -30,13 +30,13 @@ class TestCaching:
         )
         assert db.hits == 1
 
-    def test_swapped_operands_hit_mirror_key(self, x2_cap):
+    def test_swapped_operands_are_their_own_key(self, x2_cap):
         db = CouplingDatabase()
         other = FilmCapacitorX2()
         pa, pb = Placement2D.at(0, 0), Placement2D.at(0.03, 0)
         db.coupling(x2_cap, pa, other, pb)
         db.coupling(other, pb, x2_cap, pa)
-        assert db.hits == 1
+        assert (db.hits, db.misses) == (0, 2)
 
     def test_different_pose_misses(self, x2_cap):
         db = CouplingDatabase()

@@ -9,7 +9,6 @@ from scipy.special import ellipe, ellipk
 from repro.geometry import Transform3D, Vec3
 from repro.peec import (
     MU0,
-    coupling_factor,
     loop_self_inductance,
     mutual_inductance_pairs,
     mutual_inductance_paths_fast,
@@ -159,35 +158,29 @@ class TestMaxwellCoaxialLoops:
 
 
 class TestCouplingFactor:
+    """k = M / sqrt(La * Lb) of two coaxial rings (self-L is pose invariant)."""
+
     def test_bounds(self):
         r1 = ring_path(Vec3.zero(), 0.006)
         r2 = ring_path(Vec3(0, 0, 0.008), 0.006)
-        k = coupling_factor(r1, r2)
+        m = mutual_inductance_paths_fast(r1, r2)
+        k = m / math.sqrt(loop_self_inductance(r1) * loop_self_inductance(r2))
         assert -1.0 <= k <= 1.0
 
     def test_decreases_with_distance(self):
         r1 = ring_path(Vec3.zero(), 0.006)
-        ks = []
+        ms = []
         for d in (0.01, 0.02, 0.04):
             r2 = ring_path(Vec3(0, 0, d), 0.006)
-            ks.append(abs(coupling_factor(r1, r2)))
-        assert ks[0] > ks[1] > ks[2]
-
-    def test_precomputed_self_l_matches(self):
-        r1 = ring_path(Vec3.zero(), 0.006)
-        r2 = ring_path(Vec3(0, 0, 0.02), 0.006)
-        la = loop_self_inductance(r1)
-        lb = loop_self_inductance(r2)
-        assert coupling_factor(r1, r2, la, lb) == pytest.approx(
-            coupling_factor(r1, r2), rel=1e-12
-        )
+            ms.append(abs(mutual_inductance_paths_fast(r1, r2)))
+        assert ms[0] > ms[1] > ms[2]
 
     def test_flip_one_ring_flips_sign(self):
         r1 = ring_path(Vec3.zero(), 0.006)
         r2 = ring_path(Vec3(0, 0, 0.02), 0.006)
         r2_flipped = r2.scaled_weights(-1.0)
-        assert coupling_factor(r1, r2_flipped) == pytest.approx(
-            -coupling_factor(r1, r2), rel=1e-9
+        assert mutual_inductance_paths_fast(r1, r2_flipped) == pytest.approx(
+            -mutual_inductance_paths_fast(r1, r2), rel=1e-9
         )
 
 

@@ -17,7 +17,6 @@ from repro.geometry import Placement2D, Transform3D, Vec2, Vec3
 from repro.peec import (
     CurrentPath,
     Filament,
-    coupling_factor,
     image_path,
     loop_self_inductance,
     mutual_inductance,
@@ -91,23 +90,6 @@ class TestFilamentProperties:
 
 
 class TestPathProperties:
-    @settings(max_examples=25)
-    @given(
-        st.floats(min_value=0.002, max_value=0.01),
-        st.floats(min_value=0.002, max_value=0.01),
-        st.floats(min_value=0.025, max_value=0.08),
-        angle,
-    )
-    def test_coupling_factor_bounds(self, r1, r2, distance, theta):
-        a = ring_path(Vec3.zero(), r1, segments=8)
-        b = ring_path(
-            Vec3(distance * math.cos(theta), distance * math.sin(theta), 0.0),
-            r2,
-            segments=8,
-        )
-        k = coupling_factor(a, b)
-        assert -1.0 <= k <= 1.0
-
     @settings(max_examples=25)
     @given(
         st.floats(min_value=0.003, max_value=0.008),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import Circuit
-from repro.sensitivity import SensitivityAnalyzer, SensitivityEntry
+from repro.sensitivity import SensitivityAnalyzer, SensitivityEntry, relevant_pairs
 
 
 def pi_filter_circuit() -> Circuit:
@@ -51,15 +51,18 @@ class TestAnalyzer:
 
     def test_relevant_pairs_threshold(self):
         analyzer = SensitivityAnalyzer(pi_filter_circuit(), "b", FREQS, k_probe=0.05)
-        relevant = analyzer.relevant_pairs(threshold_db=3.0)
+        ranking = analyzer.rank()
+        relevant = relevant_pairs(ranking, 3.0)
         assert relevant
+        assert relevant == ranking[: len(relevant)]  # the ranking's head, in order
         assert all(e.impact_db >= 3.0 for e in relevant)
         pairs = {e.pair() for e in relevant}
         assert ("CA.ESL", "CB.ESL") in pairs
 
     def test_reduction_ratio(self):
         analyzer = SensitivityAnalyzer(pi_filter_circuit(), "b", FREQS, k_probe=0.05)
-        ratio = analyzer.reduction_ratio(threshold_db=3.0)
+        ranking = analyzer.rank()
+        ratio = 1.0 - len(relevant_pairs(ranking, 3.0)) / len(ranking)
         assert 0.0 < ratio < 1.0
 
     def test_baseline_cached(self):
