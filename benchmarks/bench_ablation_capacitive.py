@@ -9,6 +9,7 @@ circuit and the per-band spectrum change is reported.
 
 import numpy as np
 
+from repro import obs
 from repro.converters import CAPACITIVE_NODES
 from repro.coupling import capacitive_layout_couplings
 from repro.viz import series_table
@@ -18,9 +19,10 @@ def test_ablation_capacitive(benchmark, design_flow, layout_comparison, record):
     evaluation = layout_comparison["baseline"]
     problem = evaluation.problem
 
-    capacitances = benchmark(
-        capacitive_layout_couplings, problem, list(CAPACITIVE_NODES)
-    )
+    # The span covers pytest-benchmark's rounds, including its own timing
+    # loop between the calls (about half of the rounds' wall time).
+    with obs.get_tracer().span("bench.rounds"):
+        capacitances = benchmark(capacitive_layout_couplings, problem, list(CAPACITIVE_NODES))
 
     clean = design_flow.design.emission_spectrum()
     clean_cap = design_flow.design.emission_spectrum(capacitive=capacitances)

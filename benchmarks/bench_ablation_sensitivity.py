@@ -8,6 +8,7 @@ the baseline buck layout.
 
 import numpy as np
 
+from repro import obs
 from repro.converters import COUPLING_BRANCHES
 from repro.sensitivity import relevant_pairs
 from repro.viz import series_table
@@ -17,7 +18,10 @@ def test_ablation_sensitivity_pruning(benchmark, design_flow, layout_comparison,
     evaluation = layout_comparison["baseline"]
     all_couplings = evaluation.couplings
 
-    ranking = benchmark(design_flow.run_sensitivity)
+    # The span covers pytest-benchmark's rounds, including its own timing
+    # loop between the calls (the flow's ranking is cached after its first).
+    with obs.get_tracer().span("bench.rounds"):
+        ranking = benchmark(design_flow.run_sensitivity)
 
     full_spectrum = design_flow.predict(all_couplings)
     n_pairs_total = len(ranking)

@@ -8,6 +8,7 @@ them — and shows that the optimised (more spread-out) layout pays a route-
 length price for its coupling margins.
 """
 
+from repro import obs
 from repro.routing import ManhattanRouter, route_inductance
 from repro.viz import series_table
 
@@ -40,7 +41,10 @@ def test_ablation_traces(benchmark, design_flow, layout_comparison, record):
     def route_baseline():
         return ManhattanRouter(layout_comparison["baseline"].problem).route_all()
 
-    routes = benchmark(route_baseline)
+    # The span covers pytest-benchmark's rounds, including its own timing
+    # loop between the calls.
+    with obs.get_tracer().span("bench.rounds"):
+        routes = benchmark(route_baseline)
     per_length = {
         net: route_inductance(route) / max(route.total_length(), 1e-9)
         for net, route in routes.items()

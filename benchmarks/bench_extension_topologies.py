@@ -8,6 +8,7 @@ noise sits far below the buck's chopped input — and placement-induced
 couplings degrade both, so the methodology carries over.
 """
 
+from repro import obs
 from repro.converters import (
     BOOST_COUPLING_BRANCHES,
     COUPLING_BRANCHES,
@@ -24,7 +25,10 @@ def test_extension_topologies(benchmark, record):
     boost = BoostConverterDesign()
 
     spectrum_buck = buck.emission_spectrum()
-    spectrum_boost = benchmark(boost.emission_spectrum)
+    # The span covers pytest-benchmark's rounds, including its own timing
+    # loop between the calls.
+    with obs.get_tracer().span("bench.rounds"):
+        spectrum_boost = benchmark(boost.emission_spectrum)
 
     bands = [
         ("fundamental 250 kHz", 240e3, 260e3),

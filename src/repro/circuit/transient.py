@@ -26,13 +26,13 @@ from .elements import (
     Capacitor,
     CurrentSource,
     IdealDiode,
-    Inductor,
     Resistor,
     Switch,
+    VoltageSource,
 )
 from ..obs import get_tracer
 from .netlist import Circuit
-from .mna import MnaSystem
+from .mna import branch_inductance_matrix
 
 __all__ = ["TransientResult", "TransientSolver"]
 
@@ -86,9 +86,17 @@ class TransientSolver:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        # Reuse MNA indexing (nodes / inductor branches / source branches).
-        self._mna = MnaSystem(circuit)
-        self._lmat = self._mna.inductance_matrix()
+        # Full MNA indexing: every node, inductor branch and source branch
+        # is an unknown (the switching elements change a step's stamps).
+        self._node_idx = {n: i for i, n in enumerate(circuit.node_names())}
+        self._inductors = circuit.inductors()
+        self._sources = [e for e in circuit.elements if isinstance(e, VoltageSource)]
+        self._lmat = branch_inductance_matrix(self._inductors, circuit.couplings)
+
+    def _node(self, name: str) -> int | None:
+        if name in GROUND_NAMES:
+            return None
+        return self._node_idx[name]
 
     def run(self, t_end: float, dt: float, t_start: float = 0.0) -> TransientResult:
         """Integrate from ``t_start`` to ``t_end`` with fixed step ``dt``.
@@ -114,9 +122,8 @@ class TransientSolver:
             if isinstance(e, IdealDiode) and (e.r_on <= 0.0 or e.r_off <= 0.0):
                 raise ValueError(f"diode {e.name}: r_on/r_off must be > 0")
         solve_count = 0
-        mna = self._mna
-        n_nodes, n_ind, n_src = mna.n_nodes, mna.n_ind, mna.n_src
-        size = mna.size
+        n_nodes, n_ind = len(self._node_idx), len(self._inductors)
+        size = n_nodes + n_ind + len(self._sources)
         times = np.arange(t_start, t_end + dt * 0.5, dt)
         n_steps = len(times)
 
@@ -136,9 +143,9 @@ class TransientSolver:
 
         g_l = (2.0 / dt) * self._lmat
 
-        node_of = mna._node  # noqa: SLF001 - same package, shared indexing
-        inductors = mna._inductors  # noqa: SLF001
-        sources = mna._sources  # noqa: SLF001
+        node_of = self._node
+        inductors = self._inductors
+        sources = self._sources
 
         for step, t in enumerate(times):
             for _iteration in range(_MAX_DIODE_ITERATIONS):
@@ -265,7 +272,7 @@ class TransientSolver:
         tracer.count("circuit.transient_steps", n_steps)
         tracer.count("circuit.transient_solves", solve_count)
         node_series = {
-            name: volts[:, idx] for name, idx in mna._node_idx.items()  # noqa: SLF001
+            name: volts[:, idx] for name, idx in self._node_idx.items()
         }
         ind_series = {
             ind.name: ind_currents[:, b] for b, ind in enumerate(inductors)

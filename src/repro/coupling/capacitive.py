@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from ..components import Component
 from ..geometry import Placement2D
+from ..obs import get_tracer
 from ..peec.capacitance import (
     equivalent_radius,
     mutual_capacitance_spheres,
@@ -98,15 +99,16 @@ def capacitive_layout_couplings(
         if refdes_of_interest is None or c.refdes in refdes_of_interest
     ]
     out: dict[tuple[str, str], float] = {}
-    for i in range(len(placed)):
-        for j in range(i + 1, len(placed)):
-            a, b = placed[i], placed[j]
-            if a.board != b.board:
-                continue
-            result = component_capacitance(
-                a.component, a.placement, b.component, b.placement, ground_plane_z
-            )
-            if result.mutual_f >= c_floor:
-                key = (a.refdes, b.refdes) if a.refdes < b.refdes else (b.refdes, a.refdes)
-                out[key] = result.mutual_f
+    with get_tracer().span("coupling.capacitive_layout"):
+        for i in range(len(placed)):
+            for j in range(i + 1, len(placed)):
+                a, b = placed[i], placed[j]
+                if a.board != b.board:
+                    continue
+                result = component_capacitance(
+                    a.component, a.placement, b.component, b.placement, ground_plane_z
+                )
+                if result.mutual_f >= c_floor:
+                    key = (a.refdes, b.refdes) if a.refdes < b.refdes else (b.refdes, a.refdes)
+                    out[key] = result.mutual_f
     return out

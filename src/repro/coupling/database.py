@@ -426,15 +426,24 @@ class CouplingDatabase:
 
         Returns:
             A dict keyed by the (refdes_a, refdes_b) pair with
-            refdes_a < refdes_b lexicographically.
+            refdes_a < refdes_b lexicographically; ``self_a_h`` is the
+            self-inductance of ``refdes_a``.  Each pair is solved (and
+            cached) in ``placed`` order, and a result of a pair listed
+            larger refdes first has its two self-inductances swapped.
         """
         both = list(combinations(placed, 2))
-        refs = [
-            (ref_a, ref_b) if ref_a < ref_b else (ref_b, ref_a)
-            for (ref_a, _, _), (ref_b, _, _) in both
-        ]
         pairs = [(comp_a, pl_a, comp_b, pl_b) for (_, comp_a, pl_a), (_, comp_b, pl_b) in both]
-        return dict(zip(refs, self.lookup(pairs, self.ground_plane_z), strict=True))
+        out = {}
+        for ((ref_a, _, _), (ref_b, _, _)), result in zip(
+            both, self.lookup(pairs, self.ground_plane_z), strict=True
+        ):
+            if ref_a < ref_b:
+                out[(ref_a, ref_b)] = result
+            else:
+                out[(ref_b, ref_a)] = replace(
+                    result, self_a_h=result.self_b_h, self_b_h=result.self_a_h
+                )
+        return out
 
     def cache_size(self) -> int:
         """Number of field simulations held in memory."""

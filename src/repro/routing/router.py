@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..geometry import Vec2
+from ..obs import get_tracer
 from ..placement import Net, PlacementProblem
 
 __all__ = ["TraceSegment", "Route", "ManhattanRouter"]
@@ -131,4 +132,5 @@ class ManhattanRouter:
 
     def route_all(self) -> dict[str, Route]:
         """Route every net of the problem."""
-        return {net.name: self.route_net(net) for net in self.problem.nets}
+        with get_tracer().span("routing.route_all"):
+            return {net.name: self.route_net(net) for net in self.problem.nets}

@@ -47,6 +47,13 @@ __all__ = ["SensitivityEntry", "SensitivityAnalyzer", "relevant_pairs"]
 #: measured >= 0.979.
 _SINGULAR_DET_RATIO = 1e-9
 
+#: Per-line level changes below this [dB] are rounding noise and count as
+#: zero.  A pair isolated from the measurement node scores 3.6e-15 to
+#: 1.4e-14 dB on the buck design, so without the floor its impact and
+#: ``worst_freq`` would be an argmax over noise that any change of solve
+#: path reorders.
+_NOISE_FLOOR_DB = 1e-12
+
 
 @dataclass(frozen=True)
 class SensitivityEntry:
@@ -123,6 +130,9 @@ class SensitivityAnalyzer:
     ) -> list[SensitivityEntry]:
         """Probe pairs (all inductor pairs by default) and sort by impact.
 
+        Equal impacts (every pair whose changes all lie below the noise
+        floor scores exactly 0 dB) are ordered by their canonical pair.
+
         One sweep of the circuit, with the branch responses of every
         inductor in ``candidate_pairs``, serves all probes.
 
@@ -136,7 +146,7 @@ class SensitivityAnalyzer:
         with get_tracer().span("sensitivity.rank"):
             sweep = self._sweep(list(dict.fromkeys(n for pair in candidate_pairs for n in pair)))
             entries = [self._probe(sweep, a, b) for a, b in candidate_pairs]
-        entries.sort(key=lambda e: e.impact_db, reverse=True)
+        entries.sort(key=lambda e: (-e.impact_db, e.pair()))
         return entries
 
     def _probe(self, sweep: AcSweepResult, inductor_a: str, inductor_b: str) -> SensitivityEntry:
@@ -175,14 +185,14 @@ class SensitivityAnalyzer:
         cx_b = c * sweep.x[:, rb]
         cx_a = c * sweep.x[:, ra]
         baseline = sweep.voltages(self.measurement_node)
-        scaled = baseline * det
-        row = sweep.node_index.get(self.measurement_node)
-        if row is not None:
-            scaled = scaled - (
-                za[:, row] * (m11 * cx_b - m01 * cx_a) + zb[:, row] * (m00 * cx_a - m10 * cx_b)
-            )
+        za_m = sweep.read_voltage(self.measurement_node, za)
+        zb_m = sweep.read_voltage(self.measurement_node, zb)
+        scaled = baseline * det - (
+            za_m * (m11 * cx_b - m01 * cx_a) + zb_m * (m00 * cx_a - m10 * cx_b)
+        )
         probed = np.abs(scaled) / np.abs(det)
         delta = np.abs(level_db(probed, 1e-6) - level_db(baseline, 1e-6))
+        delta[delta < _NOISE_FLOOR_DB] = 0.0
         worst = int(np.argmax(delta))
         return SensitivityEntry(
             inductor_a=inductor_a,

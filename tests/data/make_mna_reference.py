@@ -1,10 +1,13 @@
 """Generate ``mna_reference.json`` — the MNA output-identity fixture.
 
-The committed JSON records converter spectra as they stood at commit
-44e11f6, before the switching sources were evaluated over the whole sweep
-grid at once.  ``tests/test_mna_reference.py`` pins the current code to it
-at rtol 1e-12.  Regenerating it with the current code would turn that check
-into a tautology, so only do so when the circuit models change on purpose::
+The committed JSON records converter spectra as the condensed MNA solver
+(one branch row per series R/L/C chain) computes them; it was regenerated
+when the solver condensed, after ``tests/test_mna_condensed_equivalence.py``
+had bounded the move against the full-node assembly.
+``tests/test_mna_reference.py`` pins the current code to it at rtol 1e-12.
+Regenerating it with the current code would turn that check into a
+tautology, so only do so when the circuit models or the solver change on
+purpose::
 
     PYTHONPATH=src python tests/data/make_mna_reference.py
 

@@ -66,6 +66,24 @@ class TestPairwise:
         assert len(results) == 3
         assert all(a < b for a, b in results)
 
+    def test_self_inductances_follow_the_key(self):
+        from repro.components import large_bobbin_choke, small_bobbin_choke
+
+        large, small = large_bobbin_choke(), small_bobbin_choke()
+        at_large, at_small = Placement2D.at(0, 0), Placement2D.at(0.04, 0)
+        db = CouplingDatabase()
+        results = db.pairwise_couplings([("L2", large, at_large), ("L1", small, at_small)])
+        got = results[("L1", "L2")]
+        solved = db.coupling(large, at_large, small, at_small)
+        assert db.misses == 1  # the pair was solved once, in list order
+        assert (got.self_a_h, got.self_b_h) == (solved.self_b_h, solved.self_a_h)
+        assert (got.k, got.mutual_h, got.shielded) == (solved.k, solved.mutual_h, solved.shielded)
+        # The small choke's self-inductance, as a solve in key order gives it.
+        in_key_order = db.coupling(small, at_small, large, at_large)
+        assert got.self_a_h < got.self_b_h
+        assert got.self_a_h == pytest.approx(in_key_order.self_a_h, rel=1e-12)
+        assert got.self_b_h == pytest.approx(in_key_order.self_b_h, rel=1e-12)
+
     def test_values_match_direct_computation(self, x2_cap):
         db = CouplingDatabase()
         other = FilmCapacitorX2()

@@ -130,7 +130,12 @@ def old_pairwise(placed, plane_z):
             comp_b.part_number,
         )
         cache[pair_key(comp_a, pl_a, comp_b, pl_b, plane_z, ORDER)] = result
-        results[(ref_a, ref_b) if ref_a < ref_b else (ref_b, ref_a)] = result
+        if ref_a < ref_b:
+            results[(ref_a, ref_b)] = result
+        else:  # keyed by the sorted pair, so self_a_h is the smaller refdes's
+            results[(ref_b, ref_a)] = replace(
+                result, self_a_h=result.self_b_h, self_b_h=result.self_a_h
+            )
     return results, cache, counts
 
 

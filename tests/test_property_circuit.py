@@ -111,6 +111,14 @@ def random_rlc_netlist(seed: int) -> Circuit:
     return c
 
 
+def system_matrix(mna: MnaSystem, freq: float) -> np.ndarray:
+    """``A(f)``, assembled as one point of a sweep block."""
+    grid = np.array([freq])
+    a = np.empty((1, mna.size, mna.size), dtype=complex)
+    mna._fill(a, 2.0 * math.pi * grid, 1.0 / (2.0 * math.pi * grid))
+    return a[0]
+
+
 class TestSweepEquivalence:
     """``ac_sweep`` is exactly the per-point solve, and ``solve_ac`` its row."""
 
@@ -121,9 +129,7 @@ class TestSweepEquivalence:
         sweep = mna.ac_sweep(freqs)
         assert sweep.x.shape == (len(freqs), mna.size)
         for k, f in enumerate(freqs):
-            omega = 2.0 * math.pi * float(f)
-            a = mna._g + 1j * omega * mna._s
-            expected = np.linalg.solve(a, mna._rhs(float(f)))
+            expected = np.linalg.solve(system_matrix(mna, float(f)), mna._rhs(float(f)))
             assert np.array_equal(sweep.x[k], expected)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -137,10 +143,10 @@ class TestSweepEquivalence:
             row = sweep.x[k]
             for node in circuit.node_names():
                 assert sol.voltage(node) == sweep.voltages(node)[k]
-            currents = list(sol.inductor_currents.values()) + list(
-                sol.source_currents.values()
-            )
-            assert np.array_equal(np.array(currents), row[mna.n_nodes :])
+            for name, current in sol.inductor_currents.items():
+                assert current == row[mna._ind_rows[name]]
+            currents = list(sol.source_currents.values())
+            assert np.array_equal(np.array(currents), row[mna._src_row :])
             assert sol.voltage("0") == sweep.voltages("0")[k] == 0.0
 
 
@@ -161,7 +167,7 @@ class TestBranchResponses:
         assert sweep.branch.shape == (len(freqs), mna.size, len(names))
         assert list(sweep.branch_rows) == names
         for k, f in enumerate(freqs):
-            a = mna._g + 2j * math.pi * float(f) * mna._s
+            a = system_matrix(mna, float(f))
             for name, row in sweep.branch_rows.items():
                 unit = np.zeros(mna.size, dtype=complex)
                 unit[row] = 1.0

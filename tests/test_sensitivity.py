@@ -1,9 +1,12 @@
 """Unit tests for the coupling sensitivity analysis."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from repro.circuit import Circuit
+from repro.converters import COUPLING_BRANCHES, BuckConverterDesign
 from repro.sensitivity import SensitivityAnalyzer, SensitivityEntry, relevant_pairs
 
 
@@ -92,6 +95,32 @@ class TestAnalyzer:
         analyzer = SensitivityAnalyzer(pi_filter_circuit(), "b", FREQS, k_probe=0.05)
         ranking = analyzer.rank([("CA.ESL", "LF.L")])
         assert len(ranking) == 1
+
+
+class TestRankingTail:
+    """Pairs isolated from the measurement node score exactly 0 dB."""
+
+    def ranking(self, pairs):
+        design = BuckConverterDesign()
+        circuit, meas = design.emi_circuit()
+        freqs = design.harmonic_frequencies()[::8]
+        return SensitivityAnalyzer(circuit, meas, freqs, k_probe=0.02).rank(pairs), freqs
+
+    def test_tail_is_ordered_by_pair(self):
+        pairs = list(combinations(sorted(COUPLING_BRANCHES), 2))
+        ranking, freqs = self.ranking(pairs)
+        tail = [e for e in ranking if e.impact_db == 0.0]
+        assert len(tail) >= 10
+        assert ranking[-len(tail) :] == tail
+        assert [e.pair() for e in tail] == sorted(e.pair() for e in tail)
+        assert all(e.worst_freq == freqs[0] for e in tail)
+        assert all(e.impact_db > 1e-6 for e in ranking[: -len(tail)])
+
+    def test_order_does_not_depend_on_candidate_order(self):
+        pairs = list(combinations(sorted(COUPLING_BRANCHES), 2))
+        forward, _ = self.ranking(pairs)
+        backward, _ = self.ranking([(b, a) for a, b in reversed(pairs)])
+        assert [e.pair() for e in backward] == [e.pair() for e in forward]
 
 
 class TestEntry:
