@@ -10,7 +10,6 @@ and an interactive adviser with online DRC.
 """
 
 from .baseline import BaselinePlacer
-from .candidates import CandidateGenerator
 from .compaction import CompactionResult, compact_layout
 from .drc import DesignRuleChecker, RuleMarker, Violation
 from .interactive import InteractiveSession, MoveResult
@@ -58,7 +57,6 @@ __all__ = [
     "refine_wirelength",
     "RefinementResult",
     "PartitionResult",
-    "CandidateGenerator",
     "compact_layout",
     "CompactionResult",
     "DesignRuleChecker",

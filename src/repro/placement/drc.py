@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..geometry import Vec2
+from ..geometry import Rect, Vec2
 from ..obs import get_tracer
 from ..rules import MinDistanceRule
 from .metrics import group_centroid, group_spread, net_hpwl
@@ -108,18 +108,21 @@ class DesignRuleChecker:
                 return []
             k = refs.index(only)
             pairs = [(a, placed[k]) for a in placed[:k]] + [(placed[k], b) for b in placed[k + 1 :]]
+        footprints = {c.refdes: c.footprint_aabb() for c in placed}
         out: list[Violation] = []
         for a, b in pairs:
-            violation = self._spacing_violation(a, b)
+            violation = self._spacing_violation(a, b, footprints)
             if violation is not None:
                 out.append(violation)
         return out
 
-    def _spacing_violation(self, a: PlacedComponent, b: PlacedComponent) -> Violation | None:
+    def _spacing_violation(
+        self, a: PlacedComponent, b: PlacedComponent, footprints: dict[str, Rect]
+    ) -> Violation | None:
         if a.board != b.board:
             return None
         required = self.problem.clearance_between(a, b)
-        ra, rb = a.footprint_aabb(), b.footprint_aabb()
+        ra, rb = footprints[a.refdes], footprints[b.refdes]
         actual = ra.separation(rb)
         # 1 um grace keeps exactly-at-clearance layouts (and their
         # ASCII round-trips) legal despite float formatting.

@@ -9,6 +9,11 @@ The placer consumes the rotation plan (step 1) and the board partition
 budget and area they demand), and for each component scores the legal
 candidates by a weighted mix of wirelength, group cohesion and packing
 compactness.
+
+Candidates come from three generators on the continuous plane: corners of
+the placed obstacles inflated by the part's half-extent plus clearance
+(tight packing), rings of radius EMD around placed rule partners (*just
+barely far enough*) and samples of the eroded placement areas (sparse boards).
 """
 
 from __future__ import annotations
@@ -19,10 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import EPS, Placement2D, Rect, Vec2
+from ..geometry import EPS, Placement2D, Polygon2D, Rect, Vec2
 from ..obs import get_tracer
 from ..rules import MinDistanceRule, emd_for_pair
-from .candidates import CandidateGenerator
 from .drc import DesignRuleChecker
 from .metrics import group_centroid, pad_offset, pin_position, total_wirelength
 from .model import EMD_TOLERANCE, Net, PlacedComponent, PlacementError, PlacementProblem
@@ -34,6 +38,15 @@ __all__ = ["BOUNDARY_SPACING", "PlacerWeights", "PlacementReport", "AutoPlacer"]
 #: Boundary-sample spacing of the area candidates [m]; a part with no
 #: legal position at any rotation is searched again at half of it.
 BOUNDARY_SPACING = 6e-3
+
+#: Candidates closer than this lattice pitch are duplicates [m].
+_LATTICE = 0.5e-3
+
+#: Unit vectors of the 16 ring candidates around a rule partner, as
+#: ``Vec2.from_polar`` builds them.
+_RING = np.array(
+    [(math.cos(a), math.sin(a)) for a in (2.0 * math.pi * i / 16 for i in range(16))]
+)
 
 
 @dataclass(frozen=True)
@@ -90,7 +103,9 @@ class AutoPlacer:
         self.partition = partition
         self.respect_min_distance = respect_min_distance
         self.weights = weights or PlacerWeights()
-        self._generator = CandidateGenerator(problem)
+        # Area samples depend only on (vertices, erosion margin, spacing):
+        # each set is computed once per placer and reused by every search.
+        self._area_samples: dict[tuple[tuple[Vec2, ...], float, float], np.ndarray] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -240,13 +255,13 @@ class AutoPlacer:
         """
         tracer = get_tracer()
         with tracer.span("placement.score"):
+            obstacles, clearances = self._obstacles(comp)
             partners = self._partner_emds(comp, rotation_deg)
-            ring_specs = [(center, emd * 1.02 + 1e-4) for center, emd in partners]
-            xy = self._generator.candidate_array(comp, rotation_deg, spacing, ring_specs)
+            xy = self._candidates(comp, rotation_deg, spacing, obstacles, clearances, partners)
             tracer.count("placement.candidates_scored", len(xy))
 
             legal = self._legal_mask(
-                comp, xy, comp.component.half_extent(rotation_deg), z_offset
+                comp, xy, comp.component.half_extent(rotation_deg), z_offset, obstacles, clearances
             )
             xy = xy[legal]
             x, y = xy[:, 0], xy[:, 1]
@@ -261,6 +276,61 @@ class AutoPlacer:
                 return None
             best = int(np.argmin(self._costs(comp, x, y, margin)))
             return Vec2(float(x[best]), float(y[best]))
+
+    def _obstacles(self, comp: PlacedComponent) -> tuple[np.ndarray, np.ndarray]:
+        """The footprint bounds (n, 4) of the other placed parts on ``comp``'s
+        board and their clearances (n,) to ``comp``."""
+        others = [
+            other
+            for other in self.problem.placed()
+            if other.board == comp.board and other.refdes != comp.refdes
+        ]
+        clearances = [self.problem.clearance_between(comp, other) for other in others]
+        return _bounds([other.footprint_aabb() for other in others]), np.array(clearances)
+
+    def _candidates(
+        self,
+        comp: PlacedComponent,
+        rotation_deg: float,
+        spacing: float,
+        obstacles: np.ndarray,
+        clearances: np.ndarray,
+        partners: list[tuple[Vec2, float]],
+    ) -> np.ndarray:
+        """Candidate centres as an (M, 2) array, deduplicated on the 0.5 mm
+        lattice (first occurrence kept), in generator order: for each obstacle
+        row, inflated by the larger half-extent plus its clearance and 0.1 mm,
+        its 4 corners counter-clockwise from (xmin, ymin), then its 4 edge
+        midpoints; 16 points at 1.02 EMD + 0.1 mm around each (centre, EMD)
+        partner; then the eroded allowed areas' samples (boundary every
+        ``spacing`` metres), the preferred area first."""
+        half = comp.component.half_extent(rotation_deg)
+        margin = max(half.x, half.y)
+        grow = margin + clearances + 1e-4
+        x0, y0 = obstacles[:, 0] - grow, obstacles[:, 1] - grow
+        x1, y1 = obstacles[:, 2] + grow, obstacles[:, 3] + grow
+        xm, ym = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+        corners = np.stack([x0, y0, x1, y0, x1, y1, x0, y1, x0, ym, x1, ym, xm, y0, xm, y1], axis=1)
+
+        centres = np.array([(c.x, c.y) for c, _ in partners]).reshape(-1, 1, 2)
+        radii = np.array([emd for _, emd in partners]) * 1.02 + 1e-4
+        rings = centres + radii[:, None, None] * _RING
+
+        areas = sorted(
+            self.problem.allowed_areas(comp), key=lambda area: area.name != comp.preferred_area
+        )
+        memo, samples = self._area_samples, []
+        for area in areas:
+            key = (tuple(area.polygon.vertices), margin, spacing)
+            if key not in memo:
+                memo[key] = _samples_of(area.polygon, margin, spacing)
+            samples.append(memo[key])
+
+        xy = np.concatenate([corners.reshape(-1, 2), rings.reshape(-1, 2), *samples])
+        # Half-to-even rounding to integer keys (which also merge -0.0 and 0.0).
+        keys = np.rint(xy / _LATTICE).astype(np.int64)
+        _keys, first = np.unique(keys, axis=0, return_index=True)
+        return xy[np.sort(first)]
 
     def _partner_emds(self, comp: PlacedComponent, rotation_deg: float) -> list[tuple[Vec2, float]]:
         """(centre, EMD) of each placed rule partner on the same board."""
@@ -278,32 +348,27 @@ class AutoPlacer:
         return out
 
     def _legal_mask(
-        self, comp: PlacedComponent, xy: np.ndarray, half: Vec2, z_offset: float
+        self,
+        comp: PlacedComponent,
+        xy: np.ndarray,
+        half: Vec2,
+        z_offset: float,
+        obstacles: np.ndarray,
+        clearances: np.ndarray,
     ) -> np.ndarray:
-        """Which candidate footprints lie in an allowed area, keep clearance
-        to every placed footprint and miss every keepout that blocks a body
-        starting at ``z_offset``."""
+        """Which candidate footprints lie in an allowed area, keep their
+        clearance to every obstacle and miss every keepout that blocks a
+        body starting at ``z_offset``."""
         x, y = xy[:, 0], xy[:, 1]
         x0, y0, x1, y1 = x - half.x, y - half.y, x + half.x, y + half.y
         legal = np.zeros(len(xy), dtype=bool)
         for area in self.problem.allowed_areas(comp):
             legal |= area.polygon.contains_rects(x0, y0, x1, y1)
-
-        others = [
-            other
-            for other in self.problem.placed()
-            if other.board == comp.board and other.refdes != comp.refdes
-        ]
-        clearances = np.array([self.problem.clearance_between(comp, o) for o in others])
-        obstacles = [o.footprint_aabb() for o in others]
         legal &= ~_overlaps_any((x0, y0, x1, y1), obstacles, clearances)
 
         height = comp.component.body_height
-        blockers = [
-            k.cuboid.rect
-            for k in self.problem.board(comp.board).keepouts
-            if k.blocks(z_offset, height)
-        ]
+        keepouts = self.problem.board(comp.board).keepouts
+        blockers = _bounds([k.cuboid.rect for k in keepouts if k.blocks(z_offset, height)])
         legal &= ~_overlaps_any((x0, y0, x1, y1), blockers)
         return legal
 
@@ -358,14 +423,18 @@ def _distances(x: np.ndarray, y: np.ndarray, point: Vec2) -> np.ndarray:
     return np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(dx))
 
 
+def _bounds(rects: list[Rect]) -> np.ndarray:
+    """The rectangles as an (n, 4) array of xmin, ymin, xmax, ymax."""
+    return np.array([(r.xmin, r.ymin, r.xmax, r.ymax) for r in rects], dtype=float).reshape(-1, 4)
+
+
 def _overlaps_any(
-    rects: tuple[np.ndarray, ...], others: list[Rect], margins: np.ndarray | float = 0.0
+    rects: tuple[np.ndarray, ...], others: np.ndarray, margins: np.ndarray | float = 0.0
 ) -> np.ndarray:
     """Which of the rectangles (xmin, ymin, xmax, ymax arrays), each grown by
-    its margin to each of ``others`` (one per column, or one for all),
-    overlap the interior of any of ``others`` (``Rect.overlaps`` with its EPS)."""
-    if not others:
-        return np.zeros(len(rects[0]), dtype=bool)
+    its margin to each row of ``others`` (an (n, 4) bounds array; one margin
+    per row, or one for all), overlap the interior of any of ``others``
+    (``Rect.overlaps`` with its EPS)."""
     x0, y0, x1, y1 = (r[:, None] for r in rects)
     x0, y0, x1, y1 = (
         x0 - margins,
@@ -373,11 +442,23 @@ def _overlaps_any(
         np.maximum(x1 + margins, x0 - margins),
         np.maximum(y1 + margins, y0 - margins),
     )
-    ox0, oy0, ox1, oy1 = np.array(
-        [(o.xmin, o.ymin, o.xmax, o.ymax) for o in others], dtype=float
-    ).T
+    ox0, oy0, ox1, oy1 = others.T
     apart = (x1 <= ox0 + EPS) | (ox1 <= x0 + EPS) | (y1 <= oy0 + EPS) | (oy1 <= y0 + EPS)
     return ~apart.all(axis=1)
+
+
+def _samples_of(polygon: Polygon2D, margin: float, spacing: float) -> np.ndarray:
+    """Boundary samples, centroid and coarse interior grid of the eroded area,
+    as an (n, 2) array."""
+    eroded = polygon.eroded(margin)
+    target = eroded if eroded is not None else polygon
+    points = target.boundary_samples(spacing)
+    points.append(target.centroid())
+    # Coarse interior grid for sparse boards.
+    xmin, ymin, xmax, ymax = target.bbox()
+    step = max(spacing * 2.0, (xmax - xmin) / 8.0 or 1e-3)
+    points.extend(target.grid_samples(step))
+    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
 def _net_hpwl(

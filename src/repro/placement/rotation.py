@@ -78,9 +78,6 @@ class RotationOptimizer:
         angle_b = self._axis0[rule.ref_b] + math.radians(rot_b)
         return effective_min_distance(rule.pemd, angle_a - angle_b, residual)
 
-    def _current_rot(self, rotations: dict[str, Degrees], ref: str) -> Degrees:
-        return rotations[ref]
-
     def _emd_sum(self, rotations: dict[str, Degrees]) -> Meters:
         return sum(
             self._emd(r, rotations[r.ref_a], rotations[r.ref_b])

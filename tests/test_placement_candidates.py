@@ -1,91 +1,116 @@
-"""Unit tests for candidate-location generation."""
+"""Unit tests for the placer's candidate-location generation."""
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.converters import BuckConverterDesign, build_demo_board
-from repro.geometry import Placement2D, Polygon2D, Vec2
-from repro.placement import CandidateGenerator
+from repro.geometry import Placement2D, Polygon2D, Rect, Vec2
+from repro.placement import AutoPlacer, PlacementArea
 
 from conftest import build_small_problem
+
+
+def candidates(placer, comp, rotation=0.0, spacing=6e-3, partners=()):
+    """The candidates of one search, its obstacles taken from the placed set."""
+    obstacles, clearances = placer._obstacles(comp)
+    return placer._candidates(comp, rotation, spacing, obstacles, clearances, list(partners))
+
+
+def footprint(comp, rotation, x, y):
+    half = comp.component.half_extent(rotation)
+    return Rect(x - half.x, y - half.y, x + half.x, y + half.y)
 
 
 class TestGenerators:
     def test_area_candidates_inside_board(self):
         problem = build_small_problem()
-        gen = CandidateGenerator(problem)
-        comp = problem.components["C1"]
-        candidates = gen.area_candidates(comp, rotation_deg=0.0, spacing=6e-3)
-        assert candidates
+        xy = candidates(AutoPlacer(problem), problem.components["C1"])
+        assert len(xy)
         outline = problem.board(0).outline
-        inside = sum(1 for p in candidates if outline.contains_point(p))
-        assert inside / len(candidates) > 0.9
+        inside = sum(1 for x, y in xy.tolist() if outline.contains_point(Vec2(x, y)))
+        assert inside / len(xy) > 0.9
 
     def test_corner_candidates_only_with_obstacles(self):
         problem = build_small_problem()
-        gen = CandidateGenerator(problem)
+        placer = AutoPlacer(problem)
         comp = problem.components["C1"]
-        assert gen.corner_candidates(comp, 0.0) == []
+        bare = candidates(placer, comp)
+        # Without obstacles or partners every candidate is an area sample.
+        samples = {tuple(p) for s in placer._area_samples.values() for p in s.tolist()}
+        assert {tuple(p) for p in bare.tolist()} <= samples
         problem.components["C2"].placement = Placement2D.at(0.04, 0.03)
-        assert gen.corner_candidates(comp, 0.0)
+        assert len(candidates(placer, comp)) > len(bare)
 
     def test_corner_candidates_clear_the_obstacle(self):
         problem = build_small_problem()
         problem.components["C2"].placement = Placement2D.at(0.04, 0.03)
-        gen = CandidateGenerator(problem)
-        comp = problem.components["C1"]
-        obstacle = problem.components["C2"].footprint_aabb()
-        half_w = comp.component.footprint_w / 2.0
-        half_h = comp.component.footprint_h / 2.0
-        for p in gen.corner_candidates(comp, 0.0):
-            rect = obstacle  # candidate centres sit outside the inflation
-            assert not (
-                rect.xmin < p.x < rect.xmax and rect.ymin < p.y < rect.ymax
-            ) or (half_w == 0 and half_h == 0)
+        placer = AutoPlacer(problem)
+        comp, other = problem.components["C1"], problem.components["C2"]
+        obstacle = other.footprint_aabb()
+        clearance = problem.clearance_between(comp, other)
+        corners = candidates(placer, comp)[:8]
+        # Corners counter-clockwise from (xmin, ymin), then edge midpoints.
+        half = comp.component.half_extent(0.0)
+        rect = obstacle.inflated(max(half.x, half.y) + clearance + 1e-4)
+        xm, ym = (rect.xmin + rect.xmax) / 2.0, (rect.ymin + rect.ymax) / 2.0
+        expected = [[p.x, p.y] for p in rect.corners()]
+        expected += [[rect.xmin, ym], [rect.xmax, ym], [xm, rect.ymin], [xm, rect.ymax]]
+        assert corners.tolist() == expected
+        for x, y in corners.tolist():
+            body = footprint(comp, 0.0, x, y)
+            assert not body.overlaps(obstacle)
+            assert body.separation(obstacle) >= clearance
 
     def test_ring_candidates_on_circle(self):
         problem = build_small_problem()
-        gen = CandidateGenerator(problem)
-        comp = problem.components["C1"]
-        center = Vec2(0.04, 0.03)
-        candidates = gen.ring_candidates(comp, [(center, 0.025)], points=8)
-        assert len(candidates) == 8
-        for p in candidates:
-            assert abs(p.distance_to(center) - 0.025) < 1e-9
-
-    def test_ring_skips_nonpositive_radius(self):
-        problem = build_small_problem()
-        gen = CandidateGenerator(problem)
-        comp = problem.components["C1"]
-        assert gen.ring_candidates(comp, [(Vec2(0, 0), 0.0)]) == []
+        center, emd = Vec2(0.04, 0.03), 0.025
+        xy = candidates(AutoPlacer(problem), problem.components["C1"], partners=[(center, emd)])
+        radius = emd * 1.02 + 1e-4
+        ring = xy[:16].tolist()
+        assert ring == [
+            [p.x, p.y]
+            for p in (center + Vec2.from_polar(radius, 2.0 * math.pi * i / 16) for i in range(16))
+        ]
+        for x, y in ring:
+            assert abs(Vec2(x, y).distance_to(center) - radius) < 1e-9
 
     def test_all_candidates_deduplicated(self):
         problem = build_small_problem()
         problem.components["C2"].placement = Placement2D.at(0.04, 0.03)
-        gen = CandidateGenerator(problem)
+        placer = AutoPlacer(problem)
         comp = problem.components["C1"]
-        candidates = gen.candidate_array(comp, 0.0, 6e-3, [(Vec2(0.04, 0.03), 0.03)])
-        keys = {(round(x / 5e-4), round(y / 5e-4)) for x, y in candidates.tolist()}
-        assert len(keys) == len(candidates)
+        xy = candidates(placer, comp, partners=[(Vec2(0.04, 0.03), 0.03)])
+        keys = {(round(x / 5e-4), round(y / 5e-4)) for x, y in xy.tolist()}
+        assert len(keys) == len(xy)
+
+    def test_deduplication_keeps_the_first_point(self):
+        # A zero-EMD partner's 16 ring points (radius 0.1 mm) share one
+        # 0.5 mm lattice cell: only the first, at angle 0, survives.
+        problem = build_small_problem()
+        center = Vec2(0.04, 0.03)
+        xy = candidates(AutoPlacer(problem), problem.components["C1"], partners=[(center, 0.0)])
+        assert xy[0].tolist() == [center.x + 1e-4, center.y]
+        cell = np.rint(xy / 5e-4) == np.rint(xy[0] / 5e-4)
+        assert cell.all(axis=1).sum() == 1
 
     def test_preferred_area_first(self):
-        from repro.placement import PlacementArea
-        from repro.geometry import Polygon2D
-
         problem = build_small_problem()
         board = problem.board(0)
         board.areas.append(PlacementArea("l", Polygon2D.rectangle(0, 0, 0.04, 0.06)))
         board.areas.append(PlacementArea("r", Polygon2D.rectangle(0.04, 0, 0.08, 0.06)))
         comp = problem.components["C1"]
         comp.preferred_area = "r"
-        gen = CandidateGenerator(problem)
-        candidates = gen.area_candidates(comp, 0.0, 6e-3)
-        # The first candidates come from the preferred area.
-        assert candidates[0].x >= 0.04 - 1e-9
+        xy = candidates(AutoPlacer(problem), comp)
+        # The first candidates come from the preferred area ...
+        assert xy[0][0] >= 0.04 - 1e-9
+        # ... and the board's own area order is left alone.
+        assert [a.name for a in board.areas] == ["l", "r"]
 
 
 class TestAreaSampleMemo:
-    """A generator erodes each area once; its candidates stay those of a fresh one."""
+    """A placer erodes each area once; its candidates stay those of a fresh one."""
 
     @pytest.mark.parametrize(
         "build",
@@ -94,18 +119,16 @@ class TestAreaSampleMemo:
     )
     def test_reused_generator_equals_fresh(self, build, monkeypatch):
         problem = build()
-        reused = CandidateGenerator(problem)
+        reused = AutoPlacer(problem)
 
         def sweep(check):
-            # Both spacings, on one generator as the placer does.
+            # Both spacings, on one placer as its searches do.
             for spacing in (6e-3, 3e-3):
                 for comp in problem.components.values():
                     for rotation in comp.rotations():
-                        got = reused.candidate_array(comp, rotation, spacing)
+                        got = candidates(reused, comp, rotation, spacing)
                         if check:
-                            fresh = CandidateGenerator(problem).candidate_array(
-                                comp, rotation, spacing
-                            )
+                            fresh = candidates(AutoPlacer(problem), comp, rotation, spacing)
                             assert np.array_equal(got, fresh)
 
         sweep(check=True)
@@ -119,3 +142,62 @@ class TestAreaSampleMemo:
         monkeypatch.setattr(Polygon2D, "eroded", counted)
         sweep(check=False)
         assert erosions == []
+
+
+def scalar_candidates(problem, comp, rotation, spacing, partners):
+    """The per-object loops the array generator replaced, kept as its reference."""
+    half = comp.component.half_extent(rotation)
+    margin = max(half.x, half.y)
+    points = []
+    for other in problem.placed():
+        if other.board != comp.board or other.refdes == comp.refdes:
+            continue
+        rect = other.footprint_aabb().inflated(
+            margin + problem.clearance_between(comp, other) + 1e-4
+        )
+        xm, ym = (rect.xmin + rect.xmax) / 2.0, (rect.ymin + rect.ymax) / 2.0
+        points += rect.corners()
+        points += [Vec2(rect.xmin, ym), Vec2(rect.xmax, ym), Vec2(xm, rect.ymin), Vec2(xm, rect.ymax)]
+    for center, emd in partners:
+        radius = emd * 1.02 + 1e-4
+        points += [center + Vec2.from_polar(radius, 2.0 * math.pi * i / 16) for i in range(16)]
+    areas = problem.allowed_areas(comp)
+    preferred = [a for a in areas if a.name == comp.preferred_area]
+    for area in preferred + [a for a in areas if a.name != comp.preferred_area]:
+        eroded = area.polygon.eroded(margin)
+        target = eroded if eroded is not None else area.polygon
+        points += target.boundary_samples(spacing) + [target.centroid()]
+        xmin, _, xmax, _ = target.bbox()
+        points += target.grid_samples(max(spacing * 2.0, (xmax - xmin) / 8.0 or 1e-3))
+    kept, seen = [], set()
+    for p in points:
+        key = (round(p.x / 5e-4), round(p.y / 5e-4))  # half-to-even, like np.rint
+        if key not in seen:
+            seen.add(key)
+            kept.append([p.x, p.y])
+    return kept
+
+
+class TestScalarReference:
+    """Every search of a full placement run equals the per-object loops."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: BuckConverterDesign().placement_problem(), build_demo_board, build_small_problem],
+        ids=["buck", "demo_board", "small"],
+    )
+    def test_every_search_equals_the_object_loops(self, build, monkeypatch):
+        problem = build()
+        searched = AutoPlacer._candidates
+        rings = []
+
+        def checked(placer, comp, rotation, spacing, obstacles, clearances, partners):
+            got = searched(placer, comp, rotation, spacing, obstacles, clearances, partners)
+            assert got.tolist() == scalar_candidates(problem, comp, rotation, spacing, partners)
+            rings.append(len(partners))
+            return got
+
+        monkeypatch.setattr(AutoPlacer, "_candidates", checked)
+        AutoPlacer(problem).run()
+        assert len(rings) >= len(problem.components)
+        assert any(rings) == bool(problem.rules.min_distance)
