@@ -5,6 +5,7 @@ by rotating components.  This bench runs the placer with and without that
 step and reports the EMD budget, the achieved layout area and wirelength.
 """
 
+from repro import obs
 from repro.placement import (
     AutoPlacer,
     PlacementError,
@@ -20,7 +21,8 @@ def test_ablation_rotation(benchmark, design_flow, record):
         problem = design_flow.problem_with_rules()
         return RotationOptimizer(problem).optimize()
 
-    plan = benchmark(rotation_step)
+    with obs.get_tracer().span("bench.rounds"):
+        plan = benchmark(rotation_step)
 
     results = {}
     for label, enabled in (("with rotation", True), ("without rotation", False)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from ..geometry import Rect, Vec2
 from ..obs import get_tracer
 from ..rules import MinDistanceRule
-from .metrics import group_centroid, group_spread, net_hpwl
+from .metrics import member_centroid, member_spread, net_hpwl
 from .model import EMD_TOLERANCE, PlacedComponent, PlacementProblem
 
 __all__ = ["Violation", "RuleMarker", "DesignRuleChecker"]
@@ -150,34 +150,23 @@ class DesignRuleChecker:
 
     def check_min_distances(self, only: str | None = None) -> list[Violation]:
         """The EMC rules: centre distance >= EMD = PEMD * |cos(alpha)|."""
-        out: list[Violation] = []
-        for rule in self.problem.rules.min_distance:
-            if only is not None and only not in (rule.ref_a, rule.ref_b):
-                continue
-            violation = self._min_distance_violation(rule)
-            if violation is not None:
-                out.append(violation)
-        return out
+        return [
+            Violation(
+                "min_distance",
+                (rule.ref_a, rule.ref_b),
+                emd,
+                actual,
+                self._midpoint(rule),
+                f"{rule.ref_a}-{rule.ref_b} EMD {emd * 1e3:.1f} mm "
+                f"> distance {actual * 1e3:.1f} mm (PEMD {rule.pemd * 1e3:.1f} mm)",
+            )
+            for rule, emd, actual in self.problem.rule_distances(only)
+            if actual + EMD_TOLERANCE < emd
+        ]
 
-    def _min_distance_violation(self, rule: MinDistanceRule) -> Violation | None:
-        measured = self.problem.rule_distance(rule)
-        if measured is None:
-            return None
-        emd, actual = measured
-        if actual + EMD_TOLERANCE >= emd:
-            return None
-        a = self.problem.components[rule.ref_a]
-        b = self.problem.components[rule.ref_b]
-        mid = (a.center() + b.center()) / 2.0
-        return Violation(
-            "min_distance",
-            (rule.ref_a, rule.ref_b),
-            emd,
-            actual,
-            mid,
-            f"{rule.ref_a}-{rule.ref_b} EMD {emd * 1e3:.1f} mm "
-            f"> distance {actual * 1e3:.1f} mm (PEMD {rule.pemd * 1e3:.1f} mm)",
-        )
+    def _midpoint(self, rule: MinDistanceRule) -> Vec2:
+        components = self.problem.components
+        return (components[rule.ref_a].center() + components[rule.ref_b].center()) / 2.0
 
     def check_keepin(self, only: str | None = None) -> list[Violation]:
         """Footprints must lie inside an allowed placement area."""
@@ -225,29 +214,27 @@ class DesignRuleChecker:
         """Functional groups must be coherent.
 
         One condition per :class:`GroupCoherenceRule`: the spread of the
-        group's placed members (:func:`group_spread`) stays within the
-        rule's bound.  A group with fewer than two placed members is not
+        rule's placed members (:func:`member_spread`) stays within the
+        rule's bound.  A rule with fewer than two placed members is not
         checked.
         """
         out: list[Violation] = []
-        problem = self.problem
-        components = problem.components
-        for rule in problem.rules.groups:
+        components = self.problem.components
+        for rule in self.problem.rules.groups:
             members = [
                 components[r] for r in rule.members if r in components and components[r].is_placed
             ]
             if len(members) < 2:
                 continue
-            spread = group_spread(problem, rule.group)
+            spread = member_spread(members)
             if spread > rule.max_spread:
-                centroid = group_centroid(problem, rule.group) or Vec2.zero()
                 out.append(
                     Violation(
                         "group",
                         tuple(rule.members),
                         rule.max_spread,
                         spread,
-                        centroid,
+                        member_centroid(members) or Vec2.zero(),
                         f"group {rule.group!r} spread {spread * 1e3:.1f} mm "
                         f"> {rule.max_spread * 1e3:.1f} mm",
                     )
@@ -315,15 +302,7 @@ class DesignRuleChecker:
     def rule_markers(self) -> list[RuleMarker]:
         """One circle per applicable min-distance rule — the red/green
         Fig. 15/17 data."""
-        problem = self.problem
-        markers: list[RuleMarker] = []
-        for rule in problem.rules.min_distance:
-            measured = problem.rule_distance(rule)
-            if measured is None:
-                continue
-            emd, distance = measured
-            a = problem.components[rule.ref_a]
-            b = problem.components[rule.ref_b]
-            center = (a.center() + b.center()) / 2.0
-            markers.append(RuleMarker(rule.ref_a, rule.ref_b, center, emd, distance))
-        return markers
+        return [
+            RuleMarker(rule.ref_a, rule.ref_b, self._midpoint(rule), emd, distance)
+            for rule, emd, distance in self.problem.rule_distances()
+        ]

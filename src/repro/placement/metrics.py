@@ -8,10 +8,12 @@ adviser's goal is *"minimization of the system volume"*).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from itertools import combinations
 
 from ..components import Component
 from ..geometry import Rect, Vec2
-from .model import Net, PlacementProblem
+from .model import Net, PlacedComponent, PlacementProblem
 
 __all__ = [
     "net_hpwl",
@@ -84,9 +86,8 @@ def placement_area(problem: PlacementProblem, board: int | None = None) -> float
     return box.area() if box is not None else 0.0
 
 
-def group_centroid(problem: PlacementProblem, group: str) -> Vec2 | None:
-    """Mean position of a group's placed members."""
-    members = [c for c in problem.group_members(group) if c.is_placed]
+def member_centroid(members: Sequence[PlacedComponent]) -> Vec2 | None:
+    """Mean centre of placed components; None for none."""
     if not members:
         return None
     sx = sum(c.center().x for c in members)
@@ -94,39 +95,33 @@ def group_centroid(problem: PlacementProblem, group: str) -> Vec2 | None:
     return Vec2(sx / len(members), sy / len(members))
 
 
+def member_spread(members: Sequence[PlacedComponent]) -> float:
+    """Diameter of the placed components' centre point set [m]."""
+    centers = [c.center() for c in members]
+    return max((p.distance_to(q) for p, q in combinations(centers, 2)), default=0.0)
+
+
+def group_centroid(problem: PlacementProblem, group: str) -> Vec2 | None:
+    """Mean position of a group's placed members."""
+    return member_centroid([c for c in problem.group_members(group) if c.is_placed])
+
+
 def group_spread(problem: PlacementProblem, group: str) -> float:
     """Diameter of the group's member-centre point set [m]."""
-    members = [c for c in problem.group_members(group) if c.is_placed]
-    if len(members) < 2:
-        return 0.0
-    best = 0.0
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            best = max(best, members[i].center().distance_to(members[j].center()))
-    return best
+    return member_spread([c for c in problem.group_members(group) if c.is_placed])
 
 
 def emd_slack_sum(problem: PlacementProblem) -> float:
     """Total shortfall of min-distance rules [m]; 0 for a rule-clean layout.
 
-    For each applicable PEMD rule (``PlacementProblem.rule_distance``),
+    For each applicable PEMD rule (``PlacementProblem.rule_distances``),
     accumulates ``max(0, EMD - actual_distance)``.
     """
-    total = 0.0
-    for rule in problem.rules.min_distance:
-        measured = problem.rule_distance(rule)
-        if measured is not None:
-            emd, actual = measured
-            total += max(0.0, emd - actual)
-    return total
+    return sum((max(0.0, emd - actual) for _rule, emd, actual in problem.rule_distances()), 0.0)
 
 
 def worst_emd_margin(problem: PlacementProblem) -> float:
     """Smallest (actual - EMD) over all applicable rules [m]; +inf if none."""
-    worst = math.inf
-    for rule in problem.rules.min_distance:
-        measured = problem.rule_distance(rule)
-        if measured is not None:
-            emd, actual = measured
-            worst = min(worst, actual - emd)
-    return worst
+    return min(
+        (actual - emd for _rule, emd, actual in problem.rule_distances()), default=math.inf
+    )

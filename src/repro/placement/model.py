@@ -17,6 +17,7 @@ The live state is :class:`PlacementProblem`; rules live in a
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..components import Component
@@ -331,20 +332,24 @@ class PlacementProblem:
             max(self.default_clearance, a.component.clearance, b.component.clearance),
         )
 
-    def rule_distance(self, rule: MinDistanceRule) -> tuple[float, float] | None:
-        """(EMD, centre distance) of a min-distance rule [m], or None when
-        it does not apply: a part is missing or unplaced, or the two sit on
-        different boards (rigid separation decouples them)."""
-        a = self.components.get(rule.ref_a)
-        b = self.components.get(rule.ref_b)
-        if a is None or b is None or a.placement is None or b.placement is None:
-            return None
-        if a.board != b.board:
-            return None
-        emd = emd_for_pair(
-            a.component, a.placement, b.component, b.placement, rule.pemd, rule.residual
-        )
-        return emd, a.center().distance_to(b.center())
+    def rule_distances(
+        self, only: str | None = None
+    ) -> Iterator[tuple[MinDistanceRule, float, float]]:
+        """(rule, EMD, centre distance) [m] of each min-distance rule that
+        applies, in rule order; with ``only``, just that part's rules.  A
+        rule applies when both parts are placed on the same board."""
+        rules = self.rules.min_distance if only is None else self.rules.rules_involving(only)
+        for rule in rules:
+            a = self.components.get(rule.ref_a)
+            b = self.components.get(rule.ref_b)
+            if a is None or b is None or a.placement is None or b.placement is None:
+                continue
+            if a.board != b.board:
+                continue  # Rigid separation decouples the boards.
+            emd = emd_for_pair(
+                a.component, a.placement, b.component, b.placement, rule.pemd, rule.residual
+            )
+            yield rule, emd, a.center().distance_to(b.center())
 
     def pair_count(self) -> int:
         """n(n-1)/2 — the paper's bound on definable minimum distances."""

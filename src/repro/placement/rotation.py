@@ -16,12 +16,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..geometry import Placement2D, Vec2
-from ..rules import MinDistanceRule, effective_min_distance
+from ..geometry import Placement2D, Vec2, Vec3
+from ..rules import emd_between_axes, emd_floor
 from ..units import Degrees, Meters
 from .model import PlacementProblem
 
 __all__ = ["RotationPlan", "RotationOptimizer"]
+
+#: Bound on the coordinate-descent sweeps over the rule-bound parts.
+MAX_PASSES = 12
+
+#: One rule's EMD term: both refdes, both parts' world axes by rotation
+#: choice [deg], the PEMD [m] and the residual floor [-].
+_Term = tuple[str, str, dict[Degrees, Vec3], dict[Degrees, Vec3], Meters, float]
 
 
 @dataclass
@@ -42,121 +49,88 @@ class RotationPlan:
 class RotationOptimizer:
     """Minimises the total EMD sum over discrete rotation choices."""
 
-    def __init__(self, problem: PlacementProblem, max_passes: int = 12):
+    def __init__(self, problem: PlacementProblem):
         self.problem = problem
-        self.max_passes = max_passes
-        # Precompute in-plane axis angle per component at rotation 0 and
-        # whether the axis is rotation-sensitive at all.
-        self._axis0: dict[str, float] = {}
-        self._inplane: dict[str, bool] = {}
-        for ref, placed in problem.components.items():
-            axis = placed.component.magnetic_axis_local()
-            inplane = placed.component.has_inplane_axis()
-            self._inplane[ref] = inplane
-            self._axis0[ref] = math.atan2(axis.y, axis.x) if inplane else 0.0
-
-    def _emd(self, rule: MinDistanceRule, rot_a: Degrees, rot_b: Degrees) -> Meters:
-        """EMD under hypothetical rotations (degrees), with residual floors."""
-        a = self.problem.components[rule.ref_a]
-        b = self.problem.components[rule.ref_b]
-        residual = max(
-            a.component.decoupling_residual,
-            b.component.decoupling_residual,
-            rule.residual,
-        )
-        in_a, in_b = self._inplane[rule.ref_a], self._inplane[rule.ref_b]
-        if not in_a or not in_b:
-            # A vertical axis is rotation invariant: alpha is the fixed 3-D
-            # angle, conservatively evaluated from the actual axes.
-            pa = Placement2D(Vec2.zero(), math.radians(rot_a))
-            pb = Placement2D(Vec2.zero(), math.radians(rot_b))
-            axis_a = a.component.magnetic_axis_world(pa)
-            axis_b = b.component.magnetic_axis_world(pb)
-            cos = min(1.0, abs(axis_a.dot(axis_b)))
-            return effective_min_distance(rule.pemd, math.acos(cos), residual)
-        angle_a = self._axis0[rule.ref_a] + math.radians(rot_a)
-        angle_b = self._axis0[rule.ref_b] + math.radians(rot_b)
-        return effective_min_distance(rule.pemd, angle_a - angle_b, residual)
-
-    def _emd_sum(self, rotations: dict[str, Degrees]) -> Meters:
-        return sum(
-            self._emd(r, rotations[r.ref_a], rotations[r.ref_b])
-            for r in self.problem.rules.min_distance
-            if r.ref_a in rotations and r.ref_b in rotations
-        )
 
     def optimize(self) -> RotationPlan:
         """Run coordinate descent; fixed components keep their rotation.
 
+        Each part's world axis is computed once per rotation choice and
+        each rule's residual floor once; every cost is then
+        :func:`repro.rules.emd_between_axes` of the two axes.
+
         Returns the plan; the caller (usually :class:`AutoPlacer`) applies
         the rotations when it places each component.
         """
-        problem = self.problem
-        rotations: dict[str, float] = {}
-        for ref, placed in problem.components.items():
-            # rotations() lists the preferred angle first when set.
-            rotations[ref] = (
-                placed.placement.rotation_deg
-                if placed.is_placed
-                else placed.rotations()[0]
-            )
-        initial = self._emd_sum(rotations)
+        components = self.problem.components
+        # rotations() lists the preferred angle first when set.
+        rotations: dict[str, Degrees] = {
+            ref: placed.placement.rotation_deg if placed.is_placed else placed.rotations()[0]
+            for ref, placed in components.items()
+        }
 
-        # Components involved in at least one rule, most-constrained first.
-        involved: dict[str, list[MinDistanceRule]] = {}
-        for rule in problem.rules.min_distance:
-            involved.setdefault(rule.ref_a, []).append(rule)
-            involved.setdefault(rule.ref_b, []).append(rule)
+        # Each rule as a term: both parts' axes by rotation choice (each
+        # computed once), its PEMD and its residual floor.
+        known = [
+            rule
+            for rule in self.problem.rules.min_distance
+            if rule.ref_a in components and rule.ref_b in components
+        ]
+        axes = {
+            ref: {
+                angle: components[ref].component.magnetic_axis_world(
+                    Placement2D(Vec2.zero(), math.radians(angle))
+                )
+                for angle in (rotations[ref], *components[ref].rotations())
+            }
+            for ref in {ref for rule in known for ref in (rule.ref_a, rule.ref_b)}
+        }
+        terms: list[_Term] = []
+        involved: dict[str, list[_Term]] = {}
+        for rule in known:
+            a, b = rule.ref_a, rule.ref_b
+            floor = emd_floor(components[a].component, components[b].component, rule.residual)
+            term = (a, b, axes[a], axes[b], rule.pemd, floor)
+            terms.append(term)
+            involved.setdefault(a, []).append(term)
+            involved.setdefault(b, []).append(term)
+        # Most-constrained part first.
         order = sorted(
-            involved,
-            key=lambda ref: sum(r.pemd for r in involved[ref]),
-            reverse=True,
+            involved, key=lambda ref: sum(term[4] for term in involved[ref]), reverse=True
         )
 
+        def emd_sum(part: list[_Term]) -> Meters:
+            return sum(
+                emd_between_axes(axes_a[rotations[a]], axes_b[rotations[b]], pemd, floor)
+                for a, b, axes_a, axes_b, pemd, floor in part
+            )
+
+        initial = emd_sum(terms)
         passes = 0
-        for _pass in range(self.max_passes):
+        for _pass in range(MAX_PASSES):
             passes += 1
             changed = False
             for ref in order:
-                placed = problem.components.get(ref)
-                if placed is None or placed.fixed:
-                    continue
-                if not self._inplane.get(ref, False):
+                placed = components[ref]
+                if placed.fixed or not placed.component.has_inplane_axis():
                     continue  # Rotation cannot help a vertical-axis part.
-                best_angle = rotations[ref]
-                best_cost = self._local_cost(ref, best_angle, rotations, involved)
+                current = rotations[ref]
+                best_angle, best_cost = current, emd_sum(involved[ref])
                 for angle in placed.rotations():
-                    cost = self._local_cost(ref, angle, rotations, involved)
+                    if angle == current:
+                        continue  # Its cost is best_cost already.
+                    rotations[ref] = angle  # Only this part's rules move.
+                    cost = emd_sum(involved[ref])
                     if cost < best_cost - 1e-12:
-                        best_cost = cost
-                        best_angle = angle
-                if best_angle != rotations[ref]:
-                    rotations[ref] = best_angle
-                    changed = True
+                        best_cost, best_angle = cost, angle
+                rotations[ref] = best_angle
+                changed |= best_angle != current
             if not changed:
                 break
 
-        final = self._emd_sum(rotations)
         return RotationPlan(
             rotations_deg=rotations,
             initial_emd_sum=initial,
-            final_emd_sum=final,
+            final_emd_sum=emd_sum(terms),
             passes=passes,
         )
-
-    def _local_cost(
-        self,
-        ref: str,
-        angle: Degrees,
-        rotations: dict[str, Degrees],
-        involved: dict[str, list[MinDistanceRule]],
-    ) -> Meters:
-        total = 0.0
-        for rule in involved.get(ref, ()):  # Only this component's rules move.
-            other = rule.ref_b if rule.ref_a == ref else rule.ref_a
-            rot_a = angle if rule.ref_a == ref else rotations[rule.ref_a]
-            rot_b = angle if rule.ref_b == ref else rotations[rule.ref_b]
-            if other not in rotations:
-                continue
-            total += self._emd(rule, rot_a, rot_b)
-        return total

@@ -5,7 +5,14 @@ minimum-distance system the placement tool enforces.
 """
 
 from .derive import PemdDerivation, derive_pemd, derive_rule_set
-from .emd import axis_angle, effective_min_distance, emd_factor, emd_for_pair
+from .emd import (
+    axis_angle,
+    effective_min_distance,
+    emd_between_axes,
+    emd_factor,
+    emd_floor,
+    emd_for_pair,
+)
 from .rule_types import (
     ClearanceRule,
     GroupCoherenceRule,
@@ -24,7 +31,9 @@ __all__ = [
     "RuleSet",
     "axis_angle",
     "emd_factor",
+    "emd_floor",
     "effective_min_distance",
+    "emd_between_axes",
     "emd_for_pair",
     "derive_pemd",
     "derive_rule_set",

@@ -17,8 +17,14 @@ Two refinements keep the rule physical for the full component zoo:
 * each component contributes a **decoupling residual** — the fraction of
   the rule that no rotation removes (1 for vertical-axis parts, ~0.6 for
   three-winding CM chokes with their rotating stray fields, 0 for clean
-  in-plane dipoles).  The effective reduction factor is
-  ``max(|cos(alpha)|, residual_a, residual_b)``.
+  in-plane dipoles).  With the rule's own residual they set the floor
+  ``min(1, max(residual_a, residual_b, rule_residual))``, and the effective
+  reduction factor is ``max(|cos(alpha)|, floor)``.
+
+This module is the one place that arithmetic is done.  The pair functions,
+the placer, the DRC, the metrics and the rotation step all reach
+:func:`effective_min_distance` through the angle between the two parts'
+world axes (:func:`emd_between_axes`) and the floor (:func:`emd_floor`).
 """
 
 from __future__ import annotations
@@ -26,15 +32,27 @@ from __future__ import annotations
 import math
 
 from ..components import Component
-from ..geometry import Placement2D
+from ..geometry import Placement2D, Vec3
 from ..units import Dimensionless, Meters, Radians
 
 __all__ = [
     "axis_angle",
     "emd_factor",
+    "emd_floor",
     "effective_min_distance",
+    "emd_between_axes",
     "emd_for_pair",
 ]
+
+
+def _reduction(alpha_rad: Radians, floor: Dimensionless) -> Dimensionless:
+    """The cos(alpha) law against its floor: ``max(|cos(alpha)|, floor)``."""
+    return max(abs(math.cos(alpha_rad)), floor)
+
+
+def _axes_angle(axis_a: Vec3, axis_b: Vec3) -> Radians:
+    """Angle between two unsigned unit axes, folded into ``[0, pi/2]``."""
+    return math.acos(min(1.0, abs(axis_a.dot(axis_b))))
 
 
 def axis_angle(
@@ -57,11 +75,21 @@ def axis_angle(
     Returns:
         The folded axis angle [rad], in ``[0, pi/2]``.
     """
-    axis_a = comp_a.magnetic_axis_world(placement_a)
-    axis_b = comp_b.magnetic_axis_world(placement_b)
-    cos = abs(axis_a.dot(axis_b))
-    cos = min(1.0, max(0.0, cos))
-    return math.acos(cos)
+    return _axes_angle(
+        comp_a.magnetic_axis_world(placement_a), comp_b.magnetic_axis_world(placement_b)
+    )
+
+
+def emd_floor(
+    comp_a: Component, comp_b: Component, rule_residual: Dimensionless = 0.0
+) -> Dimensionless:
+    """The fraction of a rule no rotation removes [-], in [0, 1]:
+    ``min(1, max(residual_a, residual_b, rule_residual))``, from the parts
+    (vertical axes, rotating stray fields) and from the rule itself (its
+    perpendicular-axes coupling, measured by the PEMD derivation)."""
+    return min(
+        1.0, max(comp_a.decoupling_residual, comp_b.decoupling_residual, rule_residual)
+    )
 
 
 def emd_factor(
@@ -71,10 +99,7 @@ def emd_factor(
     placement_b: Placement2D,
     rule_residual: Dimensionless = 0.0,
 ) -> Dimensionless:
-    """The PEMD reduction factor ``max(|cos(alpha)|, residuals)`` in [0, 1].
-
-    Floors come from both the components (vertical axes, rotating stray
-    fields) and the rule itself (measured perpendicular-axes coupling).
+    """The PEMD reduction factor ``max(|cos(alpha)|, floor)`` in [0, 1].
 
     Args:
         comp_a, comp_b: the components (each carries its own decoupling
@@ -82,17 +107,15 @@ def emd_factor(
         placement_a, placement_b: board placements (positions [m],
             rotations [rad]).
         rule_residual: rotation-proof fraction of the rule itself [-],
-            in [0, 1] — from the perpendicular-axes sweep of the PEMD
-            derivation.
+            in [0, 1] (see :func:`emd_floor`).
 
     Returns:
         The dimensionless factor multiplying the PEMD, in [0, 1].
     """
-    alpha = axis_angle(comp_a, placement_a, comp_b, placement_b)
-    floor = max(
-        comp_a.decoupling_residual, comp_b.decoupling_residual, rule_residual
+    return _reduction(
+        axis_angle(comp_a, placement_a, comp_b, placement_b),
+        emd_floor(comp_a, comp_b, rule_residual),
     )
-    return max(abs(math.cos(alpha)), min(1.0, floor))
 
 
 def effective_min_distance(
@@ -115,7 +138,19 @@ def effective_min_distance(
         raise ValueError("pemd must be non-negative")
     if not 0.0 <= residual <= 1.0:
         raise ValueError("residual must lie in [0, 1]")
-    return pemd * max(abs(math.cos(alpha_rad)), residual)
+    return pemd * _reduction(alpha_rad, residual)
+
+
+def emd_between_axes(
+    axis_a: Vec3, axis_b: Vec3, pemd: Meters, floor: Dimensionless
+) -> Meters:
+    """Effective minimum distance [m] of a rule between two unit world axes,
+    from its PEMD [m] and its :func:`emd_floor` [-].
+
+    Raises:
+        ValueError: for a negative PEMD or a floor outside [0, 1].
+    """
+    return effective_min_distance(pemd, _axes_angle(axis_a, axis_b), floor)
 
 
 def emd_for_pair(
@@ -142,9 +177,9 @@ def emd_for_pair(
     Raises:
         ValueError: for a negative PEMD.
     """
-    if pemd < 0.0:
-        raise ValueError("pemd must be non-negative")
-    return pemd * emd_factor(
-        comp_a, placement_a, comp_b, placement_b, rule_residual
+    return emd_between_axes(
+        comp_a.magnetic_axis_world(placement_a),
+        comp_b.magnetic_axis_world(placement_b),
+        pemd,
+        emd_floor(comp_a, comp_b, rule_residual),
     )
-

@@ -95,10 +95,10 @@ class ClearanceRule(Rule):
 class GroupCoherenceRule(Rule):
     """Functional group that must be placed in one coherent area.
 
-    ``max_spread`` bounds the group's bounding-circle diameter relative to
-    the tightest packing; the DRC additionally verifies that no foreign
-    component sits inside the group's hull (coherence in the paper's
-    sense — groups occupy separate coherent areas).
+    ``max_spread`` bounds the diameter of the centre point set of the
+    rule's placed ``members``; that bound is all the DRC checks.  The
+    paper's coherence also keeps foreign parts out of a group's area;
+    neither the DRC nor the placer checks that yet (ROADMAP item 2).
     """
 
     group: str = ""

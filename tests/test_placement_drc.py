@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.components import FilmCapacitorX2
-from repro.geometry import Cuboid, Placement2D, Polygon2D, Rect
+from repro.geometry import Cuboid, Placement2D, Polygon2D, Rect, Vec2
+from repro.io import read_problem
 from repro.placement import (
     Board,
     DesignRuleChecker,
+    InteractiveSession,
     Keepout3D,
     PlacedComponent,
     PlacementProblem,
@@ -156,6 +158,52 @@ class TestGroupsAndNets:
         )
         violations = DesignRuleChecker(problem).check_groups()
         assert any(v.kind == "group" for v in violations)
+
+    def test_group_rule_without_tagged_parts(self):
+        """A rule whose group no part carries is measured over its members,
+        in the full check and in the online DRC."""
+        problem = build_small_problem()
+        spread_layout(problem)
+        problem.rules.groups.append(
+            GroupCoherenceRule(group="g", members=("C1", "C3"), max_spread=0.03)
+        )
+        c1, c3 = problem.components["C1"].center(), problem.components["C3"].center()
+        [violation] = [v for v in DesignRuleChecker(problem).check_all() if v.kind == "group"]
+        assert violation.refs == ("C1", "C3")
+        assert violation.actual == c1.distance_to(c3)
+        assert violation.location.distance_to((c1 + c3) / 2.0) < 1e-15
+        session = InteractiveSession(problem)
+        session.select("C2")
+        moved = session.move_to(Vec2(0.05, 0.03))
+        assert [v.refs for v in moved.violations if v.kind == "group"] == [("C1", "C3")]
+
+    def test_group_rule_measures_its_own_members(self):
+        """The rule's members, not the problem group of the same name."""
+        problem = build_small_problem()
+        spread_layout(problem)
+        problem.define_group("g", ["C1", "C2"])
+        problem.rules.groups.append(
+            GroupCoherenceRule(group="g", members=("C1", "C3"), max_spread=0.03)
+        )
+        c1, c3 = problem.components["C1"].center(), problem.components["C3"].center()
+        [violation] = DesignRuleChecker(problem).check_groups()
+        assert violation.refs == ("C1", "C3")
+        assert violation.actual == c1.distance_to(c3)
+
+    def test_ascii_group_rule_without_group_attributes(self):
+        problem = read_problem(
+            "EMIPLACE 1\n"
+            "BOARD 0\n  OUTLINE 0,0 70,0 70,50 0,50\nEND\n"
+            "COMP CX1 TYPE FilmCapacitorX2 PN CX1-X2 SIZE 18x8x15 FIXED AT 15 15 ROT 0\n"
+            "COMP LF1 TYPE BobbinChoke PN LF1-CH SIZE 12x10x12 FIXED AT 55 35 ROT 0\n"
+            "RULE GROUP flt SPREAD 20 MEMBERS CX1,LF1\n"
+        )
+        assert problem.groups == []
+        [violation] = DesignRuleChecker(problem).check_all()
+        assert (violation.kind, violation.refs) == ("group", ("CX1", "LF1"))
+        assert violation.actual == problem.components["CX1"].center().distance_to(
+            problem.components["LF1"].center()
+        )
 
     def test_net_length_violation(self):
         problem = build_small_problem()

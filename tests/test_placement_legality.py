@@ -24,7 +24,7 @@ from repro.placement import (
     PlacementError,
     PlacementProblem,
 )
-from repro.rules import ClearanceRule, MinDistanceRule
+from repro.rules import ClearanceRule, MinDistanceRule, RuleSet
 
 ROOT = Path(__file__).resolve().parents[1]
 BOARDS = ROOT / "examples" / "boards"
@@ -136,15 +136,18 @@ class TestRuleDistance:
         a = problem.add_component(PlacedComponent("A", FilmCapacitorX2()))
         b = problem.add_component(PlacedComponent("B", FilmCapacitorX2()))
         rule = MinDistanceRule("A", "B", pemd=0.02)
-        assert problem.rule_distance(MinDistanceRule("A", "Z", pemd=0.02)) is None
-        assert problem.rule_distance(rule) is None  # unplaced
+        problem.rules = RuleSet(min_distance=[MinDistanceRule("A", "Z", pemd=0.02), rule])
+        assert list(problem.rule_distances()) == []  # Z is missing, A and B unplaced
         a.placement = Placement2D.at(0.01, 0.03)
         b.placement = Placement2D.at(0.04, 0.03)
-        emd, distance = problem.rule_distance(rule)
+        [(applied, emd, distance)] = problem.rule_distances()
+        assert applied is rule
         assert emd == pytest.approx(0.02)
         assert distance == pytest.approx(0.03)
+        assert [r for r, _e, _d in problem.rule_distances(only="B")] == [rule]
+        assert list(problem.rule_distances(only="Z")) == []
         b.board = 1
-        assert problem.rule_distance(rule) is None
+        assert list(problem.rule_distances()) == []
 
 
 #: The DRC categories a placer decision is responsible for.
