@@ -6,6 +6,7 @@ reproduction's model of the same system: every part's field model size,
 the circuit element counts, and the end-to-end model-build time.
 """
 
+from repro import obs
 from repro.converters import COUPLING_BRANCHES
 from repro.viz import series_table
 
@@ -16,7 +17,10 @@ def test_fig11_buck_model(benchmark, buck_design, record):
         problem = buck_design.placement_problem()
         return circuit, meas, problem
 
-    circuit, meas, problem = benchmark(build_model)
+    # The span covers pytest-benchmark's rounds, including its own timing
+    # loop between the calls.
+    with obs.get_tracer().span("bench.rounds"):
+        circuit, meas, problem = benchmark(build_model)
 
     parts = buck_design.parts()
     rows = []

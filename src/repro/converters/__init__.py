@@ -10,6 +10,7 @@ from .cmdm import DEFAULT_HEATSINK_CAPACITANCE, build_cmdm_circuit, cmdm_spectra
 from .demo_board import DEMO_DEVICE_COUNT, DEMO_RULE_COUNT, build_demo_board
 from .layout_coupling import layout_couplings
 from .measurement import perturb_circuit, synthesize_measurement
+from .network import apply_couplings
 
 __all__ = [
     "BuckConverterDesign",
@@ -17,6 +18,7 @@ __all__ = [
     "BOOST_COUPLING_BRANCHES",
     "COUPLING_BRANCHES",
     "CAPACITIVE_NODES",
+    "apply_couplings",
     "build_cmdm_circuit",
     "cmdm_spectra",
     "DEFAULT_HEATSINK_CAPACITANCE",

@@ -19,6 +19,7 @@ harmonic current divides between L1 (to the source) and the switch leg.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from ..components import (
 from ..emi import Spectrum, add_lisn
 from ..geometry import Polygon2D
 from ..placement import Board, PlacedComponent, PlacementProblem
-from .buck import capacitance_of
+from .network import add_input_filter, add_part_capacitor, apply_couplings, conducted_harmonics
 
 __all__ = ["BoostConverterDesign", "BOOST_COUPLING_BRANCHES"]
 
@@ -66,6 +67,8 @@ class BoostConverterDesign:
         output_current: DC load current [A].
         switching_frequency: converter fundamental [Hz].
         t_rise, t_fall: switch-node edge times [s].
+        coupling_branches: the circuit's coupling surface,
+            :data:`BOOST_COUPLING_BRANCHES`.
     """
 
     input_voltage: float = 12.0
@@ -77,6 +80,7 @@ class BoostConverterDesign:
     board_width: float = 70e-3
     board_height: float = 50e-3
     hot_loop_esl: float = 12e-9
+    coupling_branches: ClassVar[dict[str, str]] = BOOST_COUPLING_BRANCHES
     _parts: dict[str, Component] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
@@ -171,27 +175,14 @@ class BoostConverterDesign:
         c = Circuit(title="boost converter EMI model")
         c.add_vsource("VSUP", "supply", "0", dc=self.input_voltage, ac=0.0)
         add_lisn(c, "LISN", "supply", "vin")
-
-        cx1 = parts["CX1"]
-        c.add_real_capacitor("CX1", "vin", "0", capacitance_of(cx1), esr=cx1.esr, esl=cx1.esl)
-        lf1 = parts["LF1"]
-        c.add_real_inductor("LF1", "vin", "vbus", lf1.inductance, esr=lf1.esr, epc=5e-12)
-        cx2 = parts["CX2"]
-        c.add_real_capacitor("CX2", "vbus", "0", capacitance_of(cx2), esr=cx2.esr, esl=cx2.esl)
+        add_input_filter(c, parts, "0", {})
 
         # The boost inductor carries the input current continuously; only
         # its ripple (and the chopped current beyond it) excites the line.
         l1 = parts["L1"]
         c.add_real_inductor("L1", "vbus", "sw", l1.inductance, esr=l1.esr, epc=8e-12)
 
-        i_noise = TrapezoidSource(
-            0.0,
-            self.input_current,
-            self.switching_frequency,
-            duty=self.duty,
-            t_rise=self.t_rise,
-            t_fall=self.t_fall,
-        )
+        i_noise, v_noise = self.sources()
         c.add_inductor("LHOT", "sw", "vq", self.hot_loop_esl)
         c.add_isource("INOISE", "vq", "0", spectrum=i_noise.spectrum_callable())
 
@@ -200,47 +191,25 @@ class BoostConverterDesign:
         # this gives the chopped current a zero-impedance path into COUT,
         # which is what keeps the *input* inductor current continuous —
         # the defining EMI property of the boost topology.
-        v_noise = TrapezoidSource(
-            0.0,
-            self.output_voltage,
-            self.switching_frequency,
-            duty=1.0 - self.duty,
-            t_rise=self.t_rise,
-            t_fall=self.t_fall,
-        )
         c.add_vsource("VD", "sw", "vrect", spectrum=v_noise.spectrum_callable())
-        cout = parts["COUT"]
-        c.add_real_capacitor(
-            "COUT", "vrect", "0", capacitance_of(cout), esr=cout.esr, esl=cout.esl
-        )
-        co2 = parts["CO2"]
-        c.add_real_capacitor("CO2", "vrect", "0", capacitance_of(co2), esr=co2.esr, esl=co2.esl)
+        add_part_capacitor(c, parts, "COUT", "vrect", "0")
+        add_part_capacitor(c, parts, "CO2", "vrect", "0")
         c.add_resistor("RLOAD", "vrect", "0", self.output_voltage / self.output_current)
 
         if couplings:
-            self.apply_couplings(c, couplings)
+            apply_couplings(c, couplings, self.coupling_branches)
         return c, "LISN.meas"
 
-    def apply_couplings(
-        self, circuit: Circuit, couplings: dict[tuple[str, str], float]
-    ) -> int:
-        """Insert layout couplings; returns how many were applied."""
-        ref_to_branch = {ref: br for br, ref in BOOST_COUPLING_BRANCHES.items()}
-        applied = 0
-        for (ref_a, ref_b), k in couplings.items():
-            branch_a = ref_to_branch.get(ref_a)
-            branch_b = ref_to_branch.get(ref_b)
-            if branch_a is None or branch_b is None or abs(k) < 1e-9:
-                continue
-            circuit.set_coupling(branch_a, branch_b, float(np.clip(k, -0.999, 0.999)))
-            applied += 1
-        return applied
+    def sources(self) -> tuple[TrapezoidSource, TrapezoidSource]:
+        """(switch-leg current source, diode voltage source)."""
+        f0, tr, tf = self.switching_frequency, self.t_rise, self.t_fall
+        current = TrapezoidSource(0.0, self.input_current, f0, self.duty, tr, tf)
+        voltage = TrapezoidSource(0.0, self.output_voltage, f0, 1.0 - self.duty, tr, tf)
+        return current, voltage
 
     def harmonic_frequencies(self, f_max: float = 108e6) -> np.ndarray:
         """Switching harmonics inside the CISPR 25 conducted range."""
-        n_max = int(f_max / self.switching_frequency)
-        freqs = self.switching_frequency * np.arange(1, n_max + 1, dtype=float)
-        return freqs[freqs >= 150e3 * 0.99]
+        return conducted_harmonics(self.sources()[0], f_max)
 
     def emission_spectrum(
         self,

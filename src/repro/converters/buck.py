@@ -21,6 +21,7 @@ output port.  Both waveforms carry exact harmonic phasors from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,6 +42,13 @@ from ..components import (
 from ..emi import Spectrum, add_lisn
 from ..geometry import Polygon2D
 from ..placement import Board, PlacedComponent, PlacementProblem
+from .network import (
+    add_input_filter,
+    add_part_capacitor,
+    apply_couplings,
+    conducted_harmonics,
+    split_trace,
+)
 
 __all__ = ["BuckConverterDesign", "COUPLING_BRANCHES", "CAPACITIVE_NODES"]
 
@@ -87,6 +95,8 @@ class BuckConverterDesign:
         t_rise, t_fall: switch-node edge times [s] — the spectral knobs.
         board_width, board_height: placement area [m].
         hot_loop_esl: lumped inductance of the Q1/D1 commutation loop [H].
+        coupling_branches: the circuit's coupling surface,
+            :data:`COUPLING_BRANCHES`.
     """
 
     input_voltage: float = 12.0
@@ -98,6 +108,7 @@ class BuckConverterDesign:
     board_width: float = 70e-3
     board_height: float = 50e-3
     hot_loop_esl: float = 12e-9
+    coupling_branches: ClassVar[dict[str, str]] = COUPLING_BRANCHES
     _parts: dict[str, Component] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
@@ -245,74 +256,44 @@ class BuckConverterDesign:
                 nets are ideal.  The nets split the standard nodes with
                 ``#t`` suffixes, preserving the base node names.
         """
-        parts = self.parts()
-        lt = trace_inductances or {}
         c = Circuit(title="buck converter EMI model")
-
-        def trace(net: str, n_from: str) -> str:
-            value = lt.get(net, 0.0)
-            if value <= 0.0:
-                return n_from
-            n_to = f"{n_from}#t"
-            c.add_inductor(f"LT_{net}", n_from, n_to, value)
-            return n_to
-
         # Ideal supply: DC rail, AC short.
         c.add_vsource("VSUP", "supply", "0", dc=self.input_voltage, ac=0.0)
         add_lisn(c, "LISN", "supply", "vin")
+        self.add_power_path(c, "0", trace_inductances or {})
+        if couplings:
+            apply_couplings(c, couplings, self.coupling_branches)
+        return c, "LISN.meas"
 
-        # Input filter (pi): CX1 | trace | LF1 | CX2 + bulk CIN.
-        cx1 = parts["CX1"]
-        c.add_real_capacitor("CX1", "vin", "0", capacitance_of(cx1), esr=cx1.esr, esl=cx1.esl)
-        vin_f = trace("VIN", "vin")
-        lf1 = parts["LF1"]
-        c.add_real_inductor(
-            "LF1", vin_f, "vbus", lf1.inductance, esr=lf1.esr, epc=5e-12
-        )
-        cx2 = parts["CX2"]
-        c.add_real_capacitor("CX2", "vbus", "0", capacitance_of(cx2), esr=cx2.esr, esl=cx2.esl)
-        cin = parts["CIN"]
-        c.add_real_capacitor("CIN", "vbus", "0", capacitance_of(cin), esr=cin.esr, esl=cin.esl)
+    def add_power_path(self, c: Circuit, ret: str, traces: dict[str, float]) -> None:
+        """The converter from the LISN node ``vin`` to its load, returned to ``ret``.
+
+        The input pi filter and bulk CIN, the switching cell (LHOT, the
+        substitution sources INOISE and VSW) and the output path
+        L1-COUT-CO2-LF2-CX3 into RLOAD.  Each power net with a positive
+        entry in ``traces`` gets its trace inductance ahead of the net's
+        series part (:func:`~repro.converters.network.split_trace`).
+        """
+        parts = self.parts()
+        add_input_filter(c, parts, ret, traces)
+        add_part_capacitor(c, parts, "CIN", "vbus", ret)
 
         # Switching cell (substitution model), fed through the VBUS trace.
         i_noise, v_noise = self.sources()
-        vbus_t = trace("VBUS", "vbus")
-        c.add_inductor("LHOT", vbus_t, "vq", self.hot_loop_esl)
-        c.add_isource("INOISE", "vq", "0", spectrum=i_noise.spectrum_callable())
-        c.add_vsource("VSW", "sw", "0", spectrum=v_noise.spectrum_callable())
+        c.add_inductor("LHOT", split_trace(c, traces, "VBUS", "vbus"), "vq", self.hot_loop_esl)
+        c.add_isource("INOISE", "vq", ret, spectrum=i_noise.spectrum_callable())
+        c.add_vsource("VSW", "sw", ret, spectrum=v_noise.spectrum_callable())
 
         # Output power path and filter.
-        l1 = parts["L1"]
-        if lt.get("VOUT", 0.0) > 0.0:
-            c.add_real_inductor("L1", "sw", "vout#t", l1.inductance, esr=l1.esr, epc=8e-12)
-            c.add_inductor("LT_VOUT", "vout#t", "vout", lt["VOUT"])
-        else:
-            c.add_real_inductor("L1", "sw", "vout", l1.inductance, esr=l1.esr, epc=8e-12)
-        cout = parts["COUT"]
-        c.add_real_capacitor(
-            "COUT", "vout", "0", capacitance_of(cout), esr=cout.esr, esl=cout.esl
-        )
-        co2 = parts["CO2"]
-        c.add_real_capacitor("CO2", "vout", "0", capacitance_of(co2), esr=co2.esr, esl=co2.esl)
-        lf2 = parts["LF2"]
-        if lt.get("VLOAD", 0.0) > 0.0:
-            c.add_real_inductor(
-                "LF2", "vout", "vload#t", lf2.inductance, esr=lf2.esr, epc=5e-12
-            )
-            c.add_inductor("LT_VLOAD", "vload#t", "vload", lt["VLOAD"])
-        else:
-            c.add_real_inductor(
-                "LF2", "vout", "vload", lf2.inductance, esr=lf2.esr, epc=5e-12
-            )
-        cx3 = parts["CX3"]
-        c.add_real_capacitor(
-            "CX3", "vload", "0", capacitance_of(cx3), esr=cx3.esr, esl=cx3.esl
-        )
-        c.add_resistor("RLOAD", "vload", "0", self.output_voltage / self.output_current)
-
-        if couplings:
-            self.apply_couplings(c, couplings)
-        return c, "LISN.meas"
+        l1, lf2 = parts["L1"], parts["LF2"]
+        l1_from = split_trace(c, traces, "VOUT", "sw")
+        c.add_real_inductor("L1", l1_from, "vout", l1.inductance, esr=l1.esr, epc=8e-12)
+        add_part_capacitor(c, parts, "COUT", "vout", ret)
+        add_part_capacitor(c, parts, "CO2", "vout", ret)
+        lf2_from = split_trace(c, traces, "VLOAD", "vout")
+        c.add_real_inductor("LF2", lf2_from, "vload", lf2.inductance, esr=lf2.esr, epc=5e-12)
+        add_part_capacitor(c, parts, "CX3", "vload", ret)
+        c.add_resistor("RLOAD", "vload", ret, self.output_voltage / self.output_current)
 
     def trace_inductances_from_layout(self, problem) -> dict[str, float]:
         """Per-net trace inductances of a *placed* problem [H].
@@ -334,23 +315,6 @@ class BuckConverterDesign:
             if not route.is_empty():
                 out[net_name] = route_inductance(route)
         return out
-
-    def apply_couplings(
-        self, circuit: Circuit, couplings: dict[tuple[str, str], float]
-    ) -> int:
-        """Insert layout couplings into a circuit; returns how many applied."""
-        ref_to_branch = {ref: branch for branch, ref in COUPLING_BRANCHES.items()}
-        applied = 0
-        for (ref_a, ref_b), k in couplings.items():
-            branch_a = ref_to_branch.get(ref_a)
-            branch_b = ref_to_branch.get(ref_b)
-            if branch_a is None or branch_b is None:
-                continue
-            if abs(k) < 1e-9:
-                continue
-            circuit.set_coupling(branch_a, branch_b, float(np.clip(k, -0.999, 0.999)))
-            applied += 1
-        return applied
 
     def apply_capacitive_couplings(
         self, circuit: Circuit, capacitances: dict[tuple[str, str], float]
@@ -378,9 +342,7 @@ class BuckConverterDesign:
 
     def harmonic_frequencies(self, f_max: float = 108e6) -> np.ndarray:
         """Switching harmonics inside the CISPR 25 conducted range."""
-        i_noise, _ = self.sources()
-        freqs = i_noise.harmonic_frequencies(f_max)
-        return freqs[freqs >= 150e3 * 0.99]
+        return conducted_harmonics(self.sources()[0], f_max)
 
     def emission_spectrum(
         self,
@@ -406,12 +368,3 @@ class BuckConverterDesign:
         freqs = self.harmonic_frequencies(f_max)
         values = MnaSystem(circuit).ac_sweep(freqs).voltages(meas)
         return Spectrum(freqs, values)
-
-
-def capacitance_of(component: Component) -> float:
-    """Capacitance of a capacitor-like part.
-
-    Raises:
-        AttributeError: if the part has no ``capacitance``.
-    """
-    return component.capacitance  # type: ignore[attr-defined]

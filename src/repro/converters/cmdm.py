@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from ..circuit import Circuit, MnaSystem
 from ..emi import Spectrum, add_lisn
-from .buck import BuckConverterDesign, capacitance_of
+from .buck import BuckConverterDesign
+from .network import apply_couplings
 
 __all__ = ["build_cmdm_circuit", "cmdm_spectra"]
 
@@ -49,7 +50,6 @@ def build_cmdm_circuit(
     """
     if heatsink_capacitance < 0.0:
         raise ValueError("heatsink capacitance must be non-negative")
-    parts = design.parts()
     c = Circuit(title="buck converter CM/DM model")
 
     # Supply between the two feed lines; chassis is node "0".
@@ -59,41 +59,14 @@ def build_cmdm_circuit(
     add_lisn(c, "LISN_P", "supply_p", "vin")
     add_lisn(c, "LISN_N", "supply_n", "pgnd")
 
-    # Input filter referenced to the converter's power ground "pgnd".
-    cx1 = parts["CX1"]
-    c.add_real_capacitor("CX1", "vin", "pgnd", capacitance_of(cx1), esr=cx1.esr, esl=cx1.esl)
-    lf1 = parts["LF1"]
-    c.add_real_inductor("LF1", "vin", "vbus", lf1.inductance, esr=lf1.esr, epc=5e-12)
-    cx2 = parts["CX2"]
-    c.add_real_capacitor("CX2", "vbus", "pgnd", capacitance_of(cx2), esr=cx2.esr, esl=cx2.esl)
-    cin = parts["CIN"]
-    c.add_real_capacitor("CIN", "vbus", "pgnd", capacitance_of(cin), esr=cin.esr, esl=cin.esl)
-
-    # Switching cell: DM pulse current + switch-node voltage, both
-    # referenced to pgnd; the heatsink capacitance closes the CM loop to
-    # the chassis.
-    i_noise, v_noise = design.sources()
-    c.add_inductor("LHOT", "vbus", "vq", design.hot_loop_esl)
-    c.add_isource("INOISE", "vq", "pgnd", spectrum=i_noise.spectrum_callable())
-    c.add_vsource("VSW", "sw", "pgnd", spectrum=v_noise.spectrum_callable())
+    # The converter is referenced to its power ground "pgnd"; the heatsink
+    # capacitance from the switch node closes the CM loop to the chassis.
+    design.add_power_path(c, "pgnd", {})
     if heatsink_capacitance > 0.0:
         c.add_capacitor("CHS", "sw", "0", heatsink_capacitance)
 
-    # Output path (load referenced to pgnd).
-    l1 = parts["L1"]
-    c.add_real_inductor("L1", "sw", "vout", l1.inductance, esr=l1.esr, epc=8e-12)
-    cout = parts["COUT"]
-    c.add_real_capacitor("COUT", "vout", "pgnd", capacitance_of(cout), esr=cout.esr, esl=cout.esl)
-    co2 = parts["CO2"]
-    c.add_real_capacitor("CO2", "vout", "pgnd", capacitance_of(co2), esr=co2.esr, esl=co2.esl)
-    lf2 = parts["LF2"]
-    c.add_real_inductor("LF2", "vout", "vload", lf2.inductance, esr=lf2.esr, epc=5e-12)
-    cx3 = parts["CX3"]
-    c.add_real_capacitor("CX3", "vload", "pgnd", capacitance_of(cx3), esr=cx3.esr, esl=cx3.esl)
-    c.add_resistor("RLOAD", "vload", "pgnd", design.output_voltage / design.output_current)
-
     if couplings:
-        design.apply_couplings(c, couplings)
+        apply_couplings(c, couplings, design.coupling_branches)
     return c, "LISN_P.meas", "LISN_N.meas"
 
 

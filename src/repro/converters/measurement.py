@@ -22,6 +22,7 @@ import numpy as np
 
 from ..circuit import Circuit, MnaSystem
 from ..emi import Spectrum
+from .boost import BoostConverterDesign
 from .buck import BuckConverterDesign
 
 __all__ = ["synthesize_measurement", "perturb_circuit"]
@@ -47,7 +48,7 @@ def perturb_circuit(
 
 
 def synthesize_measurement(
-    design: BuckConverterDesign,
+    design: BuckConverterDesign | BoostConverterDesign,
     couplings: dict[tuple[str, str], float],
     seed: int = 2008,
     tolerance: float = 0.15,

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..check import CheckReport, DesignCheckError, run_checks
 from ..converters import (
-    COUPLING_BRANCHES,
+    BoostConverterDesign,
     BuckConverterDesign,
     layout_couplings,
     synthesize_measurement,
@@ -70,7 +70,9 @@ class EmiDesignFlow:
     """Orchestrates prediction, sensitivity, rules, placement, verification.
 
     Attributes:
-        design: the converter under design.
+        design: the converter under design.  Its ``coupling_branches``
+            (circuit inductor branch -> refdes) are the pairs the flow
+            ranks, derives rules for and field-simulates.
         k_threshold: tolerable coupling factor for rule derivation (the
             paper notes k = 0.1 already severely degrades a pi filter;
             the default leaves a 10x margin below that).
@@ -86,7 +88,7 @@ class EmiDesignFlow:
             that builds the circuit seeds ``design.parts()`` from it.
     """
 
-    design: BuckConverterDesign
+    design: BuckConverterDesign | BoostConverterDesign
     k_threshold: float = 0.01
     sensitivity_threshold_db: float = 3.0
     limit: LimitLine = field(default_factory=lambda: CISPR25_CLASS3_PEAK)
@@ -178,7 +180,7 @@ class EmiDesignFlow:
                     self.sensitivity_frequencies(),
                     k_probe=self.k_threshold,
                 )
-                pairs = list(combinations(sorted(COUPLING_BRANCHES), 2))
+                pairs = list(combinations(sorted(self.design.coupling_branches), 2))
                 self._sensitivity = analyzer.rank(pairs)
             tracer.gauge("flow.pairs_ranked", len(self._sensitivity))
         return self._sensitivity
@@ -198,7 +200,7 @@ class EmiDesignFlow:
                 self._rules = derive_rule_set(
                     self.design.parts(),
                     relevant,
-                    COUPLING_BRANCHES,
+                    self.design.coupling_branches,
                     k_threshold_db_map=self.k_threshold,
                     ground_plane_z=self.ground_plane_z,
                     database=self._db,
@@ -248,7 +250,7 @@ class EmiDesignFlow:
         ):
             couplings = layout_couplings(
                 problem,
-                refdes_of_interest=list(COUPLING_BRANCHES.values()),
+                refdes_of_interest=list(self.design.coupling_branches.values()),
                 ground_plane_z=self.ground_plane_z,
                 database=self._db,
             )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from ..geometry import Placement2D, Vec2
 from .drc import DesignRuleChecker, RuleMarker, Violation
-from .metrics import placement_area
+from .metrics import member_centroid, placement_area
 from .model import PlacementProblem
 
 __all__ = ["MoveResult", "InteractiveSession"]
@@ -194,12 +194,10 @@ class InteractiveSession:
         comp = self.problem.components[refdes]
         if comp.placement is None:
             return None
-        placed = [c for c in self.problem.placed() if c.refdes != refdes]
-        if not placed:
+        centroid = member_centroid([c for c in self.problem.placed() if c.refdes != refdes])
+        if centroid is None:
             return None
-        cx = sum(c.center().x for c in placed) / len(placed)
-        cy = sum(c.center().y for c in placed) / len(placed)
-        direction = Vec2(cx, cy) - comp.center()
+        direction = centroid - comp.center()
         if direction.norm() < step:
             return None
         delta = direction.normalized() * step

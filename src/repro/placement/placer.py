@@ -28,7 +28,7 @@ from ..geometry import EPS, Placement2D, Polygon2D, Rect, Vec2
 from ..obs import get_tracer
 from ..rules import MinDistanceRule, emd_for_pair
 from .drc import DesignRuleChecker
-from .metrics import group_centroid, pad_offset, pin_position, total_wirelength
+from .metrics import group_centroid, member_centroid, pad_offset, pin_position, total_wirelength
 from .model import EMD_TOLERANCE, Net, PlacedComponent, PlacementError, PlacementProblem
 from .partition import Partitioner
 from .rotation import RotationOptimizer, RotationPlan
@@ -403,11 +403,9 @@ class AutoPlacer:
         )
 
     def _anchor(self, comp: PlacedComponent) -> Vec2:
-        placed = [c for c in self.problem.placed() if c.board == comp.board]
-        if placed:
-            sx = sum(c.center().x for c in placed)
-            sy = sum(c.center().y for c in placed)
-            return Vec2(sx / len(placed), sy / len(placed))
+        centroid = member_centroid([c for c in self.problem.placed() if c.board == comp.board])
+        if centroid is not None:
+            return centroid
         return self.problem.allowed_areas(comp)[0].polygon.centroid()
 
 

@@ -17,7 +17,10 @@ Contents (every 8th harmonic of each spectrum, complex volts stored as
 * ``buck``: three designs with layout couplings, each with its emission
   spectrum and its synthetic measurement;
 * ``boost``: the boost emission spectrum with couplings;
-* ``cmdm``: the positive and negative LISN spectra of the two-LISN model.
+* ``cmdm``: the positive and negative LISN spectra of the two-LISN model;
+* ``buck_hf``: the default buck emission spectrum with layout couplings,
+  trace inductances on all four power nets and body-to-body capacitive
+  couplings (the high-frequency paths).
 """
 
 from __future__ import annotations
@@ -50,6 +53,13 @@ BUCK_CASES: list[tuple[dict[str, float], dict[tuple[str, str], float]]] = [
 ]
 BOOST_CASE = ({}, {("LF1", "L1"): 0.06, ("CX2", "Q1"): -0.1, ("COUT", "CO2"): 0.2})
 CMDM_CASE = ({}, {("LF1", "L1"): 0.08, ("CX1", "Q1"): 0.03})
+#: (layout couplings, trace inductances [H] by net, capacitances [F] by pair).
+BUCK_HF_CASE = (
+    {("LF1", "L1"): 0.08, ("CX2", "Q1"): -0.05, ("CIN", "LF2"): 0.03},
+    {"VIN": 15e-9, "VBUS": 8e-9, "VOUT": 20e-9, "VLOAD": 12e-9},
+    {("LF1", "Q1"): 0.3e-12, ("CX1", "L1"): 0.2e-12, ("D1", "LF2"): 0.15e-12,
+     ("CX3", "Q1"): 0.1e-12},
+)
 
 
 def strided(spectrum: Spectrum) -> dict[str, list]:
@@ -90,7 +100,24 @@ def main() -> None:
         "positive": strided(positive),
         "negative": strided(negative),
     }
-    reference = {"stride": STRIDE, "buck": buck, "boost": boost, "cmdm": cmdm}
+    couplings, traces, capacitive = BUCK_HF_CASE
+    buck_hf = {
+        "couplings": encode_couplings(couplings),
+        "trace_inductances": traces,
+        "capacitive": encode_couplings(capacitive),
+        "emission": strided(
+            BuckConverterDesign().emission_spectrum(
+                couplings, capacitive=capacitive, trace_inductances=traces
+            )
+        ),
+    }
+    reference = {
+        "stride": STRIDE,
+        "buck": buck,
+        "boost": boost,
+        "cmdm": cmdm,
+        "buck_hf": buck_hf,
+    }
     OUT.write_text(json.dumps(reference, indent=1) + "\n")
 
 

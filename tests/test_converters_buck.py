@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import MnaSystem
-from repro.converters import COUPLING_BRANCHES, BuckConverterDesign
+from repro.converters import COUPLING_BRANCHES, BuckConverterDesign, apply_couplings
 
 
 class TestParameters:
@@ -66,9 +66,10 @@ class TestCircuitModel:
 
     def test_apply_couplings_count(self, buck_design):
         circuit, _ = buck_design.emi_circuit()
-        applied = buck_design.apply_couplings(
+        applied = apply_couplings(
             circuit,
             {("CX1", "CX2"): 0.05, ("CX1", "CONN1"): 0.5, ("CX2", "LF1"): 1e-12},
+            buck_design.coupling_branches,
         )
         # CONN1 has no circuit branch; 1e-12 is below the floor.
         assert applied == 1

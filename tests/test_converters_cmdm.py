@@ -35,6 +35,24 @@ class TestCircuitConstruction:
             assert np.isfinite(abs(sol.voltage(meas_p)))
             assert np.isfinite(abs(sol.voltage(meas_n)))
 
+    def test_power_path_is_the_single_line_models(self, buck_design):
+        # Same parts, nodes, values and order as the single-line model,
+        # with its return "0" moved to the power ground "pgnd".
+        def power_path(circuit, ret):
+            front = ("VSUP", "RBOND", "LISN", "CHS")
+            return [
+                (type(e).__name__, e.name, e.n1, "ret" if e.n2 == ret else e.n2,
+                 getattr(e, "capacitance", None), getattr(e, "inductance", None),
+                 getattr(e, "resistance", None))
+                for e in circuit.elements
+                if not e.name.startswith(front)
+            ]
+
+        single, _ = buck_design.emi_circuit()
+        two_line, _, _ = build_cmdm_circuit(buck_design)
+        assert power_path(two_line, "pgnd") == power_path(single, "0")
+        assert len(power_path(single, "0")) > 30
+
     def test_magnetic_couplings_apply(self, buck_design):
         circuit, _, _ = build_cmdm_circuit(
             buck_design, couplings={("CX1", "CX2"): 0.05}

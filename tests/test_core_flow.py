@@ -5,10 +5,17 @@ derived rules, the layout comparison) are computed once for the whole
 suite.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from repro.converters import COUPLING_BRANCHES
+from repro.converters import (
+    BOOST_COUPLING_BRANCHES,
+    COUPLING_BRANCHES,
+    BoostConverterDesign,
+    BuckConverterDesign,
+)
 
 
 class TestSensitivityStage:
@@ -132,6 +139,32 @@ class TestGroundPlaneFlow:
         assert moved
 
 
+class TestBoostFlow:
+    """The flow reads the branch map of the design it runs on."""
+
+    @pytest.fixture(scope="class")
+    def boost_flow(self):
+        from repro.core import EmiDesignFlow
+
+        return EmiDesignFlow(BoostConverterDesign())
+
+    def test_designs_carry_the_exported_branch_maps(self):
+        assert BuckConverterDesign().coupling_branches is COUPLING_BRANCHES
+        assert BoostConverterDesign().coupling_branches is BOOST_COUPLING_BRANCHES
+
+    def test_ranking_covers_the_boost_branch_pairs(self, boost_flow):
+        n = len(BOOST_COUPLING_BRANCHES)
+        assert len(boost_flow.run_sensitivity()) == n * (n - 1) // 2
+
+    def test_optimized_layout_meets_the_derived_rules(self, boost_flow):
+        evaluations = boost_flow.compare_layouts()
+        assert boost_flow.derive_rules()
+        assert evaluations["optimized"].violations == 0
+        assert set(evaluations["optimized"].couplings) <= {
+            tuple(sorted(pair)) for pair in combinations(BOOST_COUPLING_BRANCHES.values(), 2)
+        }
+
+
 class TestFlowReport:
     def test_report_structure(self, design_flow, layout_comparison):
         from repro.core import flow_report
@@ -187,15 +220,14 @@ class TestFlowObservability:
     @pytest.fixture
     def traced_flow_report(self, monkeypatch):
         from repro import obs
-        import repro.core.flow as flow_mod
-        from repro.converters import BuckConverterDesign
         from repro.core import EmiDesignFlow
 
         # Shrink the flow (fewer branches, coarse frequency grid) so the
         # end-to-end traced run stays fast; the span structure is identical.
-        subset = dict(list(flow_mod.COUPLING_BRANCHES.items())[:4])
-        monkeypatch.setattr(flow_mod, "COUPLING_BRANCHES", subset)
-        flow = EmiDesignFlow(BuckConverterDesign(), sensitivity_threshold_db=0.0)
+        design = BuckConverterDesign()
+        subset = dict(list(COUPLING_BRANCHES.items())[:4])
+        monkeypatch.setattr(design, "coupling_branches", subset)
+        flow = EmiDesignFlow(design, sensitivity_threshold_db=0.0)
         monkeypatch.setattr(
             flow, "sensitivity_frequencies", lambda: np.array([150e3, 2e6, 30e6])
         )
