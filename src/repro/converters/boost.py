@@ -88,6 +88,8 @@ class BoostConverterDesign:
             raise ValueError("need Vout > Vin > 0 for a boost converter")
         if self.switching_frequency <= 0.0:
             raise ValueError("switching frequency must be positive")
+        if self.output_current <= 0.0:
+            raise ValueError("output current must be positive (RLOAD = Vout / Iout)")
 
     @property
     def duty(self) -> float:

@@ -116,6 +116,8 @@ class BuckConverterDesign:
             raise ValueError("need 0 < Vout < Vin for a buck converter")
         if self.switching_frequency <= 0.0:
             raise ValueError("switching frequency must be positive")
+        if self.output_current <= 0.0:
+            raise ValueError("output current must be positive (RLOAD = Vout / Iout)")
 
     @property
     def duty(self) -> float:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..geometry import Rect, Vec2
+import numpy as np
+
+from ..geometry import Polygon2D, Vec2
 from ..obs import get_tracer
 from ..rules import MinDistanceRule
 from .metrics import member_centroid, member_spread, net_hpwl
@@ -108,21 +110,18 @@ class DesignRuleChecker:
                 return []
             k = refs.index(only)
             pairs = [(a, placed[k]) for a in placed[:k]] + [(placed[k], b) for b in placed[k + 1 :]]
-        footprints = {c.refdes: c.footprint_aabb() for c in placed}
         out: list[Violation] = []
         for a, b in pairs:
-            violation = self._spacing_violation(a, b, footprints)
+            violation = self._spacing_violation(a, b)
             if violation is not None:
                 out.append(violation)
         return out
 
-    def _spacing_violation(
-        self, a: PlacedComponent, b: PlacedComponent, footprints: dict[str, Rect]
-    ) -> Violation | None:
+    def _spacing_violation(self, a: PlacedComponent, b: PlacedComponent) -> Violation | None:
         if a.board != b.board:
             return None
         required = self.problem.clearance_between(a, b)
-        ra, rb = footprints[a.refdes], footprints[b.refdes]
+        ra, rb = a.footprint_aabb(), b.footprint_aabb()
         actual = ra.separation(rb)
         # 1 um grace keeps exactly-at-clearance layouts (and their
         # ASCII round-trips) legal despite float formatting.
@@ -169,24 +168,33 @@ class DesignRuleChecker:
         return (components[rule.ref_a].center() + components[rule.ref_b].center()) / 2.0
 
     def check_keepin(self, only: str | None = None) -> list[Violation]:
-        """Footprints must lie inside an allowed placement area."""
-        out: list[Violation] = []
-        for comp in self.problem.placed():
-            if only is not None and comp.refdes != only:
-                continue
-            rect = comp.footprint_aabb()
-            if not any(a.contains_footprint(rect) for a in self.problem.allowed_areas(comp)):
-                out.append(
-                    Violation(
-                        "keepin",
-                        (comp.refdes,),
-                        0.0,
-                        0.0,
-                        comp.center(),
-                        f"{comp.refdes} outside its allowed placement area(s)",
-                    )
-                )
-        return out
+        """Footprints must lie inside an allowed placement area.
+
+        Each area polygon tests all the parts it admits in one
+        :meth:`Polygon2D.contains_rects` call.
+        """
+        parts = [c for c in self.problem.placed() if only is None or c.refdes == only]
+        rects = [c.footprint_aabb() for c in parts]
+        bounds = np.array([(r.xmin, r.ymin, r.xmax, r.ymax) for r in rects]).reshape(-1, 4)
+        admitted: dict[int, tuple[Polygon2D, list[int]]] = {}
+        for i, comp in enumerate(parts):
+            for area in self.problem.allowed_areas(comp):
+                admitted.setdefault(id(area.polygon), (area.polygon, []))[1].append(i)
+        inside = np.zeros(len(parts), dtype=bool)
+        for polygon, rows in admitted.values():
+            inside[rows] |= polygon.contains_rects(*bounds[rows].T)
+        return [
+            Violation(
+                "keepin",
+                (comp.refdes,),
+                0.0,
+                0.0,
+                comp.center(),
+                f"{comp.refdes} outside its allowed placement area(s)",
+            )
+            for comp, ok in zip(parts, inside.tolist())
+            if not ok
+        ]
 
     def check_keepouts(self, only: str | None = None) -> list[Violation]:
         """Bodies must not intersect 3-D keepout volumes (z-offset aware)."""

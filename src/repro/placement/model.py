@@ -17,12 +17,12 @@ The live state is :class:`PlacementProblem`; rules live in a
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..components import Component
-from ..geometry import EPS, Cuboid, OrientedRect, Placement2D, Polygon2D, Rect, Vec2
-from ..rules import MinDistanceRule, RuleSet, emd_for_pair
+from ..geometry import EPS, Cuboid, OrientedRect, Placement2D, Polygon2D, Rect, Vec2, Vec3
+from ..obs import get_tracer
+from ..rules import MinDistanceRule, RuleSet, emd_between_axes, emd_floor
 
 __all__ = [
     "EMD_TOLERANCE",
@@ -53,10 +53,6 @@ class PlacementArea:
     name: str
     polygon: Polygon2D
     board: int = 0
-
-    def contains_footprint(self, rect: Rect) -> bool:
-        """True if an axis-aligned footprint lies fully inside."""
-        return self.polygon.contains_rect(rect.xmin, rect.ymin, rect.xmax, rect.ymax)
 
 
 @dataclass
@@ -125,6 +121,11 @@ class PlacedComponent:
         preferred_rotation_deg: rotation the placer favours when the EMC
             rules leave a choice (the paper's "preferred ... rotation
             angles for each component").
+
+    What a pose determines (footprint AABB, world magnetic axis) is
+    derived once per ``Placement2D`` object and kept until ``placement``
+    is set to another object; ``Placement2D`` is frozen, so any move,
+    rotation, undo or restore replaces it.
     """
 
     refdes: str
@@ -137,6 +138,9 @@ class PlacedComponent:
     preferred_area: str | None = None
     allowed_rotations_deg: tuple[float, ...] | None = None
     preferred_rotation_deg: float | None = None
+    _pose: tuple[Placement2D, Rect, Vec3] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.refdes:
@@ -163,18 +167,38 @@ class PlacedComponent:
             return (self.preferred_rotation_deg,) + rest
         return allowed
 
+    def _derived(self) -> tuple[Placement2D, Rect, Vec3]:
+        """(pose, footprint AABB, world axis), derived again only when
+        ``placement`` is no longer the pose they were derived from."""
+        placement = self.placement
+        if placement is None:
+            raise ValueError(f"{self.refdes} is not placed")
+        pose = self._pose
+        if pose is None or pose[0] is not placement:
+            component = self.component
+            oriented = OrientedRect.from_footprint(
+                component.footprint_w, component.footprint_h, placement
+            )
+            pose = (placement, oriented.aabb(), component.magnetic_axis_world(placement))
+            self._pose = pose
+            get_tracer().count("placement.pose_derivations")
+        return pose
+
     def footprint_aabb(self) -> Rect:
         """Rectilinear approximation of the placed footprint.
 
         Raises:
             ValueError: if the part is unplaced.
         """
-        if self.placement is None:
-            raise ValueError(f"{self.refdes} is not placed")
-        oriented = OrientedRect.from_footprint(
-            self.component.footprint_w, self.component.footprint_h, self.placement
-        )
-        return oriented.aabb()
+        return self._derived()[1]
+
+    def axis_world(self) -> Vec3:
+        """Unit magnetic axis in board coordinates.
+
+        Raises:
+            ValueError: if the part is unplaced.
+        """
+        return self._derived()[2]
 
     def body_cuboid(self) -> Cuboid:
         """The 3-D body volume (for keepout checks)."""
@@ -231,6 +255,10 @@ class PlacementProblem:
     groups: list[Group] = field(default_factory=list)
     rules: RuleSet = field(default_factory=RuleSet)
     default_clearance: float = 0.5e-3
+    # id(rule) -> (rule, pose_a, pose_b, EMD, centre distance).
+    _rule_memo: dict[int, tuple[MinDistanceRule, Placement2D, Placement2D, float, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.boards) <= 2:
@@ -334,22 +362,37 @@ class PlacementProblem:
 
     def rule_distances(
         self, only: str | None = None
-    ) -> Iterator[tuple[MinDistanceRule, float, float]]:
+    ) -> list[tuple[MinDistanceRule, float, float]]:
         """(rule, EMD, centre distance) [m] of each min-distance rule that
         applies, in rule order; with ``only``, just that part's rules.  A
-        rule applies when both parts are placed on the same board."""
+        rule applies when both parts are placed on the same board.
+
+        Each rule's pair is kept with both parts' poses and derived again
+        only when one of them has moved.
+        """
         rules = self.rules.min_distance if only is None else self.rules.rules_involving(only)
+        components, memo = self.components, self._rule_memo
+        out: list[tuple[MinDistanceRule, float, float]] = []
+        evals = 0
         for rule in rules:
-            a = self.components.get(rule.ref_a)
-            b = self.components.get(rule.ref_b)
+            a = components.get(rule.ref_a)
+            b = components.get(rule.ref_b)
             if a is None or b is None or a.placement is None or b.placement is None:
                 continue
             if a.board != b.board:
                 continue  # Rigid separation decouples the boards.
-            emd = emd_for_pair(
-                a.component, a.placement, b.component, b.placement, rule.pemd, rule.residual
-            )
-            yield rule, emd, a.center().distance_to(b.center())
+            pa, pb = a.placement, b.placement
+            kept = memo.get(id(rule))
+            if kept is None or kept[0] is not rule or kept[1] is not pa or kept[2] is not pb:
+                floor = emd_floor(a.component, b.component, rule.residual)
+                emd = emd_between_axes(a.axis_world(), b.axis_world(), rule.pemd, floor)
+                kept = (rule, pa, pb, emd, pa.position.distance_to(pb.position))
+                memo[id(rule)] = kept
+                evals += 1
+            out.append((rule, kept[3], kept[4]))
+        if evals:
+            get_tracer().count("placement.rule_evals", evals)
+        return out
 
     def pair_count(self) -> int:
         """n(n-1)/2 — the paper's bound on definable minimum distances."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..geometry import EPS, Placement2D, Polygon2D, Rect, Vec2
 from ..obs import get_tracer
-from ..rules import MinDistanceRule, emd_for_pair
+from ..rules import MinDistanceRule, emd_between_axes, emd_floor
 from .drc import DesignRuleChecker
 from .metrics import group_centroid, member_centroid, pad_offset, pin_position, total_wirelength
 from .model import EMD_TOLERANCE, Net, PlacedComponent, PlacementError, PlacementProblem
@@ -334,16 +334,17 @@ class AutoPlacer:
 
     def _partner_emds(self, comp: PlacedComponent, rotation_deg: float) -> list[tuple[Vec2, float]]:
         """(centre, EMD) of each placed rule partner on the same board."""
-        trial = Placement2D(Vec2.zero(), math.radians(rotation_deg))
+        axis = comp.component.magnetic_axis_world(
+            Placement2D(Vec2.zero(), math.radians(rotation_deg))
+        )
         out: list[tuple[Vec2, float]] = []
         for rule in self._partner_rules(comp.refdes):
             other_ref = rule.ref_b if rule.ref_a == comp.refdes else rule.ref_a
             other = self.problem.components.get(other_ref)
             if other is None or not other.is_placed or other.board != comp.board:
                 continue
-            emd = emd_for_pair(
-                comp.component, trial, other.component, other.placement, rule.pemd, rule.residual
-            )
+            floor = emd_floor(comp.component, other.component, rule.residual)
+            emd = emd_between_axes(axis, other.axis_world(), rule.pemd, floor)
             out.append((other.center(), emd))
         return out
 

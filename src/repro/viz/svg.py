@@ -128,7 +128,7 @@ def render_board_svg(
             f'font-family="monospace" fill="#17202a">{comp.refdes}</text>'
         )
         # Magnetic axis tick when the axis is in-plane.
-        axis = comp.component.magnetic_axis_world(comp.placement)
+        axis = comp.axis_world()
         if abs(axis.z) < 0.7:
             length = 4e-3
             dx = axis.x * length

@@ -27,6 +27,12 @@ class TestParameters:
         with pytest.raises(ValueError):
             BoostConverterDesign(input_voltage=24.0, output_voltage=12.0)
 
+    @pytest.mark.parametrize("current", [0.0, -1.0])
+    def test_non_positive_output_current(self, current):
+        # RLOAD = Vout / Iout is stamped by emi_circuit().
+        with pytest.raises(ValueError, match="output current"):
+            BoostConverterDesign(output_current=current)
+
     def test_parts_cached(self, boost):
         assert boost.parts() is boost.parts()
 

@@ -17,6 +17,12 @@ class TestParameters:
         with pytest.raises(ValueError):
             BuckConverterDesign(switching_frequency=0.0)
 
+    @pytest.mark.parametrize("current", [0.0, -1.0])
+    def test_non_positive_output_current(self, current):
+        # RLOAD = Vout / Iout is stamped by emi_circuit().
+        with pytest.raises(ValueError, match="output current"):
+            BuckConverterDesign(output_current=current)
+
     def test_parts_cached(self, buck_design):
         assert buck_design.parts() is buck_design.parts()
 

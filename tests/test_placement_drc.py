@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.components import FilmCapacitorX2
+from repro.components import FilmCapacitorX2, PowerMosfet, small_bobbin_choke
 from repro.geometry import Cuboid, Placement2D, Polygon2D, Rect, Vec2
 from repro.io import read_problem
 from repro.placement import (
@@ -13,6 +13,7 @@ from repro.placement import (
     Keepout3D,
     PlacedComponent,
     PlacementProblem,
+    Violation,
 )
 from repro.rules import GroupCoherenceRule, NetLengthRule
 
@@ -298,3 +299,103 @@ class TestOnlineDrcMatchesFullCheck:
             full = [v for v in checker.check_all() if v.kind in self.KINDS and ref in v.refs]
             online = [v for v in checker.check_component(ref) if v.kind in self.KINDS]
             assert online == full
+
+
+def former_keepin(problem, only=None):
+    """The per-part keepin loop ``check_keepin`` replaced: one
+    ``contains_rect`` per allowed area of each part."""
+    out = []
+    for comp in problem.placed():
+        if only is not None and comp.refdes != only:
+            continue
+        r = comp.footprint_aabb()
+        areas = problem.allowed_areas(comp)
+        if not any(a.polygon.contains_rect(r.xmin, r.ymin, r.xmax, r.ymax) for a in areas):
+            out.append(
+                Violation(
+                    "keepin",
+                    (comp.refdes,),
+                    0.0,
+                    0.0,
+                    comp.center(),
+                    f"{comp.refdes} outside its allowed placement area(s)",
+                )
+            )
+    return out
+
+
+class TestKeepinMatchesPerPartLoop:
+    """The batched keepin check (one ``contains_rects`` per area polygon)
+    equals the former per-part loop on a concave outline without areas,
+    a board with two overlapping areas and per-part restrictions (one
+    naming no area), for the full check and for ``only=``."""
+
+    L_SHAPE = Polygon2D(
+        [
+            Vec2(0, 0),
+            Vec2(0.1, 0),
+            Vec2(0.1, 0.04),
+            Vec2(0.05, 0.04),
+            Vec2(0.05, 0.08),
+            Vec2(0, 0.08),
+        ]
+    )
+    PARTS = (
+        ("C1", FilmCapacitorX2, 0, ()),
+        ("C2", FilmCapacitorX2, 0, ()),
+        ("Q1", PowerMosfet, 0, ()),
+        ("L1", small_bobbin_choke, 1, ()),
+        ("C3", FilmCapacitorX2, 1, ("west",)),
+        ("Q2", PowerMosfet, 1, ("east",)),
+        ("L2", small_bobbin_choke, 1, ("west", "east")),
+        ("D1", PowerMosfet, 1, ("nowhere",)),
+    )
+
+    @classmethod
+    def problem(cls):
+        from repro.placement import PlacementArea
+
+        boards = [
+            Board(0, cls.L_SHAPE),
+            Board(
+                1,
+                Polygon2D.rectangle(0.0, 0.0, 0.1, 0.08),
+                areas=[
+                    PlacementArea("west", cls.L_SHAPE, 1),
+                    PlacementArea("east", Polygon2D.rectangle(0.045, 0.03, 0.1, 0.08), 1),
+                ],
+            ),
+        ]
+        problem = PlacementProblem(boards)
+        for ref, make, board, allowed in cls.PARTS:
+            problem.add_component(PlacedComponent(ref, make(), board=board, allowed_areas=allowed))
+        return problem
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.tuples(
+                    st.floats(min_value=-0.005, max_value=0.105),
+                    st.floats(min_value=-0.005, max_value=0.085),
+                    st.sampled_from((0.0, 30.0, 90.0, 180.0)),
+                ),
+            ),
+            min_size=len(PARTS),
+            max_size=len(PARTS),
+        )
+    )
+    def test_random_layouts(self, poses):
+        problem = self.problem()
+        for (ref, *_), pose in zip(self.PARTS, poses):
+            problem.components[ref].placement = None if pose is None else Placement2D.at(*pose)
+        checker = DesignRuleChecker(problem)
+        assert checker.check_keepin() == former_keepin(problem)
+        for ref, *_ in self.PARTS:
+            assert checker.check_keepin(only=ref) == former_keepin(problem, only=ref)
+
+    def test_restricted_part_without_a_matching_area_is_always_flagged(self):
+        problem = self.problem()
+        problem.components["D1"].placement = Placement2D.at(0.07, 0.06)
+        assert [v.refs for v in DesignRuleChecker(problem).check_keepin()] == [("D1",)]

@@ -244,6 +244,15 @@ class TestRejections:
         assert status == 400
         assert "desing" in body["error"]
 
+    def test_zero_output_current_400(self, service):
+        status, body = request_json(
+            service.url + "/jobs",
+            "POST",
+            {"design": {"kind": "buck", "params": {"output_current": 0}}},
+        )
+        assert status == 400
+        assert "output current" in body["error"]
+
     def test_failing_board_cites_check_report(self, service):
         status, body = request_json(
             service.url + "/jobs", "POST", {"board": BAD_BOARD}

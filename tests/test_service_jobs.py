@@ -117,6 +117,14 @@ class TestParseFlowPayload:
                 {"design": {"kind": "buck", "params": {"nonsense": 1.0}}}
             )
 
+    def test_zero_output_current_is_rejected_before_the_run(self):
+        # RLOAD = Vout / Iout: a zero load current used to pass parsing
+        # and fail the job with ZeroDivisionError when the circuit was built.
+        with pytest.raises(PayloadError, match="output current"):
+            parse_job_payload(
+                {"design": {"kind": "buck", "params": {"output_current": 0.0}}}
+            )
+
 
 class TestParseBoardPayload:
     def test_valid_board(self):
