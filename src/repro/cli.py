@@ -909,14 +909,18 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _load_run_report(path: Path):
-    """Parse a run-report JSON file or fail with a CLI-style message."""
+    """Parse a run-report JSON file, or the ``timed_run`` report of a
+    perfbench trace document, or fail with a CLI-style message."""
+    import json
+
     from .obs import RunReport
 
     try:
-        return RunReport.from_json(path.read_text())
+        data = json.loads(path.read_text())
+        return RunReport.from_dict(data.get("timed_run", data))
     except OSError as exc:
         print(f"perf: cannot read {path}: {exc}", file=sys.stderr)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (AttributeError, ValueError, KeyError, TypeError) as exc:
         print(f"perf: cannot parse {path}: {exc}", file=sys.stderr)
     return None
 

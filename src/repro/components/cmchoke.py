@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from ..geometry import Vec2, Vec3
 from ..peec import FERRITE_N87, CoreMaterial, CurrentPath, ring_path
 from .base import Component, Pad
+from .inductors import wire_resistance
 
 __all__ = ["CommonModeChoke", "cm_choke_2w", "cm_choke_3w"]
 
@@ -175,12 +176,9 @@ class CommonModeChoke(Component):
     @property
     def esr(self) -> float:
         """Winding resistance per path [ohm]."""
-        rho_cu = 1.72e-8
         assert self.n_windings > 0, "__post_init__ allows only 2 or 3 windings"
         length_per_winding = self.current_path.total_length() / self.n_windings
-        area = math.pi * (self.wire_diameter / 2.0) ** 2
-        assert area > 0.0, "wire_diameter validated positive in __post_init__"
-        return rho_cu * length_per_winding / area
+        return wire_resistance(length_per_winding, self.wire_diameter)
 
 
 def cm_choke_2w() -> CommonModeChoke:

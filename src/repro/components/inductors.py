@@ -14,6 +14,7 @@ rotation invariant).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..geometry import Vec2, Vec3
@@ -21,6 +22,7 @@ from ..peec import (
     FERRITE_N87,
     CoreMaterial,
     CurrentPath,
+    Filament,
     demagnetizing_factor_rod,
     ring_path,
 )
@@ -79,36 +81,16 @@ class BobbinChoke(Component):
 
     def build_current_path(self) -> CurrentPath:
         """Segmented-ring winding model (the paper's Fig. 11 inset)."""
-        weight = self.turns / self.n_rings
-        axis = "x" if self.orientation == "horizontal" else "z"
-        rings: CurrentPath | None = None
-        # Centre height: the coil sits on the board for vertical mounting and
-        # at half the body height for horizontal mounting.
-        for i in range(self.n_rings):
-            offset = (
-                0.0
-                if self.n_rings == 1
-                else -self.coil_length / 2.0
-                + self.coil_length * i / (self.n_rings - 1)
-            )
-            center = (
-                Vec3(offset, 0.0, self.body_height / 2.0)
-                if self.orientation == "horizontal"
-                else Vec3(0.0, 0.0, self.body_height / 2.0 + offset)
-            )
-            ring = ring_path(
-                center,
-                self.coil_radius,
-                segments=12,
-                axis=axis,
-                wire_diameter=self.wire_diameter,
-                weight=weight,
-                name=self.part_number,
-            )
-            rings = ring if rings is None else rings.merged_with(ring)
-        assert rings is not None
-        rings.name = self.part_number
-        return rings
+        return ring_stack(
+            self.part_number,
+            turns=self.turns,
+            n_rings=self.n_rings,
+            radius=self.coil_radius,
+            length=self.coil_length,
+            height=self.body_height / 2.0,
+            axis="x" if self.orientation == "horizontal" else "z",
+            wire_diameter=self.wire_diameter,
+        )
 
     @property
     def inductance(self) -> float:
@@ -120,10 +102,43 @@ class BobbinChoke(Component):
     @property
     def esr(self) -> float:
         """Winding resistance estimate from wire length and diameter [ohm]."""
-        rho_cu = 1.72e-8
-        wire_length = self.current_path.total_length()
-        area = 3.141592653589793 * (self.wire_diameter / 2.0) ** 2
-        return rho_cu * wire_length / area
+        return wire_resistance(self.current_path.total_length(), self.wire_diameter)
+
+
+def ring_stack(
+    name: str,
+    *,
+    turns: int,
+    n_rings: int,
+    radius: float,
+    length: float,
+    height: float,
+    axis: str,
+    wire_diameter: float,
+) -> CurrentPath:
+    """A winding as ``n_rings`` 12-segment rings of ``turns / n_rings``
+    turns each, spread evenly over ``length`` along ``axis`` (``"x"`` or
+    ``"z"``) about the point (0, 0, ``height``); one ring sits at that
+    point."""
+    if n_rings < 1:
+        raise ValueError(f"{name}: need at least one ring")
+    gaps = n_rings - 1
+    filaments: list[Filament] = []
+    for i in range(n_rings):
+        offset = -length / 2.0 + length * i / gaps if gaps else 0.0
+        center = Vec3(offset, 0.0, height) if axis == "x" else Vec3(0.0, 0.0, height + offset)
+        filaments += ring_path(
+            center, radius, 12, axis, wire_diameter=wire_diameter, weight=turns / n_rings
+        ).filaments
+    return CurrentPath(filaments, name)
+
+
+def wire_resistance(length: float, wire_diameter: float) -> float:
+    """DC resistance of a copper wire of that length and diameter [ohm]."""
+    area = math.pi * (wire_diameter / 2.0) ** 2
+    if area <= 0.0:
+        raise ValueError(f"wire diameter {wire_diameter} m must be positive")
+    return 1.72e-8 * length / area
 
 
 def small_bobbin_choke(orientation: str = "horizontal") -> BobbinChoke:

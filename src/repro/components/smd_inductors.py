@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..geometry import Vec2, Vec3
-from ..peec import CoreMaterial, CurrentPath, demagnetizing_factor_rod, ring_path
+from ..geometry import Vec2
+from ..peec import CoreMaterial, CurrentPath, demagnetizing_factor_rod
 from .base import Component, Pad
+from .inductors import ring_stack, wire_resistance
 
 __all__ = ["SmdPowerInductor", "shielded_power_inductor", "unshielded_power_inductor"]
 
@@ -68,28 +69,16 @@ class SmdPowerInductor(Component):
 
     def build_current_path(self) -> CurrentPath:
         """Vertical stack of segmented rings (drum winding)."""
-        weight = self.turns / self.n_rings
-        path: CurrentPath | None = None
-        for i in range(self.n_rings):
-            offset = (
-                0.0
-                if self.n_rings == 1
-                else -self.coil_height / 2.0
-                + self.coil_height * i / (self.n_rings - 1)
-            )
-            ring = ring_path(
-                Vec3(0.0, 0.0, self.body_height / 2.0 + offset),
-                self.coil_radius,
-                segments=12,
-                axis="z",
-                wire_diameter=self.wire_diameter,
-                weight=weight,
-                name=self.part_number,
-            )
-            path = ring if path is None else path.merged_with(ring)
-        assert path is not None
-        path.name = self.part_number
-        return path
+        return ring_stack(
+            self.part_number,
+            turns=self.turns,
+            n_rings=self.n_rings,
+            radius=self.coil_radius,
+            length=self.coil_height,
+            height=self.body_height / 2.0,
+            axis="z",
+            wire_diameter=self.wire_diameter,
+        )
 
     @property
     def inductance(self) -> float:
@@ -101,10 +90,7 @@ class SmdPowerInductor(Component):
     @property
     def esr(self) -> float:
         """Winding resistance estimate [ohm]."""
-        rho_cu = 1.72e-8
-        wire_length = self.current_path.total_length()
-        area = 3.141592653589793 * (self.wire_diameter / 2.0) ** 2
-        return rho_cu * wire_length / area
+        return wire_resistance(self.current_path.total_length(), self.wire_diameter)
 
 
 def shielded_power_inductor() -> SmdPowerInductor:

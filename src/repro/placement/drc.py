@@ -20,7 +20,6 @@ import numpy as np
 
 from ..geometry import Polygon2D, Vec2
 from ..obs import get_tracer
-from ..rules import MinDistanceRule
 from .metrics import member_centroid, member_spread, net_hpwl
 from .model import EMD_TOLERANCE, PlacedComponent, PlacementProblem
 
@@ -155,17 +154,13 @@ class DesignRuleChecker:
                 (rule.ref_a, rule.ref_b),
                 emd,
                 actual,
-                self._midpoint(rule),
+                midpoint,
                 f"{rule.ref_a}-{rule.ref_b} EMD {emd * 1e3:.1f} mm "
                 f"> distance {actual * 1e3:.1f} mm (PEMD {rule.pemd * 1e3:.1f} mm)",
             )
-            for rule, emd, actual in self.problem.rule_distances(only)
+            for rule, emd, actual, midpoint in self.problem.rule_distances(only)
             if actual + EMD_TOLERANCE < emd
         ]
-
-    def _midpoint(self, rule: MinDistanceRule) -> Vec2:
-        components = self.problem.components
-        return (components[rule.ref_a].center() + components[rule.ref_b].center()) / 2.0
 
     def check_keepin(self, only: str | None = None) -> list[Violation]:
         """Footprints must lie inside an allowed placement area.
@@ -218,17 +213,20 @@ class DesignRuleChecker:
                     )
         return out
 
-    def check_groups(self) -> list[Violation]:
+    def check_groups(self, only: str | None = None) -> list[Violation]:
         """Functional groups must be coherent.
 
         One condition per :class:`GroupCoherenceRule`: the spread of the
         rule's placed members (:func:`member_spread`) stays within the
         rule's bound.  A rule with fewer than two placed members is not
-        checked.
+        checked.  With ``only``, just the rules that list that part as a
+        member.
         """
         out: list[Violation] = []
         components = self.problem.components
         for rule in self.problem.rules.groups:
+            if only is not None and only not in rule.members:
+                continue
             members = [
                 components[r] for r in rule.members if r in components and components[r].is_placed
             ]
@@ -249,13 +247,14 @@ class DesignRuleChecker:
                 )
         return out
 
-    def check_net_lengths(self) -> list[Violation]:
-        """Total net length bounds."""
+    def check_net_lengths(self, only: str | None = None) -> list[Violation]:
+        """Total net length bounds; with ``only``, just the nets that touch
+        that part."""
         out: list[Violation] = []
         by_name = {n.name: n for n in self.problem.nets}
         for rule in self.problem.rules.net_lengths:
             net = by_name.get(rule.net)
-            if net is None:
+            if net is None or (only is not None and only not in net.refdes_set()):
                 continue
             length = net_hpwl(self.problem, net)
             if length > rule.max_length:
@@ -277,31 +276,29 @@ class DesignRuleChecker:
 
     # -- aggregate interfaces -------------------------------------------------
 
+    def _walk(self, only: str | None) -> list[Violation]:
+        """Every rule category, concatenated; with ``only``, each category
+        keeps just the violations that involve that part."""
+        get_tracer().count("placement.drc_checks")
+        return (
+            self.check_body_spacing(only)
+            + self.check_min_distances(only)
+            + self.check_keepin(only)
+            + self.check_keepouts(only)
+            + self.check_groups(only)
+            + self.check_net_lengths(only)
+        )
+
     def check_all(self) -> list[Violation]:
         """Every rule category, concatenated."""
-        tracer = get_tracer()
-        with tracer.span("placement.drc.check_all"):
-            tracer.count("placement.drc_checks")
-            return (
-                self.check_body_spacing()
-                + self.check_min_distances()
-                + self.check_keepin()
-                + self.check_keepouts()
-                + self.check_groups()
-                + self.check_net_lengths()
-            )
+        with get_tracer().span("placement.drc.check_all"):
+            return self._walk(None)
 
     def check_component(self, refdes: str) -> list[Violation]:
-        """Incremental check for one (moved) component — the online DRC."""
-        tracer = get_tracer()
-        tracer.count("placement.drc_checks")
-        return (
-            self.check_body_spacing(only=refdes)
-            + self.check_min_distances(only=refdes)
-            + self.check_keepin(only=refdes)
-            + self.check_keepouts(only=refdes)
-            + self.check_groups()
-        )
+        """The online DRC for one (moved) component: exactly the violations
+        of :meth:`check_all` whose ``refs`` include ``refdes``, in the same
+        order."""
+        return self._walk(refdes)
 
     def is_legal(self) -> bool:
         """True when the layout satisfies every rule."""
@@ -311,6 +308,6 @@ class DesignRuleChecker:
         """One circle per applicable min-distance rule — the red/green
         Fig. 15/17 data."""
         return [
-            RuleMarker(rule.ref_a, rule.ref_b, self._midpoint(rule), emd, distance)
-            for rule, emd, distance in self.problem.rule_distances()
+            RuleMarker(rule.ref_a, rule.ref_b, midpoint, emd, distance)
+            for rule, emd, distance, midpoint in self.problem.rule_distances()
         ]

@@ -16,6 +16,7 @@ explorative volume-minimisation safe.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..geometry import Placement2D, Vec2
@@ -86,17 +87,30 @@ class InteractiveSession:
             area=placement_area(self.problem),
         )
 
-    def move_to(self, position: Vec2) -> MoveResult:
-        """Teleport the selected component to an absolute position."""
+    def _step(self, pose: Callable[[Placement2D], Placement2D]) -> MoveResult:
+        """Give the placed selection the pose ``pose`` makes of its current
+        one, with an undo entry, and return the online DRC feedback.
+
+        Raises:
+            RuntimeError: if the part is unplaced.
+        """
         ref = self._require_selection()
         comp = self.problem.components[ref]
+        if comp.placement is None:
+            raise RuntimeError(f"{ref} is unplaced; use move_to first")
         self._undo.append((ref, comp.placement))
-        comp.placement = (
-            Placement2D(position, 0.0)
-            if comp.placement is None
-            else comp.placement.moved_to(position)
-        )
+        comp.placement = pose(comp.placement)
         return self._feedback(ref)
+
+    def move_to(self, position: Vec2) -> MoveResult:
+        """Teleport the selected component to an absolute position (an
+        unplaced part lands there at 0 degrees)."""
+        comp = self.problem.components[self._require_selection()]
+        if comp.placement is not None:
+            return self._step(lambda p: p.moved_to(position))
+        self._undo.append((comp.refdes, None))
+        comp.placement = Placement2D(position, 0.0)
+        return self._feedback(comp.refdes)
 
     def move_by(self, delta: Vec2) -> MoveResult:
         """Nudge the selected component.
@@ -104,36 +118,16 @@ class InteractiveSession:
         Raises:
             RuntimeError: if the part is unplaced (nothing to nudge).
         """
-        ref = self._require_selection()
-        comp = self.problem.components[ref]
-        if comp.placement is None:
-            raise RuntimeError(f"{ref} is unplaced; use move_to first")
-        self._undo.append((ref, comp.placement))
-        comp.placement = comp.placement.translated(delta)
-        return self._feedback(ref)
+        return self._step(lambda p: p.translated(delta))
 
     def rotate_to(self, angle_deg: float) -> MoveResult:
         """Set the selected component's absolute rotation."""
-        ref = self._require_selection()
-        comp = self.problem.components[ref]
-        if comp.placement is None:
-            raise RuntimeError(f"{ref} is unplaced; use move_to first")
-        self._undo.append((ref, comp.placement))
-        comp.placement = comp.placement.rotated_to(math.radians(angle_deg))
-        return self._feedback(ref)
+        return self._step(lambda p: p.rotated_to(math.radians(angle_deg)))
 
     def rotate_by(self, delta_deg: float) -> MoveResult:
         """Rotate the selected component relatively (the 90-degree decouple
         move of the paper's Fig. 6 is ``rotate_by(90)``)."""
-        ref = self._require_selection()
-        comp = self.problem.components[ref]
-        if comp.placement is None:
-            raise RuntimeError(f"{ref} is unplaced; use move_to first")
-        self._undo.append((ref, comp.placement))
-        comp.placement = comp.placement.rotated_to(
-            comp.placement.rotation_rad + math.radians(delta_deg)
-        )
-        return self._feedback(ref)
+        return self._step(lambda p: p.rotated_to(p.rotation_rad + math.radians(delta_deg)))
 
     # -- session services --------------------------------------------------------
 
@@ -163,8 +157,8 @@ class InteractiveSession:
 
         Uses the automatic placer's candidate search without committing —
         the user decides whether to :meth:`move_to` the suggestion.  The
-        component's current placement is ignored during the search (it is
-        "lifted" like during a drag), and restored afterwards.
+        search ignores the component's current position, as if it were
+        lifted like during a drag, and leaves its placement untouched.
 
         Returns None when no legal position exists.
         """
@@ -173,15 +167,11 @@ class InteractiveSession:
         comp = self.problem.components.get(refdes)
         if comp is None:
             raise KeyError(f"no component {refdes!r}")
-        original = comp.placement
-        rotation = original.rotation_deg if original is not None else 0.0
-        z_offset = original.z_offset if original is not None else 0.0
-        comp.placement = None
-        try:
-            placer = AutoPlacer(self.problem, optimize_rotation=False)
-            return placer.best_candidate(comp, rotation, BOUNDARY_SPACING, z_offset)
-        finally:
-            comp.placement = original
+        pose = comp.placement
+        rotation = pose.rotation_deg if pose is not None else 0.0
+        z_offset = pose.z_offset if pose is not None else 0.0
+        placer = AutoPlacer(self.problem, optimize_rotation=False)
+        return placer.best_candidate(comp, rotation, BOUNDARY_SPACING, z_offset)
 
     def compact_step(self, refdes: str, step: float = 1e-3) -> MoveResult | None:
         """Adviser: move a part one step towards the placement centroid if

@@ -117,11 +117,11 @@ def emd_slack_sum(problem: PlacementProblem) -> float:
     For each applicable PEMD rule (``PlacementProblem.rule_distances``),
     accumulates ``max(0, EMD - actual_distance)``.
     """
-    return sum((max(0.0, emd - actual) for _rule, emd, actual in problem.rule_distances()), 0.0)
+    return sum((max(0.0, emd - actual) for _r, emd, actual, _m in problem.rule_distances()), 0.0)
 
 
 def worst_emd_margin(problem: PlacementProblem) -> float:
     """Smallest (actual - EMD) over all applicable rules [m]; +inf if none."""
     return min(
-        (actual - emd for _rule, emd, actual in problem.rule_distances()), default=math.inf
+        (actual - emd for _r, emd, actual, _m in problem.rule_distances()), default=math.inf
     )

@@ -74,8 +74,10 @@ class Keepout3D:
 class Board:
     """One rigid board: outline, placement areas and keepouts.
 
-    A solid ground plane (``ground_plane = True``) shields magnetic
-    couplings; the flow threads this through to the field simulations.
+    ``ground_plane`` records whether the board has a solid ground plane;
+    the board file format reads and writes it (``GROUND``), but no field
+    simulation reads it.  The design flow's plane is
+    ``EmiDesignFlow.ground_plane_z``.
     """
 
     index: int
@@ -255,10 +257,10 @@ class PlacementProblem:
     groups: list[Group] = field(default_factory=list)
     rules: RuleSet = field(default_factory=RuleSet)
     default_clearance: float = 0.5e-3
-    # id(rule) -> (rule, pose_a, pose_b, EMD, centre distance).
-    _rule_memo: dict[int, tuple[MinDistanceRule, Placement2D, Placement2D, float, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # id(rule) -> (rule, pose_a, pose_b, EMD, centre distance, midpoint).
+    _rule_memo: dict[
+        int, tuple[MinDistanceRule, Placement2D, Placement2D, float, float, Vec2]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.boards) <= 2:
@@ -362,17 +364,18 @@ class PlacementProblem:
 
     def rule_distances(
         self, only: str | None = None
-    ) -> list[tuple[MinDistanceRule, float, float]]:
-        """(rule, EMD, centre distance) [m] of each min-distance rule that
-        applies, in rule order; with ``only``, just that part's rules.  A
-        rule applies when both parts are placed on the same board.
+    ) -> list[tuple[MinDistanceRule, float, float, Vec2]]:
+        """(rule, EMD, centre distance [m], pair midpoint) of each
+        min-distance rule that applies, in rule order; with ``only``, just
+        that part's rules.  A rule applies when both parts are placed on
+        the same board.
 
         Each rule's pair is kept with both parts' poses and derived again
         only when one of them has moved.
         """
         rules = self.rules.min_distance if only is None else self.rules.rules_involving(only)
         components, memo = self.components, self._rule_memo
-        out: list[tuple[MinDistanceRule, float, float]] = []
+        out: list[tuple[MinDistanceRule, float, float, Vec2]] = []
         evals = 0
         for rule in rules:
             a = components.get(rule.ref_a)
@@ -386,10 +389,11 @@ class PlacementProblem:
             if kept is None or kept[0] is not rule or kept[1] is not pa or kept[2] is not pb:
                 floor = emd_floor(a.component, b.component, rule.residual)
                 emd = emd_between_axes(a.axis_world(), b.axis_world(), rule.pemd, floor)
-                kept = (rule, pa, pb, emd, pa.position.distance_to(pb.position))
+                a_at, b_at = pa.position, pb.position
+                kept = (rule, pa, pb, emd, a_at.distance_to(b_at), (a_at + b_at) / 2.0)
                 memo[id(rule)] = kept
                 evals += 1
-            out.append((rule, kept[3], kept[4]))
+            out.append((rule, kept[3], kept[4], kept[5]))
         if evals:
             get_tracer().count("placement.rule_evals", evals)
         return out

@@ -28,7 +28,7 @@ from ..geometry import EPS, Placement2D, Polygon2D, Rect, Vec2
 from ..obs import get_tracer
 from ..rules import MinDistanceRule, emd_between_axes, emd_floor
 from .drc import DesignRuleChecker
-from .metrics import group_centroid, member_centroid, pad_offset, pin_position, total_wirelength
+from .metrics import member_centroid, pad_offset, pin_position, total_wirelength
 from .model import EMD_TOLERANCE, Net, PlacedComponent, PlacementError, PlacementProblem
 from .partition import Partitioner
 from .rotation import RotationOptimizer, RotationPlan
@@ -152,12 +152,9 @@ class AutoPlacer:
                 )
 
             with tracer.span("placement.final_drc"):
-                checker = DesignRuleChecker(self.problem)
-                violations = checker.check_all() if self.respect_min_distance else (
-                    checker.check_body_spacing()
-                    + checker.check_keepin()
-                    + checker.check_keepouts()
-                )
+                violations = DesignRuleChecker(self.problem).check_all()
+                if not self.respect_min_distance:
+                    violations = [v for v in violations if v.kind != "min_distance"]
             tracer.count("placement.components_placed", len(self.problem.placed()))
         runtime = run_span.elapsed_s
         if runtime is None:  # null tracer: measure directly
@@ -243,8 +240,9 @@ class AutoPlacer:
     ) -> Vec2 | None:
         """The lowest-cost legal centre for ``comp`` at a rotation, or None.
 
-        ``comp`` itself is ignored as an obstacle, so a lifted (unplaced)
-        part can be searched for without committing.  Area candidates are
+        ``comp`` itself is left out of the obstacles, the placed-set and
+        group centroids, so a placed part is searched for as if lifted,
+        without touching its placement.  Area candidates are
         sampled every ``spacing`` metres along the allowed areas' eroded
         boundaries.  Every candidate is tested at once: area containment,
         clearance to placed footprints, 3-D keepouts for a body starting at
@@ -389,9 +387,11 @@ class AutoPlacer:
                 wirelength = wirelength + _net_hpwl(problem, net, comp, x, y)
             cost = cost + w.wirelength * wirelength
 
-        # Group cohesion: stay near the group's placed centroid.
+        # Group cohesion: stay near the centroid of the group's other placed members.
         if comp.group is not None:
-            centroid = group_centroid(problem, comp.group)
+            centroid = member_centroid(
+                [c for c in problem.group_members(comp.group) if c.is_placed and c is not comp]
+            )
             if centroid is not None:
                 cost = cost + w.group_cohesion * _distances(x, y, centroid)
 
@@ -404,7 +404,9 @@ class AutoPlacer:
         )
 
     def _anchor(self, comp: PlacedComponent) -> Vec2:
-        centroid = member_centroid([c for c in self.problem.placed() if c.board == comp.board])
+        centroid = member_centroid(
+            [c for c in self.problem.placed() if c.board == comp.board and c is not comp]
+        )
         if centroid is not None:
             return centroid
         return self.problem.allowed_areas(comp)[0].polygon.centroid()

@@ -75,14 +75,11 @@ def refine_wirelength(
                 continue
             old_placement = comp.placement
             old_wl = total_wirelength(problem)
-
-            comp.placement = None  # rip up
-            rotation = old_placement.rotation_deg
+            # The search ignores the part's own position: a rip-up without lifting it.
             candidate = placer.best_candidate(
-                comp, rotation, BOUNDARY_SPACING, old_placement.z_offset
+                comp, old_placement.rotation_deg, BOUNDARY_SPACING, old_placement.z_offset
             )
             if candidate is None:
-                comp.placement = old_placement
                 continue
             comp.placement = old_placement.moved_to(candidate)
             new_wl = total_wirelength(problem)

@@ -118,6 +118,32 @@ class TestDiff:
         assert verdict["improvements"] >= 1
 
 
+    def test_diff_reads_perfbench_trace_documents(self, tmp_path, capsys):
+        """A perfbench trace document keeps per-name span stats under
+        ``spans`` and its run reports under ``timed_run`` and ``setup_run``;
+        the perf commands read the timed run."""
+
+        def trace_document(path, wall):
+            timed = write_report(tmp_path / "t.json", {"stage": wall})
+            setup = write_report(tmp_path / "s.json", {"setup": 9.0})
+            document = {
+                "workload": "place_drc",
+                "spans": {"stage": {"calls": 1, "wall_s": wall, "self_s": wall}},
+                "timed_run": RunReport.from_json(timed.read_text()).to_dict(),
+                "setup_run": RunReport.from_json(setup.read_text()).to_dict(),
+            }
+            path.write_text(json.dumps(document))
+            return path
+
+        a = trace_document(tmp_path / "trace-a.json", 1.0)
+        b = trace_document(tmp_path / "trace-b.json", 2.0)
+        assert main(["perf", "diff", str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        assert "run/stage" in out and "+100.0%" in out
+        assert "run/setup" not in out
+        assert main(["perf", "record", str(a)]) == 0
+
+
 class TestCheck:
     def test_2x_slowdown_fails_gate(self, tmp_path, capsys):
         baseline = write_report(tmp_path / "base.json", {"stage": 1.0})

@@ -53,3 +53,24 @@ class TestCompaction:
         problem = placed_problem()
         result = compact_layout(problem, max_passes=2)
         assert result.passes <= 2
+
+    def test_an_unrelated_group_violation_does_not_block_moves(self):
+        """A violated group rule is reported only for moves of its members,
+        so the other parts of the demo board compact as without it."""
+        from repro.converters import build_demo_board
+        from repro.rules import GroupCoherenceRule
+
+        def placed_demo_board():
+            problem = build_demo_board()
+            AutoPlacer(problem).run()
+            return problem
+
+        free = compact_layout(placed_demo_board(), max_passes=3)
+        problem = placed_demo_board()
+        spread = problem.components["Q1"].center().distance_to(problem.components["D1"].center())
+        problem.rules.groups.append(
+            GroupCoherenceRule(group="switch", members=("Q1", "D1"), max_spread=spread / 2.0)
+        )
+        [violation] = DesignRuleChecker(problem).check_all()
+        assert violation.kind == "group"
+        assert compact_layout(problem, max_passes=3).moves == free.moves > 0

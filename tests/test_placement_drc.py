@@ -162,7 +162,8 @@ class TestGroupsAndNets:
 
     def test_group_rule_without_tagged_parts(self):
         """A rule whose group no part carries is measured over its members,
-        in the full check and in the online DRC."""
+        in the full check and in the online DRC of a member; moving a part
+        that is not a member reports no group violation."""
         problem = build_small_problem()
         spread_layout(problem)
         problem.rules.groups.append(
@@ -176,6 +177,9 @@ class TestGroupsAndNets:
         session = InteractiveSession(problem)
         session.select("C2")
         moved = session.move_to(Vec2(0.05, 0.03))
+        assert [v for v in moved.violations if v.kind == "group"] == []
+        session.select("C1")
+        moved = session.move_by(Vec2(0.0, 0.001))
         assert [v.refs for v in moved.violations if v.kind == "group"] == [("C1", "C3")]
 
     def test_group_rule_measures_its_own_members(self):
@@ -238,9 +242,10 @@ class TestGroupsAndNets:
 class TestOnlineDrcMatchesFullCheck:
     """``check_component(ref)`` walks only the pairs and rules touching
     ``ref``; after any move it must report exactly what ``check_all()``
-    reports about ``ref`` for spacing, min-distance, keepin and keepouts."""
+    reports about ``ref``, for every violation kind and in the same order.
 
-    KINDS = {"overlap", "clearance", "min_distance", "keepin", "keepout"}
+    The moves touch every part but ``SH1`` and ``U1``, the members of one
+    of the two group rules."""
 
     @staticmethod
     def board():
@@ -274,13 +279,24 @@ class TestOnlineDrcMatchesFullCheck:
             comp.placement = Placement2D.at(0.008 + 0.017 * (i % 6), 0.008 + 0.015 * (i // 6), 0)
             if i % 5 == 0:
                 comp.allowed_areas = ("side",)
+        problem.rules.net_lengths.append(NetLengthRule(net="NQ", max_length=0.03))
+        problem.rules.groups += [
+            GroupCoherenceRule(group="power", members=("Q1", "D1", "L2", "CX1"), max_spread=0.04),
+            GroupCoherenceRule(group="sense", members=("SH1", "U1"), max_spread=0.01),
+        ]
         return problem
+
+    def test_the_board_violates_every_added_rule(self):
+        kinds = [(v.kind, v.refs) for v in DesignRuleChecker(self.board()).check_all()]
+        assert ("net_length", ("D1", "L4", "Q2")) in kinds
+        assert ("group", ("Q1", "D1", "L2", "CX1")) in kinds
+        assert ("group", ("SH1", "U1")) in kinds
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=28),
+                st.integers(min_value=0, max_value=26),
                 st.floats(min_value=-0.005, max_value=0.105),
                 st.floats(min_value=-0.005, max_value=0.085),
                 st.sampled_from((0.0, 90.0, 180.0, 270.0)),
@@ -296,9 +312,8 @@ class TestOnlineDrcMatchesFullCheck:
         for index, x, y, rot in moves:
             ref = refs[index]
             problem.components[ref].placement = Placement2D.at(x, y, rot)
-            full = [v for v in checker.check_all() if v.kind in self.KINDS and ref in v.refs]
-            online = [v for v in checker.check_component(ref) if v.kind in self.KINDS]
-            assert online == full
+            full = [v for v in checker.check_all() if ref in v.refs]
+            assert checker.check_component(ref) == full
 
 
 def former_keepin(problem, only=None):

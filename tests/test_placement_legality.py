@@ -140,11 +140,12 @@ class TestRuleDistance:
         assert list(problem.rule_distances()) == []  # Z is missing, A and B unplaced
         a.placement = Placement2D.at(0.01, 0.03)
         b.placement = Placement2D.at(0.04, 0.03)
-        [(applied, emd, distance)] = problem.rule_distances()
+        [(applied, emd, distance, midpoint)] = problem.rule_distances()
         assert applied is rule
         assert emd == pytest.approx(0.02)
         assert distance == pytest.approx(0.03)
-        assert [r for r, _e, _d in problem.rule_distances(only="B")] == [rule]
+        assert midpoint == (a.center() + b.center()) / 2.0
+        assert [r for r, _e, _d, _m in problem.rule_distances(only="B")] == [rule]
         assert list(problem.rule_distances(only="Z")) == []
         b.board = 1
         assert list(problem.rule_distances()) == []

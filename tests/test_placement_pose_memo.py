@@ -123,12 +123,13 @@ def assert_matches_fresh(problem: PlacementProblem) -> None:
         ).aabb()
         assert comp.footprint_aabb() == fresh.components[ref].footprint_aabb() == footprint
         assert comp.axis_world() == comp.component.magnetic_axis_world(comp.placement)
-    for rule, emd, distance in problem.rule_distances():
+    for rule, emd, distance, midpoint in problem.rule_distances():
         a, b = problem.components[rule.ref_a], problem.components[rule.ref_b]
         assert emd == emd_for_pair(
             a.component, a.placement, b.component, b.placement, rule.pemd, rule.residual
         )
         assert distance == a.center().distance_to(b.center())
+        assert midpoint == (a.center() + b.center()) / 2.0
 
 
 class TestStaleState:

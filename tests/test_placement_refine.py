@@ -79,3 +79,19 @@ class TestRefinement:
         assert refine_wirelength(problem).improved_components == 1
         assert mover.placement.position != Vec2(0.035, 0.015)
         assert (mover.placement.z_offset, mover.placement.side) == (2e-3, -1)
+
+    def test_net_length_bounds_hold_on_the_demo_board(self):
+        """The online DRC guarding each move checks net lengths, so a bound
+        at every net's current length stays met."""
+        from repro.converters import build_demo_board
+        from repro.placement import net_hpwl
+        from repro.rules import NetLengthRule
+
+        problem = build_demo_board()
+        AutoPlacer(problem).run()
+        problem.rules.net_lengths = [
+            NetLengthRule(net=net.name, max_length=net_hpwl(problem, net)) for net in problem.nets
+        ]
+        assert DesignRuleChecker(problem).is_legal()
+        refine_wirelength(problem)
+        assert [v for v in DesignRuleChecker(problem).check_all() if v.kind == "net_length"] == []
