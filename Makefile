@@ -6,7 +6,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint ruff mypy physlint physlint-baseline conlint perflint hotness-baseline race-check bench-smoke events-smoke serve-smoke docs-check perf-baseline perf-check
+.PHONY: test lint ruff mypy physlint physlint-baseline perflint hotness-baseline bench-smoke events-smoke serve-smoke docs-check perf-baseline perf-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -46,8 +46,8 @@ perf-check:
 		--fail-on regression --wall-threshold 4.0
 
 ## Full static gate: style (ruff) + types (mypy) + physics lint (physlint)
-## + concurrency lint (conlint) + performance/architecture lint (perflint).
-lint: ruff mypy physlint conlint perflint
+## + performance/architecture lint (perflint).
+lint: ruff mypy physlint perflint
 
 ruff:
 	ruff check src/ tests/ examples/ benchmarks/
@@ -63,11 +63,6 @@ physlint-baseline:
 	$(PYTHON) -m repro.cli lint-src src/repro --no-baseline \
 		--write-baseline src/repro/lint/physlint_baseline.json
 
-## Concurrency rules alone (docs/CONLINT.md).  No baseline: the tree is
-## conlint-clean modulo inline waivers, and stays that way.
-conlint:
-	$(PYTHON) -m repro.cli lint-src src/repro --select CON --no-baseline
-
 ## Performance + architecture rules alone (docs/PERFLINT.md).  No
 ## baseline: ARCH findings and hot-path PRF findings (promoted to error
 ## by the committed hotness snapshot) must be fixed, not accumulated;
@@ -81,11 +76,3 @@ hotness-baseline:
 	$(PYTHON) -m repro.cli perf hotness \
 		--store benchmarks/out/perf-history.jsonl \
 		-o benchmarks/baselines/HOTNESS.json
-
-## The threaded suites with every threading.Lock/RLock instrumented by
-## the runtime lock sanitizer (repro.lint.sanitizer): lock-order
-## inversions and over-threshold holds fail the test they happen in.
-race-check:
-	REPRO_EMI_LOCK_SANITIZER=1 $(PYTHON) -m pytest -x -q \
-		tests/test_concurrency_hammer.py tests/test_lint_sanitizer.py \
-		tests/test_obs.py tests/test_obs_events.py tests/test_obs_stream.py

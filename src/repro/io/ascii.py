@@ -8,7 +8,7 @@ The format is line-oriented, human-editable, millimetres/degrees::
 
     EMIPLACE 1
     TITLE buck converter
-    BOARD 0 GROUND 1
+    BOARD 0
       OUTLINE 0,0 70,0 70,50 0,50
       AREA main 5,5 65,5 65,45 5,45
       KEEPOUT hs1 10,10 30,30 Z 0 15
@@ -20,6 +20,11 @@ The format is line-oriented, human-editable, millimetres/degrees::
     RULE CLEAR * * 0.5
     RULE GROUP input_filter SPREAD 40 MEMBERS CX1,LF1,CX2
     RULE NETLEN VIN 120
+
+A ``GROUND 0|1`` token pair after the board index is accepted and
+ignored: older files declare a ground plane there, but no simulation
+reads it.  The plane the design flow simulates is
+``EmiDesignFlow.ground_plane_z``.
 
 Components are reconstructed by class name with the serialised footprint
 dimensions applied, so a file round-trips the placement-relevant geometry
@@ -113,7 +118,7 @@ def write_problem(problem: PlacementProblem, title: str = "") -> str:
         lines.append(f"TITLE {title}")
 
     for board in problem.boards:
-        lines.append(f"BOARD {board.index} GROUND {int(board.ground_plane)}")
+        lines.append(f"BOARD {board.index}")
         outline = " ".join(_fmt_point(v) for v in board.outline.vertices)
         lines.append(f"  OUTLINE {outline}")
         for area in board.areas:
@@ -213,7 +218,6 @@ def read_problem(text: str) -> PlacementProblem:
                 current_board["outline"],
                 areas=current_board["areas"],
                 keepouts=current_board["keepouts"],
-                ground_plane=current_board["ground"],
             )
         )
         current_board = None
@@ -229,16 +233,11 @@ def read_problem(text: str) -> PlacementProblem:
                 continue
             elif keyword == "BOARD":
                 finish_board()
-                ground = True
-                if "GROUND" in (t.upper() for t in tokens):
-                    gi = [t.upper() for t in tokens].index("GROUND")
-                    ground = bool(int(tokens[gi + 1]))
                 current_board = {
                     "index": int(tokens[1]),
                     "outline": None,
                     "areas": [],
                     "keepouts": [],
-                    "ground": ground,
                 }
             elif keyword == "OUTLINE":
                 assert current_board is not None

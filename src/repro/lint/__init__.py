@@ -2,7 +2,7 @@
 
 Where :mod:`repro.check` validates *designs* (netlists, coupling data,
 placement constraints), this package validates the *code that computes
-them*: a custom AST analyzer with two rule families —
+them*: a custom AST analyzer with these rule families —
 
 * **unit-dimension inference** (UNT001–UNT006): the :mod:`repro.units`
   ``Annotated`` aliases on public physics APIs seed a per-scope
@@ -12,14 +12,6 @@ them*: a custom AST analyzer with two rule families —
 * **numerical robustness / API hygiene** (NUM001–NUM004, API001–API002):
   exact float equality, unguarded division, sqrt/log of differences,
   plain ``sum()`` in PEEC kernels, module-global state;
-* **concurrency — "conlint"** (CON001–CON005): a per-class thread model
-  (lock attributes, ``with <lock>:`` scopes, thread creation sites)
-  feeds guarded-by inference and a lock-order graph; writes outside
-  their inferred lock, inconsistent acquisition orders, locks shipped
-  into process pools, join-less daemon threads and callbacks invoked
-  under a lock are flagged (``docs/CONLINT.md``).  The static pass is
-  paired with a runtime lock sanitizer
-  (:mod:`repro.lint.sanitizer`, ``make race-check``);
 * **performance — "perflint"** (PRF001–PRF004): Python loops over numpy
   arrays in kernel modules, loop-invariant allocations, repeated dotted
   lookups in loops, all-pairs nested scans.
@@ -52,10 +44,8 @@ from .hotness import HotnessModel
 from .imports import ImportGraph, build_import_graph
 from .registry import lint_rule_specs, lint_spec_for
 from .rules_arch import ARCH_LAYERS, analyze_architecture
-from .sanitizer import LockSanitizer, SanitizerFinding, sanitized
 from .sarif import findings_to_sarif
 from .suppress import Suppressions, scan_suppressions
-from .threads import ClassModel, build_class_models
 
 __all__ = [
     "LintFinding",
@@ -69,11 +59,6 @@ __all__ = [
     "lint_spec_for",
     "Suppressions",
     "scan_suppressions",
-    "ClassModel",
-    "build_class_models",
-    "LockSanitizer",
-    "SanitizerFinding",
-    "sanitized",
     "HotnessModel",
     "ImportGraph",
     "build_import_graph",

@@ -27,7 +27,6 @@ from .baseline import Baseline
 from .hotness import HotnessModel
 from .registry import lint_spec_for
 from .rules_arch import analyze_architecture
-from .rules_concurrency import analyze_concurrency
 from .rules_numeric import NumericRuleVisitor
 from .rules_performance import KERNEL_MARKERS, PerformanceRuleVisitor
 from .rules_units import UnitRuleVisitor
@@ -98,8 +97,8 @@ def _relative_label(path: Path, root: Path) -> str:
 def _matches_select(code: str, select: list[str] | None) -> bool:
     """Whether a rule code survives a ``--select`` prefix filter.
 
-    ``select=None`` (the default) selects everything; ``["CON"]``
-    selects the whole concurrency family; ``["NUM002", "UNT"]`` mixes
+    ``select=None`` (the default) selects everything; ``["PRF"]``
+    selects the whole performance family; ``["NUM002", "UNT"]`` mixes
     exact codes and families.  LNT001 (a module that does not parse)
     always survives — a selection cannot make an unanalyzable module
     look clean.
@@ -194,13 +193,11 @@ def lint_sources(
             numeric.run(tree)
             units = UnitRuleVisitor(label, table)
             units.run(tree)
-            concurrency = analyze_concurrency(label, tree)
             performance = PerformanceRuleVisitor(label, is_kernel=is_kernel)
             performance.run(tree)
             raw = (
                 numeric.findings
                 + units.findings
-                + concurrency
                 + _promote_hot(performance.findings, hotness)
                 + arch_by_label.get(label, [])
             )
@@ -239,7 +236,8 @@ def lint_paths(
             ``repro/circuit/mna.py``).
         subject: label for the report header (defaults to the target).
         select: restrict surfaced findings to these code prefixes
-            (``["CON"]`` runs conlint alone); ``None`` runs every rule.
+            (``["PRF", "ARCH"]`` runs perflint alone); ``None`` runs every
+            rule.
         hotness: profile-guided severity model; PRF findings on its hot
             paths are promoted to error.
 
@@ -271,7 +269,7 @@ def lint_paths(
         subject=subject or f"{', '.join(str(t) for t in targets)} ({len(files)} files)"
     )
     report.extend([finding.to_diagnostic() for finding in findings], "physlint")
-    for family in ("units", "numeric", "api", "concurrency", "performance", "architecture"):
+    for family in ("units", "numeric", "api", "performance", "architecture"):
         if family not in report.analyzers:
             report.analyzers.append(family)
     return LintResult(

@@ -11,8 +11,6 @@ Codes are grouped by rule family::
     UNT0xx  units        (dimension inference over annotated APIs)
     NUM0xx  numeric      (floating-point robustness)
     API0xx  api          (interface hygiene: module-level mutable state)
-    CON0xx  concurrency  (lock discipline over the project thread model,
-                          see docs/CONLINT.md)
     PRF0xx  performance  (hot-path anti-patterns; severity is
                           profile-guided, see docs/PERFLINT.md)
     ARCH0xx architecture (import-graph layering, see docs/PERFLINT.md)
@@ -146,57 +144,6 @@ _SPECS: tuple[RuleSpec, ...] = (
         "order-dependent and untestable; prefer an explicit object or a "
         "documented singleton accessor.",
     ),
-    # -- concurrency ------------------------------------------------------
-    RuleSpec(
-        "CON001",
-        "write-outside-inferred-lock",
-        _ERROR,
-        "concurrency",
-        "An attribute written under a lock in one method and without it "
-        "in another races: the unguarded write can interleave with a "
-        "locked read-modify-write and silently lose an update.  Guarded-by "
-        "sets are inferred from 'with self.<lock>:' write sites "
-        "(docs/CONLINT.md).",
-    ),
-    RuleSpec(
-        "CON002",
-        "inconsistent-lock-order",
-        _ERROR,
-        "concurrency",
-        "Two locks acquired in both nesting orders deadlock the moment "
-        "two threads take the orders concurrently; a non-reentrant Lock "
-        "re-acquired while held deadlocks a single thread.  The lock-order "
-        "graph over every 'with' nesting must stay acyclic.",
-    ),
-    RuleSpec(
-        "CON003",
-        "lock-captured-into-worker",
-        _ERROR,
-        "concurrency",
-        "Locks and open file handles shipped into process-pool tasks or "
-        "thread targets do not survive pickling/fork coherently: a forked "
-        "copy of a held lock stays held forever, and a shared handle "
-        "interleaves writes.",
-    ),
-    RuleSpec(
-        "CON004",
-        "daemon-thread-without-join",
-        _WARNING,
-        "concurrency",
-        "A daemon thread with no join path dies at interpreter exit at an "
-        "arbitrary point in its work — half-written files, dropped final "
-        "samples, and CI flakes that only reproduce under load.",
-    ),
-    RuleSpec(
-        "CON005",
-        "callback-under-lock",
-        _WARNING,
-        "concurrency",
-        "Invoking externally-supplied code while holding a lock hands "
-        "your critical section to arbitrary code: a callback that blocks "
-        "stalls every thread on the lock, and one that re-enters the "
-        "object deadlocks it.",
-    ),
     # -- performance (default severity is info: perflint findings are
     # promoted to error only when the hotness model places them on a
     # recorded hot path — see repro.lint.hotness) -------------------------
@@ -280,11 +227,17 @@ _SPECS: tuple[RuleSpec, ...] = (
 
 _BY_CODE: dict[str, RuleSpec] = {s.code: s for s in _SPECS}
 
+_CON_RETIRED = (
+    "conlint retired: no process pool or fleet left; the hammer tests "
+    "cover the bus, the tracer and the jobs"
+)
+
 #: Retired code -> what covers it now.  Baselines and inline waivers that
 #: still name one keep loading; the code itself is never registered again.
 _RETIRED: dict[str, str] = {
     "NUM005": "ruff B006",
     "PRF005": "no process pool left in src/repro",
+    **{f"CON00{n}": _CON_RETIRED for n in range(1, 6)},
 }
 
 

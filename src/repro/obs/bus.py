@@ -117,7 +117,7 @@ class EventBus:
             # fast and never publish back.
             for subscriber in self._subscribers:
                 try:
-                    subscriber(event)  # physlint: disable=CON005 -- delivery contract
+                    subscriber(event)
                 except Exception:
                     self.subscriber_errors += 1
         return event

@@ -74,17 +74,14 @@ class Keepout3D:
 class Board:
     """One rigid board: outline, placement areas and keepouts.
 
-    ``ground_plane`` records whether the board has a solid ground plane;
-    the board file format reads and writes it (``GROUND``), but no field
-    simulation reads it.  The design flow's plane is
-    ``EmiDesignFlow.ground_plane_z``.
+    A board carries no ground plane of its own; the plane the design
+    flow simulates is ``EmiDesignFlow.ground_plane_z``.
     """
 
     index: int
     outline: Polygon2D
     areas: list[PlacementArea] = field(default_factory=list)
     keepouts: list[Keepout3D] = field(default_factory=list)
-    ground_plane: bool = True
 
     def area_by_name(self, name: str) -> PlacementArea:
         """Look up a placement area.

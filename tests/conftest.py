@@ -7,8 +7,6 @@ function-scoped factories so tests can mutate freely.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.components import (
@@ -28,37 +26,6 @@ from repro.rules import MinDistanceRule, RuleSet
 def _isolated_coupling_cache(monkeypatch, tmp_path):
     """Keep the persistent coupling cache out of the user's ~/.cache."""
     monkeypatch.setenv("REPRO_EMI_CACHE_DIR", str(tmp_path / "coupling-cache"))
-
-
-# -- runtime lock sanitizer (`make race-check`) ------------------------------
-#
-# With REPRO_EMI_LOCK_SANITIZER=1 every threading.Lock/RLock created during
-# the session is instrumented (see repro.lint.sanitizer): lock-order
-# inversions and over-threshold hold times become findings, and the test on
-# whose watch a finding appeared fails with both acquisition stacks.
-
-_RACE_CHECK = os.environ.get("REPRO_EMI_LOCK_SANITIZER", "") not in ("", "0")
-
-
-@pytest.fixture(scope="session", autouse=_RACE_CHECK)
-def _session_lock_sanitizer():
-    """Install one sanitizer for the whole session (env-var opt-in)."""
-    from repro.lint.sanitizer import LockSanitizer, install, uninstall
-
-    sanitizer = install(LockSanitizer())
-    yield sanitizer
-    uninstall()
-
-
-@pytest.fixture(autouse=_RACE_CHECK)
-def _fail_on_lock_findings(_session_lock_sanitizer):
-    """Fail the test during which a sanitizer finding was recorded."""
-    before = len(_session_lock_sanitizer.report())
-    yield
-    findings = _session_lock_sanitizer.report()[before:]
-    if findings:
-        rendered = "\n\n".join(f.render() for f in findings)
-        pytest.fail(f"lock sanitizer recorded {len(findings)} finding(s):\n{rendered}")
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ drift apart:
 * every relative Markdown link under ``docs/`` and in the top-level
   ``README.md`` resolves to a real file (anchors stripped);
 * no docs file is orphaned — each is reachable from the index or the
-  top-level README.
+  top-level README;
+* every ``make <target>`` that the docs or the CI workflow run names a
+  target the ``Makefile`` defines.
 """
 
 from __future__ import annotations
@@ -24,8 +26,31 @@ DOCS = REPO_ROOT / "docs"
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 
 
+# A Makefile rule head ("target: deps"), and a `make <target>` command:
+# in an inline code span, at the start of a fenced code line, or in a CI
+# `run:` step.
+_MAKE_RULE = re.compile(r"^([A-Za-z0-9_-]+):", re.MULTILINE)
+_MAKE_INLINE = re.compile(r"`make ([A-Za-z0-9_-]+)")
+_MAKE_LINE = re.compile(r"^\s*(?:\$\s*|run:\s*)?make ([A-Za-z0-9_-]+)")
+
+
 def _doc_files() -> list[Path]:
     return sorted(DOCS.glob("*.md"))
+
+
+def _make_commands(path: Path) -> set[str]:
+    """The targets of every ``make`` command a docs file or workflow runs."""
+    text = path.read_text(encoding="utf-8")
+    targets = set(_MAKE_INLINE.findall(text))
+    in_code = path.suffix != ".md"  # a workflow file is all commands
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            in_code = not in_code
+            continue
+        match = _MAKE_LINE.match(line)
+        if in_code and match:
+            targets.add(match.group(1))
+    return targets
 
 
 def _relative_links(path: Path) -> list[str]:
@@ -104,3 +129,21 @@ class TestDocsLinks:
         assert not orphans, (
             f"docs file(s) unreachable from the indexes: {', '.join(orphans)}"
         )
+
+
+class TestMakeTargets:
+    def test_documented_make_targets_exist(self):
+        makefile = (REPO_ROOT / "Makefile").read_text(encoding="utf-8")
+        defined = set(_MAKE_RULE.findall(makefile))
+        workflow = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+        sources = [REPO_ROOT / "README.md", *_doc_files(), workflow]
+        used = {
+            (source.relative_to(REPO_ROOT).as_posix(), target)
+            for source in sources
+            for target in _make_commands(source)
+        }
+        assert {target for _, target in used} >= {"perflint", "lint", "bench-smoke"}
+        unknown = sorted(
+            f"{name}: make {target}" for name, target in used if target not in defined
+        )
+        assert not unknown, f"docs run make targets the Makefile lacks: {', '.join(unknown)}"

@@ -68,9 +68,13 @@ class TestReader:
         assert keepout.cuboid.zmin == 0.0
         assert keepout.cuboid.zmax == pytest.approx(0.015)
 
-    def test_ground_flag(self):
-        text = SAMPLE.replace("BOARD 0 GROUND 1", "BOARD 0 GROUND 0")
-        assert not read_problem(text).board(0).ground_plane
+    def test_ground_token_ignored(self):
+        # GROUND 0|1 on a BOARD line still parses, and both values read to
+        # the same problem: no simulation reads a board's ground flag.
+        plane = read_problem(SAMPLE)
+        no_plane = read_problem(SAMPLE.replace("BOARD 0 GROUND 1", "BOARD 0 GROUND 0"))
+        assert no_plane.boards == plane.boards
+        assert write_problem(no_plane) == write_problem(plane)
 
     def test_missing_header(self):
         with pytest.raises(AsciiFormatError, match="EMIPLACE"):
@@ -151,6 +155,16 @@ class TestRoundtrip:
             twin = again.components[ref].component
             assert twin.footprint_w == pytest.approx(comp.component.footprint_w, rel=1e-4)
             assert twin.body_height == pytest.approx(comp.component.body_height, rel=1e-4)
+
+    def test_demo_board_roundtrips(self):
+        from repro.converters import build_demo_board
+
+        board = build_demo_board()
+        text = write_problem(board)
+        assert "GROUND" not in text
+        again = read_problem(text)
+        assert write_problem(again) == text
+        assert set(again.components) == set(board.components)
 
     def test_written_problem_is_placeable(self):
         from repro.placement import AutoPlacer

@@ -185,12 +185,12 @@ class TestEventBus:
         assert seen == list(range(1, 801))
 
     def test_error_count_exact_under_concurrent_close(self):
-        # Regression for the race conlint's CON001 surfaced: close()
-        # incremented subscriber_errors without the bus lock while
-        # publishers incremented it under the lock, so increments could
-        # be lost.  Both paths are lock-guarded now; the count must be
-        # exact: one per delivered publish (the subscriber raises every
-        # time) plus one for the raising closer.
+        # Regression for a lost-update race: close() incremented
+        # subscriber_errors without the bus lock while publishers
+        # incremented it under the lock, so increments could be lost.
+        # Both paths are lock-guarded now; the count must be exact: one
+        # per delivered publish (the subscriber raises every time) plus
+        # one for the raising closer.
         bus = EventBus()
 
         class RaisingSub:
