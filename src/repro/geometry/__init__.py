@@ -5,6 +5,7 @@ that component geometry has a single source of truth.
 """
 
 from .polygon import Polygon2D, convex_hull
+from .rows import unique_rows
 from .shapes import Cuboid, OrientedRect, Rect
 from .transform import Placement2D, Transform3D, angle_between, normalize_angle
 from .vec import EPS, Vec2, Vec3, almost_equal, deg_to_rad, rad_to_deg
@@ -25,4 +26,5 @@ __all__ = [
     "Rect",
     "OrientedRect",
     "Cuboid",
+    "unique_rows",
 ]

@@ -1,0 +1,40 @@
+"""Row deduplication of integer key arrays.
+
+Both the placer's candidate lattice and the PEEC self-inductance reduce a
+set of points (or filament pairs) to its distinct classes, keyed by rows
+of rounded integers.  :func:`unique_rows` is that one step.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["unique_rows"]
+
+
+def unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a ``(n, k)`` integer key array.
+
+    A stable :func:`numpy.lexsort` over the key columns (column 0 first)
+    followed by a neighbour diff: the same classes, in the same order and
+    with the same first-occurrence indices as
+    ``np.unique(keys, axis=0, return_index=True, return_inverse=True)``,
+    at a fraction of its cost (no structured view, no comparison of
+    packed rows).
+
+    Args:
+        keys: ``(n, k)`` integer array, one key per row.
+
+    Returns:
+        ``(first, inverse)``: ``first[c]`` is the index of the first row
+        of class ``c`` (classes in lexicographic key order), and
+        ``keys[first][inverse]`` equals ``keys`` row for row.
+    """
+    keys = np.asarray(keys)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse

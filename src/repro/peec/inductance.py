@@ -5,7 +5,8 @@ These routines aggregate the filament-level partial inductances of
 
 * ``loop_self_inductance(path)`` — the self-inductance of a component's
   internal current loop (its ESL contribution from geometry), from the
-  exact near-field pair kernel;
+  exact near-field pair kernel, solved once per isometry class of
+  filament pairs;
 * ``mutual_inductance_row(source, targets)`` — the mutual inductances of
   one placed component against many others, the raw ingredient of
   interference coupling, from one call of the order-8 disjoint-path kernel
@@ -23,6 +24,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..geometry import unique_rows
 from ..obs import get_tracer
 from ..units import Henries
 from .filament import (
@@ -58,8 +60,13 @@ def loop_self_inductance(path: CurrentPath, order: int = SELF_INDUCTANCE_ORDER) 
     over the path's own filaments with their signed turn weights, as one
     broadcast: Ruehli bar self-terms on the diagonal and the exact
     near-field kernel :func:`repro.peec.filament.mutual_inductance_pairs`
-    over the upper triangle.  For a physically sensible loop the result is
-    positive; a negative value indicates a broken discretisation and raises.
+    over the upper triangle.  A partial mutual depends only on the pair's
+    shape up to rigid motion, so the kernel runs once per isometry class
+    of pairs (:func:`_pair_shape_keys`) and its results are scattered
+    back; a winding built from congruent segments (``ring_stack``) has
+    far fewer classes than pairs.  For a physically sensible loop the
+    result is positive; a negative value indicates a broken
+    discretisation and raises.
     """
     packed = path.packed
     n = len(packed)
@@ -68,9 +75,12 @@ def loop_self_inductance(path: CurrentPath, order: int = SELF_INDUCTANCE_ORDER) 
         tracer.count("peec.self_inductance_evals")
         tracer.count("peec.filament_pairs", n * (n + 1) // 2)
         weights = packed.weights
-        diagonal = self_inductance_bars(packed.lengths(), packed.widths, packed.thicknesses)
+        lengths = packed.lengths()
+        diagonal = self_inductance_bars(lengths, packed.widths, packed.thicknesses)
         i, j = np.triu_indices(n, 1)
-        mutuals = mutual_inductance_pairs(packed, i, j, order)
+        first, inverse = unique_rows(_pair_shape_keys(packed, lengths, i, j))
+        tracer.count("peec.pair_classes", len(first))
+        mutuals = mutual_inductance_pairs(packed, i[first], j[first], order)[inverse]
         total = float(
             np.sum(weights * weights * diagonal)
             + 2.0 * np.sum(weights[i] * weights[j] * mutuals)
@@ -81,6 +91,38 @@ def loop_self_inductance(path: CurrentPath, order: int = SELF_INDUCTANCE_ORDER) 
             "check filament directions/weights"
         )
     return total
+
+
+def _pair_shape_keys(
+    packed: PackedFilaments, lengths: np.ndarray, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """Integer isometry keys of the filament pairs ``(i[k], j[k])``.
+
+    Four points are fixed up to isometry by their six distances, so each
+    pair is keyed on ``|s_i e_i|, |s_j e_j|, |s_i s_j|, |s_i e_j|,
+    |e_i s_j|, |e_i e_j|``, rounded to integers at 1e-9 of the largest
+    one.  Pairs that differ only by a rigid motion or a reflection share a
+    key (unless a distance rounds across an integer boundary, which only
+    splits a class); the endpoint order is part of it (a swapped or
+    reversed pair is a class of its own).
+    """
+    starts, ends = packed.starts, packed.ends
+    dist = np.stack(
+        [
+            lengths[i],
+            lengths[j],
+            np.linalg.norm(starts[i] - starts[j], axis=1),
+            np.linalg.norm(starts[i] - ends[j], axis=1),
+            np.linalg.norm(ends[i] - starts[j], axis=1),
+            np.linalg.norm(ends[i] - ends[j], axis=1),
+        ],
+        axis=1,
+    )
+    resolution = 1e-9 * float(dist.max(initial=0.0))
+    if resolution <= 0.0:
+        # No pairs (fewer than two filaments): nothing to key.
+        return np.zeros(dist.shape, dtype=np.int64)
+    return np.rint(dist / resolution).astype(np.int64)
 
 
 def mutual_inductance_row(

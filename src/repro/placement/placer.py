@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import EPS, Placement2D, Polygon2D, Rect, Vec2
+from ..geometry import EPS, Placement2D, Polygon2D, Rect, Vec2, unique_rows
 from ..obs import get_tracer
 from ..rules import MinDistanceRule, emd_between_axes, emd_floor
 from .drc import DesignRuleChecker
@@ -327,7 +327,7 @@ class AutoPlacer:
         xy = np.concatenate([corners.reshape(-1, 2), rings.reshape(-1, 2), *samples])
         # Half-to-even rounding to integer keys (which also merge -0.0 and 0.0).
         keys = np.rint(xy / _LATTICE).astype(np.int64)
-        _keys, first = np.unique(keys, axis=0, return_index=True)
+        first, _ = unique_rows(keys)
         return xy[np.sort(first)]
 
     def _partner_emds(self, comp: PlacedComponent, rotation_deg: float) -> list[tuple[Vec2, float]]:

@@ -3,7 +3,9 @@
 The committed JSON records converter spectra as the condensed MNA solver
 (one branch row per series R/L/C chain) computes them; it was regenerated
 when the solver condensed, after ``tests/test_mna_condensed_equivalence.py``
-had bounded the move against the full-node assembly.
+had bounded the move against the full-node assembly, and again when the
+part self-inductances began solving one filament pair per isometry class
+(the move is stated in ``tests/test_mna_reference.py``).
 ``tests/test_mna_reference.py`` pins the current code to it at rtol 1e-12.
 Regenerating it with the current code would turn that check into a
 tautology, so only do so when the circuit models or the solver change on

@@ -18,6 +18,15 @@ relative and 1.0e-7 dB on resolved lines;
 ``buck_hf`` was recorded while the ``VOUT`` and ``VLOAD`` traces still
 followed their series parts L1 and LF2; putting them ahead of those parts,
 as every trace now sits, moves its lines by at most 4.2e-13 relative.
+
+The file was regenerated when the part self-inductances began solving one
+filament pair per isometry class (``loop_self_inductance``), which moves
+each part's L at rounding level (at most 7e-16 relative).  Through the
+circuit that moved 4 of 90 ``buck[2]`` emission lines, 1 of its 90
+measurement lines and 5 of 54 ``boost`` lines by more than 1e-12, all
+near nulls: at most 9.0e-12 relative (6.6e-19 V absolute) on the
+``buck[2]`` emission, 1.4e-12 on its measurement and 2.0e-12 on the
+boost.  Every other line moved by less than 5e-13 relative.
 """
 
 import json

@@ -15,6 +15,7 @@ EMD within 1e-15 of its PEMD.
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,12 +105,21 @@ class TestEmdInvariants:
     @given(parts, placements(), parts, placements(), pemds, residuals, st.booleans())
     def test_half_turn_leaves_emd_unchanged(self, a, pa, b, pb, pemd, residual, turn_a):
         emd = emd_for_pair(a, pa, b, pb, pemd, residual)
+        turned = (pa if turn_a else pb).rotation_rad + math.pi
         if turn_a:
-            pa = pa.rotated_to(pa.rotation_rad + math.pi)
+            pa = pa.rotated_to(turned)
         else:
-            pb = pb.rotated_to(pb.rotation_rad + math.pi)
+            pb = pb.rotated_to(turned)
+        # ``turned`` is the double nearest rotation + pi: the turn itself is
+        # off by at most ulp(turned) / 2 (and math.pi by less than eps).  The
+        # EMD is pemd * max(|cos(alpha)|, floor) with |cos(alpha)| = |axis_a .
+        # axis_b|, and each axis component is a cos or sin of the rotation, so
+        # an angle error reaches the EMD times at most pemd.  Evaluating
+        # cos/sin, the rotated axis, the dot product and cos(acos(.)) adds a
+        # few eps more.
+        bound = pemd * (math.ulp(turned) / 2 + 8 * sys.float_info.epsilon)
         assert emd_for_pair(a, pa, b, pb, pemd, residual) == pytest.approx(
-            emd, rel=0.0, abs=1e-15 * pemd
+            emd, rel=0.0, abs=bound
         )
 
 

@@ -5,13 +5,16 @@ quadrature agreement, |k| bounds, and sign antisymmetry under current
 reversal.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.components import default_library
 from repro.geometry import Placement2D, Transform3D, Vec2, Vec3
 from repro.peec import (
@@ -262,7 +265,8 @@ def packed_end_points(packed):
 
 
 def object_self_inductance(filaments):
-    """``loop_self_inductance`` read from Filament objects, as it used to be."""
+    """The full pair sum ``loop_self_inductance`` replaced, read from Filament
+    objects: every one of the n(n-1)/2 pairs through the kernel."""
     weights = np.array([f.weight for f in filaments])
     diagonal = self_inductance_bars(
         np.array([f.length for f in filaments]),
@@ -274,6 +278,20 @@ def object_self_inductance(filaments):
     return float(
         np.sum(weights * weights * diagonal) + 2.0 * np.sum(weights[i] * weights[j] * mutuals)
     )
+
+
+def assert_equals_full_sum(path, name=""):
+    full = object_self_inductance(path.filaments)
+    assert math.isclose(loop_self_inductance(path), full, rel_tol=1e-12, abs_tol=0.0), name
+
+
+def self_inductance_totals(path):
+    tracer = obs.enable(meta={"test": "pair classes"})
+    try:
+        loop_self_inductance(path)
+    finally:
+        obs.disable()
+    return tracer.report().totals()
 
 
 class TestPackedPath:
@@ -298,10 +316,65 @@ class TestPackedPath:
         assert packed_end_points(image.packed) == end_points(expected)
         assert packed_end_points(placed.packed.image(plane_z)) == end_points(expected)
 
+    # loop_self_inductance solves one pair per isometry class and scatters;
+    # the full sum groups the same terms differently, so the two agree to
+    # rounding (at most 7e-16 relative on the library), not bit for bit.
     def test_self_inductance_of_every_library_part(self):
         library = default_library()
         for name in library.part_numbers():
             part = library.create(name)
             placed = part.placed_current_path(Placement2D(Vec2(0.01, -0.02), 0.7, 2e-3, -1))
             for path in (part.current_path, placed):
-                assert loop_self_inductance(path) == object_self_inductance(path.filaments), name
+                assert_equals_full_sum(path, name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_paths(), sided_placements)
+    def test_self_inductance_equals_full_sum(self, path, placement):
+        assert_equals_full_sum(path)
+        assert_equals_full_sum(path.transformed(placement.to_transform3d()))
+
+    def test_single_filament_has_no_pair_classes(self):
+        wire = Filament(Vec3(0.0, 0.0, 0.0), Vec3(0.01, 0.0, 0.0), weight=2.0)
+        totals = self_inductance_totals(CurrentPath([wire]))
+        assert totals["peec.pair_classes"] == 0
+        assert loop_self_inductance(CurrentPath([wire])) == 4.0 * wire.self_inductance()
+
+    def test_all_distinct_pairs_are_all_solved(self):
+        rng = np.random.default_rng(7)
+        points = [Vec3(*xyz) for xyz in rng.uniform(-0.01, 0.01, size=(13, 3))]
+        path = CurrentPath([Filament(a, b) for a, b in zip(points[:-1], points[1:])])
+        assert self_inductance_totals(path)["peec.pair_classes"] == 12 * 11 // 2
+        assert_equals_full_sum(path)
+
+    @pytest.mark.parametrize("a, b", list(itertools.combinations(range(4), 2)))
+    def test_every_endpoint_distance_is_in_the_key(self, a, b):
+        # Turn end point b of a pair about the line through the two points
+        # other than a and b: of the six endpoint distances only |a b|
+        # changes, so the pair and its turned copy are two classes.
+        points = np.random.default_rng(3).uniform(-0.01, 0.01, size=(4, 3))
+        c, d = (k for k in range(4) if k not in (a, b))
+        axis = (points[d] - points[c]) / np.linalg.norm(points[d] - points[c])
+        arm = points[b] - points[c]
+        turned = points.copy()
+        turned[b] = points[c] + (
+            arm * math.cos(1.0)
+            + np.cross(axis, arm) * math.sin(1.0)
+            + axis * axis.dot(arm) * (1.0 - math.cos(1.0))
+        )
+        turned += [0.1, 0.0, 0.0]
+
+        def pair(p):
+            return [Filament(Vec3(*p[0]), Vec3(*p[1])), Filament(Vec3(*p[2]), Vec3(*p[3]))]
+
+        path = CurrentPath(pair(points) + pair(turned))
+        assert self_inductance_totals(path)["peec.pair_classes"] == 6
+        assert_equals_full_sum(path)
+
+    def test_ring_stack_windings_share_pair_classes(self):
+        library = default_library()
+        for name in ("BOBBIN-100u", "CMC-2W"):
+            path = library.create(name).current_path
+            n = len(path)
+            totals = self_inductance_totals(path)
+            assert totals["peec.filament_pairs"] == n * (n + 1) // 2
+            assert totals["peec.pair_classes"] < n * (n - 1) // 8, name
