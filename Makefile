@@ -6,7 +6,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint ruff mypy physlint physlint-baseline perflint hotness-baseline bench-smoke events-smoke serve-smoke docs-check perf-baseline perf-check
+.PHONY: test lint ruff mypy physlint physlint-baseline bench-smoke events-smoke serve-smoke docs-check perf-baseline perf-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -45,9 +45,9 @@ perf-check:
 		--baseline benchmarks/baselines/PERF_rules_demo_board.json \
 		--fail-on regression --wall-threshold 4.0
 
-## Full static gate: style (ruff) + types (mypy) + physics lint (physlint)
-## + performance/architecture lint (perflint).
-lint: ruff mypy physlint perflint
+## Full static gate: style (ruff) + types (mypy) + physics and
+## architecture lint (physlint).
+lint: ruff mypy physlint
 
 ruff:
 	ruff check src/ tests/ examples/ benchmarks/
@@ -62,17 +62,3 @@ physlint:
 physlint-baseline:
 	$(PYTHON) -m repro.cli lint-src src/repro --no-baseline \
 		--write-baseline src/repro/lint/physlint_baseline.json
-
-## Performance + architecture rules alone (docs/PERFLINT.md).  No
-## baseline: ARCH findings and hot-path PRF findings (promoted to error
-## by the committed hotness snapshot) must be fixed, not accumulated;
-## cold PRF findings are informational.
-perflint:
-	$(PYTHON) -m repro.cli lint-src src/repro --select PRF,ARCH --no-baseline \
-		--hotness benchmarks/baselines/HOTNESS.json
-
-## Refresh the committed hotness snapshot from the perf-history store.
-hotness-baseline:
-	$(PYTHON) -m repro.cli perf hotness \
-		--store benchmarks/out/perf-history.jsonl \
-		-o benchmarks/baselines/HOTNESS.json

@@ -160,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="CODES",
         help="comma-separated rule codes or family prefixes to run "
-        "(e.g. CON, or NUM002,UNT; default: every rule)",
+        "(e.g. ARCH, or NUM002,UNT; default: every rule); a code or "
+        "family that matches no registered rule exits 2",
     )
     p_lint.add_argument(
         "--baseline",
@@ -181,14 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="write the surfaced findings as a new baseline and exit 0",
-    )
-    p_lint.add_argument(
-        "--hotness",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="hotness snapshot JSON (make hotness-baseline); PRF findings "
-        "on its recorded hot paths are promoted to error",
     )
 
     p_place = sub.add_parser(
@@ -515,21 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write here instead of stdout",
     )
 
-    pp_hotness = perf_sub.add_parser(
-        "hotness",
-        help="aggregate the perf-history store into a hotness snapshot "
-        "(profile-guided severity for lint-src --hotness)",
-        parents=[store_flags],
-    )
-    pp_hotness.add_argument(
-        "-o",
-        "--output",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the snapshot JSON here instead of stdout",
-    )
-
     pp_flight = perf_sub.add_parser(
         "flight",
         help="render one run as a self-contained HTML flight recorder",
@@ -612,18 +590,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_lint_src(args: argparse.Namespace) -> int:
     from .check import Severity
-    from .lint import DEFAULT_BASELINE_PATH, Baseline, HotnessModel, lint_paths
+    from .lint import DEFAULT_BASELINE_PATH, Baseline, lint_paths
 
-    hotness = None
-    if args.hotness is not None:
-        try:
-            hotness = HotnessModel.load(args.hotness)
-        except OSError as exc:
-            print(f"lint-src: cannot read {args.hotness}: {exc}", file=sys.stderr)
-            return int(Severity.ERROR)
-        except ValueError as exc:
-            print(f"lint-src: {exc}", file=sys.stderr)
-            return int(Severity.ERROR)
     baseline = None
     if not args.no_baseline:
         baseline_path = args.baseline
@@ -649,9 +617,8 @@ def _cmd_lint_src(args: argparse.Namespace) -> int:
             paths=list(args.paths) or None,
             baseline=baseline,
             select=select,
-            hotness=hotness,
         )
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"lint-src: {exc}", file=sys.stderr)
         return int(Severity.ERROR)
     if args.write_baseline is not None:
@@ -1187,31 +1154,6 @@ def _cmd_perf_flight(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf_hotness(args: argparse.Namespace) -> int:
-    import json
-
-    from .lint.hotness import HotnessModel
-    from .obs import PerfHistory
-
-    history = PerfHistory(args.store)
-    model = HotnessModel.from_history(history.path)
-    if not model.shares:
-        print(f"no usable records in {history.path}", file=sys.stderr)
-        return 2
-    if args.output is not None:
-        model.save(args.output)
-        hot = model.hot_spans
-        print(
-            f"wrote {args.output}: {len(model.shares)} span(s), "
-            f"{len(hot)} hot at threshold {model.threshold:g}"
-        )
-        for name in hot:
-            print(f"  hot {model.shares[name]:6.1%}  {name}")
-    else:
-        print(json.dumps(model.to_dict(), indent=2))
-    return 0
-
-
 _PERF_COMMANDS = {
     "record": _cmd_perf_record,
     "history": _cmd_perf_history,
@@ -1219,7 +1161,6 @@ _PERF_COMMANDS = {
     "check": _cmd_perf_check,
     "export": _cmd_perf_export,
     "flight": _cmd_perf_flight,
-    "hotness": _cmd_perf_hotness,
 }
 
 

@@ -12,12 +12,6 @@ them*: a custom AST analyzer with these rule families —
 * **numerical robustness / API hygiene** (NUM001–NUM004, API001–API002):
   exact float equality, unguarded division, sqrt/log of differences,
   plain ``sum()`` in PEEC kernels, module-global state;
-* **performance — "perflint"** (PRF001–PRF004): Python loops over numpy
-  arrays in kernel modules, loop-invariant allocations, repeated dotted
-  lookups in loops, all-pairs nested scans.
-  Findings default to ``info``; the profile-guided hotness model
-  (:mod:`repro.lint.hotness`, fed by the PerfHistory span store)
-  promotes hot-path findings to ``error`` (``docs/PERFLINT.md``);
 * **architecture** (ARCH001–ARCH003): the project import graph
   (:mod:`repro.lint.imports`) is checked against the layer table in
   :mod:`repro.lint.rules_arch` — import cycles, lower layers importing
@@ -40,7 +34,6 @@ line or per file) or via the checked-in baseline
 from .base import LintFinding
 from .baseline import DEFAULT_BASELINE_PATH, Baseline
 from .engine import LintResult, default_target, lint_paths, lint_sources
-from .hotness import HotnessModel
 from .imports import ImportGraph, build_import_graph
 from .registry import lint_rule_specs, lint_spec_for
 from .rules_arch import ARCH_LAYERS, analyze_architecture
@@ -59,7 +52,6 @@ __all__ = [
     "lint_spec_for",
     "Suppressions",
     "scan_suppressions",
-    "HotnessModel",
     "ImportGraph",
     "build_import_graph",
     "ARCH_LAYERS",

@@ -17,18 +17,16 @@ observability spans (``lint.run`` > ``lint.parse`` / ``lint.symbols`` /
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..check.diagnostics import CheckReport, Severity
+from ..check.diagnostics import CheckReport
 from ..obs import get_tracer
 from .base import LintFinding
 from .baseline import Baseline
-from .hotness import HotnessModel
-from .registry import lint_spec_for
+from .registry import check_select, lint_spec_for
 from .rules_arch import analyze_architecture
 from .rules_numeric import NumericRuleVisitor
-from .rules_performance import KERNEL_MARKERS, PerformanceRuleVisitor
 from .rules_units import UnitRuleVisitor
 from .suppress import scan_suppressions
 from .symbols import build_symbol_table
@@ -97,8 +95,8 @@ def _relative_label(path: Path, root: Path) -> str:
 def _matches_select(code: str, select: list[str] | None) -> bool:
     """Whether a rule code survives a ``--select`` prefix filter.
 
-    ``select=None`` (the default) selects everything; ``["PRF"]``
-    selects the whole performance family; ``["NUM002", "UNT"]`` mixes
+    ``select=None`` (the default) selects everything; ``["ARCH"]``
+    selects the whole architecture family; ``["NUM002", "UNT"]`` mixes
     exact codes and families.  LNT001 (a module that does not parse)
     always survives — a selection cannot make an unanalyzable module
     look clean.
@@ -110,52 +108,27 @@ def _matches_select(code: str, select: list[str] | None) -> bool:
     return any(code.startswith(prefix) for prefix in select)
 
 
-def _promote_hot(
-    findings: list[LintFinding], hotness: HotnessModel | None
-) -> list[LintFinding]:
-    """Profile-guided severity: PRF findings on a hot path become errors.
-
-    Only performance findings participate — they default to ``info``
-    precisely so the profile decides which ones gate CI.  A missing
-    model (or a location no recorded span covers) leaves the finding
-    untouched.
-    """
-    if hotness is None:
-        return findings
-    promoted: list[LintFinding] = []
-    for finding in findings:
-        if (
-            finding.code.startswith("PRF")
-            and finding.severity < Severity.ERROR
-            and hotness.is_hot(finding.file, finding.symbol)
-        ):
-            finding = replace(
-                finding,
-                severity=Severity.ERROR,
-                message=finding.message + " [hot path]",
-            )
-        promoted.append(finding)
-    return promoted
-
-
 def lint_sources(
     sources: dict[str, str],
     select: list[str] | None = None,
-    hotness: HotnessModel | None = None,
 ) -> tuple[list[LintFinding], int]:
     """Analyze in-memory modules (label -> source text).
 
     The label doubles as the finding's ``file`` and decides PEEC-kernel
-    treatment (NUM004 by containing a ``peec`` path part, PRF001 by a
-    part in :data:`~repro.lint.rules_performance.KERNEL_MARKERS`).
-    ``select`` restricts the surfaced findings to the given code
-    prefixes (see :func:`_matches_select`); inline-suppression counts
-    then cover only the selected rules.  ``hotness`` promotes PRF
-    findings on recorded hot paths to error (:func:`_promote_hot`).
+    treatment (NUM004, by containing a ``peec`` path part).  ``select``
+    restricts the surfaced findings to the given code prefixes (see
+    :func:`_matches_select`); inline-suppression counts then cover only
+    the selected rules.
 
     Returns:
         (findings after inline suppressions, number suppressed inline).
+
+    Raises:
+        ValueError: for a ``select`` token that matches no registered
+            code (:func:`~repro.lint.registry.check_select`).
     """
+    if select is not None:
+        check_select(select)
     tracer = get_tracer()
     modules: dict[str, ast.Module] = {}
     findings: list[LintFinding] = []
@@ -188,19 +161,11 @@ def lint_sources(
         for label, tree in modules.items():
             parts = Path(label).parts
             is_peec = any(marker in parts for marker in _PEEC_MARKERS)
-            is_kernel = any(marker in parts for marker in KERNEL_MARKERS)
             numeric = NumericRuleVisitor(label, is_peec_kernel=is_peec)
             numeric.run(tree)
             units = UnitRuleVisitor(label, table)
             units.run(tree)
-            performance = PerformanceRuleVisitor(label, is_kernel=is_kernel)
-            performance.run(tree)
-            raw = (
-                numeric.findings
-                + units.findings
-                + _promote_hot(performance.findings, hotness)
-                + arch_by_label.get(label, [])
-            )
+            raw = numeric.findings + units.findings + arch_by_label.get(label, [])
             module_findings = [
                 finding for finding in raw if _matches_select(finding.code, select)
             ]
@@ -223,7 +188,6 @@ def lint_paths(
     root: Path | None = None,
     subject: str = "",
     select: list[str] | None = None,
-    hotness: HotnessModel | None = None,
 ) -> LintResult:
     """Analyze a source tree and return the filtered report.
 
@@ -236,13 +200,12 @@ def lint_paths(
             ``repro/circuit/mna.py``).
         subject: label for the report header (defaults to the target).
         select: restrict surfaced findings to these code prefixes
-            (``["PRF", "ARCH"]`` runs perflint alone); ``None`` runs every
-            rule.
-        hotness: profile-guided severity model; PRF findings on its hot
-            paths are promoted to error.
+            (``["ARCH"]`` runs the import-graph rules alone); ``None``
+            runs every rule.
 
     Raises:
         FileNotFoundError: when a given path does not exist.
+        ValueError: for a ``select`` token that matches no registered code.
     """
     tracer = get_tracer()
     with tracer.span("lint.run"):
@@ -254,7 +217,7 @@ def lint_paths(
             _relative_label(path, root): path.read_text(encoding="utf-8")
             for path in files
         }
-        findings, suppressed = lint_sources(sources, select=select, hotness=hotness)
+        findings, suppressed = lint_sources(sources, select=select)
         if baseline is not None:
             findings, baselined = baseline.filter(findings)
         else:
@@ -269,7 +232,7 @@ def lint_paths(
         subject=subject or f"{', '.join(str(t) for t in targets)} ({len(files)} files)"
     )
     report.extend([finding.to_diagnostic() for finding in findings], "physlint")
-    for family in ("units", "numeric", "api", "performance", "architecture"):
+    for family in ("units", "numeric", "api", "architecture"):
         if family not in report.analyzers:
             report.analyzers.append(family)
     return LintResult(

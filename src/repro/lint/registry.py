@@ -11,9 +11,7 @@ Codes are grouped by rule family::
     UNT0xx  units        (dimension inference over annotated APIs)
     NUM0xx  numeric      (floating-point robustness)
     API0xx  api          (interface hygiene: module-level mutable state)
-    PRF0xx  performance  (hot-path anti-patterns; severity is
-                          profile-guided, see docs/PERFLINT.md)
-    ARCH0xx architecture (import-graph layering, see docs/PERFLINT.md)
+    ARCH0xx architecture (import-graph layering, see docs/PHYSLINT.md)
     LNT0xx  analyzer     (the analyzer's own operational diagnostics)
 
 Codes are append-only: a released code never changes meaning, and retired
@@ -26,11 +24,10 @@ from __future__ import annotations
 from ..check.diagnostics import Severity
 from ..check.registry import RuleSpec
 
-__all__ = ["lint_rule_specs", "lint_spec_for"]
+__all__ = ["check_select", "lint_rule_specs", "lint_spec_for"]
 
 _ERROR = Severity.ERROR
 _WARNING = Severity.WARNING
-_INFO = Severity.INFO
 
 _SPECS: tuple[RuleSpec, ...] = (
     # -- units ------------------------------------------------------------
@@ -144,46 +141,6 @@ _SPECS: tuple[RuleSpec, ...] = (
         "order-dependent and untestable; prefer an explicit object or a "
         "documented singleton accessor.",
     ),
-    # -- performance (default severity is info: perflint findings are
-    # promoted to error only when the hotness model places them on a
-    # recorded hot path — see repro.lint.hotness) -------------------------
-    RuleSpec(
-        "PRF001",
-        "python-loop-over-array",
-        _INFO,
-        "performance",
-        "A Python for-loop iterating numpy array elements (or appending "
-        "per element) in a kernel module runs the interpreter once per "
-        "element; the vectorised form is orders of magnitude faster and "
-        "the ROADMAP's 500-component coupling target dies without it.",
-    ),
-    RuleSpec(
-        "PRF002",
-        "loop-invariant-allocation",
-        _INFO,
-        "performance",
-        "Allocating an array whose arguments do not depend on the loop "
-        "variable re-runs the allocator every iteration for the same "
-        "result; hoist it out of the loop (or preallocate and fill).",
-    ),
-    RuleSpec(
-        "PRF003",
-        "repeated-attribute-lookup",
-        _INFO,
-        "performance",
-        "The same dotted attribute path resolved many times inside one "
-        "loop pays the lookup chain per iteration; bind it to a local "
-        "before the loop.",
-    ),
-    RuleSpec(
-        "PRF004",
-        "all-pairs-python-scan",
-        _INFO,
-        "performance",
-        "Nested for-i/for-j Python scans over the same sequence are the "
-        "O(n^2) interpreter pattern the blocked/vectorised kernels exist "
-        "to replace; route pair work through the vectorised path.",
-    ),
     # -- architecture (enforces docs/ARCHITECTURE.md; always error) -------
     RuleSpec(
         "ARCH001",
@@ -227,6 +184,11 @@ _SPECS: tuple[RuleSpec, ...] = (
 
 _BY_CODE: dict[str, RuleSpec] = {s.code: s for s in _SPECS}
 
+_PRF_RETIRED = (
+    "perfbench, its spans and `perf diff` (docs/PERFORMANCE.md): a speed "
+    "claim is measured end to end, not guessed from the AST"
+)
+
 _CON_RETIRED = (
     "conlint retired: no process pool or fleet left; the hammer tests "
     "cover the bus, the tracer and the jobs"
@@ -236,6 +198,7 @@ _CON_RETIRED = (
 #: still name one keep loading; the code itself is never registered again.
 _RETIRED: dict[str, str] = {
     "NUM005": "ruff B006",
+    **{f"PRF00{n}": _PRF_RETIRED for n in range(1, 5)},
     "PRF005": "no process pool left in src/repro",
     **{f"CON00{n}": _CON_RETIRED for n in range(1, 6)},
 }
@@ -253,3 +216,24 @@ def lint_spec_for(code: str) -> RuleSpec:
         KeyError: for an unregistered code.
     """
     return _BY_CODE[code]
+
+
+def check_select(select: list[str]) -> None:
+    """Reject ``--select`` tokens that match no registered rule.
+
+    A token selects every registered code it prefixes (``NUM002``,
+    ``UNT``).  A token that prefixes nothing would pass the gate
+    silently, whether it is a typo or a retired family.
+
+    Raises:
+        ValueError: naming the first such token; for retired codes the
+            message names what replaced them (:data:`_RETIRED`).
+    """
+    for token in select:
+        if any(spec.code.startswith(token) for spec in _SPECS):
+            continue
+        retired = sorted(code for code in _RETIRED if code.startswith(token))
+        if retired:
+            replacements = "; ".join(dict.fromkeys(_RETIRED[code] for code in retired))
+            raise ValueError(f"--select {token}: {', '.join(retired)} retired ({replacements})")
+        raise ValueError(f"--select {token} matches no rule code or family")

@@ -156,7 +156,7 @@ def _arch002_003(graph: ImportGraph) -> list[LintFinding]:
                     f"'{target_package}' (layer {target_layer}) — lower "
                     "layers must not depend on upper ones",
                     hint="move the shared definition into the lower layer, "
-                    "or invert the dependency (docs/PERFLINT.md)",
+                    "or invert the dependency (docs/ARCHITECTURE.md)",
                 )
             )
     return findings

@@ -22,7 +22,7 @@ Zero-dependency (stdlib-only) instrumentation for the EMI design flow:
   typed span/counter/gauge/stage/log events fanned out live to
   pluggable subscribers (:class:`JsonlSink`, :class:`EventRingBuffer`,
   :class:`LiveRenderer`) — the CLI's ``--events-out`` / ``--live`` and
-  the future service layer's SSE source;
+  the SSE source of :mod:`repro.service` (``GET /jobs/{id}/events``);
 * :class:`ResourceSampler` — background RSS/CPU sampling folded into
   ``proc.*`` gauges;
 * :func:`new_run_id` / :func:`is_run_id` — ULID-like run-correlation

@@ -10,8 +10,8 @@ stage transitions and the resource sampler — publish directly.  Subscribers ar
 * :class:`JsonlSink` — append each event as one JSON line
   (the CLI's ``--events-out``);
 * :class:`EventRingBuffer` — a bounded in-memory buffer with a
-  ``drain()`` / ``since()`` cursor API, the transport-ready source a
-  future service layer can poll or bridge to SSE;
+  ``drain()`` / ``since()`` cursor API; :mod:`repro.service` keeps one
+  per job and streams it as SSE from ``GET /jobs/{id}/events``;
 * :class:`LiveRenderer` — a single-line console progress display
   (the CLI's ``--live``): current stage, open span path, elapsed
   time, event/counter rates and the coupling-cache hit-rate.

@@ -6,9 +6,9 @@ entry/exit, counter bump, gauge write, flow stage transition and log
 message becomes one immutable :class:`TelemetryEvent` with a
 process-monotonic sequence number and a wall-clock timestamp.  The
 :class:`~repro.obs.EventBus` fans events out to subscribers (JSONL sink,
-live console renderer, in-memory ring buffer — the future service
-layer's SSE source); this module only defines the payload and its
-schema.
+live console renderer, in-memory ring buffer — the SSE source of
+:mod:`repro.service`'s ``GET /jobs/{id}/events``); this module only
+defines the payload and its schema.
 
 Event kinds (``TelemetryEvent.kind``):
 

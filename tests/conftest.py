@@ -92,16 +92,12 @@ def layout_comparison(design_flow):
 
 @pytest.fixture(scope="session")
 def shipped_tree_lint():
-    """One lint run over ``src/repro``: no select, no baseline, committed hotness.
+    """One lint run over ``src/repro``: no select, no baseline.
 
     The whole-tree lint self-checks share it and filter its findings the
     way ``select`` (a code family plus LNT001, which every selection keeps)
-    or ``Baseline.filter`` would.  Hot PRF findings carry their promoted
-    severity; the baseline keys on (file, code, symbol) and ignores it.
+    or ``Baseline.filter`` would.
     """
-    from pathlib import Path
+    from repro.lint import default_target, lint_paths
 
-    from repro.lint import HotnessModel, default_target, lint_paths
-
-    snapshot = Path(__file__).parents[1] / "benchmarks" / "baselines" / "HOTNESS.json"
-    return lint_paths([default_target()], baseline=None, hotness=HotnessModel.load(snapshot))
+    return lint_paths([default_target()], baseline=None)

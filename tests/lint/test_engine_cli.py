@@ -179,6 +179,24 @@ class TestSelect:
         assert code != 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        ("token", "reason"),
+        [("CON", _RETIRED["CON001"]), ("PRF", _RETIRED["PRF001"]), ("XYZ", "matches no rule")],
+    )
+    def test_cli_select_matching_nothing_errors(self, mixed_file, capsys, token, reason):
+        # A retired family or a typo must not pass the gate by selecting nothing.
+        code = main(["lint-src", str(mixed_file), "--no-baseline", "--select", f"NUM002,{token}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--select {token}" in captured.err and reason in captured.err
+
+    def test_cli_select_code_and_family(self, mixed_file, capsys):
+        code = main(["lint-src", str(mixed_file), "--no-baseline", "--select", "NUM002,UNT"])
+        out = capsys.readouterr().out
+        assert code == 2  # UNT001 is an error
+        assert "UNT001" in out and "NUM002" in out
+
 
 class TestEngine:
     def test_write_baseline_then_clean(self, fixture_file, tmp_path, capsys):

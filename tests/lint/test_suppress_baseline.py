@@ -119,14 +119,17 @@ class TestBaseline:
         surfaced, _ = baseline.filter([finding("a.py", symbol="g")])
         assert len(surfaced) == 1
 
-    def test_retired_codes_still_load(self, tmp_path):
-        # NUM005/PRF005 are retired; waivers that still name them are inert.
+    @pytest.mark.parametrize(
+        "code", ["NUM005", "PRF001", "PRF002", "PRF003", "PRF004", "PRF005", "CON001"]
+    )
+    def test_retired_codes_still_load(self, tmp_path, code):
+        # Retired codes never fire again; waivers that still name them are inert.
         path = tmp_path / "baseline.json"
-        entry = {"file": "a.py", "code": "NUM005", "symbol": "f", "count": 1}
+        entry = {"file": "a.py", "code": code, "symbol": "f", "count": 1}
         path.write_text(json.dumps({"schema": "physlint-baseline/1", "entries": [entry]}))
         surfaced, waived = Baseline.load(path).filter([finding("a.py")])
         assert (len(surfaced), waived) == (1, 0)
-        findings, suppressed = run("def f(x=[]):  # physlint: disable=NUM005\n    return x\n")
+        findings, suppressed = run(f"def f(x=[]):  # physlint: disable={code}\n    return x\n")
         assert (findings, suppressed) == ([], 0)
 
     def test_bad_schema_rejected(self, tmp_path):
