@@ -24,6 +24,12 @@ for one source path against any number of disjoint target paths.  Both read
 path builds once and places with one elementwise op.  The scalar functions
 are single-pair views of the kernels.
 
+Both kernels integrate through one Neumann quadrature,
+:func:`_neumann_integral`: quadrature points are stored as coordinate
+planes, ``r^2`` is built one plane at a time in one buffer, and each
+double integral is one two-operand contraction of ``1/r`` with the
+product weights.
+
 All quantities are SI (metres, henries).
 """
 
@@ -151,12 +157,13 @@ class _Quadrature:
     """A filament set prepared for the Neumann kernel at one quadrature order.
 
     Attributes:
-        points: ``(n, order, 3)`` Gauss–Legendre points along each filament [m].
+        planes: ``(3, n, order)`` Gauss–Legendre points along each filament,
+            one coordinate plane (x, y, z) per leading index [m].
         lengths: ``(n,)`` filament lengths, floored at 1e-12 [m].
         tangents: ``(n, 3)`` unit directions [-].
     """
 
-    points: np.ndarray
+    planes: np.ndarray
     lengths: np.ndarray
     tangents: np.ndarray
 
@@ -288,11 +295,11 @@ class PackedFilaments:
             nodes, _ = _gauss_legendre_01(order)
             deltas = self.ends - self.starts
             lengths = np.linalg.norm(deltas, axis=1)
-            points = self.starts[:, None, :] + nodes[None, :, None] * deltas[:, None, :]
+            planes = _node_planes(self.starts, deltas, nodes)
             # Lengths are >= 1e-12 by the Filament invariant; the floor only
             # guards hand-packed arrays.
             lengths[lengths < 1e-12] = 1e-12
-            cached = _Quadrature(points, lengths, deltas * (1.0 / lengths)[:, None])
+            cached = _Quadrature(planes, lengths, deltas * (1.0 / lengths)[:, None])
             self._quadratures[order] = cached
         return cached
 
@@ -339,25 +346,40 @@ def _rows_per_chunk(row_elements: int) -> int:
     return max(1, _CHUNK_ELEMENTS // max(row_elements, 1))
 
 
-def _neumann_integral(
-    p_a: np.ndarray, p_b: np.ndarray, w_a: np.ndarray, w_b: np.ndarray
-) -> np.ndarray:
-    """Quadrature of the Neumann kernel: ``sum_ij w_a[i] w_b[j] / r_ij`` [1/m].
+def _node_planes(starts: np.ndarray, deltas: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``(3, n, g)`` coordinate planes of the points ``starts + nodes * deltas`` [m]."""
+    return np.asarray(starts.T[:, :, None] + nodes * deltas.T[:, :, None])
 
-    ``p_a`` ``(..., ga, 3)`` and ``p_b`` ``(..., gb, 3)`` are quadrature
-    points with broadcastable leading axes.
+
+def _neumann_integral(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Quadrature of the Neumann kernel: ``sum_ij weights[i, j] / r_ij`` [1/m].
+
+    ``a`` and ``b`` hold the points ``i`` of one filament and ``j`` of the
+    other as coordinate planes, broadcastable to ``(3, ..., ga, gb)``:
+    ``a[:, ..., i, :]`` is point ``i`` (``b[:, ..., :, j]`` point ``j``),
+    either as a length-1 axis or repeated along it; ``weights`` is the
+    ``(ga, gb)`` outer product of the two rules' weights.
+
+    ``r^2`` is built one plane at a time in one ``(..., ga, gb)`` buffer
+    and replaced by ``1/r`` in place; one two-operand contraction over the
+    trailing ``ga*gb`` values then sums each entry.  That contraction loops
+    over one entry's values in the same order whatever the leading shape,
+    so an entry's rounding does not depend on the chunk it is in (a BLAS
+    matrix-vector product's does).  Operands repeated along their point
+    axis make every subtraction loop ``ga*gb`` values long.
     """
-    # diff[..., i, j, :] = p_a[..., i, :] - p_b[..., j, :].  Repeating each
-    # p_a point gb times along the last axis first makes every subtraction
-    # loop gb*3 values long instead of 3: the same values, several times
-    # faster than the plain broadcast.
-    gb = p_b.shape[-2]
-    a = np.tile(p_a, gb)
-    b = p_b.reshape(*p_b.shape[:-2], 1, gb * 3)
-    diff = (a - b).reshape(*np.broadcast_shapes(a.shape, b.shape)[:-1], gb, 3)
-    r = np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff))
-    r[r < 1e-12] = 1e-12
-    return np.asarray(np.einsum("i,j,...ij->...", w_a, w_b, 1.0 / r))
+    *lead, ga, gb = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    r = np.subtract(a[0], b[0], out=np.empty((*lead, ga, gb)))
+    r *= r
+    d = np.empty_like(r)
+    for k in (1, 2):
+        np.subtract(a[k], b[k], out=d)
+        d *= d
+        r += d
+    np.sqrt(r, out=r)
+    np.maximum(r, 1e-12, out=r)  # coincident points
+    np.divide(1.0, r, out=r)
+    return np.asarray(np.einsum("...k,k->...", r.reshape(*lead, ga * gb), weights.ravel()))
 
 
 def _neumann_scale(cos: np.ndarray, len_a: np.ndarray, len_b: np.ndarray) -> np.ndarray:
@@ -390,9 +412,12 @@ def neumann_mutual_blocks(
     (:func:`mutual_inductance_pairs` is the exact kernel for that).
     Geometric weights are *not* applied.
 
-    Every entry is bit-identical to a call with that target alone: the
-    integral's rounding does not depend on the tensor shape, and the
-    direction cosines (a matmul, whose rounding does) are taken per target.
+    Every entry is bit-identical to a call with that target alone, in any
+    chunk: :func:`_neumann_integral` sums each entry's ``order^2`` terms in
+    one two-operand einsum loop whose order does not depend on the tensor
+    shape (a BLAS matrix-vector product's rounding does), and the
+    direction cosines (a matmul, likewise shape-dependent) are taken per
+    target.
 
     Args:
         source: the source filaments (geometry in metres).
@@ -405,19 +430,25 @@ def neumann_mutual_blocks(
     """
     if not targets:
         return []
-    _, weights = _gauss_legendre_01(order)
+    _, w = _gauss_legendre_01(order)
+    weights = np.outer(w, w)
     q_a = source.quadrature(order)
     q_bs = [target.quadrature(order) for target in targets]
-    p_b = q_bs[0].points if len(q_bs) == 1 else np.concatenate([q.points for q in q_bs])
-    integral = np.empty((len(q_a.points), len(p_b)))
-    cols = min(len(p_b), _rows_per_chunk(order * order))
+    p_b = q_bs[0].planes if len(q_bs) == 1 else np.concatenate([q.planes for q in q_bs], 1)
+    n_a, n_b = len(q_a.lengths), p_b.shape[1]
+    # Source points repeated and target points tiled to (order, order) per
+    # filament: every subtraction of the kernel then runs order^2 long.
+    a = np.repeat(q_a.planes, order, axis=2).reshape(3, n_a, 1, order, order)
+    b = np.tile(p_b, order).reshape(3, 1, n_b, order, order)
+    integral = np.empty((n_a, n_b))
+    cols = min(n_b, _rows_per_chunk(order * order))
     rows = _rows_per_chunk(cols * order * order)
-    for lo in range(0, len(q_a.points), rows):
-        for col in range(0, len(p_b), cols):
+    for lo in range(0, n_a, rows):
+        for col in range(0, n_b, cols):
             integral[lo : lo + rows, col : col + cols] = _neumann_integral(
-                q_a.points[lo : lo + rows, None], p_b[None, col : col + cols], weights, weights
+                a[:, lo : lo + rows], b[:, :, col : col + cols], weights
             )
-    bounds = np.cumsum([0] + [len(q_b.points) for q_b in q_bs]).tolist()
+    bounds = np.cumsum([0] + [len(q_b.lengths) for q_b in q_bs]).tolist()
     return [
         _neumann_scale(q_a.tangents @ q_b.tangents.T, q_a.lengths[:, None], q_b.lengths[None, :])
         * integral[:, lo:hi]
@@ -524,14 +555,15 @@ def mutual_inductance_pairs(
         # Composite rule: p copies of the nodes, one per sub-segment.
         u = ((np.arange(p)[:, None] + nodes[None, :]) / p).ravel()
         w = np.tile(weights, p) / p
+        w_ab = np.outer(w, w)
         group = np.flatnonzero(pieces == p)
         step = _rows_per_chunk(len(u) * len(u))
         for lo in range(0, len(group), step):
             sel = group[lo : lo + step]
             fa, fb = a[sel], b[sel]
-            p_a = starts[fa][:, None, :] + u[None, :, None] * deltas[fa][:, None, :]
-            p_b = starts[fb][:, None, :] + u[None, :, None] * deltas[fb][:, None, :]
-            integral = _neumann_integral(p_a, p_b, w, w)
+            p_a = _node_planes(starts[fa], deltas[fa], u)
+            p_b = _node_planes(starts[fb], deltas[fb], u)
+            integral = _neumann_integral(p_a[..., :, None], p_b[..., None, :], w_ab)
             out[skew[sel]] = _neumann_scale(cos[skew[sel]], lengths[fa], lengths[fb]) * integral
     return out
 

@@ -29,6 +29,7 @@ from ..obs import get_tracer
 from ..units import Henries
 from .filament import (
     PackedFilaments,
+    _norms,
     mutual_inductance_pairs,
     neumann_mutual_blocks,
     self_inductance_bars,
@@ -104,25 +105,25 @@ def _pair_shape_keys(
     one.  Pairs that differ only by a rigid motion or a reflection share a
     key (unless a distance rounds across an integer boundary, which only
     splits a class); the endpoint order is part of it (a swapped or
-    reversed pair is a class of its own).
+    reversed pair is a class of its own).  Every rounded distance is at
+    most 1e9 < 2**31, so the six are packed two to an ``int64`` column,
+    ``(d0 << 31) | d1``: exact, and in the same lexicographic order.
     """
-    starts, ends = packed.starts, packed.ends
-    dist = np.stack(
-        [
-            lengths[i],
-            lengths[j],
-            np.linalg.norm(starts[i] - starts[j], axis=1),
-            np.linalg.norm(starts[i] - ends[j], axis=1),
-            np.linalg.norm(ends[i] - starts[j], axis=1),
-            np.linalg.norm(ends[i] - ends[j], axis=1),
-        ],
-        axis=1,
-    )
+    s_i, e_i = packed.starts[i], packed.ends[i]
+    s_j, e_j = packed.starts[j], packed.ends[j]
+    dist = np.empty((len(i), 6))
+    dist[:, 0] = lengths[i]
+    dist[:, 1] = lengths[j]
+    dist[:, 2] = _norms(s_i - s_j)
+    dist[:, 3] = _norms(s_i - e_j)
+    dist[:, 4] = _norms(e_i - s_j)
+    dist[:, 5] = _norms(e_i - e_j)
     resolution = 1e-9 * float(dist.max(initial=0.0))
     if resolution <= 0.0:
         # No pairs (fewer than two filaments): nothing to key.
-        return np.zeros(dist.shape, dtype=np.int64)
-    return np.rint(dist / resolution).astype(np.int64)
+        return np.zeros((len(i), 3), dtype=np.int64)
+    keys = np.rint(dist / resolution).astype(np.int64)
+    return np.asarray((keys[:, 0::2] << 31) | keys[:, 1::2])
 
 
 def mutual_inductance_row(

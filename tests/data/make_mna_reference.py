@@ -5,13 +5,19 @@ The committed JSON records converter spectra as the condensed MNA solver
 when the solver condensed, after ``tests/test_mna_condensed_equivalence.py``
 had bounded the move against the full-node assembly, and again when the
 part self-inductances began solving one filament pair per isometry class
-(the move is stated in ``tests/test_mna_reference.py``).
+and when the Neumann quadrature began building distances one coordinate
+plane at a time with a two-operand contraction (both moves are stated in
+``tests/test_mna_reference.py``).
 ``tests/test_mna_reference.py`` pins the current code to it at rtol 1e-12.
 Regenerating it with the current code would turn that check into a
 tautology, so only do so when the circuit models or the solver change on
-purpose::
+purpose, and first look at how far they move::
 
+    PYTHONPATH=src python tests/data/make_mna_reference.py --diff
     PYTHONPATH=src python tests/data/make_mna_reference.py
+
+``--diff`` prints, per spectrum, the lines that moved beyond the test's
+rtol 1e-12 and the largest relative and absolute move, and writes nothing.
 
 Contents (every 8th harmonic of each spectrum, complex volts stored as
 ``[re, im]`` pairs, frequencies in Hz):
@@ -27,8 +33,11 @@ Contents (every 8th harmonic of each spectrum, complex volts stored as
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
+
+import numpy as np
 
 from repro.converters import (
     BoostConverterDesign,
@@ -40,6 +49,8 @@ from repro.emi import Spectrum
 
 OUT = Path(__file__).with_name("mna_reference.json")
 STRIDE = 8
+#: The tolerance of ``tests/test_mna_reference.py``.
+RTOL = 1e-12
 
 #: (design keyword arguments, layout couplings by refdes pair).
 BUCK_CASES: list[tuple[dict[str, float], dict[tuple[str, str], float]]] = [
@@ -76,7 +87,8 @@ def encode_couplings(couplings: dict[tuple[str, str], float]) -> list[list]:
     return [[a, b, k] for (a, b), k in couplings.items()]
 
 
-def main() -> None:
+def build() -> dict:
+    """The reference as the current code computes it."""
     buck = []
     for kwargs, couplings in BUCK_CASES:
         design = BuckConverterDesign(**kwargs)
@@ -113,14 +125,67 @@ def main() -> None:
             )
         ),
     }
-    reference = {
+    return {
         "stride": STRIDE,
         "buck": buck,
         "boost": boost,
         "cmdm": cmdm,
         "buck_hf": buck_hf,
     }
-    OUT.write_text(json.dumps(reference, indent=1) + "\n")
+
+
+def spectra(reference: dict) -> dict[str, dict]:
+    """Every recorded spectrum by case name (``buck[2].emission``, ...)."""
+    named = {}
+    for index, case in enumerate(reference["buck"]):
+        named[f"buck[{index}].emission"] = case["emission"]
+        named[f"buck[{index}].measurement"] = case["measurement"]
+    named["boost.emission"] = reference["boost"]["emission"]
+    named["cmdm.positive"] = reference["cmdm"]["positive"]
+    named["cmdm.negative"] = reference["cmdm"]["negative"]
+    named["buck_hf.emission"] = reference["buck_hf"]["emission"]
+    return named
+
+
+def diff(committed: dict, current: dict) -> list[str]:
+    """Per case: the lines beyond ``RTOL`` and the largest relative and
+    absolute move of the current values against the committed ones."""
+    report = []
+    new = spectra(current)
+    for name, old in spectra(committed).items():
+        if old["freqs"] != new[name]["freqs"]:
+            report.append(f"{name}: frequency grid changed")
+            continue
+        before = np.array([complex(re, im) for re, im in old["values"]])
+        after = np.array([complex(re, im) for re, im in new[name]["values"]])
+        moved = np.abs(after - before)
+        relative = moved / np.abs(before)
+        beyond = np.flatnonzero(moved > RTOL * np.abs(before))
+        report.append(
+            f"{name}: {len(beyond)} of {len(before)} lines beyond rtol {RTOL:g}; "
+            f"max move {relative.max():.2e} relative, {moved.max():.2e} V absolute"
+        )
+        for line in beyond:
+            report.append(
+                f"  {old['freqs'][line] / 1e6:9.4f} MHz  |V| {abs(before[line]):.3e} V  "
+                f"moved {relative[line]:.2e} relative, {moved[line]:.2e} V"
+            )
+    return report
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--diff",
+        action="store_true",
+        help="print how the current code moves the committed values; write nothing",
+    )
+    args = parser.parse_args(argv)
+    reference = build()
+    if args.diff:
+        print("\n".join(diff(json.loads(OUT.read_text()), reference)))
+    else:
+        OUT.write_text(json.dumps(reference, indent=1) + "\n")
 
 
 if __name__ == "__main__":

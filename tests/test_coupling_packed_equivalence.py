@@ -69,13 +69,16 @@ def old_neumann_matrix(filaments_a, filaments_b, order):
     nodes, weights = _gauss_legendre_01(order)
     s_a, d_a, len_a = old_pack(filaments_a)
     s_b, d_b, len_b = old_pack(filaments_b)
-    p_a = s_a[:, None, :] + nodes[None, :, None] * d_a[:, None, :]
-    p_b = s_b[:, None, :] + nodes[None, :, None] * d_b[:, None, :]
+    # Quadrature points as (3, n, order) coordinate planes, the kernel's operand.
+    p_a = np.moveaxis(s_a[:, None, :] + nodes[None, :, None] * d_a[:, None, :], -1, 0)
+    p_b = np.moveaxis(s_b[:, None, :] + nodes[None, :, None] * d_b[:, None, :], -1, 0)
     integral = np.empty((len(filaments_a), len(filaments_b)))
     step = _rows_per_chunk(len(filaments_b) * order * order)
     for lo in range(0, len(filaments_a), step):
         integral[lo : lo + step] = _neumann_integral(
-            p_a[lo : lo + step, None], p_b[None, :], weights, weights
+            p_a[:, lo : lo + step, None, :, None],
+            p_b[:, None, :, None, :],
+            np.outer(weights, weights),
         )
     len_a[len_a < 1e-12] = 1e-12
     len_b[len_b < 1e-12] = 1e-12

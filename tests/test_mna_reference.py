@@ -27,6 +27,15 @@ measurement lines and 5 of 54 ``boost`` lines by more than 1e-12, all
 near nulls: at most 9.0e-12 relative (6.6e-19 V absolute) on the
 ``buck[2]`` emission, 1.4e-12 on its measurement and 2.0e-12 on the
 boost.  Every other line moved by less than 5e-13 relative.
+
+It was regenerated once more when the Neumann quadrature began building
+``r^2`` one coordinate plane at a time and contracting with a two-operand
+einsum, which moves each library part's self-inductance by at most
+2.0e-16 relative.  ``make_mna_reference.py --diff`` showed 2 of 90 ``buck[2]``
+emission lines (93.75 and 96.15 MHz, at most 2.1e-12 relative, 1.1e-19 V)
+and 2 of its 90 measurement lines (86.55 and 87.75 MHz, at most 1.8e-11
+relative, 2.5e-17 V) beyond 1e-12, all near nulls of a spectrum that
+peaks near 1e-2 V.  Every other line moved by at most 3.3e-13 relative.
 """
 
 import json

@@ -8,6 +8,7 @@ reversal.
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,16 +17,21 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.components import default_library
-from repro.geometry import Placement2D, Transform3D, Vec2, Vec3
+from repro.geometry import Placement2D, Transform3D, Vec2, Vec3, unique_rows
+from repro.peec import filament as filament_module
+from repro.peec import inductance as inductance_module
 from repro.peec import (
     CurrentPath,
     Filament,
+    PackedFilaments,
     image_path,
     loop_self_inductance,
     mutual_inductance,
     mutual_inductance_pairs,
     mutual_inductance_parallel,
     mutual_inductance_paths_fast,
+    mutual_inductance_row,
+    neumann_mutual_blocks,
     neumann_mutual_inductance,
     rectangle_path,
     ring_path,
@@ -378,3 +384,194 @@ class TestPackedPath:
             totals = self_inductance_totals(path)
             assert totals["peec.filament_pairs"] == n * (n + 1) // 2
             assert totals["peec.pair_classes"] < n * (n - 1) // 8, name
+
+    def test_packed_keys_give_the_classes_of_the_six_column_keys(self):
+        library = default_library()
+        for name in library.part_numbers():
+            assert_packed_keys_equal_six_column_keys(library.create(name).current_path, name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_paths())
+    def test_packed_keys_on_random_paths(self, path):
+        assert_packed_keys_equal_six_column_keys(path)
+
+
+def six_column_keys(packed, lengths, i, j):
+    """The former class keys: six rounded distances, one column each."""
+    starts, ends = packed.starts, packed.ends
+    dist = np.stack(
+        [
+            lengths[i],
+            lengths[j],
+            np.linalg.norm(starts[i] - starts[j], axis=1),
+            np.linalg.norm(starts[i] - ends[j], axis=1),
+            np.linalg.norm(ends[i] - starts[j], axis=1),
+            np.linalg.norm(ends[i] - ends[j], axis=1),
+        ],
+        axis=1,
+    )
+    return np.rint(dist / (1e-9 * float(dist.max()))).astype(np.int64)
+
+
+def assert_packed_keys_equal_six_column_keys(path, name=""):
+    packed = path.packed
+    lengths = packed.lengths()
+    i, j = np.triu_indices(len(packed), 1)
+    if not len(i):
+        return
+    packed_keys = inductance_module._pair_shape_keys(packed, lengths, i, j)
+    six = six_column_keys(packed, lengths, i, j)
+    assert packed_keys.shape == (len(i), 3)
+    for got, expected in zip(unique_rows(packed_keys), unique_rows(six), strict=True):
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+# -- the Neumann quadrature against its former formulation -------------------
+
+EPS = np.finfo(float).eps
+
+
+def tiled_neumann_integral(p_a, p_b, w_a, w_b):
+    """The former quadrature, kept as the oracle: a tiled ``(..., ga, gb, 3)``
+    difference tensor, r by einsum, a masked clamp and a three-operand
+    contraction.  ``p_a`` ``(..., ga, 3)``, ``p_b`` ``(..., gb, 3)``."""
+    gb = p_b.shape[-2]
+    a = np.tile(p_a, gb)
+    b = p_b.reshape(*p_b.shape[:-2], 1, gb * 3)
+    diff = (a - b).reshape(*np.broadcast_shapes(a.shape, b.shape)[:-1], gb, 3)
+    r = np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff))
+    r[r < 1e-12] = 1e-12
+    return np.einsum("i,j,...ij->...", w_a, w_b, 1.0 / r)
+
+
+def quadrature_points(packed, order):
+    """``(n, order, 3)`` Gauss–Legendre points along each filament."""
+    nodes, _ = filament_module._gauss_legendre_01(order)
+    deltas = packed.ends - packed.starts
+    return packed.starts[:, None, :] + nodes[None, :, None] * deltas[:, None, :]
+
+
+def random_segments(rng, n, scale):
+    starts = rng.uniform(-scale, scale, size=(n, 3))
+    return starts, starts + rng.uniform(-scale, scale, size=(n, 3)) + [scale, 0.0, 0.0]
+
+
+@st.composite
+def filament_sets(draw):
+    """A source and a target set; some target filaments coincide with source
+    ones (equal quadrature points: the 1e-12 clamp)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-4, 1e-2, 1.0]))
+    n_a, n_b = draw(st.integers(1, 7)), draw(st.integers(1, 40))
+    s_a, e_a = random_segments(rng, n_a, scale)
+    s_b, e_b = random_segments(rng, n_b, scale)
+    shared = rng.random(min(n_a, n_b)) < draw(st.sampled_from([0.0, 0.3]))
+    s_b[: len(shared)][shared] = s_a[: len(shared)][shared]
+    e_b[: len(shared)][shared] = e_a[: len(shared)][shared]
+
+    def pack(s, e):
+        n = len(s)
+        return PackedFilaments(s, e, np.full(n, 1e-3), np.full(n, 35e-6), rng.uniform(-3, 3, n))
+
+    return pack(s_a, e_a), pack(s_b, e_b)
+
+
+def tiled_blocks_integral(source, target, order):
+    _, w = filament_module._gauss_legendre_01(order)
+    p_a, p_b = quadrature_points(source, order), quadrature_points(target, order)
+    return tiled_neumann_integral(p_a[:, None], p_b[None, :], w, w)
+
+
+class TestNeumannQuadrature:
+    @settings(max_examples=60, deadline=None)
+    @given(filament_sets(), st.sampled_from([8, 12]))
+    def test_integral_matches_the_former_formulation(self, sets, order):
+        # Every entry is a sum of order^2 positive terms, so both
+        # formulations round to within order^2 eps of each other (the
+        # largest difference seen is about 0.75 order eps).
+        source, target = sets
+        _, w = filament_module._gauss_legendre_01(order)
+        p_a = np.moveaxis(quadrature_points(source, order), -1, 0)
+        p_b = np.moveaxis(quadrature_points(target, order), -1, 0)
+        got = filament_module._neumann_integral(
+            p_a[:, :, None, :, None], p_b[:, None, :, None, :], np.outer(w, w)
+        )
+        expected = tiled_blocks_integral(source, target, order)
+        assert np.all(np.abs(got - expected) <= order * order * EPS * expected)
+        # The block kernel's scale and cosines are those of the oracle.
+        q_a, q_b = source.quadrature(order), target.quadrature(order)
+        scale = filament_module._neumann_scale(
+            q_a.tangents @ q_b.tangents.T, q_a.lengths[:, None], q_b.lengths[None, :]
+        )
+        block = neumann_mutual_blocks(source, [target], order)[0]
+        np.testing.assert_array_equal(block, scale * got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        filament_sets(),
+        filament_sets(),
+        st.sampled_from([64, 64 * 3, 64 * 17, 1 << 12, 1 << 14, 1 << 20]),
+    )
+    def test_entries_do_not_depend_on_the_chunk_or_the_other_targets(
+        self, sets, more, chunk
+    ):
+        source, target = sets
+        targets = [more[1], target, more[0], target]
+        alone = [neumann_mutual_blocks(source, [t])[0] for t in targets]
+        with mock.patch.object(filament_module, "_CHUNK_ELEMENTS", chunk):
+            together = neumann_mutual_blocks(source, targets)
+            one_by_one = [neumann_mutual_blocks(source, [t])[0] for t in targets]
+        for block, single, chunked in zip(together, alone, one_by_one, strict=True):
+            assert bits(block) == bits(single) == bits(chunked)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 3))
+    def test_pair_kernel_matches_the_former_formulation(self, seed, pieces):
+        # mutual_inductance_pairs' composite rule, on pairs it leaves skew.
+        rng = np.random.default_rng(seed)
+        s, e = random_segments(rng, 8, 1e-2)
+        nodes, w = filament_module._gauss_legendre_01(12)
+        u = ((np.arange(pieces)[:, None] + nodes[None, :]) / pieces).ravel()
+        w = np.tile(w, pieces) / pieces
+        points = s[:, None, :] + u[None, :, None] * (e - s)[:, None, :]
+        i, j = np.triu_indices(8, 1)
+        planes = np.moveaxis(points, -1, 0)
+        got = filament_module._neumann_integral(
+            planes[:, i, :, None], planes[:, j, None, :], np.outer(w, w)
+        )
+        expected = tiled_neumann_integral(points[i], points[j], w, w)
+        assert np.all(np.abs(got - expected) <= len(u) ** 2 * EPS * expected)
+
+
+def seeded_board(seed):
+    """Six to ten library parts on a 45 mm grid at seeded random poses."""
+    rng = np.random.default_rng(seed)
+    library = default_library()
+    names = rng.choice(library.part_numbers(), size=rng.integers(6, 11), replace=False)
+    return [
+        library.create(str(name)).current_path.packed.placed(
+            Placement2D(
+                Vec2(0.045 * (k % 4), 0.045 * (k // 4)),
+                rng.uniform(0.0, 2.0 * math.pi),
+                float(rng.choice([0.0, 1.5e-3])),
+                int(rng.choice([1, -1])),
+            )
+        )
+        for k, name in enumerate(names)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutual_row_matches_the_former_quadrature(seed):
+    # Near-cancelling rows move far more than eps relative to M itself, so
+    # the bound is relative to the sum of the terms' magnitudes.
+    board = seeded_board(seed)
+    for a, source in enumerate(board):
+        targets = board[a + 1 :]
+        for target, m in zip(targets, mutual_inductance_row(source, targets), strict=True):
+            q_a, q_b = source.quadrature(8), target.quadrature(8)
+            matrix = filament_module._neumann_scale(
+                q_a.tangents @ q_b.tangents.T, q_a.lengths[:, None], q_b.lengths[None, :]
+            ) * tiled_blocks_integral(source, target, 8)
+            terms = (source.weights[:, None] * target.weights[None, :]) * matrix
+            assert abs(m - terms.sum()) <= 1e-13 * np.abs(terms).sum()
