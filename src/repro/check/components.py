@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..components import Component
 from ..peec import AIR_CORE
 from ..placement import PlacementProblem
@@ -110,13 +112,8 @@ def check_component_model(component: Component, label: str = "") -> list[Diagnos
             )
         )
 
-    reach = max(
-        (
-            max(math.hypot(f.start.x, f.start.y), math.hypot(f.end.x, f.end.y))
-            for f in path.filaments
-        ),
-        default=0.0,
-    )
+    ends = np.concatenate([path.packed.starts, path.packed.ends])
+    reach = max(map(math.hypot, ends[:, 0].tolist(), ends[:, 1].tolist()))
     allowed = PATH_EXTENT_FACTOR * (component.max_extent() / 2.0)
     if reach > allowed:
         out.append(

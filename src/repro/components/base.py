@@ -161,7 +161,7 @@ class Component:
     def placed_current_path(self, placement: Placement2D) -> CurrentPath:
         """Current path mapped into board coordinates (one array op)."""
         path = self.current_path
-        return CurrentPath.from_packed(path.packed.placed(placement), path.name)
+        return CurrentPath(path.packed.placed(placement), path.name)
 
     @property
     def decoupling_residual(self) -> float:

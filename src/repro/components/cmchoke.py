@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..geometry import Vec2, Vec3
+from ..geometry import Transform3D, Vec2, Vec3
 from ..peec import FERRITE_N87, CoreMaterial, CurrentPath, ring_path
 from .base import Component, Pad
 from .inductors import wire_resistance
@@ -100,8 +100,6 @@ class CommonModeChoke(Component):
         """
         if not 0 <= index < self.n_windings:
             raise IndexError(f"winding {index} of {self.n_windings}")
-        from dataclasses import replace
-
         assert self.rings_per_winding >= 2, "validated in __post_init__"
         weight = self.turns_per_winding / self.rings_per_winding
         z0 = self.body_height / 2.0
@@ -123,21 +121,8 @@ class CommonModeChoke(Component):
                 axis="x",
                 wire_diameter=self.wire_diameter,
                 weight=weight,
-                name=f"{self.part_number}.w{index}",
-            )
-            rot = theta + math.pi / 2.0
-            rotated = CurrentPath(
-                [
-                    replace(
-                        f,
-                        start=f.start.rotated_z(rot) + Vec3(cx, cy, z0),
-                        end=f.end.rotated_z(rot) + Vec3(cx, cy, z0),
-                    )
-                    for f in ring.filaments
-                ],
-                name=f"{self.part_number}.w{index}",
-            )
-            path = rotated if path is None else path.merged_with(rotated)
+            ).transformed(Transform3D(Vec3(cx, cy, z0), theta + math.pi / 2.0))
+            path = ring if path is None else path.merged_with(ring)
         assert path is not None
         path.name = f"{self.part_number}.w{index}"
         return path

@@ -22,7 +22,6 @@ from ..peec import (
     FERRITE_N87,
     CoreMaterial,
     CurrentPath,
-    Filament,
     demagnetizing_factor_rod,
     ring_path,
 )
@@ -123,14 +122,17 @@ def ring_stack(
     if n_rings < 1:
         raise ValueError(f"{name}: need at least one ring")
     gaps = n_rings - 1
-    filaments: list[Filament] = []
+    path: CurrentPath | None = None
     for i in range(n_rings):
         offset = -length / 2.0 + length * i / gaps if gaps else 0.0
         center = Vec3(offset, 0.0, height) if axis == "x" else Vec3(0.0, 0.0, height + offset)
-        filaments += ring_path(
+        ring = ring_path(
             center, radius, 12, axis, wire_diameter=wire_diameter, weight=turns / n_rings
-        ).filaments
-    return CurrentPath(filaments, name)
+        )
+        path = ring if path is None else path.merged_with(ring)
+    assert path is not None
+    path.name = name
+    return path
 
 
 def wire_resistance(length: float, wire_diameter: float) -> float:

@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..circuit import Circuit, TrapezoidSource
+from ..circuit import Circuit, TrapezoidSource, trapezoid_breakpoints
 from ..components import (
     BobbinChoke,
     ChipResistor,
@@ -118,6 +118,12 @@ class BuckConverterDesign:
             raise ValueError("switching frequency must be positive")
         if self.output_current <= 0.0:
             raise ValueError("output current must be positive (RLOAD = Vout / Iout)")
+        # The edges must fit the period at this duty, as the sources require.
+        trapezoid_breakpoints(1.0 / self.switching_frequency, self.duty, self.t_rise, self.t_fall)
+        if self.board_width <= 0.0 or self.board_height <= 0.0:
+            raise ValueError("board extents must be positive")
+        if self.hot_loop_esl <= 0.0:
+            raise ValueError("hot-loop ESL must be positive")
 
     @property
     def duty(self) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 from ..components import Capacitor, CommonModeChoke
 from ..geometry import Placement2D, Vec2
 from ..obs import get_tracer
-from ..peec import mutual_inductance_paths_fast, stray_coupling_scale
+from ..peec import PAIR_ORDER, mutual_inductance_paths_fast, stray_coupling_scale
 
 __all__ = ["PolarizedCoupling", "polarized_coupling", "decoupling_sweep"]
 
@@ -73,7 +73,7 @@ def polarized_coupling(
     victim: Capacitor,
     victim_placement: Placement2D,
     excitation: str = "phase",
-    order: int = 8,
+    order: int = PAIR_ORDER,
 ) -> PolarizedCoupling:
     """Min/max coupling over the victim's in-plane rotation.
 

@@ -14,9 +14,10 @@ from .capacitance import (
     plate_capacitance,
     sphere_self_capacitance,
 )
-from .field import b_field, b_field_filament, b_field_grid, field_magnitude_map
+from .field import b_field, b_field_grid, field_magnitude_map
 from .filament import (
     MU0,
+    PAIR_ORDER,
     Filament,
     mutual_inductance,
     mutual_inductance_pairs,
@@ -27,9 +28,7 @@ from .filament import (
     self_inductance_bar,
     self_inductance_bars,
 )
-from .images import image_path, shielding_factor, with_ground_plane
 from .inductance import (
-    PAIR_ORDER,
     SELF_INDUCTANCE_ORDER,
     loop_self_inductance,
     mutual_inductance_paths_fast,
@@ -72,12 +71,8 @@ __all__ = [
     "mutual_inductance_paths_fast",
     "mutual_inductance_row",
     "b_field",
-    "b_field_filament",
     "b_field_grid",
     "field_magnitude_map",
-    "image_path",
-    "with_ground_plane",
-    "shielding_factor",
     "CoreMaterial",
     "demagnetizing_factor_rod",
     "effective_permeability",

@@ -12,10 +12,10 @@ import numpy as np
 
 from ..geometry import Vec3
 from ..obs import get_tracer
-from .filament import MU0, Filament, PackedFilaments, _rows_per_chunk
+from .filament import MU0, PackedFilaments, _rows_per_chunk
 from .mesh import CurrentPath
 
-__all__ = ["b_field_filament", "b_field", "b_field_grid", "field_magnitude_map"]
+__all__ = ["b_field", "b_field_grid", "field_magnitude_map"]
 
 
 def _b_field_points(
@@ -64,18 +64,12 @@ def _b_field_points(
     return out
 
 
-def b_field_filament(f: Filament, point: Vec3, current: float = 1.0) -> Vec3:
-    """Magnetic flux density of one finite straight filament at ``point`` [T].
-
-    The single-filament, single-point view of the broadcast Biot–Savart
-    kernel behind :func:`b_field_grid` (conductor-radius clamp, zero on
-    the axis).
-    """
-    return b_field(CurrentPath([f]), point, current)
-
-
 def b_field(path: CurrentPath, point: Vec3, current: float = 1.0) -> Vec3:
-    """Total flux density of a current path at one point [T]."""
+    """Total flux density of a current path at one point [T].
+
+    The single-point view of the broadcast Biot–Savart kernel behind
+    :func:`b_field_grid` (conductor-radius clamp, zero on the axis).
+    """
     b = _b_field_points(path.packed, point.as_array()[None, :], current)[0]
     return Vec3(float(b[0]), float(b[1]), float(b[2]))
 

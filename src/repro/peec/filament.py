@@ -18,10 +18,11 @@ Three formulas live here, each implemented once and vectorised:
 Two batched kernels combine them: :func:`mutual_inductance_pairs` is the
 exact near-field kernel (closed form, zero for perpendicular pairs,
 subdivided quadrature for close skew pairs) that a path's self-inductance
-needs, and :func:`neumann_mutual_blocks` is the order-8 all-pairs fast path
-for one source path against any number of disjoint target paths.  Both read
-:class:`PackedFilaments`, the read-only array form of a filament list that a
-path builds once and places with one elementwise op.  The scalar functions
+needs, and :func:`neumann_mutual_blocks` is the all-pairs fast path (at
+:data:`PAIR_ORDER`) for one source path against any number of disjoint
+target paths.  Both read :class:`PackedFilaments`, the read-only array form
+of a filament list, which is all a path holds and which it places with one
+elementwise op.  The scalar functions
 are single-pair views of the kernels.
 
 Both kernels integrate through one Neumann quadrature,
@@ -46,6 +47,7 @@ from ..units import Dimensionless, Henries, Meters
 
 __all__ = [
     "MU0",
+    "PAIR_ORDER",
     "Filament",
     "mutual_inductance",
     "mutual_inductance_pairs",
@@ -62,6 +64,12 @@ MU0 = 4.0e-7 * math.pi
 
 #: Default Gauss–Legendre order per filament for the Neumann integral.
 _DEFAULT_ORDER = 12
+
+#: Gauss–Legendre order of every placed-pair mutual (and a ground plane's
+#: own-image term) solved by :mod:`repro.coupling`, and of the pair and
+#: distance-law cache keys: the default of the disjoint-path kernel
+#: :func:`neumann_mutual_blocks` and of every view of it.
+PAIR_ORDER = 8
 
 #: Largest distance tensor (element count, 128 KB of float64) one chunk of
 #: the batched kernels builds: small enough to stay in cache, which measured
@@ -130,22 +138,12 @@ class Filament:
     def mirrored_z(self, plane_z: Meters) -> "Filament":
         """Geometric mirror through the plane ``z = plane_z`` (weight kept).
 
-        Image-current construction (geometry mirror + weight negation) is
-        done by :mod:`repro.peec.images`, which owns the sign convention.
+        Image currents (geometry mirror + weight negation) are built by
+        :meth:`PackedFilaments.image`, which owns the sign convention.
         """
         return replace(
             self, start=self.start.mirrored_z(plane_z), end=self.end.mirrored_z(plane_z)
         )
-
-    def split(self, pieces: int) -> list["Filament"]:
-        """Subdivide into ``pieces`` equal filaments (for near-field accuracy)."""
-        if pieces < 1:
-            raise ValueError("pieces must be >= 1")
-        delta = (self.end - self.start) / pieces
-        return [
-            replace(self, start=self.start + delta * i, end=self.start + delta * (i + 1))
-            for i in range(pieces)
-        ]
 
     def self_inductance(self) -> Henries:
         """Partial self-inductance of this filament's rectangular bar [H]."""
@@ -263,10 +261,18 @@ class PackedFilaments:
         )
 
     def image(self, plane_z: Meters) -> "PackedFilaments":
-        """The image currents below a conducting plane at ``z = plane_z``.
+        """The image currents of a perfectly conducting plane at ``z = plane_z``.
 
-        Geometry mirrored as :meth:`Vec3.mirrored_z` does, weights negated
-        (the sign convention lives in :mod:`repro.peec.images`).
+        A solid, highly conductive plane under the components (the paper's
+        *"shielding planes like ground planes"*) reflects high-frequency
+        magnetic fields; image theory replaces it by a mirrored copy of
+        every current, with an **anti-parallel** image for a horizontal
+        element and a **parallel** image for a vertical one.  Both follow
+        from mirroring the geometry as :meth:`Vec3.mirrored_z` does and
+        negating every weight, which is what this returns.  The images act
+        on the flux a *bare* victim sees, so they augment the source
+        operand only; the shielded self-inductance is the path's own
+        ``L`` plus its mutual with its image.
         """
 
         def mirror(p: np.ndarray) -> np.ndarray:
@@ -398,7 +404,7 @@ def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def neumann_mutual_blocks(
-    source: PackedFilaments, targets: Sequence[PackedFilaments], order: int = 8
+    source: PackedFilaments, targets: Sequence[PackedFilaments], order: int = PAIR_ORDER
 ) -> list[np.ndarray]:
     """Raw pairwise Neumann mutuals of one source against several targets [H].
 

@@ -9,8 +9,9 @@ These routines aggregate the filament-level partial inductances of
   filament pairs;
 * ``mutual_inductance_row(source, targets)`` — the mutual inductances of
   one placed component against many others, the raw ingredient of
-  interference coupling, from one call of the order-8 disjoint-path kernel
-  (``mutual_inductance_paths_fast(a, b)`` is its single-pair view).
+  interference coupling, from one call of the disjoint-path kernel at
+  :data:`~repro.peec.filament.PAIR_ORDER` (``mutual_inductance_paths_fast(a, b)``
+  is its single-pair view).
 
 The dimensionless coupling factor ``k = M / sqrt(La * Lb)`` of a placed
 part pair is formed in one place, :mod:`repro.coupling.pair`, which also
@@ -28,6 +29,7 @@ from ..geometry import unique_rows
 from ..obs import get_tracer
 from ..units import Henries
 from .filament import (
+    PAIR_ORDER,
     PackedFilaments,
     _norms,
     mutual_inductance_pairs,
@@ -37,7 +39,6 @@ from .filament import (
 from .mesh import CurrentPath
 
 __all__ = [
-    "PAIR_ORDER",
     "SELF_INDUCTANCE_ORDER",
     "loop_self_inductance",
     "mutual_inductance_paths_fast",
@@ -47,11 +48,6 @@ __all__ = [
 #: Gauss–Legendre order of :func:`loop_self_inductance`: the order of every
 #: part self-inductance (ESL, coupling normalisation) and of its cache key.
 SELF_INDUCTANCE_ORDER = 12
-
-#: Gauss–Legendre order of every placed-pair mutual (and a ground plane's
-#: own-image term) solved by :mod:`repro.coupling`, and of the pair and
-#: distance-law cache keys.
-PAIR_ORDER = 8
 
 
 def loop_self_inductance(path: CurrentPath, order: int = SELF_INDUCTANCE_ORDER) -> Henries:
@@ -127,7 +123,7 @@ def _pair_shape_keys(
 
 
 def mutual_inductance_row(
-    source: PackedFilaments, targets: Sequence[PackedFilaments], order: int = 8
+    source: PackedFilaments, targets: Sequence[PackedFilaments], order: int = PAIR_ORDER
 ) -> list[Henries]:
     """Signed mutual inductances of one path against several *disjoint* paths [H].
 
@@ -167,7 +163,9 @@ def mutual_inductance_row(
     ]
 
 
-def mutual_inductance_paths_fast(a: CurrentPath, b: CurrentPath, order: int = 8) -> Henries:
+def mutual_inductance_paths_fast(
+    a: CurrentPath, b: CurrentPath, order: int = PAIR_ORDER
+) -> Henries:
     """Vectorised mutual inductance between two *disjoint* paths [H] (signed).
 
     The single-pair view of :func:`mutual_inductance_row`.

@@ -1,21 +1,28 @@
-"""Current paths — ordered filament meshes for component field models.
+"""Current paths — filament meshes for component field models.
 
 A :class:`CurrentPath` is the *"simplified field generating structure"* of a
 component (the paper's Fig. 3): the internal current loop of a capacitor,
 the segmented rings of a choke winding, a trace on the board.  Paths are
-built in the component's local frame and mapped into board coordinates by
-the placement transform.
+meshed in the component's local frame from validated :class:`Filament`
+segments, packed once into :class:`PackedFilaments` arrays, and mapped
+into board coordinates by the placement transform as one array op.
 
 Besides holding geometry, the mesh knows how to compute its magnetic dipole
 moment (per ampere), which both the fast dipole coupling estimate and the
-magnetic-axis extraction for the cos(alpha) placement rule use.
+magnetic-axis extraction for the cos(alpha) placement rule use.  The path
+geometry is array code in the float order of the per-segment
+:class:`~repro.geometry.Vec3` arithmetic (``Filament.midpoint``,
+``Vec3.cross``), accumulated in segment order (``np.cumsum``), so a moment
+equals a sum over :meth:`PackedFilaments.filaments` bit for bit on every
+platform and Python version.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
-from dataclasses import replace
+from collections.abc import Sequence
+
+import numpy as np
 
 from ..geometry import Transform3D, Vec3
 from ..obs import get_tracer
@@ -24,68 +31,52 @@ from .filament import Filament, PackedFilaments
 __all__ = ["CurrentPath", "ring_path", "rectangle_path"]
 
 
-class CurrentPath:
-    """An ordered collection of filaments carrying the same terminal current.
+def _running_total(rows: np.ndarray) -> Vec3:
+    """``Vec3.zero() + rows[0] + rows[1] + ...`` in that order, bit for bit.
 
-    A path holds its filaments as :class:`Filament` objects, as
-    :class:`PackedFilaments` arrays, or both: each form is built from the
-    other on first use and then kept.  Meshing builds the objects; placing
-    and imaging a path are array ops (:meth:`transformed`,
-    :meth:`from_packed`) that never build them, and the kernels read
-    :attr:`packed`.  Neither form may be mutated once read.
+    ``np.cumsum`` adds sequentially (``np.sum`` adds pairwise along a
+    contiguous axis); the trailing ``+ 0.0`` turns an all-``-0.0`` column
+    into the ``+0.0`` that starting from the zero vector gives.
+    """
+    x, y, z = (np.cumsum(rows, axis=0)[-1] + 0.0).tolist()
+    return Vec3(x, y, z)
+
+
+class CurrentPath:
+    """A set of filaments carrying the same terminal current.
+
+    The filaments are held in one form, :class:`PackedFilaments` arrays,
+    packed once at construction; placing and imaging a path are array ops
+    and the kernels read the arrays directly.  :meth:`PackedFilaments.filaments`
+    is the object view for tests and oracles.
 
     Attributes:
-        filaments: the segments; each carries a signed ``weight`` so that a
-            multi-turn winding can reuse one geometric ring per layer.
-        packed: the same segments as read-only arrays.
+        packed: the segments as read-only arrays; each carries a signed
+            ``weight`` so that a multi-turn winding can reuse one geometric
+            ring per layer.
         name: label used in reports and the coupling database.
     """
 
-    def __init__(self, filaments: Sequence[Filament], name: str = "") -> None:
-        if not filaments:
+    def __init__(
+        self, filaments: Sequence[Filament] | PackedFilaments, name: str = ""
+    ) -> None:
+        packed = PackedFilaments.of(filaments)
+        if not len(packed):
             raise ValueError("a current path needs at least one filament")
-        self._filaments: list[Filament] | None = list(filaments)
-        self._packed: PackedFilaments | None = None
+        self.packed = packed
         self.name = name
 
-    @classmethod
-    def from_packed(cls, packed: PackedFilaments, name: str = "") -> "CurrentPath":
-        """A path over already packed filaments (objects built on demand)."""
-        path = cls.__new__(cls)
-        path._filaments = None
-        path._packed = packed
-        path.name = name
-        return path
-
-    @property
-    def filaments(self) -> list[Filament]:
-        """The segments as objects."""
-        if self._filaments is None:
-            assert self._packed is not None
-            self._filaments = self._packed.filaments()
-        return self._filaments
-
-    @property
-    def packed(self) -> PackedFilaments:
-        """The segments as read-only arrays, packed once."""
-        if self._packed is None:
-            assert self._filaments is not None
-            self._packed = PackedFilaments.of(self._filaments)
-        return self._packed
-
     def __len__(self) -> int:
-        return len(self.packed) if self._filaments is None else len(self._filaments)
-
-    def __iter__(self) -> Iterator[Filament]:
-        return iter(self.filaments)
+        return len(self.packed)
 
     def transformed(self, transform: Transform3D) -> "CurrentPath":
         """Map the whole path through a rigid transform (one array op)."""
-        return CurrentPath.from_packed(self.packed.transformed(transform), self.name)
+        return CurrentPath(self.packed.transformed(transform), self.name)
 
     def total_length(self) -> float:
         """Sum of filament lengths, weighted by |turns| (wire length)."""
-        return math.fsum(f.length * abs(f.weight) for f in self.filaments)
+        packed = self.packed
+        return math.fsum((packed.lengths() * np.abs(packed.weights)).tolist())
 
     def magnetic_moment(self) -> Vec3:
         """Magnetic dipole moment per ampere of terminal current [m^2].
@@ -93,11 +84,18 @@ class CurrentPath:
         ``m = 1/2 * sum_k w_k * (r_mid,k x l_k)`` — exact for closed loops,
         a useful leading-order characterisation for nearly closed ones.
         """
-        m = Vec3.zero()
-        for f in self.filaments:
-            dl = (f.end - f.start) * f.weight
-            m = m + f.midpoint.cross(dl) * 0.5
-        return m
+        packed = self.packed
+        mid = (packed.starts + packed.ends) * 0.5
+        dl = (packed.ends - packed.starts) * packed.weights[:, None]
+        cross = np.stack(
+            [
+                mid[:, 1] * dl[:, 2] - mid[:, 2] * dl[:, 1],
+                mid[:, 2] * dl[:, 0] - mid[:, 0] * dl[:, 2],
+                mid[:, 0] * dl[:, 1] - mid[:, 1] * dl[:, 0],
+            ],
+            axis=1,
+        )
+        return _running_total(cross * 0.5)
 
     def magnetic_axis(self) -> Vec3:
         """Unit vector along the dipole moment.
@@ -116,29 +114,14 @@ class CurrentPath:
 
     def centroid(self) -> Vec3:
         """Length-weighted centroid of the path."""
-        total_len = math.fsum(f.length for f in self.filaments)
-        acc = Vec3.zero()
-        for f in self.filaments:
-            acc = acc + f.midpoint * f.length
-        return acc / total_len
-
-    def closure_error(self) -> float:
-        """Distance between the path end and start (0 for a closed loop).
-
-        Only meaningful for single-loop paths built head-to-tail; multi-ring
-        winding models report the closure of the *last* ring.
-        """
-        return self.filaments[-1].end.distance_to(self.filaments[0].start)
+        packed = self.packed
+        lengths = packed.lengths()
+        mid = (packed.starts + packed.ends) * 0.5
+        return _running_total(mid * lengths[:, None]) / math.fsum(lengths.tolist())
 
     def merged_with(self, other: "CurrentPath") -> "CurrentPath":
-        """Concatenate two paths carrying the same terminal current."""
-        return CurrentPath(self.filaments + other.filaments, self.name or other.name)
-
-    def scaled_weights(self, factor: float) -> "CurrentPath":
-        """Copy with every filament weight multiplied by ``factor``."""
-        return CurrentPath(
-            [replace(f, weight=f.weight * factor) for f in self.filaments], self.name
-        )
+        """Both paths as one carrying the same terminal current, this one first."""
+        return CurrentPath(self.packed.merged_with(other.packed), self.name or other.name)
 
 
 def ring_path(

@@ -83,7 +83,7 @@ def pieces_of(f1: Filament, f2: Filament) -> int:
 
 
 def pair_kinds(path: CurrentPath) -> dict[str, int]:
-    fils = path.filaments
+    fils = path.packed.filaments()
     kinds = {"parallel": 0, "perpendicular": 0}
     for i in range(len(fils)):
         for j in range(i + 1, len(fils)):
@@ -101,7 +101,7 @@ def pair_kinds(path: CurrentPath) -> dict[str, int]:
 def encode(path: CurrentPath) -> list[list[float]]:
     return [
         [*f.start.as_array(), *f.end.as_array(), f.width, f.thickness, f.weight]
-        for f in path.filaments
+        for f in path.packed.filaments()
     ]
 
 

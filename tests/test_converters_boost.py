@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from test_converters_buck import BAD_PARAMETERS
 
 from repro.circuit import MnaSystem
 from repro.converters import (
@@ -32,6 +33,11 @@ class TestParameters:
         # RLOAD = Vout / Iout is stamped by emi_circuit().
         with pytest.raises(ValueError, match="output current"):
             BoostConverterDesign(output_current=current)
+
+    @pytest.mark.parametrize("params, message", BAD_PARAMETERS)
+    def test_unbuildable_parameters_rejected_at_construction(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            BoostConverterDesign(**params)
 
     def test_parts_cached(self, boost):
         assert boost.parts() is boost.parts()

@@ -6,6 +6,17 @@ import pytest
 from repro.circuit import MnaSystem
 from repro.converters import COUPLING_BRANCHES, BuckConverterDesign, apply_couplings
 
+#: Design parameters that no job can build a spectrum or a board from, and
+#: the words of the error each raises at construction.
+BAD_PARAMETERS = [
+    ({"t_rise": 0.0}, "edge times"),
+    ({"t_fall": -1e-9}, "edge times"),
+    ({"t_rise": 5e-6}, "edges too slow"),
+    ({"board_width": 0.0}, "board extents"),
+    ({"board_height": -0.05}, "board extents"),
+    ({"hot_loop_esl": 0.0}, "hot-loop ESL"),
+]
+
 
 class TestParameters:
     def test_duty(self, buck_design):
@@ -22,6 +33,16 @@ class TestParameters:
         # RLOAD = Vout / Iout is stamped by emi_circuit().
         with pytest.raises(ValueError, match="output current"):
             BuckConverterDesign(output_current=current)
+
+    @pytest.mark.parametrize("params, message", BAD_PARAMETERS)
+    def test_unbuildable_parameters_rejected_at_construction(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            BuckConverterDesign(**params)
+
+    def test_edges_just_inside_the_period_accepted(self):
+        # 4 us period, D = 5/12: the high time takes edges up to 3.33 us.
+        design = BuckConverterDesign(t_rise=1.6e-6, t_fall=1.6e-6)
+        assert design.sources()[0].breakpoints()[0][-1] == pytest.approx(4e-6)
 
     def test_parts_cached(self, buck_design):
         assert buck_design.parts() is buck_design.parts()

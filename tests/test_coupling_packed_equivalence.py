@@ -50,7 +50,7 @@ def old_placed(component, placement):
     transform = placement.to_transform3d()
     return [
         replace(f, start=transform.apply(f.start), end=transform.apply(f.end))
-        for f in component.current_path.filaments
+        for f in component.current_path.packed.filaments()
     ]
 
 

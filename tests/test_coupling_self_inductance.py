@@ -56,7 +56,7 @@ def per_filament_fingerprint(component):
     digest = hashlib.sha256()
     digest.update(b"component-v1\0" + component.part_number.encode("utf-8") + b"\0")
     digest.update(struct.pack("<2d", component.mu_eff, component.core.stray_fraction))
-    for f in component.current_path.filaments:
+    for f in component.current_path.packed.filaments():
         values = (f.start.x, f.start.y, f.start.z, f.end.x, f.end.y, f.end.z)
         digest.update(struct.pack("<9d", *values, f.width, f.thickness, f.weight))
     return digest.hexdigest()
@@ -98,7 +98,7 @@ class TestTiers:
     def test_one_ulp_filament_perturbation_misses(self, tmp_path):
         disk_db(tmp_path).self_inductance(FilmCapacitorX2())
         part = FilmCapacitorX2()
-        first, *rest = part.current_path.filaments
+        first, *rest = part.current_path.packed.filaments()
         bumped = replace(
             first, start=Vec3(math.nextafter(first.start.x, math.inf), first.start.y, first.start.z)
         )

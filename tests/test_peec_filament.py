@@ -44,22 +44,10 @@ class TestFilamentBasics:
         f = fil(0, 0, 0, 1, 0, 0)
         assert f.reversed().direction.is_close(Vec3(-1.0, 0.0, 0.0))
 
-    def test_split_preserves_endpoints_and_length(self):
-        f = fil(0, 0, 0, 0.01, 0.02, 0.03)
-        pieces = f.split(4)
-        assert len(pieces) == 4
-        assert pieces[0].start.is_close(f.start)
-        assert pieces[-1].end.is_close(f.end)
-        assert sum(p.length for p in pieces) == pytest.approx(f.length)
-
-    def test_split_invalid(self):
-        with pytest.raises(ValueError):
-            fil(0, 0, 0, 1, 0, 0).split(0)
-
     def test_transformed(self):
         f = fil(0.01, 0, 0, 0.02, 0, 0)
         t = Transform3D(Vec3(0, 0, 0.005), rotation_z_rad=math.pi / 2.0)
-        g = CurrentPath([f]).transformed(t).filaments[0]
+        g = CurrentPath([f]).transformed(t).packed.filaments()[0]
         assert g.start.is_close(Vec3(0.0, 0.01, 0.005), tol=1e-12)
 
     def test_mirrored_z(self):

@@ -19,7 +19,7 @@ from repro.peec import (
 
 def exact_path_mutual(a, b):
     """Weighted path mutual from the exact near-field pair kernel."""
-    fils = a.filaments + b.filaments
+    fils = a.packed.filaments() + b.packed.filaments()
     i, j = np.meshgrid(np.arange(len(a)), np.arange(len(a), len(fils)), indexing="ij")
     m = mutual_inductance_pairs(fils, i.ravel(), j.ravel())
     w = np.array([f.weight for f in fils])
@@ -178,7 +178,7 @@ class TestCouplingFactor:
     def test_flip_one_ring_flips_sign(self):
         r1 = ring_path(Vec3.zero(), 0.006)
         r2 = ring_path(Vec3(0, 0, 0.02), 0.006)
-        r2_flipped = r2.scaled_weights(-1.0)
+        r2_flipped = ring_path(Vec3(0, 0, 0.02), 0.006, weight=-1.0)
         assert mutual_inductance_paths_fast(r1, r2_flipped) == pytest.approx(
             -mutual_inductance_paths_fast(r1, r2), rel=1e-9
         )
@@ -187,12 +187,12 @@ class TestCouplingFactor:
 class TestPartialMatrix:
     def test_symmetric_positive_diagonal(self):
         ring = ring_path(Vec3.zero(), 0.008, segments=8)
-        m = partial_matrix(ring.filaments)
+        m = partial_matrix(ring.packed.filaments())
         assert np.allclose(m, m.T)
         assert np.all(np.diag(m) > 0.0)
 
     def test_consistent_with_loop_inductance(self):
         ring = ring_path(Vec3.zero(), 0.008, segments=8)
-        m = partial_matrix(ring.filaments)
-        w = np.array([f.weight for f in ring.filaments])
+        m = partial_matrix(ring.packed.filaments())
+        w = np.array([f.weight for f in ring.packed.filaments()])
         assert float(w @ m @ w) == pytest.approx(loop_self_inductance(ring), rel=1e-9)

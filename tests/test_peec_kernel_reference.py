@@ -19,7 +19,6 @@ from repro.peec import (
     CurrentPath,
     Filament,
     b_field,
-    b_field_filament,
     b_field_grid,
     loop_self_inductance,
     mutual_inductance,
@@ -66,7 +65,7 @@ def test_random_paths_cover_every_pair_class():
     # reachable subdivision count (longest/gap > 4 implies pieces >= 3).
     seen: set[str] = set()
     for case in REFERENCE["paths"]:
-        fils = decode(case["filaments"]).filaments
+        fils = decode(case["filaments"]).packed.filaments()
         for i in range(len(fils)):
             for j in range(i + 1, len(fils)):
                 cos = fils[i].direction.dot(fils[j].direction)
@@ -98,13 +97,13 @@ def test_field_grid(index):
 
 def test_field_grid_keeps_on_axis_zero_and_clamp():
     # The first reference grid puts points on a filament's axis and inside
-    # its conductor-radius clamp; the single-filament wrapper shows both.
+    # its conductor-radius clamp; the single-point view shows both.
     rect = decode(REFERENCE["fields"][0]["paths"][0])
-    side = rect.filaments[3]  # x = 0, running along y
+    side = CurrentPath([rect.packed.filaments()[3]])  # x = 0, running along y
     on_axis = Vec3(0.0, 0.004, 0.0)
-    assert b_field_filament(side, on_axis) == Vec3.zero()
-    inside = b_field_filament(side, Vec3(1e-4, 0.004, 0.0)).norm()
-    surface = b_field_filament(side, Vec3(0.5e-3, 0.004, 0.0)).norm()
+    assert b_field(side, on_axis) == Vec3.zero()
+    inside = b_field(side, Vec3(1e-4, 0.004, 0.0)).norm()
+    surface = b_field(side, Vec3(0.5e-3, 0.004, 0.0)).norm()
     assert inside == pytest.approx(surface, rel=1e-12)
 
 
@@ -123,7 +122,7 @@ def test_point_wrappers_match_grid():
 
 
 def test_single_pair_wrapper_matches_batch():
-    fils = decode(REFERENCE["paths"][-1]["filaments"]).filaments
+    fils = decode(REFERENCE["paths"][-1]["filaments"]).packed.filaments()
     i, j = np.triu_indices(len(fils), 1)
     batch = mutual_inductance_pairs(fils, i, j)
     single = [mutual_inductance(fils[a], fils[b]) for a, b in zip(i, j, strict=True)]

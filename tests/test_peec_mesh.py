@@ -2,10 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
+from test_property_peec import scaled_weights
 
 from repro.geometry import Transform3D, Vec3
-from repro.peec import CurrentPath, Filament, rectangle_path, ring_path
+from repro.peec import CurrentPath, Filament, PackedFilaments, rectangle_path, ring_path
+
+
+def is_closed_loop(path):
+    """Each filament starts where the previous one ends, the last at the first."""
+    p = path.packed
+    return bool(np.array_equal(p.starts, np.roll(p.ends, 1, axis=0)))
 
 
 class TestRingPath:
@@ -15,7 +23,7 @@ class TestRingPath:
 
     def test_closed(self):
         ring = ring_path(Vec3.zero(), 0.01, segments=12)
-        assert ring.closure_error() == pytest.approx(0.0, abs=1e-12)
+        assert is_closed_loop(ring)
 
     def test_total_length_approximates_circumference(self):
         r = 0.01
@@ -61,7 +69,7 @@ class TestRectanglePath:
     def test_four_filaments_closed(self):
         p = rectangle_path(Vec3(-0.005, 0, 0), Vec3(0.005, 0, 0.004))
         assert len(p) == 4
-        assert p.closure_error() == pytest.approx(0.0, abs=1e-12)
+        assert is_closed_loop(p)
 
     def test_axis_is_normal(self):
         p = rectangle_path(Vec3(-0.005, 0, 0), Vec3(0.005, 0, 0.004), normal="y")
@@ -104,10 +112,24 @@ class TestCurrentPath:
 
     def test_scaled_weights(self):
         ring = ring_path(Vec3.zero(), 0.01)
-        scaled = ring.scaled_weights(2.0)
+        scaled = scaled_weights(ring, 2.0)
         assert scaled.magnetic_moment().z == pytest.approx(
             2.0 * ring.magnetic_moment().z
         )
+
+    def test_packed_route_rejects_an_empty_set(self):
+        empty = PackedFilaments(*(np.empty((0, 3)),) * 2, *(np.empty(0),) * 3)
+        with pytest.raises(ValueError):
+            CurrentPath(empty)
+
+    def test_packed_and_object_routes_agree(self):
+        ring = ring_path(Vec3(0.01, 0.0, 0.002), 0.005, segments=8, weight=3.0)
+        from_objects = CurrentPath(ring.packed.filaments(), "L")
+        from_arrays = CurrentPath(ring.packed, "L")
+        for path in (from_objects, from_arrays):
+            assert path.name == "L"
+            assert path.magnetic_moment() == ring.magnetic_moment()
+        assert from_arrays.packed is ring.packed
 
     def test_straight_trace_axis_falls_back_to_z(self):
         trace = CurrentPath([Filament(Vec3(0, 0, 0), Vec3(0.02, 0, 0))])

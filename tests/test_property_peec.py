@@ -24,7 +24,6 @@ from repro.peec import (
     CurrentPath,
     Filament,
     PackedFilaments,
-    image_path,
     loop_self_inductance,
     mutual_inductance,
     mutual_inductance_pairs,
@@ -130,7 +129,7 @@ class TestPathProperties:
     def test_weight_bilinearity(self, radius, distance, w):
         a = ring_path(Vec3.zero(), radius, segments=8)
         b = ring_path(Vec3(distance, 0, 0), radius, segments=8)
-        b_weighted = b.scaled_weights(w)
+        b_weighted = ring_path(Vec3(distance, 0, 0), radius, segments=8, weight=w)
         m_unit = mutual_inductance_paths_fast(a, b)
         m_scaled = mutual_inductance_paths_fast(a, b_weighted)
         assert math.isclose(m_scaled, w * m_unit, rel_tol=1e-9, abs_tol=1e-20)
@@ -191,6 +190,15 @@ def random_paths(draw):
     )
 
 
+def scaled_weights(path, factor):
+    """The path with every filament weight multiplied by ``factor``."""
+    p = path.packed
+    return CurrentPath(
+        PackedFilaments(p.starts, p.ends, p.widths, p.thicknesses, p.weights * factor),
+        path.name,
+    )
+
+
 placements = st.builds(
     lambda x, y, deg: Placement2D.at(x, y, deg),
     st.floats(min_value=-0.05, max_value=0.05),
@@ -201,7 +209,8 @@ placements = st.builds(
 
 def extent(path):
     return max(
-        max(abs(c) for c in (*f.start.as_array(), *f.end.as_array())) for f in path.filaments
+        max(abs(c) for c in (*f.start.as_array(), *f.end.as_array()))
+        for f in path.packed.filaments()
     )
 
 
@@ -215,7 +224,7 @@ class TestSelfInductanceKernel:
     @given(random_paths(), st.floats(min_value=0.1, max_value=10.0))
     def test_scales_with_weight_squared(self, path, w):
         assert math.isclose(
-            loop_self_inductance(path.scaled_weights(w)),
+            loop_self_inductance(scaled_weights(path, w)),
             w * w * loop_self_inductance(path),
             rel_tol=1e-12,
         )
@@ -287,7 +296,7 @@ def object_self_inductance(filaments):
 
 
 def assert_equals_full_sum(path, name=""):
-    full = object_self_inductance(path.filaments)
+    full = object_self_inductance(path.packed.filaments())
     assert math.isclose(loop_self_inductance(path), full, rel_tol=1e-12, abs_tol=0.0), name
 
 
@@ -307,19 +316,19 @@ class TestPackedPath:
         transform = placement.to_transform3d()
         expected = [
             replace(f, start=transform.apply(f.start), end=transform.apply(f.end))
-            for f in path.filaments
+            for f in path.packed.filaments()
         ]
         for placed in (path.packed.placed(placement), path.transformed(transform).packed):
             assert packed_end_points(placed) == end_points(expected)
-        assert end_points(path.transformed(transform).filaments) == end_points(expected)
+        assert end_points(path.transformed(transform).packed.filaments()) == end_points(expected)
 
     @settings(max_examples=30, deadline=None)
     @given(random_paths(), sided_placements, st.floats(min_value=-5e-3, max_value=5e-3))
     def test_image_equals_mirrored_filaments(self, path, placement, plane_z):
         placed = path.transformed(placement.to_transform3d())
-        expected = [replace(f.mirrored_z(plane_z), weight=-f.weight) for f in placed.filaments]
-        image = image_path(placed, plane_z)
-        assert packed_end_points(image.packed) == end_points(expected)
+        expected = [
+            replace(f.mirrored_z(plane_z), weight=-f.weight) for f in placed.packed.filaments()
+        ]
         assert packed_end_points(placed.packed.image(plane_z)) == end_points(expected)
 
     # loop_self_inductance solves one pair per isometry class and scatters;

@@ -112,7 +112,7 @@ class TestParasitics:
                         TraceSegment(Vec2(0.01, 0), Vec2(0.01, 0.01))])
         path = route_current_path(r, z=1e-4)
         assert path is not None and len(path) == 2
-        assert path.filaments[0].start.z == pytest.approx(1e-4)
+        assert path.packed.filaments()[0].start.z == pytest.approx(1e-4)
 
     def test_empty_route_no_path(self):
         assert route_current_path(Route("N")) is None

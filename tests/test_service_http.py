@@ -12,6 +12,7 @@ import urllib.error
 import urllib.request
 
 import pytest
+from test_converters_buck import BAD_PARAMETERS
 
 from repro.obs import RunReport, is_run_id
 from repro.service import EmiService, ServiceConfig
@@ -252,6 +253,16 @@ class TestRejections:
         )
         assert status == 400
         assert "output current" in body["error"]
+
+    @pytest.mark.parametrize("params, message", BAD_PARAMETERS)
+    def test_unbuildable_design_400(self, service, params, message):
+        before = request_json(service.url + "/jobs")[1]["jobs"]
+        status, body = request_json(
+            service.url + "/jobs", "POST", {"design": {"kind": "buck", "params": params}}
+        )
+        assert status == 400
+        assert message in body["error"]
+        assert len(request_json(service.url + "/jobs")[1]["jobs"]) == len(before)
 
     def test_failing_board_cites_check_report(self, service):
         status, body = request_json(
