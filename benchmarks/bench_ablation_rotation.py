@@ -28,12 +28,13 @@ def test_ablation_rotation(benchmark, design_flow, record):
     for label, enabled in (("with rotation", True), ("without rotation", False)):
         problem = design_flow.problem_with_rules()
         try:
-            report = AutoPlacer(problem, optimize_rotation=enabled).run()
+            # Each variant's wall time is its span in the BENCH report.
+            with obs.get_tracer().span(f"bench.{label.replace(' ', '_')}"):
+                report = AutoPlacer(problem, optimize_rotation=enabled).run()
             results[label] = {
                 "violations": report.violations_after,
                 "area_cm2": placement_area(problem) * 1e4,
                 "wirelength_mm": total_wirelength(problem) * 1e3,
-                "runtime_ms": report.runtime_s * 1e3,
             }
         except PlacementError as exc:
             results[label] = {"failed": str(exc)}
@@ -41,7 +42,7 @@ def test_ablation_rotation(benchmark, design_flow, record):
     rows = []
     for label, data in results.items():
         if "failed" in data:
-            rows.append([label, "FAILED", "-", "-", "-"])
+            rows.append([label, "FAILED", "-", "-"])
         else:
             rows.append(
                 [
@@ -49,12 +50,9 @@ def test_ablation_rotation(benchmark, design_flow, record):
                     data["violations"],
                     f"{data['area_cm2']:.1f}",
                     f"{data['wirelength_mm']:.0f}",
-                    f"{data['runtime_ms']:.0f}",
                 ]
             )
-    table = series_table(
-        ["variant", "violations", "area cm^2", "wirelength mm", "runtime ms"], rows
-    )
+    table = series_table(["variant", "violations", "area cm^2", "wirelength mm"], rows)
     summary = (
         f"rotation step: EMD sum {plan.initial_emd_sum * 1e3:.1f} mm -> "
         f"{plan.final_emd_sum * 1e3:.1f} mm in {plan.passes} pass(es)"

@@ -28,7 +28,6 @@ def test_fig09_autoplace29(benchmark, record, out_dir):
         ["rules satisfied", satisfied],
         ["violations (all kinds)", report.violations_after],
         ["functional groups", len(problem.groups)],
-        ["runtime", f"{report.runtime_s:.2f} s"],
         ["total wirelength", f"{total_wirelength(problem) * 1e3:.0f} mm"],
     ]
     for group in problem.groups:

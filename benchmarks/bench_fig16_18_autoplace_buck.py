@@ -21,7 +21,6 @@ def test_fig16_18_autoplace_buck(benchmark, design_flow, record, out_dir):
     rows = [
         ["components placed", report.placed_count],
         ["violations", report.violations_after],
-        ["runtime", f"{report.runtime_s * 1e3:.0f} ms"],
         [
             "rotation step gain",
             f"{report.rotation_plan.improvement * 1e3:.1f} mm EMD sum"

@@ -83,21 +83,37 @@ def convex_hull(points: Iterable[Vec2]) -> list[Vec2]:
     return [Vec2(x, y) for x, y in hull]
 
 
-@dataclass
+#: One polygon edge a -> b: ``ax, ay, bx, by``, ``abx, aby`` (= b - a), the
+#: on-edge scale ``max(1, |ab|)`` and ``|ab|^2``, all Python floats.
+_Edge = tuple[float, float, float, float, float, float, float, float]
+
+
+@dataclass(frozen=True)
 class Polygon2D:
     """A simple polygon with counter-clockwise vertex order.
 
     Construction normalises orientation: clockwise input is reversed, so
-    callers may supply vertices in either winding.
+    callers may supply vertices in either winding.  The polygon is
+    immutable: ``vertices`` is stored as a tuple, and the edge table the
+    predicates read is built once, here.
     """
 
-    vertices: list[Vec2] = field(default_factory=list)
+    vertices: Sequence[Vec2]
+    _edges: tuple[_Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
+        vertices = tuple(self.vertices)
+        if len(vertices) < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        if _signed_area(self.vertices) < 0.0:
-            self.vertices = list(reversed(self.vertices))
+        if _signed_area(vertices) < 0.0:
+            vertices = vertices[::-1]
+        edges: list[_Edge] = []
+        for a, b in zip(vertices, (*vertices[1:], vertices[0])):
+            abx, aby = b.x - a.x, b.y - a.y
+            scale = max(1.0, math.hypot(abx, aby))
+            edges.append((a.x, a.y, b.x, b.y, abx, aby, scale, abx * abx + aby * aby))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_edges", tuple(edges))
 
     # -- basic measures -------------------------------------------------
 
@@ -140,11 +156,60 @@ class Polygon2D:
 
     # -- predicates ------------------------------------------------------
 
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Edge start and end coordinates (ax, ay, bx, by), one entry per edge."""
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return np.array(xs), np.array(ys), np.array(xs[1:] + xs[:1]), np.array(ys[1:] + ys[:1])
+    def _locate(
+        self, px: np.ndarray, py: np.ndarray, tol: float
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Inside-or-on-boundary flags of the points, and each edge's cross
+        product ``ab x ap`` at every point (> 0 left of the edge line).
+
+        Edge-major: one pass per edge of elementwise ops over all points.
+        A point is on an edge when it lies within ``tol`` of it (scaled by
+        the edge length); otherwise a horizontal ray towards +x decides by
+        parity.  The ray test is division-free: 'x_int > p.x' is the sign of
+        the same cross product, oriented by the edge's y direction, and
+        horizontal edges never straddle the ray.
+        """
+        on_edge = np.zeros(px.shape, dtype=bool)
+        odd = np.zeros(px.shape, dtype=bool)
+        crosses: list[np.ndarray] = []
+        for ax, ay, _bx, by, abx, aby, scale, len_sq in self._edges:
+            apx = px - ax
+            apy = py - ay
+            cross = abx * apy - aby * apx
+            t = apx * abx + apy * aby
+            on_edge |= (np.abs(cross) <= tol * scale) & (-tol <= t) & (t <= len_sq + tol)
+            if ay != by:
+                straddles = (ay > py) != (by > py)
+                odd ^= straddles & ((cross > 0.0) if aby > 0.0 else (cross < 0.0))
+            crosses.append(cross)
+        return on_edge | odd, crosses
+
+    def _drop_crossed(
+        self, cx: np.ndarray, cy: np.ndarray, crosses: list[np.ndarray], keep: np.ndarray
+    ) -> None:
+        """Clear ``keep`` for each rectangle (a column of the (4, M) corners,
+        counter-clockwise; corner k -> k+1 is its edge k) whose edges cross
+        a polygon edge at a single interior point of both.  ``crosses`` are
+        the corners' sides of each edge line (from :meth:`_locate`); only a
+        rectangle with corners beyond ``EPS`` on both sides can cross it.
+        """
+        sides = np.stack(crosses)  # (edge, corner, rectangle)
+        above = sides > EPS
+        below = sides < -EPS
+        straddles = above.any(axis=1) & below.any(axis=1) & keep
+        following = [1, 2, 3, 0]
+        for e in np.flatnonzero(straddles.any(axis=1)).tolist():
+            ax, ay, bx, by = self._edges[e][:4]
+            rows = np.flatnonzero(straddles[e] & keep)
+            pos, neg = above[e][:, rows], below[e][:, rows]
+            splits = (pos & neg[following]) | (neg & pos[following])
+            x, y = cx[:, rows], cy[:, rows]
+            dx = x[following] - x
+            dy = y[following] - y
+            d3 = dx * (ay - y) - dy * (ax - x)
+            d4 = dx * (by - y) - dy * (bx - x)
+            crossed = splits & (((d3 > EPS) & (d4 < -EPS)) | ((d3 < -EPS) & (d4 > EPS)))
+            keep[rows[crossed.any(axis=0)]] = False
 
     def contains_points(self, xs: ArrayLike, ys: ArrayLike, tol: float = EPS) -> np.ndarray:
         """Batch point-in-polygon test; boundary points count as inside.
@@ -155,23 +220,7 @@ class Polygon2D:
         shaped like the broadcast of ``xs`` and ``ys``.
         """
         px, py = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-        px, py = px[..., None], py[..., None]  # broadcast against the edges
-        ax, ay, bx, by = self._edge_arrays()
-        abx = bx - ax
-        aby = by - ay
-        apx = px - ax
-        apy = py - ay
-        cross = abx * apy - aby * apx
-        t = apx * abx + apy * aby
-        scale = np.array([max(1.0, math.hypot(x, y)) for x, y in zip(abx.tolist(), aby.tolist())])
-        on_edge = (np.abs(cross) <= tol * scale) & (-tol <= t) & (t <= abx * abx + aby * aby + tol)
-        # Ray casting, division-free: the crossing test 'x_int > p.x' is the
-        # sign of the edge/ray cross product, oriented by the edge's y
-        # direction (edges with dy == 0 never straddle the ray).
-        straddles = (ay > py) != (by > py)
-        crossing = apy * abx - apx * aby
-        crosses = straddles & np.where(aby > 0.0, crossing > 0.0, crossing < 0.0)
-        return on_edge.any(axis=-1) | (np.count_nonzero(crosses, axis=-1) % 2 == 1)
+        return self._locate(px, py, tol)[0]
 
     def contains_point(self, p: Vec2, tol: float = EPS) -> bool:
         """Point-in-polygon test; boundary points count as inside."""
@@ -182,25 +231,19 @@ class Polygon2D:
     ) -> np.ndarray:
         """Batch test: which axis-aligned rectangles lie fully inside.
 
-        Checks the four corners (:meth:`contains_points`) plus the absence of
-        proper crossings between rectangle edges and polygon edges, which is
-        sufficient for simple polygons.  Returns a bool array, one entry per
-        rectangle.
+        Checks the four corners (as :meth:`contains_points`) plus the
+        absence of proper crossings between rectangle edges and polygon
+        edges, which decides every rectangle whose edges do not run along
+        polygon edges.  Returns a bool array, one entry per rectangle.
         """
         x0, y0, x1, y1 = np.broadcast_arrays(
             *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (xmin, ymin, xmax, ymax))
         )
-        # Corners counter-clockwise, shape (4, M); corner k -> k+1 is edge k.
         cx = np.stack([x0, x1, x1, x0])
         cy = np.stack([y0, y0, y1, y1])
-        inside = self.contains_points(cx, cy).all(axis=0)
-        rows = np.flatnonzero(inside)
-        if rows.size:
-            cx, cy = cx[:, rows], cy[:, rows]
-            dx, dy = cx[[1, 2, 3, 0]], cy[[1, 2, 3, 0]]
-            ax, ay, bx, by = (e[:, None, None] for e in self._edge_arrays())
-            crossed = _segments_properly_intersect(ax, ay, bx, by, cx, cy, dx, dy)
-            inside[rows] = ~crossed.any(axis=(0, 1))
+        corners, crosses = self._locate(cx, cy, EPS)
+        inside = corners.all(axis=0)
+        self._drop_crossed(cx, cy, crosses, inside)
         return inside
 
     def contains_rect(self, xmin: float, ymin: float, xmax: float, ymax: float) -> bool:
@@ -212,17 +255,18 @@ class Polygon2D:
         pxmin, pymin, pxmax, pymax = self.bbox()
         if xmax < pxmin or pxmax < xmin or ymax < pymin or pymax < ymin:
             return False
-        cx = np.array([xmin, xmax, xmax, xmin])
-        cy = np.array([ymin, ymin, ymax, ymax])
-        if self.contains_points(cx, cy).any():
+        cx = np.array([[xmin], [xmax], [xmax], [xmin]])
+        cy = np.array([[ymin], [ymin], [ymax], [ymax]])
+        corners, crosses = self._locate(cx, cy, EPS)
+        if corners.any():
             return True
         # Rectangle could fully contain the polygon.
         v0 = self.vertices[0]
         if xmin <= v0.x <= xmax and ymin <= v0.y <= ymax:
             return True
-        dx, dy = cx[[1, 2, 3, 0]], cy[[1, 2, 3, 0]]
-        ax, ay, bx, by = (e[:, None] for e in self._edge_arrays())
-        return bool(_segments_properly_intersect(ax, ay, bx, by, cx, cy, dx, dy).any())
+        apart = np.ones(1, dtype=bool)
+        self._drop_crossed(cx, cy, crosses, apart)
+        return not apart[0]
 
     # -- construction helpers ---------------------------------------------
 
@@ -235,7 +279,7 @@ class Polygon2D:
         the polygon vanishes.
         """
         if margin <= 0.0:
-            return Polygon2D(list(self.vertices))
+            return self
         n = len(self.vertices)
         assert n >= 3, "__post_init__ guarantees at least 3 vertices"
         shifted: list[tuple[Vec2, Vec2]] = []
@@ -363,27 +407,3 @@ def _line_intersection(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> Vec2 | None:
     t = (q1 - p1).cross(d2) / denom
     return p1 + d1 * t
 
-
-def _segments_properly_intersect(
-    ax: ArrayLike,
-    ay: ArrayLike,
-    bx: ArrayLike,
-    by: ArrayLike,
-    cx: ArrayLike,
-    cy: ArrayLike,
-    dx: ArrayLike,
-    dy: ArrayLike,
-) -> np.ndarray:
-    """Whether open segments (a,b) and (c,d) cross at a single interior
-    point, elementwise over broadcast coordinate arrays."""
-    abx = np.subtract(bx, ax)
-    aby = np.subtract(by, ay)
-    d1 = abx * np.subtract(cy, ay) - aby * np.subtract(cx, ax)
-    d2 = abx * np.subtract(dy, ay) - aby * np.subtract(dx, ax)
-    cdx = np.subtract(dx, cx)
-    cdy = np.subtract(dy, cy)
-    d3 = cdx * np.subtract(ay, cy) - cdy * np.subtract(ax, cx)
-    d4 = cdx * np.subtract(by, cy) - cdy * np.subtract(bx, cx)
-    return (((d1 > EPS) & (d2 < -EPS)) | ((d1 < -EPS) & (d2 > EPS))) & (
-        ((d3 > EPS) & (d4 < -EPS)) | ((d3 < -EPS) & (d4 > EPS))
-    )

@@ -27,8 +27,10 @@ __all__ = ["RotationPlan", "RotationOptimizer"]
 MAX_PASSES = 12
 
 #: One rule's EMD term: both refdes, both parts' world axes by rotation
-#: choice [deg], the PEMD [m] and the residual floor [-].
-_Term = tuple[str, str, dict[Degrees, Vec3], dict[Degrees, Vec3], Meters, float]
+#: choice [deg], the PEMD [m], the residual floor [-] and its EMD [m] by
+#: rotation pair, filled as the descent visits the pairs.
+_Axes = dict[Degrees, Vec3]
+_Term = tuple[str, str, _Axes, _Axes, Meters, float, dict[tuple[Degrees, Degrees], Meters]]
 
 
 @dataclass
@@ -55,9 +57,10 @@ class RotationOptimizer:
     def optimize(self) -> RotationPlan:
         """Run coordinate descent; fixed components keep their rotation.
 
-        Each part's world axis is computed once per rotation choice and
-        each rule's residual floor once; every cost is then
-        :func:`repro.rules.emd_between_axes` of the two axes.
+        Each part's world axis is computed once per rotation choice, each
+        rule's residual floor once, and each rule's EMD once per rotation
+        pair of its two parts (:func:`repro.rules.emd_between_axes` of the
+        two axes).
 
         Returns the plan; the caller (usually :class:`AutoPlacer`) applies
         the rotations when it places each component.
@@ -90,7 +93,7 @@ class RotationOptimizer:
         for rule in known:
             a, b = rule.ref_a, rule.ref_b
             floor = emd_floor(components[a].component, components[b].component, rule.residual)
-            term = (a, b, axes[a], axes[b], rule.pemd, floor)
+            term: _Term = (a, b, axes[a], axes[b], rule.pemd, floor, {})
             terms.append(term)
             involved.setdefault(a, []).append(term)
             involved.setdefault(b, []).append(term)
@@ -99,11 +102,15 @@ class RotationOptimizer:
             involved, key=lambda ref: sum(term[4] for term in involved[ref]), reverse=True
         )
 
+        def emd(term: _Term) -> Meters:
+            a, b, axes_a, axes_b, pemd, floor, seen = term
+            pair = (rotations[a], rotations[b])
+            if pair not in seen:
+                seen[pair] = emd_between_axes(axes_a[pair[0]], axes_b[pair[1]], pemd, floor)
+            return seen[pair]
+
         def emd_sum(part: list[_Term]) -> Meters:
-            return sum(
-                emd_between_axes(axes_a[rotations[a]], axes_b[rotations[b]], pemd, floor)
-                for a, b, axes_a, axes_b, pemd, floor in part
-            )
+            return sum(emd(term) for term in part)
 
         initial = emd_sum(terms)
         passes = 0

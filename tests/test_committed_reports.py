@@ -6,6 +6,7 @@ the reader ignores it, and every other key round-trips exactly.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,12 @@ OUT = ROOT / "benchmarks" / "out"
 BENCH_REPORTS = sorted(OUT.glob("BENCH_*.json"))
 BASELINE = ROOT / "benchmarks" / "baselines" / "PERF_rules_demo_board.json"
 HISTORY = OUT / "perf-history.jsonl"
+
+#: Placement text artefacts hold deterministic outputs only, so that a
+#: re-record of unchanged placements leaves them byte-identical; their wall
+#: times are the ``placement.run`` spans of their BENCH reports.
+PLACEMENT_TEXT = ["fig09_autoplace29.txt", "fig16_18_autoplace_buck.txt", "ablation_rotation.txt"]
+WALL_CLOCK = re.compile(r"runtime|\d\s*(?:s|ms|us|µs)\b")
 
 
 def without_histograms(data: dict) -> dict:
@@ -63,3 +70,9 @@ def test_session_fixture_work_is_reported():
     must still land in a committed report."""
     reports = [RunReport.from_json(path.read_text(encoding="utf-8")) for path in BENCH_REPORTS]
     assert any(r.find("flow.rules") and r.find("flow.verification") for r in reports)
+
+
+@pytest.mark.parametrize("name", PLACEMENT_TEXT)
+def test_placement_artefacts_hold_no_wall_clock(name):
+    text = (OUT / name).read_text(encoding="utf-8")
+    assert text and not WALL_CLOCK.search(text), WALL_CLOCK.search(text)
