@@ -45,7 +45,7 @@ reports::
     repro-emi perf history --key demo         # the stored trajectory
     repro-emi perf diff                       # delta table, last two runs
     repro-emi perf check metrics.json --fail-on regression
-    repro-emi perf export metrics.json --format chrome -o trace.json
+    repro-emi perf export metrics.json -o trace.json
     repro-emi perf flight metrics.json --events events.jsonl -o flight.html
 """
 
@@ -489,16 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp_export = perf_sub.add_parser(
         "export",
-        help="export a run report (Chrome trace JSON or Prometheus text)",
+        help="export a run report as Chrome trace JSON (Perfetto, about://tracing)",
     )
     pp_export.add_argument("report", type=Path, metavar="REPORT")
-    pp_export.add_argument(
-        "--format",
-        choices=("chrome", "prometheus"),
-        default="chrome",
-        help="chrome: Trace Event JSON for Perfetto/about://tracing; "
-        "prometheus: text exposition of the scalars (default: chrome)",
-    )
     pp_export.add_argument(
         "-o",
         "--output",
@@ -1074,15 +1067,12 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf_export(args: argparse.Namespace) -> int:
-    from .obs import chrome_trace_json, to_prometheus
+    from .obs import chrome_trace_json
 
     report = _load_run_report(args.report)
     if report is None:
         return 2
-    if args.format == "chrome":
-        text = chrome_trace_json(report) + "\n"
-    else:
-        text = to_prometheus(report)
+    text = chrome_trace_json(report) + "\n"
     if args.output is not None:
         args.output.write_text(text)
         print(f"wrote {args.output}")

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..geometry import Transform3D, Vec2, Vec3
-from ..peec import FERRITE_N87, CoreMaterial, CurrentPath, ring_path
+from ..peec import FERRITE_N87, CoreMaterial, CurrentPath, PackedFilaments, ring_path
 from .base import Component, Pad
 from .inductors import wire_resistance
 
@@ -98,6 +98,17 @@ class CommonModeChoke(Component):
         Raises:
             IndexError: for an out-of-range winding index.
         """
+        rings = self._winding_rings(index)
+        return CurrentPath(PackedFilaments.concatenated(rings), f"{self.part_number}.w{index}")
+
+    def build_current_path(self) -> CurrentPath:
+        """All windings under common-mode excitation (fluxes add)."""
+        rings = [ring for w in range(self.n_windings) for ring in self._winding_rings(w)]
+        return CurrentPath(PackedFilaments.concatenated(rings), self.part_number)
+
+    def _winding_rings(self, index: int) -> list[PackedFilaments]:
+        """One winding's rings in place: one origin ring, meshed once and
+        placed at each ring position."""
         if not 0 <= index < self.n_windings:
             raise IndexError(f"winding {index} of {self.n_windings}")
         assert self.rings_per_winding >= 2, "validated in __post_init__"
@@ -105,37 +116,25 @@ class CommonModeChoke(Component):
         z0 = self.body_height / 2.0
         arc = 2.0 * math.pi / self.n_windings * self.coverage
         center_angle = self.winding_center_angle(index)
-        path: CurrentPath | None = None
+        # A ring whose axis is tangential to the major circle: mesh it with
+        # axis 'x' at the origin, then rotate into place (tangent at theta
+        # is the x axis rotated by theta + 90 deg).
+        ring = ring_path(
+            Vec3.zero(),
+            self.minor_radius,
+            segments=8,
+            axis="x",
+            wire_diameter=self.wire_diameter,
+            weight=weight,
+        ).packed
+        rings = []
         for i in range(self.rings_per_winding):
             frac = (i + 0.5) / self.rings_per_winding - 0.5
             theta = center_angle + frac * arc
             cx = self.major_radius * math.cos(theta)
             cy = self.major_radius * math.sin(theta)
-            # A ring whose axis is tangential to the major circle: build it
-            # with axis 'x' at the origin, then rotate into place (tangent
-            # at theta is the x axis rotated by theta + 90 deg).
-            ring = ring_path(
-                Vec3.zero(),
-                self.minor_radius,
-                segments=8,
-                axis="x",
-                wire_diameter=self.wire_diameter,
-                weight=weight,
-            ).transformed(Transform3D(Vec3(cx, cy, z0), theta + math.pi / 2.0))
-            path = ring if path is None else path.merged_with(ring)
-        assert path is not None
-        path.name = f"{self.part_number}.w{index}"
-        return path
-
-    def build_current_path(self) -> CurrentPath:
-        """All windings under common-mode excitation (fluxes add)."""
-        path: CurrentPath | None = None
-        for w in range(self.n_windings):
-            wp = self.winding_path(w)
-            path = wp if path is None else path.merged_with(wp)
-        assert path is not None
-        path.name = self.part_number
-        return path
+            rings.append(ring.transformed(Transform3D(Vec3(cx, cy, z0), theta + math.pi / 2.0)))
+        return rings
 
     @property
     def decoupling_residual(self) -> float:

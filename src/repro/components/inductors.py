@@ -22,6 +22,7 @@ from ..peec import (
     FERRITE_N87,
     CoreMaterial,
     CurrentPath,
+    PackedFilaments,
     demagnetizing_factor_rod,
     ring_path,
 )
@@ -122,17 +123,15 @@ def ring_stack(
     if n_rings < 1:
         raise ValueError(f"{name}: need at least one ring")
     gaps = n_rings - 1
-    path: CurrentPath | None = None
+    rings = []
     for i in range(n_rings):
         offset = -length / 2.0 + length * i / gaps if gaps else 0.0
         center = Vec3(offset, 0.0, height) if axis == "x" else Vec3(0.0, 0.0, height + offset)
         ring = ring_path(
             center, radius, 12, axis, wire_diameter=wire_diameter, weight=turns / n_rings
         )
-        path = ring if path is None else path.merged_with(ring)
-    assert path is not None
-    path.name = name
-    return path
+        rings.append(ring.packed)
+    return CurrentPath(PackedFilaments.concatenated(rings), name)
 
 
 def wire_resistance(length: float, wire_diameter: float) -> float:

@@ -82,7 +82,10 @@ def _place(
     image = filaments.image(ground_plane_z)
     self_geo = self_geo + mutual_inductance_row(image, [filaments], PAIR_ORDER)[0]
     return _PlacedPart(
-        component, filaments, filaments.merged_with(image), max(self_geo, 1e-12)
+        component,
+        filaments,
+        PackedFilaments.concatenated([filaments, image]),
+        max(self_geo, 1e-12),
     )
 
 

@@ -15,9 +15,8 @@ Zero-dependency (stdlib-only) instrumentation for the EMI design flow:
 * :func:`compare` / :class:`RegressionVerdict` — rolling-median baseline
   diffing with configurable :class:`Thresholds` (the ``perf check``
   regression gate);
-* :func:`to_chrome_trace` / :func:`to_prometheus` — exporters to the
-  Chrome Trace Event Format (Perfetto, ``about://tracing``) and
-  Prometheus text exposition;
+* :func:`to_chrome_trace` — exporter to the Chrome Trace Event Format
+  (Perfetto, ``about://tracing``);
 * :class:`EventBus` / :class:`TelemetryEvent` — the *streaming* half:
   typed span/counter/gauge/stage/log events fanned out live to
   pluggable subscribers (:class:`JsonlSink`, :class:`EventRingBuffer`,
@@ -52,7 +51,7 @@ from .events import (
     TelemetryEvent,
     validate_event_dict,
 )
-from .export import chrome_trace_json, to_chrome_trace, to_prometheus
+from .export import chrome_trace_json, to_chrome_trace
 from .flight import render_flight_html
 from .history import (
     HistoryRecord,
@@ -112,7 +111,6 @@ __all__ = [
     "compare",
     "to_chrome_trace",
     "chrome_trace_json",
-    "to_prometheus",
     "new_run_id",
     "is_run_id",
     "RUN_ID_LENGTH",

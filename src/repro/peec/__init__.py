@@ -18,11 +18,7 @@ from .field import b_field, b_field_grid, field_magnitude_map
 from .filament import (
     MU0,
     PAIR_ORDER,
-    Filament,
-    mutual_inductance,
     mutual_inductance_pairs,
-    mutual_inductance_parallel,
-    neumann_mutual_inductance,
     PackedFilaments,
     neumann_mutual_blocks,
     self_inductance_bar,
@@ -53,11 +49,7 @@ __all__ = [
     "mutual_capacitance_spheres",
     "plate_capacitance",
     "equivalent_radius",
-    "Filament",
-    "mutual_inductance",
     "mutual_inductance_pairs",
-    "mutual_inductance_parallel",
-    "neumann_mutual_inductance",
     "neumann_mutual_blocks",
     "PackedFilaments",
     "self_inductance_bar",

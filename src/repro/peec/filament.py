@@ -21,9 +21,8 @@ subdivided quadrature for close skew pairs) that a path's self-inductance
 needs, and :func:`neumann_mutual_blocks` is the all-pairs fast path (at
 :data:`PAIR_ORDER`) for one source path against any number of disjoint
 target paths.  Both read :class:`PackedFilaments`, the read-only array form
-of a filament list, which is all a path holds and which it places with one
-elementwise op.  The scalar functions
-are single-pair views of the kernels.
+of a filament set, which is all a path holds and which it places with one
+elementwise op.
 
 Both kernels integrate through one Neumann quadrature,
 :func:`_neumann_integral`: quadrature points are stored as coordinate
@@ -38,21 +37,18 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from ..geometry import Placement2D, Transform3D, Vec3
-from ..units import Dimensionless, Henries, Meters
+from ..geometry import Placement2D, Transform3D
+from ..units import Henries, Meters
 
 __all__ = [
     "MU0",
     "PAIR_ORDER",
-    "Filament",
-    "mutual_inductance",
     "mutual_inductance_pairs",
-    "mutual_inductance_parallel",
-    "neumann_mutual_inductance",
     "neumann_mutual_blocks",
     "PackedFilaments",
     "self_inductance_bar",
@@ -91,66 +87,6 @@ def _gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class Filament:
-    """A straight current filament with an associated conductor cross-section.
-
-    Attributes:
-        start: start point [m].
-        end: end point [m].
-        width: conductor width [m] — used only for the self-term.
-        thickness: conductor thickness [m] — used only for the self-term.
-        weight: signed current weight.  A filament traversed by ``n`` turns
-            of the winding carries ``weight = n``; image filaments carry a
-            negated weight.
-    """
-
-    start: Vec3
-    end: Vec3
-    width: Meters = 1e-3
-    thickness: Meters = 35e-6
-    weight: Dimensionless = 1.0
-
-    def __post_init__(self) -> None:
-        if self.width <= 0.0 or self.thickness <= 0.0:
-            raise ValueError("filament cross-section must be positive")
-        if self.length < 1e-12:
-            raise ValueError("zero-length filament")
-
-    @property
-    def length(self) -> Meters:
-        """Filament length [m]."""
-        return self.start.distance_to(self.end)
-
-    @property
-    def direction(self) -> Vec3:
-        """Unit vector from start to end."""
-        return (self.end - self.start).normalized()
-
-    @property
-    def midpoint(self) -> Vec3:
-        """Geometric midpoint."""
-        return (self.start + self.end) * 0.5
-
-    def reversed(self) -> "Filament":
-        """Same geometry, opposite traversal direction."""
-        return replace(self, start=self.end, end=self.start)
-
-    def mirrored_z(self, plane_z: Meters) -> "Filament":
-        """Geometric mirror through the plane ``z = plane_z`` (weight kept).
-
-        Image currents (geometry mirror + weight negation) are built by
-        :meth:`PackedFilaments.image`, which owns the sign convention.
-        """
-        return replace(
-            self, start=self.start.mirrored_z(plane_z), end=self.end.mirrored_z(plane_z)
-        )
-
-    def self_inductance(self) -> Henries:
-        """Partial self-inductance of this filament's rectangular bar [H]."""
-        return self_inductance_bar(self.length, self.width, self.thickness)
-
-
-@dataclass(frozen=True)
 class _Quadrature:
     """A filament set prepared for the Neumann kernel at one quadrature order.
 
@@ -168,13 +104,15 @@ class _Quadrature:
 
 @dataclass(frozen=True, eq=False)
 class PackedFilaments:
-    """A filament list as read-only arrays — the form every batched kernel reads.
+    """Straight filaments as read-only arrays — the one form of a filament set.
 
-    A path is packed once (:meth:`of`); placing it (:meth:`transformed`,
-    :meth:`placed`) or imaging it (:meth:`image`) is then one elementwise
+    Raw geometry enters through :meth:`segments`, which checks it once.
+    Placing a set (:meth:`transformed`, :meth:`placed`), imaging it
+    (:meth:`image`) and joining sets (:meth:`concatenated`) derive new sets
+    from checked ones without a second check, each as one elementwise
     array op in the float order of :meth:`Transform3D.apply` and
-    :meth:`Vec3.mirrored_z`, so a placed array equals the placed
-    :class:`Filament` objects exactly.
+    :meth:`Vec3.mirrored_z`, so a placed array equals those per-point
+    results exactly.
 
     Attributes:
         starts, ends: ``(n, 3)`` segment end points [m].
@@ -194,37 +132,58 @@ class PackedFilaments:
             array.flags.writeable = False
 
     @staticmethod
-    def of(filaments: "Sequence[Filament] | PackedFilaments") -> "PackedFilaments":
-        """Pack a filament list (a packed set is returned as is)."""
-        if isinstance(filaments, PackedFilaments):
-            return filaments
+    def segments(
+        starts: ArrayLike,
+        ends: ArrayLike,
+        width: ArrayLike,
+        thickness: ArrayLike,
+        weight: ArrayLike = 1.0,
+    ) -> "PackedFilaments":
+        """A checked set of straight segments from raw geometry.
+
+        The one way raw geometry enters: every mesher builds its set here.
+
+        Args:
+            starts, ends: ``(n, 3)`` segment end points [m].
+            width, thickness: conductor cross-section [m], one value or one
+                per segment.
+            weight: signed turn weight [-], one value or one per segment.
+
+        Raises:
+            ValueError: for end-point arrays of different or non-``(n, 3)``
+                shapes, a non-positive cross-section, or a segment shorter
+                than 1e-12 m.
+        """
+        start_rows = np.asarray(starts, dtype=float)
+        end_rows = np.asarray(ends, dtype=float)
+        if start_rows.shape != end_rows.shape or start_rows.shape[1:] != (3,):
+            raise ValueError("segment end points must be two (n, 3) arrays")
+        n = len(start_rows)
+        widths, thicknesses, weights = (
+            np.full(n, value, dtype=float) for value in (width, thickness, weight)
+        )
+        if (widths <= 0.0).any() or (thicknesses <= 0.0).any():
+            raise ValueError("filament cross-section must be positive")
+        if (_norms(end_rows - start_rows) < 1e-12).any():
+            raise ValueError("zero-length filament")
+        return PackedFilaments(start_rows, end_rows, widths, thicknesses, weights)
+
+    @staticmethod
+    def concatenated(sets: "Sequence[PackedFilaments]") -> "PackedFilaments":
+        """The sets as one, in order."""
         return PackedFilaments(
-            np.array([[f.start.x, f.start.y, f.start.z] for f in filaments], dtype=float),
-            np.array([[f.end.x, f.end.y, f.end.z] for f in filaments], dtype=float),
-            np.array([f.width for f in filaments], dtype=float),
-            np.array([f.thickness for f in filaments], dtype=float),
-            np.array([f.weight for f in filaments], dtype=float),
+            np.concatenate([s.starts for s in sets]),
+            np.concatenate([s.ends for s in sets]),
+            np.concatenate([s.widths for s in sets]),
+            np.concatenate([s.thicknesses for s in sets]),
+            np.concatenate([s.weights for s in sets]),
         )
 
     def __len__(self) -> int:
         return len(self.weights)
 
-    def filaments(self) -> list[Filament]:
-        """The arrays as :class:`Filament` objects (an exact round trip)."""
-        return [
-            Filament(Vec3(*start), Vec3(*end), width, thickness, weight)
-            for start, end, width, thickness, weight in zip(
-                self.starts.tolist(),
-                self.ends.tolist(),
-                self.widths.tolist(),
-                self.thicknesses.tolist(),
-                self.weights.tolist(),
-                strict=True,
-            )
-        ]
-
     def lengths(self) -> np.ndarray:
-        """Segment lengths [m], equal to :attr:`Filament.length` exactly."""
+        """Segment lengths [m], equal to :meth:`Vec3.distance_to` of the end points exactly."""
         return _norms(self.ends - self.starts)
 
     def transformed(self, transform: Transform3D) -> "PackedFilaments":
@@ -284,16 +243,6 @@ class PackedFilaments:
             mirror(self.starts), mirror(self.ends), self.widths, self.thicknesses, -self.weights
         )
 
-    def merged_with(self, other: "PackedFilaments") -> "PackedFilaments":
-        """Both sets, this one first."""
-        return PackedFilaments(
-            np.concatenate([self.starts, other.starts]),
-            np.concatenate([self.ends, other.ends]),
-            np.concatenate([self.widths, other.widths]),
-            np.concatenate([self.thicknesses, other.thicknesses]),
-            np.concatenate([self.weights, other.weights]),
-        )
-
     def quadrature(self, order: int) -> _Quadrature:
         """The Neumann-kernel operand at ``order``, built once per order."""
         cached = self._quadratures.get(order)
@@ -302,8 +251,8 @@ class PackedFilaments:
             deltas = self.ends - self.starts
             lengths = np.linalg.norm(deltas, axis=1)
             planes = _node_planes(self.starts, deltas, nodes)
-            # Lengths are >= 1e-12 by the Filament invariant; the floor only
-            # guards hand-packed arrays.
+            # Lengths are >= 1e-12 by the check in segments(); the floor
+            # only guards hand-packed arrays.
             lengths[lengths < 1e-12] = 1e-12
             cached = _Quadrature(planes, lengths, deltas * (1.0 / lengths)[:, None])
             self._quadratures[order] = cached
@@ -498,7 +447,7 @@ def _parallel_mutuals(
 
 
 def mutual_inductance_pairs(
-    filaments: Sequence[Filament] | PackedFilaments,
+    packed: PackedFilaments,
     i: np.ndarray,
     j: np.ndarray,
     order: int = _DEFAULT_ORDER,
@@ -521,8 +470,8 @@ def mutual_inductance_pairs(
     Weights are *not* applied.
 
     Args:
-        filaments: the filament pool (geometry in metres).
-        i, j: equal-length index arrays into ``filaments``; ``i[k] != j[k]``.
+        packed: the filament pool (geometry in metres).
+        i, j: equal-length index arrays into ``packed``; ``i[k] != j[k]``.
         order: Gauss–Legendre points per (sub-)filament.
 
     Returns:
@@ -530,7 +479,6 @@ def mutual_inductance_pairs(
     """
     i = np.asarray(i, dtype=np.intp)
     j = np.asarray(j, dtype=np.intp)
-    packed = PackedFilaments.of(filaments)
     starts, ends = packed.starts, packed.ends
     deltas = ends - starts
     lengths = _norms(deltas)
@@ -572,56 +520,3 @@ def mutual_inductance_pairs(
             integral = _neumann_integral(p_a[..., :, None], p_b[..., None, :], w_ab)
             out[skew[sel]] = _neumann_scale(cos[skew[sel]], lengths[fa], lengths[fb]) * integral
     return out
-
-
-def mutual_inductance(f1: Filament, f2: Filament, order: int = _DEFAULT_ORDER) -> Henries:
-    """Mutual partial inductance of two filaments [H].
-
-    The single-pair view of :func:`mutual_inductance_pairs`: closed form
-    for parallel pairs, zero for perpendicular ones, near-field-subdivided
-    quadrature for skew ones.
-    """
-    return float(mutual_inductance_pairs([f1, f2], np.array([0]), np.array([1]), order)[0])
-
-
-def neumann_mutual_inductance(
-    f1: Filament, f2: Filament, order: int = _DEFAULT_ORDER
-) -> Henries:
-    """Mutual partial inductance via the plain Neumann double integral [H].
-
-    ``M = (mu0 / 4pi) (t1 . t2) * l1 * l2 * sum_ij w_i w_j / r_ij``
-
-    evaluated with one ``order`` x ``order`` Gauss–Legendre rule and no
-    subdivision — the single-pair view of :func:`neumann_mutual_blocks`,
-    kept as an independent cross-check of the closed form.  Accurate to
-    better than 0.1 % once the filament separation exceeds roughly a
-    quarter of the filament length.  Weights are *not* applied.
-    """
-    blocks = neumann_mutual_blocks(PackedFilaments.of([f1]), [PackedFilaments.of([f2])], order)
-    return float(blocks[0][0, 0])
-
-
-def mutual_inductance_parallel(f1: Filament, f2: Filament) -> Henries:
-    """Closed-form mutual inductance of two parallel filaments [H].
-
-    The single-pair view of the closed form that
-    :func:`mutual_inductance_pairs` applies to parallel pairs; the sign
-    follows the traversal directions (anti-parallel filaments get M < 0).
-
-    Raises:
-        ValueError: if the filaments are not parallel (within 1e-9 rad).
-    """
-    t1 = f1.direction
-    cos_angle = t1.dot(f2.direction)
-    if abs(abs(cos_angle) - 1.0) > 1e-9:
-        raise ValueError("filaments are not parallel")
-    return float(
-        _parallel_mutuals(
-            f1.start.as_array()[None],
-            t1.as_array()[None],
-            np.array([f1.length]),
-            f2.start.as_array()[None],
-            np.array([f2.length]),
-            np.array([1.0 if cos_angle > 0.0 else -1.0]),
-        )[0]
-    )

@@ -3,30 +3,29 @@
 A :class:`CurrentPath` is the *"simplified field generating structure"* of a
 component (the paper's Fig. 3): the internal current loop of a capacitor,
 the segmented rings of a choke winding, a trace on the board.  Paths are
-meshed in the component's local frame from validated :class:`Filament`
-segments, packed once into :class:`PackedFilaments` arrays, and mapped
-into board coordinates by the placement transform as one array op.
+meshed in the component's local frame straight into checked
+:class:`PackedFilaments` arrays (:meth:`PackedFilaments.segments`), and
+mapped into board coordinates by the placement transform as one array op.
 
 Besides holding geometry, the mesh knows how to compute its magnetic dipole
 moment (per ampere), which both the fast dipole coupling estimate and the
 magnetic-axis extraction for the cos(alpha) placement rule use.  The path
 geometry is array code in the float order of the per-segment
-:class:`~repro.geometry.Vec3` arithmetic (``Filament.midpoint``,
+:class:`~repro.geometry.Vec3` arithmetic (``(start + end) * 0.5``,
 ``Vec3.cross``), accumulated in segment order (``np.cumsum``), so a moment
-equals a sum over :meth:`PackedFilaments.filaments` bit for bit on every
-platform and Python version.
+equals the segment-by-segment ``Vec3`` sum bit for bit on every platform
+and Python version.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
 from ..geometry import Transform3D, Vec3
 from ..obs import get_tracer
-from .filament import Filament, PackedFilaments
+from .filament import PackedFilaments
 
 __all__ = ["CurrentPath", "ring_path", "rectangle_path"]
 
@@ -45,10 +44,9 @@ def _running_total(rows: np.ndarray) -> Vec3:
 class CurrentPath:
     """A set of filaments carrying the same terminal current.
 
-    The filaments are held in one form, :class:`PackedFilaments` arrays,
-    packed once at construction; placing and imaging a path are array ops
-    and the kernels read the arrays directly.  :meth:`PackedFilaments.filaments`
-    is the object view for tests and oracles.
+    The filaments are held in one form, :class:`PackedFilaments` arrays;
+    placing and imaging a path are array ops and the kernels read the
+    arrays directly.
 
     Attributes:
         packed: the segments as read-only arrays; each carries a signed
@@ -57,10 +55,7 @@ class CurrentPath:
         name: label used in reports and the coupling database.
     """
 
-    def __init__(
-        self, filaments: Sequence[Filament] | PackedFilaments, name: str = ""
-    ) -> None:
-        packed = PackedFilaments.of(filaments)
+    def __init__(self, packed: PackedFilaments, name: str = "") -> None:
         if not len(packed):
             raise ValueError("a current path needs at least one filament")
         self.packed = packed
@@ -119,10 +114,6 @@ class CurrentPath:
         mid = (packed.starts + packed.ends) * 0.5
         return _running_total(mid * lengths[:, None]) / math.fsum(lengths.tolist())
 
-    def merged_with(self, other: "CurrentPath") -> "CurrentPath":
-        """Both paths as one carrying the same terminal current, this one first."""
-        return CurrentPath(self.packed.merged_with(other.packed), self.name or other.name)
-
 
 def ring_path(
     center: Vec3,
@@ -148,36 +139,35 @@ def ring_path(
         wire_diameter: conductor diameter for the self-term cross-section.
         weight: turns weight applied to every filament.
         name: path label.
+
+    Raises:
+        ValueError: for fewer than 3 segments, a non-positive radius or
+            wire diameter, or an unknown axis.
     """
     if segments < 3:
         raise ValueError("a ring needs at least 3 segments")
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    pts: list[Vec3] = []
-    for i in range(segments):
-        angle = 2.0 * math.pi * i / segments
-        u = radius * math.cos(angle)
-        v = radius * math.sin(angle)
-        if axis == "z":
-            pts.append(center + Vec3(u, v, 0.0))
-        elif axis == "x":
-            pts.append(center + Vec3(0.0, u, v))
-        elif axis == "y":
-            pts.append(center + Vec3(v, 0.0, u))
-        else:
-            raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-    filaments = [
-        Filament(
-            pts[i],
-            pts[(i + 1) % segments],
-            width=wire_diameter,
-            thickness=wire_diameter,
-            weight=weight,
-        )
-        for i in range(segments)
-    ]
+    if axis not in ("x", "y", "z"):
+        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
+    angles = [2.0 * math.pi * i / segments for i in range(segments)]
+    u = np.array([radius * math.cos(angle) for angle in angles])
+    v = np.array([radius * math.sin(angle) for angle in angles])
+    flat = np.zeros(segments)
+    # center + Vec3(...) per point, one coordinate column at a time.
+    cx, cy, cz = center.x, center.y, center.z
+    if axis == "z":
+        columns = (cx + u, cy + v, cz + flat)
+    elif axis == "x":
+        columns = (cx + flat, cy + u, cz + v)
+    else:
+        columns = (cx + v, cy + flat, cz + u)
+    starts = np.stack(columns, axis=1)
+    packed = PackedFilaments.segments(
+        starts, np.roll(starts, -1, axis=0), wire_diameter, wire_diameter, weight
+    )
     get_tracer().count("peec.filaments_meshed", segments)
-    return CurrentPath(filaments, name=name)
+    return CurrentPath(packed, name=name)
 
 
 def rectangle_path(
@@ -195,24 +185,23 @@ def rectangle_path(
     loop lies in a vertical plane.  ``normal`` names the axis perpendicular
     to the loop plane; the two corners must differ in exactly the two
     in-plane coordinates.
+
+    Raises:
+        ValueError: for an unknown normal, corners that coincide in-plane
+            or a non-positive cross-section.
     """
-    a = corner_a
-    b = corner_b
+    a, b = corner_a, corner_b
     if normal == "y":
-        p1, p2, p3, p4 = a, Vec3(b.x, a.y, a.z), Vec3(b.x, a.y, b.z), Vec3(a.x, a.y, b.z)
+        corners = [(a.x, a.y, a.z), (b.x, a.y, a.z), (b.x, a.y, b.z), (a.x, a.y, b.z)]
     elif normal == "x":
-        p1, p2, p3, p4 = a, Vec3(a.x, b.y, a.z), Vec3(a.x, b.y, b.z), Vec3(a.x, a.y, b.z)
+        corners = [(a.x, a.y, a.z), (a.x, b.y, a.z), (a.x, b.y, b.z), (a.x, a.y, b.z)]
     elif normal == "z":
-        p1, p2, p3, p4 = a, Vec3(b.x, a.y, a.z), Vec3(b.x, b.y, a.z), Vec3(a.x, b.y, a.z)
+        corners = [(a.x, a.y, a.z), (b.x, a.y, a.z), (b.x, b.y, a.z), (a.x, b.y, a.z)]
     else:
         raise ValueError(f"normal must be 'x', 'y' or 'z', got {normal!r}")
-    corners = [p1, p2, p3, p4]
-    filaments = []
-    for i in range(4):
-        s = corners[i]
-        e = corners[(i + 1) % 4]
-        if s.distance_to(e) < 1e-12:
-            raise ValueError("degenerate rectangle loop: corners coincide in-plane")
-        filaments.append(Filament(s, e, width=width, thickness=thickness, weight=weight))
+    starts = np.array(corners, dtype=float)
+    packed = PackedFilaments.segments(
+        starts, np.roll(starts, -1, axis=0), width, thickness, weight
+    )
     get_tracer().count("peec.filaments_meshed", 4)
-    return CurrentPath(filaments, name=name)
+    return CurrentPath(packed, name=name)

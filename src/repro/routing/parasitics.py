@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..peec import (
     CurrentPath,
-    Filament,
+    PackedFilaments,
     mutual_inductance_paths_fast,
     self_inductance_bar,
 )
@@ -51,20 +51,23 @@ def route_current_path(
     z: float = 0.0,
     copper_thickness: float = DEFAULT_COPPER_THICKNESS,
 ) -> CurrentPath | None:
-    """Filament model of a route for field coupling (None when empty)."""
-    filaments = [
-        Filament(
-            segment.start.as_vec3(z),
-            segment.end.as_vec3(z),
-            width=segment.width,
-            thickness=copper_thickness,
-        )
-        for segment in route.segments
-        if segment.length > 1e-9
-    ]
-    if not filaments:
+    """The filament model of a route for field coupling (None when empty).
+
+    One unit-weight filament per segment longer than 1 nm, at height ``z``.
+
+    Raises:
+        ValueError: for a non-positive segment width or copper thickness.
+    """
+    segments = [segment for segment in route.segments if segment.length > 1e-9]
+    if not segments:
         return None
-    return CurrentPath(filaments, name=f"trace:{route.net}")
+    packed = PackedFilaments.segments(
+        [(s.start.x, s.start.y, z) for s in segments],
+        [(s.end.x, s.end.y, z) for s in segments],
+        [s.width for s in segments],
+        copper_thickness,
+    )
+    return CurrentPath(packed, name=f"trace:{route.net}")
 
 
 def via_inductance(height: float = 1.6e-3, diameter: float = 0.4e-3) -> float:

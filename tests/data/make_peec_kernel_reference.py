@@ -5,9 +5,17 @@ The committed JSON records the outputs of the scalar per-filament-pair
 stood at commit f5d5ca8, before both were replaced by broadcast kernels.
 ``tests/test_peec_kernel_reference.py`` pins the current kernels to it at
 rtol 1e-12.  Regenerating it with the current code would turn that check
-into a tautology, so only do so when the physics changes on purpose::
+into a tautology, so only do so when the physics changes on purpose, and
+first look at how far the current code moves it::
 
+    PYTHONPATH=src python tests/data/make_peec_kernel_reference.py --diff
     PYTHONPATH=src python tests/data/make_peec_kernel_reference.py
+
+``--diff`` prints every entry that differs from the committed file beyond
+the test's rtol 1e-12 (a stored filament row or grid that changed at all),
+and writes nothing; it prints nothing when the file still holds.  The
+explicit filaments come from the test oracle's :class:`Filament` objects
+(``tests/filament_oracle.py``).
 
 Contents (all SI units):
 
@@ -23,19 +31,23 @@ Contents (all SI units):
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import random
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from repro.components import default_library
-from repro.geometry import Vec3
-from repro.peec import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from filament_oracle import Filament, path_of, unpack  # noqa: E402
+
+from repro.components import default_library  # noqa: E402
+from repro.geometry import Vec3  # noqa: E402
+from repro.peec import (  # noqa: E402
     CurrentPath,
-    Filament,
     b_field_grid,
     loop_self_inductance,
     rectangle_path,
@@ -44,6 +56,8 @@ from repro.peec import (
 
 SEED = 20260417
 OUT = Path(__file__).with_name("peec_kernel_reference.json")
+#: The tolerance of ``tests/test_peec_kernel_reference.py``.
+RTOL = 1e-12
 
 
 def helix_path(
@@ -61,7 +75,7 @@ def helix_path(
         )
         for k in range(n + 1)
     ]
-    return CurrentPath(
+    return path_of(
         [
             Filament(pts[k], pts[k + 1], width=wire, thickness=wire, weight=weight)
             for k in range(n)
@@ -83,7 +97,7 @@ def pieces_of(f1: Filament, f2: Filament) -> int:
 
 
 def pair_kinds(path: CurrentPath) -> dict[str, int]:
-    fils = path.packed.filaments()
+    fils = unpack(path.packed)
     kinds = {"parallel": 0, "perpendicular": 0}
     for i in range(len(fils)):
         for j in range(i + 1, len(fils)):
@@ -101,7 +115,7 @@ def pair_kinds(path: CurrentPath) -> dict[str, int]:
 def encode(path: CurrentPath) -> list[list[float]]:
     return [
         [*f.start.as_array(), *f.end.as_array(), f.width, f.thickness, f.weight]
-        for f in path.packed.filaments()
+        for f in unpack(path.packed)
     ]
 
 
@@ -188,7 +202,8 @@ def field_cases(rng: random.Random) -> list[dict]:
     return cases
 
 
-def main() -> None:
+def build() -> dict:
+    """The reference as the current code computes it."""
     rng = random.Random(SEED)
     lib = default_library()
     library = {pn: loop_self_inductance(lib.create(pn).current_path) for pn in lib.part_numbers()}
@@ -233,6 +248,56 @@ def main() -> None:
         "paths": paths,
         "fields": fields,
     }
+    return doc
+
+
+def beyond(name: str, committed: float, current: float, atol: float = 0.0) -> list[str]:
+    """One line if ``current`` differs from ``committed`` beyond ``RTOL``."""
+    if abs(current - committed) <= RTOL * abs(committed) + atol:
+        return []
+    move = abs(current - committed) / abs(committed) if committed else math.inf
+    return [f"{name}: {committed!r} -> {current!r} ({move:.2e} relative)"]
+
+
+def diff(committed: dict, current: dict) -> list[str]:
+    """Every entry of ``current`` beyond the test's tolerance of ``committed``."""
+    report = []
+    for part, value in committed["library"].items():
+        report += beyond(f"library[{part}]", value, current["library"].get(part, math.nan))
+    if len(current["paths"]) != len(committed["paths"]):
+        report.append(f"paths: {len(committed['paths'])} -> {len(current['paths'])} cases")
+    for old, new in zip(committed["paths"], current["paths"], strict=False):
+        name = old["name"]
+        if new["name"] != name or new["filaments"] != old["filaments"]:
+            report.append(f"paths[{name}]: filaments changed")
+            continue
+        report += beyond(f"paths[{name}]", old["self_inductance_h"], new["self_inductance_h"])
+    for index, (old, new) in enumerate(zip(committed["fields"], current["fields"], strict=True)):
+        if any(new[key] != old[key] for key in ("paths", "xs", "ys", "z", "currents")):
+            report.append(f"fields[{index}]: inputs changed")
+            continue
+        expected, got = np.array(old["b_t"]), np.array(new["b_t"])
+        # The test's absolute floor: rounding noise of the grid's field scale.
+        atol = RTOL * float(np.abs(expected).max())
+        for at in zip(*np.nonzero(np.abs(got - expected) > RTOL * np.abs(expected) + atol)):
+            where = f"fields[{index}]{[int(k) for k in at]}"
+            report += beyond(where, float(expected[at]), float(got[at]), atol)
+    return report
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--diff",
+        action="store_true",
+        help="print the entries the current code moves beyond rtol 1e-12; write nothing",
+    )
+    args = parser.parse_args(argv)
+    doc = build()
+    if args.diff:
+        for line in diff(json.loads(OUT.read_text()), doc):
+            print(line)
+        return
     text = json.dumps(doc, indent=1)
     # One line per innermost list (a filament row, a field vector).
     text = re.sub(
@@ -240,6 +305,8 @@ def main() -> None:
     )
     OUT.write_text(text + "\n")
     print(f"wrote {OUT} ({OUT.stat().st_size} bytes)")
+
+
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Unit tests for the capacitor family."""
 
 import pytest
+from filament_oracle import unpack
 from test_peec_mesh import is_closed_loop
 
 from repro.components import (
@@ -67,7 +68,7 @@ class TestFieldModel:
 
     def test_loop_inside_body(self):
         cap = FilmCapacitorX2()
-        for f in cap.current_path.packed.filaments():
+        for f in unpack(cap.current_path.packed):
             assert abs(f.start.x) <= cap.footprint_w / 2 + 1e-9
             assert 0.0 <= f.start.z <= cap.body_height + 1e-9
 

@@ -17,6 +17,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from filament_oracle import unpack
 
 from repro.components import default_library
 from repro.coupling import CouplingDatabase, CouplingResult, component_coupling
@@ -50,7 +51,7 @@ def old_placed(component, placement):
     transform = placement.to_transform3d()
     return [
         replace(f, start=transform.apply(f.start), end=transform.apply(f.end))
-        for f in component.current_path.packed.filaments()
+        for f in unpack(component.current_path.packed)
     ]
 
 

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from filament_oracle import path_of, unpack
 
 from repro.components import (
     BobbinChoke,
@@ -29,7 +30,7 @@ from repro.coupling import CouplingDatabase
 from repro.geometry import Placement2D, Vec2, Vec3
 from repro.obs import Tracer, set_tracer
 from repro.parallel import PersistentCouplingCache, cache_name
-from repro.peec import SELF_INDUCTANCE_ORDER, CurrentPath
+from repro.peec import SELF_INDUCTANCE_ORDER
 
 
 def traced(fn, *args):
@@ -56,7 +57,7 @@ def per_filament_fingerprint(component):
     digest = hashlib.sha256()
     digest.update(b"component-v1\0" + component.part_number.encode("utf-8") + b"\0")
     digest.update(struct.pack("<2d", component.mu_eff, component.core.stray_fraction))
-    for f in component.current_path.packed.filaments():
+    for f in unpack(component.current_path.packed):
         values = (f.start.x, f.start.y, f.start.z, f.end.x, f.end.y, f.end.z)
         digest.update(struct.pack("<9d", *values, f.width, f.thickness, f.weight))
     return digest.hexdigest()
@@ -98,11 +99,11 @@ class TestTiers:
     def test_one_ulp_filament_perturbation_misses(self, tmp_path):
         disk_db(tmp_path).self_inductance(FilmCapacitorX2())
         part = FilmCapacitorX2()
-        first, *rest = part.current_path.packed.filaments()
+        first, *rest = unpack(part.current_path.packed)
         bumped = replace(
             first, start=Vec3(math.nextafter(first.start.x, math.inf), first.start.y, first.start.z)
         )
-        part.__dict__["current_path"] = CurrentPath([bumped, *rest], part.current_path.name)
+        part.__dict__["current_path"] = path_of([bumped, *rest], part.current_path.name)
         assert part.fingerprint != FilmCapacitorX2().fingerprint
         _, totals = traced(disk_db(tmp_path).self_inductance, part)
         assert evals(totals) == 1

@@ -9,7 +9,6 @@ from repro.obs import (
     Tracer,
     chrome_trace_json,
     to_chrome_trace,
-    to_prometheus,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "chrome_trace_golden.json"
@@ -97,78 +96,6 @@ class TestChromeTrace:
         assert len(trace["traceEvents"]) == 3
         text = json.dumps(trace)
         assert json.loads(text)["displayTimeUnit"] == "ms"
-
-
-class TestPrometheus:
-    def test_families_and_samples(self):
-        text = to_prometheus(golden_report())
-        assert "# TYPE repro_emi_span_wall_seconds gauge" in text
-        assert 'repro_emi_span_wall_seconds{path="run/flow.rules"} 0.5' in text
-        assert 'repro_emi_span_calls_total{path="run/flow.placement"} 2' in text
-        assert (
-            'repro_emi_counter_total{counter="peec.filament_pairs"} 128' in text
-        )
-        assert (
-            'repro_emi_gauge{name="mem.flow.rules.peak_bytes"} 2048' in text
-        )
-        assert text.endswith("\n")
-
-    def test_custom_prefix(self):
-        text = to_prometheus(golden_report(), prefix="acme")
-        assert "acme_span_wall_seconds" in text
-        assert "repro_emi" not in text
-
-    def test_label_escaping(self):
-        root = Span("run")
-        root.count = 1
-        weird = root.child('sp"an\\x')
-        weird.count = 1
-        weird.wall_s = 1.0
-        text = to_prometheus(RunReport(root=root))
-        assert 'path="run/sp\\"an\\\\x"' in text
-
-    def test_empty_report_has_span_families_only(self):
-        text = to_prometheus(RunReport(root=Span("run")))
-        assert "span_wall_seconds" in text
-        assert "counter_total" not in text
-        assert "repro_emi_gauge" not in text
-
-
-class TestDerivedCacheGauges:
-    def _report(self, counters):
-        root = Span("run")
-        root.count = 1
-        root.wall_s = 1.0
-        root.counters.update(counters)
-        return RunReport(root=root)
-
-    def test_memory_tier_hit_ratio(self):
-        text = to_prometheus(
-            self._report({"coupling.cache_hits": 3.0, "coupling.cache_misses": 1.0})
-        )
-        assert 'repro_emi_gauge{name="coupling.cache_hit_ratio"} 0.75' in text
-
-    def test_persistent_tier_counts_stale_as_miss(self):
-        text = to_prometheus(
-            self._report({"cache.hit": 2.0, "cache.miss": 1.0, "cache.stale": 1.0})
-        )
-        assert 'repro_emi_gauge{name="cache.hit_ratio"} 0.5' in text
-
-    def test_no_lookups_emits_no_ratio(self):
-        # A 0/0 tier stays silent — it would read as "always missing".
-        text = to_prometheus(self._report({"cache.write": 5.0}))
-        assert "hit_ratio" not in text
-
-    def test_all_misses_is_zero_not_absent(self):
-        text = to_prometheus(self._report({"coupling.cache_misses": 4.0}))
-        assert 'repro_emi_gauge{name="coupling.cache_hit_ratio"} 0' in text
-
-    def test_derived_gauges_do_not_clobber_report_gauges(self):
-        report = self._report({"coupling.cache_hits": 1.0})
-        report.gauges["mem.x"] = 7.0
-        text = to_prometheus(report)
-        assert 'repro_emi_gauge{name="mem.x"} 7' in text
-        assert 'repro_emi_gauge{name="coupling.cache_hit_ratio"} 1' in text
 
 
 def regenerate_golden() -> None:  # pragma: no cover - maintenance helper

@@ -4,12 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from filament_oracle import Filament, path_of
 
 from repro.geometry import Vec3
 from repro.peec import (
     MU0,
-    CurrentPath,
-    Filament,
     b_field,
     b_field_grid,
     field_magnitude_map,
@@ -22,13 +21,13 @@ class TestSingleFilament:
         # Long wire: B = mu0 I / (2 pi rho) at its middle.
         f = Filament(Vec3(-1.0, 0, 0), Vec3(1.0, 0, 0))
         rho = 0.01
-        b = b_field(CurrentPath([f]), Vec3(0.0, rho, 0.0), current=2.0)
+        b = b_field(path_of([f]), Vec3(0.0, rho, 0.0), current=2.0)
         expected = MU0 * 2.0 / (2 * math.pi * rho)
         assert b.norm() == pytest.approx(expected, rel=1e-3)
 
     def test_right_hand_rule_direction(self):
         f = Filament(Vec3(-1.0, 0, 0), Vec3(1.0, 0, 0))
-        b = b_field(CurrentPath([f]), Vec3(0.0, 0.01, 0.0))
+        b = b_field(path_of([f]), Vec3(0.0, 0.01, 0.0))
         # Current +x, point at +y: B along +z? e_phi = t x e_rho = x x y = z.
         assert b.z > 0.0
         assert abs(b.x) < 1e-15
@@ -37,19 +36,19 @@ class TestSingleFilament:
         f1 = Filament(Vec3(0, 0, 0), Vec3(0.02, 0, 0), weight=1.0)
         f2 = Filament(Vec3(0, 0, 0), Vec3(0.02, 0, 0), weight=3.0)
         p = Vec3(0.01, 0.005, 0.0)
-        assert b_field(CurrentPath([f2]), p).norm() == pytest.approx(
-            3.0 * b_field(CurrentPath([f1]), p).norm()
+        assert b_field(path_of([f2]), p).norm() == pytest.approx(
+            3.0 * b_field(path_of([f1]), p).norm()
         )
 
     def test_on_axis_returns_zero(self):
         f = Filament(Vec3(0, 0, 0), Vec3(0.02, 0, 0))
-        b = b_field(CurrentPath([f]), Vec3(0.03, 0.0, 0.0))
+        b = b_field(path_of([f]), Vec3(0.03, 0.0, 0.0))
         assert b.norm() == 0.0
 
     def test_inside_conductor_clamped(self):
         f = Filament(Vec3(0, 0, 0), Vec3(0.02, 0, 0), width=1e-3, thickness=1e-3)
-        b_close = b_field(CurrentPath([f]), Vec3(0.01, 1e-7, 0.0))
-        b_surface = b_field(CurrentPath([f]), Vec3(0.01, 0.5e-3, 0.0))
+        b_close = b_field(path_of([f]), Vec3(0.01, 1e-7, 0.0))
+        b_surface = b_field(path_of([f]), Vec3(0.01, 0.5e-3, 0.0))
         assert b_close.norm() <= b_surface.norm() * 1.001
 
 

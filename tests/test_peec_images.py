@@ -5,6 +5,7 @@ import pytest
 from repro.geometry import Vec3
 from repro.peec import (
     CurrentPath,
+    PackedFilaments,
     loop_self_inductance,
     mutual_inductance_paths_fast,
     ring_path,
@@ -17,7 +18,7 @@ def image_of(path: CurrentPath, plane_z: float = 0.0) -> CurrentPath:
 
 def with_plane(path: CurrentPath, plane_z: float = 0.0) -> CurrentPath:
     """The path plus its images: the source operand of a shielded mutual."""
-    return CurrentPath(path.packed.merged_with(path.packed.image(plane_z)))
+    return CurrentPath(PackedFilaments.concatenated([path.packed, path.packed.image(plane_z)]))
 
 
 class TestImageConstruction:

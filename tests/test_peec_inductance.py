@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from filament_oracle import pack, unpack
 from scipy.special import ellipe, ellipk
 
 from repro.geometry import Transform3D, Vec3
 from repro.peec import (
     MU0,
+    PackedFilaments,
     loop_self_inductance,
     mutual_inductance_pairs,
     mutual_inductance_paths_fast,
@@ -19,10 +21,10 @@ from repro.peec import (
 
 def exact_path_mutual(a, b):
     """Weighted path mutual from the exact near-field pair kernel."""
-    fils = a.packed.filaments() + b.packed.filaments()
-    i, j = np.meshgrid(np.arange(len(a)), np.arange(len(a), len(fils)), indexing="ij")
-    m = mutual_inductance_pairs(fils, i.ravel(), j.ravel())
-    w = np.array([f.weight for f in fils])
+    both = PackedFilaments.concatenated([a.packed, b.packed])
+    i, j = np.meshgrid(np.arange(len(a)), np.arange(len(a), len(both)), indexing="ij")
+    m = mutual_inductance_pairs(both, i.ravel(), j.ravel())
+    w = both.weights
     return float(np.sum(w[i.ravel()] * w[j.ravel()] * m))
 
 
@@ -32,7 +34,7 @@ def partial_matrix(filaments):
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     off = i != j
     m = np.diag([f.self_inductance() for f in filaments])
-    m[off] = mutual_inductance_pairs(filaments, i[off], j[off])
+    m[off] = mutual_inductance_pairs(pack(filaments), i[off], j[off])
     return m
 
 
@@ -187,12 +189,12 @@ class TestCouplingFactor:
 class TestPartialMatrix:
     def test_symmetric_positive_diagonal(self):
         ring = ring_path(Vec3.zero(), 0.008, segments=8)
-        m = partial_matrix(ring.packed.filaments())
+        m = partial_matrix(unpack(ring.packed))
         assert np.allclose(m, m.T)
         assert np.all(np.diag(m) > 0.0)
 
     def test_consistent_with_loop_inductance(self):
         ring = ring_path(Vec3.zero(), 0.008, segments=8)
-        m = partial_matrix(ring.packed.filaments())
-        w = np.array([f.weight for f in ring.packed.filaments()])
+        m = partial_matrix(unpack(ring.packed))
+        w = ring.packed.weights
         assert float(w @ m @ w) == pytest.approx(loop_self_inductance(ring), rel=1e-9)

@@ -12,16 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from filament_oracle import Filament, pack, pair_mutual, path_of, unpack
 
 from repro.components import default_library
 from repro.geometry import Vec3
 from repro.peec import (
     CurrentPath,
-    Filament,
     b_field,
     b_field_grid,
     loop_self_inductance,
-    mutual_inductance,
     mutual_inductance_pairs,
 )
 
@@ -32,9 +31,7 @@ RTOL = 1e-12
 
 
 def decode(rows: list[list[float]]) -> CurrentPath:
-    return CurrentPath(
-        [Filament(Vec3(*r[0:3]), Vec3(*r[3:6]), r[6], r[7], r[8]) for r in rows]
-    )
+    return path_of([Filament(Vec3(*r[0:3]), Vec3(*r[3:6]), r[6], r[7], r[8]) for r in rows])
 
 
 def pieces(f1: Filament, f2: Filament) -> int:
@@ -65,7 +62,7 @@ def test_random_paths_cover_every_pair_class():
     # reachable subdivision count (longest/gap > 4 implies pieces >= 3).
     seen: set[str] = set()
     for case in REFERENCE["paths"]:
-        fils = decode(case["filaments"]).packed.filaments()
+        fils = unpack(decode(case["filaments"]).packed)
         for i in range(len(fils)):
             for j in range(i + 1, len(fils)):
                 cos = fils[i].direction.dot(fils[j].direction)
@@ -99,7 +96,7 @@ def test_field_grid_keeps_on_axis_zero_and_clamp():
     # The first reference grid puts points on a filament's axis and inside
     # its conductor-radius clamp; the single-point view shows both.
     rect = decode(REFERENCE["fields"][0]["paths"][0])
-    side = CurrentPath([rect.packed.filaments()[3]])  # x = 0, running along y
+    side = path_of([unpack(rect.packed)[3]])  # x = 0, running along y
     on_axis = Vec3(0.0, 0.004, 0.0)
     assert b_field(side, on_axis) == Vec3.zero()
     inside = b_field(side, Vec3(1e-4, 0.004, 0.0)).norm()
@@ -122,8 +119,8 @@ def test_point_wrappers_match_grid():
 
 
 def test_single_pair_wrapper_matches_batch():
-    fils = decode(REFERENCE["paths"][-1]["filaments"]).packed.filaments()
+    fils = unpack(decode(REFERENCE["paths"][-1]["filaments"]).packed)
     i, j = np.triu_indices(len(fils), 1)
-    batch = mutual_inductance_pairs(fils, i, j)
-    single = [mutual_inductance(fils[a], fils[b]) for a, b in zip(i, j, strict=True)]
+    batch = mutual_inductance_pairs(pack(fils), i, j)
+    single = [pair_mutual(fils[a], fils[b]) for a, b in zip(i, j, strict=True)]
     np.testing.assert_allclose(batch, single, rtol=RTOL, atol=0.0)

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from filament_oracle import Filament, pack, path_of, unpack
 from test_property_peec import scaled_weights
 
 from repro.geometry import Transform3D, Vec3
-from repro.peec import CurrentPath, Filament, PackedFilaments, rectangle_path, ring_path
+from repro.peec import CurrentPath, PackedFilaments, rectangle_path, ring_path
 
 
 def is_closed_loop(path):
@@ -63,6 +64,12 @@ class TestRingPath:
             ring_path(Vec3.zero(), -0.01)
         with pytest.raises(ValueError):
             ring_path(Vec3.zero(), 0.01, axis="w")
+        with pytest.raises(ValueError, match="cross-section"):
+            ring_path(Vec3.zero(), 0.01, wire_diameter=0.0)
+        with pytest.raises(ValueError, match="cross-section"):
+            ring_path(Vec3.zero(), 0.01, wire_diameter=-1e-3)
+        with pytest.raises(ValueError, match="zero-length"):
+            ring_path(Vec3.zero(), 1e-14, segments=8)
 
 
 class TestRectanglePath:
@@ -84,6 +91,12 @@ class TestRectanglePath:
         with pytest.raises(ValueError):
             rectangle_path(Vec3(0, 0, 0), Vec3(0, 0, 0.004), normal="y")
 
+    def test_bad_cross_section_rejected(self):
+        a, b = Vec3(-0.005, 0, 0), Vec3(0.005, 0, 0.004)
+        for width, thickness in ((0.0, 0.2e-3), (-1e-3, 0.2e-3), (1e-3, 0.0), (1e-3, -1e-6)):
+            with pytest.raises(ValueError, match="cross-section"):
+                rectangle_path(a, b, width=width, thickness=thickness)
+
     def test_bad_normal_rejected(self):
         with pytest.raises(ValueError):
             rectangle_path(Vec3(0, 0, 0), Vec3(1, 0, 1), normal="q")
@@ -91,8 +104,9 @@ class TestRectanglePath:
 
 class TestCurrentPath:
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            CurrentPath([])
+        empty = PackedFilaments.segments(np.empty((0, 3)), np.empty((0, 3)), 1e-3, 35e-6)
+        with pytest.raises(ValueError, match="at least one filament"):
+            CurrentPath(empty)
 
     def test_transform_moves_centroid(self):
         ring = ring_path(Vec3.zero(), 0.01)
@@ -107,8 +121,9 @@ class TestCurrentPath:
     def test_merged(self):
         a = ring_path(Vec3.zero(), 0.01, segments=8)
         b = ring_path(Vec3(0.0, 0.0, 0.005), 0.01, segments=8)
-        merged = a.merged_with(b)
+        merged = CurrentPath(PackedFilaments.concatenated([a.packed, b.packed]))
         assert len(merged) == 16
+        assert merged.packed.starts[8:].tolist() == b.packed.starts.tolist()
 
     def test_scaled_weights(self):
         ring = ring_path(Vec3.zero(), 0.01)
@@ -124,7 +139,7 @@ class TestCurrentPath:
 
     def test_packed_and_object_routes_agree(self):
         ring = ring_path(Vec3(0.01, 0.0, 0.002), 0.005, segments=8, weight=3.0)
-        from_objects = CurrentPath(ring.packed.filaments(), "L")
+        from_objects = CurrentPath(pack(unpack(ring.packed)), "L")
         from_arrays = CurrentPath(ring.packed, "L")
         for path in (from_objects, from_arrays):
             assert path.name == "L"
@@ -132,5 +147,5 @@ class TestCurrentPath:
         assert from_arrays.packed is ring.packed
 
     def test_straight_trace_axis_falls_back_to_z(self):
-        trace = CurrentPath([Filament(Vec3(0, 0, 0), Vec3(0.02, 0, 0))])
+        trace = path_of([Filament(Vec3(0, 0, 0), Vec3(0.02, 0, 0))])
         assert trace.magnetic_axis().is_close(Vec3(0, 0, 1))

@@ -1,30 +1,53 @@
 """The array path geometry equals the per-filament object loops bit for bit.
 
-A :class:`CurrentPath` holds only :class:`PackedFilaments`; its moment,
-centroid, wire length and merge are array code, and the winding builders
-place and merge packed rings.  Each is checked here against the loop over
-:class:`Filament` objects that defines it (kept below as the oracle), on
-every library part, on the parts of the seeded perfbench boards, on
-random paths and on random winding geometries.  Floats are compared by
-their bits (``float.hex``, raw array bytes), so a ``-0.0`` for ``+0.0``
-fails too.
+A :class:`CurrentPath` holds only :class:`PackedFilaments`.  The meshers
+(``ring_path``, ``rectangle_path``, ``route_current_path``) build its
+arrays directly, the winding functions place and concatenate packed rings,
+and its moment, centroid and wire length are array code.  Each is checked
+here against the object code that defines it: the :class:`Filament`
+loops of ``filament_oracle`` and below.  The checks run on every library
+part in every orientation, on the parts of the seeded perfbench boards,
+on the routes of a routed board, and on random rings, paths and winding
+geometries.  Floats are compared by their bits (``float.hex``, raw array
+bytes), so a ``-0.0`` for ``+0.0`` fails too.
 """
 
 import importlib.util
 import math
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
-import numpy as np
 import pytest
+from filament_oracle import (
+    Filament,
+    object_rectangle,
+    object_ring,
+    object_route,
+    pack,
+    packed_bytes,
+    path_of,
+    unpack,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_property_peec import random_paths, sided_placements
+from test_routing import placed_problem
 
-from repro.components import CommonModeChoke, default_library
+from repro.components import (
+    CommonModeChoke,
+    capacitors,
+    cmchoke,
+    default_library,
+    inductors,
+    passives,
+    semiconductors,
+)
 from repro.components.inductors import ring_stack
 from repro.geometry import Placement2D, Vec3
-from repro.peec import CurrentPath, Filament, PackedFilaments, ring_path
+from repro.peec import CurrentPath, PackedFilaments, rectangle_path, ring_path
+from repro.routing import ManhattanRouter, route_current_path
 
 _ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
@@ -63,9 +86,9 @@ def object_ring_stack(turns, n_rings, radius, length, height, axis, wire_diamete
     for i in range(n_rings):
         offset = -length / 2.0 + length * i / gaps if gaps else 0.0
         center = Vec3(offset, 0.0, height) if axis == "x" else Vec3(0.0, 0.0, height + offset)
-        fils += ring_path(
+        fils += object_ring(
             center, radius, 12, axis, wire_diameter=wire_diameter, weight=turns / n_rings
-        ).packed.filaments()
+        )
     return fils
 
 
@@ -79,7 +102,7 @@ def object_winding(choke, index):
         theta = choke.winding_center_angle(index) + frac * arc
         cx = choke.major_radius * math.cos(theta)
         cy = choke.major_radius * math.sin(theta)
-        ring = ring_path(
+        ring = object_ring(
             Vec3.zero(),
             choke.minor_radius,
             segments=8,
@@ -94,9 +117,27 @@ def object_winding(choke, index):
                 start=f.start.rotated_z(rot) + Vec3(cx, cy, z0),
                 end=f.end.rotated_z(rot) + Vec3(cx, cy, z0),
             )
-            for f in ring.packed.filaments()
+            for f in ring
         ]
     return fils
+
+
+def object_ring_path(*args, name="", **kwargs):
+    return path_of(object_ring(*args, **kwargs), name)
+
+
+def object_rectangle_path(*args, name="", **kwargs):
+    return path_of(object_rectangle(*args, **kwargs), name)
+
+
+def object_meshers():
+    """Every component module's mesher swapped for the object-built one."""
+    stack = ExitStack()
+    for module in (inductors, cmchoke):
+        stack.enter_context(mock.patch.object(module, "ring_path", object_ring_path))
+    for module in (capacitors, passives, semiconductors):
+        stack.enter_context(mock.patch.object(module, "rectangle_path", object_rectangle_path))
+    return stack
 
 
 # -- bitwise comparisons --------------------------------------------------------
@@ -106,22 +147,35 @@ def bits(v):
     return (v.x.hex(), v.y.hex(), v.z.hex())
 
 
-def packed_bytes(packed):
-    return tuple(
-        np.ascontiguousarray(a).tobytes()
-        for a in (packed.starts, packed.ends, packed.widths, packed.thicknesses, packed.weights)
-    )
-
-
 def assert_geometry_matches_objects(path):
-    fils = path.packed.filaments()
+    fils = unpack(path.packed)
     assert bits(path.magnetic_moment()) == bits(object_moment(fils))
     assert bits(path.centroid()) == bits(object_centroid(fils))
     assert path.total_length().hex() == object_total_length(fils).hex()
 
 
 def assert_same_filaments(path, fils):
-    assert packed_bytes(path.packed) == packed_bytes(PackedFilaments.of(fils))
+    assert packed_bytes(path.packed) == packed_bytes(pack(fils))
+
+
+def library_variants():
+    """Every library part, and each bobbin choke in both orientations."""
+    library = default_library()
+    for name in library.part_numbers():
+        part = library.create(name)
+        yield name, part
+        if isinstance(part, inductors.BobbinChoke):
+            for orientation in ("horizontal", "vertical"):
+                yield f"{name}-{orientation}", replace(part, orientation=orientation)
+
+
+def assert_meshed_like_objects(build, name=""):
+    """``build()`` makes the same path with the array and the object meshers."""
+    arrays = build()
+    with object_meshers():
+        objects = build()
+    assert objects.name == arrays.name, name
+    assert packed_bytes(arrays.packed) == packed_bytes(objects.packed), name
 
 
 def perfbench_parts():
@@ -140,9 +194,7 @@ def perfbench_parts():
 def test_library_part_geometry_matches_objects(name):
     part = default_library().create(name)
     assert_geometry_matches_objects(part.current_path)
-    assert bits(part.magnetic_moment_local) == bits(
-        object_moment(part.current_path.packed.filaments())
-    )
+    assert bits(part.magnetic_moment_local) == bits(object_moment(unpack(part.current_path.packed)))
 
 
 def test_perfbench_part_geometry_matches_objects():
@@ -160,8 +212,81 @@ def test_perfbench_part_geometry_matches_objects():
 def test_straight_trace_moment_has_no_negative_zero(start, end):
     # Every cross-product term of a trace through the origin's axes is a
     # signed zero; the object loop starts from +0.0, so its sum is +0.0.
-    trace = CurrentPath([Filament(Vec3(*start), Vec3(*end))])
+    trace = path_of([Filament(Vec3(*start), Vec3(*end))])
     assert_geometry_matches_objects(trace)
+
+
+# -- the array meshers against the object-built ones ---------------------------
+
+
+def test_library_parts_mesh_like_objects():
+    seen = 0
+    for name, part in library_variants():
+        assert_meshed_like_objects(part.build_current_path, name)
+        if isinstance(part, CommonModeChoke):
+            for w in range(part.n_windings):
+                assert_meshed_like_objects(lambda w=w: part.winding_path(w), f"{name}.w{w}")
+        seen += 1
+    assert seen == 17 + 2 * 3
+
+
+def test_perfbench_parts_mesh_like_objects():
+    seen = 0
+    for part, _ in perfbench_parts():
+        assert_meshed_like_objects(part.build_current_path, part.part_number)
+        seen += 1
+    assert seen == 303
+
+
+@pytest.mark.parametrize(
+    "z, copper", [(0.0, 35e-6), (-0.0, 35e-6), (1e-4, 70e-6), (-1.6e-3, 18e-6)]
+)
+def test_routes_mesh_like_objects(z, copper):
+    problem = placed_problem()
+    routes = [r for r in ManhattanRouter(problem).route_all().values() if not r.is_empty()]
+    assert len(routes) >= 3
+    for route in routes:
+        path = route_current_path(route, z, copper)
+        assert path.name == f"trace:{route.net}"
+        assert_same_filaments(path, object_route(route, z, copper))
+        assert_geometry_matches_objects(path)
+
+
+coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(min_value=-0.05, max_value=0.05)
+)
+
+
+class TestMeshers:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(Vec3, coordinates, coordinates, coordinates),
+        st.floats(min_value=1e-4, max_value=0.02),
+        st.integers(min_value=3, max_value=40),
+        st.sampled_from("xyz"),
+        st.floats(min_value=0.1e-3, max_value=2e-3),
+        st.one_of(st.floats(min_value=-5.0, max_value=5.0), st.sampled_from([1.0, -1.0])),
+    )
+    def test_ring_path_matches_objects(self, center, radius, segments, axis, wire, weight):
+        path = ring_path(center, radius, segments, axis, wire_diameter=wire, weight=weight)
+        assert_same_filaments(path, object_ring(center, radius, segments, axis, wire, weight))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.builds(Vec3, coordinates, coordinates, coordinates),
+        st.tuples(*[st.floats(min_value=0.5e-3, max_value=0.02)] * 3),
+        st.tuples(*[st.sampled_from([1.0, -1.0])] * 3),
+        st.sampled_from("xyz"),
+        st.floats(min_value=0.1e-3, max_value=2e-3),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    def test_rectangle_path_matches_objects(self, a, spans, signs, normal, width, weight):
+        # Offset the two in-plane coordinates; the normal one stays.
+        offsets = [s * sign for s, sign in zip(spans, signs, strict=True)]
+        offsets["xyz".index(normal)] = 0.0
+        b = Vec3(a.x + offsets[0], a.y + offsets[1], a.z + offsets[2])
+        path = rectangle_path(a, b, normal, width, 35e-6, weight)
+        assert_same_filaments(path, object_rectangle(a, b, normal, width, 35e-6, weight))
 
 
 # -- random paths and windings --------------------------------------------------
@@ -176,13 +301,12 @@ class TestRandomPaths:
 
     @settings(max_examples=40, deadline=None)
     @given(random_paths(), random_paths(), sided_placements)
-    def test_merged_with_matches_object_concatenation(self, a, b, placement):
+    def test_concatenation_matches_object_concatenation(self, a, b, placement):
         b = b.transformed(placement.to_transform3d())
-        b.name = "B"
-        merged = a.merged_with(b)
-        assert_same_filaments(merged, a.packed.filaments() + b.packed.filaments())
-        assert merged.name == (a.name or "B")
-        assert_geometry_matches_objects(merged)
+        joined = CurrentPath(PackedFilaments.concatenated([a.packed, b.packed]), "B")
+        assert_same_filaments(joined, unpack(a.packed) + unpack(b.packed))
+        assert joined.name == "B"
+        assert_geometry_matches_objects(joined)
 
 
 class TestWindingBuilders:

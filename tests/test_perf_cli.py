@@ -237,12 +237,6 @@ class TestExport:
         trace = json.loads(out_file.read_text())
         assert [e["name"] for e in trace["traceEvents"]] == ["run", "stage"]
 
-    def test_prometheus_export_to_stdout(self, tmp_path, capsys):
-        report = write_report(tmp_path / "m.json", {"stage": 1.0})
-        assert main(["perf", "export", str(report), "--format", "prometheus"]) == 0
-        out = capsys.readouterr().out
-        assert 'repro_emi_span_wall_seconds{path="run/stage"} 1' in out
-
 
 class TestTracedFailureFlush:
     def test_error_run_flushes_partial_report(self, tmp_path, capsys):

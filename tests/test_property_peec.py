@@ -12,6 +12,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from filament_oracle import (
+    Filament,
+    neumann_mutual,
+    pack,
+    pair_mutual,
+    parallel_mutual,
+    path_of,
+    unpack,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,16 +31,12 @@ from repro.peec import filament as filament_module
 from repro.peec import inductance as inductance_module
 from repro.peec import (
     CurrentPath,
-    Filament,
     PackedFilaments,
     loop_self_inductance,
-    mutual_inductance,
     mutual_inductance_pairs,
-    mutual_inductance_parallel,
     mutual_inductance_paths_fast,
     mutual_inductance_row,
     neumann_mutual_blocks,
-    neumann_mutual_inductance,
     rectangle_path,
     ring_path,
     self_inductance_bar,
@@ -65,15 +70,15 @@ class TestFilamentProperties:
     def test_reciprocity(self, pair):
         f1, f2 = pair
         assert math.isclose(
-            mutual_inductance(f1, f2), mutual_inductance(f2, f1), rel_tol=1e-6, abs_tol=1e-18
+            pair_mutual(f1, f2), pair_mutual(f2, f1), rel_tol=1e-6, abs_tol=1e-18
         )
 
     @settings(max_examples=40)
     @given(separated_filament_pairs())
     def test_reversal_antisymmetry(self, pair):
         f1, f2 = pair
-        m = mutual_inductance(f1, f2)
-        m_rev = mutual_inductance(f1, f2.reversed())
+        m = pair_mutual(f1, f2)
+        m_rev = pair_mutual(f1, f2.reversed())
         assert math.isclose(m, -m_rev, rel_tol=1e-6, abs_tol=1e-18)
 
     @settings(max_examples=30)
@@ -85,8 +90,8 @@ class TestFilamentProperties:
         )
         # order=20 leaves ~1e-4 quadrature error on strongly length-mismatched
         # pairs (e.g. 52 mm vs 4 mm at 10 mm gap), right at the tolerance.
-        closed = mutual_inductance_parallel(f1, f2)
-        quad = neumann_mutual_inductance(f1, f2, order=40)
+        closed = parallel_mutual(f1, f2)
+        quad = neumann_mutual(f1, f2, order=40)
         assert math.isclose(closed, quad, rel_tol=1e-4, abs_tol=1e-16)
 
     @settings(max_examples=30)
@@ -147,7 +152,7 @@ def helix(radius, pitch, seg_per_turn, turns, wire, weight):
         Vec3(radius * math.cos(k * step), radius * math.sin(k * step), pitch * k / seg_per_turn)
         for k in range(n + 1)
     ]
-    return CurrentPath(
+    return path_of(
         [
             Filament(pts[k], pts[k + 1], width=wire, thickness=wire, weight=weight)
             for k in range(n)
@@ -210,7 +215,7 @@ placements = st.builds(
 def extent(path):
     return max(
         max(abs(c) for c in (*f.start.as_array(), *f.end.as_array()))
-        for f in path.packed.filaments()
+        for f in unpack(path.packed)
     )
 
 
@@ -289,14 +294,14 @@ def object_self_inductance(filaments):
         np.array([f.thickness for f in filaments]),
     )
     i, j = np.triu_indices(len(filaments), 1)
-    mutuals = mutual_inductance_pairs(filaments, i, j)
+    mutuals = mutual_inductance_pairs(pack(filaments), i, j)
     return float(
         np.sum(weights * weights * diagonal) + 2.0 * np.sum(weights[i] * weights[j] * mutuals)
     )
 
 
 def assert_equals_full_sum(path, name=""):
-    full = object_self_inductance(path.packed.filaments())
+    full = object_self_inductance(unpack(path.packed))
     assert math.isclose(loop_self_inductance(path), full, rel_tol=1e-12, abs_tol=0.0), name
 
 
@@ -316,18 +321,18 @@ class TestPackedPath:
         transform = placement.to_transform3d()
         expected = [
             replace(f, start=transform.apply(f.start), end=transform.apply(f.end))
-            for f in path.packed.filaments()
+            for f in unpack(path.packed)
         ]
         for placed in (path.packed.placed(placement), path.transformed(transform).packed):
             assert packed_end_points(placed) == end_points(expected)
-        assert end_points(path.transformed(transform).packed.filaments()) == end_points(expected)
+        assert end_points(unpack(path.transformed(transform).packed)) == end_points(expected)
 
     @settings(max_examples=30, deadline=None)
     @given(random_paths(), sided_placements, st.floats(min_value=-5e-3, max_value=5e-3))
     def test_image_equals_mirrored_filaments(self, path, placement, plane_z):
         placed = path.transformed(placement.to_transform3d())
         expected = [
-            replace(f.mirrored_z(plane_z), weight=-f.weight) for f in placed.packed.filaments()
+            replace(f.mirrored_z(plane_z), weight=-f.weight) for f in unpack(placed.packed)
         ]
         assert packed_end_points(placed.packed.image(plane_z)) == end_points(expected)
 
@@ -350,14 +355,14 @@ class TestPackedPath:
 
     def test_single_filament_has_no_pair_classes(self):
         wire = Filament(Vec3(0.0, 0.0, 0.0), Vec3(0.01, 0.0, 0.0), weight=2.0)
-        totals = self_inductance_totals(CurrentPath([wire]))
+        totals = self_inductance_totals(path_of([wire]))
         assert totals["peec.pair_classes"] == 0
-        assert loop_self_inductance(CurrentPath([wire])) == 4.0 * wire.self_inductance()
+        assert loop_self_inductance(path_of([wire])) == 4.0 * wire.self_inductance()
 
     def test_all_distinct_pairs_are_all_solved(self):
         rng = np.random.default_rng(7)
         points = [Vec3(*xyz) for xyz in rng.uniform(-0.01, 0.01, size=(13, 3))]
-        path = CurrentPath([Filament(a, b) for a, b in zip(points[:-1], points[1:])])
+        path = path_of([Filament(a, b) for a, b in zip(points[:-1], points[1:])])
         assert self_inductance_totals(path)["peec.pair_classes"] == 12 * 11 // 2
         assert_equals_full_sum(path)
 
@@ -381,7 +386,7 @@ class TestPackedPath:
         def pair(p):
             return [Filament(Vec3(*p[0]), Vec3(*p[1])), Filament(Vec3(*p[2]), Vec3(*p[3]))]
 
-        path = CurrentPath(pair(points) + pair(turned))
+        path = path_of(pair(points) + pair(turned))
         assert self_inductance_totals(path)["peec.pair_classes"] == 6
         assert_equals_full_sum(path)
 

@@ -112,7 +112,16 @@ class TestParasitics:
                         TraceSegment(Vec2(0.01, 0), Vec2(0.01, 0.01))])
         path = route_current_path(r, z=1e-4)
         assert path is not None and len(path) == 2
-        assert path.packed.filaments()[0].start.z == pytest.approx(1e-4)
+        assert path.packed.starts[0, 2] == pytest.approx(1e-4)
+
+    def test_bad_cross_section_rejected(self):
+        r = Route("N", [TraceSegment(Vec2(0, 0), Vec2(0.01, 0))])
+        for copper in (0.0, -35e-6):
+            with pytest.raises(ValueError, match="cross-section"):
+                route_current_path(r, copper_thickness=copper)
+        zero_width = Route("N", [TraceSegment(Vec2(0, 0), Vec2(0.01, 0), width=0.0)])
+        with pytest.raises(ValueError, match="cross-section"):
+            route_current_path(zero_width)
 
     def test_empty_route_no_path(self):
         assert route_current_path(Route("N")) is None
