@@ -6,7 +6,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint ruff mypy physlint physlint-baseline bench-smoke events-smoke serve-smoke docs-check perf-baseline perf-check
+.PHONY: test lint ruff mypy physlint physlint-baseline bench-smoke events-smoke serve-smoke docs-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -30,20 +30,6 @@ serve-smoke:
 ## relative links under docs/ + README resolve, serve --help is current.
 docs-check:
 	$(PYTHON) -m pytest -x -q tests/test_docs.py
-
-## Regenerate the committed perf baseline for the CI regression gate.
-## Counters in it are deterministic; wall times are only gated loosely.
-perf-baseline:
-	$(PYTHON) -m repro.cli rules examples/boards/demo_board.txt --max-pairs 2 \
-		--no-cache --metrics-out benchmarks/baselines/PERF_rules_demo_board.json
-
-## The CI perf gate, runnable locally: smoke run vs. the committed baseline.
-perf-check:
-	$(PYTHON) -m repro.cli rules examples/boards/demo_board.txt --max-pairs 2 \
-		--no-cache --metrics-out /tmp/repro-perf-current.json
-	$(PYTHON) -m repro.cli perf check /tmp/repro-perf-current.json \
-		--baseline benchmarks/baselines/PERF_rules_demo_board.json \
-		--fail-on regression --wall-threshold 4.0
 
 ## Full static gate: style (ruff) + types (mypy) + physics and
 ## architecture lint (physlint).

@@ -9,7 +9,7 @@ Every benchmark additionally runs under a fresh tracer and drops a
 *and* appends the same report to the perf-history store
 (``benchmarks/out/perf-history.jsonl``) — the repository's committed
 longitudinal perf trajectory, queryable with ``repro-emi perf history``
-and gateable with ``repro-emi perf check`` (see docs/OBSERVABILITY.md).
+and ``repro-emi perf diff`` (see docs/OBSERVABILITY.md).
 Session-scoped fixtures are built before the first benchmark that requests
 them starts its tracer (pytest sets up wider-scoped fixtures first), so
 each one traces its own build; its spans, counters, gauges and wall time

@@ -44,7 +44,6 @@ reports::
     repro-emi perf record metrics.json        # append to the history store
     repro-emi perf history --key demo         # the stored trajectory
     repro-emi perf diff                       # delta table, last two runs
-    repro-emi perf check metrics.json --fail-on regression
     repro-emi perf export metrics.json -o trace.json
     repro-emi perf flight metrics.json --events events.jsonl -o flight.html
 """
@@ -366,33 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="perf-history JSONL file (default: $REPRO_EMI_PERF_HISTORY or "
         "~/.cache/repro-emi/perf/history.jsonl)",
     )
-    threshold_flags = argparse.ArgumentParser(add_help=False)
-    threshold_flags.add_argument(
-        "--wall-threshold",
-        type=float,
-        default=0.30,
-        metavar="FRAC",
-        help="relative span wall-time growth that flags a regression "
-        "(default: 0.30 = +30%%)",
-    )
-    threshold_flags.add_argument(
-        "--counter-threshold",
-        type=float,
-        default=0.05,
-        metavar="FRAC",
-        help="relative counter growth that flags a regression (default: 0.05)",
-    )
-    threshold_flags.add_argument(
-        "--min-wall-s",
-        type=float,
-        default=0.005,
-        metavar="S",
-        help="spans faster than this never flag (noise floor, default: 0.005)",
-    )
-
     p_perf = sub.add_parser(
         "perf",
-        help="perf observatory: record, diff, gate and export run reports",
+        help="perf observatory: record, diff and export run reports",
     )
     perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
 
@@ -433,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp_diff = perf_sub.add_parser(
         "diff",
         help="per-span/per-counter delta table between two runs",
-        parents=[store_flags, threshold_flags],
+        parents=[store_flags],
     )
     pp_diff.add_argument(
         "reports",
@@ -453,40 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pp_diff.add_argument("--format", choices=("text", "json"), default="text")
 
-    pp_check = perf_sub.add_parser(
-        "check",
-        help="gate a run report against a rolling (or committed) baseline",
-        parents=[store_flags, threshold_flags],
-    )
-    pp_check.add_argument("report", type=Path, metavar="REPORT")
-    pp_check.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="a committed report file as the baseline (bypasses the store)",
-    )
-    pp_check.add_argument("--key", default=None, help="series key for store mode")
-    pp_check.add_argument(
-        "--window",
-        type=int,
-        default=5,
-        metavar="N",
-        help="rolling baseline = median of the last N stored runs (default: 5)",
-    )
-    pp_check.add_argument(
-        "--fail-on",
-        choices=("regression", "never"),
-        default="regression",
-        help="exit non-zero on a regression verdict (default: regression)",
-    )
-    pp_check.add_argument(
-        "--record",
-        action="store_true",
-        help="append the checked report to the store after the verdict",
-    )
-    pp_check.add_argument("--format", choices=("text", "json"), default="text")
-
     pp_export = perf_sub.add_parser(
         "export",
         help="export a run report as Chrome trace JSON (Perfetto, about://tracing)",
@@ -504,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp_flight = perf_sub.add_parser(
         "flight",
         help="render one run as a self-contained HTML flight recorder",
-        parents=[store_flags, threshold_flags],
+        parents=[store_flags],
     )
     pp_flight.add_argument("report", type=Path, metavar="REPORT")
     pp_flight.add_argument(
@@ -518,13 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--key",
         default=None,
         help="history series key (default: the report's meta benchmark/command)",
-    )
-    pp_flight.add_argument(
-        "--window",
-        type=int,
-        default=20,
-        metavar="N",
-        help="sparkline over the last N stored runs (default: 20)",
     )
     pp_flight.add_argument(
         "-o",
@@ -867,6 +801,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 # -- perf observatory subcommands ------------------------------------------
 
+#: Stored runs in the flight recorder's history sparkline.
+_SPARKLINE_RUNS = 20
+
 
 def _load_run_report(path: Path):
     """Parse a run-report JSON file, or the ``timed_run`` report of a
@@ -885,13 +822,12 @@ def _load_run_report(path: Path):
     return None
 
 
-def _thresholds(args: argparse.Namespace):
-    from .obs import Thresholds
-
-    return Thresholds(
-        wall_rel=args.wall_threshold,
-        counter_rel=args.counter_threshold,
-        min_wall_s=args.min_wall_s,
+def _stored_index(series, run_id: str) -> int | None:
+    """Index of the first record in ``series`` whose run-correlation id
+    starts with ``run_id``, or ``None``."""
+    return next(
+        (i for i, r in enumerate(series) if r.run_id and r.run_id.startswith(run_id)),
+        None,
     )
 
 
@@ -978,14 +914,7 @@ def _cmd_perf_diff(args: argparse.Namespace) -> int:
         history = PerfHistory(args.store)
         if args.run_id:
             series = history.records(key=args.key)
-            index = next(
-                (
-                    i
-                    for i, r in enumerate(series)
-                    if r.run_id and r.run_id.startswith(args.run_id)
-                ),
-                None,
-            )
+            index = _stored_index(series, args.run_id)
             if index is None:
                 print(
                     f"perf diff: no stored run with run id {args.run_id!r} "
@@ -1018,51 +947,13 @@ def _cmd_perf_diff(args: argparse.Namespace) -> int:
     else:
         print("perf diff: pass exactly two report files, or none", file=sys.stderr)
         return 2
-    verdict = compare(pair[1], [pair[0]], _thresholds(args))
+    verdict = compare(*pair)
     if args.format == "json":
         print(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
     else:
         print(f"diff {origin}")
         print(verdict.table())
         print(verdict.summary())
-    return 0
-
-
-def _cmd_perf_check(args: argparse.Namespace) -> int:
-    import json
-
-    from .obs import PerfHistory, compare
-
-    current = _load_run_report(args.report)
-    if current is None:
-        return 2
-    if args.baseline is not None:
-        base = _load_run_report(args.baseline)
-        if base is None:
-            return 2
-        baseline = [base]
-    else:
-        history = PerfHistory(args.store)
-        baseline = [r.report for r in history.last(key=args.key, n=args.window)]
-        if not baseline:
-            # An empty store must not brick CI on its first run: record
-            # the report so the next run has a baseline, and pass.
-            history.append(current, key=args.key)
-            print(
-                f"perf check: no baseline in {history.path}; recorded this "
-                "run as the first (verdict: OK)"
-            )
-            return 0
-    verdict = compare(current, baseline, _thresholds(args))
-    if args.format == "json":
-        print(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(verdict.table(show_ok=False) or "")
-        print(verdict.summary())
-    if args.baseline is None and args.record:
-        PerfHistory(args.store).append(current, key=args.key)
-    if args.fail_on == "regression" and not verdict.ok:
-        return 1
     return 0
 
 
@@ -1125,12 +1016,13 @@ def _cmd_perf_flight(args: argparse.Namespace) -> int:
 
     history = PerfHistory(args.store)
     key = args.key if args.key is not None else default_key(report)
-    records = history.last(key=key, n=max(args.window, 0))
-    verdict = None
-    if records:
-        verdict = compare(
-            report, [r.report for r in records], _thresholds(args)
-        )
+    series = history.records(key=key)
+    # Diff against the stored record before this run's own (the pair
+    # ``perf diff --run-id`` shows), or the last one when it is unstored.
+    stored = _stored_index(series, report.run_id) if report.run_id else None
+    earlier = series if stored is None else series[:stored]
+    verdict = compare(earlier[-1].report, report) if earlier else None
+    records = series[-_SPARKLINE_RUNS:]
 
     html = render_flight_html(
         report,
@@ -1148,7 +1040,6 @@ _PERF_COMMANDS = {
     "record": _cmd_perf_record,
     "history": _cmd_perf_history,
     "diff": _cmd_perf_diff,
-    "check": _cmd_perf_check,
     "export": _cmd_perf_export,
     "flight": _cmd_perf_flight,
 }

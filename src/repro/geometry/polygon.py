@@ -93,7 +93,9 @@ class Polygon2D:
     """A simple polygon with counter-clockwise vertex order.
 
     Construction normalises orientation: clockwise input is reversed, so
-    callers may supply vertices in either winding.  The polygon is
+    callers may supply vertices in either winding.  A vertex equal to its
+    predecessor is dropped, so a closed outline (first vertex repeated at
+    the end) equals the open one.  The polygon is
     immutable: ``vertices`` is stored as a tuple, and the edge table the
     predicates read is built once, here.
     """
@@ -102,9 +104,15 @@ class Polygon2D:
     _edges: tuple[_Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vertices = tuple(self.vertices)
+        given = tuple(self.vertices)
+        # A vertex equal to its predecessor (a closing repeat of the first
+        # vertex included) would make a zero-length edge, which every
+        # point lies "on": drop it.
+        vertices = tuple(v for i, v in enumerate(given) if i == 0 or v != given[i - 1])
+        while len(vertices) > 1 and vertices[-1] == vertices[0]:
+            vertices = vertices[:-1]
         if len(vertices) < 3:
-            raise ValueError("a polygon needs at least 3 vertices")
+            raise ValueError("a polygon needs at least 3 distinct vertices")
         if _signed_area(vertices) < 0.0:
             vertices = vertices[::-1]
         edges: list[_Edge] = []

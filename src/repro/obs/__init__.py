@@ -12,9 +12,9 @@ Zero-dependency (stdlib-only) instrumentation for the EMI design flow:
 * :class:`PerfHistory` — append-only JSONL store of run reports keyed by
   (benchmark/command, git SHA, timestamp, host fingerprint): the
   longitudinal perf trajectory behind ``repro-emi perf``;
-* :func:`compare` / :class:`RegressionVerdict` — rolling-median baseline
-  diffing with configurable :class:`Thresholds` (the ``perf check``
-  regression gate);
+* :func:`compare` / :class:`RegressionVerdict` — the per-span and
+  per-counter delta table between two runs (``perf diff``, the flight
+  recorder's verdict);
 * :func:`to_chrome_trace` — exporter to the Chrome Trace Event Format
   (Perfetto, ``about://tracing``);
 * :class:`EventBus` / :class:`TelemetryEvent` — the *streaming* half:
@@ -63,7 +63,7 @@ from .history import (
 )
 from .runid import RUN_ID_LENGTH, is_run_id, new_run_id
 from .sampler import ResourceSampler, rss_bytes
-from .regress import Delta, RegressionVerdict, Thresholds, compare
+from .regress import Delta, RegressionVerdict, compare
 from .report import RunReport
 from .tracer import (
     NULL_TRACER,
@@ -105,7 +105,6 @@ __all__ = [
     "ResourceSampler",
     "rss_bytes",
     "render_flight_html",
-    "Thresholds",
     "Delta",
     "RegressionVerdict",
     "compare",

@@ -11,8 +11,8 @@ run into a single dependency-free HTML file that opens anywhere:
   (head and tail when the log is long);
 * recent-history sparklines from :class:`~repro.obs.PerfHistory`
   (wall-time trajectory of the run's series);
-* the :func:`~repro.obs.compare` regression verdict against that
-  history.
+* the :func:`~repro.obs.compare` verdict against the previous stored
+  run of that series.
 
 Pure function of its inputs — no timestamps are invented here, so the
 artifact is reproducible from the same report/event/history files.
@@ -241,7 +241,7 @@ def _verdict_section(verdict: RegressionVerdict) -> str:
     css = "ok" if verdict.ok else "bad"
     return (
         f'<p class="{css}"><strong>{_esc(verdict.summary())}</strong></p>'
-        f"<pre>{_esc(verdict.table(show_ok=False) or '(all metrics within thresholds)')}</pre>"
+        f"<pre>{_esc(verdict.table(show_ok=False))}</pre>"
     )
 
 

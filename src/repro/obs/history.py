@@ -100,7 +100,7 @@ def host_fingerprint() -> str:
 
     Wall times from different machines (or different CPython builds on
     one machine) are not comparable; the fingerprint partitions the
-    store so baselines only ever aggregate like-for-like runs.
+    store so its statistics only ever aggregate like-for-like runs.
     """
     identity = "|".join(
         (

@@ -1,7 +1,5 @@
-"""Regression engine: diff a run report against a rolling baseline.
+"""Regression engine: diff one run report against another.
 
-The baseline is the per-span (and per-counter) *median* over a window of
-prior runs — medians shrug off the odd noisy run that a mean would chase.
 Spans are keyed by their full path (``run/flow.rules/coupling.field_solve``)
 so a hot path showing up under a new parent reads as *new*, not as a
 mutation of the old one.
@@ -9,31 +7,30 @@ mutation of the old one.
 Semantics (see docs/OBSERVABILITY.md):
 
 * **span wall times** are noisy — a span regresses only when it exceeds
-  the baseline by the relative threshold *and* clears an absolute floor
-  (``min_wall_s``), so micro-spans cannot flap the gate;
+  the baseline by :data:`WALL_REL` *and* clears the absolute floor
+  :data:`MIN_WALL_S`, so micro-spans cannot flap the verdict;
 * **counters are work counters** (field solves, filament pairs, MNA
-  factorizations): deterministic for a given code state, so the default
-  threshold is tight and *more is worse* — a counter that grows flags a
-  regression, one that shrinks an improvement;
-* spans/counters present only on one side rate ``new`` / ``missing`` and
-  never fail the gate by themselves (the alternative would make every
-  instrumentation tweak a blocking event).
+  factorizations): deterministic for a given code state, so the
+  threshold :data:`COUNTER_REL` is tight and *more is worse* — a counter
+  that grows rates a regression, one that shrinks an improvement;
+* spans/counters present only on one side rate ``new`` / ``missing``.
+
+The verdict is a reading aid for ``repro-emi perf diff`` and the flight
+recorder, not a gate: exact work counters are gated in tier-1 by
+``tests/test_work_counters.py``.
 
 :func:`compare` produces a :class:`RegressionVerdict` — a machine-readable
-(``to_dict``) and human-readable (``table``) list of per-metric deltas —
-which the ``repro-emi perf check`` / ``perf diff`` subcommands render.
+(``to_dict``) and human-readable (``table``) list of per-metric deltas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from statistics import median
+from dataclasses import dataclass
 from typing import Any
 
 from .report import RunReport
 
 __all__ = [
-    "Thresholds",
     "Delta",
     "RegressionVerdict",
     "span_walls",
@@ -41,34 +38,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Relative thresholds and absolute floors for the regression gate.
-
-    Attributes:
-        wall_rel: relative wall-time growth that flags a span, e.g. 0.30
-            = +30% over baseline (dimensionless fraction).
-        counter_rel: relative counter growth that flags a counter
-            (dimensionless fraction).
-        min_wall_s: spans whose baseline *and* current wall are below
-            this floor are never flagged [s].
-        min_counter: counters must move by at least this much in absolute
-            terms to be flagged (guards integer counters near zero).
-    """
-
-    wall_rel: float = 0.30
-    counter_rel: float = 0.05
-    min_wall_s: float = 0.005
-    min_counter: float = 0.5
-
-    def to_dict(self) -> dict[str, float]:
-        """JSON-ready form (recorded inside every verdict)."""
-        return {
-            "wall_rel": self.wall_rel,
-            "counter_rel": self.counter_rel,
-            "min_wall_s": self.min_wall_s,
-            "min_counter": self.min_counter,
-        }
+#: Relative wall-time growth that rates a span a regression (+30 %).
+WALL_REL = 0.30
+#: Relative growth that rates a counter a regression.
+COUNTER_REL = 0.05
+#: Spans whose baseline *and* current wall are below this never rate [s].
+MIN_WALL_S = 0.005
+#: Counters must move by at least this much to rate (guards integer
+#: counters near zero).
+MIN_COUNTER = 0.5
 
 
 @dataclass(frozen=True)
@@ -106,15 +84,13 @@ class Delta:
 
 @dataclass
 class RegressionVerdict:
-    """The full outcome of one baseline comparison."""
+    """The full outcome of one run-against-run comparison."""
 
     deltas: list[Delta]
-    baseline_runs: int
-    thresholds: Thresholds = field(default_factory=Thresholds)
 
     @property
     def regressions(self) -> list[Delta]:
-        """The deltas that fail the gate."""
+        """The deltas rated ``regression``."""
         return [d for d in self.deltas if d.status == "regression"]
 
     @property
@@ -128,11 +104,15 @@ class RegressionVerdict:
         return not self.regressions
 
     def to_dict(self) -> dict[str, Any]:
-        """Machine-readable verdict (the ``perf check --format json`` body)."""
+        """Machine-readable verdict (the ``perf diff --format json`` body)."""
         return {
             "ok": self.ok,
-            "baseline_runs": self.baseline_runs,
-            "thresholds": self.thresholds.to_dict(),
+            "thresholds": {
+                "wall_rel": WALL_REL,
+                "counter_rel": COUNTER_REL,
+                "min_wall_s": MIN_WALL_S,
+                "min_counter": MIN_COUNTER,
+            },
             "regressions": len(self.regressions),
             "improvements": len(self.improvements),
             "deltas": [d.to_dict() for d in self.deltas],
@@ -162,9 +142,7 @@ class RegressionVerdict:
                 )
             )
         if not rows:
-            if self.deltas:
-                return "(all metrics within thresholds)"
-            return "(no overlapping metrics)"
+            return "(all metrics within thresholds)"
         headers = ("kind", "metric", "baseline", "current", "delta", "status")
         widths = [
             max(len(headers[i]), max(len(r[i]) for r in rows)) for i in range(6)
@@ -183,8 +161,7 @@ class RegressionVerdict:
         verdict = "OK" if self.ok else "REGRESSION"
         return (
             f"perf {verdict}: {len(self.regressions)} regression(s), "
-            f"{len(self.improvements)} improvement(s) over "
-            f"{self.baseline_runs} baseline run(s)"
+            f"{len(self.improvements)} improvement(s)"
         )
 
 
@@ -195,89 +172,55 @@ def span_walls(report: RunReport) -> dict[str, float]:
     }
 
 
-def _median_by_key(series: list[dict[str, float]]) -> dict[str, float]:
-    """Per-key median over the dicts; keys present in any run count."""
-    merged: dict[str, list[float]] = {}
-    for entry in series:
-        for key, value in entry.items():
-            merged.setdefault(key, []).append(value)
-    return {key: median(values) for key, values in merged.items()}
-
-
-def _classify_span(
-    base: float | None, cur: float | None, t: Thresholds
-) -> tuple[float | None, str]:
+def _classify_span(base: float | None, cur: float | None) -> tuple[float | None, str]:
     if base is None:
         return None, "new"
     if cur is None:
         return None, "missing"
-    if base < t.min_wall_s and cur < t.min_wall_s:
+    if base < MIN_WALL_S and cur < MIN_WALL_S:
         return None, "ok"
     # Floor the denominator so a near-zero baseline cannot explode the
     # ratio for a span that merely crossed the noise floor.
-    denom = max(base, t.min_wall_s)
-    if denom <= 0.0:
-        # min_wall_s configured to 0 with a zero baseline: no finite
-        # ratio exists, so classify on the current wall alone.
-        return None, "regression" if cur > 0.0 else "ok"
-    ratio = cur / denom
-    if cur >= t.min_wall_s and ratio > 1.0 + t.wall_rel:
+    ratio = cur / max(base, MIN_WALL_S)  # physlint: disable=NUM002 -- MIN_WALL_S > 0
+    if cur >= MIN_WALL_S and ratio > 1.0 + WALL_REL:
         return ratio, "regression"
-    if base >= t.min_wall_s and ratio < 1.0 / (1.0 + t.wall_rel):
+    if base >= MIN_WALL_S and ratio < 1.0 / (1.0 + WALL_REL):
         return ratio, "improvement"
     return ratio, "ok"
 
 
-def _classify_counter(
-    base: float | None, cur: float | None, t: Thresholds
-) -> tuple[float | None, str]:
+def _classify_counter(base: float | None, cur: float | None) -> tuple[float | None, str]:
     if base is None:
         return None, "new"
     if cur is None:
         return None, "missing"
     ratio = cur / base if base > 0.0 else None
-    if abs(cur - base) < t.min_counter:
+    if abs(cur - base) < MIN_COUNTER:
         return ratio, "ok"
-    if cur > base * (1.0 + t.counter_rel):
+    if cur > base * (1.0 + COUNTER_REL):
         return ratio, "regression"
-    if cur < base * (1.0 - t.counter_rel):
+    if cur < base * (1.0 - COUNTER_REL):
         return ratio, "improvement"
     return ratio, "ok"
 
 
-def compare(
-    current: RunReport,
-    baseline: list[RunReport],
-    thresholds: Thresholds | None = None,
-) -> RegressionVerdict:
-    """Diff ``current`` against the median of the ``baseline`` runs.
-
-    Args:
-        current: the run under test.
-        baseline: one or more prior runs; per-metric medians form the
-            reference (a single run is its own median, so a plain
-            two-report diff is the ``baseline=[a]`` special case).
-        thresholds: gate configuration (defaults to :class:`Thresholds`).
+def compare(baseline: RunReport, current: RunReport) -> RegressionVerdict:
+    """Diff ``current`` against ``baseline``.
 
     Returns:
         A verdict with one :class:`Delta` per span path and per counter
         seen on either side.
     """
-    t = thresholds if thresholds is not None else Thresholds()
-    base_spans = _median_by_key([span_walls(r) for r in baseline])
-    base_counters = _median_by_key([r.totals() for r in baseline])
-    cur_spans = span_walls(current)
-    cur_counters = current.totals()
+    base_spans, cur_spans = span_walls(baseline), span_walls(current)
+    base_counters, cur_counters = baseline.totals(), current.totals()
 
     deltas: list[Delta] = []
     for name in sorted(base_spans.keys() | cur_spans.keys()):
         base, cur = base_spans.get(name), cur_spans.get(name)
-        ratio, status = _classify_span(base, cur, t)
+        ratio, status = _classify_span(base, cur)
         deltas.append(Delta("span", name, base, cur, ratio, status))
     for name in sorted(base_counters.keys() | cur_counters.keys()):
         base, cur = base_counters.get(name), cur_counters.get(name)
-        ratio, status = _classify_counter(base, cur, t)
+        ratio, status = _classify_counter(base, cur)
         deltas.append(Delta("counter", name, base, cur, ratio, status))
-    return RegressionVerdict(
-        deltas=deltas, baseline_runs=len(baseline), thresholds=t
-    )
+    return RegressionVerdict(deltas)

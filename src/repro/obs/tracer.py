@@ -114,7 +114,7 @@ class Span:
 
         ``path`` is the tuple of span names from this node down, so two
         spans of the same name under different parents stay distinct —
-        the regression engine keys its baselines on these paths.
+        the run-against-run diff keys its deltas on these paths.
         """
         path = (*prefix, self.name)
         yield path, self

@@ -1,4 +1,4 @@
-"""The committed run reports, perf baseline and perf history load today.
+"""The committed run reports and perf history load today.
 
 Reads files only: no benchmark runs and no timing.  Older files carry a
 ``histograms`` section that the current report schema no longer has;
@@ -16,7 +16,6 @@ from repro.obs import PerfHistory, RunReport
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "benchmarks" / "out"
 BENCH_REPORTS = sorted(OUT.glob("BENCH_*.json"))
-BASELINE = ROOT / "benchmarks" / "baselines" / "PERF_rules_demo_board.json"
 HISTORY = OUT / "perf-history.jsonl"
 
 #: Placement text artefacts hold deterministic outputs only, so that a
@@ -31,10 +30,10 @@ def without_histograms(data: dict) -> dict:
 
 
 def test_the_committed_reports_exist():
-    assert BENCH_REPORTS and BASELINE.is_file() and HISTORY.is_file()
+    assert BENCH_REPORTS and HISTORY.is_file()
 
 
-@pytest.mark.parametrize("path", [*BENCH_REPORTS, BASELINE], ids=lambda path: path.name)
+@pytest.mark.parametrize("path", BENCH_REPORTS, ids=lambda path: path.name)
 def test_report_round_trips(path):
     data = json.loads(path.read_text(encoding="utf-8"))
     assert RunReport.from_dict(data).to_dict() == without_histograms(data)

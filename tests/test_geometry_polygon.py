@@ -29,6 +29,31 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Polygon2D([Vec2(0, 0), Vec2(1, 0)])
 
+    def test_closing_repeat_is_dropped(self):
+        square = [Vec2(0, 0), Vec2(10, 0), Vec2(10, 10), Vec2(0, 10)]
+        closed = Polygon2D([*square, square[0]])
+        assert closed == Polygon2D(square)
+        assert closed.vertices == tuple(square)
+        assert closed.contains_point(Vec2(5, 5))
+        assert not closed.contains_point(Vec2(15, 5))
+
+    def test_consecutive_repeats_are_dropped(self):
+        # A zero-length edge would put every point "on" the boundary.
+        u_shape = [
+            Vec2(0, 0), Vec2(1, 0), Vec2(1, 0.75), Vec2(0.75, 0.75),
+            Vec2(0.75, 0.25), Vec2(0.75, 0.25), Vec2(0.75, 0.75), Vec2(0, 0.75),
+        ]
+        poly = Polygon2D(u_shape)
+        assert len(poly.vertices) == 7
+        assert not poly.contains_point(Vec2(0.25, 1.0))
+        assert poly.contains_point(Vec2(0.25, 0.5))
+
+    def test_needs_three_distinct_vertices(self):
+        with pytest.raises(ValueError, match="3 distinct vertices"):
+            Polygon2D([Vec2(0, 0), Vec2(1, 0), Vec2(1, 0), Vec2(0, 0)])
+        with pytest.raises(ValueError, match="3 distinct vertices"):
+            Polygon2D([Vec2(1, 1)] * 3)
+
     def test_cw_input_normalised_to_ccw(self):
         cw = Polygon2D([Vec2(0, 0), Vec2(0, 1), Vec2(1, 1), Vec2(1, 0)])
         ccw = unit_square()

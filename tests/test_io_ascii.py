@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.geometry import Placement2D
+from repro.geometry import Placement2D, Vec2
 from repro.io import AsciiFormatError, read_problem, write_problem
 from repro.rules import ClearanceRule, GroupCoherenceRule, NetLengthRule
 
@@ -84,6 +84,14 @@ class TestReader:
         bad = SAMPLE.replace("TYPE FilmCapacitorX2", "TYPE FluxCapacitor", 1)
         with pytest.raises(AsciiFormatError, match="TYPE"):
             read_problem(bad)
+
+    def test_closed_outline_reads_as_open(self):
+        closed = read_problem(
+            SAMPLE.replace("OUTLINE 0,0 70,0 70,50 0,50", "OUTLINE 0,0 70,0 70,50 0,50 0,0")
+        )
+        board = read_problem(SAMPLE).boards[0]
+        assert closed.boards[0].outline == board.outline
+        assert not closed.boards[0].outline.contains_point(Vec2(0.1, 0.1))
 
     def test_board_without_outline_rejected(self):
         with pytest.raises(AsciiFormatError, match="OUTLINE"):

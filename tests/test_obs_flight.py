@@ -11,7 +11,6 @@ from repro.io import write_problem
 from repro.obs import (
     PerfHistory,
     RunReport,
-    Thresholds,
     Tracer,
     compare,
     render_flight_html,
@@ -88,7 +87,7 @@ class TestRenderFlightHtml:
         history.append(report, key="rules")
         history.append(report, key="rules")
         records = history.last(key="rules", n=5)
-        verdict = compare(report, [r.report for r in records], Thresholds())
+        verdict = compare(records[0].report, report)
         html = render_flight_html(report, history=records, verdict=verdict)
         assert "Recent history" in html
         assert "2 stored run(s)" in html
@@ -216,6 +215,23 @@ class TestCliPerfFlight:
         assert "Event timeline" in html
 
     def test_history_drives_verdict(self, tmp_path, capsys):
+        store = tmp_path / "history.jsonl"
+        first = tmp_path / "first.json"
+        first.write_text(_traced_report().to_json())
+        report_path = self._write_run(tmp_path)
+        for path in (first, report_path):
+            assert main(["perf", "record", str(path), "--store", str(store)]) == 0
+        out = tmp_path / "flight.html"
+        code = main(
+            ["perf", "flight", str(report_path), "--store", str(store), "-o", str(out)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        html = out.read_text()
+        assert "2 stored run(s)" in html
+        assert "Regression verdict" in html
+
+    def test_own_record_is_not_its_baseline(self, tmp_path, capsys):
         report_path = self._write_run(tmp_path)
         store = tmp_path / "history.jsonl"
         assert main(["perf", "record", str(report_path), "--store", str(store)]) == 0
@@ -227,7 +243,18 @@ class TestCliPerfFlight:
         capsys.readouterr()
         html = out.read_text()
         assert "Recent history" in html
-        assert "Regression verdict" in html
+        assert "Regression verdict" not in html
+
+    def test_unstored_run_diffs_against_last_record(self, tmp_path, capsys):
+        stored = tmp_path / "stored.json"
+        stored.write_text(_traced_report().to_json())
+        store = tmp_path / "history.jsonl"
+        assert main(["perf", "record", str(stored), "--store", str(store)]) == 0
+        out = tmp_path / "flight.html"
+        argv = ["perf", "flight", str(self._write_run(tmp_path))]
+        assert main([*argv, "--store", str(store), "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert "Regression verdict" in out.read_text()
 
     def test_malformed_event_lines_skipped(self, tmp_path, capsys):
         report_path = self._write_run(tmp_path)
