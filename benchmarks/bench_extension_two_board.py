@@ -91,7 +91,6 @@ def test_extension_two_board(benchmark, record):
         ["board 1 parts", sum(1 for c in problem.components.values() if c.board == 1)],
         ["rules deactivated by partition", len(cross_board_rules)],
         ["violations after placement", report.violations_after],
-        ["runtime", f"{report.runtime_s * 1e3:.0f} ms"],
     ]
     record("extension_two_board", series_table(["metric", "value"], rows))
 

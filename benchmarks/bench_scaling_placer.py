@@ -4,16 +4,19 @@ The paper: "It is well known that layout problems are NP hard concerning
 their algorithmic complexity … it is necessary to decompose the placement
 problems in sub-tasks and to solve them with efficient heuristic methods."
 This bench measures the heuristic's empirical scaling: components from 8
-to 48 with a proportional rule count, wall-clock and legality per size.
+to 48 with a proportional rule count, candidates scored and legality per
+size.  The artefacts hold counts only; each size's wall time is its
+``bench.placer.nXX`` span (and ``placer.runtime_s.nXX`` gauge) in the
+BENCH report.
 
 A second scenario measures the coupling hot path itself: the all-pairs
 coupling matrix of the largest board, cold versus answered from a warm
-persistent cache (the numbers quoted in docs/PERFORMANCE.md).
+persistent cache (the numbers quoted in docs/PERFORMANCE.md), with the
+walls in ``bench.coupling.*`` spans and ``coupling.*_s`` gauges.
 """
 
 import itertools
 import math
-import time
 
 from repro.components import (
     CeramicCapacitor,
@@ -57,24 +60,20 @@ def build_problem(n_components: int) -> PlacementProblem:
 def test_scaling_placer(benchmark, record):
     sizes = (8, 16, 24, 32, 48)
     rows = []
-    timings = {}
+    timings, scored = {}, {}
     tracer = get_tracer()
     for n in sizes:
         problem = build_problem(n)
-        t0 = time.perf_counter()
-        report = AutoPlacer(problem).run()
-        elapsed = time.perf_counter() - t0
-        timings[n] = elapsed
+        name = f"bench.placer.n{n:02d}"
+        with tracer.span(name) as span:
+            report = AutoPlacer(problem).run()
+        timings[n] = span.elapsed_s
+        scored[n] = tracer.root.find(name).total_counters()["placement.candidates_scored"]
         # Per-size scalars for the perf-history trajectory (BENCH json +
         # perf-history.jsonl), so `perf history --stats` can chart growth.
-        tracer.gauge(f"placer.runtime_s.n{n:02d}", elapsed)
+        tracer.gauge(f"placer.runtime_s.n{n:02d}", timings[n])
         rows.append(
-            [
-                n,
-                len(problem.rules.min_distance),
-                f"{elapsed * 1e3:.0f}",
-                report.violations_after,
-            ]
+            [n, len(problem.rules.min_distance), int(scored[n]), report.violations_after]
         )
 
     def place_16():
@@ -83,14 +82,14 @@ def test_scaling_placer(benchmark, record):
     benchmark.pedantic(place_16, rounds=3, iterations=1)
 
     table = series_table(
-        ["components", "min-dist rules", "runtime ms", "violations"], rows
+        ["components", "min-dist rules", "candidates scored", "violations"], rows
     )
-    growth = timings[48] / timings[8]
     record(
         "scaling_placer",
-        f"{table}\n\nruntime growth 8 -> 48 components: {growth:.1f}x "
+        f"{table}\n\ncandidates scored 8 -> 48 components: {scored[48] / scored[8]:.1f}x "
         f"(size grew 6x; the heuristic stays usably polynomial)",
     )
+    growth = timings[48] / timings[8]
 
     assert all(int(r[3]) == 0 for r in rows)
     # Far from exponential: 6x the parts may cost at most ~40x the time
@@ -128,21 +127,22 @@ def test_scaling_coupling_engine(benchmark, record, tmp_path):
     """
     n = 48
     cache_dir = tmp_path / "coupling-cache"
+    tracer = get_tracer()
 
-    t0 = time.perf_counter()
-    serial = CouplingDatabase().pairwise_couplings(placed_layout(n))
-    t_serial = time.perf_counter() - t0
+    with tracer.span("bench.coupling.serial_cold") as span:
+        serial = CouplingDatabase().pairwise_couplings(placed_layout(n))
+    t_serial = span.elapsed_s
 
     # Cold run that primes the persistent store.
     priming = CouplingDatabase(persistent=PersistentCouplingCache(cache_dir=cache_dir))
-    t0 = time.perf_counter()
-    priming.pairwise_couplings(placed_layout(n))
-    t_cold_prime = time.perf_counter() - t0
+    with tracer.span("bench.coupling.cold_prime") as span:
+        priming.pairwise_couplings(placed_layout(n))
+    t_cold_prime = span.elapsed_s
 
     warm = CouplingDatabase(persistent=PersistentCouplingCache(cache_dir=cache_dir))
-    t0 = time.perf_counter()
-    cached = warm.pairwise_couplings(placed_layout(n))
-    t_warm = time.perf_counter() - t0
+    with tracer.span("bench.coupling.warm") as span:
+        cached = warm.pairwise_couplings(placed_layout(n))
+    t_warm = span.elapsed_s
 
     def warm_lookup():
         db = CouplingDatabase(persistent=PersistentCouplingCache(cache_dir=cache_dir))
@@ -151,32 +151,17 @@ def test_scaling_coupling_engine(benchmark, record, tmp_path):
     benchmark.pedantic(warm_lookup, rounds=3, iterations=1)
 
     speedup = t_serial / t_warm
-    tracer = get_tracer()
     tracer.gauge("coupling.serial_cold_s", t_serial)
     tracer.gauge("coupling.cold_prime_s", t_cold_prime)
     tracer.gauge("coupling.warm_s", t_warm)
     tracer.gauge("coupling.warm_speedup", speedup)
     rows = [
-        ["serial, cold (memory only)", f"{t_serial * 1e3:.0f}", len(serial), 0],
-        [
-            "serial, cold (priming cache)",
-            f"{t_cold_prime * 1e3:.0f}",
-            priming.stats.misses,
-            priming.stats.persistent_hits,
-        ],
-        [
-            "serial, warm cache",
-            f"{t_warm * 1e3:.0f}",
-            warm.stats.misses,
-            warm.stats.persistent_hits,
-        ],
+        ["serial, cold (memory only)", len(serial), 0],
+        ["serial, cold (priming cache)", priming.stats.misses, priming.stats.persistent_hits],
+        ["serial, warm cache", warm.stats.misses, warm.stats.persistent_hits],
     ]
-    table = series_table(["mode", "wall ms", "field solves", "disk hits"], rows)
-    record(
-        "scaling_coupling_engine",
-        f"{n} components, {len(serial)} pairs\n{table}\n\n"
-        f"warm cached speedup over memory-only cold: {speedup:.1f}x",
-    )
+    table = series_table(["mode", "field solves", "disk hits"], rows)
+    record("scaling_coupling_engine", f"{n} components, {len(serial)} pairs\n{table}")
 
     # Bitwise identity between the memory-only ground truth and the warm run.
     assert list(serial) == list(cached)

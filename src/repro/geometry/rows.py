@@ -1,8 +1,8 @@
 """Row deduplication of integer key arrays.
 
-Both the placer's candidate lattice and the PEEC self-inductance reduce a
-set of points (or filament pairs) to its distinct classes, keyed by rows
-of rounded integers.  :func:`unique_rows` is that one step.
+The PEEC self-inductance reduces a set of filament pairs to its distinct
+classes, keyed by rows of rounded integers.  :func:`unique_rows` is that
+step.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import EPS, Placement2D, Polygon2D, Rect, Vec2, unique_rows
+from ..geometry import EPS, Placement2D, Polygon2D, Rect, Vec2
 from ..obs import get_tracer
 from ..rules import MinDistanceRule, emd_between_axes, emd_floor
 from .drc import DesignRuleChecker
@@ -103,9 +103,10 @@ class AutoPlacer:
         self.partition = partition
         self.respect_min_distance = respect_min_distance
         self.weights = weights or PlacerWeights()
-        # Area samples depend only on (vertices, erosion margin, spacing):
-        # each set is computed once per placer and reused by every search.
-        self._area_samples: dict[tuple[tuple[Vec2, ...], float, float], np.ndarray] = {}
+        # Area samples keyed by (area polygon, erosion margin, spacing):
+        # ``run`` fills the sets its searches will ask for in one pass per
+        # area, and a search computes any other set once, on first use.
+        self._area_samples: dict[tuple[Polygon2D, float, float], np.ndarray] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -136,6 +137,7 @@ class AutoPlacer:
 
             with tracer.span("placement.sequential"):
                 order = self._priority_order()
+                self._sample_areas([self.problem.components[ref] for ref in order], rotation_plan)
                 failed: list[str] = []
                 for ref in order:
                     comp = self.problem.components[ref]
@@ -215,14 +217,41 @@ class AutoPlacer:
             return []
         return self.problem.rules.rules_involving(ref)
 
-    def _place_one(self, comp: PlacedComponent, plan: RotationPlan | None) -> bool:
+    @staticmethod
+    def _rotations(comp: PlacedComponent, plan: RotationPlan | None) -> list[float]:
+        """The rotations ``_place_one`` tries, the planned one first."""
         rotations = list(comp.rotations())
         if plan is not None and comp.refdes in plan.rotations_deg:
             preferred = plan.rotations_deg[comp.refdes]
             if preferred in rotations:
                 rotations.remove(preferred)
             rotations.insert(0, preferred)
+        return rotations
 
+    def _sample_areas(self, comps: list[PlacedComponent], plan: RotationPlan | None) -> None:
+        """Fill the area-sample memo for the first search of each part.
+
+        That search erodes each allowed area by the part's
+        :func:`_erosion_margin` at its first rotation, at
+        ``BOUNDARY_SPACING``.  The margins of all parts are gathered per
+        area polygon and eroded in one :meth:`Polygon2D.area_samples` pass.
+        """
+        margins: dict[Polygon2D, set[float]] = {}
+        for comp in comps:
+            for rotation in self._rotations(comp, plan)[:1]:
+                margin = _erosion_margin(comp, rotation)
+                for area in self.problem.allowed_areas(comp):
+                    margins.setdefault(area.polygon, set()).add(margin)
+        with get_tracer().span("placement.area_samples"):
+            for polygon, wanted in margins.items():
+                batch = sorted(wanted)
+                for margin, samples in zip(
+                    batch, polygon.area_samples(batch, BOUNDARY_SPACING), strict=True
+                ):
+                    self._area_samples[polygon, margin, BOUNDARY_SPACING] = samples
+
+    def _place_one(self, comp: PlacedComponent, plan: RotationPlan | None) -> bool:
+        rotations = self._rotations(comp, plan)
         for spacing in (BOUNDARY_SPACING, BOUNDARY_SPACING * 0.5):
             for rotation in rotations:
                 best = self.best_candidate(comp, rotation, spacing)
@@ -302,8 +331,7 @@ class AutoPlacer:
         midpoints; 16 points at 1.02 EMD + 0.1 mm around each (centre, EMD)
         partner; then the eroded allowed areas' samples (boundary every
         ``spacing`` metres), the preferred area first."""
-        half = comp.component.half_extent(rotation_deg)
-        margin = max(half.x, half.y)
+        margin = _erosion_margin(comp, rotation_deg)
         grow = margin + clearances + 1e-4
         x0, y0 = obstacles[:, 0] - grow, obstacles[:, 1] - grow
         x1, y1 = obstacles[:, 2] + grow, obstacles[:, 3] + grow
@@ -319,15 +347,18 @@ class AutoPlacer:
         )
         memo, samples = self._area_samples, []
         for area in areas:
-            key = (tuple(area.polygon.vertices), margin, spacing)
+            key = (area.polygon, margin, spacing)
             if key not in memo:
-                memo[key] = _samples_of(area.polygon, margin, spacing)
+                with get_tracer().span("placement.area_samples"):
+                    memo[key] = area.polygon.area_samples([margin], spacing)[0]
             samples.append(memo[key])
 
         xy = np.concatenate([corners.reshape(-1, 2), rings.reshape(-1, 2), *samples])
-        # Half-to-even rounding to integer keys (which also merge -0.0 and 0.0).
-        keys = np.rint(xy / _LATTICE).astype(np.int64)
-        first, _ = unique_rows(keys)
+        # Half-to-even rounding to lattice indices (which also merge -0.0
+        # and 0.0), packed into one int64 key per point (|index| < 2**31,
+        # i.e. within 1000 km of the origin).
+        cells = np.rint(xy / _LATTICE).astype(np.int64)
+        _, first = np.unique(cells[:, 0] * 2**32 + cells[:, 1], return_index=True)
         return xy[np.sort(first)]
 
     def _partner_emds(self, comp: PlacedComponent, rotation_deg: float) -> list[tuple[Vec2, float]]:
@@ -363,12 +394,12 @@ class AutoPlacer:
         legal = np.zeros(len(xy), dtype=bool)
         for area in self.problem.allowed_areas(comp):
             legal |= area.polygon.contains_rects(x0, y0, x1, y1)
-        legal &= ~_overlaps_any((x0, y0, x1, y1), obstacles, clearances)
-
         height = comp.component.body_height
         keepouts = self.problem.board(comp.board).keepouts
         blockers = _bounds([k.cuboid.rect for k in keepouts if k.blocks(z_offset, height)])
-        legal &= ~_overlaps_any((x0, y0, x1, y1), blockers)
+        # Placed parts keep their clearance; keepouts only must not be overlapped.
+        margins = np.concatenate([clearances, np.zeros(len(blockers))])
+        legal &= ~_overlaps_any((x0, y0, x1, y1), np.concatenate([obstacles, blockers]), margins)
         return legal
 
     def _costs(
@@ -429,37 +460,26 @@ def _bounds(rects: list[Rect]) -> np.ndarray:
     return np.array([(r.xmin, r.ymin, r.xmax, r.ymax) for r in rects], dtype=float).reshape(-1, 4)
 
 
+def _erosion_margin(comp: PlacedComponent, rotation_deg: float) -> float:
+    """The part's larger half-extent at the rotation: the margin its search
+    erodes the allowed areas by, and the area-sample memo key's margin."""
+    half = comp.component.half_extent(rotation_deg)
+    return max(half.x, half.y)
+
+
 def _overlaps_any(
-    rects: tuple[np.ndarray, ...], others: np.ndarray, margins: np.ndarray | float = 0.0
+    rects: tuple[np.ndarray, ...], others: np.ndarray, margins: np.ndarray
 ) -> np.ndarray:
     """Which of the rectangles (xmin, ymin, xmax, ymax arrays), each grown by
-    its margin to each row of ``others`` (an (n, 4) bounds array; one margin
-    per row, or one for all), overlap the interior of any of ``others``
-    (``Rect.overlaps`` with its EPS)."""
+    its margin to each row of ``others`` (an (n, 4) bounds array, one margin
+    per row), overlap the interior of any of ``others`` (``Rect.overlaps``
+    with its EPS)."""
     x0, y0, x1, y1 = (r[:, None] for r in rects)
-    x0, y0, x1, y1 = (
-        x0 - margins,
-        y0 - margins,
-        np.maximum(x1 + margins, x0 - margins),
-        np.maximum(y1 + margins, y0 - margins),
-    )
+    x0, y0 = x0 - margins, y0 - margins
+    x1, y1 = np.maximum(x1 + margins, x0), np.maximum(y1 + margins, y0)
     ox0, oy0, ox1, oy1 = others.T
     apart = (x1 <= ox0 + EPS) | (ox1 <= x0 + EPS) | (y1 <= oy0 + EPS) | (oy1 <= y0 + EPS)
     return ~apart.all(axis=1)
-
-
-def _samples_of(polygon: Polygon2D, margin: float, spacing: float) -> np.ndarray:
-    """Boundary samples, centroid and coarse interior grid of the eroded area,
-    as an (n, 2) array."""
-    eroded = polygon.eroded(margin)
-    target = eroded if eroded is not None else polygon
-    points = target.boundary_samples(spacing)
-    points.append(target.centroid())
-    # Coarse interior grid for sparse boards.
-    xmin, ymin, xmax, ymax = target.bbox()
-    step = max(spacing * 2.0, (xmax - xmin) / 8.0 or 1e-3)
-    points.extend(target.grid_samples(step))
-    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
 def _net_hpwl(

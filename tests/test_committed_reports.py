@@ -18,10 +18,11 @@ OUT = ROOT / "benchmarks" / "out"
 BENCH_REPORTS = sorted(OUT.glob("BENCH_*.json"))
 HISTORY = OUT / "perf-history.jsonl"
 
-#: Placement text artefacts hold deterministic outputs only, so that a
-#: re-record of unchanged placements leaves them byte-identical; their wall
-#: times are the ``placement.run`` spans of their BENCH reports.
-PLACEMENT_TEXT = ["fig09_autoplace29.txt", "fig16_18_autoplace_buck.txt", "ablation_rotation.txt"]
+#: Text artefacts hold deterministic outputs only, so that a re-record of
+#: unchanged code leaves them byte-identical; their wall times are spans of
+#: their BENCH reports (``placement.run``, ``bench.placer.nXX``,
+#: ``bench.coupling.*``).
+TEXT_ARTEFACTS = sorted(OUT.glob("*.txt"))
 WALL_CLOCK = re.compile(r"runtime|\d\s*(?:s|ms|us|µs)\b")
 
 
@@ -30,7 +31,7 @@ def without_histograms(data: dict) -> dict:
 
 
 def test_the_committed_reports_exist():
-    assert BENCH_REPORTS and HISTORY.is_file()
+    assert BENCH_REPORTS and HISTORY.is_file() and len(TEXT_ARTEFACTS) >= 20
 
 
 @pytest.mark.parametrize("path", BENCH_REPORTS, ids=lambda path: path.name)
@@ -71,7 +72,7 @@ def test_session_fixture_work_is_reported():
     assert any(r.find("flow.rules") and r.find("flow.verification") for r in reports)
 
 
-@pytest.mark.parametrize("name", PLACEMENT_TEXT)
-def test_placement_artefacts_hold_no_wall_clock(name):
-    text = (OUT / name).read_text(encoding="utf-8")
+@pytest.mark.parametrize("path", TEXT_ARTEFACTS, ids=lambda path: path.name)
+def test_placement_artefacts_hold_no_wall_clock(path):
+    text = path.read_text(encoding="utf-8")
     assert text and not WALL_CLOCK.search(text), WALL_CLOCK.search(text)

@@ -144,16 +144,15 @@ class TestErosion:
 
 class TestSampling:
     def test_boundary_samples_on_boundary(self):
-        pts = unit_square().boundary_samples(0.25)
-        assert len(pts) >= 16
-        for p in pts:
-            on_edge = (
-                abs(p.x) < 1e-9
-                or abs(p.x - 1.0) < 1e-9
-                or abs(p.y) < 1e-9
-                or abs(p.y - 1.0) < 1e-9
-            )
-            assert on_edge
+        # Margin 0 samples the square itself: 4 edges in 4 steps each, from
+        # the start vertex, then the centroid.
+        pts = unit_square().area_samples([0.0], 0.25)[0]
+        assert pts[:16].tolist() == [
+            [t, 0.0] for t in (0.0, 0.25, 0.5, 0.75)
+        ] + [[1.0, t] for t in (0.0, 0.25, 0.5, 0.75)] + [
+            [1.0 - t, 1.0] for t in (0.0, 0.25, 0.5, 0.75)
+        ] + [[0.0, 1.0 - t] for t in (0.0, 0.25, 0.5, 0.75)]
+        assert pts[16].tolist() == [0.5, 0.5]
 
     def test_grid_samples_inside(self):
         pts = unit_square().grid_samples(0.3)
@@ -162,7 +161,7 @@ class TestSampling:
 
     def test_bad_spacing_raises(self):
         with pytest.raises(ValueError):
-            unit_square().boundary_samples(0.0)
+            unit_square().area_samples([0.1], 0.0)
         with pytest.raises(ValueError):
             unit_square().grid_samples(-1.0)
 

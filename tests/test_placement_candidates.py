@@ -8,7 +8,9 @@ import pytest
 from repro.converters import BuckConverterDesign, build_demo_board
 from repro.geometry import Placement2D, Polygon2D, Rect, Vec2
 from repro.placement import AutoPlacer, PlacementArea
+from repro.placement.placer import _erosion_margin
 
+from area_samples_oracle import samples_of
 from conftest import build_small_problem
 
 
@@ -109,8 +111,16 @@ class TestGenerators:
         assert [a.name for a in board.areas] == ["l", "r"]
 
 
+BUILDS = pytest.mark.parametrize(
+    "build",
+    [lambda: BuckConverterDesign().placement_problem(), build_demo_board, build_small_problem],
+    ids=["buck", "demo_board", "small"],
+)
+
+
 class TestAreaSampleMemo:
-    """A placer erodes each area once; its candidates stay those of a fresh one."""
+    """A placer samples each area once per margin; its candidates stay those
+    of a fresh one, and a run's batch fill equals the lazy fill."""
 
     @pytest.mark.parametrize(
         "build",
@@ -132,16 +142,62 @@ class TestAreaSampleMemo:
                             assert np.array_equal(got, fresh)
 
         sweep(check=True)
-        erosions = []
-        eroded = Polygon2D.eroded
+        passes = []
+        sample = Polygon2D.area_samples
 
-        def counted(polygon, margin):
-            erosions.append(margin)
-            return eroded(polygon, margin)
+        def counted(polygon, margins, spacing):
+            passes.append(margins)
+            return sample(polygon, margins, spacing)
 
-        monkeypatch.setattr(Polygon2D, "eroded", counted)
+        monkeypatch.setattr(Polygon2D, "area_samples", counted)
         sweep(check=False)
-        assert erosions == []
+        assert passes == []
+
+    @BUILDS
+    def test_batch_fill_equals_lazy_fill(self, build, monkeypatch):
+        # Every search of a full run reads the same candidates from the
+        # run's batch-filled memo as a fresh placer computes set by set,
+        # and each part's first search finds all its sets already filled.
+        problem = build()
+        searched = AutoPlacer._candidates
+        searches, first = [], set()
+
+        def checked(placer, comp, rotation, spacing, obstacles, clearances, partners):
+            margin = _erosion_margin(comp, rotation)
+            keys = [(area.polygon, margin, spacing) for area in problem.allowed_areas(comp)]
+            if comp.refdes not in first:
+                first.add(comp.refdes)
+                assert all(key in placer._area_samples for key in keys)
+            got = searched(placer, comp, rotation, spacing, obstacles, clearances, partners)
+            lazy = AutoPlacer(problem)
+            want = searched(lazy, comp, rotation, spacing, obstacles, clearances, partners)
+            assert got.tobytes() == want.tobytes()
+            for key in keys:
+                assert placer._area_samples[key].tobytes() == lazy._area_samples[key].tobytes()
+            searches.append(comp.refdes)
+            return got
+
+        monkeypatch.setattr(AutoPlacer, "_candidates", checked)
+        AutoPlacer(problem).run()
+        assert first == set(problem.components) and len(searches) >= len(first)
+
+    @BUILDS
+    def test_one_pass_per_area(self, build, monkeypatch):
+        problem = build()
+        passes = []
+        sample = Polygon2D.area_samples
+
+        def counted(polygon, margins, spacing):
+            passes.append((polygon, len(margins)))
+            return sample(polygon, margins, spacing)
+
+        monkeypatch.setattr(Polygon2D, "area_samples", counted)
+        AutoPlacer(problem).run()
+        areas = {a.polygon for c in problem.components.values() for a in problem.allowed_areas(c)}
+        batch = passes[: len(areas)]
+        assert {polygon for polygon, _ in batch} == areas
+        # Later passes are one margin each: searches the first rotation did not predict.
+        assert all(count == 1 for _, count in passes[len(areas) :])
 
 
 def scalar_candidates(problem, comp, rotation, spacing, partners):
@@ -164,11 +220,7 @@ def scalar_candidates(problem, comp, rotation, spacing, partners):
     areas = problem.allowed_areas(comp)
     preferred = [a for a in areas if a.name == comp.preferred_area]
     for area in preferred + [a for a in areas if a.name != comp.preferred_area]:
-        eroded = area.polygon.eroded(margin)
-        target = eroded if eroded is not None else area.polygon
-        points += target.boundary_samples(spacing) + [target.centroid()]
-        xmin, _, xmax, _ = target.bbox()
-        points += target.grid_samples(max(spacing * 2.0, (xmax - xmin) / 8.0 or 1e-3))
+        points += [Vec2(x, y) for x, y in samples_of(area.polygon, margin, spacing).tolist()]
     kept, seen = [], set()
     for p in points:
         key = (round(p.x / 5e-4), round(p.y / 5e-4))  # half-to-even, like np.rint
@@ -181,11 +233,7 @@ def scalar_candidates(problem, comp, rotation, spacing, partners):
 class TestScalarReference:
     """Every search of a full placement run equals the per-object loops."""
 
-    @pytest.mark.parametrize(
-        "build",
-        [lambda: BuckConverterDesign().placement_problem(), build_demo_board, build_small_problem],
-        ids=["buck", "demo_board", "small"],
-    )
+    @BUILDS
     def test_every_search_equals_the_object_loops(self, build, monkeypatch):
         problem = build()
         searched = AutoPlacer._candidates

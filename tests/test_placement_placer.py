@@ -158,3 +158,27 @@ class TestScoringObservability:
         assert score is not None and score.count == len(calls) >= 7
         totals = report.totals()
         assert 0 < totals["placement.candidates_legal"] < totals["placement.candidates_scored"]
+
+    def test_area_samples_spans_cover_every_pass(self, monkeypatch):
+        from repro import obs
+        from repro.geometry import Polygon2D
+
+        passes = []
+        sample = Polygon2D.area_samples
+
+        def counted(polygon, margins, spacing):
+            passes.append(len(margins))
+            return sample(polygon, margins, spacing)
+
+        monkeypatch.setattr(Polygon2D, "area_samples", counted)
+        problem = build_small_problem()
+        tracer = obs.enable(meta={"test": "area sample spans"})
+        try:
+            AutoPlacer(problem).run()
+        finally:
+            obs.disable()
+        spans = [s for _, s in tracer.report().root.walk() if s.name == "placement.area_samples"]
+        # One batch span over a pass per area, then one span per lazy fill.
+        areas = {a.polygon for c in problem.components.values() for a in problem.allowed_areas(c)}
+        assert sum(s.count for s in spans) == 1 + len(passes) - len(areas)
+        assert passes[0] > 1

@@ -19,6 +19,8 @@ from repro.geometry import (
     normalize_angle,
 )
 
+import area_samples_oracle
+
 coords = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 small_pos = st.floats(min_value=1e-4, max_value=0.1, allow_nan=False)
@@ -522,22 +524,43 @@ class TestEdgeMajorEquivalence:
         assert broadcast_contains_rects(spike, *rect).tolist() == [False]
 
     @settings(max_examples=150, deadline=None)
-    @given(quantised_polygons(), st.floats(min_value=0.0, max_value=0.15))
-    def test_erosion_and_grid_samples_bit_identical(self, polygon, margin):
+    @given(
+        quantised_polygons(),
+        # Multiples of 1/8 erode the 0.25-grid shapes' arms to lines exactly.
+        st.lists(
+            st.one_of(st.floats(min_value=0.0, max_value=0.6), st.sampled_from([0.125, 0.25])),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([0.05, 0.1]),
+    )
+    def test_erosion_and_grid_samples_bit_identical(self, polygon, margins, spacing):
+        # The batched erosion and sampling against the per-margin Vec2
+        # loops, whose containment tests run on the broadcast oracle.
         _, vertices = polygon
         poly = Polygon2D([Vec2(x, y) for x, y in vertices])
 
-        def run():
-            eroded = poly.eroded(margin)
-            samples = poly.grid_samples(0.05)
-            return (
-                None if eroded is None else [(v.x.hex(), v.y.hex()) for v in eroded.vertices],
-                [(p.x.hex(), p.y.hex()) for p in samples],
-            )
+        def hexes(points):
+            return [(x.hex(), y.hex()) for x, y in points]
 
+        def outline(eroded):
+            return None if eroded is None else hexes((v.x, v.y) for v in eroded.vertices)
+
+        got = (
+            [outline(poly.eroded(m)) for m in margins],
+            hexes((p.x, p.y) for p in poly.grid_samples(0.05)),
+            [hexes(a.tolist()) for a in poly.area_samples(margins, spacing)],
+        )
         with mock.patch.object(Polygon2D, "contains_points", broadcast_contains_points):
-            want = run()
-        assert run() == want
+            want = (
+                [outline(area_samples_oracle.eroded(poly, m)) for m in margins],
+                hexes((p.x, p.y) for p in area_samples_oracle.grid_samples(poly, 0.05)),
+                [
+                    hexes(area_samples_oracle.samples_of(poly, m, spacing).tolist())
+                    for m in margins
+                ],
+            )
+        assert got == want
 
     def test_polygon_is_immutable(self):
         poly = Polygon2D([Vec2(1, 0), Vec2(0, 0), Vec2(0, 1)])  # clockwise in
