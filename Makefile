@@ -1,12 +1,9 @@
 # Development entry points.  CI runs the same commands (.github/workflows/ci.yml).
-#
-# ruff and mypy are optional-but-expected dev tools; physlint ships with the
-# package itself, so `make physlint` works in any environment that runs the code.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint ruff mypy physlint physlint-baseline bench-smoke events-smoke serve-smoke docs-check
+.PHONY: test lint ruff mypy bench-smoke events-smoke serve-smoke docs-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -31,20 +28,12 @@ serve-smoke:
 docs-check:
 	$(PYTHON) -m pytest -x -q tests/test_docs.py
 
-## Full static gate: style (ruff) + types (mypy) + physics and
-## architecture lint (physlint).
-lint: ruff mypy physlint
+## Full static gate: style (ruff) + types (mypy).  The layer table is
+## checked by tier-1 (tests/test_architecture.py).
+lint: ruff mypy
 
 ruff:
 	ruff check src/ tests/ examples/ benchmarks/
 
 mypy:
 	mypy src/repro
-
-physlint:
-	$(PYTHON) -m repro.cli lint-src src/repro
-
-## Re-accept all current findings (review the diff before committing!).
-physlint-baseline:
-	$(PYTHON) -m repro.cli lint-src src/repro --no-baseline \
-		--write-baseline src/repro/lint/physlint_baseline.json

@@ -208,7 +208,7 @@ def _series_sums(elements: Sequence[CircuitElement]) -> tuple[float, float]:
     """Total resistance [ohm] and elastance ``sum 1/C`` [1/F] of series elements."""
     resistance = sum(e.resistance for e in elements if isinstance(e, Resistor))
     elastance = sum(
-        1.0 / e.capacitance  # physlint: disable=NUM002 -- Capacitor rejects C <= 0
+        1.0 / e.capacitance  # Capacitor rejects C <= 0
         for e in elements
         if isinstance(e, Capacitor)
     )
@@ -233,7 +233,7 @@ class _Tap:
 
     def read(self, freqs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """The node voltage over a grid from ``(F, size, ...)`` unknown vectors."""
-        z = self.resistance + self.elastance / (2j * math.pi * freqs)  # physlint: disable=NUM002
+        z = self.resistance + self.elastance / (2j * math.pi * freqs)
         z = z.reshape(z.shape + (1,) * (vectors.ndim - 2))
         drop = self.sign * z * vectors[:, self.row]
         if self.end is None:

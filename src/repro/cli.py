@@ -3,7 +3,6 @@
 Mirrors the paper's usage loop on the ASCII file interface::
 
     repro-emi check  board.txt --format json --fail-on error
-    repro-emi lint-src src/repro --format json
     repro-emi place  board.txt -o placed.txt --svg board.svg
     repro-emi drc    placed.txt
     repro-emi rules  board.txt --k-threshold 0.01 -o ruled.txt
@@ -13,9 +12,7 @@ Mirrors the paper's usage loop on the ASCII file interface::
     repro-emi serve  --port 8765
 
 ``check`` statically validates a design file without running any solver
-(rule catalogue in ``docs/CHECKS.md``), ``lint-src`` statically analyzes
-the *source tree* for unit-dimension and numerical-robustness defects
-(rule catalogue in ``docs/PHYSLINT.md``), ``place`` runs the automatic
+(rule catalogue in ``docs/CHECKS.md``), ``place`` runs the automatic
 three-step method, ``drc`` prints the red/green rule verdicts, ``rules``
 derives PEMD rules for every pair of field-relevant parts in the file,
 ``compact`` shrinks a legal layout, ``demo`` reproduces the
@@ -127,60 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="warning",
         help="minimum severity that produces a nonzero exit code "
         "(default: warning; the exit code is the max severity, 1 or 2)",
-    )
-
-    p_lint = sub.add_parser(
-        "lint-src",
-        help="physics-aware static analysis of the source tree (physlint)",
-        parents=[obs_flags],
-    )
-    p_lint.add_argument(
-        "paths",
-        type=Path,
-        nargs="*",
-        help="files or directories to analyze (default: the repro package)",
-    )
-    p_lint.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report rendering (default: text; sarif emits a SARIF 2.1.0 "
-        "document for GitHub code scanning)",
-    )
-    p_lint.add_argument(
-        "--fail-on",
-        choices=("warning", "error"),
-        default="warning",
-        help="minimum severity that produces a nonzero exit code "
-        "(default: warning; the exit code is the max severity, 1 or 2)",
-    )
-    p_lint.add_argument(
-        "--select",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes or family prefixes to run "
-        "(e.g. ARCH, or NUM002,UNT; default: every rule); a code or "
-        "family that matches no registered rule exits 2",
-    )
-    p_lint.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="baseline of waived findings (default: the checked-in "
-        "package baseline)",
-    )
-    p_lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore every baseline, surface all findings",
-    )
-    p_lint.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the surfaced findings as a new baseline and exit 0",
     )
 
     p_place = sub.add_parser(
@@ -513,70 +456,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         print(report.text())
     return report.exit_code(Severity.parse(args.fail_on))
-
-
-def _cmd_lint_src(args: argparse.Namespace) -> int:
-    from .check import Severity
-    from .lint import DEFAULT_BASELINE_PATH, Baseline, lint_paths
-
-    baseline = None
-    if not args.no_baseline:
-        baseline_path = args.baseline
-        if baseline_path is None and DEFAULT_BASELINE_PATH.is_file():
-            baseline_path = DEFAULT_BASELINE_PATH
-        if baseline_path is not None:
-            try:
-                baseline = Baseline.load(baseline_path)
-            except OSError as exc:
-                print(f"lint-src: cannot read {baseline_path}: {exc}", file=sys.stderr)
-                return int(Severity.ERROR)
-            except ValueError as exc:
-                print(f"lint-src: {exc}", file=sys.stderr)
-                return int(Severity.ERROR)
-    select = None
-    if args.select:
-        select = [token.strip().upper() for token in args.select.split(",") if token.strip()]
-        if not select:
-            print("lint-src: --select given but no codes parsed", file=sys.stderr)
-            return int(Severity.ERROR)
-    try:
-        result = lint_paths(
-            paths=list(args.paths) or None,
-            baseline=baseline,
-            select=select,
-        )
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"lint-src: {exc}", file=sys.stderr)
-        return int(Severity.ERROR)
-    if args.write_baseline is not None:
-        Baseline.from_findings(result.findings).save(args.write_baseline)
-        print(
-            f"wrote {args.write_baseline} "
-            f"({len(result.findings)} finding(s) baselined)"
-        )
-        return 0
-    if args.format == "sarif":
-        import json
-
-        from . import __version__
-        from .lint import findings_to_sarif
-
-        print(json.dumps(findings_to_sarif(result.findings, __version__), indent=2))
-    elif args.format == "json":
-        document = result.report.to_dict()
-        document["files"] = result.files
-        document["suppressed"] = result.suppressed
-        document["baselined"] = result.baselined
-        import json
-
-        print(json.dumps(document, indent=2))
-    else:
-        print(result.report.text())
-        print(
-            f"{result.files} file(s) analyzed; {result.suppressed} inline "
-            f"suppression(s), {result.baselined} baselined"
-        )
-    return result.report.exit_code(Severity.parse(args.fail_on))
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
@@ -1092,7 +971,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "check": _cmd_check,
-    "lint-src": _cmd_lint_src,
     "place": _cmd_place,
     "drc": _cmd_drc,
     "rules": _cmd_rules,

@@ -299,7 +299,7 @@ class Polygon2D:
         denom = d1x * d2y - d1y * d2x
         parallel = (-EPS < denom) & (denom < EPS)
         cut = np.where(parallel, 1.0, denom)  # |denom| >= EPS wherever it is used
-        t = ((q1x - p1x) * d2y - (q1y - p1y) * d2x) / cut  # physlint: disable=NUM002 -- see cut
+        t = ((q1x - p1x) * d2y - (q1y - p1y) * d2x) / cut
         x = np.where(parallel, p2x, p1x + d1x * t)
         y = np.where(parallel, p2y, p1y + d1y * t)
 
@@ -313,7 +313,7 @@ class Polygon2D:
         dx, dy = x - ex, y - ey
         point = len_sq < EPS
         reach = np.where(point, 1.0, len_sq)  # >= EPS
-        t = np.clip((dx * abx + dy * aby) / reach, 0.0, 1.0)  # physlint: disable=NUM002 -- >= EPS
+        t = np.clip((dx * abx + dy * aby) / reach, 0.0, 1.0)
         t = np.where(point, 0.0, t)
         distance = _hypot(x - (ex + abx * t), y - (ey + aby * t))
         kept &= ~(distance < (margins * 0.99 - EPS)[:, None]).any(axis=(0, 2))
@@ -412,12 +412,12 @@ class _Rings:
     def boundary_samples(self, spacing: float) -> tuple[np.ndarray, np.ndarray]:
         """Each live edge in ``max(1, ceil(length / spacing))`` equal steps
         from its start vertex, as (N, 2) points row by row and their row ids."""
-        cuts = np.ceil(self.length / spacing)  # physlint: disable=NUM002 -- spacing > 0
+        cuts = np.ceil(self.length / spacing)  # spacing > 0
         steps = np.where(self.live, np.maximum(cuts, 1.0), 0.0)
         steps = steps.astype(np.int64).ravel()
         edge = np.repeat(np.arange(steps.size), steps)
         taken = np.arange(edge.size) - (np.cumsum(steps) - steps)[edge]
-        t = taken / steps[edge]  # physlint: disable=NUM002 -- a sampled edge has >= 1 step
+        t = taken / steps[edge]
         ax, ay = self.x.ravel()[edge], self.y.ravel()[edge]
         px = ax + t * self.dx.ravel()[edge]
         py = ay + t * self.dy.ravel()[edge]
@@ -483,8 +483,8 @@ def _centroids(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bx, by = x[:, following], y[:, following]
     w = x * by - y * bx
     six_area = 6.0 * (0.5 * _running_sum(w))
-    cx = _running_sum((x + bx) * w) / six_area  # physlint: disable=NUM002 -- area >= EPS
-    cy = _running_sum((y + by) * w) / six_area  # physlint: disable=NUM002 -- area >= EPS
+    cx = _running_sum((x + bx) * w) / six_area  # area >= EPS
+    cy = _running_sum((y + by) * w) / six_area
     return cx, cy
 
 
@@ -506,7 +506,7 @@ def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 def _steps(start: np.ndarray, stop: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``start, start + step, ...`` up to ``stop`` (+EPS) for each row,
     accumulated in order: the (R, K) values and which of them are in range."""
-    reach = (stop - start) / step  # physlint: disable=NUM002 -- step > 0
+    reach = (stop - start) / step  # step > 0
     count = int(np.max(reach, initial=0.0)) + 2
     bound = (stop + EPS)[:, None]
     while True:

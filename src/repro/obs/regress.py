@@ -181,7 +181,7 @@ def _classify_span(base: float | None, cur: float | None) -> tuple[float | None,
         return None, "ok"
     # Floor the denominator so a near-zero baseline cannot explode the
     # ratio for a span that merely crossed the noise floor.
-    ratio = cur / max(base, MIN_WALL_S)  # physlint: disable=NUM002 -- MIN_WALL_S > 0
+    ratio = cur / max(base, MIN_WALL_S)  # MIN_WALL_S > 0
     if cur >= MIN_WALL_S and ratio > 1.0 + WALL_REL:
         return ratio, "regression"
     if base >= MIN_WALL_S and ratio < 1.0 / (1.0 + WALL_REL):

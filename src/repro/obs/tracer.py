@@ -503,7 +503,7 @@ def get_tracer() -> Tracer | NullTracer:
 
 def set_tracer(tracer: Tracer | NullTracer) -> Tracer | NullTracer:
     """Install ``tracer`` as the global tracer and return it."""
-    global _tracer  # physlint: disable=API002 -- documented singleton accessor
+    global _tracer
     _tracer = tracer
     return tracer
 

@@ -57,8 +57,8 @@ def _b_field_points(
         inv_rho = np.divide(1.0, rho, out=np.zeros_like(rho), where=~on_axis)
         e_phi = np.cross(t, perp * inv_rho[..., None])
         rho = np.maximum(rho, clamps)  # conductor-radius clamp: rho >= clamp > 0
-        sin1 = -axial / np.hypot(axial, rho)  # physlint: disable=NUM002 -- hypot >= rho > 0
-        sin2 = (lengths - axial) / np.hypot(lengths - axial, rho)  # physlint: disable=NUM002
+        sin1 = -axial / np.hypot(axial, rho)  # hypot >= rho > 0
+        sin2 = (lengths - axial) / np.hypot(lengths - axial, rho)
         magnitude = MU0 * amps / (4.0 * np.pi * rho) * (sin2 - sin1)
         out[lo : lo + step] = einsum("cf,cfk->ck", magnitude, e_phi)
     return out

@@ -3,27 +3,20 @@
 The EMI flow mixes quantities whose magnitudes differ by nine orders
 (metres vs millimetres on boards, henries vs nanohenries in parasitics,
 hertz vs rad/s in sweeps).  Python's type system cannot stop a caller from
-feeding millimetres into a metre-valued API — but a *static analyzer* can,
-if the APIs say what they expect.  This module is the single source of
-truth for that vocabulary:
+feeding millimetres into a metre-valued API, so the APIs say what they
+expect:
 
 * the unit aliases (:data:`Meters`, :data:`Henries`, ...) are plain
   ``Annotated[float, Unit(...)]`` types: zero runtime cost, ``float`` to
-  mypy, and a machine-readable dimension tag for ``repro.lint`` (the
-  "physlint" analyzer, see ``docs/PHYSLINT.md``);
-* :data:`UNIT_ALIASES` maps alias *names* to their :class:`Unit` so the
-  analyzer can resolve annotations syntactically (``x: Meters`` works in
-  any module without import tracking);
-* :func:`approx_zero` / :func:`same_float` are the sanctioned ways to
-  compare computed floats — physlint rule NUM001 flags raw ``==``/``!=``.
+  mypy, and a dimension tag a reader (or a tool) can resolve;
+* :func:`approx_zero` is the way to test a computed float for zero
+  (``math.isclose(x, 0.0)`` is an exact test).
 
-Annotation conventions for contributors (enforced by ``repro-emi
-lint-src``): public physics APIs annotate every float parameter and
-return that has a dimension; base-SI aliases (``Meters``, not
-``Millimeters``) are the default at API boundaries; scaled aliases exist
-so that the *rare* non-SI interface (CLI millimetre flags, nanohenry
-tables) is visible to the analyzer instead of being a silent factor of
-1e-3.
+Annotation conventions for contributors: public physics APIs annotate
+every float parameter and return that has a dimension; base-SI aliases
+(``Meters``, not ``Millimeters``) are the default at API boundaries;
+scaled aliases exist so that the *rare* non-SI interface (CLI millimetre
+flags, nanohenry tables) says so instead of hiding a factor of 1e-3.
 """
 
 from __future__ import annotations
@@ -49,9 +42,7 @@ __all__ = [
     "Volts",
     "Amperes",
     "Dimensionless",
-    "UNIT_ALIASES",
     "approx_zero",
-    "same_float",
 ]
 
 
@@ -63,7 +54,7 @@ class Unit:
         dimension: name of the physical dimension ("length", "inductance",
             ...).  Two aliases with the same dimension but different scales
             (``Meters`` / ``Millimeters``) are *convertible but not
-            mixable* — adding or comparing them is a physlint error.
+            mixable*: adding or comparing them is a unit error.
         scale: factor to the dimension's base SI unit (``Millimeters`` has
             ``scale=1e-3``).
         symbol: short human symbol used in diagnostics ("m", "nH").
@@ -93,27 +84,8 @@ Amperes: TypeAlias = Annotated[float, Unit("current", 1.0, "A")]
 #: Explicitly unitless quantities (coupling factors k, residuals, ratios).
 Dimensionless: TypeAlias = Annotated[float, Unit("dimensionless", 1.0, "")]
 
-#: Alias name -> unit tag; the analyzer's annotation-resolution table.
-UNIT_ALIASES: dict[str, Unit] = {
-    "Meters": Unit("length", 1.0, "m"),
-    "Millimeters": Unit("length", 1e-3, "mm"),
-    "Henries": Unit("inductance", 1.0, "H"),
-    "NanoHenries": Unit("inductance", 1e-9, "nH"),
-    "Farads": Unit("capacitance", 1.0, "F"),
-    "Ohms": Unit("resistance", 1.0, "ohm"),
-    "Hertz": Unit("frequency", 1.0, "Hz"),
-    "RadPerSec": Unit("angular-frequency", 1.0, "rad/s"),
-    "Tesla": Unit("flux-density", 1.0, "T"),
-    "Seconds": Unit("time", 1.0, "s"),
-    "Radians": Unit("angle", 1.0, "rad"),
-    "Degrees": Unit("angle", math.pi / 180.0, "deg"),
-    "Volts": Unit("voltage", 1.0, "V"),
-    "Amperes": Unit("current", 1.0, "A"),
-    "Dimensionless": Unit("dimensionless", 1.0, ""),
-}
 
-
-# -- sanctioned float comparisons ------------------------------------------
+# -- the sanctioned zero test -----------------------------------------------
 
 #: Default absolute tolerance of :func:`approx_zero`.  1e-15 sits far
 #: below every physical magnitude in the flow (the smallest are stray
@@ -126,8 +98,7 @@ def approx_zero(value: float, tol: float = APPROX_ZERO_TOL) -> bool:
 
     ``math.isclose(x, 0.0)`` degenerates to an exact test (relative
     tolerance against zero is zero), which is why raw ``== 0.0`` checks
-    creep in; this helper is the explicit replacement physlint's NUM001
-    rule points to.
+    creep in; this helper is the explicit replacement.
 
     Args:
         value: the quantity to test (any unit; the tolerance is absolute).
@@ -136,12 +107,3 @@ def approx_zero(value: float, tol: float = APPROX_ZERO_TOL) -> bool:
     if tol < 0.0:
         raise ValueError("tolerance must be non-negative")
     return abs(value) <= tol
-
-
-def same_float(a: float, b: float, rel_tol: float = 1e-9, abs_tol: float = APPROX_ZERO_TOL) -> bool:
-    """Tolerant float equality: ``math.isclose`` with a nonzero ``abs_tol``.
-
-    The nonzero absolute floor makes the test meaningful when one operand
-    is exactly zero (where ``math.isclose`` defaults to an exact compare).
-    """
-    return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)

@@ -88,16 +88,3 @@ def design_flow(buck_design) -> EmiDesignFlow:
 def layout_comparison(design_flow):
     """The baseline-versus-optimised evaluation pair (expensive; run once)."""
     return design_flow.compare_layouts()
-
-
-@pytest.fixture(scope="session")
-def shipped_tree_lint():
-    """One lint run over ``src/repro``: no select, no baseline.
-
-    The whole-tree lint self-checks share it and filter its findings the
-    way ``select`` (a code family plus LNT001, which every selection keeps)
-    or ``Baseline.filter`` would.
-    """
-    from repro.lint import default_target, lint_paths
-
-    return lint_paths([default_target()], baseline=None)

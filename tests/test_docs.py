@@ -71,7 +71,6 @@ class TestDocsIndex:
             "PHYSICS.md",
             "SERVICE.md",
             "CHECKS.md",
-            "PHYSLINT.md",
             "PERFORMANCE.md",
             "OBSERVABILITY.md",
         }
@@ -157,23 +156,3 @@ class TestMakeTargets:
             f"{name}: make {target}" for name, target in used if target not in defined
         )
         assert not unknown, f"docs run make targets the Makefile lacks: {', '.join(unknown)}"
-
-
-class TestPhyslintDoc:
-    # "CON001–CON005" names every code of the range.
-    _RANGE = re.compile(r"\b([A-Z]+)(\d{3})–\1(\d{3})\b")
-
-    def _named_codes(self) -> set[str]:
-        text = (DOCS / "PHYSLINT.md").read_text(encoding="utf-8")
-        named = set(re.findall(r"\b[A-Z]+\d{3}\b", text))
-        for family, first, last in self._RANGE.findall(text):
-            named.update(f"{family}{n:03d}" for n in range(int(first), int(last) + 1))
-        return named
-
-    def test_names_every_registered_and_retired_code(self):
-        from repro.lint import lint_rule_specs
-        from repro.lint.registry import _RETIRED
-
-        codes = {spec.code for spec in lint_rule_specs()} | set(_RETIRED)
-        missing = sorted(codes - self._named_codes())
-        assert not missing, f"docs/PHYSLINT.md does not name: {', '.join(missing)}"

@@ -74,3 +74,20 @@ def test_number_equals_its_artefact(text, artefact, pattern):
     value, half_unit = quoted(text)
     # Equal to the digits shown: the artefact rounds to the quoted figure.
     assert abs(float(match.group(1)) - value) <= half_unit * (1.0 + 1e-9), (text, match.group(1))
+
+
+def test_protected_band_range_spans_the_resolved_rows():
+    """The "per protected band" range is the min and max delta of the band
+    table's resolved rows.  LW, where the blind layout is lucky, is discussed
+    on its own; a band without a physical line reads ``-`` and is left out."""
+    lines = (OUT / FIG01).read_text(encoding="utf-8").splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("---")) + 1
+    rows = [re.split(r"\s{2,}", line.strip()) for line in lines[first:]]
+    rows = rows[: next(i for i, row in enumerate(rows) if row == [""])]
+    deltas = [float(row[3]) for row in rows if row[3] != "-" and not row[0].startswith("LW")]
+    assert deltas
+    match = re.search(r"improvement (\S+)–(\S+) dB per protected band", EXPERIMENTS)
+    assert match
+    for text, value in zip(match.groups(), (min(deltas), max(deltas)), strict=True):
+        expected, half_unit = quoted(text)
+        assert abs(value - expected) <= half_unit * (1.0 + 1e-9), (text, value)
